@@ -317,15 +317,8 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
 
 def cmd_gap(args) -> int:
     if args.sweep:
-        n_lo, n_hi = args.sweep.get("N", (1, 8))
-        k_lo, k_hi = args.sweep.get("K", (1, 4))
-        l_rng = args.sweep.get("L")
-        tasks = []
-        for n in range(n_lo, n_hi + 1):
-            for k in range(k_lo, k_hi + 1):
-                l_lo, l_hi = l_rng if l_rng else (1, n)
-                for big_l in range(l_lo, min(l_hi, n) + 1):
-                    tasks.append((n, k, big_l, args.grid, args.lambda_step))
+        triples = tradeoff.sweep_triples(args.sweep.get("N", (1, 8)), args.sweep.get("K", (1, 4)), args.sweep.get("L"))
+        tasks = [(n, k, big_l, args.grid, args.lambda_step) for n, k, big_l in triples]
     else:
         if args.N is None or args.K is None or args.L is None:
             raise ValueError("pass --N/--K/--L or --sweep")

@@ -6,11 +6,12 @@ by the caching scheme is 257; q = 2 is fully supported so privacy audits can
 enumerate every library realization.
 
 Gaussian elimination carries explicit status reporting and never returns a
-silently wrong answer on singular or inconsistent systems.  A multi-RHS
-variant extracts the exact values of a chosen subset of unknowns from a
-system that is underdetermined overall, which is what a cache-aided decoder
-needs: the broadcast pins down the requested file without pinning down
-every subfile it was coded with.
+silently wrong answer on singular or inconsistent systems; every solver runs
+one rows -> ``rref`` -> consistency body.  Two take many right-hand sides in
+one elimination: ``determined_unknowns`` extracts the exact values of chosen
+unknowns from a system that is underdetermined overall (a cache-aided decoder
+needs only the requested file's subfiles), and ``solve_any`` returns one
+particular solution, or None, per right-hand-side column.
 """
 
 from __future__ import annotations
@@ -147,13 +148,27 @@ def rref(field: PrimeField, rows: list[list[int]], n_coef: int) -> list[int]:
 def _as_rows(field: PrimeField, matrix: Sequence[Sequence[int]], rhs_rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     if len(matrix) != len(rhs_rows):
         raise ValueError("matrix and right-hand side row counts differ")
+    q = field.q
     n_coef = len(matrix[0]) if matrix else 0
     rows = []
     for coef, rhs in zip(matrix, rhs_rows):
         if len(coef) != n_coef:
             raise ValueError("ragged matrix")
-        rows.append([field.reduce(x) for x in coef] + [field.reduce(x) for x in rhs])
+        rows.append([x % q for x in coef] + [x % q for x in rhs])
     return rows, n_coef
+
+
+def _eliminate(field: PrimeField, matrix: Sequence[Sequence[int]], rhs_rows: Sequence[Sequence[int]]):
+    """The body every solver shares: rows, then ``rref``, then consistency.
+
+    Returns the reduced rows, the coefficient count, the pivot columns and,
+    per right-hand-side column b_j, whether A x = b_j has a solution.
+    """
+    rows, n_coef = _as_rows(field, matrix, rhs_rows)
+    pivots = rref(field, rows, n_coef)
+    n_rhs = len(rows[0]) - n_coef if rows else 0
+    consistent = [not any(row[n_coef + j] for row in rows[len(pivots):]) for j in range(n_rhs)]
+    return rows, n_coef, pivots, consistent
 
 
 def gaussian_solve(field: PrimeField, matrix: Sequence[Sequence[int]], rhs: Iterable[int]):
@@ -163,33 +178,32 @@ def gaussian_solve(field: PrimeField, matrix: Sequence[Sequence[int]], rhs: Iter
     ("underdetermined", None) or ("inconsistent", None) otherwise.
     """
     b = list(rhs.entries) if isinstance(rhs, SymbolVector) else list(rhs)
-    rows, n_coef = _as_rows(field, matrix, [[x] for x in b])
-    pivots = rref(field, rows, n_coef)
-    for row in rows[len(pivots):]:
-        if row[-1] % field.q:
-            return ("inconsistent", None)
+    rows, n_coef, pivots, consistent = _eliminate(field, matrix, [[x] for x in b])
+    if not all(consistent):
+        return ("inconsistent", None)
     if len(pivots) < n_coef:
         return ("underdetermined", None)
-    x = [0] * n_coef
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][-1]
-    return ("unique", tuple(x))
+    # full column rank: row i holds the pivot of column i
+    return ("unique", tuple(rows[i][n_coef] for i in range(n_coef)))
 
 
-def solve_any(field: PrimeField, matrix: Sequence[Sequence[int]], rhs: Iterable[int]) -> tuple[int, ...] | None:
-    """One particular solution of A x = b (free unknowns set to 0), or None
-    when the system is inconsistent."""
-    rows, n_coef = _as_rows(field, matrix, [[x] for x in rhs])
-    if not rows:
-        return None
-    pivots = rref(field, rows, n_coef)
-    for row in rows[len(pivots):]:
-        if row[-1] % field.q:
-            return None
-    x = [0] * n_coef
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][-1]
-    return tuple(x)
+def solve_any(field: PrimeField, matrix: Sequence[Sequence[int]],
+              rhs_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...] | None]:
+    """One particular solution of A x = b_j (free unknowns set to 0) for every
+    right-hand-side column b_j of ``rhs_rows``, or None for a column whose
+    system is inconsistent.  A single elimination serves all columns; with no
+    rows there are no columns and the result is empty."""
+    rows, n_coef, pivots, consistent = _eliminate(field, matrix, rhs_rows)
+    solutions: list[tuple[int, ...] | None] = []
+    for j, ok in enumerate(consistent):
+        if not ok:
+            solutions.append(None)
+            continue
+        x = [0] * n_coef
+        for i, col in enumerate(pivots):
+            x[col] = rows[i][n_coef + j]
+        solutions.append(tuple(x))
+    return solutions
 
 
 def determined_unknowns(
@@ -206,14 +220,9 @@ def determined_unknowns(
     are simply absent from the result.  Raises InconsistentSystemError when
     the system has no solution at all.
     """
-    rows, n_coef = _as_rows(field, matrix, rhs_rows)
-    if not rows:
-        return {}
-    pivots = rref(field, rows, n_coef)
-    q = field.q
-    for row in rows[len(pivots):]:
-        if any(x % q for x in row[n_coef:]):
-            raise InconsistentSystemError("no solution")
+    rows, n_coef, pivots, consistent = _eliminate(field, matrix, rhs_rows)
+    if not all(consistent):
+        raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
     free = [c for c in range(n_coef) if c not in pivot_row]
     out: dict[int, tuple[int, ...]] = {}
@@ -221,7 +230,7 @@ def determined_unknowns(
         i = pivot_row.get(j)
         if i is None:
             continue
-        if any(rows[i][f] % q for f in free):
+        if any(rows[i][f] for f in free):
             continue
         out[j] = tuple(rows[i][n_coef:])
     return out

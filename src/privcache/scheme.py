@@ -30,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import ucc
@@ -75,7 +76,7 @@ class SchemeParams:
     def field(self) -> PrimeField:
         return PrimeField(self.q)
 
-    @property
+    @cached_property
     def ucc(self) -> UccParams:
         return UccParams(
             n_files=self.n_files,

@@ -19,11 +19,13 @@ Two decoders are provided:
   a linear equation, and reads the requested file out of the exact solution.
   Correctness is the contract; nothing scheme-specific is assumed.
 * ``decode_structural`` is the optimized path: it reconstructs untransmitted
-  all-non-leader segments (closed-form leader-substitution identity in the
-  plain convention, a data-independent formal combination in the signed one)
-  and then peels segment equations with a single unknown subfile.  It never
-  eliminates over the symbol data and is cross-checked against the reference
-  decoder in the test suite.
+  all-non-leader segments once per broadcast, shared by every user's decode
+  (closed-form leader-substitution identity in the plain convention; in the
+  signed one, a single elimination over the data-independent formal system
+  with every omitted segment as a right-hand-side column), and then peels
+  segment equations with a single unknown subfile.  It never eliminates over
+  the symbol data and is cross-checked against the reference decoder in the
+  test suite.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact import binomial, subset_rank, subsets_of_size
@@ -87,6 +90,20 @@ class UccParams:
     def n_groups(self) -> int:
         return self.n_users // self.block_len
 
+    @cached_property
+    def _rank_of(self) -> dict[tuple[int, ...], int]:
+        """Subfile label -> rank, in rank (lexicographic) order."""
+        return {lab: t for t, lab in enumerate(subsets_of_size(range(self.n_users), self.r))}
+
+    @cached_property
+    def _user_ranks(self) -> tuple[tuple[int, ...], ...]:
+        """Per user, the ranks of the labels containing it (its cached subfiles)."""
+        ranks: list[list[int]] = [[] for _ in range(self.n_users)]
+        for lab, t in self._rank_of.items():
+            for v in lab:
+                ranks[v].append(t)
+        return tuple(tuple(x) for x in ranks)
+
     @classmethod
     def for_file_len(cls, n_files: int, n_users: int, block_len: int, r: int, file_len: int) -> "UccParams":
         """Build params from a total file length, which must be a multiple of C(n_users, r)."""
@@ -98,21 +115,18 @@ class UccParams:
 
 def subfile_labels(params: UccParams) -> list[tuple[int, ...]]:
     """All r-subsets of users in lexicographic order; list index equals rank."""
-    return list(subsets_of_size(range(params.n_users), params.r))
+    return list(params._rank_of)
 
 
 def user_label_ranks(params: UccParams, u: int) -> list[int]:
     """Ranks of the subfile labels stored by user u (those containing u)."""
-    return [t for t, lab in enumerate(subfile_labels(params)) if u in lab]
+    return list(params._user_ranks[u])
 
 
 def user_positions(params: UccParams, u: int) -> list[int]:
     """Symbol indices (within any one file) stored by user u."""
     p = params.packet_size
-    out: list[int] = []
-    for t in user_label_ranks(params, u):
-        out.extend(range(t * p, (t + 1) * p))
-    return out
+    return [t * p + i for t in params._user_ranks[u] for i in range(p)]
 
 
 @dataclass(frozen=True)
@@ -221,6 +235,15 @@ class Broadcast:
     def symbol_count(self) -> int:
         return sum(len(v) for v in self.segments.values())
 
+    @cached_property
+    def _equations(self) -> list[tuple[list[tuple[int, int, int]], list[int]]]:
+        """(terms, values) of every transmitted segment, then of every
+        reconstructed untransmitted one: built on first use and shared by
+        every decode (a broadcast is not modified after encode)."""
+        segs = [(sub, list(seg.entries)) for sub, seg in sorted(self.segments.items())]
+        segs.extend(_reconstructed_segments(self))
+        return [(_segment_terms(self.params, self.demand.entries, sub, self.signed), vals) for sub, vals in segs]
+
     def trace_record(self) -> dict:
         par = self.params
         return {
@@ -262,6 +285,16 @@ def segment_signs(signed: bool, size: int) -> list[int]:
     return [1 if i % 2 == 0 else -1 for i in range(size)]
 
 
+def _segment_terms(params: UccParams, demand: tuple[int, ...], sub: tuple[int, ...],
+                   signed: bool) -> list[tuple[int, int, int]]:
+    """The (file, label rank, +-1) terms of the segment of user subset ``sub``:
+    each user v in it contributes the subfile of its demanded file labeled by
+    the rest of the subset."""
+    rank_of = params._rank_of
+    coeffs = segment_signs(signed, len(sub))
+    return [(demand[v], rank_of[sub[:i] + sub[i + 1:]], coeffs[i]) for i, v in enumerate(sub)]
+
+
 def use_signed_segments(params: UccParams, field: PrimeField) -> bool:
     """Coefficient convention for this instance.
 
@@ -290,17 +323,14 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library,
         signed = use_signed_segments(params, library.field)
     q = library.field.q
     packet = params.packet_size
-    rank_of = {lab: t for t, lab in enumerate(subfile_labels(params))}
-    coeffs = segment_signs(signed, params.r + 1)
     segments: dict[tuple[int, ...], SymbolVector] = {}
     for sub in subsets_of_size(range(params.n_users), params.r + 1):
         if sub[0] >= params.block_len:
             continue  # subsets are sorted, so sub[0] < block_len iff a leader is present
         acc = [0] * packet
-        for c, u in zip(coeffs, sub):
-            lab = tuple(v for v in sub if v != u)
-            base = rank_of[lab] * packet
-            row = library.rows[demand.entries[u]]
+        for n, t, c in _segment_terms(params, demand.entries, sub, signed):
+            base = t * packet
+            row = library.rows[n]
             for p in range(packet):
                 acc[p] = (acc[p] + c * row[base + p]) % q
         segments[sub] = SymbolVector(library.field, tuple(acc))
@@ -323,20 +353,16 @@ def cache_slice_for(params: UccParams, u: int, library: Library, files: Iterable
     return {n: {i: library.rows[n][i] for i in pos} for n in set(files)}
 
 
-def _assemble(params: UccParams, target: int, u: int, cache_slice: CacheSlice,
-              solved: dict[int, tuple[int, ...]], var: dict, labels: list) -> tuple[int, ...]:
-    packet = params.packet_size
+def _assemble(params: UccParams, u: int, stored: Mapping[int, int],
+              solved: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """User u's requested file: its cached symbols from ``stored`` (u's cache
+    slice of that file), every other subfile from ``solved`` {label rank: values}."""
+    p = params.packet_size
     out = [0] * params.file_len
-    for t, lab in enumerate(labels):
-        base = t * packet
-        if u in lab:
-            stored = cache_slice[target]
-            for p in range(packet):
-                out[base + p] = stored[base + p]
-        else:
-            vals = solved[var[(target, t)]]
-            for p in range(packet):
-                out[base + p] = vals[p]
+    for i in user_positions(params, u):
+        out[i] = stored[i]
+    for t, vals in solved.items():
+        out[t * p:(t + 1) * p] = vals
     return tuple(out)
 
 
@@ -346,6 +372,57 @@ def _segment_field(broadcast: Broadcast) -> PrimeField:
     raise DecodeError("broadcast carries no segments and no field")
 
 
+def _decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
+    """What both decoders share: the user-range check, the r = n_users
+    shortcut (nothing uncached) and a missing cache symbol reported as
+    DecodeError.  ``solve`` returns the uncached subfiles {label rank: values}."""
+    if not 0 <= u < params.n_users:
+        raise ValueError(f"user {u} out of range")
+    cached = set(params._user_ranks[u])
+    uncached = [t for t in range(params.subfile_count) if t not in cached]
+    try:
+        solved = solve(params, u, broadcast, cache_slice, uncached) if uncached else {}
+        return _assemble(params, u, cache_slice[broadcast.demand.entries[u]], solved)
+    except KeyError as exc:
+        raise DecodeError(f"cache slice is missing symbols: {exc}") from None
+
+
+def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
+                  uncached: list[int]) -> dict[int, tuple[int, ...]]:
+    demand = broadcast.demand.entries
+    fld = _segment_field(broadcast)
+    q = fld.q
+    packet = params.packet_size
+    var = {key: j for j, key in enumerate(itertools.product(sorted(broadcast.demand.file_set), uncached))}
+
+    matrix: list[list[int]] = []
+    rhs_rows: list[list[int]] = []
+    for sub, seg in sorted(broadcast.segments.items()):
+        coef = [0] * len(var)
+        rhs = list(seg.entries)
+        for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
+            j = var.get((n, t))
+            if j is None:  # cached by u: move it to the right-hand side
+                stored = cache_slice[n]
+                base = t * packet
+                for p in range(packet):
+                    rhs[p] = (rhs[p] - c * stored[base + p]) % q
+            else:
+                coef[j] = (coef[j] + c) % q
+        matrix.append(coef)
+        rhs_rows.append(rhs)
+
+    target = demand[u]
+    wanted = [var[(target, t)] for t in uncached]
+    try:
+        solved = determined_unknowns(fld, matrix, rhs_rows, wanted)
+    except InconsistentSystemError as exc:
+        raise DecodeError(f"inconsistent broadcast: {exc}") from None
+    if len(solved) < len(wanted):
+        raise DecodeError(f"user {u}: {len(wanted) - len(solved)} subfiles undetermined")
+    return {t: solved[var[(target, t)]] for t in uncached}
+
+
 def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
     """Reference decoder: exact elimination over the transmitted segments.
 
@@ -353,184 +430,85 @@ def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     subfiles move to the right-hand side.  All packet positions share one
     coefficient matrix and are solved together.
     """
-    demand = broadcast.demand
-    if not 0 <= u < params.n_users:
-        raise ValueError(f"user {u} out of range")
-    target = demand.entries[u]
-    labels = subfile_labels(params)
-    rank_of = {lab: t for t, lab in enumerate(labels)}
-    packet = params.packet_size
-    uncached = [t for t, lab in enumerate(labels) if u not in lab]
-    try:
-        if not uncached:
-            # r = n_users: the whole file is already cached
-            return _assemble(params, target, u, cache_slice, {}, {}, labels)
-        fld = _segment_field(broadcast)
-        q = fld.q
-
-        var: dict[tuple[int, int], int] = {}
-        for n in sorted(demand.file_set):
-            for t in uncached:
-                var[(n, t)] = len(var)
-
-        coeffs = segment_signs(broadcast.signed, params.r + 1)
-        matrix: list[list[int]] = []
-        rhs_rows: list[list[int]] = []
-        for sub, seg in sorted(broadcast.segments.items()):
-            coef = [0] * len(var)
-            rhs = list(seg.entries)
-            for c, v in zip(coeffs, sub):
-                n_v = demand.entries[v]
-                lab = tuple(x for x in sub if x != v)
-                t = rank_of[lab]
-                if u in lab:
-                    stored = cache_slice[n_v]
-                    base = t * packet
-                    for p in range(packet):
-                        rhs[p] = (rhs[p] - c * stored[base + p]) % q
-                else:
-                    j = var[(n_v, t)]
-                    coef[j] = (coef[j] + c) % q
-            matrix.append(coef)
-            rhs_rows.append(rhs)
-
-        wanted = [var[(target, t)] for t in uncached]
-        solved = determined_unknowns(fld, matrix, rhs_rows, wanted)
-        if len(solved) < len(wanted):
-            raise DecodeError(f"user {u}: {len(wanted) - len(solved)} subfiles undetermined")
-        return _assemble(params, target, u, cache_slice, solved, var, labels)
-    except InconsistentSystemError as exc:
-        raise DecodeError(f"inconsistent broadcast: {exc}") from None
-    except KeyError as exc:
-        raise DecodeError(f"cache slice is missing symbols: {exc}") from None
+    return _decode(params, u, broadcast, cache_slice, _solve_linear)
 
 
-def _formal_segment(params: UccParams, demand: tuple[int, ...], sub: tuple[int, ...],
-                    rank_of: dict, basis: dict, coeffs: list[int], q: int) -> list[int]:
-    row = [0] * len(basis)
-    for c, v in zip(coeffs, sub):
-        b = basis[(demand[v], rank_of[tuple(x for x in sub if x != v)])]
-        row[b] = (row[b] + c) % q
-    return row
-
-
-def _reconstructed_segments_signed(params: UccParams, broadcast: Broadcast, q: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Signed-mode reconstruction: express each untransmitted segment as an
-    exact combination of transmitted ones by solving a small formal system
-    over the (file, subfile-label) basis.  The combination depends only on the
-    demand pattern, never on library data or any cache."""
+def _signed_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
+    """Signed-mode reconstruction: one elimination over the formal system on
+    the (file, subfile-label) basis, with a column per transmitted segment and
+    a right-hand-side column per untransmitted one.  The combinations depend
+    only on the demand pattern, never on library data or any cache."""
+    params = broadcast.params
     demand = broadcast.demand.entries
-    fld = _segment_field(broadcast)
-    labels = subfile_labels(params)
-    rank_of = {lab: t for t, lab in enumerate(labels)}
-    basis = {}
-    for n in sorted(broadcast.demand.file_set):
-        for t in range(len(labels)):
-            basis[(n, t)] = len(basis)
-    coeffs = segment_signs(True, params.r + 1)
+    omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
+    if not omitted:
+        return []
+    files = sorted(broadcast.demand.file_set)
+    basis = {key: i for i, key in enumerate(itertools.product(files, range(params.subfile_count)))}
+
+    def formal(subs: list[tuple[int, ...]]) -> list[list[int]]:
+        cols = [[0] * len(subs) for _ in basis]
+        for j, sub in enumerate(subs):
+            for n, t, c in _segment_terms(params, demand, sub, True):
+                cols[basis[(n, t)]][j] = c
+        return cols
+
     tx_subs = sorted(broadcast.segments)
-    tx_rows = [_formal_segment(params, demand, s, rank_of, basis, coeffs, q) for s in tx_subs]
-    # columns of the formal system are the transmitted segments
-    a = [[tx_rows[j][b] for j in range(len(tx_subs))] for b in range(len(basis))]
-    packet = params.packet_size
-    out = []
-    for sub in subsets_of_size(range(params.block_len, params.n_users), params.r + 1):
-        target = _formal_segment(params, demand, sub, rank_of, basis, coeffs, q)
-        combo = solve_any(fld, a, target)
-        if combo is None:
-            continue
-        vals = [0] * packet
-        for x, s in zip(combo, tx_subs):
-            if x:
-                seg = broadcast.segments[s]
-                for p in range(packet):
-                    vals[p] = (vals[p] + x * seg.entries[p]) % q
-        out.append((sub, vals))
-    return out
+    combos = solve_any(_segment_field(broadcast), formal(tx_subs), formal(omitted))
+    return [(sub, [(x, s) for x, s in zip(combo, tx_subs) if x])
+            for sub, combo in zip(omitted, combos) if combo is not None]
 
 
-def _reconstructed_segments(params: UccParams, broadcast: Broadcast, q: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Untransmitted segments (no leader in the subset) rebuilt from transmitted
-    ones via the alternating identity, where the subset's demands are distinct.
+def _plain_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
+    """Plain-mode reconstruction via the alternating identity, for every
+    untransmitted subset whose demands are distinct.
 
     For such a subset B, replacing any nonempty V of its users by the leaders
     of their files gives a transmitted segment, and the signed sum over all V
     telescopes to the missing segment: pairing (V, u in B\\V) with
     (V + {u}, leader of u's file) cancels every subfile term.  The identity is
-    specific to the +1 coefficient convention; alternating-sign broadcasts use
-    the formal-combination route instead.
+    specific to the +1 coefficient convention.
     """
-    if broadcast.signed:
-        return _reconstructed_segments_signed(params, broadcast, q)
+    params = broadcast.params
     demand = broadcast.demand.entries
-    leader_of: dict[int, int] = {}
-    for i in range(params.block_len):
-        leader_of.setdefault(demand[i], i)
-    packet = params.packet_size
+    leader_of = {demand[i]: i for i in range(params.block_len)}  # block 0 names each file once
     out = []
-    non_leaders = range(params.block_len, params.n_users)
-    for sub in subsets_of_size(non_leaders, params.r + 1):
-        files = [demand[v] for v in sub]
-        if len(set(files)) != len(files):
+    for sub in subsets_of_size(range(params.block_len, params.n_users), params.r + 1):
+        if len({demand[v] for v in sub}) < len(sub):
             continue  # repeated file: identity unavailable, leave to peeling
-        acc = [0] * packet
+        combo = []
         for size in range(1, len(sub) + 1):
-            sign = 1 if size % 2 else -1
             for v_set in itertools.combinations(sub, size):
                 repl = sorted((set(sub) - set(v_set)) | {leader_of[demand[v]] for v in v_set})
-                seg = broadcast.segments[tuple(repl)]
-                for p in range(packet):
-                    acc[p] = (acc[p] + sign * seg.entries[p]) % q
-        out.append((sub, acc))
+                combo.append((1 if size % 2 else -1, tuple(repl)))
+        out.append((sub, combo))
     return out
 
 
-def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
-    """Peeling decoder: no elimination, only segment identities.
-
-    Seeds the known set with u's cached subfiles of the demanded files, adds
-    reconstructed all-non-leader segments, then repeatedly resolves any
-    segment equation with exactly one unknown subfile.
-    """
-    demand = broadcast.demand
-    if not 0 <= u < params.n_users:
-        raise ValueError(f"user {u} out of range")
-    target = demand.entries[u]
-    labels = subfile_labels(params)
-    rank_of = {lab: t for t, lab in enumerate(labels)}
-    packet = params.packet_size
-    uncached = [t for t, lab in enumerate(labels) if u not in lab]
-    try:
-        if not uncached:
-            # r = n_users: everything requested is already in the cache
-            return _assemble(params, target, u, cache_slice, {}, {}, labels)
-    except KeyError as exc:
-        raise DecodeError(f"cache slice is missing symbols: {exc}") from None
+def _reconstructed_segments(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Untransmitted segments (no leader in the subset) that are exact
+    combinations of transmitted ones, with their values."""
     q = _segment_field(broadcast).q
+    packet = broadcast.params.packet_size
+    out = []
+    for sub, combo in (_signed_combinations if broadcast.signed else _plain_combinations)(broadcast):
+        vals = [0] * packet
+        for x, s in combo:
+            seg = broadcast.segments[s].entries
+            for p in range(packet):
+                vals[p] = (vals[p] + x * seg[p]) % q
+        out.append((sub, vals))
+    return out
 
-    known: dict[tuple[int, int], tuple[int, ...]] = {}
-    try:
-        for n in demand.file_set:
-            stored = cache_slice[n]
-            for t, lab in enumerate(labels):
-                if u in lab:
-                    base = t * packet
-                    known[(n, t)] = tuple(stored[base + p] for p in range(packet))
-    except KeyError as exc:
-        raise DecodeError(f"cache slice is missing symbols: {exc}") from None
 
-    equations = [(sub, list(seg.entries)) for sub, seg in sorted(broadcast.segments.items())]
-    equations.extend(_reconstructed_segments(params, broadcast, q))
+def _solve_peeling(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
+                   uncached: list[int]) -> dict[int, tuple[int, ...]]:
+    q = _segment_field(broadcast).q
+    packet = params.packet_size
+    known = {(n, t): tuple(cache_slice[n][t * packet + p] for p in range(packet))
+             for n in broadcast.demand.file_set for t in params._user_ranks[u]}
 
-    coeffs = segment_signs(broadcast.signed, params.r + 1)
-    pending = []
-    for sub, vals in equations:
-        terms = [
-            (demand.entries[v], rank_of[tuple(x for x in sub if x != v)], c)
-            for c, v in zip(coeffs, sub)
-        ]
-        pending.append((terms, vals))
-
+    pending = broadcast._equations
     progress = True
     while progress:
         progress = False
@@ -554,15 +532,24 @@ def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_sli
                 remaining.append((terms, vals))
         pending = remaining
 
-    var = {(target, t): (target, t) for t in uncached}
+    target = broadcast.demand.entries[u]
     missing = [t for t in uncached if (target, t) not in known]
     if missing:
         raise DecodeError(f"user {u}: peeling left {len(missing)} subfiles unknown")
-    solved = {(target, t): known[(target, t)] for t in uncached}
-    try:
-        return _assemble(params, target, u, cache_slice, solved, var, labels)
-    except KeyError as exc:
-        raise DecodeError(f"cache slice is missing symbols: {exc}") from None
+    return {t: known[(target, t)] for t in uncached}
+
+
+def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
+    """Peeling decoder: no elimination over symbol data, only segment identities.
+
+    Seeds the known set with u's cached subfiles of the demanded files, then
+    repeatedly resolves any segment equation with exactly one unknown
+    subfile.  The equations are the transmitted segments plus the
+    reconstructed all-non-leader ones; reconstruction runs once per
+    broadcast and is shared by every user's decode (in signed mode, one
+    elimination over the data-independent formal system).
+    """
+    return _decode(params, u, broadcast, cache_slice, _solve_peeling)
 
 
 def decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, method: str = "linear") -> tuple[int, ...]:

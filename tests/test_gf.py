@@ -13,6 +13,7 @@ from privcache.gf import (
     gaussian_solve,
     is_prime,
     rref,
+    solve_any,
 )
 
 
@@ -140,3 +141,35 @@ def test_determined_unknowns_inconsistent_raises():
     f = PrimeField(5)
     with pytest.raises(InconsistentSystemError):
         determined_unknowns(f, [[1, 1], [2, 2]], [[0], [1]], [0])
+
+
+def test_solve_any_multi_rhs_brute_force_gf3():
+    """One elimination, many right-hand sides: every returned column solves
+    A x = b_j, and None comes back exactly when enumerating GF(3)^n finds no
+    solution.  Columns mix images A x (consistent) with random vectors."""
+    f = PrimeField(3)
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 3)
+        a = [[rng.randrange(-1, 3) for _ in range(n)] for _ in range(m)]
+
+        def image(x):
+            return [sum(a[i][j] * x[j] for j in range(n)) % 3 for i in range(m)]
+
+        cols = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                cols.append(image([rng.randrange(3) for _ in range(n)]))
+            else:
+                cols.append([rng.randrange(3) for _ in range(m)])
+        got = solve_any(f, a, [[col[i] for col in cols] for i in range(m)])
+        assert len(got) == len(cols)
+        images = [image(x) for x in itertools.product(range(3), repeat=n)]
+        for col, x in zip(cols, got):
+            solvable = col in images
+            assert (x is not None) == solvable
+            if x is not None:
+                assert image(x) == col
+            outcomes.add(solvable)
+    assert outcomes == {True, False}

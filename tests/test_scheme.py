@@ -272,3 +272,25 @@ def test_plain_baseline_variant_reveals_expanded_demand():
     assert tr.randomness.slots == ((0, 1), (0, 1))
     assert tr.record.masked == tr.record.expanded
     assert tr.correct_all  # derandomized, but still a correct caching scheme
+
+
+def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
+    """Omitted segments are reconstructed once per broadcast and shared by all
+    K*L decodes: a signed run eliminates once over the formal system, a plain
+    run never does, and the structural trace equals the linear one."""
+    real = ucc.solve_any
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ucc, "solve_any", counting)
+    for params, expected in ((SchemeParams(4, 3, 1, r=2), 1), (SchemeParams(6, 2, 3, r=2), 0)):
+        for seed in range(3):
+            calls.clear()
+            structural = run_simulation(params, seed, decoder="structural")
+            assert len(calls) == expected
+            assert structural.broadcast.inner.signed == (expected == 1)
+            assert structural.correct_all
+            assert structural.to_json_dict() == run_simulation(params, seed).to_json_dict()

@@ -262,7 +262,7 @@ def test_reconstructed_segments_match_direct_sums():
         for demand in itertools.islice(all_restricted_demands(params), 12):
             bc = encode(params, demand, lib)
             coeffs = segment_signs(bc.signed, r + 1)
-            recon = _reconstructed_segments(params, bc, 257)
+            recon = _reconstructed_segments(bc)
             for sub, vals in recon:
                 truth = [0] * params.packet_size
                 for c, u in zip(coeffs, sub):
