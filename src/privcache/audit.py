@@ -6,9 +6,9 @@ users' demands:
 * the sufficient-statistic route: the only demand-bearing part of a user's
   observation is the masked expanded demand vector.  ``masked_demand_law``
   computes its exact conditional law given the observer's demand row and slot
-  tuple by enumerating every relabeling, cover set and block arrangement
-  (non-observer slot tuples marginalized uniformly).  For the genuine scheme
-  the law is uniform over all restricted demand vectors with mass
+  tuple by enumerating every relabeling, slot tuple of the other users, cover
+  set and block arrangement.  For the genuine scheme the law is uniform over
+  all restricted demand vectors with mass
   (N - n_active)! / (N! * (n_active!)^(K-1)), independent of the demand
   matrix; equality is exact rational equality, no tolerance.
 * the end-to-end route: on instances small enough to enumerate every library
@@ -18,6 +18,12 @@ users' demands:
   equality (stronger than one-prior independence); a nonzero value, which the
   derandomized baseline variants exhibit, is reported in base-q units.
 
+Both routes enumerate the scheme's randomness through the one generator
+``scheme.realizations``.  Given the demand matrix its realizations are
+equally likely (each stage is uniform, with a support size that does not
+depend on earlier draws), and so are the libraries, so every law is an
+integer count of atoms divided once by the number of atoms.
+
 A chi-square smoke test covers instances too large for exact enumeration.
 """
 
@@ -26,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -83,36 +90,22 @@ def restricted_vector_count(params: SchemeParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _relabelings(params: SchemeParams, variant: Variant) -> list[tuple[int, ...]]:
-    if variant.relabel_files:
-        return list(itertools.permutations(range(params.n_files)))
-    return [tuple(range(params.n_files))]
+def _law_atom_count(params: SchemeParams, demands: Demands, variant: Variant, pinned: int = 1) -> int:
+    """How many realizations ``scheme.realizations`` yields for one demand
+    matrix with ``pinned`` users' slot tuples fixed."""
+    relab = factorial(params.n_files) if variant.relabel_files else 1
+    slots = len(sch.slot_support(params)) if variant.random_slots else 1
+    covers = len(sch.feasible_cover_sets(params, demands)) if variant.random_cover else 1
+    fill = factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1
+    return relab * slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
-def _block_options(params: SchemeParams, cover: tuple[int, ...], row: tuple[int, ...],
-                   selector: tuple[int, ...] | None, variant: Variant) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(block, probability) pairs for one user's block given the cover set.
-
-    With a fixed selector (the observer) only the fill is random; otherwise
-    the slot tuple is marginalized uniformly as well.
-    """
-    selectors: list[tuple[tuple[int, ...], Fraction]]
-    if selector is not None:
-        selectors = [(tuple(selector), Fraction(1))]
-    elif variant.random_slots:
-        sup = sch.slot_support(params)
-        selectors = [(s, Fraction(1, len(sup))) for s in sup]
-    else:
-        selectors = [(tuple(range(params.demands_per_user)), Fraction(1))]
-    out = []
-    for sel, w_sel in selectors:
-        if variant.random_fill:
-            fills = sch.block_support(params, cover, row, sel)
-            for b in fills:
-                out.append((b, w_sel / len(fills)))
-        else:
-            out.append((sch.fill_block(params, cover, row, sel), w_sel))
-    return out
+def _normalized(counts: Mapping, atoms: int) -> dict:
+    """Law of equally likely atoms from their per-key counts."""
+    visited = sum(counts.values())
+    if visited != atoms:
+        raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
+    return {key: Fraction(c, atoms) for key, c in counts.items()}
 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
@@ -125,44 +118,22 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
         raise ValueError("observer out of range")
     if tuple(selector) not in set(sch.slot_support(params)):
         raise ValueError(f"selector {selector} is not {params.demands_per_user} distinct slots")
-    relabelings = _relabelings(params, variant)
-    covers = sch.feasible_cover_sets(params, demands)
-    if variant.random_cover:
-        cover_opts = [(c, Fraction(1, len(covers))) for c in covers]
-    else:
-        cover_opts = [(covers[0], Fraction(1))]
-
-    fill = factorial(params.n_active - params.demands_per_user)
-    per_block_other = (len(sch.slot_support(params)) if variant.random_slots else 1) * (fill if variant.random_fill else 1)
-    per_cover = (fill if variant.random_fill else 1) * per_block_other ** (params.n_users - 1)
-    _check_budget(len(relabelings) * len(cover_opts) * per_cover, budget,
-                  "masked-demand law enumeration")
-
-    law: dict[tuple[int, ...], Fraction] = {}
-    for cover, w_cover in cover_opts:
-        options = []
-        for k in range(params.n_users):
-            sel = selector if k == observer else None
-            options.append(_block_options(params, cover, demands[k], sel, variant))
-        for combo in itertools.product(*options):
-            blocks = tuple(b for b, _ in combo)
-            w_blocks = math.prod((w for _, w in combo), start=Fraction(1))
-            expanded = tuple(v for block in blocks for v in block)
-            for relab in relabelings:
-                masked = tuple(relab[v] for v in expanded)
-                w = w_cover * w_blocks / len(relabelings)
-                law[masked] = law.get(masked, Fraction(0)) + w
-    total = sum(law.values(), Fraction(0))
-    if total != 1:
-        raise RuntimeError(f"law mass {total} != 1")
-    return law
+    atoms = _law_atom_count(params, demands, variant)
+    _check_budget(atoms, budget, "masked-demand law enumeration")
+    counts = Counter(record.masked for _, record in
+                     sch.realizations(params, demands, variant, {observer: selector}))
+    return _normalized(counts, atoms)
 
 
 @dataclass
 class InvarianceReport:
     identical: bool
     max_discrepancy: Fraction
-    laws_checked: int
+    laws: list[dict[tuple[int, ...], Fraction]]
+
+    @property
+    def laws_checked(self) -> int:
+        return len(self.laws)
 
 
 def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], observer: int,
@@ -184,7 +155,7 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
             gap = abs(base.get(key, Fraction(0)) - law.get(key, Fraction(0)))
             if gap > worst:
                 worst = gap
-    return InvarianceReport(identical=(worst == 0), max_discrepancy=worst, laws_checked=len(laws))
+    return InvarianceReport(identical=(worst == 0), max_discrepancy=worst, laws=laws)
 
 
 # ---------------------------------------------------------------------------
@@ -231,44 +202,6 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
     return libraries * n_mats * relab * slots * max_covers * fill, cards
 
 
-def _enumerate_joint(params: SchemeParams, observer: int, variant: Variant):
-    """Yield (demands, slots, masked, outcome, p_given_demands) over the whole
-    randomness and library space.  p_given_demands is the exact conditional
-    probability of the atom given the demand matrix."""
-    q, n, f = params.q, params.n_files, params.file_len
-    relabelings = _relabelings(params, variant)
-    slot_opts = sch.slot_support(params) if variant.random_slots else [tuple(range(params.demands_per_user))]
-    p_lib = Fraction(1, q ** (n * f))
-    fld = params.field
-    mats = list(sch.all_demand_matrices(params))
-    for flat in itertools.product(range(q), repeat=n * f):
-        library = Library(fld, tuple(flat[i * f:(i + 1) * f] for i in range(n)))
-        for relab in relabelings:
-            for slots in itertools.product(slot_opts, repeat=params.n_users):
-                rand = PlacementRandomness(tuple(relab), tuple(slots))
-                caches = sch.place_caches(params, library, rand)
-                cache = caches[observer]
-                p_place = p_lib / (len(relabelings) * len(slot_opts) ** params.n_users)
-                for demands in mats:
-                    covers = sch.feasible_cover_sets(params, demands)
-                    cover_opts = covers if variant.random_cover else covers[:1]
-                    for cover in cover_opts:
-                        block_opts = [
-                            sch.block_support(params, cover, demands[k], slots[k])
-                            if variant.random_fill
-                            else [sch.fill_block(params, cover, demands[k], slots[k])]
-                            for k in range(params.n_users)
-                        ]
-                        p_deliver = Fraction(1, len(cover_opts) * math.prod(len(b) for b in block_opts))
-                        for blocks in itertools.product(*block_opts):
-                            expanded = tuple(v for block in blocks for v in block)
-                            masked = tuple(relab[v] for v in expanded)
-                            record = DeliveryRecord(cover, expanded, masked)
-                            broadcast, _ = sch.deliver(params, library, demands, rand, record)
-                            outcome = _canonical_outcome(params, broadcast, cache, demands[observer])
-                            yield demands, slots, masked, outcome, p_place * p_deliver
-
-
 @dataclass
 class MiReport:
     """Result of an exact mutual-information audit.
@@ -312,10 +245,28 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target:
             raise ValueError("prior must assign exact mass to every demand matrix, summing to 1")
 
     start = time.perf_counter()
-    per_demand_law: dict[Demands, dict[tuple, Fraction]] = {m: {} for m in mats}
-    for demands, _slots, _masked, outcome, p in _enumerate_joint(params, observer, variant):
-        law = per_demand_law[demands]
-        law[outcome] = law.get(outcome, Fraction(0)) + p
+    # the realizations of each demand matrix, grouped by placement; every
+    # matrix has the same placements, in the same order
+    by_placement: list[dict[PlacementRandomness, list[DeliveryRecord]]] = []
+    for m in mats:
+        groups: dict[PlacementRandomness, list[DeliveryRecord]] = {}
+        for rand, record in sch.realizations(params, m, variant):
+            groups.setdefault(rand, []).append(record)
+        by_placement.append(groups)
+    q, n, f = params.q, params.n_files, params.file_len
+    counts: list[Counter] = [Counter() for _ in mats]
+    for flat in itertools.product(range(q), repeat=n * f):
+        library = Library(params.field, tuple(flat[i * f:(i + 1) * f] for i in range(n)))
+        for rand in by_placement[0]:
+            cache = sch.place_caches(params, library, rand)[observer]
+            for m, groups, law in zip(mats, by_placement, counts):
+                for record in groups[rand]:
+                    broadcast, _ = sch.deliver(params, library, m, rand, record)
+                    law[_canonical_outcome(params, broadcast, cache, m[observer])] += 1
+    per_demand_law = {
+        m: _normalized(law, q ** (n * f) * sum(map(len, groups.values())))
+        for m, groups, law in zip(mats, by_placement, counts)
+    }
 
     # per-realization check: the conditional outcome law may depend on the
     # observer's own row only
@@ -383,23 +334,17 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target:
 def masked_marginal_via_joint(params: SchemeParams, demands: Demands, observer: int,
                               selector: tuple[int, ...], variant: Variant = FULL,
                               budget: int = 10 ** 7) -> dict[tuple[int, ...], Fraction]:
-    """Marginal law of the masked demand extracted from the full joint
-    enumeration (libraries included), conditioned on the observer's slot
-    tuple.  Must reproduce masked_demand_law exactly; used as a consistency
-    oracle for the two enumeration paths."""
+    """Marginal law of the masked demand taken from the joint enumeration of
+    every user's slot tuple, conditioned on the observer's.  Must reproduce
+    masked_demand_law, which pins that slot tuple instead, exactly; used as a
+    consistency oracle for the two enumeration paths."""
     demands = sch.validate_demands(params, demands)
-    total, _ = _joint_atom_count(params, variant)
-    _check_budget(total, budget, "joint-law enumeration")
-    n_slot_opts = len(sch.slot_support(params)) if variant.random_slots else 1
-    law: dict[tuple[int, ...], Fraction] = {}
-    for mat, slots, masked, _outcome, p in _enumerate_joint(params, observer, variant):
-        if mat != demands or slots[observer] != tuple(selector):
-            continue
-        law[masked] = law.get(masked, Fraction(0)) + p * n_slot_opts
-    total_mass = sum(law.values(), Fraction(0))
-    if total_mass != 1:
-        raise RuntimeError(f"marginal mass {total_mass} != 1")
-    return law
+    selector = tuple(selector)
+    _check_budget(_law_atom_count(params, demands, variant, pinned=0), budget,
+                  "joint slot-tuple enumeration")
+    counts = Counter(record.masked for rand, record in sch.realizations(params, demands, variant)
+                     if rand.slots[observer] == selector)
+    return _normalized(counts, _law_atom_count(params, demands, variant))
 
 
 # ---------------------------------------------------------------------------

@@ -134,17 +134,16 @@ def _audit_ptilde(args, params: SchemeParams, variant) -> dict:
     family = args.demands if args.demands else _default_demand_family(params)
     mass = audit.closed_form_mass(params)
     support = audit.restricted_vector_count(params)
+    inv = audit.verify_law_invariance(params, family, args.observer, selector, variant, args.budget)
     worst = Fraction(0)
     uniform_ok = True
-    for demands in family:
-        law = audit.masked_demand_law(params, demands, args.observer, selector, variant, args.budget)
+    for law in inv.laws:
         if len(law) != support:
             uniform_ok = False
         for p in law.values():
             worst = max(worst, abs(p - mass))
         if worst > 0:
             uniform_ok = False
-    inv = audit.verify_law_invariance(params, family, args.observer, selector, variant, args.budget)
     passed = uniform_ok and inv.identical
     return {
         "check": "ptilde-law",

@@ -21,6 +21,8 @@ only the broadcast and its own cache.
 
 All randomness flows from one seed through named substreams (labels are
 hashed into independent generators), so any run is replayable.
+``realizations`` enumerates the same four stages exhaustively, one equally
+likely realization at a time, for the exact audits.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import ucc
 from .exact import sample_permutation
@@ -293,21 +295,26 @@ class DeliveryRecord:
     masked: tuple[int, ...]
 
 
+def _pinned_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int],
+                  selector: Sequence[int]) -> tuple[list[int], list[int]]:
+    """A user's block with its demands pinned at its slots (-1 marks a free
+    position) and the remaining cover-set files, ascending."""
+    block = [-1] * params.n_active
+    for s, d in zip(selector, row):
+        block[s] = d
+    return block, sorted(set(cover_set) - set(row))
+
+
+def _fill(block: Sequence[int], values: Iterable[int]) -> tuple[int, ...]:
+    it = iter(values)
+    return tuple(v if v >= 0 else next(it) for v in block)
+
+
 def block_support(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int], selector: Sequence[int]) -> list[tuple[int, ...]]:
     """Every admissible demand block for one user: arrangements of the cover
     set with the user's demands pinned at its slots.  Size (n_active - L)!."""
-    block_base = [-1] * params.n_active
-    for s, d in zip(selector, row):
-        block_base[s] = d
-    rest_positions = [i for i in range(params.n_active) if block_base[i] < 0]
-    rest_values = sorted(set(cover_set) - set(row))
-    out = []
-    for perm in itertools.permutations(rest_values):
-        block = list(block_base)
-        for pos, val in zip(rest_positions, perm):
-            block[pos] = val
-        out.append(tuple(block))
-    return out
+    block, rest_values = _pinned_block(params, cover_set, row, selector)
+    return [_fill(block, perm) for perm in itertools.permutations(rest_values)]
 
 
 def fill_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int], selector: Sequence[int],
@@ -315,17 +322,10 @@ def fill_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int
     """One demand block: the user's demands pinned at its slots, remaining
     cover-set files placed in the free positions (shuffled when rng is given,
     ascending otherwise)."""
-    block = [-1] * params.n_active
-    for s, d in zip(selector, row):
-        block[s] = d
-    rest_values = sorted(set(cover_set) - set(row))
+    block, rest_values = _pinned_block(params, cover_set, row, selector)
     if rng is not None:
         rng.shuffle(rest_values)
-    it = iter(rest_values)
-    for i in range(params.n_active):
-        if block[i] < 0:
-            block[i] = next(it)
-    return tuple(block)
+    return _fill(block, rest_values)
 
 
 def sample_delivery(params: SchemeParams, demands: Demands, rand: PlacementRandomness,
@@ -346,6 +346,47 @@ def sample_delivery(params: SchemeParams, demands: Demands, rand: PlacementRando
     expanded = tuple(v for block in blocks for v in block)
     masked = tuple(rand.relabeling[v] for v in expanded)
     return DeliveryRecord(cover_set=cover, expanded=expanded, masked=masked)
+
+
+def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL,
+                 slots: Mapping[int, Sequence[int]] | None = None,
+                 ) -> Iterator[tuple[PlacementRandomness, DeliveryRecord]]:
+    """Every realization of the scheme's randomness for one demand matrix.
+
+    Loops relabeling -> slot tuples -> cover set -> block fills over the
+    stages ``variant`` leaves random (a stage switched off contributes its
+    deterministic draw).  ``slots`` pins the slot tuple of each user it names.
+    Each stage is uniform and its support size does not depend on earlier
+    draws, so every yielded realization is equally likely."""
+    demands = validate_demands(params, demands)
+    pinned = dict(slots or {})
+    support = slot_support(params)
+    for k, sel in pinned.items():
+        if not 0 <= k < params.n_users or tuple(sel) not in support:
+            raise ValueError(f"cannot pin user {k} to slot tuple {sel}")
+    free = support if variant.random_slots else [tuple(range(params.demands_per_user))]
+    slot_opts = [[tuple(pinned[k])] if k in pinned else free for k in range(params.n_users)]
+    covers = feasible_cover_sets(params, demands)
+    if not variant.random_cover:
+        covers = covers[:1]
+    # everything but the relabeling, computed once and reused under each one
+    unlabeled = []
+    for sel in itertools.product(*slot_opts):
+        for cover in covers:
+            block_opts = [
+                block_support(params, cover, demands[k], sel[k]) if variant.random_fill
+                else [fill_block(params, cover, demands[k], sel[k])]
+                for k in range(params.n_users)
+            ]
+            for blocks in itertools.product(*block_opts):
+                unlabeled.append((sel, cover, tuple(v for block in blocks for v in block)))
+    if variant.relabel_files:
+        relabelings = itertools.permutations(range(params.n_files))
+    else:
+        relabelings = [tuple(range(params.n_files))]
+    for relab in relabelings:
+        for sel, cover, expanded in unlabeled:
+            yield PlacementRandomness(relab, sel), DeliveryRecord(cover, expanded, tuple(relab[v] for v in expanded))
 
 
 @dataclass(frozen=True)

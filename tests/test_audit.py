@@ -2,6 +2,7 @@
 mutual information, enumeration-path consistency, and the chi-square check."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,64 @@ def test_law_uniform_on_five_file_instance():
     law = masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2))
     assert len(law) == 2880
     assert set(law.values()) == {Fraction(1, 2880)}
+
+
+def _stagewise_law(params, demands, observer, selector, variant):
+    """Independent oracle: the masked-demand law built stage by stage with
+    Fraction weights, each stage uniform over its own support."""
+    n, k_users, big_l, a = params.n_files, params.n_users, params.demands_per_user, params.n_active
+    relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
+    slot_opts = list(itertools.permutations(range(a), big_l)) if variant.random_slots else [tuple(range(big_l))]
+    requested = {d for row in demands for d in row}
+    covers = [c for c in itertools.combinations(range(n), a) if requested <= set(c)]
+    if not variant.random_cover:
+        covers = covers[:1]
+    per_user_slots = [[tuple(selector)] if k == observer else slot_opts for k in range(k_users)]
+    law = {}
+    for relab in relabs:
+        w_relab = Fraction(1, len(relabs))
+        for slots in itertools.product(*per_user_slots):
+            w_slots = w_relab * Fraction(1, len(slot_opts)) ** (k_users - 1)
+            for cover in covers:
+                w_cover = w_slots / len(covers)
+                per_user = []
+                for row, sel in zip(demands, slots):
+                    rest = sorted(set(cover) - set(row))
+                    free = [i for i in range(a) if i not in sel]
+                    fills = list(itertools.permutations(rest)) if variant.random_fill else [tuple(rest)]
+                    blocks = []
+                    for fill in fills:
+                        block = [None] * a
+                        for i, d in zip(sel, row):
+                            block[i] = d
+                        for i, v in zip(free, fill):
+                            block[i] = v
+                        blocks.append((block, Fraction(1, len(fills))))
+                    per_user.append(blocks)
+                for combo in itertools.product(*per_user):
+                    w = w_cover * math.prod((wb for _, wb in combo), start=Fraction(1))
+                    masked = tuple(relab[v] for block, _ in combo for v in block)
+                    law[masked] = law.get(masked, Fraction(0)) + w
+    return law
+
+
+ORACLE_VARIANTS = (FULL, NO_RELABEL, Variant(random_fill=False), Variant(random_cover=False), PLAIN_BASELINE)
+
+
+def test_law_equals_stagewise_oracle_on_three_file_instance():
+    for variant in ORACLE_VARIANTS:
+        for demands in scheme.all_demand_matrices(P321):
+            for observer in (0, 1):
+                for selector in scheme.slot_support(P321):
+                    assert masked_demand_law(P321, demands, observer, selector, variant) == \
+                           _stagewise_law(P321, demands, observer, selector, variant)
+
+
+def test_law_equals_stagewise_oracle_on_criterion_4_families():
+    for variant in ORACLE_VARIANTS:
+        for demands in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
+            assert masked_demand_law(P522, demands, 0, (0, 2), variant) == \
+                   _stagewise_law(P522, demands, 0, (0, 2), variant)
 
 
 def test_invariance_single_matrix_trivial():
@@ -127,6 +186,27 @@ def test_exact_mi_baseline_leaks():
     assert rep.witness is not None
 
 
+def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
+    """Cover sets are derived once per demand matrix, not once per library and
+    placement; the observer's cache is placed once per (library, placement)."""
+    counts = {"feasible_cover_sets": 0, "place_caches": 0}
+
+    def counting(name):
+        real = getattr(scheme, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(scheme, name, counting(name))
+    rep = exact_mutual_information(MI_INSTANCE, 0)
+    assert rep.value == 0
+    assert counts["feasible_cover_sets"] == 4  # one per demand matrix
+    assert counts["place_caches"] <= 256 * 8  # libraries x (relabelings x slot assignments)
+
+
 def test_exact_mi_budget_error_names_cardinality():
     big = SchemeParams(6, 4, 1, r=1, q=257)
     with pytest.raises(BudgetExceededError) as err:
@@ -135,11 +215,13 @@ def test_exact_mi_budget_error_names_cardinality():
 
 
 def test_joint_marginal_reproduces_direct_law():
-    for demands in (((0,), (0,)), ((0,), (1,))):
-        for selector in ((0,), (1,)):
-            direct = masked_demand_law(MI_INSTANCE, demands, 0, selector)
-            via_joint = masked_marginal_via_joint(MI_INSTANCE, demands, 0, selector)
-            assert direct == via_joint
+    for params in (MI_INSTANCE, P321):
+        for demands in scheme.all_demand_matrices(params):
+            for observer, selector in itertools.product(range(2), scheme.slot_support(params)):
+                for variant in ORACLE_VARIANTS[:4]:
+                    direct = masked_demand_law(params, demands, observer, selector, variant)
+                    via_joint = masked_marginal_via_joint(params, demands, observer, selector, variant)
+                    assert direct == via_joint
 
 
 def test_chi_square_quantile_values():

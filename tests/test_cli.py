@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from privcache import audit
 from privcache.cli import main
 
 
@@ -86,6 +87,20 @@ def test_audit_ptilde_explicit_selector_and_demands(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["laws_identical"] is True and rep["uniform"] is True
+
+
+def test_audit_ptilde_computes_each_law_once(monkeypatch, tmp_path):
+    real = audit.masked_demand_law
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "masked_demand_law", counting)
+    assert run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2",
+                   "--selector", "0,2", "--demands", "0,1;2,3", "--out", str(tmp_path / "law.json")) == 0
+    assert len(calls) == 1
 
 
 def test_audit_ptilde_mutant_fails(tmp_path):

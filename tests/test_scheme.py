@@ -2,13 +2,15 @@
 randomness, decoding, measured memory/rate, and trace replay."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from privcache import scheme, ucc
+from privcache import audit, scheme, ucc
 from privcache.scheme import (
     FULL,
+    NO_RELABEL,
     PLAIN_BASELINE,
     DeliveryRecord,
     PlacementRandomness,
@@ -16,10 +18,13 @@ from privcache.scheme import (
     SeedStreams,
     block_support,
     cache_size,
+    Variant,
     decode_user,
     deliver,
     feasible_cover_sets,
+    fill_block,
     place_caches,
+    realizations,
     run_simulation,
     sample_delivery,
     sample_placement_randomness,
@@ -30,6 +35,9 @@ from privcache.ucc import Library, RestrictedDemand, is_restricted
 
 
 P522 = SchemeParams(5, 2, 2, r=1)
+P321 = SchemeParams(3, 2, 1, r=1)
+P221 = SchemeParams(2, 2, 1, r=1)
+VARIANTS = (FULL, NO_RELABEL, Variant(random_fill=False), Variant(random_cover=False), PLAIN_BASELINE)
 
 
 def test_params_derived_quantities():
@@ -130,6 +138,14 @@ def test_block_support_size_for_every_cover_row_selector():
             assert len(sup) == len(set(sup)) == expected
             for block in sup:
                 assert all(block[s] == d for s, d in zip(sel, row))
+
+
+def test_fill_block_without_rng_is_first_block_support_arrangement():
+    for p in (P522, SchemeParams(4, 2, 2, r=1)):
+        for cover in itertools.combinations(range(p.n_files), p.n_active):
+            for row in itertools.permutations(cover, p.demands_per_user):
+                for sel in slot_support(p):
+                    assert fill_block(p, cover, row, sel, rng=None) == block_support(p, cover, row, sel)[0]
 
 
 def test_block_fully_pinned_when_demands_fill_the_block():
@@ -294,3 +310,74 @@ def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
             assert structural.broadcast.inner.signed == (expected == 1)
             assert structural.correct_all
             assert structural.to_json_dict() == run_simulation(params, seed).to_json_dict()
+
+
+def _nested_realizations(params, demands, variant):
+    """Independent oracle: (relabeling, slots, cover, expanded, masked) of every
+    realization, from plain nested loops over each stage's support."""
+    n, big_l, a = params.n_files, params.demands_per_user, params.n_active
+    relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
+    slot_opts = list(itertools.permutations(range(a), big_l)) if variant.random_slots else [tuple(range(big_l))]
+    requested = {d for row in demands for d in row}
+    covers = [c for c in itertools.combinations(range(n), a) if requested <= set(c)]
+    if not variant.random_cover:
+        covers = covers[:1]
+    for relab in relabs:
+        for slots in itertools.product(slot_opts, repeat=params.n_users):
+            for cover in covers:
+                per_user = []
+                for row, sel in zip(demands, slots):
+                    rest = sorted(set(cover) - set(row))
+                    free = [i for i in range(a) if i not in sel]
+                    blocks = []
+                    for arrangement in (itertools.permutations(rest) if variant.random_fill else [rest]):
+                        block = [None] * a
+                        for i, d in zip(sel, row):
+                            block[i] = d
+                        for i, v in zip(free, arrangement):
+                            block[i] = v
+                        blocks.append(block)
+                    per_user.append(blocks)
+                for combo in itertools.product(*per_user):
+                    expanded = tuple(v for block in combo for v in block)
+                    yield relab, slots, cover, expanded, tuple(relab[v] for v in expanded)
+
+
+def _flat(items):
+    return Counter((rand.relabeling, rand.slots, rec.cover_set, rec.expanded, rec.masked)
+                   for rand, rec in items)
+
+
+def test_realizations_match_nested_loops():
+    for p in (P321, P221):
+        for demands in scheme.all_demand_matrices(p):
+            for variant in VARIANTS:
+                assert _flat(realizations(p, demands, variant)) == \
+                       Counter(_nested_realizations(p, demands, variant))
+
+
+def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
+    for demands in scheme.all_demand_matrices(P321):
+        for variant in VARIANTS[:4]:
+            unpinned = list(realizations(P321, demands, variant))
+            for observer in range(P321.n_users):
+                for sel in slot_support(P321):
+                    pinned = realizations(P321, demands, variant, {observer: sel})
+                    assert _flat(pinned) == _flat(x for x in unpinned if x[0].slots[observer] == sel)
+    with pytest.raises(ValueError):
+        next(realizations(P321, ((0,), (1,)), FULL, {0: (2,)}))
+    with pytest.raises(ValueError):
+        next(realizations(P321, ((0,), (1,)), FULL, {2: (0,)}))
+
+
+def test_realization_count_equals_law_budget_prediction():
+    """Predicted equals visited: the atom count the law's budget check uses is
+    exactly how many realizations are enumerated."""
+    cases = [(P321, m) for m in scheme.all_demand_matrices(P321)]
+    cases += [(P522, m) for m in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))]
+    for p, demands in cases:
+        for variant in VARIANTS:
+            pinned = realizations(p, demands, variant, {0: slot_support(p)[-1]})
+            assert sum(1 for _ in pinned) == audit._law_atom_count(p, demands, variant)
+            unpinned = realizations(p, demands, variant)
+            assert sum(1 for _ in unpinned) == audit._law_atom_count(p, demands, variant, pinned=0)
