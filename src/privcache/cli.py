@@ -267,12 +267,10 @@ def cmd_tradeoff(args) -> int:
         emit(p.m, p.rate, p.provenance)
     for m, r in tradeoff.converse_corner_envelope(args.N, args.K, args.L).breakpoints:
         emit(m, r, "converse-envelope")
-    for s in range(1, tradeoff.max_converse_s(args.N, args.K, args.L) + 1):
-        for lam in tradeoff.lambda_grid(args.lambda_step):
-            line = tradeoff.converse_line(args.N, args.K, args.L, s, lam)
-            prov = f"line s={line.s},lam={line.lam},t={line.t}"
-            emit(Fraction(0), line.value_at(0), prov)
-            emit(Fraction(args.N), line.value_at(args.N), prov)
+    for line in tradeoff.converse_lines(args.N, args.K, args.L, args.lambda_step):
+        prov = f"line s={line.s},lam={line.lam},t={line.t}"
+        emit(Fraction(0), line.value_at(0), prov)
+        emit(Fraction(args.N), line.value_at(args.N), prov)
     _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -315,15 +313,20 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
 
 
 def cmd_gap(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     if args.sweep:
         triples = tradeoff.sweep_triples(args.sweep.get("N", (1, 8)), args.sweep.get("K", (1, 4)), args.sweep.get("L"))
+        if not triples:
+            raise ValueError("sweep selects no (N, K, L) triple")
         tasks = [(n, k, big_l, args.grid, args.lambda_step) for n, k, big_l in triples]
     else:
         if args.N is None or args.K is None or args.L is None:
             raise ValueError("pass --N/--K/--L or --sweep")
         tasks = [(args.N, args.K, args.L, args.grid, args.lambda_step)]
-    if args.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_gap_entry, tasks))
     else:
         entries = [_gap_entry(t) for t in tasks]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from privcache import audit
+from privcache import audit, cli
 from privcache.cli import main
 
 
@@ -180,6 +180,44 @@ def test_gap_sweep_ordering_and_threads(tmp_path):
     keys = [(e["N"], e["K"], e["L"]) for e in rep["certificates"]]
     assert keys == sorted(keys)
     assert len(keys) == 12  # L ranges over [1, N]
+
+
+@pytest.mark.parametrize("threads", ["0", "-4", "two"])
+def test_gap_threads_must_be_positive(threads, capsys):
+    assert run_cli("gap", "--N", "2", "--K", "1", "--L", "1", "--threads", threads) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_gap_pool_is_capped_at_task_count(monkeypatch, tmp_path):
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    out = tmp_path / "g.json"
+    assert run_cli("gap", "--sweep", "N=2,K=1", "--threads", "1000", "--out", str(out)) == 0
+    assert pools == [2]  # (2,1,1) and (2,1,2)
+    assert len(json.loads(out.read_text())["certificates"]) == 2
+    assert run_cli("gap", "--sweep", "N=2,K=1", "--threads", "1", "--out", str(out)) == 0
+    assert run_cli("gap", "--N", "2", "--K", "1", "--L", "1", "--threads", "8", "--out", str(out)) == 0
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("sweep", ["N=3..1", "K=5..2", "N=2..3,L=4..5"])
+def test_gap_empty_sweep_is_usage_error(sweep, capsys):
+    assert run_cli("gap", "--sweep", sweep) == 2
+    assert "no (N, K, L) triple" in capsys.readouterr().err
 
 
 def test_gap_requires_params(capsys):

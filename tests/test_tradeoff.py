@@ -7,17 +7,18 @@ from fractions import Fraction
 import pytest
 
 from privcache import tradeoff
-from privcache.exact import lower_convex_envelope
+from privcache.exact import Envelope, lower_convex_envelope
 from privcache.scheme import SchemeParams
 from privcache.scheme import run_simulation
 from privcache.tradeoff import (
+    DominanceReport,
     OptimalityGapError,
     achievable_envelope,
     achievable_points,
     converse_corner_envelope,
     converse_line,
+    converse_lines,
     corner_points,
-    envelope_dominates,
     gap_certificate,
     gap_sweep,
     lambda_grid,
@@ -150,14 +151,77 @@ def test_dominance_small_instance_full_range():
     assert rep.ok
 
 
-def test_dominance_mutation_detected():
-    # halving one achievable rate must push the (true) lower envelope above it
+def per_point_dominance(n, k, big_l, grid_size=101, lambda_step=Fraction(1, 8)):
+    """Reference dominance check: both envelopes re-evaluated for every
+    (line, M) pair, with the (s, lambda) loops written out."""
+    ach = tradeoff.achievable_envelope(n, k, big_l)
+    low = tradeoff.converse_corner_envelope(n, k, big_l)
+    grid = memory_grid(n, grid_size)
+    violations = [(m, low.value_at(m), ach.value_at(m), "corner-envelope")
+                  for m in grid if low.value_at(m) > ach.value_at(m)]
+    above = []
+    n_lines = 0
+    for s in range(1, max_converse_s(n, k, big_l) + 1):
+        for lam in lambda_grid(lambda_step):
+            line = converse_line(n, k, big_l, s, lam)
+            n_lines += 1
+            first = None
+            for m in grid:
+                v = line.value_at(m)
+                if v > ach.value_at(m):
+                    violations.append((m, v, ach.value_at(m), f"line s={s},lam={lam}"))
+                if first is None and v > low.value_at(m):
+                    first = m
+            if first is not None:
+                above.append((s, lam, first))
+    return DominanceReport(len(grid) * (1 + n_lines), violations, above)
+
+
+def test_dominance_mutation_detected(monkeypatch):
+    # halving one achievable rate and lowering the corner envelope by a
+    # quarter exercises every branch: corner violations, line violations and
+    # lines rising above the corner envelope
     pts = [(p.m, p.rate) for p in achievable_points(5, 2, 2)]
-    mutated = [(m, r / 2 if r == 4 else r) for m, r in pts]
-    broken_upper = lower_convex_envelope(mutated)
-    lower = converse_corner_envelope(5, 2, 2)
-    violations = envelope_dominates(lower, broken_upper, memory_grid(5, 101))
-    assert violations
+    broken_upper = lower_convex_envelope((m, r / 2 if r == 4 else r) for m, r in pts)
+    lowered = lower_convex_envelope((m, r * Fraction(3, 4)) for m, r in converse_corner_envelope(5, 2, 2).breakpoints)
+    monkeypatch.setattr(tradeoff, "achievable_envelope", lambda *dims: broken_upper)
+    monkeypatch.setattr(tradeoff, "converse_corner_envelope", lambda *dims: lowered)
+    rep = verify_envelope_dominance(5, 2, 2)
+    assert not rep.ok
+    assert any(tag == "corner-envelope" for *_, tag in rep.violations)
+    assert any(tag.startswith("line s=") for *_, tag in rep.violations)
+    assert rep.lines_above_corner_envelope
+    assert rep == per_point_dominance(5, 2, 2)
+
+
+@pytest.mark.parametrize("dims, grid_size, lambda_step", [
+    ((5, 2, 2), 101, Fraction(1, 8)),
+    ((8, 4, 3), 41, Fraction(1, 3)),
+    ((3, 3, 1), 11, Fraction(1, 2)),
+])
+def test_dominance_matches_per_point_reference(dims, grid_size, lambda_step):
+    assert verify_envelope_dominance(*dims, grid_size, lambda_step) == per_point_dominance(*dims, grid_size, lambda_step)
+
+
+def test_dominance_evaluates_each_envelope_once_per_grid_point(monkeypatch):
+    calls = []
+    value_at = Envelope.value_at
+
+    def counting(self, x):
+        calls.append(x)
+        return value_at(self, x)
+
+    monkeypatch.setattr(Envelope, "value_at", counting)
+    rep = verify_envelope_dominance(5, 2, 2)
+    assert len(calls) == 2 * 101
+    assert rep.checked_points == 101 * (1 + 9 * max_converse_s(5, 2, 2)) == 1919
+
+
+def test_converse_lines_order_and_count():
+    lines = converse_lines(5, 2, 2, Fraction(1, 2))
+    assert [(line.s, line.lam) for line in lines] == [
+        (s, lam) for s in (1, 2) for lam in (0, Fraction(1, 2), 1)]
+    assert lines[4] == converse_line(5, 2, 2, 2, Fraction(1, 2))
 
 
 def test_gap_certificate_worked_example():
