@@ -10,7 +10,7 @@ CLI tying them together (:mod:`cli`).
 """
 
 from .exact import Envelope, Rational, binomial, lower_convex_envelope
-from .gf import PrimeField, SymbolVector, gaussian_solve
+from .gf import PrimeField, gaussian_solve
 from .scheme import (
     FULL,
     NO_RELABEL,
@@ -45,7 +45,6 @@ __all__ = [
     "RestrictedDemand",
     "SchemeParams",
     "SeedStreams",
-    "SymbolVector",
     "UccParams",
     "Variant",
     "achievable_envelope",

@@ -100,6 +100,11 @@ def _law_atom_count(params: SchemeParams, demands: Demands, variant: Variant, pi
     return relab * slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
+def _check_observer(params: SchemeParams, observer: int):
+    if not 0 <= observer < params.n_users:
+        raise ValueError("observer out of range")
+
+
 def _normalized(counts: Mapping, atoms: int) -> dict:
     """Law of equally likely atoms from their per-key counts."""
     visited = sum(counts.values())
@@ -114,8 +119,7 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
     """Exact law of the masked expanded demand given the demand matrix and the
     observer's slot tuple, by full enumeration."""
     demands = sch.validate_demands(params, demands)
-    if not 0 <= observer < params.n_users:
-        raise ValueError("observer out of range")
+    _check_observer(params, observer)
     if tuple(selector) not in set(sch.slot_support(params)):
         raise ValueError(f"selector {selector} is not {params.demands_per_user} distinct slots")
     atoms = _law_atom_count(params, demands, variant)
@@ -144,6 +148,7 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     mats = [sch.validate_demands(params, d) for d in demand_list]
     if not mats:
         raise ValueError("empty demand list")
+    _check_observer(params, observer)
     row = mats[0][observer]
     if any(m[observer] != row for m in mats):
         raise ValueError("demand matrices must agree on the observer's row")
@@ -168,8 +173,8 @@ def _canonical_outcome(params: SchemeParams, broadcast, cache, observer_row: tup
     demand plus sorted segment table), its own cache (selector plus sorted
     slot contents in label order), and its own demand row."""
     x_part = (
-        broadcast.masked_demand,
-        tuple(sorted((sub, seg.entries) for sub, seg in broadcast.inner.segments.items())),
+        broadcast.demand.entries,
+        tuple(sorted(broadcast.segments.items())),
     )
     z_part = (
         cache.selector,
@@ -230,8 +235,7 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target:
     uniform over all demand matrices; conditional-law equality is checked
     per-realization and certifies zero for every prior at once.
     """
-    if not 0 <= observer < params.n_users:
-        raise ValueError("observer out of range")
+    _check_observer(params, observer)
     if target not in ("others", "own"):
         raise ValueError("target must be 'others' or 'own'")
     total, cards = _joint_atom_count(params, variant)
@@ -384,6 +388,7 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
     """Chi-square test of sampled masked demands against the uniform law,
     holding the observer's slot tuple fixed and resampling everything else."""
     demands = sch.validate_demands(params, demands)
+    _check_observer(params, observer)
     support = list(restricted_vectors(params))
     if runs < 10 * len(support):
         raise ValueError(f"need at least {10 * len(support)} runs for {len(support)} support points, got {runs}")

@@ -1,7 +1,9 @@
 """Prime-field symbol arithmetic and exact linear algebra.
 
 Field elements are plain Python ints reduced mod q (no lazy reduction, no
-log tables: exactness over speed at desk scale).  The default modulus used
+log tables: exactness over speed at desk scale); a run of symbols (a file,
+a subfile, a coded segment) is a plain tuple of them, reduced by whoever
+builds it.  The default modulus used
 by the caching scheme is 257; q = 2 is fully supported so privacy audits can
 enumerate every library realization.
 
@@ -79,36 +81,6 @@ class PrimeField:
         return pow(a, self.q - 2, self.q)
 
 
-@dataclass(frozen=True)
-class SymbolVector:
-    """Fixed-length vector of field symbols; every entry reduced into [0, q)."""
-
-    field: PrimeField
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        q = self.field.q
-        if any(not (0 <= e < q) for e in self.entries):
-            raise ValueError("symbol outside [0, q)")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def _check_peer(self, other: "SymbolVector"):
-        if self.field != other.field or len(self) != len(other):
-            raise ValueError("mismatched vectors")
-
-    def __add__(self, other: "SymbolVector") -> "SymbolVector":
-        self._check_peer(other)
-        q = self.field.q
-        return SymbolVector(self.field, tuple((a + b) % q for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "SymbolVector") -> "SymbolVector":
-        self._check_peer(other)
-        q = self.field.q
-        return SymbolVector(self.field, tuple((a - b) % q for a, b in zip(self.entries, other.entries)))
-
-
 class InconsistentSystemError(ValueError):
     """The linear system has no solution."""
 
@@ -177,8 +149,7 @@ def gaussian_solve(field: PrimeField, matrix: Sequence[Sequence[int]], rhs: Iter
     Returns ("unique", x) when A has full column rank on a consistent system,
     ("underdetermined", None) or ("inconsistent", None) otherwise.
     """
-    b = list(rhs.entries) if isinstance(rhs, SymbolVector) else list(rhs)
-    rows, n_coef, pivots, consistent = _eliminate(field, matrix, [[x] for x in b])
+    rows, n_coef, pivots, consistent = _eliminate(field, matrix, [[x] for x in rhs])
     if not all(consistent):
         return ("inconsistent", None)
     if len(pivots) < n_coef:

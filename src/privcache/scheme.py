@@ -14,10 +14,10 @@ demand pattern behind four pieces of randomness:
 * per user, a uniform arrangement of the cover set into the user's demand
   block, pinned so that slot S[k][l] carries demand d[k][l].
 
-The broadcast is the single-request scheme's message for the relabeled
-expanded demand vector, which rides along in the clear; each user decodes
-requested file l by running the virtual decoder of its secret slot, using
-only the broadcast and its own cache.
+The broadcast is the single-request scheme's message, a ``ucc.Broadcast``,
+for the relabeled expanded demand vector, which rides along in the clear as
+its ``demand``; each user decodes requested file l by running the virtual
+decoder of its secret slot, using only the broadcast and its own cache.
 
 All randomness flows from one seed through named substreams (labels are
 hashed into independent generators), so any run is replayable.
@@ -389,26 +389,6 @@ def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL
             yield PlacementRandomness(relab, sel), DeliveryRecord(cover, expanded, tuple(relab[v] for v in expanded))
 
 
-@dataclass(frozen=True)
-class PrivateBroadcast:
-    """What goes over the shared link: the coded segments plus the masked
-    expanded demand vector (carried verbatim; excluded from the rate)."""
-
-    inner: Broadcast
-
-    @property
-    def masked_demand(self) -> tuple[int, ...]:
-        return self.inner.demand.entries
-
-    @property
-    def segment_count(self) -> int:
-        return self.inner.segment_count
-
-    @property
-    def symbol_count(self) -> int:
-        return self.inner.symbol_count
-
-
 def relabeled_library(params: SchemeParams, library: Library, rand: PlacementRandomness) -> Library:
     rows: list[tuple[int, ...]] = [()] * params.n_files
     for n in range(params.n_files):
@@ -418,13 +398,14 @@ def relabeled_library(params: SchemeParams, library: Library, rand: PlacementRan
 
 def deliver(params: SchemeParams, library: Library, demands: Demands, rand: PlacementRandomness,
             record: DeliveryRecord | None = None, streams: SeedStreams | None = None,
-            variant: Variant = FULL) -> tuple[PrivateBroadcast, DeliveryRecord]:
+            variant: Variant = FULL) -> tuple[Broadcast, DeliveryRecord]:
     """Produce the broadcast for a demand matrix.
 
-    The message equals the single-request scheme's broadcast over the
-    relabeled library under the masked expanded demand, which is always a
-    restricted demand (every block is an arrangement of the relabeled cover
-    set)."""
+    The message is the single-request scheme's broadcast over the relabeled
+    library under the masked expanded demand, which is always a restricted
+    demand (every block is an arrangement of the relabeled cover set) and
+    goes over the link in the clear as ``broadcast.demand``, excluded from
+    the rate."""
     validate_demands(params, demands)
     validate_placement(params, rand)
     if record is None:
@@ -433,10 +414,10 @@ def deliver(params: SchemeParams, library: Library, demands: Demands, rand: Plac
         record = sample_delivery(params, demands, rand, streams, variant)
     demand = RestrictedDemand(entries=record.masked, block_len=params.n_active)
     broadcast = ucc.encode(params.ucc, demand, relabeled_library(params, library, rand))
-    return PrivateBroadcast(broadcast), record
+    return broadcast, record
 
 
-def measured_rate(params: SchemeParams, broadcast: PrivateBroadcast) -> Fraction:
+def measured_rate(params: SchemeParams, broadcast: Broadcast) -> Fraction:
     return Fraction(broadcast.symbol_count, params.file_len)
 
 
@@ -445,7 +426,7 @@ def measured_rate(params: SchemeParams, broadcast: PrivateBroadcast) -> Fraction
 # ---------------------------------------------------------------------------
 
 
-def decode_user(params: SchemeParams, k: int, slot: int, broadcast: PrivateBroadcast,
+def decode_user(params: SchemeParams, k: int, slot: int, broadcast: Broadcast,
                 cache: UserCache, method: str = "linear") -> tuple[int, ...]:
     """Recover user k's slot-th requested file from the broadcast and its own
     cache only.  The user reads the masked demand off the broadcast, picks the
@@ -454,7 +435,7 @@ def decode_user(params: SchemeParams, k: int, slot: int, broadcast: PrivateBroad
     if not 0 <= slot < params.demands_per_user:
         raise ValueError(f"slot {slot} out of range")
     u = _virtual_user(params, k, cache.selector[slot])
-    masked = broadcast.masked_demand
+    masked = broadcast.demand.entries
     positions = ucc.user_positions(params.ucc, u)
     try:
         cache_slice = {
@@ -463,7 +444,7 @@ def decode_user(params: SchemeParams, k: int, slot: int, broadcast: PrivateBroad
         }
     except KeyError as exc:
         raise ucc.DecodeError(f"cache is missing label/position {exc}") from None
-    return ucc.decode(params.ucc, u, broadcast.inner, cache_slice, method=method)
+    return ucc.decode(params.ucc, u, broadcast, cache_slice, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +469,7 @@ class SimulationTrace:
     demands: Demands
     randomness: PlacementRandomness
     record: DeliveryRecord
-    broadcast: PrivateBroadcast
+    broadcast: Broadcast
     memory: Fraction
     rate: Fraction
     verdicts: list[DecodeVerdict]
@@ -521,7 +502,7 @@ class SimulationTrace:
             "memory": [self.memory.numerator, self.memory.denominator],
             "rate": [self.rate.numerator, self.rate.denominator],
             "segment_count": self.broadcast.segment_count,
-            "broadcast": self.broadcast.inner.trace_record(),
+            "broadcast": self.broadcast.trace_record(),
             "decodes": [
                 {"user": v.user, "slot": v.slot, "file": v.file_index, "ok": v.ok}
                 for v in self.verdicts

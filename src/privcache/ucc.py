@@ -20,12 +20,17 @@ Two decoders are provided:
   Correctness is the contract; nothing scheme-specific is assumed.
 * ``decode_structural`` is the optimized path: it reconstructs untransmitted
   all-non-leader segments once per broadcast, shared by every user's decode
-  (closed-form leader-substitution identity in the plain convention; in the
-  signed one, a single elimination over the data-independent formal system
-  with every omitted segment as a right-hand-side column), and then peels
-  segment equations with a single unknown subfile.  It never eliminates over
-  the symbol data and is cross-checked against the reference decoder in the
-  test suite.
+  (with one or two user groups, the closed-form leader-substitution
+  identity; with three or more, a single elimination over the
+  data-independent formal system with every omitted segment as a
+  right-hand-side column), and then peels segment equations with a single
+  unknown subfile.  It never eliminates over the symbol data and is
+  cross-checked against the reference decoder in the test suite.
+
+A ``Broadcast`` is the whole message: its field, the demand carried in the
+clear and one tuple of reduced symbols per coded segment.  The coefficient
+convention is not stored; ``use_signed_segments`` derives it from the
+params and the field.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact import binomial, subset_rank, subsets_of_size
-from .gf import InconsistentSystemError, PrimeField, SymbolVector, determined_unknowns, solve_any
+from .gf import InconsistentSystemError, PrimeField, determined_unknowns, solve_any
 
 
 class DecodeError(RuntimeError):
@@ -214,18 +219,21 @@ class RestrictedDemand:
 
 @dataclass(frozen=True)
 class Broadcast:
-    """One delivery: coded segments keyed by their (r+1)-subset, plus the
-    demand vector carried in the clear (its size is not counted in the rate).
-
-    ``signed`` records the coefficient convention: False means every subfile
-    enters its segment with coefficient +1; True means the subfile of the
-    i-th smallest user in the subset enters with (-1)^i.
-    """
+    """One delivery: coded segments keyed by their (r+1)-subset, each a tuple
+    of packet_size symbols reduced into [0, q), plus the demand vector
+    carried in the clear (its size is not counted in the rate)."""
 
     params: UccParams
+    field: PrimeField
     demand: RestrictedDemand
-    segments: dict[tuple[int, ...], SymbolVector]
-    signed: bool = False
+    segments: dict[tuple[int, ...], tuple[int, ...]]
+
+    @property
+    def signed(self) -> bool:
+        """The coefficient convention: False means every subfile enters its
+        segment with coefficient +1; True means the subfile of the i-th
+        smallest user in the subset enters with (-1)^i."""
+        return use_signed_segments(self.params, self.field)
 
     @property
     def segment_count(self) -> int:
@@ -240,7 +248,7 @@ class Broadcast:
         """(terms, values) of every transmitted segment, then of every
         reconstructed untransmitted one: built on first use and shared by
         every decode (a broadcast is not modified after encode)."""
-        segs = [(sub, list(seg.entries)) for sub, seg in sorted(self.segments.items())]
+        segs = [(sub, list(seg)) for sub, seg in sorted(self.segments.items())]
         segs.extend(_reconstructed_segments(self))
         return [(_segment_terms(self.params, self.demand.entries, sub, self.signed), vals) for sub, vals in segs]
 
@@ -262,7 +270,7 @@ class Broadcast:
                 {
                     "users": list(sub),
                     "rank": subset_rank(range(par.n_users), sub),
-                    "symbols": list(vec.entries),
+                    "symbols": list(vec),
                 }
                 for sub, vec in sorted(self.segments.items())
             ],
@@ -308,22 +316,18 @@ def use_signed_segments(params: UccParams, field: PrimeField) -> bool:
     return params.n_groups >= 3 and field.q != 2
 
 
-def encode(params: UccParams, demand: RestrictedDemand, library: Library,
-           signed: bool | None = None) -> Broadcast:
+def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Broadcast:
     """Broadcast for a restricted demand: one segment per (r+1)-subset that
     intersects the leader set, each the field sum over its users u of the
-    subfile of demand[u] labeled by the remaining users.
-
-    ``signed=None`` picks the coefficient convention via use_signed_segments.
-    """
+    subfile of demand[u] labeled by the remaining users, with the
+    coefficients use_signed_segments picks."""
     _validate_demand(params, demand)
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
-    if signed is None:
-        signed = use_signed_segments(params, library.field)
+    signed = use_signed_segments(params, library.field)
     q = library.field.q
     packet = params.packet_size
-    segments: dict[tuple[int, ...], SymbolVector] = {}
+    segments: dict[tuple[int, ...], tuple[int, ...]] = {}
     for sub in subsets_of_size(range(params.n_users), params.r + 1):
         if sub[0] >= params.block_len:
             continue  # subsets are sorted, so sub[0] < block_len iff a leader is present
@@ -333,11 +337,11 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library,
             row = library.rows[n]
             for p in range(packet):
                 acc[p] = (acc[p] + c * row[base + p]) % q
-        segments[sub] = SymbolVector(library.field, tuple(acc))
+        segments[sub] = tuple(acc)
     expected = binomial(params.n_users, params.r + 1) - binomial(params.n_users - params.block_len, params.r + 1)
     if len(segments) != expected:
         raise RuntimeError(f"segment count {len(segments)} != {expected}")
-    return Broadcast(params=params, demand=demand, segments=segments, signed=signed)
+    return Broadcast(params=params, field=library.field, demand=demand, segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +370,6 @@ def _assemble(params: UccParams, u: int, stored: Mapping[int, int],
     return tuple(out)
 
 
-def _segment_field(broadcast: Broadcast) -> PrimeField:
-    if broadcast.segments:
-        return next(iter(broadcast.segments.values())).field
-    raise DecodeError("broadcast carries no segments and no field")
-
-
 def _decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
     """What both decoders share: the user-range check, the r = n_users
     shortcut (nothing uncached) and a missing cache symbol reported as
@@ -390,8 +388,7 @@ def _decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheS
 def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
                   uncached: list[int]) -> dict[int, tuple[int, ...]]:
     demand = broadcast.demand.entries
-    fld = _segment_field(broadcast)
-    q = fld.q
+    q = broadcast.field.q
     packet = params.packet_size
     var = {key: j for j, key in enumerate(itertools.product(sorted(broadcast.demand.file_set), uncached))}
 
@@ -399,7 +396,7 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     rhs_rows: list[list[int]] = []
     for sub, seg in sorted(broadcast.segments.items()):
         coef = [0] * len(var)
-        rhs = list(seg.entries)
+        rhs = list(seg)
         for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
             j = var.get((n, t))
             if j is None:  # cached by u: move it to the right-hand side
@@ -415,7 +412,7 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     target = demand[u]
     wanted = [var[(target, t)] for t in uncached]
     try:
-        solved = determined_unknowns(fld, matrix, rhs_rows, wanted)
+        solved = determined_unknowns(broadcast.field, matrix, rhs_rows, wanted)
     except InconsistentSystemError as exc:
         raise DecodeError(f"inconsistent broadcast: {exc}") from None
     if len(solved) < len(wanted):
@@ -433,11 +430,13 @@ def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     return _decode(params, u, broadcast, cache_slice, _solve_linear)
 
 
-def _signed_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
-    """Signed-mode reconstruction: one elimination over the formal system on
-    the (file, subfile-label) basis, with a column per transmitted segment and
-    a right-hand-side column per untransmitted one.  The combinations depend
-    only on the demand pattern, never on library data or any cache."""
+def _eliminated_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
+    """Reconstruction with three or more user groups: one elimination over
+    the formal system on the (file, subfile-label) basis, in the broadcast's
+    own coefficients, with a column per transmitted segment and a
+    right-hand-side column per untransmitted one.  The combinations depend
+    only on the demand pattern, never on library data or any cache; an
+    omitted segment outside the transmitted span is left to peeling."""
     params = broadcast.params
     demand = broadcast.demand.entries
     omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
@@ -449,19 +448,20 @@ def _signed_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], li
     def formal(subs: list[tuple[int, ...]]) -> list[list[int]]:
         cols = [[0] * len(subs) for _ in basis]
         for j, sub in enumerate(subs):
-            for n, t, c in _segment_terms(params, demand, sub, True):
+            for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
                 cols[basis[(n, t)]][j] = c
         return cols
 
     tx_subs = sorted(broadcast.segments)
-    combos = solve_any(_segment_field(broadcast), formal(tx_subs), formal(omitted))
+    combos = solve_any(broadcast.field, formal(tx_subs), formal(omitted))
     return [(sub, [(x, s) for x, s in zip(combo, tx_subs) if x])
             for sub, combo in zip(omitted, combos) if combo is not None]
 
 
 def _plain_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
-    """Plain-mode reconstruction via the alternating identity, for every
-    untransmitted subset whose demands are distinct.
+    """Reconstruction with one or two user groups via the alternating
+    identity, for every untransmitted subset whose demands are distinct
+    (with a single non-leader block, that is every one).
 
     For such a subset B, replacing any nonempty V of its users by the leaders
     of their files gives a transmitted segment, and the signed sum over all V
@@ -487,14 +487,17 @@ def _plain_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], lis
 
 def _reconstructed_segments(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[int]]]:
     """Untransmitted segments (no leader in the subset) that are exact
-    combinations of transmitted ones, with their values."""
-    q = _segment_field(broadcast).q
+    combinations of transmitted ones, with their values.  The telescoping
+    identity needs distinct files in the subset, which only one non-leader
+    block guarantees, so three or more groups eliminate, GF(2) included."""
+    q = broadcast.field.q
     packet = broadcast.params.packet_size
+    route = _eliminated_combinations if broadcast.params.n_groups >= 3 else _plain_combinations
     out = []
-    for sub, combo in (_signed_combinations if broadcast.signed else _plain_combinations)(broadcast):
+    for sub, combo in route(broadcast):
         vals = [0] * packet
         for x, s in combo:
-            seg = broadcast.segments[s].entries
+            seg = broadcast.segments[s]
             for p in range(packet):
                 vals[p] = (vals[p] + x * seg[p]) % q
         out.append((sub, vals))
@@ -503,7 +506,7 @@ def _reconstructed_segments(broadcast: Broadcast) -> list[tuple[tuple[int, ...],
 
 def _solve_peeling(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
                    uncached: list[int]) -> dict[int, tuple[int, ...]]:
-    q = _segment_field(broadcast).q
+    q = broadcast.field.q
     packet = params.packet_size
     known = {(n, t): tuple(cache_slice[n][t * packet + p] for p in range(packet))
              for n in broadcast.demand.file_set for t in params._user_ranks[u]}
@@ -546,8 +549,8 @@ def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_sli
     repeatedly resolves any segment equation with exactly one unknown
     subfile.  The equations are the transmitted segments plus the
     reconstructed all-non-leader ones; reconstruction runs once per
-    broadcast and is shared by every user's decode (in signed mode, one
-    elimination over the data-independent formal system).
+    broadcast and is shared by every user's decode (with three or more user
+    groups, one elimination over the data-independent formal system).
     """
     return _decode(params, u, broadcast, cache_slice, _solve_peeling)
 

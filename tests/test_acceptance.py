@@ -66,7 +66,7 @@ def test_criterion_1_worked_example():
     assert trace.rate == Fraction(11, 4)
     assert trace.broadcast.segment_count == 22
     seg_len = params.file_len // 8
-    assert all(len(v) == seg_len for v in trace.broadcast.inner.segments.values())
+    assert all(len(v) == seg_len for v in trace.broadcast.segments.values())
     assert trace.correct_all
     _report(1, "M=5/4, R=11/4, 22 segments of length F/8", time.perf_counter() - start, 1.0)
 

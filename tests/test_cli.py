@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, file formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,18 @@ def test_audit_empirical(tmp_path):
     assert rep["passed"] is True and rep["dof"] == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--observer", "5"),
+    ("--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800", "--observer", "-1"),
+    ("--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800", "--observer", "7"),
+])
+def test_audit_observer_out_of_range_is_usage_error(argv, capsys):
+    assert run_cli("audit", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "observer out of range" in captured.err
+
+
 def test_tradeoff_csv(tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli("tradeoff", "--N", "5", "--K", "2", "--L", "2", "--out", str(out)) == 0
@@ -226,3 +239,30 @@ def test_gap_requires_params(capsys):
 
 def test_unknown_subcommand_usage_error():
     assert run_cli("frobnicate") == 2
+
+
+# sha256 of stdout and the exit code of each command, recorded at a
+# known-good revision: the replay contract keeps CLI output byte-identical.
+REPLAY = [
+    pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--seed", "7", "--decoder", "linear"),
+                 0, "d9b72f4bbb8e5b4b9d014e88e8a857d095e9cb2f4ee7d12868f9d8f8b7648353", id="simulate-522-linear"),
+    pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--seed", "7", "--decoder", "structural"),
+                 0, "d9b72f4bbb8e5b4b9d014e88e8a857d095e9cb2f4ee7d12868f9d8f8b7648353", id="simulate-522-structural"),
+    pytest.param(("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--seed", "0", "--decoder", "structural"),
+                 0, "51e37434e1cd271c14a24096c406113fc3c659c705a0d086e5f84223828e569a", id="simulate-431-structural"),
+    pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--selector", "0,2"),
+                 0, "52821c53da6404f1b43e9f4b0cffc61ee092cd361c75f0f366b9c273c9212499", id="audit-ptilde"),
+    pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
+                  "--baseline"),
+                 0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
+    pytest.param(("gap", "--N", "5", "--K", "2", "--L", "2"),
+                 0, "1ae39da33a425714a93ce9061d086fe5b2245d9d4ffb2c373df9560269f862be", id="gap"),
+    pytest.param(("tradeoff", "--N", "5", "--K", "2", "--L", "2"),
+                 0, "cb2f811b42c9d56ef1a61315cf727bec7f1c599eae6ce30dc2e138564771ec3f", id="tradeoff"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", REPLAY)
+def test_replay_contract_stdout_digests(argv, code, digest, capsys):
+    assert run_cli(*argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

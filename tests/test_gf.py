@@ -8,7 +8,6 @@ import pytest
 from privcache.gf import (
     InconsistentSystemError,
     PrimeField,
-    SymbolVector,
     determined_unknowns,
     gaussian_solve,
     is_prime,
@@ -64,16 +63,6 @@ def test_field_axioms_exhaustive(q):
         assert f.add(a, f.neg(a)) == 0
         if a:
             assert f.mul(a, f.inv(a)) == 1
-
-
-def test_symbol_vector_validation_and_ops():
-    f = PrimeField(5)
-    v = SymbolVector(f, (1, 2, 3))
-    w = SymbolVector(f, (4, 4, 4))
-    assert (v + w).entries == (0, 1, 2)
-    assert (v - w).entries == (2, 3, 4)
-    with pytest.raises(ValueError):
-        SymbolVector(f, (5,))
 
 
 def test_solve_identity():

@@ -185,8 +185,11 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
         demands = scheme.sample_demands(P522, streams.rng("demands"))
         rand = sample_placement_randomness(P522, streams)
         broadcast, record = deliver(P522, lib, demands, rand, streams=streams)
-        assert is_restricted(broadcast.masked_demand, 4)
+        assert is_restricted(broadcast.demand.entries, 4)
         assert broadcast.segment_count == 22
+        for seg in broadcast.segments.values():
+            assert type(seg) is tuple and len(seg) == P522.packet_size
+            assert all(type(s) is int and 0 <= s < P522.q for s in seg)
         assert scheme.measured_rate(P522, broadcast) == Fraction(11, 4)
 
 
@@ -200,8 +203,7 @@ def test_relabeled_encode_identity():
     record = sample_delivery(P522, demands, rand, streams)
     broadcast, _ = deliver(P522, lib, demands, rand, record)
     direct = ucc.encode(P522.ucc, RestrictedDemand(record.expanded, 4), lib)
-    assert {s: v.entries for s, v in broadcast.inner.segments.items()} == \
-           {s: v.entries for s, v in direct.segments.items()}
+    assert broadcast.segments == direct.segments
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 8])
@@ -217,25 +219,20 @@ def test_decode_all_users_all_slots(r):
 def test_decode_uses_only_broadcast_and_cache():
     """Rebuild the broadcast from its serialized trace record and decode with
     it: proves decoding needs nothing beyond (broadcast, own cache)."""
-    from privcache.gf import SymbolVector
-
     lib = Library.ramp(P522.field, 5, 8)
     streams = SeedStreams(5)
     demands = ((3, 1), (4, 0))
     rand = sample_placement_randomness(P522, streams)
     caches = place_caches(P522, lib, rand)
     broadcast, record = deliver(P522, lib, demands, rand, streams=streams)
-    rec = broadcast.inner.trace_record()
-    rebuilt_inner = ucc.Broadcast(
+    rec = broadcast.trace_record()
+    rebuilt = ucc.Broadcast(
         params=P522.ucc,
+        field=P522.field,
         demand=RestrictedDemand(tuple(rec["demand"]), 4),
-        segments={
-            tuple(s["users"]): SymbolVector(P522.field, tuple(s["symbols"]))
-            for s in rec["segments"]
-        },
-        signed=rec["signed"],
+        segments={tuple(s["users"]): tuple(s["symbols"]) for s in rec["segments"]},
     )
-    rebuilt = scheme.PrivateBroadcast(rebuilt_inner)
+    assert rebuilt.signed == rec["signed"]
     for k in range(2):
         for l in range(2):
             assert decode_user(P522, k, l, rebuilt, caches[k]) == lib.rows[demands[k][l]]
@@ -292,8 +289,10 @@ def test_plain_baseline_variant_reveals_expanded_demand():
 
 def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
     """Omitted segments are reconstructed once per broadcast and shared by all
-    K*L decodes: a signed run eliminates once over the formal system, a plain
-    run never does, and the structural trace equals the linear one."""
+    K*L decodes: a run with three or more user groups eliminates once over
+    the formal system, in the broadcast's own coefficients (plain over GF(2),
+    signed otherwise), a two-group run never does, and the structural trace
+    equals the linear one."""
     real = ucc.solve_any
     calls = []
 
@@ -302,12 +301,20 @@ def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ucc, "solve_any", counting)
-    for params, expected in ((SchemeParams(4, 3, 1, r=2), 1), (SchemeParams(6, 2, 3, r=2), 0)):
+    cases = (
+        (SchemeParams(4, 3, 1, r=2), 1, True),
+        (SchemeParams(6, 2, 3, r=2), 0, False),
+        (SchemeParams(3, 3, 1, r=1, q=2), 1, False),
+        (SchemeParams(3, 3, 1, r=2, q=2), 1, False),
+        (SchemeParams(4, 3, 1, r=3, q=2), 1, False),
+        (SchemeParams(2, 4, 1, r=2, q=2), 1, False),
+    )
+    for params, expected, signed in cases:
         for seed in range(3):
             calls.clear()
             structural = run_simulation(params, seed, decoder="structural")
             assert len(calls) == expected
-            assert structural.broadcast.inner.signed == (expected == 1)
+            assert structural.broadcast.signed == signed
             assert structural.correct_all
             assert structural.to_json_dict() == run_simulation(params, seed).to_json_dict()
 

@@ -132,7 +132,7 @@ def test_encode_r0_sends_whole_requested_files():
     assert bc.segment_count == 4  # leader singletons only
     for sub, seg in bc.segments.items():
         assert len(sub) == 1 and sub[0] in params.leaders
-        assert seg.entries == lib.rows[demand.entries[sub[0]]]
+        assert seg == lib.rows[demand.entries[sub[0]]]
 
 
 def test_encode_r_equals_n_users_sends_nothing():
@@ -190,7 +190,7 @@ def test_walkthrough_decode_identity():
         if i == 2:
             continue
         pair = tuple(sorted((2, i)))
-        y = bc.segments[pair].entries[0]
+        y = bc.segments[pair][0]
         recovered = (y - lib.rows[demand.entries[i]][2]) % 257
         assert recovered == lib.rows[d2][i]
 
@@ -248,9 +248,9 @@ def test_decode_exhaustive_kv4_r2_random_library():
 
 def test_reconstructed_segments_match_direct_sums():
     """Segments omitted from the broadcast (no leader in the subset) must be
-    recoverable: compare both reconstruction routes (plain-convention identity
-    and signed-mode formal combination) against the segment value computed
-    straight from the library."""
+    recoverable: compare both reconstruction routes (leader-substitution
+    identity with two groups, formal elimination with three or more) against
+    the segment value computed straight from the library."""
     from privcache.ucc import segment_signs
 
     checked = 0
