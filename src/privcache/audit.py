@@ -343,6 +343,7 @@ def masked_marginal_via_joint(params: SchemeParams, demands: Demands, observer: 
     masked_demand_law, which pins that slot tuple instead, exactly; used as a
     consistency oracle for the two enumeration paths."""
     demands = sch.validate_demands(params, demands)
+    _check_observer(params, observer)
     selector = tuple(selector)
     _check_budget(_law_atom_count(params, demands, variant, pinned=0), budget,
                   "joint slot-tuple enumeration")

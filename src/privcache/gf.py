@@ -8,12 +8,16 @@ by the caching scheme is 257; q = 2 is fully supported so privacy audits can
 enumerate every library realization.
 
 Gaussian elimination carries explicit status reporting and never returns a
-silently wrong answer on singular or inconsistent systems; every solver runs
-one rows -> ``rref`` -> consistency body.  Two take many right-hand sides in
-one elimination: ``determined_unknowns`` extracts the exact values of chosen
-unknowns from a system that is underdetermined overall (a cache-aided decoder
-needs only the requested file's subfiles), and ``solve_any`` returns one
-particular solution, or None, per right-hand-side column.
+silently wrong answer on singular or inconsistent systems.  Systems are
+sparse: a row is a dict from column to nonzero value, with right-hand side j
+at column n_coef + j.  Every solver runs one body, the sparse Gauss-Jordan
+kernel ``rref`` and then a consistency check.  Two solvers take many
+right-hand sides in one elimination: ``determined_unknowns`` extracts the
+exact values of chosen unknowns from a system that is underdetermined overall
+(a cache-aided decoder needs only the requested file's subfiles), and
+``solve_any`` returns one particular solution, or None, per right-hand-side
+column.  Only ``gaussian_solve`` takes a dense matrix; ``_as_rows`` converts
+it.
 """
 
 from __future__ import annotations
@@ -85,86 +89,118 @@ class InconsistentSystemError(ValueError):
     """The linear system has no solution."""
 
 
-def rref(field: PrimeField, rows: list[list[int]], n_coef: int) -> list[int]:
-    """Reduced row echelon form in place over the first ``n_coef`` columns.
+Row = dict[int, int]  # column -> nonzero value in [1, q); right-hand side j at column n_coef + j
 
-    Columns beyond ``n_coef`` ride along as right-hand sides.  Returns the
-    list of pivot columns; after the call, row i holds pivot i.
+
+def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
+    """Sparse Gauss-Jordan to reduced row echelon form, in place, over the
+    first ``n_coef`` columns.
+
+    Columns from ``n_coef`` on ride along as right-hand sides.  Returns the
+    list of pivot columns; after the call, row i holds pivot i and the rows
+    past the rank hold right-hand-side entries only.  Columns are taken in
+    order and each pivot touches only the rows that hold its column; among
+    those, the row with the fewest nonzeros is the pivot, to limit fill-in.
+    The reduced form is unique, so the choice never shows in the result.
     """
     q = field.q
+    holders: dict[int, set[int]] = {}  # coefficient column -> rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            if c < n_coef:
+                holders.setdefault(c, set()).add(i)
+    is_pivot = [False] * len(rows)
     pivots: list[int] = []
-    rank = 0
+    pivot_rows: list[int] = []
     for col in range(n_coef):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % q:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        held = holders.get(col, ())
+        free_rows = [i for i in held if not is_pivot[i]]
+        if not free_rows:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        head = rows[rank][col] % q
+        p = min(free_rows, key=lambda i: len(rows[i]))
+        prow = rows[p]
+        head = prow[col]
         if head != 1:
             s = field.inv(head)
-            rows[rank] = [(x * s) % q for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col] % q
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], prow)]
+            for c in prow:
+                prow[c] = prow[c] * s % q
+        others = [(c, v) for c, v in prow.items() if c != col]
+        for i in held:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row.pop(col)
+            for c, v in others:
+                if c in row:
+                    x = (row[c] - f * v) % q
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        if c < n_coef:
+                            holders[c].discard(i)
+                else:
+                    row[c] = -f * v % q
+                    if c < n_coef:
+                        holders[c].add(i)
+        is_pivot[p] = True
         pivots.append(col)
-        rank += 1
+        pivot_rows.append(p)
+    rows[:] = [rows[p] for p in pivot_rows] + [row for i, row in enumerate(rows) if not is_pivot[i]]
     return pivots
 
 
-def _as_rows(field: PrimeField, matrix: Sequence[Sequence[int]], rhs_rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+def _as_rows(field: PrimeField, matrix: Sequence[Sequence[int]],
+             rhs_rows: Sequence[Sequence[int]]) -> tuple[list[Row], int, int]:
+    """Dense A and B as the sparse rows of [A | B], every entry reduced and
+    zeros dropped, plus the coefficient and right-hand-side column counts."""
     if len(matrix) != len(rhs_rows):
         raise ValueError("matrix and right-hand side row counts differ")
     q = field.q
     n_coef = len(matrix[0]) if matrix else 0
+    n_rhs = len(rhs_rows[0]) if rhs_rows else 0
     rows = []
     for coef, rhs in zip(matrix, rhs_rows):
-        if len(coef) != n_coef:
+        if len(coef) != n_coef or len(rhs) != n_rhs:
             raise ValueError("ragged matrix")
-        rows.append([x % q for x in coef] + [x % q for x in rhs])
-    return rows, n_coef
+        dense = [x % q for x in coef] + [x % q for x in rhs]
+        rows.append({c: x for c, x in enumerate(dense) if x})
+    return rows, n_coef, n_rhs
 
 
-def _eliminate(field: PrimeField, matrix: Sequence[Sequence[int]], rhs_rows: Sequence[Sequence[int]]):
-    """The body every solver shares: rows, then ``rref``, then consistency.
+def _eliminate(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int):
+    """The body every solver shares: ``rref``, then consistency.
 
-    Returns the reduced rows, the coefficient count, the pivot columns and,
-    per right-hand-side column b_j, whether A x = b_j has a solution.
+    Returns the pivot columns and, per right-hand-side column b_j, whether
+    A x = b_j has a solution: no row past the rank holds column n_coef + j.
     """
-    rows, n_coef = _as_rows(field, matrix, rhs_rows)
     pivots = rref(field, rows, n_coef)
-    n_rhs = len(rows[0]) - n_coef if rows else 0
-    consistent = [not any(row[n_coef + j] for row in rows[len(pivots):]) for j in range(n_rhs)]
-    return rows, n_coef, pivots, consistent
+    held = {c for row in rows[len(pivots):] for c in row}
+    return pivots, [n_coef + j not in held for j in range(n_rhs)]
 
 
 def gaussian_solve(field: PrimeField, matrix: Sequence[Sequence[int]], rhs: Iterable[int]):
-    """Solve A x = b over the field.
+    """Solve A x = b over the field, for a dense matrix and right-hand side.
 
     Returns ("unique", x) when A has full column rank on a consistent system,
     ("underdetermined", None) or ("inconsistent", None) otherwise.
     """
-    rows, n_coef, pivots, consistent = _eliminate(field, matrix, [[x] for x in rhs])
+    rows, n_coef, n_rhs = _as_rows(field, matrix, [[x] for x in rhs])
+    pivots, consistent = _eliminate(field, rows, n_coef, n_rhs)
     if not all(consistent):
         return ("inconsistent", None)
     if len(pivots) < n_coef:
         return ("underdetermined", None)
     # full column rank: row i holds the pivot of column i
-    return ("unique", tuple(rows[i][n_coef] for i in range(n_coef)))
+    return ("unique", tuple(rows[i].get(n_coef, 0) for i in range(n_coef)))
 
 
-def solve_any(field: PrimeField, matrix: Sequence[Sequence[int]],
-              rhs_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...] | None]:
+def solve_any(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int) -> list[tuple[int, ...] | None]:
     """One particular solution of A x = b_j (free unknowns set to 0) for every
-    right-hand-side column b_j of ``rhs_rows``, or None for a column whose
-    system is inconsistent.  A single elimination serves all columns; with no
-    rows there are no columns and the result is empty."""
-    rows, n_coef, pivots, consistent = _eliminate(field, matrix, rhs_rows)
+    right-hand-side column b_j, or None for a column whose system is
+    inconsistent.  ``rows`` are sparse rows of [A | B] and are reduced in
+    place; a single elimination serves all ``n_rhs`` columns."""
+    pivots, consistent = _eliminate(field, rows, n_coef, n_rhs)
     solutions: list[tuple[int, ...] | None] = []
     for j, ok in enumerate(consistent):
         if not ok:
@@ -172,36 +208,38 @@ def solve_any(field: PrimeField, matrix: Sequence[Sequence[int]],
             continue
         x = [0] * n_coef
         for i, col in enumerate(pivots):
-            x[col] = rows[i][n_coef + j]
+            x[col] = rows[i].get(n_coef + j, 0)
         solutions.append(tuple(x))
     return solutions
 
 
 def determined_unknowns(
     field: PrimeField,
-    matrix: Sequence[Sequence[int]],
-    rhs_rows: Sequence[Sequence[int]],
+    rows: list[Row],
+    n_coef: int,
+    n_rhs: int,
     wanted: Iterable[int],
 ) -> dict[int, tuple[int, ...]]:
     """Exact values of the ``wanted`` unknowns, for every RHS column at once.
 
-    An unknown is determined when it takes the same value in every solution
-    of the (possibly underdetermined) system: its column is a pivot whose row
-    has zero entries in all free columns.  Unknowns that are not determined
-    are simply absent from the result.  Raises InconsistentSystemError when
-    the system has no solution at all.
+    ``rows`` are sparse rows of [A | B] and are reduced in place.  An unknown
+    is determined when it takes the same value in every solution of the
+    (possibly underdetermined) system: its column is a pivot whose reduced
+    row holds no free column, that is, no coefficient column but its own.
+    Unknowns that are not determined are simply absent from the result.
+    Raises InconsistentSystemError when the system has no solution at all.
     """
-    rows, n_coef, pivots, consistent = _eliminate(field, matrix, rhs_rows)
+    pivots, consistent = _eliminate(field, rows, n_coef, n_rhs)
     if not all(consistent):
         raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
-    free = [c for c in range(n_coef) if c not in pivot_row]
     out: dict[int, tuple[int, ...]] = {}
     for j in wanted:
         i = pivot_row.get(j)
         if i is None:
             continue
-        if any(rows[i][f] for f in free):
+        row = rows[i]
+        if any(c < n_coef and c != j for c in row):
             continue
-        out[j] = tuple(rows[i][n_coef:])
+        out[j] = tuple(row.get(n_coef + k, 0) for k in range(n_rhs))
     return out

@@ -392,10 +392,10 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     packet = params.packet_size
     var = {key: j for j, key in enumerate(itertools.product(sorted(broadcast.demand.file_set), uncached))}
 
-    matrix: list[list[int]] = []
-    rhs_rows: list[list[int]] = []
+    n_coef = len(var)
+    rows: list[dict[int, int]] = []
     for sub, seg in sorted(broadcast.segments.items()):
-        coef = [0] * len(var)
+        row: dict[int, int] = {}
         rhs = list(seg)
         for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
             j = var.get((n, t))
@@ -404,15 +404,15 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
                 base = t * packet
                 for p in range(packet):
                     rhs[p] = (rhs[p] - c * stored[base + p]) % q
-            else:
-                coef[j] = (coef[j] + c) % q
-        matrix.append(coef)
-        rhs_rows.append(rhs)
+            else:  # the terms of one segment name distinct subfiles
+                row[j] = c % q
+        row.update((n_coef + p, x) for p, x in enumerate(rhs) if x)
+        rows.append(row)
 
     target = demand[u]
     wanted = [var[(target, t)] for t in uncached]
     try:
-        solved = determined_unknowns(broadcast.field, matrix, rhs_rows, wanted)
+        solved = determined_unknowns(broadcast.field, rows, n_coef, packet, wanted)
     except InconsistentSystemError as exc:
         raise DecodeError(f"inconsistent broadcast: {exc}") from None
     if len(solved) < len(wanted):
@@ -424,8 +424,10 @@ def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     """Reference decoder: exact elimination over the transmitted segments.
 
     Unknowns are the subfiles of the demanded files not cached by u; cached
-    subfiles move to the right-hand side.  All packet positions share one
-    coefficient matrix and are solved together.
+    subfiles move to the right-hand side.  The system is built sparse, one
+    row per segment holding its at most r+1 uncached terms and its nonzero
+    right-hand sides; all packet positions share the coefficients and are
+    solved together in one elimination.
     """
     return _decode(params, u, broadcast, cache_slice, _solve_linear)
 
@@ -445,15 +447,13 @@ def _eliminated_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...]
     files = sorted(broadcast.demand.file_set)
     basis = {key: i for i, key in enumerate(itertools.product(files, range(params.subfile_count)))}
 
-    def formal(subs: list[tuple[int, ...]]) -> list[list[int]]:
-        cols = [[0] * len(subs) for _ in basis]
-        for j, sub in enumerate(subs):
-            for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
-                cols[basis[(n, t)]][j] = c
-        return cols
-
     tx_subs = sorted(broadcast.segments)
-    combos = solve_any(broadcast.field, formal(tx_subs), formal(omitted))
+    q = broadcast.field.q
+    rows: list[dict[int, int]] = [{} for _ in basis]
+    for j, sub in enumerate(tx_subs + omitted):
+        for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
+            rows[basis[(n, t)]][j] = c % q
+    combos = solve_any(broadcast.field, rows, len(tx_subs), len(omitted))
     return [(sub, [(x, s) for x, s in zip(combo, tx_subs) if x])
             for sub, combo in zip(omitted, combos) if combo is not None]
 

@@ -222,6 +222,9 @@ def test_joint_marginal_reproduces_direct_law():
                     direct = masked_demand_law(params, demands, observer, selector, variant)
                     via_joint = masked_marginal_via_joint(params, demands, observer, selector, variant)
                     assert direct == via_joint
+    for observer in (5, -1):  # past the last user, and a negative index
+        with pytest.raises(ValueError):
+            masked_marginal_via_joint(P321, ((0,), (1,)), observer, (0,))
 
 
 def test_chi_square_quantile_values():

@@ -250,6 +250,14 @@ REPLAY = [
                  0, "d9b72f4bbb8e5b4b9d014e88e8a857d095e9cb2f4ee7d12868f9d8f8b7648353", id="simulate-522-structural"),
     pytest.param(("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--seed", "0", "--decoder", "structural"),
                  0, "51e37434e1cd271c14a24096c406113fc3c659c705a0d086e5f84223828e569a", id="simulate-431-structural"),
+    pytest.param(("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--seed", "0", "--decoder", "linear"),
+                 0, "f2286b9b6e1f25bc2016ea1bf29a89b847e529f20c8df385136343cc12ed67ca", id="simulate-623-linear"),
+    pytest.param(("simulate", "--N", "3", "--K", "3", "--L", "1", "--r", "2", "--q", "2", "--seed", "0",
+                  "--decoder", "linear"),
+                 0, "c6deef521e891f479e5a31163a10fbd6fbe25f4b9a4b9fd71288b884bffecb7f", id="simulate-331-q2-linear"),
+    pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--packet", "3", "--seed", "7",
+                  "--decoder", "linear"),
+                 0, "bfbeb4b2d602ba11618cfce124f4adab0ae4d657fd373c4b894383ea567711e0", id="simulate-522-packet3-linear"),
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--selector", "0,2"),
                  0, "52821c53da6404f1b43e9f4b0cffc61ee092cd361c75f0f366b9c273c9212499", id="audit-ptilde"),
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",

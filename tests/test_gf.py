@@ -8,6 +8,7 @@ import pytest
 from privcache.gf import (
     InconsistentSystemError,
     PrimeField,
+    _as_rows,
     determined_unknowns,
     gaussian_solve,
     is_prime,
@@ -90,11 +91,16 @@ def test_solve_underdetermined():
     assert status == "underdetermined" and x is None
 
 
+def _sparse(f, matrix, rhs_rows=None):
+    """Dense A and B as the solvers' arguments: sparse rows, n_coef, n_rhs."""
+    return _as_rows(f, matrix, [()] * len(matrix) if rhs_rows is None else rhs_rows)
+
+
 def _random_invertible(f, n, rng):
     while True:
         a = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
-        rows = [row[:] for row in a]
-        if len(rref(f, rows, n)) == n:
+        rows, n_coef, _ = _sparse(f, a)
+        if len(rref(f, rows, n_coef)) == n:
             return a
 
 
@@ -113,15 +119,16 @@ def test_solve_round_trip_random_full_rank(q):
 def test_determined_unknowns_partial_system():
     # x0 + x1 = 3 and x1 + x2 = 4 pin nothing; adding x1 = 1 pins all three
     f = PrimeField(7)
-    partial = determined_unknowns(f, [[1, 1, 0], [0, 1, 1]], [[3], [4]], [0, 1, 2])
+    partial = determined_unknowns(f, *_sparse(f, [[1, 1, 0], [0, 1, 1]], [[3], [4]]), [0, 1, 2])
     assert partial == {}
-    full = determined_unknowns(f, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], [[3], [4], [1]], [0, 1, 2])
+    full = determined_unknowns(f, *_sparse(f, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], [[3], [4], [1]]),
+                               [0, 1, 2])
     assert full == {0: (2,), 1: (1,), 2: (3,)}
 
 
 def test_determined_unknowns_multiple_rhs():
     f = PrimeField(5)
-    out = determined_unknowns(f, [[1, 1], [1, 2]], [[0, 1], [1, 2]], [0, 1])
+    out = determined_unknowns(f, *_sparse(f, [[1, 1], [1, 2]], [[0, 1], [1, 2]]), [0, 1])
     # first RHS: x=(4,1); second: x=(0,1)
     assert out == {0: (4, 0), 1: (1, 1)}
 
@@ -129,7 +136,7 @@ def test_determined_unknowns_multiple_rhs():
 def test_determined_unknowns_inconsistent_raises():
     f = PrimeField(5)
     with pytest.raises(InconsistentSystemError):
-        determined_unknowns(f, [[1, 1], [2, 2]], [[0], [1]], [0])
+        determined_unknowns(f, *_sparse(f, [[1, 1], [2, 2]], [[0], [1]]), [0])
 
 
 def test_solve_any_multi_rhs_brute_force_gf3():
@@ -152,7 +159,7 @@ def test_solve_any_multi_rhs_brute_force_gf3():
                 cols.append(image([rng.randrange(3) for _ in range(n)]))
             else:
                 cols.append([rng.randrange(3) for _ in range(m)])
-        got = solve_any(f, a, [[col[i] for col in cols] for i in range(m)])
+        got = solve_any(f, *_sparse(f, a, [[col[i] for col in cols] for i in range(m)]))
         assert len(got) == len(cols)
         images = [image(x) for x in itertools.product(range(3), repeat=n)]
         for col, x in zip(cols, got):
@@ -162,3 +169,111 @@ def test_solve_any_multi_rhs_brute_force_gf3():
                 assert image(x) == col
             outcomes.add(solvable)
     assert outcomes == {True, False}
+
+
+def _dense_rref(q, rows, n_coef):
+    """Reference: the dense Gauss-Jordan that the sparse kernel replaced, in
+    place over dense rows of [A | B]; returns the pivot columns."""
+    pivots = []
+    rank = 0
+    for col in range(n_coef):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        s = pow(rows[rank][col], q - 2, q)
+        rows[rank] = [(x * s) % q for x in rows[rank]]
+        prow = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % q:
+                f = rows[i][col] % q
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
+def _random_system(q, rng):
+    """A sparse-ish random [A | B]: tall, wide or square; some rows are
+    combinations of others or all zero; RHS columns are images A x, random
+    vectors or all zero."""
+    m, n = rng.choice([(rng.randint(4, 12), rng.randint(1, 4)),   # tall
+                       (rng.randint(1, 4), rng.randint(4, 12)),   # wide
+                       (k := rng.randint(1, 9), k)])              # square
+    density = rng.choice([0.15, 0.4, 1.0])
+    a = [[rng.randrange(1, q) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        kind = rng.random()
+        if kind < 0.15:
+            a[i] = [0] * n
+        elif kind < 0.35 and i >= 2:
+            s, t = rng.randrange(q), rng.randrange(q)
+            a[i] = [(s * x + t * y) % q for x, y in zip(a[rng.randrange(i)], a[rng.randrange(i)])]
+    cols = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if kind < 0.4:
+            x = [rng.randrange(q) for _ in range(n)]
+            cols.append([sum(r * v for r, v in zip(row, x)) % q for row in a])
+        elif kind < 0.8:
+            cols.append([rng.randrange(q) for _ in range(m)])
+        else:
+            cols.append([0] * m)
+    return a, [[col[i] for col in cols] for i in range(m)]
+
+
+@pytest.mark.parametrize("q", [2, 5, 257])
+def test_sparse_rref_matches_dense_reference(q):
+    """The sparse kernel against the dense reference on seeded random systems:
+    the same pivots, the same reduced pivot rows and the same per-column
+    consistency; ``solve_any`` and ``determined_unknowns`` agree with answers
+    read off the dense form; no stored entry is ever 0."""
+    f = PrimeField(q)
+    rng = random.Random(6000 + q)
+    seen = set()
+    for _ in range(400):
+        a, b = _random_system(q, rng)
+        rows, n_coef, n_rhs = _sparse(f, a, b)
+        pivots = rref(f, rows, n_coef)
+        dense = [[x % q for x in ra] + [x % q for x in rb] for ra, rb in zip(a, b)]
+        assert pivots == _dense_rref(q, dense, n_coef)
+        rank = len(pivots)
+        assert all(0 < x < q for row in rows for x in row.values())
+        assert all(c >= n_coef for row in rows[rank:] for c in row)
+        consistent = [not any(row[n_coef + j] for row in dense[rank:]) for j in range(n_rhs)]
+        assert consistent == [not any(n_coef + j in row for row in rows[rank:]) for j in range(n_rhs)]
+        # rows past the rank may be added to a pivot row, so its entries are
+        # unique only on coefficient columns and consistent RHS columns
+        unique = list(range(n_coef)) + [n_coef + j for j, ok in enumerate(consistent) if ok]
+        for sparse_row, dense_row in zip(rows[:rank], dense):
+            assert {c: sparse_row[c] for c in unique if c in sparse_row} == \
+                   {c: dense_row[c] for c in unique if dense_row[c]}
+
+        def particular(j):
+            x = [0] * n_coef
+            for col, row in zip(pivots, dense):
+                x[col] = row[n_coef + j]
+            return tuple(x)
+
+        expected_any = [particular(j) if ok else None for j, ok in enumerate(consistent)]
+        assert solve_any(f, *_sparse(f, a, b)) == expected_any
+        free = set(range(n_coef)) - set(pivots)
+        if all(consistent):
+            expected = {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
+                        if not any(row[c] for c in free)}
+            assert determined_unknowns(f, *_sparse(f, a, b), range(n_coef)) == expected
+        else:
+            with pytest.raises(InconsistentSystemError):
+                determined_unknowns(f, *_sparse(f, a, b), range(n_coef))
+        seen.add((rank < min(len(a), n_coef), all(consistent), n_rhs > 1))
+    assert seen >= {(d, c, True) for d in (False, True) for c in (False, True)}
+
+
+def test_dense_conversion_rejects_ragged_input():
+    f = PrimeField(5)
+    with pytest.raises(ValueError):
+        _as_rows(f, [[1, 2], [3]], [[0], [0]])
+    with pytest.raises(ValueError):
+        _as_rows(f, [[1, 2], [3, 4]], [[0], [0, 1]])
+    with pytest.raises(ValueError):
+        _as_rows(f, [[1, 2]], [[0], [0]])
