@@ -6,9 +6,12 @@ users' demands:
 * the sufficient-statistic route: the only demand-bearing part of a user's
   observation is the masked expanded demand vector.  ``masked_demand_law``
   computes its exact conditional law given the observer's demand row and slot
-  tuple by enumerating every relabeling, slot tuple of the other users, cover
-  set and block arrangement.  For the genuine scheme the law is uniform over
-  all restricted demand vectors with mass
+  tuple.  It enumerates every slot tuple of the other users, cover set and
+  block arrangement, but not the N! file relabelings: the relabeling is
+  uniform and independent of the other stages, so it spreads the count of
+  each label pattern of the unrelabeled expanded demand evenly over the
+  pattern's orbit.  For the genuine scheme the law is uniform over all
+  restricted demand vectors with mass
   (N - n_active)! / (N! * (n_active!)^(K-1)), independent of the demand
   matrix; equality is exact rational equality, no tolerance.
 * the end-to-end route: on instances small enough to enumerate every library
@@ -29,6 +32,7 @@ A chi-square smoke test covers instances too large for exact enumeration.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -105,27 +109,69 @@ def _check_observer(params: SchemeParams, observer: int):
         raise ValueError("observer out of range")
 
 
-def _normalized(counts: Mapping, atoms: int) -> dict:
-    """Law of equally likely atoms from their per-key counts."""
+def _check_visited(counts: Mapping, atoms: int):
     visited = sum(counts.values())
     if visited != atoms:
         raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
-    return {key: Fraction(c, atoms) for key, c in counts.items()}
+
+
+def _normalized(counts: Mapping, atoms: int) -> dict:
+    """Law of equally likely atoms from their per-key counts."""
+    _check_visited(counts, atoms)
+    mass = {c: Fraction(c, atoms) for c in set(counts.values())}
+    return {key: mass[c] for key, c in counts.items()}
+
+
+def _label_pattern(vector: tuple[int, ...]) -> tuple[int, ...]:
+    """The vector with its labels renumbered 0, 1, ... in order of first
+    occurrence; two vectors share a pattern iff a relabeling maps one onto
+    the other."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, len(first)) for v in vector)
+
+
+def _relabeled_counts(n_files: int, counts: Mapping) -> dict:
+    """Atom counts of the relabeled vector from those of the unrelabeled one,
+    under every relabeling of [N).  A vector with d distinct labels is mapped
+    onto each vector of its pattern by exactly (N - d)! relabelings, so each
+    pattern's total count c goes to every injection of its d labels into [N)
+    with weight c * (N - d)!."""
+    by_pattern = Counter()
+    for vector, c in counts.items():
+        by_pattern[_label_pattern(vector)] += c
+    out = {}
+    for pattern, c in by_pattern.items():
+        d = max(pattern) + 1
+        weight = c * factorial(n_files - d)
+        for image in itertools.permutations(range(n_files), d):
+            out[tuple(image[v] for v in pattern)] = weight
+    return out
 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
                       selector: tuple[int, ...], variant: Variant = FULL,
                       budget: int = 10 ** 7) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the masked expanded demand given the demand matrix and the
-    observer's slot tuple, by full enumeration."""
+    observer's slot tuple.
+
+    Every realization but the relabeling is enumerated; with relabeling on,
+    the counts of the unrelabeled expanded demand are grouped by label
+    pattern and spread over each pattern's orbit (``_relabeled_counts``),
+    which gives the same integer counts as enumerating all N! relabelings.
+    The budget applies to the full atom count either way."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
     if tuple(selector) not in set(sch.slot_support(params)):
         raise ValueError(f"selector {selector} is not {params.demands_per_user} distinct slots")
     atoms = _law_atom_count(params, demands, variant)
     _check_budget(atoms, budget, "masked-demand law enumeration")
+    unlabeled = dataclasses.replace(variant, relabel_files=False)
+    # under the identity relabeling the masked vector is the expanded one
     counts = Counter(record.masked for _, record in
-                     sch.realizations(params, demands, variant, {observer: selector}))
+                     sch.realizations(params, demands, unlabeled, {observer: selector}))
+    if variant.relabel_files:
+        _check_visited(counts, _law_atom_count(params, demands, unlabeled))
+        counts = _relabeled_counts(params.n_files, counts)
     return _normalized(counts, atoms)
 
 
@@ -156,6 +202,8 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     worst = Fraction(0)
     base = laws[0]
     for law in laws[1:]:
+        if law == base:
+            continue
         for key in set(base) | set(law):
             gap = abs(base.get(key, Fraction(0)) - law.get(key, Fraction(0)))
             if gap > worst:

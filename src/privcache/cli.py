@@ -140,8 +140,10 @@ def _audit_ptilde(args, params: SchemeParams, variant) -> dict:
     for law in inv.laws:
         if len(law) != support:
             uniform_ok = False
-        for p in law.values():
-            worst = max(worst, abs(p - mass))
+        # once per distinct mass, keyed by its integer ratio: hashing a
+        # Fraction costs a modular inverse
+        for num, den in {p.as_integer_ratio() for p in law.values()}:
+            worst = max(worst, abs(Fraction(num, den) - mass))
         if worst > 0:
             uniform_ok = False
     passed = uniform_ok and inv.identical

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Envelope, binomial, lower_convex_envelope
 
@@ -57,6 +58,10 @@ def achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list
     return out
 
 
+# The envelope builders keep their last result: the dominance check and the
+# gap certificate of one (N, K, L) triple share one build of each envelope
+# (``Envelope`` is frozen, so sharing it is safe).
+@lru_cache(maxsize=1)
 def achievable_envelope(n_files: int, n_users: int, demands_per_user: int) -> Envelope:
     pts = achievable_points(n_files, n_users, demands_per_user)
     return lower_convex_envelope((p.m, p.rate) for p in pts)
@@ -125,6 +130,7 @@ def corner_points(n_files: int, n_users: int, demands_per_user: int) -> list[Tra
     return out
 
 
+@lru_cache(maxsize=1)
 def converse_corner_envelope(n_files: int, n_users: int, demands_per_user: int) -> Envelope:
     """Lower convex envelope of the corner points plus the zero-memory point
     (0, L * floor(n_active / L)); a certified lower bound on the optimal rate."""

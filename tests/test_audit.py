@@ -3,6 +3,7 @@ mutual information, enumeration-path consistency, and the chi-square check."""
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,63 @@ def test_law_equals_stagewise_oracle_on_criterion_4_families():
         for demands in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
             assert masked_demand_law(P522, demands, 0, (0, 2), variant) == \
                    _stagewise_law(P522, demands, 0, (0, 2), variant)
+
+
+def _relabeling_loop_law(params, demands, observer, selector, variant):
+    """Brute-force reference: the law counted over every realization, all N!
+    relabelings included, one atom at a time."""
+    counts = Counter(record.masked for _, record in
+                     scheme.realizations(params, demands, variant, {observer: selector}))
+    total = sum(counts.values())
+    return {key: Fraction(c, total) for key, c in counts.items()}
+
+
+QUOTIENT_VARIANTS = (FULL, Variant(random_fill=False), Variant(random_cover=False), Variant(random_slots=False))
+
+
+def _quotient_cases():
+    for demands in scheme.all_demand_matrices(P321):
+        for observer, selector in itertools.product((0, 1), scheme.slot_support(P321)):
+            yield P321, demands, observer, selector
+    for demands in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
+        yield P522, demands, 0, (0, 2)
+    p331 = SchemeParams(3, 3, 1, r=1)
+    for demands in scheme.all_demand_matrices(p331):
+        yield p331, demands, 1, (2,)
+    p431 = SchemeParams(4, 3, 1, r=1)
+    for demands in (((0,), (0,), (0,)), ((0,), (1,), (1,)), ((0,), (1,), (2,)), ((3,), (1,), (3,))):
+        for observer in range(3):
+            yield p431, demands, observer, (1,)
+
+
+@pytest.mark.parametrize("variant", QUOTIENT_VARIANTS, ids=("full", "frozen-fill", "frozen-cover", "frozen-slots"))
+def test_relabeling_quotient_equals_relabeling_loop(variant):
+    for params, demands, observer, selector in _quotient_cases():
+        assert masked_demand_law(params, demands, observer, selector, variant) == \
+               _relabeling_loop_law(params, demands, observer, selector, variant)
+
+
+def test_law_skips_the_relabeling_loop(monkeypatch):
+    real = scheme.realizations
+    drawn = []
+
+    def counting(*args):
+        for item in real(*args):
+            drawn.append(item)
+            yield item
+    monkeypatch.setattr(scheme, "realizations", counting)
+    law = masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2))
+    assert set(law.values()) == {closed_form_mass(P522)}
+    # 12 slot tuples x 1 cover set x 2 x 2 fills; the 120 relabelings are not walked
+    assert len(drawn) == 48
+    assert audit._law_atom_count(P522, ((0, 1), (2, 3)), FULL) == 48 * 120
+
+
+def test_law_raises_when_unrelabeled_atoms_go_missing(monkeypatch):
+    real = scheme.realizations
+    monkeypatch.setattr(scheme, "realizations", lambda *args: itertools.islice(real(*args), 47))
+    with pytest.raises(RuntimeError, match="enumerated 47 atoms, predicted 48"):
+        masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2))
 
 
 def test_invariance_single_matrix_trivial():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from privcache import audit, cli
+from privcache import audit, cli, tradeoff
 from privcache.cli import main
 
 
@@ -129,6 +129,29 @@ def test_audit_mi_budget_exceeded(capsys):
                    "--q", "257", "--F", "16", "--r", "1")
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_audit_ptilde_budget_counts_every_relabeling(capsys):
+    # the law no longer walks the relabelings, but its budget still counts them
+    code = run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--budget", "100")
+    assert code == 3
+    assert capsys.readouterr().err == ("budget error: masked-demand law enumeration: "
+                                       "17280 enumeration atoms exceed the budget of 100\n")
+
+
+def test_gap_builds_each_envelope_once_per_triple(monkeypatch, tmp_path):
+    tradeoff.achievable_envelope.cache_clear()
+    tradeoff.converse_corner_envelope.cache_clear()
+    real = tradeoff.lower_convex_envelope
+    calls = []
+
+    def counting(points):
+        calls.append(1)
+        return real(points)
+
+    monkeypatch.setattr(tradeoff, "lower_convex_envelope", counting)
+    assert run_cli("gap", "--sweep", "N=2..3,K=1..2", "--out", str(tmp_path / "gap.json")) == 0
+    assert len(calls) == 2 * len(tradeoff.sweep_triples((2, 3), (1, 2)))
 
 
 def test_audit_mi_bad_file_len(capsys):
@@ -260,6 +283,15 @@ REPLAY = [
                  0, "bfbeb4b2d602ba11618cfce124f4adab0ae4d657fd373c4b894383ea567711e0", id="simulate-522-packet3-linear"),
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--selector", "0,2"),
                  0, "52821c53da6404f1b43e9f4b0cffc61ee092cd361c75f0f366b9c273c9212499", id="audit-ptilde"),
+    pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2"),
+                 0, "44f8d7cad1e49281d1a0d6998fa9f88030b935d9ff7918bb395162e162df3326", id="audit-ptilde-default"),
+    pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--variant", "no-relabel"),
+                 1, "6d33ba4e714206b940a428c4138cee64c93d2242da7c03c0d3de4b7339538853", id="audit-ptilde-no-relabel"),
+    pytest.param(("audit", "--mode", "ptilde", "--N", "3", "--K", "3", "--L", "1"),
+                 0, "1749d55a6bcb3bf21133111284059438b95541ed3fe4db43bdaa8f7dec8cfc5b", id="audit-ptilde-331"),
+    pytest.param(("audit", "--mode", "ptilde", "--N", "4", "--K", "2", "--L", "2", "--selector", "1,0",
+                  "--variant", "plain"),
+                 1, "465900177c976923cec5a6cfd84db44467704c63273463c1128f88769c44fc1e", id="audit-ptilde-422-plain"),
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--baseline"),
                  0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
