@@ -16,10 +16,14 @@ users' demands:
   matrix; equality is exact rational equality, no tolerance.
 * the end-to-end route: on instances small enough to enumerate every library
   realization, ``exact_mutual_information`` builds the exact joint law of
-  (other rows; broadcast, observer cache, observer row) and checks
-  factorization.  Zero is certified by exact per-realization conditional-law
-  equality (stronger than one-prior independence); a nonzero value, which the
-  derandomized baseline variants exhibit, is reported in base-q units.
+  (other rows; broadcast, observer cache, observer row) under the uniform
+  prior on demand matrices.  It enumerates only what the observer sees: each
+  matrix's realizations collapse to counts of the observer's view
+  (relabeling, observer slot tuple, masked demand), and per library each
+  cache is placed and each broadcast encoded once.  Zero is certified by
+  exact per-realization conditional-law equality, which holds for every
+  prior at once; a nonzero value, which the derandomized baseline variants
+  exhibit, is reported in base-q units.
 
 Both routes enumerate the scheme's randomness through the one generator
 ``scheme.realizations``.  Given the demand matrix its realizations are
@@ -46,7 +50,6 @@ from .exact import binomial, falling_factorial
 from .scheme import (
     FULL,
     Demands,
-    DeliveryRecord,
     PlacementRandomness,
     SchemeParams,
     SeedStreams,
@@ -216,21 +219,6 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
 # ---------------------------------------------------------------------------
 
 
-def _canonical_outcome(params: SchemeParams, broadcast, cache, observer_row: tuple[int, ...]) -> tuple:
-    """Hashable encoding of what the observer sees: the broadcast (masked
-    demand plus sorted segment table), its own cache (selector plus sorted
-    slot contents in label order), and its own demand row."""
-    x_part = (
-        broadcast.demand.entries,
-        tuple(sorted(broadcast.segments.items())),
-    )
-    z_part = (
-        cache.selector,
-        tuple(tuple(sorted(cache.slots_by_label[label].items())) for label in range(params.n_files)),
-    )
-    return (x_part, z_part, observer_row)
-
-
 def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict[str, int]]:
     n, f, q = params.n_files, params.file_len, params.q
     if f * n * math.log(q) > math.log(10 ** 30):
@@ -269,55 +257,56 @@ class MiReport:
     witness: tuple | None
     cardinalities: dict[str, int]
     observer: int
-    target: str
     wall_time_s: float
 
 
-def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target: str = "others",
-                             variant: Variant = FULL, prior: Mapping[Demands, Fraction] | None = None,
+def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant: Variant = FULL,
                              budget: int = 10 ** 7) -> MiReport:
-    """Exact I(other rows ; broadcast, observer cache, observer row).
+    """Exact I(other rows ; broadcast, observer cache, observer row) under the
+    uniform prior on demand matrices.
 
-    ``target="own"`` instead computes I(observer row ; observation), a sanity
-    quantity that must equal the observer row's entropy.  The default prior is
-    uniform over all demand matrices; conditional-law equality is checked
-    per-realization and certifies zero for every prior at once.
+    Given the library, the broadcast is a function of (relabeling, masked
+    demand) and the observer's cache of (relabeling, observer slot tuple),
+    so each matrix's realizations are counted by that view.  Zero is
+    certified by equal conditional laws given each observer row, for every
+    prior at once.  Under the uniform prior a joint that factorizes forces
+    those laws equal, so unequal laws always give a positive value and a
+    witness.
     """
     _check_observer(params, observer)
-    if target not in ("others", "own"):
-        raise ValueError("target must be 'others' or 'own'")
     total, cards = _joint_atom_count(params, variant)
     _check_budget(total, budget, "joint-law enumeration")
     mats = list(sch.all_demand_matrices(params))
-    if prior is None:
-        prior = {m: Fraction(1, len(mats)) for m in mats}
-    else:
-        prior = dict(prior)
-        if sum(prior.values(), Fraction(0)) != 1 or set(prior) != set(mats):
-            raise ValueError("prior must assign exact mass to every demand matrix, summing to 1")
 
     start = time.perf_counter()
-    # the realizations of each demand matrix, grouped by placement; every
-    # matrix has the same placements, in the same order
-    by_placement: list[dict[PlacementRandomness, list[DeliveryRecord]]] = []
-    for m in mats:
-        groups: dict[PlacementRandomness, list[DeliveryRecord]] = {}
-        for rand, record in sch.realizations(params, m, variant):
-            groups.setdefault(rand, []).append(record)
-        by_placement.append(groups)
+    # per matrix, its equally likely realizations counted by observer view;
+    # first-occurrence order fixes the outcome laws' key order, and with it
+    # the float summation order of a nonzero MI
+    views = [Counter((rand.relabeling, rand.slots[observer], record.masked)
+                     for rand, record in sch.realizations(params, m, variant)) for m in mats]
     q, n, f = params.q, params.n_files, params.file_len
     counts: list[Counter] = [Counter() for _ in mats]
     for flat in itertools.product(range(q), repeat=n * f):
         library = Library(params.field, tuple(flat[i * f:(i + 1) * f] for i in range(n)))
-        for rand in by_placement[0]:
-            cache = sch.place_caches(params, library, rand)[observer]
-            for m, groups, law in zip(mats, by_placement, counts):
-                for record in groups[rand]:
-                    broadcast, _ = sch.deliver(params, library, m, rand, record)
-                    law[_canonical_outcome(params, broadcast, cache, m[observer])] += 1
+        # two dicts: with K = 1 and L = N a slot tuple and a masked demand
+        # are tuples of the same length
+        caches: dict[tuple, tuple] = {}
+        broadcasts: dict[tuple, tuple] = {}
+        for m, view, law in zip(mats, views, counts):
+            for (relab, sel, masked), c in view.items():
+                z_part = caches.get((relab, sel))
+                if z_part is None:
+                    cache = sch.place_cache(params, library, relab, observer, sel)
+                    z_part = caches[relab, sel] = (
+                        sel, tuple(tuple(sorted(cache.slots_by_label[label].items())) for label in range(n)))
+                x_part = broadcasts.get((relab, masked))
+                if x_part is None:
+                    broadcast = sch.deliver(params, library, relab, masked)
+                    x_part = broadcasts[relab, masked] = (masked, tuple(sorted(broadcast.segments.items())))
+                law[x_part, z_part, m[observer]] += c
     per_demand_law = {
-        m: _normalized(law, q ** (n * f) * sum(map(len, groups.values())))
-        for m, groups, law in zip(mats, by_placement, counts)
+        m: _normalized(law, q ** (n * f) * sum(view.values()))
+        for m, view, law in zip(mats, views, counts)
     }
 
     # per-realization check: the conditional outcome law may depend on the
@@ -325,30 +314,23 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target:
     classes: dict[tuple[int, ...], list[Demands]] = {}
     for m in mats:
         classes.setdefault(m[observer], []).append(m)
-    equal = True
     witness = None
-    for row, members in classes.items():
+    for members in classes.values():
         base = per_demand_law[members[0]]
-        for other in members[1:]:
-            if per_demand_law[other] != base:
-                equal = False
-                keys = set(base) | set(per_demand_law[other])
-                bad = next(k for k in keys if base.get(k, Fraction(0)) != per_demand_law[other].get(k, Fraction(0)))
-                witness = (members[0], other, bad)
-                break
-        if not equal:
+        other = next((o for o in members[1:] if per_demand_law[o] != base), None)
+        if other is not None:
+            keys = set(base) | set(per_demand_law[other])
+            bad = next(k for k in keys if base.get(k, Fraction(0)) != per_demand_law[other].get(k, Fraction(0)))
+            witness = (members[0], other, bad)
             break
 
-    def _target_key(m: Demands) -> tuple:
-        if target == "own":
-            return m[observer]
-        return tuple(r for i, r in enumerate(m) if i != observer)
-
+    prior = Fraction(1, len(mats))
     joint: dict[tuple[tuple, tuple], Fraction] = {}
     for m in mats:
+        others = tuple(r for i, r in enumerate(m) if i != observer)
         for outcome, p in per_demand_law[m].items():
-            key = (_target_key(m), outcome)
-            joint[key] = joint.get(key, Fraction(0)) + prior[m] * p
+            key = (others, outcome)
+            joint[key] = joint.get(key, Fraction(0)) + prior * p
 
     marg_t: dict[tuple, Fraction] = {}
     marg_o: dict[tuple, Fraction] = {}
@@ -356,13 +338,10 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target:
         marg_t[t] = marg_t.get(t, Fraction(0)) + p
         marg_o[o] = marg_o.get(o, Fraction(0)) + p
 
-    factorizes = all(p == marg_t[t] * marg_o[o] for (t, o), p in joint.items())
-    if target == "others" and equal:
+    if witness is None:
         value: Fraction | float = Fraction(0)
-        if not factorizes:
+        if any(p != marg_t[t] * marg_o[o] for (t, o), p in joint.items()):
             raise RuntimeError("conditional laws equal but joint does not factorize")
-    elif factorizes:
-        value = Fraction(0)
     else:
         acc = 0.0
         logq = math.log(params.q)
@@ -370,15 +349,12 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, target:
             ratio = p / (marg_t[t] * marg_o[o])
             acc += float(p) * math.log(float(ratio)) / logq
         value = acc
-        if witness is None:
-            witness = next(((t, o) for (t, o), p in joint.items() if p != marg_t[t] * marg_o[o]), None)
     return MiReport(
-        conditional_laws_equal=equal,
+        conditional_laws_equal=witness is None,
         value=value,
         witness=witness,
         cardinalities=cards,
         observer=observer,
-        target=target,
         wall_time_s=time.perf_counter() - start,
     )
 

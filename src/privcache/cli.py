@@ -64,7 +64,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse fraction {text!r}")
 
 

@@ -18,6 +18,10 @@ The broadcast is the single-request scheme's message, a ``ucc.Broadcast``,
 for the relabeled expanded demand vector, which rides along in the clear as
 its ``demand``; each user decodes requested file l by running the virtual
 decoder of its secret slot, using only the broadcast and its own cache.
+``deliver`` is the one delivery call: the broadcast depends only on the
+library, the relabeling and the masked demand.  Likewise ``place_cache``
+fills one user's cache from the library, the relabeling and that user's
+slot tuple; ``place_caches`` validates a placement and fills every cache.
 
 All randomness flows from one seed through named substreams (labels are
 hashed into independent generators), so any run is replayable.
@@ -239,21 +243,23 @@ def _virtual_user(params: SchemeParams, k: int, slot_value: int) -> int:
 
 
 def place_caches(params: SchemeParams, library: Library, rand: PlacementRandomness) -> list[UserCache]:
-    """Fill every user's cache: user k stores, for each file n, the union of
-    the symbols its L chosen virtual users would store, filed under the
-    relabeled label.  Placement is uncoded: stored symbols are verbatim
-    library symbols at their declared positions."""
+    """Fill every user's cache from one validated placement realization."""
     validate_placement(params, rand)
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
-    caches = []
-    for k in range(params.n_users):
-        merged_positions = sorted(_stored_positions(params, k, rand.slots[k]))
-        slots_by_label = {}
-        for n in range(params.n_files):
-            slots_by_label[rand.relabeling[n]] = {i: library.rows[n][i] for i in merged_positions}
-        caches.append(UserCache(k, rand.slots[k], slots_by_label))
-    return caches
+    return [place_cache(params, library, rand.relabeling, k, sel) for k, sel in enumerate(rand.slots)]
+
+
+def place_cache(params: SchemeParams, library: Library, relabeling: Sequence[int], k: int,
+                selector: tuple[int, ...]) -> UserCache:
+    """User k's cache: for each file n, the union of the symbols its L chosen
+    virtual users would store, filed under the relabeled label.  Placement is
+    uncoded: stored symbols are verbatim library symbols at their declared
+    positions."""
+    merged_positions = sorted(_stored_positions(params, k, selector))
+    slots_by_label = {relabeling[n]: {i: row[i] for i in merged_positions}
+                      for n, row in enumerate(library.rows)}
+    return UserCache(k, selector, slots_by_label)
 
 
 def _stored_positions(params: SchemeParams, k: int, selector: Sequence[int]) -> set[int]:
@@ -389,32 +395,26 @@ def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL
             yield PlacementRandomness(relab, sel), DeliveryRecord(cover, expanded, tuple(relab[v] for v in expanded))
 
 
-def relabeled_library(params: SchemeParams, library: Library, rand: PlacementRandomness) -> Library:
-    rows: list[tuple[int, ...]] = [()] * params.n_files
-    for n in range(params.n_files):
-        rows[rand.relabeling[n]] = library.rows[n]
+def relabeled_library(library: Library, relabeling: Sequence[int]) -> Library:
+    """The library with real file n filed under broadcast label relabeling[n]."""
+    if sorted(relabeling) != list(range(library.n_files)):
+        raise ValueError("relabeling is not a permutation of the file labels")
+    rows: list[tuple[int, ...]] = [()] * library.n_files
+    for n, row in enumerate(library.rows):
+        rows[relabeling[n]] = row
     return Library(library.field, tuple(rows))
 
 
-def deliver(params: SchemeParams, library: Library, demands: Demands, rand: PlacementRandomness,
-            record: DeliveryRecord | None = None, streams: SeedStreams | None = None,
-            variant: Variant = FULL) -> tuple[Broadcast, DeliveryRecord]:
-    """Produce the broadcast for a demand matrix.
-
-    The message is the single-request scheme's broadcast over the relabeled
-    library under the masked expanded demand, which is always a restricted
-    demand (every block is an arrangement of the relabeled cover set) and
-    goes over the link in the clear as ``broadcast.demand``, excluded from
-    the rate."""
-    validate_demands(params, demands)
-    validate_placement(params, rand)
-    if record is None:
-        if streams is None:
-            raise ValueError("pass a DeliveryRecord or SeedStreams to draw one")
-        record = sample_delivery(params, demands, rand, streams, variant)
-    demand = RestrictedDemand(entries=record.masked, block_len=params.n_active)
-    broadcast = ucc.encode(params.ucc, demand, relabeled_library(params, library, rand))
-    return broadcast, record
+def deliver(params: SchemeParams, library: Library, relabeling: Sequence[int],
+            masked: tuple[int, ...]) -> Broadcast:
+    """The broadcast: the single-request scheme's message over the relabeled
+    library under the masked expanded demand.  That demand is always
+    restricted (every block is an arrangement of the relabeled cover set)
+    and goes over the link in the clear as ``broadcast.demand``, excluded
+    from the rate.  Nothing else of the demand matrix or the placement
+    enters the message."""
+    demand = RestrictedDemand(entries=masked, block_len=params.n_active)
+    return ucc.encode(params.ucc, demand, relabeled_library(library, relabeling))
 
 
 def measured_rate(params: SchemeParams, broadcast: Broadcast) -> Fraction:
@@ -538,7 +538,8 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
         library = Library.random(params.field, params.n_files, params.file_len, streams.rng("library"))
     rand = sample_placement_randomness(params, streams, variant)
     caches = place_caches(params, library, rand)
-    broadcast, record = deliver(params, library, demands, rand, streams=streams, variant=variant)
+    record = sample_delivery(params, demands, rand, streams, variant)
+    broadcast = deliver(params, library, rand.relabeling, record.masked)
     verdicts = []
     for k in range(params.n_users):
         for l in range(params.demands_per_user):

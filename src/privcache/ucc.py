@@ -244,13 +244,22 @@ class Broadcast:
         return sum(len(v) for v in self.segments.values())
 
     @cached_property
+    def _transmitted_terms(self) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """(subset, terms) of every transmitted segment, in subset order:
+        built on first use and shared by every decode (a broadcast is not
+        modified after encode)."""
+        signed = self.signed
+        return [(sub, _segment_terms(self.params, self.demand.entries, sub, signed)) for sub in sorted(self.segments)]
+
+    @cached_property
     def _equations(self) -> list[tuple[list[tuple[int, int, int]], list[int]]]:
         """(terms, values) of every transmitted segment, then of every
-        reconstructed untransmitted one: built on first use and shared by
-        every decode (a broadcast is not modified after encode)."""
-        segs = [(sub, list(seg)) for sub, seg in sorted(self.segments.items())]
-        segs.extend(_reconstructed_segments(self))
-        return [(_segment_terms(self.params, self.demand.entries, sub, self.signed), vals) for sub, vals in segs]
+        reconstructed untransmitted one, shared like ``_transmitted_terms``."""
+        signed = self.signed
+        eqs = [(terms, list(self.segments[sub])) for sub, terms in self._transmitted_terms]
+        eqs.extend((_segment_terms(self.params, self.demand.entries, sub, signed), vals)
+                   for sub, vals in _reconstructed_segments(self))
+        return eqs
 
     def trace_record(self) -> dict:
         par = self.params
@@ -387,17 +396,16 @@ def _decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheS
 
 def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
                   uncached: list[int]) -> dict[int, tuple[int, ...]]:
-    demand = broadcast.demand.entries
     q = broadcast.field.q
     packet = params.packet_size
     var = {key: j for j, key in enumerate(itertools.product(sorted(broadcast.demand.file_set), uncached))}
 
     n_coef = len(var)
     rows: list[dict[int, int]] = []
-    for sub, seg in sorted(broadcast.segments.items()):
+    for sub, terms in broadcast._transmitted_terms:
         row: dict[int, int] = {}
-        rhs = list(seg)
-        for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
+        rhs = list(broadcast.segments[sub])
+        for n, t, c in terms:
             j = var.get((n, t))
             if j is None:  # cached by u: move it to the right-hand side
                 stored = cache_slice[n]
@@ -409,7 +417,7 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
         row.update((n_coef + p, x) for p, x in enumerate(rhs) if x)
         rows.append(row)
 
-    target = demand[u]
+    target = broadcast.demand.entries[u]
     wanted = [var[(target, t)] for t in uncached]
     try:
         solved = determined_unknowns(broadcast.field, rows, n_coef, packet, wanted)
@@ -447,14 +455,16 @@ def _eliminated_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...]
     files = sorted(broadcast.demand.file_set)
     basis = {key: i for i, key in enumerate(itertools.product(files, range(params.subfile_count)))}
 
-    tx_subs = sorted(broadcast.segments)
+    transmitted = broadcast._transmitted_terms
+    signed = broadcast.signed
+    columns = [terms for _, terms in transmitted] + [_segment_terms(params, demand, sub, signed) for sub in omitted]
     q = broadcast.field.q
     rows: list[dict[int, int]] = [{} for _ in basis]
-    for j, sub in enumerate(tx_subs + omitted):
-        for n, t, c in _segment_terms(params, demand, sub, broadcast.signed):
+    for j, terms in enumerate(columns):
+        for n, t, c in terms:
             rows[basis[(n, t)]][j] = c % q
-    combos = solve_any(broadcast.field, rows, len(tx_subs), len(omitted))
-    return [(sub, [(x, s) for x, s in zip(combo, tx_subs) if x])
+    combos = solve_any(broadcast.field, rows, len(transmitted), len(omitted))
+    return [(sub, [(x, s) for x, (s, _) in zip(combo, transmitted) if x])
             for sub, combo in zip(omitted, combos) if combo is not None]
 
 

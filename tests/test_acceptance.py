@@ -33,7 +33,6 @@ from privcache import audit, scheme, tradeoff
 from privcache.exact import binomial
 from privcache.scheme import (
     PLAIN_BASELINE,
-    DeliveryRecord,
     PlacementRandomness,
     SchemeParams,
     all_demand_matrices,
@@ -130,8 +129,7 @@ def _run_exhaustive(params):
                     for blocks in itertools.product(*fills):
                         expanded = tuple(v for b in blocks for v in b)
                         masked = tuple(relab[v] for v in expanded)
-                        record = DeliveryRecord(cover, expanded, masked)
-                        broadcast, _ = deliver(params, lib, demands, rand, record)
+                        broadcast = deliver(params, lib, relab, masked)
                         for k in range(params.n_users):
                             for l in range(params.demands_per_user):
                                 want = lib.rows[demands[k][l]]

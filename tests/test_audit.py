@@ -224,30 +224,25 @@ def test_exact_mi_zero_on_enumerable_instance():
 
 
 def test_exact_mi_other_observer_and_prior():
-    mats = list(scheme.all_demand_matrices(MI_INSTANCE))
-    prior = {m: Fraction(1, len(mats)) for m in mats}
-    rep = exact_mutual_information(MI_INSTANCE, 1, prior=prior)
+    rep = exact_mutual_information(MI_INSTANCE, 1)
+    assert rep.observer == 1
     assert rep.conditional_laws_equal and rep.value == 0
 
 
-def test_exact_mi_self_information_sanity():
-    # the observer's own row is part of the observation: I = H(d_0) = 1 bit
-    rep = exact_mutual_information(MI_INSTANCE, 0, target="own")
-    assert not isinstance(rep.value, Fraction)
-    assert abs(rep.value - 1.0) < 1e-12
-
-
 def test_exact_mi_baseline_leaks():
+    # the plain baseline reveals the other row: I = H(d_1) = 1 bit
     rep = exact_mutual_information(MI_INSTANCE, 0, variant=PLAIN_BASELINE)
     assert not rep.conditional_laws_equal
-    assert float(rep.value) > 0
+    assert not isinstance(rep.value, Fraction)
+    assert abs(rep.value - 1.0) < 1e-12
     assert rep.witness is not None
 
 
 def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
-    """Cover sets are derived once per demand matrix, not once per library and
-    placement; the observer's cache is placed once per (library, placement)."""
-    counts = {"feasible_cover_sets": 0, "place_caches": 0}
+    """Cover sets are derived once per demand matrix; per library, the
+    observer's cache is placed once per (relabeling, slot tuple) and each
+    broadcast encoded once per (relabeling, masked demand)."""
+    counts = {"feasible_cover_sets": 0, "place_cache": 0, "deliver": 0}
 
     def counting(name):
         real = getattr(scheme, name)
@@ -262,7 +257,8 @@ def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
     rep = exact_mutual_information(MI_INSTANCE, 0)
     assert rep.value == 0
     assert counts["feasible_cover_sets"] == 4  # one per demand matrix
-    assert counts["place_caches"] <= 256 * 8  # libraries x (relabelings x slot assignments)
+    assert counts["place_cache"] == 256 * 2 * 2  # libraries x relabelings x slot tuples
+    assert counts["deliver"] == 256 * 2 * 4  # libraries x relabelings x restricted vectors
 
 
 def test_exact_mi_budget_error_names_cardinality():

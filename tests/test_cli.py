@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from privcache import audit, cli, tradeoff
+from privcache import audit, cli, tradeoff, ucc
 from privcache.cli import main
 
 
@@ -256,6 +256,31 @@ def test_gap_empty_sweep_is_usage_error(sweep, capsys):
     assert "no (N, K, L) triple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tradeoff", "gap"])
+@pytest.mark.parametrize("step", ["1/0", "x"])
+def test_lambda_step_that_is_not_a_fraction_is_usage_error(command, step, capsys):
+    assert run_cli(command, "--N", "3", "--K", "2", "--L", "1", "--lambda-step", step) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot parse fraction {step!r}" in captured.err
+
+
+def test_linear_decoder_reuses_the_broadcast_segment_terms(monkeypatch, tmp_path):
+    # 200 transmitted segments: their terms are built once in encode and once
+    # for all six decodes, not once per decode
+    real = ucc._segment_terms
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ucc, "_segment_terms", counting)
+    assert run_cli("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--decoder", "linear",
+                   "--out", str(tmp_path / "t.json")) == 0
+    assert len(calls) <= 400
+
+
 def test_gap_requires_params(capsys):
     assert run_cli("gap") == 2
 
@@ -295,6 +320,13 @@ REPLAY = [
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--baseline"),
                  0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
+    pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
+                  "--observer", "1", "--baseline"),
+                 0, "52741797814a1737878228dd18dfcda8afaea572c21196d4c504a525c1dda289", id="audit-mi-observer1-baseline"),
+    # baseline MI 1.5849625007211576: a non-round float that pins the summation order
+    pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--q", "2", "--F", "2", "--r", "0",
+                  "--baseline"),
+                 0, "3b02feed602dd7d10c95f0bb1cffbfa2c03f5b0d997fc2ff14364babcc5b2918", id="audit-mi-321-r0-baseline"),
     pytest.param(("gap", "--N", "5", "--K", "2", "--L", "2"),
                  0, "1ae39da33a425714a93ce9061d086fe5b2245d9d4ffb2c373df9560269f862be", id="gap"),
     pytest.param(("tradeoff", "--N", "5", "--K", "2", "--L", "2"),

@@ -184,7 +184,8 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
         streams = SeedStreams(seed)
         demands = scheme.sample_demands(P522, streams.rng("demands"))
         rand = sample_placement_randomness(P522, streams)
-        broadcast, record = deliver(P522, lib, demands, rand, streams=streams)
+        record = sample_delivery(P522, demands, rand, streams)
+        broadcast = deliver(P522, lib, rand.relabeling, record.masked)
         assert is_restricted(broadcast.demand.entries, 4)
         assert broadcast.segment_count == 22
         for seg in broadcast.segments.values():
@@ -201,9 +202,18 @@ def test_relabeled_encode_identity():
     demands = ((0, 1), (0, 2))
     rand = sample_placement_randomness(P522, streams)
     record = sample_delivery(P522, demands, rand, streams)
-    broadcast, _ = deliver(P522, lib, demands, rand, record)
+    broadcast = deliver(P522, lib, rand.relabeling, record.masked)
     direct = ucc.encode(P522.ucc, RestrictedDemand(record.expanded, 4), lib)
     assert broadcast.segments == direct.segments
+
+
+def test_deliver_rejects_a_relabeling_that_is_not_a_permutation():
+    lib = Library.ramp(P522.field, 5, 8)
+    masked = (0, 1, 2, 3, 1, 0, 3, 2)
+    assert deliver(P522, lib, (0, 1, 2, 3, 4), masked).demand.entries == masked
+    for relabeling in ((0, 0, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            deliver(P522, lib, relabeling, masked)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 8])
@@ -224,7 +234,8 @@ def test_decode_uses_only_broadcast_and_cache():
     demands = ((3, 1), (4, 0))
     rand = sample_placement_randomness(P522, streams)
     caches = place_caches(P522, lib, rand)
-    broadcast, record = deliver(P522, lib, demands, rand, streams=streams)
+    record = sample_delivery(P522, demands, rand, streams)
+    broadcast = deliver(P522, lib, rand.relabeling, record.masked)
     rec = broadcast.trace_record()
     rebuilt = ucc.Broadcast(
         params=P522.ucc,
