@@ -6,43 +6,44 @@ users' demands:
 * the sufficient-statistic route: the only demand-bearing part of a user's
   observation is the masked expanded demand vector.  ``masked_demand_law``
   computes its exact conditional law given the observer's demand row and slot
-  tuple.  It enumerates every slot tuple of the other users, cover set and
-  block arrangement, but not the N! file relabelings: the relabeling is
-  uniform and independent of the other stages, so it spreads the count of
-  each label pattern of the unrelabeled expanded demand evenly over the
-  pattern's orbit.  For the genuine scheme the law is uniform over all
-  restricted demand vectors with mass
-  (N - n_active)! / (N! * (n_active!)^(K-1)), independent of the demand
-  matrix; equality is exact rational equality, no tolerance.
+  tuple.  For the genuine scheme the law is uniform over all restricted
+  demand vectors with mass (N - n_active)! / (N! * (n_active!)^(K-1)),
+  independent of the demand matrix; equality is exact rational equality, no
+  tolerance.
 * the end-to-end route: on instances small enough to enumerate every library
   realization, ``exact_mutual_information`` builds the exact joint law of
   (other rows; broadcast, observer cache, observer row) under the uniform
   prior on demand matrices.  It enumerates only what the observer sees: each
-  matrix's realizations collapse to counts of the observer's view
-  (relabeling, observer slot tuple, masked demand), and per library each
-  cache is placed and each broadcast encoded once.  Zero is certified by
-  exact per-realization conditional-law equality, which holds for every
-  prior at once; a nonzero value, which the derandomized baseline variants
-  exhibit, is reported in base-q units.
+  matrix's realizations collapse to counts of the observer's view (observer
+  slot tuple, masked demand), and per library each cache is placed and each
+  broadcast encoded once.  Zero is certified by exact per-realization
+  conditional-law equality, which holds for every prior at once; a nonzero
+  value, which the derandomized baseline variants exhibit, is reported in
+  base-q units.
 
-Both routes enumerate the scheme's randomness through the one generator
-``scheme.realizations``.  Given the demand matrix its realizations are
-equally likely (each stage is uniform, with a support size that does not
-depend on earlier draws), and so are the libraries, so every law is an
-integer count of atoms divided once by the number of atoms.
+Both routes enumerate the label-free stages of the scheme's randomness
+through the one generator ``scheme.realizations`` and neither walks the N!
+file relabelings: the relabeling is uniform and independent of the other
+stages, so ``_view_counts`` spreads the count of each label pattern of the
+expanded demand evenly over the pattern's orbit, which gives the same
+integer counts.  Given the demand matrix the realizations are equally likely
+(each stage is uniform, with a support size that does not depend on earlier
+draws), and so are the libraries, so every law is an integer count of atoms
+divided once by the number of atoms.  Budgets charge the full atom count,
+relabelings included.
 
 A chi-square smoke test covers instances too large for exact enumeration.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from . import scheme as sch
@@ -97,14 +98,22 @@ def restricted_vector_count(params: SchemeParams) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _relabeling_count(params: SchemeParams, variant: Variant) -> int:
+    """How many equally likely file relabelings the variant draws from."""
+    return factorial(params.n_files) if variant.relabel_files else 1
+
+
 def _law_atom_count(params: SchemeParams, demands: Demands, variant: Variant, pinned: int = 1) -> int:
-    """How many realizations ``scheme.realizations`` yields for one demand
-    matrix with ``pinned`` users' slot tuples fixed."""
-    relab = factorial(params.n_files) if variant.relabel_files else 1
+    """How many equally likely atoms one demand matrix's law has with
+    ``pinned`` users' slot tuples fixed: each realization
+    ``scheme.realizations`` yields, under each relabeling.  The cover sets
+    are counted in closed form: the n_active-subsets of [N) holding the
+    requested files."""
     slots = len(sch.slot_support(params)) if variant.random_slots else 1
-    covers = len(sch.feasible_cover_sets(params, demands)) if variant.random_cover else 1
+    need = len(sch.requested_files(demands))
+    covers = binomial(params.n_files - need, params.n_active - need) if variant.random_cover else 1
     fill = factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1
-    return relab * slots ** (params.n_users - pinned) * covers * fill ** params.n_users
+    return _relabeling_count(params, variant) * slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
 def _check_observer(params: SchemeParams, observer: int):
@@ -134,48 +143,55 @@ def _label_pattern(vector: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _relabeled_counts(n_files: int, counts: Mapping) -> dict:
-    """Atom counts of the relabeled vector from those of the unrelabeled one,
-    under every relabeling of [N).  A vector with d distinct labels is mapped
-    onto each vector of its pattern by exactly (N - d)! relabelings, so each
-    pattern's total count c goes to every injection of its d labels into [N)
-    with weight c * (N - d)!."""
+    """Atom counts of (tag, relabeled vector) from those of (tag, vector),
+    under every relabeling of [N); the tag rides along unchanged.  A vector
+    with d distinct labels is mapped onto each vector of its pattern by
+    exactly (N - d)! relabelings, so each (tag, pattern)'s total count c goes
+    to every injection of its d labels into [N) with weight c * (N - d)!."""
     by_pattern = Counter()
-    for vector, c in counts.items():
-        by_pattern[_label_pattern(vector)] += c
+    for (tag, vector), c in counts.items():
+        by_pattern[tag, _label_pattern(vector)] += c
     out = {}
-    for pattern, c in by_pattern.items():
+    for (tag, pattern), c in by_pattern.items():
         d = max(pattern) + 1
         weight = c * factorial(n_files - d)
+        # itemgetter of one index returns the bare entry, not a 1-tuple
+        relabel = itemgetter(*pattern) if len(pattern) > 1 else lambda image: image[:1]
         for image in itertools.permutations(range(n_files), d):
-            out[tuple(image[v] for v in pattern)] = weight
+            out[tag, relabel(image)] = weight
     return out
+
+
+def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
+                 slots: Mapping[int, tuple[int, ...]] | None = None) -> dict:
+    """Atom counts of (observer slot tuple, masked demand) over every
+    realization of one demand matrix, relabelings included.
+
+    The label-free realizations are counted by (observer slot tuple,
+    expanded demand) and checked against their predicted number; with
+    relabeling on, ``_relabeled_counts`` spreads them over every relabeling.
+    Keys keep the enumeration's first-occurrence order."""
+    counts = Counter((sel[observer], expanded)
+                     for sel, _, expanded in sch.realizations(params, demands, variant, slots))
+    atoms = _law_atom_count(params, demands, variant, pinned=len(slots or ()))
+    _check_visited(counts, atoms // _relabeling_count(params, variant))
+    return _relabeled_counts(params.n_files, counts) if variant.relabel_files else counts
 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
                       selector: tuple[int, ...], variant: Variant = FULL,
                       budget: int = 10 ** 7) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the masked expanded demand given the demand matrix and the
-    observer's slot tuple.
-
-    Every realization but the relabeling is enumerated; with relabeling on,
-    the counts of the unrelabeled expanded demand are grouped by label
-    pattern and spread over each pattern's orbit (``_relabeled_counts``),
-    which gives the same integer counts as enumerating all N! relabelings.
-    The budget applies to the full atom count either way."""
+    observer's slot tuple, from ``_view_counts`` with that slot tuple pinned.
+    The budget applies to the full atom count, relabelings included."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
     if tuple(selector) not in set(sch.slot_support(params)):
         raise ValueError(f"selector {selector} is not {params.demands_per_user} distinct slots")
     atoms = _law_atom_count(params, demands, variant)
     _check_budget(atoms, budget, "masked-demand law enumeration")
-    unlabeled = dataclasses.replace(variant, relabel_files=False)
-    # under the identity relabeling the masked vector is the expanded one
-    counts = Counter(record.masked for _, record in
-                     sch.realizations(params, demands, unlabeled, {observer: selector}))
-    if variant.relabel_files:
-        _check_visited(counts, _law_atom_count(params, demands, unlabeled))
-        counts = _relabeled_counts(params.n_files, counts)
-    return _normalized(counts, atoms)
+    counts = _view_counts(params, demands, observer, variant, {observer: selector})
+    return _normalized({masked: c for (_, masked), c in counts.items()}, atoms)
 
 
 @dataclass
@@ -227,7 +243,6 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
     libraries = q ** (n * f)
     n_rows = falling_factorial(params.n_files, params.demands_per_user)
     n_mats = n_rows ** params.n_users
-    relab = factorial(n) if variant.relabel_files else 1
     slots = (len(sch.slot_support(params)) if variant.random_slots else 1) ** params.n_users
     fill = (factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1) ** params.n_users
     max_covers = binomial(n - params.demands_per_user, params.n_active - params.demands_per_user) if variant.random_cover else 1
@@ -235,12 +250,12 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
     cards = {
         "library_realizations": libraries,
         "demand_matrices": n_mats,
-        "relabelings": relab,
+        "relabelings": _relabeling_count(params, variant),
         "slot_assignments": slots,
         "cover_sets_max": max_covers,
         "block_fills": fill,
     }
-    return libraries * n_mats * relab * slots * max_covers * fill, cards
+    return libraries * n_mats * cards["relabelings"] * slots * max_covers * fill, cards
 
 
 @dataclass
@@ -265,13 +280,15 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     """Exact I(other rows ; broadcast, observer cache, observer row) under the
     uniform prior on demand matrices.
 
-    Given the library, the broadcast is a function of (relabeling, masked
-    demand) and the observer's cache of (relabeling, observer slot tuple),
-    so each matrix's realizations are counted by that view.  Zero is
-    certified by equal conditional laws given each observer row, for every
-    prior at once.  Under the uniform prior a joint that factorizes forces
-    those laws equal, so unequal laws always give a positive value and a
-    witness.
+    Given the library in broadcast labels, the broadcast is a function of
+    the masked demand and the observer's cache of its slot tuple.  For
+    every relabeling the relabeled library is uniform over all libraries,
+    so the loop enumerates libraries in broadcast labels and weighs each
+    view (observer slot tuple, masked demand) by its count from
+    ``_view_counts``.  Zero is certified by equal conditional laws given
+    each observer row, for every prior at once.  Under the uniform prior a
+    joint that factorizes forces those laws equal, so unequal laws always
+    give a positive value and a witness.
     """
     _check_observer(params, observer)
     total, cards = _joint_atom_count(params, variant)
@@ -279,11 +296,9 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     mats = list(sch.all_demand_matrices(params))
 
     start = time.perf_counter()
-    # per matrix, its equally likely realizations counted by observer view;
-    # first-occurrence order fixes the outcome laws' key order, and with it
-    # the float summation order of a nonzero MI
-    views = [Counter((rand.relabeling, rand.slots[observer], record.masked)
-                     for rand, record in sch.realizations(params, m, variant)) for m in mats]
+    # first-occurrence order of the views fixes the outcome laws' key order,
+    # and with it the float summation order of a nonzero MI
+    views = [_view_counts(params, m, observer, variant) for m in mats]
     q, n, f = params.q, params.n_files, params.file_len
     counts: list[Counter] = [Counter() for _ in mats]
     for flat in itertools.product(range(q), repeat=n * f):
@@ -293,20 +308,20 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
         caches: dict[tuple, tuple] = {}
         broadcasts: dict[tuple, tuple] = {}
         for m, view, law in zip(mats, views, counts):
-            for (relab, sel, masked), c in view.items():
-                z_part = caches.get((relab, sel))
+            for (sel, masked), c in view.items():
+                z_part = caches.get(sel)
                 if z_part is None:
-                    cache = sch.place_cache(params, library, relab, observer, sel)
-                    z_part = caches[relab, sel] = (
+                    cache = sch.place_cache(params, library, observer, sel)
+                    z_part = caches[sel] = (
                         sel, tuple(tuple(sorted(cache.slots_by_label[label].items())) for label in range(n)))
-                x_part = broadcasts.get((relab, masked))
+                x_part = broadcasts.get(masked)
                 if x_part is None:
-                    broadcast = sch.deliver(params, library, relab, masked)
-                    x_part = broadcasts[relab, masked] = (masked, tuple(sorted(broadcast.segments.items())))
+                    broadcast = sch.deliver(params, library, masked)
+                    x_part = broadcasts[masked] = (masked, tuple(sorted(broadcast.segments.items())))
                 law[x_part, z_part, m[observer]] += c
     per_demand_law = {
-        m: _normalized(law, q ** (n * f) * sum(view.values()))
-        for m, view, law in zip(mats, views, counts)
+        m: _normalized(law, q ** (n * f) * _law_atom_count(params, m, variant, pinned=0))
+        for m, law in zip(mats, counts)
     }
 
     # per-realization check: the conditional outcome law may depend on the
@@ -371,9 +386,9 @@ def masked_marginal_via_joint(params: SchemeParams, demands: Demands, observer: 
     selector = tuple(selector)
     _check_budget(_law_atom_count(params, demands, variant, pinned=0), budget,
                   "joint slot-tuple enumeration")
-    counts = Counter(record.masked for rand, record in sch.realizations(params, demands, variant)
-                     if rand.slots[observer] == selector)
-    return _normalized(counts, _law_atom_count(params, demands, variant))
+    counts = _view_counts(params, demands, observer, variant)
+    return _normalized({masked: c for (sel, masked), c in counts.items() if sel == selector},
+                       _law_atom_count(params, demands, variant))
 
 
 # ---------------------------------------------------------------------------

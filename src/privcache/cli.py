@@ -71,9 +71,12 @@ def _parse_fraction(text: str) -> Fraction:
 def _write_text(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _json_text(obj) -> str:
@@ -332,7 +335,6 @@ def cmd_gap(args) -> int:
             entries = list(pool.map(_gap_entry, tasks))
     else:
         entries = [_gap_entry(t) for t in tasks]
-    entries.sort(key=lambda e: (e["N"], e["K"], e["L"]))
     report = {"certificates": entries, "all_passed": all(e["passed"] for e in entries)}
     _write_text(args.out, _json_text(report))
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED

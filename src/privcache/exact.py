@@ -7,8 +7,8 @@ carried out with exact cross products, so every downstream rate/memory
 comparison can assert equality instead of a tolerance.
 
 Subset enumeration is pinned to lexicographic order over the sorted ground
-set, with rank/unrank in the combinatorial number system, so subfile indices
-are reproducible across runs and stable in trace files.
+set, with ranks in the combinatorial number system, so subfile indices are
+reproducible across runs and stable in trace files.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def falling_factorial(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subsets: lexicographic enumeration with rank/unrank
+# Subsets: lexicographic enumeration and rank
 # ---------------------------------------------------------------------------
 
 
@@ -76,37 +76,9 @@ def subset_rank(ground: Iterable, subset: Iterable) -> int:
     return rank
 
 
-def subset_unrank(ground: Iterable, k: int, rank: int) -> tuple:
-    """Inverse of subset_rank: the k-subset of ``ground`` at the given lexicographic rank."""
-    base = sorted(ground)
-    n = len(base)
-    total = binomial(n, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} outside [0, {total}) for C({n},{k})")
-    out = []
-    prev = -1
-    r = rank
-    for i in range(k):
-        v = prev + 1
-        while True:
-            block = binomial(n - v - 1, k - i - 1)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        prev = v
-    return tuple(base[v] for v in out)
-
-
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
-
-
-def permutations_of(ground: Sequence) -> Iterator[tuple]:
-    """All |ground|! orderings of ``ground``."""
-    return itertools.permutations(tuple(ground))
 
 
 def sample_permutation(ground: Sequence, rng: random.Random) -> tuple:

@@ -14,19 +14,21 @@ demand pattern behind four pieces of randomness:
 * per user, a uniform arrangement of the cover set into the user's demand
   block, pinned so that slot S[k][l] carries demand d[k][l].
 
-The broadcast is the single-request scheme's message, a ``ucc.Broadcast``,
-for the relabeled expanded demand vector, which rides along in the clear as
-its ``demand``; each user decodes requested file l by running the virtual
-decoder of its secret slot, using only the broadcast and its own cache.
-``deliver`` is the one delivery call: the broadcast depends only on the
-library, the relabeling and the masked demand.  Likewise ``place_cache``
-fills one user's cache from the library, the relabeling and that user's
-slot tuple; ``place_caches`` validates a placement and fills every cache.
+The file relabeling enters in one place, ``relabeled_library``, which files
+real file n under broadcast label relabeling[n]; placement, delivery and
+decoding work in broadcast labels only.  The broadcast is the single-request
+scheme's message, a ``ucc.Broadcast``, for the masked (relabeled) expanded
+demand vector, which rides along in the clear as its ``demand``; each user
+decodes requested file l by running the virtual decoder of its secret slot,
+using only the broadcast and its own cache.  ``deliver`` is the one delivery
+call and ``place_cache`` fills one user's cache; ``place_caches`` validates
+the slot tuples and fills every cache.
 
 All randomness flows from one seed through named substreams (labels are
 hashed into independent generators), so any run is replayable.
-``realizations`` enumerates the same four stages exhaustively, one equally
-likely realization at a time, for the exact audits.
+``realizations`` enumerates the three label-free stages exhaustively, one
+equally likely realization at a time, for the exact audits, which count the
+relabeling in rather than enumerate it.
 """
 
 from __future__ import annotations
@@ -199,9 +201,13 @@ def slot_support(params: SchemeParams) -> list[tuple[int, ...]]:
 def validate_placement(params: SchemeParams, rand: PlacementRandomness):
     if sorted(rand.relabeling) != list(range(params.n_files)):
         raise ValueError("relabeling is not a permutation of the file labels")
-    if len(rand.slots) != params.n_users:
+    _validate_slots(params, rand.slots)
+
+
+def _validate_slots(params: SchemeParams, slots: Sequence[Sequence[int]]):
+    if len(slots) != params.n_users:
         raise ValueError("need one slot tuple per user")
-    for k, sel in enumerate(rand.slots):
+    for k, sel in enumerate(slots):
         if len(sel) != params.demands_per_user or len(set(sel)) != len(sel):
             raise ValueError(f"slot tuple {k} is not {params.demands_per_user} distinct slots")
         if any(not 0 <= s < params.n_active for s in sel):
@@ -242,23 +248,24 @@ def _virtual_user(params: SchemeParams, k: int, slot_value: int) -> int:
     return k * params.n_active + slot_value
 
 
-def place_caches(params: SchemeParams, library: Library, rand: PlacementRandomness) -> list[UserCache]:
-    """Fill every user's cache from one validated placement realization."""
-    validate_placement(params, rand)
+def place_caches(params: SchemeParams, library: Library,
+                 slots: Sequence[tuple[int, ...]]) -> list[UserCache]:
+    """Fill every user's cache from the library in broadcast labels and one
+    validated slot tuple per user."""
+    _validate_slots(params, slots)
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
-    return [place_cache(params, library, rand.relabeling, k, sel) for k, sel in enumerate(rand.slots)]
+    return [place_cache(params, library, k, sel) for k, sel in enumerate(slots)]
 
 
-def place_cache(params: SchemeParams, library: Library, relabeling: Sequence[int], k: int,
-                selector: tuple[int, ...]) -> UserCache:
-    """User k's cache: for each file n, the union of the symbols its L chosen
-    virtual users would store, filed under the relabeled label.  Placement is
-    uncoded: stored symbols are verbatim library symbols at their declared
-    positions."""
+def place_cache(params: SchemeParams, library: Library, k: int, selector: tuple[int, ...]) -> UserCache:
+    """User k's cache from the library in broadcast labels: for each label,
+    the union of the symbols its L chosen virtual users would store.
+    Placement is uncoded: stored symbols are verbatim library symbols at
+    their declared positions."""
     merged_positions = sorted(_stored_positions(params, k, selector))
-    slots_by_label = {relabeling[n]: {i: row[i] for i in merged_positions}
-                      for n, row in enumerate(library.rows)}
+    slots_by_label = {label: {i: row[i] for i in merged_positions}
+                      for label, row in enumerate(library.rows)}
     return UserCache(k, selector, slots_by_label)
 
 
@@ -356,14 +363,16 @@ def sample_delivery(params: SchemeParams, demands: Demands, rand: PlacementRando
 
 def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL,
                  slots: Mapping[int, Sequence[int]] | None = None,
-                 ) -> Iterator[tuple[PlacementRandomness, DeliveryRecord]]:
-    """Every realization of the scheme's randomness for one demand matrix.
+                 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]]:
+    """Every label-free realization of the scheme's randomness for one demand
+    matrix, as (slot tuples, cover set, expanded demand).
 
-    Loops relabeling -> slot tuples -> cover set -> block fills over the
-    stages ``variant`` leaves random (a stage switched off contributes its
-    deterministic draw).  ``slots`` pins the slot tuple of each user it names.
-    Each stage is uniform and its support size does not depend on earlier
-    draws, so every yielded realization is equally likely."""
+    Loops slot tuples -> cover set -> block fills over the stages ``variant``
+    leaves random (a stage switched off contributes its deterministic draw).
+    ``slots`` pins the slot tuple of each user it names.  Each stage is
+    uniform and its support size does not depend on earlier draws, so every
+    yielded realization is equally likely.  The relabeling, uniform and
+    independent of these stages, is not enumerated."""
     demands = validate_demands(params, demands)
     pinned = dict(slots or {})
     support = slot_support(params)
@@ -375,8 +384,6 @@ def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL
     covers = feasible_cover_sets(params, demands)
     if not variant.random_cover:
         covers = covers[:1]
-    # everything but the relabeling, computed once and reused under each one
-    unlabeled = []
     for sel in itertools.product(*slot_opts):
         for cover in covers:
             block_opts = [
@@ -385,18 +392,12 @@ def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL
                 for k in range(params.n_users)
             ]
             for blocks in itertools.product(*block_opts):
-                unlabeled.append((sel, cover, tuple(v for block in blocks for v in block)))
-    if variant.relabel_files:
-        relabelings = itertools.permutations(range(params.n_files))
-    else:
-        relabelings = [tuple(range(params.n_files))]
-    for relab in relabelings:
-        for sel, cover, expanded in unlabeled:
-            yield PlacementRandomness(relab, sel), DeliveryRecord(cover, expanded, tuple(relab[v] for v in expanded))
+                yield sel, cover, tuple(v for block in blocks for v in block)
 
 
 def relabeled_library(library: Library, relabeling: Sequence[int]) -> Library:
-    """The library with real file n filed under broadcast label relabeling[n]."""
+    """The library in broadcast labels: real file n filed under label
+    relabeling[n].  The one place where files change labels."""
     if sorted(relabeling) != list(range(library.n_files)):
         raise ValueError("relabeling is not a permutation of the file labels")
     rows: list[tuple[int, ...]] = [()] * library.n_files
@@ -405,16 +406,15 @@ def relabeled_library(library: Library, relabeling: Sequence[int]) -> Library:
     return Library(library.field, tuple(rows))
 
 
-def deliver(params: SchemeParams, library: Library, relabeling: Sequence[int],
-            masked: tuple[int, ...]) -> Broadcast:
-    """The broadcast: the single-request scheme's message over the relabeled
-    library under the masked expanded demand.  That demand is always
-    restricted (every block is an arrangement of the relabeled cover set)
-    and goes over the link in the clear as ``broadcast.demand``, excluded
-    from the rate.  Nothing else of the demand matrix or the placement
-    enters the message."""
+def deliver(params: SchemeParams, library: Library, masked: tuple[int, ...]) -> Broadcast:
+    """The broadcast: the single-request scheme's message over the library in
+    broadcast labels under the masked expanded demand.  That demand is
+    always restricted (every block is an arrangement of the relabeled cover
+    set) and goes over the link in the clear as ``broadcast.demand``,
+    excluded from the rate.  Nothing else of the demand matrix or the
+    placement enters the message."""
     demand = RestrictedDemand(entries=masked, block_len=params.n_active)
-    return ucc.encode(params.ucc, demand, relabeled_library(library, relabeling))
+    return ucc.encode(params.ucc, demand, library)
 
 
 def measured_rate(params: SchemeParams, broadcast: Broadcast) -> Fraction:
@@ -537,9 +537,10 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
     if library is None:
         library = Library.random(params.field, params.n_files, params.file_len, streams.rng("library"))
     rand = sample_placement_randomness(params, streams, variant)
-    caches = place_caches(params, library, rand)
     record = sample_delivery(params, demands, rand, streams, variant)
-    broadcast = deliver(params, library, rand.relabeling, record.masked)
+    relabeled = relabeled_library(library, rand.relabeling)
+    caches = place_caches(params, relabeled, rand.slots)
+    broadcast = deliver(params, relabeled, record.masked)
     verdicts = []
     for k in range(params.n_users):
         for l in range(params.demands_per_user):

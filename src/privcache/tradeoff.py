@@ -279,9 +279,3 @@ def sweep_triples(n_range: tuple[int, int], k_range: tuple[int, int],
     l_lo, l_hi = l_range or (1, n_range[1])
     return [(n, k, l) for n in range(n_range[0], n_range[1] + 1) for k in range(k_range[0], k_range[1] + 1)
             for l in range(l_lo, min(l_hi, n) + 1)]
-
-
-def gap_sweep(n_max: int = 8, k_max: int = 4) -> list[GapCertificate]:
-    """Certificates for every (N, K, L) with N <= n_max, K <= k_max, L <= N,
-    in lexicographic parameter order."""
-    return [gap_certificate(*t) for t in sweep_triples((1, n_max), (1, k_max))]

@@ -33,7 +33,6 @@ from privcache import audit, scheme, tradeoff
 from privcache.exact import binomial
 from privcache.scheme import (
     PLAIN_BASELINE,
-    PlacementRandomness,
     SchemeParams,
     all_demand_matrices,
     block_support,
@@ -41,6 +40,7 @@ from privcache.scheme import (
     deliver,
     feasible_cover_sets,
     place_caches,
+    relabeled_library,
     run_simulation,
     slot_support,
 )
@@ -119,9 +119,9 @@ def _run_exhaustive(params):
     mismatches = 0
     mats = list(all_demand_matrices(params))
     for relab in itertools.permutations(range(params.n_files)):
+        relabeled = relabeled_library(lib, relab)
         for slots in itertools.product(slot_support(params), repeat=params.n_users):
-            rand = PlacementRandomness(tuple(relab), tuple(slots))
-            caches = place_caches(params, lib, rand)
+            caches = place_caches(params, relabeled, slots)
             for demands in mats:
                 for cover in feasible_cover_sets(params, demands):
                     fills = [block_support(params, cover, demands[k], slots[k])
@@ -129,7 +129,7 @@ def _run_exhaustive(params):
                     for blocks in itertools.product(*fills):
                         expanded = tuple(v for b in blocks for v in b)
                         masked = tuple(relab[v] for v in expanded)
-                        broadcast = deliver(params, lib, relab, masked)
+                        broadcast = deliver(params, relabeled, masked)
                         for k in range(params.n_users):
                             for l in range(params.demands_per_user):
                                 want = lib.rows[demands[k][l]]

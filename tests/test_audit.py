@@ -119,10 +119,12 @@ def test_law_equals_stagewise_oracle_on_criterion_4_families():
 
 
 def _relabeling_loop_law(params, demands, observer, selector, variant):
-    """Brute-force reference: the law counted over every realization, all N!
-    relabelings included, one atom at a time."""
-    counts = Counter(record.masked for _, record in
-                     scheme.realizations(params, demands, variant, {observer: selector}))
+    """Brute-force reference: the law counted over every label-free
+    realization under each of the N! relabelings, one atom at a time."""
+    n = params.n_files
+    relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
+    expanded = [e for _, _, e in scheme.realizations(params, demands, variant, {observer: selector})]
+    counts = Counter(tuple(relab[v] for v in e) for relab in relabs for e in expanded)
     total = sum(counts.values())
     return {key: Fraction(c, total) for key, c in counts.items()}
 
@@ -143,6 +145,9 @@ def _quotient_cases():
     for demands in (((0,), (0,), (0,)), ((0,), (1,), (1,)), ((0,), (1,), (2,)), ((3,), (1,), (3,))):
         for observer in range(3):
             yield p431, demands, observer, (1,)
+    p311 = SchemeParams(3, 1, 1, r=1)  # one-entry expanded demands
+    for demands in scheme.all_demand_matrices(p311):
+        yield p311, demands, 0, (0,)
 
 
 @pytest.mark.parametrize("variant", QUOTIENT_VARIANTS, ids=("full", "frozen-fill", "frozen-cover", "frozen-slots"))
@@ -239,9 +244,9 @@ def test_exact_mi_baseline_leaks():
 
 
 def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
-    """Cover sets are derived once per demand matrix; per library, the
-    observer's cache is placed once per (relabeling, slot tuple) and each
-    broadcast encoded once per (relabeling, masked demand)."""
+    """Cover sets are derived once per demand matrix; per library in broadcast
+    labels, the observer's cache is placed once per slot tuple and each
+    broadcast encoded once per masked demand."""
     counts = {"feasible_cover_sets": 0, "place_cache": 0, "deliver": 0}
 
     def counting(name):
@@ -257,8 +262,17 @@ def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
     rep = exact_mutual_information(MI_INSTANCE, 0)
     assert rep.value == 0
     assert counts["feasible_cover_sets"] == 4  # one per demand matrix
-    assert counts["place_cache"] == 256 * 2 * 2  # libraries x relabelings x slot tuples
-    assert counts["deliver"] == 256 * 2 * 4  # libraries x relabelings x restricted vectors
+    assert counts["place_cache"] == 256 * 2  # libraries x slot tuples
+    assert counts["deliver"] == 256 * 4  # libraries x restricted vectors
+
+
+def test_exact_mi_raises_when_label_free_atoms_go_missing(monkeypatch):
+    # each demand matrix of MI_INSTANCE has 2 x 2 slot tuples, one cover set
+    # and one fill per user
+    real = scheme.realizations
+    monkeypatch.setattr(scheme, "realizations", lambda *args: itertools.islice(real(*args), 3))
+    with pytest.raises(RuntimeError, match="enumerated 3 atoms, predicted 4"):
+        exact_mutual_information(MI_INSTANCE, 0)
 
 
 def test_exact_mi_budget_error_names_cardinality():

@@ -265,6 +265,21 @@ def test_lambda_step_that_is_not_a_fraction_is_usage_error(command, step, capsys
     assert f"cannot parse fraction {step!r}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--N", "3", "--K", "2", "--L", "1", "--r", "1"),
+    ("audit", "--mode", "ptilde", "--N", "3", "--K", "2", "--L", "1"),
+    ("tradeoff", "--N", "3", "--K", "2", "--L", "1"),
+    ("gap", "--N", "3", "--K", "2", "--L", "1"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    assert run_cli(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write --out {out}: ")
+
+
 def test_linear_decoder_reuses_the_broadcast_segment_terms(monkeypatch, tmp_path):
     # 200 transmitted segments: their terms are built once in encode and once
     # for all six decodes, not once per decode
@@ -327,6 +342,13 @@ REPLAY = [
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--q", "2", "--F", "2", "--r", "0",
                   "--baseline"),
                  0, "3b02feed602dd7d10c95f0bb1cffbfa2c03f5b0d997fc2ff14364babcc5b2918", id="audit-mi-321-r0-baseline"),
+    # six relabelings, zero MI
+    pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--q", "2", "--F", "2", "--r", "0"),
+                 0, "8e594430d447a2f489fbbe0c25ebe1d345a325bec3be5f69505cc7c8a9a047c5", id="audit-mi-321-r0"),
+    # K = 1, L = N: a slot tuple and a masked demand have the same length
+    pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "1", "--L", "3", "--q", "2", "--F", "1", "--r", "0",
+                  "--baseline"),
+                 1, "0d965c48009c1f398cbb407d545c2ef790850bbcad367218ed844485a41a8301", id="audit-mi-313-r0-baseline"),
     pytest.param(("gap", "--N", "5", "--K", "2", "--L", "2"),
                  0, "1ae39da33a425714a93ce9061d086fe5b2245d9d4ffb2c373df9560269f862be", id="gap"),
     pytest.param(("tradeoff", "--N", "5", "--K", "2", "--L", "2"),

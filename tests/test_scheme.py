@@ -12,7 +12,6 @@ from privcache.scheme import (
     FULL,
     NO_RELABEL,
     PLAIN_BASELINE,
-    DeliveryRecord,
     PlacementRandomness,
     SchemeParams,
     SeedStreams,
@@ -25,6 +24,7 @@ from privcache.scheme import (
     fill_block,
     place_caches,
     realizations,
+    relabeled_library,
     run_simulation,
     sample_delivery,
     sample_placement_randomness,
@@ -84,7 +84,7 @@ def test_feasible_cover_sets_degenerate_full_round():
 def test_placement_slots_hold_chosen_subfiles():
     lib = Library.ramp(P522.field, 5, P522.file_len)
     rand = PlacementRandomness(relabeling=(2, 0, 4, 1, 3), slots=((0, 2), (1, 3)))
-    caches = place_caches(P522, lib, rand)
+    caches = place_caches(P522, relabeled_library(lib, rand.relabeling), rand.slots)
     # r=1: virtual user u stores subfile {u}, one symbol; user 0 chose slots 0, 2
     assert sorted(caches[0].slots_by_label[rand.relabeling[3]].keys()) == [0, 2]
     # user 1 embeds at virtual users 4+1, 4+3 -> positions 5 and 7
@@ -185,7 +185,7 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
         demands = scheme.sample_demands(P522, streams.rng("demands"))
         rand = sample_placement_randomness(P522, streams)
         record = sample_delivery(P522, demands, rand, streams)
-        broadcast = deliver(P522, lib, rand.relabeling, record.masked)
+        broadcast = deliver(P522, relabeled_library(lib, rand.relabeling), record.masked)
         assert is_restricted(broadcast.demand.entries, 4)
         assert broadcast.segment_count == 22
         for seg in broadcast.segments.values():
@@ -202,18 +202,18 @@ def test_relabeled_encode_identity():
     demands = ((0, 1), (0, 2))
     rand = sample_placement_randomness(P522, streams)
     record = sample_delivery(P522, demands, rand, streams)
-    broadcast = deliver(P522, lib, rand.relabeling, record.masked)
+    broadcast = deliver(P522, relabeled_library(lib, rand.relabeling), record.masked)
     direct = ucc.encode(P522.ucc, RestrictedDemand(record.expanded, 4), lib)
     assert broadcast.segments == direct.segments
 
 
-def test_deliver_rejects_a_relabeling_that_is_not_a_permutation():
+def test_relabeled_library_rejects_a_relabeling_that_is_not_a_permutation():
     lib = Library.ramp(P522.field, 5, 8)
-    masked = (0, 1, 2, 3, 1, 0, 3, 2)
-    assert deliver(P522, lib, (0, 1, 2, 3, 4), masked).demand.entries == masked
+    relabeled = relabeled_library(lib, (2, 0, 4, 1, 3))
+    assert [relabeled.rows[label] for label in (2, 0, 4, 1, 3)] == list(lib.rows)
     for relabeling in ((0, 0, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)):
         with pytest.raises(ValueError, match="not a permutation"):
-            deliver(P522, lib, relabeling, masked)
+            relabeled_library(lib, relabeling)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 8])
@@ -233,9 +233,10 @@ def test_decode_uses_only_broadcast_and_cache():
     streams = SeedStreams(5)
     demands = ((3, 1), (4, 0))
     rand = sample_placement_randomness(P522, streams)
-    caches = place_caches(P522, lib, rand)
+    relabeled = relabeled_library(lib, rand.relabeling)
+    caches = place_caches(P522, relabeled, rand.slots)
     record = sample_delivery(P522, demands, rand, streams)
-    broadcast = deliver(P522, lib, rand.relabeling, record.masked)
+    broadcast = deliver(P522, relabeled, record.masked)
     rec = broadcast.trace_record()
     rebuilt = ucc.Broadcast(
         params=P522.ucc,
@@ -331,46 +332,38 @@ def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
 
 
 def _nested_realizations(params, demands, variant):
-    """Independent oracle: (relabeling, slots, cover, expanded, masked) of every
+    """Independent oracle: (slots, cover, expanded) of every label-free
     realization, from plain nested loops over each stage's support."""
     n, big_l, a = params.n_files, params.demands_per_user, params.n_active
-    relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
     slot_opts = list(itertools.permutations(range(a), big_l)) if variant.random_slots else [tuple(range(big_l))]
     requested = {d for row in demands for d in row}
     covers = [c for c in itertools.combinations(range(n), a) if requested <= set(c)]
     if not variant.random_cover:
         covers = covers[:1]
-    for relab in relabs:
-        for slots in itertools.product(slot_opts, repeat=params.n_users):
-            for cover in covers:
-                per_user = []
-                for row, sel in zip(demands, slots):
-                    rest = sorted(set(cover) - set(row))
-                    free = [i for i in range(a) if i not in sel]
-                    blocks = []
-                    for arrangement in (itertools.permutations(rest) if variant.random_fill else [rest]):
-                        block = [None] * a
-                        for i, d in zip(sel, row):
-                            block[i] = d
-                        for i, v in zip(free, arrangement):
-                            block[i] = v
-                        blocks.append(block)
-                    per_user.append(blocks)
-                for combo in itertools.product(*per_user):
-                    expanded = tuple(v for block in combo for v in block)
-                    yield relab, slots, cover, expanded, tuple(relab[v] for v in expanded)
-
-
-def _flat(items):
-    return Counter((rand.relabeling, rand.slots, rec.cover_set, rec.expanded, rec.masked)
-                   for rand, rec in items)
+    for slots in itertools.product(slot_opts, repeat=params.n_users):
+        for cover in covers:
+            per_user = []
+            for row, sel in zip(demands, slots):
+                rest = sorted(set(cover) - set(row))
+                free = [i for i in range(a) if i not in sel]
+                blocks = []
+                for arrangement in (itertools.permutations(rest) if variant.random_fill else [rest]):
+                    block = [None] * a
+                    for i, d in zip(sel, row):
+                        block[i] = d
+                    for i, v in zip(free, arrangement):
+                        block[i] = v
+                    blocks.append(block)
+                per_user.append(blocks)
+            for combo in itertools.product(*per_user):
+                yield slots, cover, tuple(v for block in combo for v in block)
 
 
 def test_realizations_match_nested_loops():
     for p in (P321, P221):
         for demands in scheme.all_demand_matrices(p):
             for variant in VARIANTS:
-                assert _flat(realizations(p, demands, variant)) == \
+                assert Counter(realizations(p, demands, variant)) == \
                        Counter(_nested_realizations(p, demands, variant))
 
 
@@ -381,7 +374,7 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
             for observer in range(P321.n_users):
                 for sel in slot_support(P321):
                     pinned = realizations(P321, demands, variant, {observer: sel})
-                    assert _flat(pinned) == _flat(x for x in unpinned if x[0].slots[observer] == sel)
+                    assert Counter(pinned) == Counter(x for x in unpinned if x[0][observer] == sel)
     with pytest.raises(ValueError):
         next(realizations(P321, ((0,), (1,)), FULL, {0: (2,)}))
     with pytest.raises(ValueError):
@@ -390,12 +383,14 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
 
 def test_realization_count_equals_law_budget_prediction():
     """Predicted equals visited: the atom count the law's budget check uses is
-    exactly how many realizations are enumerated."""
+    exactly how many label-free realizations are enumerated, times the
+    number of relabelings."""
     cases = [(P321, m) for m in scheme.all_demand_matrices(P321)]
     cases += [(P522, m) for m in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))]
     for p, demands in cases:
         for variant in VARIANTS:
             pinned = realizations(p, demands, variant, {0: slot_support(p)[-1]})
-            assert sum(1 for _ in pinned) == audit._law_atom_count(p, demands, variant)
+            relabelings = audit._relabeling_count(p, variant)
+            assert sum(1 for _ in pinned) * relabelings == audit._law_atom_count(p, demands, variant)
             unpinned = realizations(p, demands, variant)
-            assert sum(1 for _ in unpinned) == audit._law_atom_count(p, demands, variant, pinned=0)
+            assert sum(1 for _ in unpinned) * relabelings == audit._law_atom_count(p, demands, variant, pinned=0)

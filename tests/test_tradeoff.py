@@ -20,7 +20,6 @@ from privcache.tradeoff import (
     converse_lines,
     corner_points,
     gap_certificate,
-    gap_sweep,
     lambda_grid,
     max_converse_s,
     memory_grid,
@@ -249,14 +248,6 @@ def test_gap_degenerate_single_user():
     cert = gap_certificate(2, 1, 1)
     assert cert.within_bound
     assert cert.max_ratio >= 1
-
-
-def test_gap_sweep_small():
-    certs = gap_sweep(4, 2)
-    assert len(certs) == sum(n for n in range(1, 5)) * 2
-    assert all(c.within_bound for c in certs)
-    keys = [(c.n_files, c.n_users, c.demands_per_user) for c in certs]
-    assert keys == sorted(keys)
 
 
 def test_measured_scheme_points_match_achievable_curve():
