@@ -48,14 +48,7 @@ from typing import Iterator, Mapping
 
 from . import scheme as sch
 from .exact import binomial, falling_factorial
-from .scheme import (
-    FULL,
-    Demands,
-    PlacementRandomness,
-    SchemeParams,
-    SeedStreams,
-    Variant,
-)
+from .scheme import FULL, Demands, SchemeParams, SeedStreams, Variant
 from .ucc import Library
 
 
@@ -186,11 +179,10 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
     The budget applies to the full atom count, relabelings included."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
-    if tuple(selector) not in set(sch.slot_support(params)):
-        raise ValueError(f"selector {selector} is not {params.demands_per_user} distinct slots")
+    pinned = sch.checked_slots(params, {observer: selector})
     atoms = _law_atom_count(params, demands, variant)
     _check_budget(atoms, budget, "masked-demand law enumeration")
-    counts = _view_counts(params, demands, observer, variant, {observer: selector})
+    counts = _view_counts(params, demands, observer, variant, pinned)
     return _normalized({masked: c for (_, masked), c in counts.items()}, atoms)
 
 
@@ -383,7 +375,7 @@ def masked_marginal_via_joint(params: SchemeParams, demands: Demands, observer: 
     consistency oracle for the two enumeration paths."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
-    selector = tuple(selector)
+    selector = sch.checked_slots(params, {observer: selector})[observer]
     _check_budget(_law_atom_count(params, demands, variant, pinned=0), budget,
                   "joint slot-tuple enumeration")
     counts = _view_counts(params, demands, observer, variant)
@@ -426,25 +418,28 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
                         selector: tuple[int, ...], runs: int, seed: int,
                         variant: Variant = FULL, quantile: float = 0.999) -> ChiSquareReport:
     """Chi-square test of sampled masked demands against the uniform law,
-    holding the observer's slot tuple fixed and resampling everything else."""
+    holding the observer's slot tuple fixed and resampling everything else.
+    The run floor is checked against the closed-form support size before
+    the support is built."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
-    support = list(restricted_vectors(params))
-    if runs < 10 * len(support):
-        raise ValueError(f"need at least {10 * len(support)} runs for {len(support)} support points, got {runs}")
+    size = restricted_vector_count(params)
+    if runs < 10 * size:
+        raise ValueError(f"need at least {10 * size} runs for {size} support points, got {runs}")
     counts: dict[tuple[int, ...], int] = {}
     for i in range(runs):
         streams = SeedStreams(seed, prefix=f"run{i}:")
-        rand = sample_with_fixed_observer(params, streams, observer, selector, variant)
-        record = sch.sample_delivery(params, demands, rand, streams, variant)
-        counts[record.masked] = counts.get(record.masked, 0) + 1
+        relabeling, _, _, expanded = sch.sample_realization(params, demands, streams, variant, {observer: selector})
+        masked = sch.relabeled_demand(expanded, relabeling)
+        counts[masked] = counts.get(masked, 0) + 1
+    support = list(restricted_vectors(params))
     support_set = set(support)
     outside = sum(c for key, c in counts.items() if key not in support_set)
-    expected = runs / len(support)
+    expected = runs / size
     statistic = sum((counts.get(key, 0) - expected) ** 2 / expected for key in support)
     if outside:
         statistic = math.inf
-    dof = len(support) - 1
+    dof = size - 1
     threshold = chi_square_quantile(dof, quantile)
     return ChiSquareReport(
         statistic=statistic,
@@ -452,16 +447,6 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
         threshold=threshold,
         passed=statistic <= threshold,
         runs=runs,
-        support_size=len(support),
+        support_size=size,
         outside_support=outside,
     )
-
-
-def sample_with_fixed_observer(params: SchemeParams, streams: SeedStreams, observer: int,
-                               selector: tuple[int, ...], variant: Variant = FULL) -> PlacementRandomness:
-    """Placement randomness with the observer's slot tuple pinned (the audited
-    law conditions on it) and every other stage drawn as usual."""
-    rand = sch.sample_placement_randomness(params, streams, variant)
-    slots = list(rand.slots)
-    slots[observer] = tuple(selector)
-    return PlacementRandomness(rand.relabeling, tuple(slots))

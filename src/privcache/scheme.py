@@ -14,9 +14,10 @@ demand pattern behind four pieces of randomness:
 * per user, a uniform arrangement of the cover set into the user's demand
   block, pinned so that slot S[k][l] carries demand d[k][l].
 
-The file relabeling enters in one place, ``relabeled_library``, which files
-real file n under broadcast label relabeling[n]; placement, delivery and
-decoding work in broadcast labels only.  The broadcast is the single-request
+The file relabeling enters in one place: ``relabeled_library`` files real
+file n under broadcast label relabeling[n], and ``relabeled_demand`` names
+the expanded demand's files the same way; placement, delivery and decoding
+work in broadcast labels only.  The broadcast is the single-request
 scheme's message, a ``ucc.Broadcast``, for the masked (relabeled) expanded
 demand vector, which rides along in the clear as its ``demand``; each user
 decodes requested file l by running the virtual decoder of its secret slot,
@@ -24,11 +25,15 @@ using only the broadcast and its own cache.  ``deliver`` is the one delivery
 call and ``place_cache`` fills one user's cache; ``place_caches`` validates
 the slot tuples and fills every cache.
 
-All randomness flows from one seed through named substreams (labels are
-hashed into independent generators), so any run is replayable.
-``realizations`` enumerates the three label-free stages exhaustively, one
-equally likely realization at a time, for the exact audits, which count the
-relabeling in rather than enumerate it.
+One sampler and one enumerator describe the same stages:
+``sample_realization`` draws one label-free (slot tuples, cover set,
+expanded demand) realization plus its relabeling, and ``realizations``
+enumerates every such realization, equally likely, for the exact audits,
+which count the relabeling in.  Both take the same ``slots`` pin mapping,
+checked by ``checked_slots``, and a stage the ``Variant`` switches off takes
+the first element of its support.  All randomness flows from one seed
+through named substreams (labels are hashed into independent generators),
+so any run is replayable.
 """
 
 from __future__ import annotations
@@ -184,50 +189,30 @@ def feasible_cover_sets(params: SchemeParams, demands: Demands) -> list[tuple[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlacementRandomness:
-    """Server-side placement draws: the file-label permutation (real label n
-    becomes broadcast label relabeling[n]) and each user's secret slot tuple."""
-
-    relabeling: tuple[int, ...]
-    slots: tuple[tuple[int, ...], ...]
-
-
 def slot_support(params: SchemeParams) -> list[tuple[int, ...]]:
     """Every admissible slot tuple: ordered L-arrangements of [n_active)."""
     return list(itertools.permutations(range(params.n_active), params.demands_per_user))
 
 
-def validate_placement(params: SchemeParams, rand: PlacementRandomness):
-    if sorted(rand.relabeling) != list(range(params.n_files)):
-        raise ValueError("relabeling is not a permutation of the file labels")
-    _validate_slots(params, rand.slots)
+def checked_slots(params: SchemeParams, slots: Mapping[int, Sequence[int]] | None) -> dict[int, tuple[int, ...]]:
+    """The slot tuples a user -> slot tuple mapping assigns, each checked to
+    be one of ``slot_support``: the one slot-tuple check."""
+    support = set(slot_support(params))
+    out = {}
+    for k, sel in (slots or {}).items():
+        if not 0 <= k < params.n_users:
+            raise ValueError(f"user {k} out of range [0, {params.n_users})")
+        if tuple(sel) not in support:
+            raise ValueError(f"slot tuple {tuple(sel)} of user {k} is not "
+                             f"{params.demands_per_user} distinct slots in [0, {params.n_active})")
+        out[k] = tuple(sel)
+    return out
 
 
 def _validate_slots(params: SchemeParams, slots: Sequence[Sequence[int]]):
     if len(slots) != params.n_users:
         raise ValueError("need one slot tuple per user")
-    for k, sel in enumerate(slots):
-        if len(sel) != params.demands_per_user or len(set(sel)) != len(sel):
-            raise ValueError(f"slot tuple {k} is not {params.demands_per_user} distinct slots")
-        if any(not 0 <= s < params.n_active for s in sel):
-            raise ValueError(f"slot tuple {k} out of range [0, {params.n_active})")
-
-
-def sample_placement_randomness(params: SchemeParams, streams: SeedStreams, variant: Variant = FULL) -> PlacementRandomness:
-    if variant.relabel_files:
-        relabeling = sample_permutation(range(params.n_files), streams.rng("relabel"))
-    else:
-        relabeling = tuple(range(params.n_files))
-    if variant.random_slots:
-        rng = streams.rng("slots")
-        slots = tuple(
-            tuple(rng.sample(range(params.n_active), params.demands_per_user))
-            for _ in range(params.n_users)
-        )
-    else:
-        slots = tuple(tuple(range(params.demands_per_user)) for _ in range(params.n_users))
-    return PlacementRandomness(relabeling, slots)
+    checked_slots(params, dict(enumerate(slots)))
 
 
 @dataclass
@@ -276,36 +261,28 @@ def _stored_positions(params: SchemeParams, k: int, selector: Sequence[int]) -> 
     return out
 
 
-def cache_size(params: SchemeParams, rand: PlacementRandomness | None = None, worst_case: bool = False) -> Fraction:
+def cache_size(params: SchemeParams, slots: Sequence[tuple[int, ...]] | None = None,
+               worst_case: bool = False) -> Fraction:
     """Normalized cache size: stored symbols per file times n_files, over file_len.
 
-    With ``rand`` given, measures that realization (max over users); with
-    ``worst_case`` it maximizes over every admissible slot tuple.  For the
-    subset-indexed placement the two agree for every realization.
+    With ``slots`` (one slot tuple per user) given, measures that placement
+    (max over users); with ``worst_case`` it maximizes over every admissible
+    slot tuple.  For the subset-indexed placement the two agree for every
+    placement.
     """
     if worst_case:
         per_file = max(len(_stored_positions(params, 0, sel)) for sel in slot_support(params))
-    elif rand is not None:
-        validate_placement(params, rand)
-        per_file = max(len(_stored_positions(params, k, rand.slots[k])) for k in range(params.n_users))
+    elif slots is not None:
+        _validate_slots(params, slots)
+        per_file = max(len(_stored_positions(params, k, sel)) for k, sel in enumerate(slots))
     else:
-        raise ValueError("pass a placement realization or worst_case=True")
+        raise ValueError("pass slot tuples or worst_case=True")
     return Fraction(per_file * params.n_files, params.file_len)
 
 
 # ---------------------------------------------------------------------------
 # Delivery
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """Server-side delivery draws: the cover set, the expanded demand vector
-    (pre-relabeling) and its broadcast-side image (post-relabeling)."""
-
-    cover_set: tuple[int, ...]
-    expanded: tuple[int, ...]
-    masked: tuple[int, ...]
 
 
 def _pinned_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int],
@@ -341,24 +318,35 @@ def fill_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int
     return _fill(block, rest_values)
 
 
-def sample_delivery(params: SchemeParams, demands: Demands, rand: PlacementRandomness,
-                    streams: SeedStreams, variant: Variant = FULL) -> DeliveryRecord:
-    """Draw the delivery randomness: cover set uniform over the feasible family,
-    then each user's block uniform over its pinned arrangements, independently."""
+def sample_realization(params: SchemeParams, demands: Demands, streams: SeedStreams,
+                       variant: Variant = FULL, slots: Mapping[int, Sequence[int]] | None = None,
+                       ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """One draw of the scheme's randomness for one demand matrix, as
+    (relabeling, slot tuples, cover set, expanded demand): one of the
+    realizations ``realizations`` yields, plus the relabeling.
+
+    Each stage reads its own substream: "relabel", "slots" (one sample per
+    user, in user order), "cover" (uniform over the feasible cover sets in
+    lexicographic order) and "block:k" (a shuffle of user k's free cover-set
+    files).  A user that ``slots`` pins still draws its slot tuple, which
+    the pin then replaces, so the other users' draws do not move."""
     demands = validate_demands(params, demands)
-    validate_placement(params, rand)
-    covers = feasible_cover_sets(params, demands)
-    if variant.random_cover:
-        cover = covers[streams.rng("cover").randrange(len(covers))]
+    pinned = checked_slots(params, slots)
+    if variant.relabel_files:
+        relabeling = sample_permutation(range(params.n_files), streams.rng("relabel"))
     else:
-        cover = covers[0]
-    blocks = []
-    for k in range(params.n_users):
-        rng = streams.rng(f"block:{k}") if variant.random_fill else None
-        blocks.append(fill_block(params, cover, demands[k], rand.slots[k], rng))
-    expanded = tuple(v for block in blocks for v in block)
-    masked = tuple(rand.relabeling[v] for v in expanded)
-    return DeliveryRecord(cover_set=cover, expanded=expanded, masked=masked)
+        relabeling = tuple(range(params.n_files))
+    if variant.random_slots:
+        rng = streams.rng("slots")
+        drawn = [tuple(rng.sample(range(params.n_active), params.demands_per_user)) for _ in range(params.n_users)]
+    else:
+        drawn = [slot_support(params)[0]] * params.n_users
+    sel = tuple(pinned.get(k, s) for k, s in enumerate(drawn))
+    covers = feasible_cover_sets(params, demands)
+    cover = covers[streams.rng("cover").randrange(len(covers))] if variant.random_cover else covers[0]
+    blocks = [fill_block(params, cover, demands[k], sel[k], streams.rng(f"block:{k}") if variant.random_fill else None)
+              for k in range(params.n_users)]
+    return relabeling, sel, cover, tuple(v for block in blocks for v in block)
 
 
 def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL,
@@ -374,13 +362,10 @@ def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL
     yielded realization is equally likely.  The relabeling, uniform and
     independent of these stages, is not enumerated."""
     demands = validate_demands(params, demands)
-    pinned = dict(slots or {})
+    pinned = checked_slots(params, slots)
     support = slot_support(params)
-    for k, sel in pinned.items():
-        if not 0 <= k < params.n_users or tuple(sel) not in support:
-            raise ValueError(f"cannot pin user {k} to slot tuple {sel}")
-    free = support if variant.random_slots else [tuple(range(params.demands_per_user))]
-    slot_opts = [[tuple(pinned[k])] if k in pinned else free for k in range(params.n_users)]
+    free = support if variant.random_slots else support[:1]
+    slot_opts = [[pinned[k]] if k in pinned else free for k in range(params.n_users)]
     covers = feasible_cover_sets(params, demands)
     if not variant.random_cover:
         covers = covers[:1]
@@ -406,6 +391,12 @@ def relabeled_library(library: Library, relabeling: Sequence[int]) -> Library:
     return Library(library.field, tuple(rows))
 
 
+def relabeled_demand(expanded: Sequence[int], relabeling: Sequence[int]) -> tuple[int, ...]:
+    """The expanded demand in broadcast labels (the masked demand): file n
+    requested as label relabeling[n], as ``relabeled_library`` files it."""
+    return tuple(relabeling[v] for v in expanded)
+
+
 def deliver(params: SchemeParams, library: Library, masked: tuple[int, ...]) -> Broadcast:
     """The broadcast: the single-request scheme's message over the library in
     broadcast labels under the masked expanded demand.  That demand is
@@ -426,15 +417,15 @@ def measured_rate(params: SchemeParams, broadcast: Broadcast) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def decode_user(params: SchemeParams, k: int, slot: int, broadcast: Broadcast,
+def decode_user(params: SchemeParams, slot: int, broadcast: Broadcast,
                 cache: UserCache, method: str = "linear") -> tuple[int, ...]:
-    """Recover user k's slot-th requested file from the broadcast and its own
-    cache only.  The user reads the masked demand off the broadcast, picks the
+    """Recover the cache owner's slot-th requested file from the broadcast
+    and that cache only.  The user reads the masked demand off the broadcast, picks the
     cache entries its chosen virtual user would hold for the active labels,
     and runs the single-request decoder for that virtual user."""
     if not 0 <= slot < params.demands_per_user:
         raise ValueError(f"slot {slot} out of range")
-    u = _virtual_user(params, k, cache.selector[slot])
+    u = _virtual_user(params, cache.user, cache.selector[slot])
     masked = broadcast.demand.entries
     positions = ucc.user_positions(params.ucc, u)
     try:
@@ -467,8 +458,10 @@ class SimulationTrace:
     seed: int
     params: SchemeParams
     demands: Demands
-    randomness: PlacementRandomness
-    record: DeliveryRecord
+    relabeling: tuple[int, ...]
+    slots: tuple[tuple[int, ...], ...]
+    cover_set: tuple[int, ...]
+    expanded: tuple[int, ...]
     broadcast: Broadcast
     memory: Fraction
     rate: Fraction
@@ -494,11 +487,11 @@ class SimulationTrace:
                 "file_len": par.file_len,
             },
             "demands": [list(row) for row in self.demands],
-            "relabeling": list(self.randomness.relabeling),
-            "slots": [list(s) for s in self.randomness.slots],
-            "cover_set": list(self.record.cover_set),
-            "expanded_demand": list(self.record.expanded),
-            "masked_demand": list(self.record.masked),
+            "relabeling": list(self.relabeling),
+            "slots": [list(s) for s in self.slots],
+            "cover_set": list(self.cover_set),
+            "expanded_demand": list(self.expanded),
+            "masked_demand": list(self.broadcast.demand.entries),
             "memory": [self.memory.numerator, self.memory.denominator],
             "rate": [self.rate.numerator, self.rate.denominator],
             "segment_count": self.broadcast.segment_count,
@@ -536,17 +529,16 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
         demands = validate_demands(params, demands)
     if library is None:
         library = Library.random(params.field, params.n_files, params.file_len, streams.rng("library"))
-    rand = sample_placement_randomness(params, streams, variant)
-    record = sample_delivery(params, demands, rand, streams, variant)
-    relabeled = relabeled_library(library, rand.relabeling)
-    caches = place_caches(params, relabeled, rand.slots)
-    broadcast = deliver(params, relabeled, record.masked)
+    relabeling, slots, cover, expanded = sample_realization(params, demands, streams, variant)
+    relabeled = relabeled_library(library, relabeling)
+    caches = place_caches(params, relabeled, slots)
+    broadcast = deliver(params, relabeled, relabeled_demand(expanded, relabeling))
     verdicts = []
     for k in range(params.n_users):
         for l in range(params.demands_per_user):
             want = library.rows[demands[k][l]]
             try:
-                got = decode_user(params, k, l, broadcast, caches[k], method=decoder)
+                got = decode_user(params, l, broadcast, caches[k], method=decoder)
                 ok = got == tuple(want)
             except ucc.DecodeError:
                 ok = False
@@ -556,8 +548,10 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
         seed=seed,
         params=params,
         demands=demands,
-        randomness=rand,
-        record=record,
+        relabeling=relabeling,
+        slots=slots,
+        cover_set=cover,
+        expanded=expanded,
         broadcast=broadcast,
         memory=memory,
         rate=measured_rate(params, broadcast),

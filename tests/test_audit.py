@@ -293,6 +293,9 @@ def test_joint_marginal_reproduces_direct_law():
     for observer in (5, -1):  # past the last user, and a negative index
         with pytest.raises(ValueError):
             masked_marginal_via_joint(P321, ((0,), (1,)), observer, (0,))
+    for selector in ((5,), (0, 1)):  # the shared slot-tuple check, not a missing-atoms RuntimeError
+        with pytest.raises(ValueError, match="slot tuple"):
+            masked_marginal_via_joint(P321, ((0,), (1,)), 0, selector)
 
 
 def test_chi_square_quantile_values():
@@ -318,6 +321,16 @@ def test_empirical_check_run_floor():
         empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=0, seed=1)
     with pytest.raises(ValueError):
         empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=119, seed=1)
+
+
+def test_empirical_run_floor_is_checked_before_the_support_is_built(monkeypatch):
+    # 373,248,000 support vectors at (6, 3, 2): the floor comes from the closed form
+    def unexpected(params):
+        raise AssertionError("support enumerated before the run floor was checked")
+
+    monkeypatch.setattr(audit, "restricted_vectors", unexpected)
+    with pytest.raises(ValueError, match="need at least 3732480000 runs for 373248000 support points, got 10"):
+        empirical_law_check(SchemeParams(6, 3, 2, r=1), ((0, 1), (2, 3), (4, 5)), 0, (0, 1), runs=10, seed=1)
 
 
 def test_empirical_check_detects_skipped_relabeling():

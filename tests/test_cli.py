@@ -181,6 +181,21 @@ def test_audit_observer_out_of_range_is_usage_error(argv, capsys):
     assert "observer out of range" in captured.err
 
 
+@pytest.mark.parametrize("selector", ["0,0", "5"])
+@pytest.mark.parametrize("mode", [
+    ("--mode", "ptilde"),
+    ("--mode", "ptilde", "--budget", "1"),
+    ("--mode", "empirical", "--runs", "800"),
+], ids=["ptilde", "ptilde-budget1", "empirical"])
+def test_audit_bad_selector_is_usage_error(mode, selector, capsys):
+    # one slot-tuple check for both modes, ahead of the budget
+    assert run_cli("audit", *mode, "--N", "3", "--K", "2", "--L", "1", "--selector", selector) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = "(0, 0)" if selector == "0,0" else "(5,)"
+    assert captured.err == f"usage error: slot tuple {shown} of user 0 is not 1 distinct slots in [0, 2)\n"
+
+
 def test_tradeoff_csv(tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli("tradeoff", "--N", "5", "--K", "2", "--L", "2", "--out", str(out)) == 0
@@ -349,6 +364,17 @@ REPLAY = [
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "1", "--L", "3", "--q", "2", "--F", "1", "--r", "0",
                   "--baseline"),
                  1, "0d965c48009c1f398cbb407d545c2ef790850bbcad367218ed844485a41a8301", id="audit-mi-313-r0-baseline"),
+    pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800"),
+                 0, "63b584c0430f170815facbc693dab7f419d2ba16405740826a8aec7c991a9067", id="audit-empirical"),
+    pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",
+                  "--variant", "no-relabel"),
+                 1, "b92ae66170e05954869adef45ad4daddd95977729849e7525d8f1f8c97228afd", id="audit-empirical-no-relabel"),
+    pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",
+                  "--observer", "1", "--selector", "1", "--seed", "4"),
+                 0, "e1871b9242ece7175c9b7ff4ef53f42f46bf1b388d7af7da4d0f657c28989a41", id="audit-empirical-observer1"),
+    pytest.param(("audit", "--mode", "empirical", "--N", "4", "--K", "2", "--L", "2", "--runs", "6000",
+                  "--selector", "1,0", "--demands", "0,1;2,3", "--seed", "2"),
+                 0, "e29055f85ca0be70965a629b26ef29bc19b1841dda08e5ba1bb2450d7ab75efa", id="audit-empirical-422"),
     pytest.param(("gap", "--N", "5", "--K", "2", "--L", "2"),
                  0, "1ae39da33a425714a93ce9061d086fe5b2245d9d4ffb2c373df9560269f862be", id="gap"),
     pytest.param(("tradeoff", "--N", "5", "--K", "2", "--L", "2"),

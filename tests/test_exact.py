@@ -1,6 +1,5 @@
 """Exact arithmetic, subset ranking and convex envelope tests."""
 
-import itertools
 import random
 from fractions import Fraction
 

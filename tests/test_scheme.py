@@ -12,7 +12,6 @@ from privcache.scheme import (
     FULL,
     NO_RELABEL,
     PLAIN_BASELINE,
-    PlacementRandomness,
     SchemeParams,
     SeedStreams,
     block_support,
@@ -24,10 +23,10 @@ from privcache.scheme import (
     fill_block,
     place_caches,
     realizations,
+    relabeled_demand,
     relabeled_library,
     run_simulation,
-    sample_delivery,
-    sample_placement_randomness,
+    sample_realization,
     slot_support,
     validate_demands,
 )
@@ -83,21 +82,20 @@ def test_feasible_cover_sets_degenerate_full_round():
 
 def test_placement_slots_hold_chosen_subfiles():
     lib = Library.ramp(P522.field, 5, P522.file_len)
-    rand = PlacementRandomness(relabeling=(2, 0, 4, 1, 3), slots=((0, 2), (1, 3)))
-    caches = place_caches(P522, relabeled_library(lib, rand.relabeling), rand.slots)
+    relabeling = (2, 0, 4, 1, 3)
+    caches = place_caches(P522, relabeled_library(lib, relabeling), ((0, 2), (1, 3)))
     # r=1: virtual user u stores subfile {u}, one symbol; user 0 chose slots 0, 2
-    assert sorted(caches[0].slots_by_label[rand.relabeling[3]].keys()) == [0, 2]
+    assert sorted(caches[0].slots_by_label[relabeling[3]].keys()) == [0, 2]
     # user 1 embeds at virtual users 4+1, 4+3 -> positions 5 and 7
-    assert sorted(caches[1].slots_by_label[rand.relabeling[0]].keys()) == [5, 7]
+    assert sorted(caches[1].slots_by_label[relabeling[0]].keys()) == [5, 7]
     for n in range(5):
-        stored = caches[0].slots_by_label[rand.relabeling[n]]
+        stored = caches[0].slots_by_label[relabeling[n]]
         for i, sym in stored.items():
             assert sym == lib.rows[n][i]
 
 
 def test_cache_size_examples():
-    rand = PlacementRandomness((0, 1, 2, 3, 4), ((0, 2), (1, 3)))
-    assert cache_size(P522, rand) == Fraction(5, 4)
+    assert cache_size(P522, ((0, 2), (1, 3))) == Fraction(5, 4)
     assert cache_size(P522, worst_case=True) == Fraction(5, 4)
     assert cache_size(SchemeParams(5, 2, 2, r=0), worst_case=True) == 0
     assert cache_size(SchemeParams(5, 2, 2, r=8), worst_case=True) == 5
@@ -113,8 +111,7 @@ def test_cache_size_matches_formula_for_every_slot_choice():
 
         formula = Fraction((binomial(kv, r) - binomial(kv - 2, r)) * 5, binomial(kv, r))
         for sel in slot_support(p):
-            rand = PlacementRandomness(tuple(range(5)), (sel, sel))
-            assert cache_size(p, rand) == formula
+            assert cache_size(p, (sel, sel)) == formula
 
 
 def test_block_support_size_and_pinning():
@@ -171,11 +168,9 @@ def test_hand_worked_realization_is_in_support():
 
 
 def test_masked_demand_applies_relabeling():
-    streams = SeedStreams(3)
-    rand = sample_placement_randomness(P522, streams)
-    record = sample_delivery(P522, ((0, 1), (0, 2)), rand, streams)
-    assert record.masked == tuple(rand.relabeling[v] for v in record.expanded)
-    assert set(record.expanded[:4]) == set(record.cover_set)
+    relabeling, _, cover, expanded = sample_realization(P522, ((0, 1), (0, 2)), SeedStreams(3))
+    assert relabeled_demand(expanded, relabeling) == tuple(relabeling[v] for v in expanded)
+    assert set(expanded[:4]) == set(cover)
 
 
 def test_delivery_sweep_masked_demand_restricted_and_rate():
@@ -183,9 +178,8 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
     for seed in range(1000):
         streams = SeedStreams(seed)
         demands = scheme.sample_demands(P522, streams.rng("demands"))
-        rand = sample_placement_randomness(P522, streams)
-        record = sample_delivery(P522, demands, rand, streams)
-        broadcast = deliver(P522, relabeled_library(lib, rand.relabeling), record.masked)
+        relabeling, _, _, expanded = sample_realization(P522, demands, streams)
+        broadcast = deliver(P522, relabeled_library(lib, relabeling), relabeled_demand(expanded, relabeling))
         assert is_restricted(broadcast.demand.entries, 4)
         assert broadcast.segment_count == 22
         for seg in broadcast.segments.values():
@@ -200,10 +194,9 @@ def test_relabeled_encode_identity():
     lib = Library.ramp(P522.field, 5, 8)
     streams = SeedStreams(17)
     demands = ((0, 1), (0, 2))
-    rand = sample_placement_randomness(P522, streams)
-    record = sample_delivery(P522, demands, rand, streams)
-    broadcast = deliver(P522, relabeled_library(lib, rand.relabeling), record.masked)
-    direct = ucc.encode(P522.ucc, RestrictedDemand(record.expanded, 4), lib)
+    relabeling, _, _, expanded = sample_realization(P522, demands, streams)
+    broadcast = deliver(P522, relabeled_library(lib, relabeling), relabeled_demand(expanded, relabeling))
+    direct = ucc.encode(P522.ucc, RestrictedDemand(expanded, 4), lib)
     assert broadcast.segments == direct.segments
 
 
@@ -232,11 +225,10 @@ def test_decode_uses_only_broadcast_and_cache():
     lib = Library.ramp(P522.field, 5, 8)
     streams = SeedStreams(5)
     demands = ((3, 1), (4, 0))
-    rand = sample_placement_randomness(P522, streams)
-    relabeled = relabeled_library(lib, rand.relabeling)
-    caches = place_caches(P522, relabeled, rand.slots)
-    record = sample_delivery(P522, demands, rand, streams)
-    broadcast = deliver(P522, relabeled, record.masked)
+    relabeling, slots, _, expanded = sample_realization(P522, demands, streams)
+    relabeled = relabeled_library(lib, relabeling)
+    caches = place_caches(P522, relabeled, slots)
+    broadcast = deliver(P522, relabeled, relabeled_demand(expanded, relabeling))
     rec = broadcast.trace_record()
     rebuilt = ucc.Broadcast(
         params=P522.ucc,
@@ -247,7 +239,7 @@ def test_decode_uses_only_broadcast_and_cache():
     assert rebuilt.signed == rec["signed"]
     for k in range(2):
         for l in range(2):
-            assert decode_user(P522, k, l, rebuilt, caches[k]) == lib.rows[demands[k][l]]
+            assert decode_user(P522, l, rebuilt, caches[k]) == lib.rows[demands[k][l]]
 
 
 def test_three_user_groups_end_to_end():
@@ -293,9 +285,9 @@ def test_measured_memory_and_rate_match_formula_across_r():
 
 def test_plain_baseline_variant_reveals_expanded_demand():
     tr = run_simulation(P522, 9, variant=PLAIN_BASELINE)
-    assert tr.randomness.relabeling == (0, 1, 2, 3, 4)
-    assert tr.randomness.slots == ((0, 1), (0, 1))
-    assert tr.record.masked == tr.record.expanded
+    assert tr.relabeling == (0, 1, 2, 3, 4)
+    assert tr.slots == ((0, 1), (0, 1))
+    assert tr.broadcast.demand.entries == tr.expanded
     assert tr.correct_all  # derandomized, but still a correct caching scheme
 
 
@@ -379,6 +371,38 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
         next(realizations(P321, ((0,), (1,)), FULL, {0: (2,)}))
     with pytest.raises(ValueError):
         next(realizations(P321, ((0,), (1,)), FULL, {2: (0,)}))
+
+
+@pytest.mark.parametrize("params,mats", [
+    (P321, list(scheme.all_demand_matrices(P321))),
+    (P522, [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))]),
+], ids=["P321", "P522"])
+def test_sampled_realizations_are_enumerated_realizations(params, mats):
+    """Every draw of ``sample_realization`` is one of the realizations
+    ``realizations`` yields, with or without a pin, and its relabeling is a
+    permutation.  A pin replaces the pinned user's drawn slot tuple only: the
+    relabeling, the cover set and every other user's slot tuple stay put."""
+    pin = {0: slot_support(params)[-1]}
+    for demands in mats:
+        for variant in VARIANTS:
+            for slots in (None, pin):
+                support = set(realizations(params, demands, variant, slots))
+                for seed in range(10):
+                    relabeling, sel, cover, expanded = sample_realization(
+                        params, demands, SeedStreams(seed), variant, slots)
+                    assert (sel, cover, expanded) in support
+                    assert sorted(relabeling) == list(range(params.n_files))
+                    if not variant.relabel_files:
+                        assert relabeling == tuple(range(params.n_files))
+            for seed in range(10):
+                free = sample_realization(params, demands, SeedStreams(seed), variant)
+                pinned = sample_realization(params, demands, SeedStreams(seed), variant, pin)
+                assert pinned[1] == (pin[0],) + free[1][1:]
+                assert (pinned[0], pinned[2]) == (free[0], free[2])
+    with pytest.raises(ValueError):
+        sample_realization(P321, ((0,), (1,)), SeedStreams(0), FULL, {0: (2,)})
+    with pytest.raises(ValueError):
+        sample_realization(P321, ((0,), (1,)), SeedStreams(0), FULL, {2: (0,)})
 
 
 def test_realization_count_equals_law_budget_prediction():

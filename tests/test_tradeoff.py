@@ -12,7 +12,6 @@ from privcache.scheme import SchemeParams
 from privcache.scheme import run_simulation
 from privcache.tradeoff import (
     DominanceReport,
-    OptimalityGapError,
     achievable_envelope,
     achievable_points,
     converse_corner_envelope,

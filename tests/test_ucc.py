@@ -8,7 +8,6 @@ import pytest
 from privcache.exact import binomial, subsets_of_size
 from privcache.gf import PrimeField
 from privcache.ucc import (
-    Broadcast,
     DecodeError,
     Library,
     RestrictedDemand,
