@@ -426,10 +426,10 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
     size = restricted_vector_count(params)
     if runs < 10 * size:
         raise ValueError(f"need at least {10 * size} runs for {size} support points, got {runs}")
+    draw = sch._sampler(params, demands, variant, {observer: selector})
     counts: dict[tuple[int, ...], int] = {}
     for i in range(runs):
-        streams = SeedStreams(seed, prefix=f"run{i}:")
-        relabeling, _, _, expanded = sch.sample_realization(params, demands, streams, variant, {observer: selector})
+        relabeling, _, _, expanded = draw(SeedStreams(seed, prefix=f"run{i}:"))
         masked = sch.relabeled_demand(expanded, relabeling)
         counts[masked] = counts.get(masked, 0) + 1
     support = list(restricted_vectors(params))

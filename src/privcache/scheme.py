@@ -330,23 +330,36 @@ def sample_realization(params: SchemeParams, demands: Demands, streams: SeedStre
     lexicographic order) and "block:k" (a shuffle of user k's free cover-set
     files).  A user that ``slots`` pins still draws its slot tuple, which
     the pin then replaces, so the other users' draws do not move."""
+    return _sampler(params, demands, variant, slots)(streams)
+
+
+def _sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
+             slots: Mapping[int, Sequence[int]] | None = None):
+    """``sample_realization`` with the demand matrix and pins validated and
+    the cover sets derived once: returns a function of the seed streams, for
+    callers that draw many realizations of one demand matrix."""
     demands = validate_demands(params, demands)
     pinned = checked_slots(params, slots)
-    if variant.relabel_files:
-        relabeling = sample_permutation(range(params.n_files), streams.rng("relabel"))
-    else:
-        relabeling = tuple(range(params.n_files))
-    if variant.random_slots:
-        rng = streams.rng("slots")
-        drawn = [tuple(rng.sample(range(params.n_active), params.demands_per_user)) for _ in range(params.n_users)]
-    else:
-        drawn = [slot_support(params)[0]] * params.n_users
-    sel = tuple(pinned.get(k, s) for k, s in enumerate(drawn))
     covers = feasible_cover_sets(params, demands)
-    cover = covers[streams.rng("cover").randrange(len(covers))] if variant.random_cover else covers[0]
-    blocks = [fill_block(params, cover, demands[k], sel[k], streams.rng(f"block:{k}") if variant.random_fill else None)
-              for k in range(params.n_users)]
-    return relabeling, sel, cover, tuple(v for block in blocks for v in block)
+    first_slots = slot_support(params)[0]
+
+    def draw(streams: SeedStreams):
+        if variant.relabel_files:
+            relabeling = sample_permutation(range(params.n_files), streams.rng("relabel"))
+        else:
+            relabeling = tuple(range(params.n_files))
+        if variant.random_slots:
+            rng = streams.rng("slots")
+            drawn = [tuple(rng.sample(range(params.n_active), params.demands_per_user)) for _ in range(params.n_users)]
+        else:
+            drawn = [first_slots] * params.n_users
+        sel = tuple(pinned.get(k, s) for k, s in enumerate(drawn))
+        cover = covers[streams.rng("cover").randrange(len(covers))] if variant.random_cover else covers[0]
+        blocks = [fill_block(params, cover, demands[k], sel[k], streams.rng(f"block:{k}") if variant.random_fill else None)
+                  for k in range(params.n_users)]
+        return relabeling, sel, cover, tuple(v for block in blocks for v in block)
+
+    return draw
 
 
 def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL,

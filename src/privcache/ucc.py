@@ -18,14 +18,26 @@ Two decoders are provided:
   subfile of the requested files as an unknown, every transmitted segment as
   a linear equation, and reads the requested file out of the exact solution.
   Correctness is the contract; nothing scheme-specific is assumed.
-* ``decode_structural`` is the optimized path: it reconstructs untransmitted
-  all-non-leader segments once per broadcast, shared by every user's decode
-  (with one or two user groups, the closed-form leader-substitution
-  identity; with three or more, a single elimination over the
-  data-independent formal system with every omitted segment as a
-  right-hand-side column), and then peels segment equations with a single
-  unknown subfile.  It never eliminates over the symbol data and is
-  cross-checked against the reference decoder in the test suite.
+* ``decode_structural`` is the closed-form path.  It rebuilds every
+  omitted (all-non-leader) segment Y_B once per broadcast, shared by every
+  user's decode, from the leader-substitution identity
+
+      Y_B = sum over nonempty V of (-1)^(|V|+1) * sigma_V * Y_sorted(A_V),
+
+  where V ranges over the subsets of B holding at most one user per file,
+  A_V is B with each v in V replaced in place by the leader l(v) of v's file
+  (a transmitted subset), and sigma_V is the sign of the permutation sorting
+  A_V under the signed convention and 1 under the plain one.  Proof: Y_A is
+  the Koszul contraction of e_a0 ^ ... ^ e_ar under the map user -> demanded
+  file; every e_v - e_l(v) lies in that map's kernel, so the contraction of
+  the wedge over v in B of (e_v - e_l(v)) is zero, and expanding the wedge
+  gives the identity (a V with two users of one file contributes
+  e_l ^ e_l = 0).  With one or two groups B holds distinct files and the
+  identity is the plain telescoping one; over GF(2) the signs vanish.  Then
+  user u reads each uncached subfile W[d_u][S] off the single segment of
+  S + {u}, whose other terms are labeled by sets containing u and so are
+  cached.  It never eliminates and is cross-checked against the reference
+  decoder in the test suite.
 
 A ``Broadcast`` is the whole message: its field, the demand carried in the
 clear and one tuple of reduced symbols per coded segment.  The coefficient
@@ -41,8 +53,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .exact import binomial, subset_rank, subsets_of_size
-from .gf import InconsistentSystemError, PrimeField, determined_unknowns, solve_any
+from .exact import binomial, subsets_of_size
+from .gf import InconsistentSystemError, PrimeField, determined_unknowns
 
 
 class DecodeError(RuntimeError):
@@ -246,20 +258,16 @@ class Broadcast:
     @cached_property
     def _transmitted_terms(self) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
         """(subset, terms) of every transmitted segment, in subset order:
-        built on first use and shared by every decode (a broadcast is not
-        modified after encode)."""
+        built on first use and shared by every linear decode (a broadcast is
+        not modified after encode)."""
         signed = self.signed
         return [(sub, _segment_terms(self.params, self.demand.entries, sub, signed)) for sub in sorted(self.segments)]
 
     @cached_property
-    def _equations(self) -> list[tuple[list[tuple[int, int, int]], list[int]]]:
-        """(terms, values) of every transmitted segment, then of every
-        reconstructed untransmitted one, shared like ``_transmitted_terms``."""
-        signed = self.signed
-        eqs = [(terms, list(self.segments[sub])) for sub, terms in self._transmitted_terms]
-        eqs.extend((_segment_terms(self.params, self.demand.entries, sub, signed), vals)
-                   for sub, vals in _reconstructed_segments(self))
-        return eqs
+    def _all_segments(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Every (r+1)-subset's segment: the transmitted ones plus the omitted
+        ones rebuilt from them, shared like ``_transmitted_terms``."""
+        return {**self.segments, **_reconstructed_segments(self)}
 
     def trace_record(self) -> dict:
         par = self.params
@@ -278,10 +286,11 @@ class Broadcast:
             "segments": [
                 {
                     "users": list(sub),
-                    "rank": subset_rank(range(par.n_users), sub),
-                    "symbols": list(vec),
+                    "rank": rank,
+                    "symbols": list(self.segments[sub]),
                 }
-                for sub, vec in sorted(self.segments.items())
+                for rank, sub in enumerate(subsets_of_size(range(par.n_users), par.r + 1))
+                if sub in self.segments
             ],
         }
 
@@ -440,129 +449,86 @@ def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     return _decode(params, u, broadcast, cache_slice, _solve_linear)
 
 
-def _eliminated_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
-    """Reconstruction with three or more user groups: one elimination over
-    the formal system on the (file, subfile-label) basis, in the broadcast's
-    own coefficients, with a column per transmitted segment and a
-    right-hand-side column per untransmitted one.  The combinations depend
-    only on the demand pattern, never on library data or any cache; an
-    omitted segment outside the transmitted span is left to peeling."""
-    params = broadcast.params
-    demand = broadcast.demand.entries
-    omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
-    if not omitted:
-        return []
-    files = sorted(broadcast.demand.file_set)
-    basis = {key: i for i, key in enumerate(itertools.product(files, range(params.subfile_count)))}
-
-    transmitted = broadcast._transmitted_terms
-    signed = broadcast.signed
-    columns = [terms for _, terms in transmitted] + [_segment_terms(params, demand, sub, signed) for sub in omitted]
-    q = broadcast.field.q
-    rows: list[dict[int, int]] = [{} for _ in basis]
-    for j, terms in enumerate(columns):
-        for n, t, c in terms:
-            rows[basis[(n, t)]][j] = c % q
-    combos = solve_any(broadcast.field, rows, len(transmitted), len(omitted))
-    return [(sub, [(x, s) for x, (s, _) in zip(combo, transmitted) if x])
-            for sub, combo in zip(omitted, combos) if combo is not None]
+def _odd_permutation(seq: list[int]) -> bool:
+    """True iff sorting ``seq`` (distinct entries) takes an odd number of swaps."""
+    return sum(x > y for x, y in itertools.combinations(seq, 2)) % 2 == 1
 
 
-def _plain_combinations(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]:
-    """Reconstruction with one or two user groups via the alternating
-    identity, for every untransmitted subset whose demands are distinct
-    (with a single non-leader block, that is every one).
-
-    For such a subset B, replacing any nonempty V of its users by the leaders
-    of their files gives a transmitted segment, and the signed sum over all V
-    telescopes to the missing segment: pairing (V, u in B\\V) with
-    (V + {u}, leader of u's file) cancels every subfile term.  The identity is
-    specific to the +1 coefficient convention.
-    """
+def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every omitted segment Y_B (a subset B with no leader), summed from
+    transmitted ones by the leader-substitution identity of the module
+    docstring: V runs over the position sets of B, A_V is ``a_v`` and
+    sigma_V is read off ``_odd_permutation``.  A segment of the broadcast
+    missing from the sum raises DecodeError."""
     params = broadcast.params
     demand = broadcast.demand.entries
     leader_of = {demand[i]: i for i in range(params.block_len)}  # block 0 names each file once
-    out = []
-    for sub in subsets_of_size(range(params.block_len, params.n_users), params.r + 1):
-        if len({demand[v] for v in sub}) < len(sub):
-            continue  # repeated file: identity unavailable, leave to peeling
-        combo = []
-        for size in range(1, len(sub) + 1):
-            for v_set in itertools.combinations(sub, size):
-                repl = sorted((set(sub) - set(v_set)) | {leader_of[demand[v]] for v in v_set})
-                combo.append((1 if size % 2 else -1, tuple(repl)))
-        out.append((sub, combo))
-    return out
-
-
-def _reconstructed_segments(broadcast: Broadcast) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Untransmitted segments (no leader in the subset) that are exact
-    combinations of transmitted ones, with their values.  The telescoping
-    identity needs distinct files in the subset, which only one non-leader
-    block guarantees, so three or more groups eliminate, GF(2) included."""
-    q = broadcast.field.q
-    packet = broadcast.params.packet_size
-    route = _eliminated_combinations if broadcast.params.n_groups >= 3 else _plain_combinations
-    out = []
-    for sub, combo in route(broadcast):
-        vals = [0] * packet
-        for x, s in combo:
-            seg = broadcast.segments[s]
-            for p in range(packet):
-                vals[p] = (vals[p] + x * seg[p]) % q
-        out.append((sub, vals))
-    return out
-
-
-def _solve_peeling(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                   uncached: list[int]) -> dict[int, tuple[int, ...]]:
     q = broadcast.field.q
     packet = params.packet_size
-    known = {(n, t): tuple(cache_slice[n][t * packet + p] for p in range(packet))
-             for n in broadcast.demand.file_set for t in params._user_ranks[u]}
+    signed = broadcast.signed
+    size_b = params.r + 1
+    out = {}
+    for sub in subsets_of_size(range(params.block_len, params.n_users), size_b):
+        lead = [leader_of[demand[v]] for v in sub]
+        acc = [0] * packet
+        for size in range(1, size_b + 1):
+            for v_pos in itertools.combinations(range(size_b), size):
+                if len({lead[i] for i in v_pos}) < size:
+                    continue  # two users of one file: the term vanishes
+                a_v = list(sub)
+                for i in v_pos:
+                    a_v[i] = lead[i]
+                c = 1 if size % 2 else -1
+                if signed and _odd_permutation(a_v):
+                    c = -c
+                seg = _segment(broadcast.segments, tuple(sorted(a_v)))
+                for p in range(packet):
+                    acc[p] = (acc[p] + c * seg[p]) % q
+        out[sub] = tuple(acc)
+    return out
 
-    pending = broadcast._equations
-    progress = True
-    while progress:
-        progress = False
-        remaining = []
-        for terms, vals in pending:
-            missing = [t for t in terms if (t[0], t[1]) not in known]
-            if not missing:
+
+def _segment(segments: Mapping[tuple[int, ...], tuple[int, ...]], sub: tuple[int, ...]) -> tuple[int, ...]:
+    try:
+        return segments[sub]
+    except KeyError:
+        raise DecodeError(f"the segment of users {list(sub)} is missing from the broadcast") from None
+
+
+def _solve_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
+                      uncached: list[int]) -> dict[int, tuple[int, ...]]:
+    q = broadcast.field.q
+    packet = params.packet_size
+    demand = broadcast.demand.entries
+    signed = broadcast.signed
+    segments = broadcast._all_segments
+    labels = list(params._rank_of)
+    solved = {}
+    for t in uncached:
+        sub = tuple(sorted(labels[t] + (u,)))
+        acc = list(_segment(segments, sub))
+        for n, t_v, c in _segment_terms(params, demand, sub, signed):
+            if t_v == t:
+                c_u = c  # u's own term, W[d_u][S]
                 continue
-            if len(missing) == 1:
-                n_m, t_m, c_m = missing[0]
-                acc = list(vals)
-                for n_t, t_t, c_t in terms:
-                    if (n_t, t_t) != (n_m, t_m):
-                        kv = known[(n_t, t_t)]
-                        for p in range(packet):
-                            acc[p] = (acc[p] - c_t * kv[p]) % q
-                # c_m is +-1, hence its own inverse
-                known[(n_m, t_m)] = tuple((c_m * a) % q for a in acc)
-                progress = True
-            else:
-                remaining.append((terms, vals))
-        pending = remaining
-
-    target = broadcast.demand.entries[u]
-    missing = [t for t in uncached if (target, t) not in known]
-    if missing:
-        raise DecodeError(f"user {u}: peeling left {len(missing)} subfiles unknown")
-    return {t: known[(target, t)] for t in uncached}
+            stored = cache_slice[n]  # every other label contains u
+            base = t_v * packet
+            for p in range(packet):
+                acc[p] = (acc[p] - c * stored[base + p]) % q
+        solved[t] = tuple((c_u * a) % q for a in acc)  # c_u is +-1, its own inverse
+    return solved
 
 
 def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
-    """Peeling decoder: no elimination over symbol data, only segment identities.
+    """Closed-form decoder: no elimination, one segment per uncached subfile.
 
-    Seeds the known set with u's cached subfiles of the demanded files, then
-    repeatedly resolves any segment equation with exactly one unknown
-    subfile.  The equations are the transmitted segments plus the
-    reconstructed all-non-leader ones; reconstruction runs once per
-    broadcast and is shared by every user's decode (with three or more user
-    groups, one elimination over the data-independent formal system).
+    For an uncached label S, every term of the segment of S + {u} other than
+    W[d_u][S] is labeled by a set containing u, so u has it cached:
+    W[d_u][S] = c_u * (Y[S + {u}] - its cached terms), c_u = +-1.  The
+    segments are the transmitted ones plus the omitted ones, rebuilt once per
+    broadcast and shared by every user's decode.
     """
-    return _decode(params, u, broadcast, cache_slice, _solve_peeling)
+    return _decode(params, u, broadcast, cache_slice, _solve_structural)
 
 
 def decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, method: str = "linear") -> tuple[int, ...]:

@@ -333,6 +333,28 @@ def test_empirical_run_floor_is_checked_before_the_support_is_built(monkeypatch)
         empirical_law_check(SchemeParams(6, 3, 2, r=1), ((0, 1), (2, 3), (4, 5)), 0, (0, 1), runs=10, seed=1)
 
 
+def test_empirical_check_derives_the_demand_matrix_once(monkeypatch):
+    """The cover sets, slot pins and demand checks are fixed per demand
+    matrix: one derivation per check however many runs it draws (the check
+    validates the demands once more itself, before the run floor)."""
+    calls = {name: 0 for name in ("feasible_cover_sets", "checked_slots", "validate_demands")}
+
+    def counting(name):
+        real = getattr(scheme, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    reference = empirical_law_check(P321, ((0,), (2,)), 1, (1,), runs=2000, seed=5)
+    for name in calls:
+        monkeypatch.setattr(scheme, name, counting(name))
+    rep = empirical_law_check(P321, ((0,), (2,)), 1, (1,), runs=2000, seed=5)
+    assert calls == {"feasible_cover_sets": 1, "checked_slots": 1, "validate_demands": 2}
+    assert rep == reference
+
+
 def test_empirical_check_detects_skipped_relabeling():
     rep = empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=2000, seed=7, variant=NO_RELABEL)
     assert not rep.passed

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from privcache import audit, scheme, ucc
+from privcache import audit, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
     NO_RELABEL,
@@ -293,34 +293,42 @@ def test_plain_baseline_variant_reveals_expanded_demand():
 
 def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
     """Omitted segments are reconstructed once per broadcast and shared by all
-    K*L decodes: a run with three or more user groups eliminates once over
-    the formal system, in the broadcast's own coefficients (plain over GF(2),
-    signed otherwise), a two-group run never does, and the structural trace
-    equals the linear one."""
-    real = ucc.solve_any
-    calls = []
+    K*L decodes, for every group count and both coefficient conventions
+    (plain over GF(2) and with two groups, signed otherwise); structural
+    decoding makes no ``gf.rref`` call, and its trace equals the linear one."""
+    real_rref, real_rebuild = gf.rref, ucc._reconstructed_segments
+    rref_calls, rebuilds = [], []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_rref(*args):
+        rref_calls.append(1)
+        return real_rref(*args)
 
-    monkeypatch.setattr(ucc, "solve_any", counting)
+    def counting_rebuild(*args):
+        rebuilds.append(1)
+        return real_rebuild(*args)
+
+    monkeypatch.setattr(gf, "rref", counting_rref)
+    monkeypatch.setattr(ucc, "_reconstructed_segments", counting_rebuild)
     cases = (
-        (SchemeParams(4, 3, 1, r=2), 1, True),
-        (SchemeParams(6, 2, 3, r=2), 0, False),
-        (SchemeParams(3, 3, 1, r=1, q=2), 1, False),
-        (SchemeParams(3, 3, 1, r=2, q=2), 1, False),
-        (SchemeParams(4, 3, 1, r=3, q=2), 1, False),
-        (SchemeParams(2, 4, 1, r=2, q=2), 1, False),
+        (SchemeParams(4, 3, 1, r=2), True),
+        (SchemeParams(6, 2, 3, r=2), False),
+        (SchemeParams(3, 3, 1, r=1, q=2), False),
+        (SchemeParams(3, 3, 1, r=2, q=2), False),
+        (SchemeParams(4, 3, 1, r=3, q=2), False),
+        (SchemeParams(2, 4, 1, r=2, q=2), False),
+        (SchemeParams(2, 4, 1, r=1, q=3), True),
     )
-    for params, expected, signed in cases:
+    for params, signed in cases:
         for seed in range(3):
-            calls.clear()
+            rref_calls.clear()
+            rebuilds.clear()
             structural = run_simulation(params, seed, decoder="structural")
-            assert len(calls) == expected
+            assert rref_calls == [] and len(rebuilds) == 1
             assert structural.broadcast.signed == signed
             assert structural.correct_all
-            assert structural.to_json_dict() == run_simulation(params, seed).to_json_dict()
+            linear = run_simulation(params, seed)
+            assert rref_calls  # the counter sees the reference decoder's eliminations
+            assert structural.to_json_dict() == linear.to_json_dict()
 
 
 def _nested_realizations(params, demands, variant):

@@ -1,13 +1,18 @@
 """Single-demand engine tests: placement layout, restricted demands, encoding
 counts, the hand-checked decode identity, and exhaustive decoder equivalence."""
 
+import inspect
 import itertools
+import random
+import textwrap
 
 import pytest
 
-from privcache.exact import binomial, subsets_of_size
-from privcache.gf import PrimeField
+from privcache import ucc
+from privcache.exact import binomial, subset_rank, subsets_of_size
+from privcache.gf import PrimeField, solve_any
 from privcache.ucc import (
+    Broadcast,
     DecodeError,
     Library,
     RestrictedDemand,
@@ -20,6 +25,7 @@ from privcache.ucc import (
     is_restricted,
     subfile_labels,
     user_label_ranks,
+    segment_signs,
     user_positions,
     _reconstructed_segments,
 )
@@ -170,6 +176,18 @@ def test_trace_record_round_trip_fields():
     assert len(rec["segments"]) == 5
 
 
+@pytest.mark.parametrize("n_users,block_len,r", [(4, 2, 1), (6, 2, 2), (6, 3, 0), (8, 4, 3), (4, 2, 4)])
+def test_trace_record_ranks_are_subset_ranks(n_users, block_len, r):
+    params = UccParams(n_files=block_len + 1, n_users=n_users, block_len=block_len, r=r)
+    lib = Library.ramp(F257, params.n_files, params.file_len)
+    bc = encode(params, next(all_restricted_demands(params)), lib)
+    rec = bc.trace_record()
+    assert [tuple(s["users"]) for s in rec["segments"]] == sorted(bc.segments)
+    for seg in rec["segments"]:
+        assert seg["rank"] == subset_rank(range(n_users), seg["users"])
+        assert tuple(seg["symbols"]) == bc.segments[tuple(seg["users"])]
+
+
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
@@ -220,8 +238,8 @@ def test_decode_exhaustive_two_groups(n_files, r):
 
 @pytest.mark.parametrize("n_files,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_decode_exhaustive_three_groups(n_files, r):
-    # three user groups create repeated files across non-leader blocks, the
-    # case the alternating identity cannot cover; peeling must finish the job
+    # three user groups create repeated files across non-leader blocks, which
+    # the signed identity rebuilds without any elimination
     params = UccParams(n_files=n_files, n_users=6, block_len=2, r=r)
     lib = Library.ramp(F257, n_files, params.file_len)
     for demand in all_restricted_demands(params):
@@ -245,37 +263,117 @@ def test_decode_exhaustive_kv4_r2_random_library():
             assert decode(params, u, bc, cs) == lib.rows[demand.entries[u]]
 
 
-def test_reconstructed_segments_match_direct_sums():
-    """Segments omitted from the broadcast (no leader in the subset) must be
-    recoverable: compare both reconstruction routes (leader-substitution
-    identity with two groups, formal elimination with three or more) against
-    the segment value computed straight from the library."""
-    from privcache.ucc import segment_signs
+# (n_files, n_users, block_len, r, q, packet_size): GF(2), GF(3), GF(5),
+# GF(257); two to four user groups; repeated files across non-leader blocks
+# from three groups on; packets of one and two symbols
+RECONSTRUCTION_CASES = [
+    (3, 4, 2, 1, 257, 1),
+    (3, 6, 3, 2, 257, 2),
+    (2, 6, 2, 1, 3, 2),
+    (2, 6, 2, 2, 2, 1),
+    (3, 6, 2, 2, 257, 1),
+    (3, 9, 3, 2, 5, 1),
+    (2, 8, 2, 2, 3, 1),
+    (2, 8, 2, 3, 257, 2),
+    (2, 8, 2, 1, 2, 2),
+]
 
-    checked = 0
-    for n_users, block_len, n_files, r in ((4, 2, 3, 1), (6, 2, 3, 1), (6, 2, 2, 2), (6, 3, 4, 2), (8, 4, 5, 1)):
-        params = UccParams(n_files=n_files, n_users=n_users, block_len=block_len, r=r)
-        lib = Library.ramp(F257, n_files, params.file_len)
-        labels = subfile_labels(params)
-        rank_of = {lab: t for t, lab in enumerate(labels)}
-        for demand in itertools.islice(all_restricted_demands(params), 12):
-            bc = encode(params, demand, lib)
-            coeffs = segment_signs(bc.signed, r + 1)
-            recon = _reconstructed_segments(bc)
-            for sub, vals in recon:
-                truth = [0] * params.packet_size
-                for c, u in zip(coeffs, sub):
-                    base = rank_of[tuple(v for v in sub if v != u)] * params.packet_size
-                    row = lib.rows[demand.entries[u]]
-                    for p in range(params.packet_size):
-                        truth[p] = (truth[p] + c * row[base + p]) % 257
-                assert vals == truth
-                checked += 1
-            if bc.signed:
-                # signed mode must recover every omitted segment
-                omitted = [s for s in subsets_of_size(range(block_len, n_users), r + 1)]
-                assert len(recon) == len(omitted)
-    assert checked > 0
+
+def _reconstruction_instances():
+    """(broadcast, library) pairs over RECONSTRUCTION_CASES: a random library,
+    and every restricted demand, or every 9th when there are more than 64."""
+    rng = random.Random(11)
+    for n_files, n_users, block_len, r, q, packet in RECONSTRUCTION_CASES:
+        params = UccParams(n_files, n_users, block_len, r, packet)
+        field = PrimeField(q)
+        demands = list(all_restricted_demands(params))
+        lib = Library.random(field, n_files, params.file_len, rng)
+        for demand in demands[::9] if len(demands) > 64 else demands:
+            yield encode(params, demand, lib), lib
+
+
+def _direct_segment(bc, lib, sub):
+    """A segment's value summed straight from the library."""
+    params, q = bc.params, bc.field.q
+    rank_of = {lab: t for t, lab in enumerate(subfile_labels(params))}
+    vals = [0] * params.packet_size
+    for c, u in zip(segment_signs(bc.signed, len(sub)), sub):
+        base = rank_of[tuple(v for v in sub if v != u)] * params.packet_size
+        row = lib.rows[bc.demand.entries[u]]
+        for p in range(params.packet_size):
+            vals[p] = (vals[p] + c * row[base + p]) % q
+    return tuple(vals)
+
+
+def _eliminated_segments(bc):
+    """Oracle: each omitted segment as a combination of transmitted ones, from
+    one elimination over the formal system on the (file, subfile label)
+    basis, in the broadcast's own coefficients; None where the segment lies
+    outside the transmitted span."""
+    params, q = bc.params, bc.field.q
+    coeffs = segment_signs(bc.signed, params.r + 1)
+    rank_of = {lab: t for t, lab in enumerate(subfile_labels(params))}
+    transmitted = sorted(bc.segments)
+    omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
+    basis = {key: i for i, key in enumerate(itertools.product(sorted(bc.demand.file_set), range(params.subfile_count)))}
+    rows = [{} for _ in basis]
+    for j, sub in enumerate(transmitted + omitted):
+        for c, u in zip(coeffs, sub):
+            rows[basis[(bc.demand.entries[u], rank_of[tuple(v for v in sub if v != u)])]][j] = c % q
+    out = {}
+    for sub, combo in zip(omitted, solve_any(bc.field, rows, len(transmitted), len(omitted))):
+        if combo is None:
+            out[sub] = None
+            continue
+        vals = [0] * params.packet_size
+        for x, s in zip(combo, transmitted):
+            for p in range(params.packet_size):
+                vals[p] = (vals[p] + x * bc.segments[s][p]) % q
+        out[sub] = tuple(vals)
+    return out
+
+
+def test_reconstructed_segments_match_direct_sums():
+    """Every segment omitted from the broadcast (no leader in its subset) is
+    rebuilt by the leader-substitution identity, for every group count and
+    both coefficient conventions, and equals both oracles: the direct
+    library sum and the combination one formal elimination finds."""
+    groups, signed = set(), set()
+    for bc, lib in _reconstruction_instances():
+        params = bc.params
+        omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
+        recon = _reconstructed_segments(bc)
+        assert sorted(recon) == omitted
+        eliminated = _eliminated_segments(bc)
+        for sub in omitted:
+            assert recon[sub] == _direct_segment(bc, lib, sub) == eliminated[sub]
+        assert bc._all_segments == {**bc.segments, **recon}
+        groups.add(params.n_groups)
+        signed.add(bc.signed)
+    assert groups == {2, 3, 4} and signed == {False, True}
+
+
+@pytest.mark.parametrize("anchor", [
+    "if signed and _odd_permutation(a_v):",  # sigma dropped
+    "if len({lead[i] for i in v_pos}) < size:",  # V may repeat a file
+])
+def test_reconstruction_sign_rule_mutants_fail(anchor, monkeypatch):
+    """Each sign-rule mutant of the identity, built from the real source,
+    breaks the comparison with the direct library sums."""
+    source = textwrap.dedent(inspect.getsource(ucc._reconstructed_segments))
+    assert anchor in source
+    namespace = dict(vars(ucc))
+    exec(source.replace(anchor, "if False:"), namespace)
+    monkeypatch.setattr(ucc, "_reconstructed_segments", namespace["_reconstructed_segments"])
+    caught = 0
+    for bc, lib in _reconstruction_instances():
+        try:
+            recon = ucc._reconstructed_segments(bc)
+        except DecodeError:
+            caught += 1
+            continue
+        caught += any(vals != _direct_segment(bc, lib, sub) for sub, vals in recon.items())
+    assert caught > 0
 
 
 def test_decode_missing_cache_symbols_raises():
@@ -287,6 +385,46 @@ def test_decode_missing_cache_symbols_raises():
         decode_linear(params, 0, bc, {0: {}, 1: {}})
     with pytest.raises(DecodeError):
         decode_structural(params, 0, bc, {0: {}, 1: {}})
+
+
+@pytest.mark.parametrize("n_users,r", [(4, 1), (6, 1), (6, 2)])
+def test_missing_segment_is_named(n_users, r):
+    """A broadcast with a transmitted segment removed fails the structural
+    decode with DecodeError naming the missing subset, whether the segment is
+    read directly or while rebuilding an omitted one."""
+    params = UccParams(n_files=2, n_users=n_users, block_len=2, r=r)
+    lib = Library.ramp(F257, 2, params.file_len)
+    demand = next(all_restricted_demands(params))
+    full = encode(params, demand, lib)
+    for gone in full.segments:
+        bc = Broadcast(params, F257, demand, {s: v for s, v in full.segments.items() if s != gone})
+        failed = set()
+        for u in range(n_users):
+            cs = cache_slice_for(params, u, lib, demand.file_set)
+            try:
+                assert decode_structural(params, u, bc, cs) == lib.rows[demand.entries[u]]
+            except DecodeError as exc:
+                assert str(exc) == f"the segment of users {list(gone)} is missing from the broadcast"
+                failed.add(u)
+        assert failed >= set(gone)  # each user in the subset reads it for the label of the others
+
+
+@pytest.mark.parametrize("n_files,n_users,r,q,packet", [
+    (2, 6, 1, 2, 2), (2, 6, 2, 3, 1), (3, 6, 2, 3, 2), (2, 8, 2, 3, 1), (2, 8, 3, 2, 1), (2, 8, 2, 5, 2),
+])
+def test_decoders_agree_on_small_fields(n_files, n_users, r, q, packet):
+    # three and four user groups over GF(2), GF(3) and GF(5), where the
+    # identity's signs vanish (q = 2) or differ from the plain convention
+    params = UccParams(n_files, n_users, 2, r, packet)
+    field = PrimeField(q)
+    lib = Library.random(field, n_files, params.file_len, random.Random(q * 100 + n_users))
+    for demand in all_restricted_demands(params):
+        bc = encode(params, demand, lib)
+        for u in range(n_users):
+            cs = cache_slice_for(params, u, lib, demand.file_set)
+            want = lib.rows[demand.entries[u]]
+            assert decode_linear(params, u, bc, cs) == want
+            assert decode_structural(params, u, bc, cs) == want
 
 
 def test_decode_unknown_method():
