@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import audit, scheme, tradeoff
 from .audit import BudgetExceededError
@@ -80,7 +81,58 @@ def _write_text(path: str | None, text: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, in one pass.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, which on
+    a ``simulate`` trace costs about as much as the simulation; ``_emit``
+    writes the same text into one list of chunks, joined once.
+    """
+    chunks: list[str] = []
+    _emit(obj, "", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _emit(obj, pad: str, push) -> None:
+    """Push the JSON text of ``obj`` as it appears indented by ``pad``.
+
+    Ints, strs, non-empty lists and tuples, and non-empty dicts whose keys are
+    all strs are written here.  Any other non-empty container (other keys, a
+    subclass) is ``json.dumps(obj, indent=2, sort_keys=True)`` with ``pad``
+    after every newline.  That is exact: json indents level d by
+    ``"\\n" + "  " * d``, and a JSON string never holds a raw newline.  What
+    is left (bools, None, floats, empty containers) is plain ``json.dumps``,
+    which prints it as the indenting encoder does.  The indenting encoder
+    leaves a reference cycle of closures behind on every call, and a closure
+    calling itself would too; this module-level function leaves none.
+    """
+    kind = type(obj)
+    if kind is int:
+        push(int.__repr__(obj))
+    elif kind is str:
+        push(encode_basestring_ascii(obj))
+    elif kind is dict and obj and all(type(key) is str for key in obj):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            push(sep)
+            push(encode_basestring_ascii(key))
+            push(": ")
+            _emit(obj[key], inner, push)
+            sep = ",\n" + inner
+        push("\n" + pad + "}")
+    elif (kind is list or kind is tuple) and obj:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            push(sep)
+            _emit(item, inner, push)
+            sep = ",\n" + inner
+        push("\n" + pad + "]")
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        push(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+    else:
+        push(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +383,9 @@ def cmd_gap(args) -> int:
         tasks = [(args.N, args.K, args.L, args.grid, args.lambda_step)]
     workers = min(args.threads, len(tasks))
     if workers > 1:
+        # imported here: the pool is about a fifth of this module's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_gap_entry, tasks))
     else:
@@ -345,7 +400,10 @@ def cmd_gap(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` returns a fresh
+    namespace each call, so no state carries from one command to the next."""
     parser = argparse.ArgumentParser(prog="privcache", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

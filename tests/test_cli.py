@@ -1,9 +1,17 @@
 """CLI contract tests: exit codes, file formats, determinism."""
 
+import argparse
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from privcache import audit, cli, tradeoff, ucc
 from privcache.cli import main
@@ -255,7 +263,7 @@ def test_gap_pool_is_capped_at_task_count(monkeypatch, tmp_path):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     out = tmp_path / "g.json"
     assert run_cli("gap", "--sweep", "N=2,K=1", "--threads", "1000", "--out", str(out)) == 0
     assert pools == [2]  # (2,1,1) and (2,1,2)
@@ -391,3 +399,151 @@ REPLAY = [
 def test_replay_contract_stdout_digests(argv, code, digest, capsys):
     assert run_cli(*argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _replay_digest(name):
+    (param,) = [p for p in REPLAY if p.id == name]
+    _, code, digest = param.values
+    return code, digest
+
+
+def _stdout_digest(capsys):
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer prints exactly what json.dumps(indent=2, sort_keys=True) does
+# ---------------------------------------------------------------------------
+
+
+def _json_dumps_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except Exception as exc:  # the type is the outcome when json raises
+        return type(exc)
+
+
+_json_leaves = st.one_of(
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.integers(max_value=-2 ** 64, min_value=-2 ** 200),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    st.text(st.characters(blacklist_categories=())),  # control, surrogate, non-BMP
+    st.sampled_from(["", "\n", "\t\"\\", "\x00\x1f\x7f", "\u2028", "\U0001f600", "\ud800"]),
+)
+_json_keys = st.one_of(st.text(st.characters(blacklist_categories=())), st.integers(), st.none())
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(_json_keys, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_values)
+@example({"x": {1: [], "y": 2}})  # non-str keys below an indented level
+@example({"a": 1, 2: "b"})  # mixed keys: both raise TypeError
+@example([[], {}, (), "", True, None, -0.0, float("nan")])
+def test_json_writer_matches_json_dumps(obj):
+    assert _outcome(cli._json_text, obj) == _outcome(_json_dumps_text, obj)
+
+
+@pytest.mark.parametrize("argv,code,digest", REPLAY)
+def test_replay_reports_print_as_json_dumps_does(argv, code, digest, monkeypatch, capsys):
+    writer = cli._json_text
+    reports = []
+
+    def recording(obj):
+        reports.append(obj)
+        return _json_dumps_text(obj)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    assert run_cli(*argv) == code
+    assert _stdout_digest(capsys) == digest  # the old writer still gives the recorded bytes
+    assert len(reports) == (0 if argv[0] == "tradeoff" else 1)
+    for obj in reports:
+        assert writer(obj) == _json_dumps_text(obj)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, holding no state between commands
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "privcache":
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run_cli("tradeoff", "--N", "2", "--K", "1", "--L", "1") == 0
+    assert run_cli("gap", "--N", "2", "--K", "1", "--L", "1") == 0
+    assert len(built) == 1
+
+
+def test_cached_parser_forgets_appended_demands(capsys):
+    assert run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--demands", "0,1;2,3") == 0
+    capsys.readouterr()
+    code, digest = _replay_digest("audit-ptilde-default")
+    assert run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2") == code
+    assert _stdout_digest(capsys) == digest
+
+
+def test_cached_parser_recovers_from_a_usage_error(capsys):
+    assert run_cli("simulate", "--N", "5", "--K", "2", "--decoder", "gauss") == 2
+    capsys.readouterr()
+    code, digest = _replay_digest("simulate-522-structural")
+    assert run_cli("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--seed", "7",
+                   "--decoder", "structural") == code
+    assert _stdout_digest(capsys) == digest
+
+
+# ---------------------------------------------------------------------------
+# cost of the front end: no pool import, no cyclic garbage per command
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_no_process_pool():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, privcache.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--decoder", "structural"),
+    ("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--format", "csv"),
+    ("audit", "--mode", "ptilde", "--N", "4", "--K", "2", "--L", "2", "--selector", "1,0"),
+    ("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1"),
+    ("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800"),
+    ("gap", "--N", "3", "--K", "2", "--L", "1"),
+    ("tradeoff", "--N", "3", "--K", "2", "--L", "1"),
+], ids=["simulate-json", "simulate-csv", "audit-ptilde", "audit-mi", "audit-empirical", "gap", "tradeoff"])
+def test_command_leaves_no_cyclic_garbage(argv, capsys):
+    assert run_cli(*argv) == 0  # warm: parser and caches built
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(*argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
