@@ -1,7 +1,7 @@
 """Exact privacy audits by enumeration.
 
-Two independent routes certify that one user learns nothing about the other
-users' demands:
+Two routes certify that one user learns nothing about the other users'
+demands:
 
 * the sufficient-statistic route: the only demand-bearing part of a user's
   observation is the masked expanded demand vector.  ``masked_demand_law``
@@ -10,16 +10,21 @@ users' demands:
   demand vectors with mass (N - n_active)! / (N! * (n_active!)^(K-1)),
   independent of the demand matrix; equality is exact rational equality, no
   tolerance.
-* the end-to-end route: on instances small enough to enumerate every library
-  realization, ``exact_mutual_information`` builds the exact joint law of
-  (other rows; broadcast, observer cache, observer row) under the uniform
-  prior on demand matrices.  It enumerates only what the observer sees: each
-  matrix's realizations collapse to counts of the observer's view (observer
-  slot tuple, masked demand), and per library each cache is placed and each
-  broadcast encoded once.  Zero is certified by exact per-realization
-  conditional-law equality, which holds for every prior at once; a nonzero
-  value, which the derandomized baseline variants exhibit, is reported in
-  base-q units.
+* the end-to-end route: ``exact_mutual_information`` computes the exact
+  I(other rows; broadcast, observer cache, observer row) under the uniform
+  prior on demand matrices.  Every outcome carries its tag in the clear: the
+  observer's slot tuple and the masked demand.  Given the tag, the cache and
+  broadcast symbols are a fixed linear image of the library in broadcast
+  labels, which is uniform whatever the demand matrix and the relabeling.
+  So P(outcome | m) = P(tag | m) * P(symbols | tag): the tag is a sufficient
+  statistic, and by the chain rule the MI is I(other rows; tag, observer
+  row) plus I(other rows; symbols | tag, observer row) = 0 (sufficiency and
+  data processing, Cover & Thomas ch. 2).  It is computed from the tag
+  counts alone: no library is enumerated, no cache placed, no broadcast
+  encoded.  Zero is certified by exact conditional-law equality within each
+  class of the observer's row, which holds for every prior at once; a
+  nonzero value, which the derandomized baseline variants exhibit, is
+  reported in base-q units.
 
 Both routes enumerate the label-free stages of the scheme's randomness
 through the one generator ``scheme.realizations`` and neither walks the N!
@@ -28,9 +33,9 @@ stages, so ``_view_counts`` spreads the count of each label pattern of the
 expanded demand evenly over the pattern's orbit, which gives the same
 integer counts.  Given the demand matrix the realizations are equally likely
 (each stage is uniform, with a support size that does not depend on earlier
-draws), and so are the libraries, so every law is an integer count of atoms
-divided once by the number of atoms.  Budgets charge the full atom count,
-relabelings included.
+draws), so every law is an integer count of atoms divided once by the
+number of atoms.  Budgets charge the atoms of the laws computed,
+relabelings included; the libraries, never enumerated, are not charged.
 
 A chi-square smoke test covers instances too large for exact enumeration.
 """
@@ -49,7 +54,6 @@ from typing import Iterator, Mapping
 from . import scheme as sch
 from .exact import binomial, falling_factorial
 from .scheme import FULL, Demands, SchemeParams, SeedStreams, Variant
-from .ucc import Library
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,15 +67,11 @@ def _check_budget(total: int, budget: int, description: str):
         )
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def closed_form_mass(params: SchemeParams) -> Fraction:
     """Mass of each restricted vector under the masked-demand law:
     (N - n_active)! / (N! * (n_active!)^(K-1))."""
     n, a, k = params.n_files, params.n_active, params.n_users
-    return Fraction(factorial(n - a), factorial(n) * factorial(a) ** (k - 1))
+    return Fraction(math.factorial(n - a), math.factorial(n) * math.factorial(a) ** (k - 1))
 
 
 def restricted_vectors(params: SchemeParams) -> Iterator[tuple[int, ...]]:
@@ -83,7 +83,7 @@ def restricted_vectors(params: SchemeParams) -> Iterator[tuple[int, ...]]:
 
 
 def restricted_vector_count(params: SchemeParams) -> int:
-    return binomial(params.n_files, params.n_active) * factorial(params.n_active) ** params.n_users
+    return binomial(params.n_files, params.n_active) * math.factorial(params.n_active) ** params.n_users
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def restricted_vector_count(params: SchemeParams) -> int:
 
 def _relabeling_count(params: SchemeParams, variant: Variant) -> int:
     """How many equally likely file relabelings the variant draws from."""
-    return factorial(params.n_files) if variant.relabel_files else 1
+    return math.factorial(params.n_files) if variant.relabel_files else 1
 
 
 def _law_atom_count(params: SchemeParams, demands: Demands, variant: Variant, pinned: int = 1) -> int:
@@ -105,7 +105,7 @@ def _law_atom_count(params: SchemeParams, demands: Demands, variant: Variant, pi
     slots = len(sch.slot_support(params)) if variant.random_slots else 1
     need = len(sch.requested_files(demands))
     covers = binomial(params.n_files - need, params.n_active - need) if variant.random_cover else 1
-    fill = factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1
+    fill = math.factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1
     return _relabeling_count(params, variant) * slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
@@ -147,7 +147,7 @@ def _relabeled_counts(n_files: int, counts: Mapping) -> dict:
     out = {}
     for (tag, pattern), c in by_pattern.items():
         d = max(pattern) + 1
-        weight = c * factorial(n_files - d)
+        weight = c * math.factorial(n_files - d)
         # itemgetter of one index returns the bare entry, not a 1-tuple
         relabel = itemgetter(*pattern) if len(pattern) > 1 else lambda image: image[:1]
         for image in itertools.permutations(range(n_files), d):
@@ -192,10 +192,6 @@ class InvarianceReport:
     max_discrepancy: Fraction
     laws: list[dict[tuple[int, ...], Fraction]]
 
-    @property
-    def laws_checked(self) -> int:
-        return len(self.laws)
-
 
 def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], observer: int,
                           selector: tuple[int, ...], variant: Variant = FULL,
@@ -223,40 +219,42 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
 
 
 # ---------------------------------------------------------------------------
-# Exact mutual information on fully enumerable instances
+# Exact mutual information from the observer's tag
 # ---------------------------------------------------------------------------
 
 
 def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict[str, int]]:
+    """Atoms of the joint law, relabelings included, and the cardinalities
+    behind them; ``library_realizations`` is informational (capped at
+    10^30) and not charged, since no library is enumerated."""
     n, f, q = params.n_files, params.file_len, params.q
-    if f * n * math.log(q) > math.log(10 ** 30):
-        # the library space alone dwarfs any realistic budget
-        return 10 ** 30, {"library_realizations": 10 ** 30}
-    libraries = q ** (n * f)
-    n_rows = falling_factorial(params.n_files, params.demands_per_user)
-    n_mats = n_rows ** params.n_users
+    # the cap keeps q^(N F) from being built for large instances
+    too_many = f * n * math.log(q) > math.log(10 ** 30)
+    n_rows = falling_factorial(n, params.demands_per_user)
     slots = (len(sch.slot_support(params)) if variant.random_slots else 1) ** params.n_users
-    fill = (factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1) ** params.n_users
+    fill = (math.factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1) ** params.n_users
     max_covers = binomial(n - params.demands_per_user, params.n_active - params.demands_per_user) if variant.random_cover else 1
-    max_covers = max(max_covers, 1)
     cards = {
-        "library_realizations": libraries,
-        "demand_matrices": n_mats,
+        "library_realizations": 10 ** 30 if too_many else q ** (n * f),
+        "demand_matrices": n_rows ** params.n_users,
         "relabelings": _relabeling_count(params, variant),
         "slot_assignments": slots,
-        "cover_sets_max": max_covers,
+        "cover_sets_max": max(max_covers, 1),
         "block_fills": fill,
     }
-    return libraries * n_mats * cards["relabelings"] * slots * max_covers * fill, cards
+    return cards["demand_matrices"] * cards["relabelings"] * slots * cards["cover_sets_max"] * fill, cards
 
 
 @dataclass
 class MiReport:
     """Result of an exact mutual-information audit.
 
-    ``value`` is Fraction(0) exactly when the per-realization conditional laws
-    agree (rational-equality certificate); otherwise it is a float in base-q
-    units, strictly positive, with a witness realization attached.
+    ``value`` is Fraction(0) exactly when the conditional laws of the
+    observer's tag (slot tuple, masked demand) given each demand matrix agree
+    within every class of the observer's own row (rational-equality
+    certificate); otherwise it is a float in base-q units, summed by math.fsum,
+    strictly positive, with a witness (matrix, other matrix, outcome)
+    attached.
     """
 
     conditional_laws_equal: bool
@@ -270,17 +268,14 @@ class MiReport:
 def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant: Variant = FULL,
                              budget: int = 10 ** 7) -> MiReport:
     """Exact I(other rows ; broadcast, observer cache, observer row) under the
-    uniform prior on demand matrices.
-
-    Given the library in broadcast labels, the broadcast is a function of
-    the masked demand and the observer's cache of its slot tuple.  For
-    every relabeling the relabeled library is uniform over all libraries,
-    so the loop enumerates libraries in broadcast labels and weighs each
-    view (observer slot tuple, masked demand) by its count from
-    ``_view_counts``.  Zero is certified by equal conditional laws given
-    each observer row, for every prior at once.  Under the uniform prior a
-    joint that factorizes forces those laws equal, so unequal laws always
-    give a positive value and a witness.
+    uniform prior on demand matrices.  It equals I(other rows ; tag,
+    observer row) with tag = (observer slot tuple, masked demand): the
+    symbols add nothing (proof in the module docstring).  So the laws come
+    from ``_view_counts`` alone, and no library is enumerated.  Zero is
+    certified by equal conditional laws given each observer row, for every
+    prior at once.
+    Under the uniform prior a joint that factorizes forces those laws equal,
+    so unequal laws always give a positive value and a witness.
     """
     _check_observer(params, observer)
     total, cards = _joint_atom_count(params, variant)
@@ -288,36 +283,13 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     mats = list(sch.all_demand_matrices(params))
 
     start = time.perf_counter()
-    # first-occurrence order of the views fixes the outcome laws' key order,
-    # and with it the float summation order of a nonzero MI
-    views = [_view_counts(params, m, observer, variant) for m in mats]
-    q, n, f = params.q, params.n_files, params.file_len
-    counts: list[Counter] = [Counter() for _ in mats]
-    for flat in itertools.product(range(q), repeat=n * f):
-        library = Library(params.field, tuple(flat[i * f:(i + 1) * f] for i in range(n)))
-        # two dicts: with K = 1 and L = N a slot tuple and a masked demand
-        # are tuples of the same length
-        caches: dict[tuple, tuple] = {}
-        broadcasts: dict[tuple, tuple] = {}
-        for m, view, law in zip(mats, views, counts):
-            for (sel, masked), c in view.items():
-                z_part = caches.get(sel)
-                if z_part is None:
-                    cache = sch.place_cache(params, library, observer, sel)
-                    z_part = caches[sel] = (
-                        sel, tuple(tuple(sorted(cache.slots_by_label[label].items())) for label in range(n)))
-                x_part = broadcasts.get(masked)
-                if x_part is None:
-                    broadcast = sch.deliver(params, library, masked)
-                    x_part = broadcasts[masked] = (masked, tuple(sorted(broadcast.segments.items())))
-                law[x_part, z_part, m[observer]] += c
-    per_demand_law = {
-        m: _normalized(law, q ** (n * f) * _law_atom_count(params, m, variant, pinned=0))
-        for m, law in zip(mats, counts)
-    }
+    per_demand_law = {}
+    for m in mats:
+        counts = _view_counts(params, m, observer, variant)
+        per_demand_law[m] = _normalized({(tag, m[observer]): c for tag, c in counts.items()},
+                                        _law_atom_count(params, m, variant, pinned=0))
 
-    # per-realization check: the conditional outcome law may depend on the
-    # observer's own row only
+    # the conditional outcome law may depend on the observer's own row only
     classes: dict[tuple[int, ...], list[Demands]] = {}
     for m in mats:
         classes.setdefault(m[observer], []).append(m)
@@ -326,8 +298,8 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
         base = per_demand_law[members[0]]
         other = next((o for o in members[1:] if per_demand_law[o] != base), None)
         if other is not None:
-            keys = set(base) | set(per_demand_law[other])
-            bad = next(k for k in keys if base.get(k, Fraction(0)) != per_demand_law[other].get(k, Fraction(0)))
+            law = per_demand_law[other]
+            bad = next(k for k in itertools.chain(base, law) if base.get(k, 0) != law.get(k, 0))
             witness = (members[0], other, bad)
             break
 
@@ -350,12 +322,9 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
         if any(p != marg_t[t] * marg_o[o] for (t, o), p in joint.items()):
             raise RuntimeError("conditional laws equal but joint does not factorize")
     else:
-        acc = 0.0
         logq = math.log(params.q)
-        for (t, o), p in joint.items():
-            ratio = p / (marg_t[t] * marg_o[o])
-            acc += float(p) * math.log(float(ratio)) / logq
-        value = acc
+        value = math.fsum(float(p) * math.log(float(p / (marg_t[t] * marg_o[o]))) / logq
+                          for (t, o), p in joint.items())
     return MiReport(
         conditional_laws_equal=witness is None,
         value=value,
@@ -364,23 +333,6 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
         observer=observer,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def masked_marginal_via_joint(params: SchemeParams, demands: Demands, observer: int,
-                              selector: tuple[int, ...], variant: Variant = FULL,
-                              budget: int = 10 ** 7) -> dict[tuple[int, ...], Fraction]:
-    """Marginal law of the masked demand taken from the joint enumeration of
-    every user's slot tuple, conditioned on the observer's.  Must reproduce
-    masked_demand_law, which pins that slot tuple instead, exactly; used as a
-    consistency oracle for the two enumeration paths."""
-    demands = sch.validate_demands(params, demands)
-    _check_observer(params, observer)
-    selector = sch.checked_slots(params, {observer: selector})[observer]
-    _check_budget(_law_atom_count(params, demands, variant, pinned=0), budget,
-                  "joint slot-tuple enumeration")
-    counts = _view_counts(params, demands, observer, variant)
-    return _normalized({masked: c for (sel, masked), c in counts.items() if sel == selector},
-                       _law_atom_count(params, demands, variant))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_BASES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_BASES):
         return False
     d, s = n - 1, 0
     while d % 2 == 0:

@@ -1,5 +1,6 @@
 """Privacy audit tests: exact laws, invariance, mutation detection, exact
-mutual information, enumeration-path consistency, and the chi-square check."""
+mutual information against a library-enumerating oracle, enumeration-path
+consistency, and the chi-square check."""
 
 import itertools
 import math
@@ -16,12 +17,12 @@ from privcache.audit import (
     empirical_law_check,
     exact_mutual_information,
     masked_demand_law,
-    masked_marginal_via_joint,
     restricted_vector_count,
     restricted_vectors,
     verify_law_invariance,
 )
 from privcache.scheme import FULL, NO_RELABEL, PLAIN_BASELINE, SchemeParams, Variant
+from privcache.ucc import Library
 
 P321 = SchemeParams(3, 2, 1, r=1)
 P522 = SchemeParams(5, 2, 2, r=1)
@@ -193,7 +194,7 @@ def test_invariance_requires_shared_observer_row():
 def test_invariance_across_other_rows():
     family = [((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
     rep = verify_law_invariance(P321, family, 0, (1,))
-    assert rep.identical and rep.laws_checked == 3
+    assert rep.identical and len(rep.laws) == 3
 
 
 def test_mutation_no_relabel_detected():
@@ -244,9 +245,8 @@ def test_exact_mi_baseline_leaks():
 
 
 def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
-    """Cover sets are derived once per demand matrix; per library in broadcast
-    labels, the observer's cache is placed once per slot tuple and each
-    broadcast encoded once per masked demand."""
+    """Cover sets are derived once per demand matrix, and no cache is placed
+    and no broadcast encoded: the tag counts alone give the value."""
     counts = {"feasible_cover_sets": 0, "place_cache": 0, "deliver": 0}
 
     def counting(name):
@@ -261,9 +261,7 @@ def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
         monkeypatch.setattr(scheme, name, counting(name))
     rep = exact_mutual_information(MI_INSTANCE, 0)
     assert rep.value == 0
-    assert counts["feasible_cover_sets"] == 4  # one per demand matrix
-    assert counts["place_cache"] == 256 * 2  # libraries x slot tuples
-    assert counts["deliver"] == 256 * 4  # libraries x restricted vectors
+    assert counts == {"feasible_cover_sets": 4, "place_cache": 0, "deliver": 0}  # one per demand matrix
 
 
 def test_exact_mi_raises_when_label_free_atoms_go_missing(monkeypatch):
@@ -280,6 +278,95 @@ def test_exact_mi_budget_error_names_cardinality():
     with pytest.raises(BudgetExceededError) as err:
         exact_mutual_information(big, 0)
     assert "exceed" in str(err.value)
+
+
+def _library_mi(params, observer, variant):
+    """Brute-force oracle: the exact MI with every library enumerated and the
+    observer's cache contents and the broadcast segments in the outcome.
+    Returns (conditional laws equal, value), the value Fraction(0) when the
+    laws are equal and a float in base-q units otherwise."""
+    mats = list(scheme.all_demand_matrices(params))
+    views = [audit._view_counts(params, m, observer, variant) for m in mats]
+    q, n, f = params.q, params.n_files, params.file_len
+    counts = [Counter() for _ in mats]
+    for flat in itertools.product(range(q), repeat=n * f):
+        library = Library(params.field, tuple(flat[i * f:(i + 1) * f] for i in range(n)))
+        caches, broadcasts = {}, {}
+        for m, view, law in zip(mats, views, counts):
+            for (sel, masked), c in view.items():
+                if sel not in caches:
+                    cache = scheme.place_cache(params, library, observer, sel)
+                    caches[sel] = (sel, tuple(tuple(sorted(cache.slots_by_label[label].items()))
+                                              for label in range(n)))
+                if masked not in broadcasts:
+                    broadcast = scheme.deliver(params, library, masked)
+                    broadcasts[masked] = (masked, tuple(sorted(broadcast.segments.items())))
+                law[broadcasts[masked], caches[sel], m[observer]] += c
+    laws = {m: {k: Fraction(c, sum(law.values())) for k, c in law.items()} for m, law in zip(mats, counts)}
+    equal = all(laws[m] == laws[o] for m in mats for o in mats if m[observer] == o[observer])
+    joint = Counter()
+    for m in mats:
+        others = tuple(r for i, r in enumerate(m) if i != observer)
+        for outcome, p in laws[m].items():
+            joint[others, outcome] += p / len(mats)
+    marg_t, marg_o = Counter(), Counter()
+    for (t, o), p in joint.items():
+        marg_t[t] += p
+        marg_o[o] += p
+    if equal:
+        assert all(p == marg_t[t] * marg_o[o] for (t, o), p in joint.items())
+        return True, Fraction(0)
+    return False, sum(float(p) * math.log(float(p / (marg_t[t] * marg_o[o])), q) for (t, o), p in joint.items())
+
+
+MI_ORACLE_VARIANTS = ORACLE_VARIANTS + (Variant(random_slots=False),)
+
+
+@pytest.mark.parametrize("params", (MI_INSTANCE, SchemeParams(3, 2, 1, r=0, q=2, packet_size=2)),
+                         ids=("221-q2-F4-r1", "321-q2-F2-r0"))
+def test_exact_mi_equals_library_enumeration(params):
+    for observer, variant in itertools.product(range(params.n_users), MI_ORACLE_VARIANTS):
+        rep = exact_mutual_information(params, observer, variant=variant)
+        equal, value = _library_mi(params, observer, variant)
+        assert rep.conditional_laws_equal == equal
+        if equal:
+            assert isinstance(rep.value, Fraction) and rep.value == value == 0
+            assert rep.witness is None
+        else:
+            assert value > 0 and rep.value == pytest.approx(value, rel=1e-12)
+            m, other, _ = rep.witness
+            assert m[observer] == other[observer] and m != other
+
+
+@pytest.mark.parametrize("q", (2, 257))
+def test_exact_mi_plain_baseline_is_log_q_3(q):
+    # the plain baseline's masked demand reveals the other user's one file of three
+    rep = exact_mutual_information(SchemeParams(3, 2, 1, r=1, q=q, packet_size=1), 0, variant=PLAIN_BASELINE)
+    assert rep.value == pytest.approx(math.log(3) / math.log(q), rel=1e-15)
+
+
+def test_exact_mi_budget_skips_the_libraries():
+    # 257^12 libraries are not charged: 9 matrices x 6 relabelings x 4 slot pairs x 2 covers
+    p = SchemeParams(3, 2, 1, r=1, q=257, packet_size=1)
+    assert audit._joint_atom_count(p, FULL)[0] == 432
+    assert exact_mutual_information(p, 0, budget=432).value == 0
+    with pytest.raises(BudgetExceededError, match="432 enumeration atoms exceed the budget of 431"):
+        exact_mutual_information(p, 0, budget=431)
+
+
+def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL, budget=10 ** 7):
+    """Marginal law of the masked demand taken from the joint enumeration of
+    every user's slot tuple, conditioned on the observer's.  Must reproduce
+    masked_demand_law, which pins that slot tuple instead, exactly; a
+    consistency oracle for the two enumeration paths."""
+    demands = scheme.validate_demands(params, demands)
+    audit._check_observer(params, observer)
+    selector = scheme.checked_slots(params, {observer: selector})[observer]
+    audit._check_budget(audit._law_atom_count(params, demands, variant, pinned=0), budget,
+                        "joint slot-tuple enumeration")
+    counts = audit._view_counts(params, demands, observer, variant)
+    return audit._normalized({masked: c for (sel, masked), c in counts.items() if sel == selector},
+                             audit._law_atom_count(params, demands, variant))
 
 
 def test_joint_marginal_reproduces_direct_law():

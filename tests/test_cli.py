@@ -132,11 +132,25 @@ def test_audit_mi_with_baseline(tmp_path):
     assert rep["baseline"]["mi_base_q"] > 0
 
 
+def test_audit_mi_beyond_library_reach(tmp_path):
+    # q = 257, F = 4: 257^12 libraries, never enumerated; 432 atoms are charged
+    out = tmp_path / "mi.json"
+    code = run_cli("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--F", "4", "--r", "1",
+                   "--baseline", "--out", str(out))
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["mi_is_zero"] is True
+    assert rep["cardinalities"]["library_realizations"] == 257 ** 12
+    assert rep["baseline"]["leaks_as_expected"] is True
+
+
 def test_audit_mi_budget_exceeded(capsys):
     code = run_cli("audit", "--mode", "mi", "--N", "6", "--K", "4", "--L", "1",
                    "--q", "257", "--F", "16", "--r", "1")
     assert code == 3
-    assert "budget" in capsys.readouterr().err
+    # 6^4 matrices x 6! relabelings x 4^4 slot tuples x C(5,3) covers x (3!)^4 fills; no library factor
+    assert capsys.readouterr().err == ("budget error: joint-law enumeration: "
+                                       "3095868211200 enumeration atoms exceed the budget of 10000000\n")
 
 
 def test_audit_ptilde_budget_counts_every_relabeling(capsys):
@@ -366,10 +380,13 @@ REPLAY = [
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--observer", "1", "--baseline"),
                  0, "52741797814a1737878228dd18dfcda8afaea572c21196d4c504a525c1dda289", id="audit-mi-observer1-baseline"),
-    # baseline MI 1.5849625007211576: a non-round float that pins the summation order
+    # baseline MI 1.5849625007211563 = log2(3) correctly rounded: a non-round float summed with math.fsum
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--q", "2", "--F", "2", "--r", "0",
                   "--baseline"),
-                 0, "3b02feed602dd7d10c95f0bb1cffbfa2c03f5b0d997fc2ff14364babcc5b2918", id="audit-mi-321-r0-baseline"),
+                 0, "e9771516d468bab04bb7ae63b97307f7b6c7770b6064cf39df86cd0e0c39ca97", id="audit-mi-321-r0-baseline"),
+    # 257^12 libraries: certified from the observer's tag alone, the baseline leaks log_257(3)
+    pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--F", "4", "--r", "1", "--baseline"),
+                 0, "f70dffda3186420e0783843f49f6a90ffe0bb5f77a7cf97f736e7425082a2ff4", id="audit-mi-321-q257-baseline"),
     # six relabelings, zero MI
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--q", "2", "--F", "2", "--r", "0"),
                  0, "8e594430d447a2f489fbbe0c25ebe1d345a325bec3be5f69505cc7c8a9a047c5", id="audit-mi-321-r0"),
