@@ -283,11 +283,16 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     mats = list(sch.all_demand_matrices(params))
 
     start = time.perf_counter()
+    # every law as integer numerators over one common denominator: the lcm
+    # of the matrices' atom counts
+    atoms = {m: _law_atom_count(params, m, variant, pinned=0) for m in mats}
+    common = math.lcm(*atoms.values())
     per_demand_law = {}
     for m in mats:
         counts = _view_counts(params, m, observer, variant)
-        per_demand_law[m] = _normalized({(tag, m[observer]): c for tag, c in counts.items()},
-                                        _law_atom_count(params, m, variant, pinned=0))
+        _check_visited(counts, atoms[m])
+        scale = common // atoms[m]
+        per_demand_law[m] = {(tag, m[observer]): c * scale for tag, c in counts.items()}
 
     # the conditional outcome law may depend on the observer's own row only
     classes: dict[tuple[int, ...], list[Demands]] = {}
@@ -303,28 +308,30 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
             witness = (members[0], other, bad)
             break
 
-    prior = Fraction(1, len(mats))
-    joint: dict[tuple[tuple, tuple], Fraction] = {}
+    # joint and marginals as integer numerators over denom: the uniform
+    # prior puts 1 / len(mats) on each matrix
+    denom = len(mats) * common
+    joint: Counter = Counter()
     for m in mats:
         others = tuple(r for i, r in enumerate(m) if i != observer)
-        for outcome, p in per_demand_law[m].items():
-            key = (others, outcome)
-            joint[key] = joint.get(key, Fraction(0)) + prior * p
+        for outcome, c in per_demand_law[m].items():
+            joint[others, outcome] += c
 
-    marg_t: dict[tuple, Fraction] = {}
-    marg_o: dict[tuple, Fraction] = {}
-    for (t, o), p in joint.items():
-        marg_t[t] = marg_t.get(t, Fraction(0)) + p
-        marg_o[o] = marg_o.get(o, Fraction(0)) + p
+    marg_t: Counter = Counter()
+    marg_o: Counter = Counter()
+    for (t, o), c in joint.items():
+        marg_t[t] += c
+        marg_o[o] += c
 
     if witness is None:
         value: Fraction | float = Fraction(0)
-        if any(p != marg_t[t] * marg_o[o] for (t, o), p in joint.items()):
+        if any(c * denom != marg_t[t] * marg_o[o] for (t, o), c in joint.items()):
             raise RuntimeError("conditional laws equal but joint does not factorize")
     else:
+        # int / int is correctly rounded, as float(Fraction) is
         logq = math.log(params.q)
-        value = math.fsum(float(p) * math.log(float(p / (marg_t[t] * marg_o[o]))) / logq
-                          for (t, o), p in joint.items())
+        value = math.fsum(c / denom * math.log(c * denom / (marg_t[t] * marg_o[o])) / logq
+                          for (t, o), c in joint.items())
     return MiReport(
         conditional_laws_equal=witness is None,
         value=value,

@@ -6,16 +6,23 @@ linear bounds indexed by (s, lambda) with a minimal auxiliary index t, and
 the corner-point envelope they generate, built from the points
 ((N - L(t-1))/s, L((s-1)/2 + t(t-1)/(2s))) together with (0, L*floor(n_active/L)).
 
-Everything is a Fraction; dominance and gap checks are exact comparisons.
+Points, envelopes and lines are Fractions, and every check is exact.  The
+grid check compares integers: on the memory grid M_j = j * N / g each
+converse line and each envelope segment is (a + b * j) / e for integers a, b
+and e > 0, and all of them are put over one positive common denominator, so
+a comparison of two curves is a comparison of integer numerators.
 The certificate confirms that the achievable envelope is within a factor of
 6 of the corner-point lower envelope at every audited memory point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
+from operator import gt
 
 from .exact import Envelope, binomial, lower_convex_envelope
 
@@ -167,10 +174,15 @@ def converse_lines(n_files: int, n_users: int, demands_per_user: int,
 # ---------------------------------------------------------------------------
 
 
-def memory_grid(n_files: int, grid_size: int = 101) -> list[Fraction]:
+def _grid_intervals(grid_size: int) -> int:
     if grid_size < 2:
         raise ValueError("grid needs at least two points")
-    return [Fraction(j * n_files, grid_size - 1) for j in range(grid_size)]
+    return grid_size - 1
+
+
+def memory_grid(n_files: int, grid_size: int = 101) -> list[Fraction]:
+    g = _grid_intervals(grid_size)
+    return [Fraction(j * n_files, g) for j in range(grid_size)]
 
 
 @dataclass
@@ -184,32 +196,81 @@ class DominanceReport:
         return not self.violations
 
 
+def _grid_form(intercept: Fraction, slope: Fraction, n_files: int, g: int) -> tuple[int, int, int]:
+    """(a, b, e) with e > 0 and intercept + slope * M_j == (a + b * j) / e on
+    the grid M_j = j * n_files / g."""
+    run = slope.denominator * g
+    e = math.lcm(intercept.denominator, run)
+    return intercept.numerator * (e // intercept.denominator), slope.numerator * n_files * (e // run), e
+
+
+def _numerators(a: int, b: int, start: int, stop: int):
+    """a + b * j for j in [start, stop)."""
+    return range(a + b * start, a + b * stop, b) if b else [a] * (stop - start)
+
+
+def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int, int, int]]:
+    """(last grid index, a, b, e) per segment of ``env``, in order: the
+    segment holds the grid points after the previous piece's last index up to
+    its own, where the envelope equals (a + b * j) / e.  A domain that does
+    not cover [0, n_files] raises ``value_at``'s ValueError at the first
+    grid point outside it."""
+    lo, hi = env.domain
+    if lo > 0 or hi < n_files:
+        j = 0 if lo > 0 else max(0, hi.numerator * g // (hi.denominator * n_files) + 1)
+        env.value_at(Fraction(j * n_files, g))
+    bps = env.breakpoints
+    return [(min(g, x1.numerator * g // (x1.denominator * n_files)), *_grid_form(y0 - slope * x0, slope, n_files, g))
+            for ((x0, y0), (x1, _)), slope in zip(zip(bps, bps[1:]), env.slopes())]
+
+
+def _envelope_numerators(pieces: list[tuple[int, int, int, int]], denom: int) -> list[int]:
+    """The envelope's numerators over ``denom`` at every grid point, walking
+    its pieces once."""
+    out: list[int] = []
+    for last, a, b, e in pieces:
+        scale = denom // e
+        out.extend(_numerators(a * scale, b * scale, len(out), last + 1))
+    return out
+
+
 def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
                               grid_size: int = 101, lambda_step: Fraction = Fraction(1, 8)) -> DominanceReport:
     """Exact sandwich check on a memory grid: the corner envelope and every
     (s, lambda)-line must lie weakly below the achievable envelope.
 
-    Each envelope and each line is evaluated once per grid point.  A line
-    rising above the corner envelope somewhere is not an error (it just
-    means the line is locally the tighter bound); the first such M of each
-    line is reported informationally.
+    Each line and each envelope segment is turned once into integer
+    numerators over one common denominator; the envelopes are walked
+    segment by segment and each line's numerator steps by its slope along
+    the grid, so every comparison is between integers.  Fractions are built
+    only for what the report holds.  A line rising above the corner envelope
+    somewhere is not an error (it just means the line is locally the tighter
+    bound); the first such M of each line is reported informationally.
     """
-    ach = achievable_envelope(n_files, n_users, demands_per_user)
-    low = converse_corner_envelope(n_files, n_users, demands_per_user)
-    grid = memory_grid(n_files, grid_size)
-    ach_at = [ach.value_at(m) for m in grid]
-    low_at = [low.value_at(m) for m in grid]
-    violations = [(m, lo, up, "corner-envelope") for m, lo, up in zip(grid, low_at, ach_at) if lo > up]
-    above = []
+    g = _grid_intervals(grid_size)
+    ach = _envelope_pieces(achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
+    low = _envelope_pieces(converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
     lines = converse_lines(n_files, n_users, demands_per_user, lambda_step)
-    for line in lines:
-        line_at = [line.value_at(m) for m in grid]
-        tag = f"line s={line.s},lam={line.lam}"
-        violations += [(m, v, up, tag) for m, v, up in zip(grid, line_at, ach_at) if v > up]
-        first = next((m for m, v, lo in zip(grid, line_at, low_at) if v > lo), None)
+    forms = [_grid_form(line.intercept, line.slope, n_files, g) for line in lines]
+    denom = math.lcm(*(e for *_, e in ach + low + forms))
+    ach_at = _envelope_numerators(ach, denom)
+    low_at = _envelope_numerators(low, denom)
+
+    def report(j, value, upper, tag):
+        return Fraction(j * n_files, g), Fraction(value, denom), Fraction(upper, denom), tag
+
+    violations = [report(j, lo, up, "corner-envelope") for j, (lo, up) in enumerate(zip(low_at, ach_at)) if lo > up]
+    above = []
+    for line, (a, b, e) in zip(lines, forms):
+        scale = denom // e
+        line_at = _numerators(a * scale, b * scale, 0, g + 1)
+        if any(map(gt, line_at, ach_at)):
+            tag = f"line s={line.s},lam={line.lam}"
+            violations += [report(j, v, up, tag) for j, (v, up) in enumerate(zip(line_at, ach_at)) if v > up]
+        first = next(compress(count(), map(gt, line_at, low_at)), None)
         if first is not None:
-            above.append((line.s, line.lam, first))
-    return DominanceReport(len(grid) * (1 + len(lines)), violations, above)
+            above.append((line.s, line.lam, Fraction(first * n_files, g)))
+    return DominanceReport((g + 1) * (1 + len(lines)), violations, above)
 
 
 @dataclass

@@ -407,6 +407,9 @@ REPLAY = [
                  0, "e29055f85ca0be70965a629b26ef29bc19b1841dda08e5ba1bb2450d7ab75efa", id="audit-empirical-422"),
     pytest.param(("gap", "--N", "5", "--K", "2", "--L", "2"),
                  0, "1ae39da33a425714a93ce9061d086fe5b2245d9d4ffb2c373df9560269f862be", id="gap"),
+    # all 144 triples at a non-default grid and lambda step
+    pytest.param(("gap", "--sweep", "N=1..8,K=1..4", "--grid", "41", "--lambda-step", "2/7"),
+                 0, "00b3f632eb0cfaeb3d40125e076a16d14ad0c9293497d715f4bd557495b15fd4", id="gap-sweep-grid41-step2-7"),
     pytest.param(("tradeoff", "--N", "5", "--K", "2", "--L", "2"),
                  0, "cb2f811b42c9d56ef1a61315cf727bec7f1c599eae6ce30dc2e138564771ec3f", id="tradeoff"),
 ]
@@ -537,13 +540,25 @@ def test_cached_parser_recovers_from_a_usage_error(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_import_loads_no_process_pool():
+def _source_tree_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_import_loads_no_process_pool():
     probe = ("import sys, privcache.cli; "
              "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=_source_tree_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout == "[]\n"
+
+
+def test_python_m_privcache_runs_the_cli():
+    out = subprocess.run([sys.executable, "-m", "privcache", "gap", "--N", "2", "--K", "1", "--L", "1"],
+                         env=_source_tree_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["all_passed"] is True
 
 
 @pytest.mark.parametrize("argv", [

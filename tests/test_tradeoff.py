@@ -5,6 +5,8 @@ dominance, mutation detection, and gap certificates."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from privcache import tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
@@ -201,18 +203,88 @@ def test_dominance_matches_per_point_reference(dims, grid_size, lambda_step):
     assert verify_envelope_dominance(*dims, grid_size, lambda_step) == per_point_dominance(*dims, grid_size, lambda_step)
 
 
-def test_dominance_evaluates_each_envelope_once_per_grid_point(monkeypatch):
+def test_dominance_makes_no_per_point_evaluations(monkeypatch):
     calls = []
-    value_at = Envelope.value_at
+    for cls in (Envelope, tradeoff.ConverseLine):
+        def counting(self, x, value_at=cls.value_at):
+            calls.append((type(self).__name__, x))
+            return value_at(self, x)
 
-    def counting(self, x):
-        calls.append(x)
-        return value_at(self, x)
-
-    monkeypatch.setattr(Envelope, "value_at", counting)
+        monkeypatch.setattr(cls, "value_at", counting)
     rep = verify_envelope_dominance(5, 2, 2)
-    assert len(calls) == 2 * 101
+    assert calls == []
     assert rep.checked_points == 101 * (1 + 9 * max_converse_s(5, 2, 2)) == 1919
+
+
+LAMBDA_STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 8))
+
+
+@st.composite
+def dominance_cases(draw):
+    """A triple, a grid and a lambda step, and both envelopes, each either
+    the real one or re-hulled from its rates scaled by factors in [1/2, 3/2]
+    (enough to produce violations and lines above the corner envelope)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    big_l = draw(st.integers(1, n))
+    factor = st.fractions(Fraction(1, 2), Fraction(3, 2), max_denominator=12)
+    ach = achievable_envelope(n, k, big_l)
+    if draw(st.booleans()):
+        ach = lower_convex_envelope((p.m, p.rate * draw(factor)) for p in achievable_points(n, k, big_l))
+    low = converse_corner_envelope(n, k, big_l)
+    if draw(st.booleans()):
+        low = lower_convex_envelope((m, r * draw(factor)) for m, r in low.breakpoints)
+    return (n, k, big_l), draw(st.integers(2, 101)), draw(st.sampled_from(LAMBDA_STEPS)), ach, low
+
+
+def dominance_pair(case):
+    """The kernel's report and the per-point reference's on ``case``."""
+    dims, grid_size, lambda_step, ach, low = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tradeoff, "achievable_envelope", lambda *_: ach)
+        patch.setattr(tradeoff, "converse_corner_envelope", lambda *_: low)
+        return (verify_envelope_dominance(*dims, grid_size, lambda_step),
+                per_point_dominance(*dims, grid_size, lambda_step))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominance_cases())
+def test_dominance_kernel_matches_per_point_oracle(case):
+    kernel, reference = dominance_pair(case)
+    assert kernel == reference
+
+
+@pytest.mark.parametrize("branch", ["violations", "lines_above_corner_envelope"])
+def test_dominance_cases_reach_every_branch(branch):
+    # the oracle test above is only as strong as its cases: perturbed
+    # envelopes must reach both kinds of report entry
+    case = find(dominance_cases(), lambda c: getattr(dominance_pair(c)[0], branch),
+                settings=settings(max_examples=2000, database=None))
+    kernel, reference = dominance_pair(case)
+    assert getattr(kernel, branch) and kernel == reference
+
+
+@pytest.mark.parametrize("short_end", ["left", "right"])
+def test_dominance_rejects_envelope_short_of_the_grid(monkeypatch, short_end):
+    bps = converse_corner_envelope(5, 2, 2).breakpoints
+    short = Envelope(bps[1:] if short_end == "left" else bps[:-1])
+    monkeypatch.setattr(tradeoff, "converse_corner_envelope", lambda *dims: short)
+    with pytest.raises(ValueError, match="outside envelope domain") as kernel:
+        verify_envelope_dominance(5, 2, 2)
+    with pytest.raises(ValueError) as reference:
+        per_point_dominance(5, 2, 2)
+    assert str(kernel.value) == str(reference.value)
+
+
+def test_dominance_walks_envelopes_wider_than_the_grid(monkeypatch):
+    # breakpoints beyond [0, N] on both sides leave pieces that hold no grid point
+    low = converse_corner_envelope(5, 2, 2)
+    (x0, y0), (x1, y1) = low.breakpoints[0], low.breakpoints[-1]
+    first, *_, last = low.slopes()
+    wide = Envelope(((x0 - 1, y0 - first + 1), *low.breakpoints, (x1 + 1, y1 + last + 1)))
+    monkeypatch.setattr(tradeoff, "converse_corner_envelope", lambda *dims: wide)
+    for grid_size in (2, 11, 101):
+        assert verify_envelope_dominance(5, 2, 2, grid_size) == per_point_dominance(5, 2, 2, grid_size)
 
 
 def test_converse_lines_order_and_count():
