@@ -21,21 +21,24 @@ demands:
   row) plus I(other rows; symbols | tag, observer row) = 0 (sufficiency and
   data processing, Cover & Thomas ch. 2).  It is computed from the tag
   counts alone: no library is enumerated, no cache placed, no broadcast
-  encoded.  Zero is certified by exact conditional-law equality within each
-  class of the observer's row, which holds for every prior at once; a
+  encoded.  Zero is certified by exact conditional-law equality among the
+  matrices sharing the observer's row, which holds for every prior at once; a
   nonzero value, which the derandomized baseline variants exhibit, is
   reported in base-q units.
 
-Both routes enumerate the label-free stages of the scheme's randomness
-through the one generator ``scheme.realizations`` and neither walks the N!
-file relabelings: the relabeling is uniform and independent of the other
-stages, so ``_view_counts`` spreads the count of each label pattern of the
-expanded demand evenly over the pattern's orbit, which gives the same
-integer counts.  Given the demand matrix the realizations are equally likely
-(each stage is uniform, with a support size that does not depend on earlier
-draws), so every law is an integer count of atoms divided once by the
-number of atoms.  Budgets charge the atoms of the laws computed,
-relabelings included; the libraries, never enumerated, are not charged.
+Both routes work on classes of the masked demand and never walk the N!
+file relabelings.  They enumerate the label-free stages of the scheme's
+randomness through the one generator ``scheme.realizations``; the
+relabeling is uniform and independent of those stages, so with it on a
+class is a label pattern of the expanded demand (its d labels renumbered in
+order of first occurrence), holding the size = N!/(N - d)! vectors a
+relabeling maps it onto, and with it off a class is one vector, of size 1.
+The realizations are equally likely (each stage is uniform, with a support
+size that does not depend on earlier draws), so a class counted c times out
+of ``atoms`` gives each member the mass c / (atoms * size).  Only
+``masked_demand_law``, which returns the full law, expands a class into its
+members.  Budgets charge the atoms of the laws, relabelings included, and
+no libraries.
 
 A chi-square smoke test covers instances too large for exact enumeration.
 """
@@ -48,7 +51,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Mapping
 
 from . import scheme as sch
@@ -91,22 +93,25 @@ def restricted_vector_count(params: SchemeParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _relabeling_count(params: SchemeParams, variant: Variant) -> int:
-    """How many equally likely file relabelings the variant draws from."""
-    return math.factorial(params.n_files) if variant.relabel_files else 1
+def _stage_sizes(params: SchemeParams, variant: Variant, need: int) -> tuple[int, int, int, int]:
+    """Support sizes of the stages of the scheme's randomness under
+    ``variant``: file relabelings, one user's slot tuples, the cover sets (the
+    n_active-subsets of [N) holding ``need`` given requested files) and one
+    user's block fills.  A stage the variant switches off has one outcome."""
+    n, a = params.n_files, params.n_active
+    return (math.factorial(n) if variant.relabel_files else 1,
+            len(sch.slot_support(params)) if variant.random_slots else 1,
+            binomial(n - need, a - need) if variant.random_cover else 1,
+            math.factorial(a - params.demands_per_user) if variant.random_fill else 1)
 
 
-def _law_atom_count(params: SchemeParams, demands: Demands, variant: Variant, pinned: int = 1) -> int:
-    """How many equally likely atoms one demand matrix's law has with
-    ``pinned`` users' slot tuples fixed: each realization
-    ``scheme.realizations`` yields, under each relabeling.  The cover sets
-    are counted in closed form: the n_active-subsets of [N) holding the
-    requested files."""
-    slots = len(sch.slot_support(params)) if variant.random_slots else 1
-    need = len(sch.requested_files(demands))
-    covers = binomial(params.n_files - need, params.n_active - need) if variant.random_cover else 1
-    fill = math.factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1
-    return _relabeling_count(params, variant) * slots ** (params.n_users - pinned) * covers * fill ** params.n_users
+def _law_atoms(params: SchemeParams, demands: Demands, variant: Variant, pinned: int = 1) -> tuple[int, int]:
+    """(label-free atoms, relabelings) of one demand matrix's law with
+    ``pinned`` users' slot tuples fixed: the equally likely realizations
+    ``scheme.realizations`` yields, and the relabelings each is seen under.
+    Budgets charge their product."""
+    relabelings, slots, covers, fill = _stage_sizes(params, variant, len(sch.requested_files(demands)))
+    return slots ** (params.n_users - pinned) * covers * fill ** params.n_users, relabelings
 
 
 def _check_observer(params: SchemeParams, observer: int):
@@ -114,90 +119,85 @@ def _check_observer(params: SchemeParams, observer: int):
         raise ValueError("observer out of range")
 
 
-def _check_visited(counts: Mapping, atoms: int):
-    visited = sum(counts.values())
-    if visited != atoms:
-        raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
-
-
-def _normalized(counts: Mapping, atoms: int) -> dict:
-    """Law of equally likely atoms from their per-key counts."""
-    _check_visited(counts, atoms)
-    mass = {c: Fraction(c, atoms) for c in set(counts.values())}
-    return {key: mass[c] for key, c in counts.items()}
-
-
 def _label_pattern(vector: tuple[int, ...]) -> tuple[int, ...]:
     """The vector with its labels renumbered 0, 1, ... in order of first
     occurrence; two vectors share a pattern iff a relabeling maps one onto
-    the other."""
+    the other.  The pattern is itself a vector of its class, the first one
+    ``masked_demand_law`` lists."""
     first: dict[int, int] = {}
     return tuple(first.setdefault(v, len(first)) for v in vector)
 
 
-def _relabeled_counts(n_files: int, counts: Mapping) -> dict:
-    """Atom counts of (tag, relabeled vector) from those of (tag, vector),
-    under every relabeling of [N); the tag rides along unchanged.  A vector
-    with d distinct labels is mapped onto each vector of its pattern by
-    exactly (N - d)! relabelings, so each (tag, pattern)'s total count c goes
-    to every injection of its d labels into [N) with weight c * (N - d)!."""
-    by_pattern = Counter()
-    for (tag, vector), c in counts.items():
-        by_pattern[tag, _label_pattern(vector)] += c
-    out = {}
-    for (tag, pattern), c in by_pattern.items():
-        d = max(pattern) + 1
-        weight = c * math.factorial(n_files - d)
-        # itemgetter of one index returns the bare entry, not a 1-tuple
-        relabel = itemgetter(*pattern) if len(pattern) > 1 else lambda image: image[:1]
-        for image in itertools.permutations(range(n_files), d):
-            out[tag, relabel(image)] = weight
-    return out
+def _class_size(params: SchemeParams, variant: Variant, cls: tuple[int, ...]) -> int:
+    """How many masked vectors the class holds: the injections of a
+    pattern's d labels into [N), or 1 with relabeling off."""
+    return math.perm(params.n_files, max(cls) + 1) if variant.relabel_files else 1
 
 
 def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
-                 slots: Mapping[int, tuple[int, ...]] | None = None) -> dict:
-    """Atom counts of (observer slot tuple, masked demand) over every
-    realization of one demand matrix, relabelings included.
-
-    The label-free realizations are counted by (observer slot tuple,
-    expanded demand) and checked against their predicted number; with
-    relabeling on, ``_relabeled_counts`` spreads them over every relabeling.
-    Keys keep the enumeration's first-occurrence order."""
-    counts = Counter((sel[observer], expanded)
+                 slots: Mapping[int, tuple[int, ...]] | None = None) -> Counter:
+    """Atom counts of (observer slot tuple, class of the masked demand) over
+    every label-free realization of one demand matrix, checked against their
+    predicted number.  Keys keep the enumeration's first-occurrence order."""
+    classify = _label_pattern if variant.relabel_files else tuple
+    counts = Counter((sel[observer], classify(expanded))
                      for sel, _, expanded in sch.realizations(params, demands, variant, slots))
-    atoms = _law_atom_count(params, demands, variant, pinned=len(slots or ()))
-    _check_visited(counts, atoms // _relabeling_count(params, variant))
-    return _relabeled_counts(params.n_files, counts) if variant.relabel_files else counts
+    visited, atoms = sum(counts.values()), _law_atoms(params, demands, variant, pinned=len(slots or ()))[0]
+    if visited != atoms:
+        raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
+    return counts
+
+
+def _class_law(params: SchemeParams, demands: Demands, observer: int, selector: tuple[int, ...],
+               variant: Variant, budget: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """Atom counts of the masked demand's classes given the demand matrix and
+    the observer's slot tuple, and the number of label-free atoms behind
+    them.  The budget applies to the atoms times the relabelings."""
+    demands = sch.validate_demands(params, demands)
+    _check_observer(params, observer)
+    pinned = sch.checked_slots(params, {observer: selector})
+    atoms, relabelings = _law_atoms(params, demands, variant)
+    _check_budget(atoms * relabelings, budget, "masked-demand law enumeration")
+    counts = _view_counts(params, demands, observer, variant, pinned)
+    return {cls: c for (_, cls), c in counts.items()}, atoms
 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
                       selector: tuple[int, ...], variant: Variant = FULL,
                       budget: int = 10 ** 7) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the masked expanded demand given the demand matrix and the
-    observer's slot tuple, from ``_view_counts`` with that slot tuple pinned.
-    The budget applies to the full atom count, relabelings included."""
-    demands = sch.validate_demands(params, demands)
-    _check_observer(params, observer)
-    pinned = sch.checked_slots(params, {observer: selector})
-    atoms = _law_atom_count(params, demands, variant)
-    _check_budget(atoms, budget, "masked-demand law enumeration")
-    counts = _view_counts(params, demands, observer, variant, pinned)
-    return _normalized({masked: c for (_, masked), c in counts.items()}, atoms)
+    observer's slot tuple: each class of ``_class_law`` expanded into its
+    members, the one place where a class is expanded.  The budget applies
+    to the full atom count, relabelings included."""
+    counts, atoms = _class_law(params, demands, observer, selector, variant, budget)
+    files = range(params.n_files)
+    law = {}
+    for cls, c in counts.items():
+        mass = Fraction(c, atoms * _class_size(params, variant, cls))
+        # with relabeling off the identity is the one image
+        for image in itertools.permutations(files, max(cls) + 1) if variant.relabel_files else [files]:
+            law[tuple(image[i] for i in cls)] = mass
+    return law
 
 
 @dataclass
 class InvarianceReport:
+    """``max_discrepancy`` is the largest gap, on one vector, between a law
+    holding it and the uniform mass, or between the first law and another."""
+
     identical: bool
+    uniform: bool
     max_discrepancy: Fraction
-    laws: list[dict[tuple[int, ...], Fraction]]
 
 
 def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], observer: int,
                           selector: tuple[int, ...], variant: Variant = FULL,
                           budget: int = 10 ** 7) -> InvarianceReport:
-    """Exact equality of the masked-demand law across demand matrices that agree
-    on the observer's row (the distribution a curious user could ever see)."""
+    """Exact uniformity of the masked-demand law, and its equality across
+    demand matrices that agree on the observer's row (the distribution a
+    curious user could ever see), decided on the class counts: every member
+    of a class has the same mass, so two laws agree iff their class masses
+    c / atoms agree."""
     mats = [sch.validate_demands(params, d) for d in demand_list]
     if not mats:
         raise ValueError("empty demand list")
@@ -205,17 +205,24 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     row = mats[0][observer]
     if any(m[observer] != row for m in mats):
         raise ValueError("demand matrices must agree on the observer's row")
-    laws = [masked_demand_law(params, m, observer, selector, variant, budget) for m in mats]
-    worst = Fraction(0)
-    base = laws[0]
-    for law in laws[1:]:
-        if law == base:
-            continue
-        for key in set(base) | set(law):
-            gap = abs(base.get(key, Fraction(0)) - law.get(key, Fraction(0)))
-            if gap > worst:
-                worst = gap
-    return InvarianceReport(identical=(worst == 0), max_discrepancy=worst, laws=laws)
+    laws = [_class_law(params, m, observer, selector, variant, budget) for m in mats]
+    sizes = {cls: _class_size(params, variant, cls) for counts, _ in laws for cls in counts}
+    mass = closed_form_mass(params)
+    # one Fraction per distinct (count, denominator) pair, not one per class
+    worst = max(abs(Fraction(c, den) - mass)
+                for c, den in {(c, atoms * sizes[cls]) for counts, atoms in laws for cls, c in counts.items()})
+    # the masses of a law sum to 1, so at the uniform mass its support has
+    # the closed-form size
+    uniform = worst == 0
+    identical = True
+    base, base_atoms = laws[0]
+    for counts, atoms in laws[1:]:
+        for cls in base.keys() | counts.keys():
+            gap = abs(base.get(cls, 0) * atoms - counts.get(cls, 0) * base_atoms)
+            if gap:
+                identical = False
+                worst = max(worst, Fraction(gap, base_atoms * atoms * sizes[cls]))
+    return InvarianceReport(identical=identical, uniform=uniform, max_discrepancy=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +237,17 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
     n, f, q = params.n_files, params.file_len, params.q
     # the cap keeps q^(N F) from being built for large instances
     too_many = f * n * math.log(q) > math.log(10 ** 30)
-    n_rows = falling_factorial(n, params.demands_per_user)
-    slots = (len(sch.slot_support(params)) if variant.random_slots else 1) ** params.n_users
-    fill = (math.factorial(params.n_active - params.demands_per_user) if variant.random_fill else 1) ** params.n_users
-    max_covers = binomial(n - params.demands_per_user, params.n_active - params.demands_per_user) if variant.random_cover else 1
+    # a demand matrix requests at least L files, so has at most this many covers
+    relabelings, slots, covers, fill = _stage_sizes(params, variant, params.demands_per_user)
     cards = {
         "library_realizations": 10 ** 30 if too_many else q ** (n * f),
-        "demand_matrices": n_rows ** params.n_users,
-        "relabelings": _relabeling_count(params, variant),
-        "slot_assignments": slots,
-        "cover_sets_max": max(max_covers, 1),
-        "block_fills": fill,
+        "demand_matrices": falling_factorial(n, params.demands_per_user) ** params.n_users,
+        "relabelings": relabelings,
+        "slot_assignments": slots ** params.n_users,
+        "cover_sets_max": covers,
+        "block_fills": fill ** params.n_users,
     }
-    return cards["demand_matrices"] * cards["relabelings"] * slots * cards["cover_sets_max"] * fill, cards
+    return cards["demand_matrices"] * relabelings * cards["slot_assignments"] * covers * cards["block_fills"], cards
 
 
 @dataclass
@@ -251,10 +256,10 @@ class MiReport:
 
     ``value`` is Fraction(0) exactly when the conditional laws of the
     observer's tag (slot tuple, masked demand) given each demand matrix agree
-    within every class of the observer's own row (rational-equality
+    among the matrices sharing the observer's own row (rational-equality
     certificate); otherwise it is a float in base-q units, summed by math.fsum,
     strictly positive, with a witness (matrix, other matrix, outcome)
-    attached.
+    attached, whose masked demand is the first vector of its class.
     """
 
     conditional_laws_equal: bool
@@ -271,7 +276,9 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     uniform prior on demand matrices.  It equals I(other rows ; tag,
     observer row) with tag = (observer slot tuple, masked demand): the
     symbols add nothing (proof in the module docstring).  So the laws come
-    from ``_view_counts`` alone, and no library is enumerated.  Zero is
+    from the class counts of ``_view_counts`` alone, and no library is
+    enumerated.  The members of a class share p = J/s and p_o = O/s, so
+    p/(p_t p_o) = J D/(T O) (D the denominator): s cancels.  Zero is
     certified by equal conditional laws given each observer row, for every
     prior at once.
     Under the uniform prior a joint that factorizes forces those laws equal,
@@ -284,28 +291,28 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
 
     start = time.perf_counter()
     # every law as integer numerators over one common denominator: the lcm
-    # of the matrices' atom counts
-    atoms = {m: _law_atom_count(params, m, variant, pinned=0) for m in mats}
+    # of the matrices' label-free atom counts.  An outcome is ((observer
+    # slot tuple, class), own row), the class keyed by its first member.
+    atoms = {m: _law_atoms(params, m, variant, pinned=0)[0] for m in mats}
     common = math.lcm(*atoms.values())
     per_demand_law = {}
     for m in mats:
-        counts = _view_counts(params, m, observer, variant)
-        _check_visited(counts, atoms[m])
         scale = common // atoms[m]
-        per_demand_law[m] = {(tag, m[observer]): c * scale for tag, c in counts.items()}
+        per_demand_law[m] = {(tag, m[observer]): c * scale
+                             for tag, c in _view_counts(params, m, observer, variant).items()}
 
     # the conditional outcome law may depend on the observer's own row only
-    classes: dict[tuple[int, ...], list[Demands]] = {}
+    by_row: dict[tuple[int, ...], list[Demands]] = {}
     for m in mats:
-        classes.setdefault(m[observer], []).append(m)
+        by_row.setdefault(m[observer], []).append(m)
     witness = None
-    for members in classes.values():
-        base = per_demand_law[members[0]]
-        other = next((o for o in members[1:] if per_demand_law[o] != base), None)
+    for peers in by_row.values():
+        base = per_demand_law[peers[0]]
+        other = next((o for o in peers[1:] if per_demand_law[o] != base), None)
         if other is not None:
             law = per_demand_law[other]
             bad = next(k for k in itertools.chain(base, law) if base.get(k, 0) != law.get(k, 0))
-            witness = (members[0], other, bad)
+            witness = (peers[0], other, bad)
             break
 
     # joint and marginals as integer numerators over denom: the uniform

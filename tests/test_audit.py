@@ -171,7 +171,7 @@ def test_law_skips_the_relabeling_loop(monkeypatch):
     assert set(law.values()) == {closed_form_mass(P522)}
     # 12 slot tuples x 1 cover set x 2 x 2 fills; the 120 relabelings are not walked
     assert len(drawn) == 48
-    assert audit._law_atom_count(P522, ((0, 1), (2, 3)), FULL) == 48 * 120
+    assert audit._law_atoms(P522, ((0, 1), (2, 3)), FULL) == (48, 120)
 
 
 def test_law_raises_when_unrelabeled_atoms_go_missing(monkeypatch):
@@ -194,7 +194,47 @@ def test_invariance_requires_shared_observer_row():
 def test_invariance_across_other_rows():
     family = [((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
     rep = verify_law_invariance(P321, family, 0, (1,))
-    assert rep.identical and len(rep.laws) == 3
+    assert rep.identical and rep.uniform and rep.max_discrepancy == 0
+
+
+def _key_by_key_verdict(params, laws):
+    """Reference verdict on full laws, vector by vector: (uniform, identical,
+    max discrepancy).  Uniform: every law has the closed-form support size
+    and mass; identical: every law equals the first; the discrepancy is the
+    largest gap on one vector between a law holding it and the uniform mass,
+    or between the first law and another."""
+    mass, support = closed_form_mass(params), restricted_vector_count(params)
+    to_uniform = max(abs(p - mass) for law in laws for p in law.values())
+    base = laws[0]
+    between = max((abs(base.get(key, 0) - law.get(key, 0)) for law in laws[1:] for key in base.keys() | law.keys()),
+                  default=Fraction(0))
+    uniform = to_uniform == 0 and all(len(law) == support for law in laws)
+    return uniform, between == 0, max(to_uniform, between)
+
+
+VERDICT_VARIANTS = (FULL, NO_RELABEL, PLAIN_BASELINE, Variant(random_fill=False), Variant(random_cover=False),
+                    Variant(random_slots=False))
+
+
+def _verdict_cases():
+    # every P321 matrix, in the family of the matrices sharing its observer row
+    for observer, selector in itertools.product((0, 1), scheme.slot_support(P321)):
+        rows = {}
+        for demands in scheme.all_demand_matrices(P321):
+            rows.setdefault(demands[observer], []).append(demands)
+        for family in rows.values():
+            yield P321, family, observer, selector
+    yield P522, [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))], 0, (0, 2)
+    yield SchemeParams(4, 2, 2, r=1), [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))], 0, (1, 0)
+
+
+@pytest.mark.parametrize("variant", VERDICT_VARIANTS,
+                         ids=("full", "no-relabel", "plain", "frozen-fill", "frozen-cover", "frozen-slots"))
+def test_class_verdict_equals_key_by_key_verdict(variant):
+    for params, family, observer, selector in _verdict_cases():
+        rep = verify_law_invariance(params, family, observer, selector, variant)
+        laws = [masked_demand_law(params, m, observer, selector, variant) for m in family]
+        assert (rep.uniform, rep.identical, rep.max_discrepancy) == _key_by_key_verdict(params, laws)
 
 
 def test_mutation_no_relabel_detected():
@@ -280,14 +320,23 @@ def test_exact_mi_budget_error_names_cardinality():
     assert "exceed" in str(err.value)
 
 
+def _relabeled_views(params, demands, observer, variant):
+    """Atom counts of (observer slot tuple, masked demand) over every
+    label-free realization under every relabeling, one atom at a time."""
+    n = params.n_files
+    relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
+    return Counter((sel[observer], scheme.relabeled_demand(e, relab))
+                   for sel, _, e in scheme.realizations(params, demands, variant) for relab in relabs)
+
+
 def _library_mi(params, observer, variant):
     """Brute-force oracle: the exact MI with every library enumerated and the
     observer's cache contents and the broadcast segments in the outcome.
     Returns (conditional laws equal, value), the value Fraction(0) when the
     laws are equal and a float in base-q units otherwise."""
     mats = list(scheme.all_demand_matrices(params))
-    views = [audit._view_counts(params, m, observer, variant) for m in mats]
     q, n, f = params.q, params.n_files, params.file_len
+    views = [_relabeled_views(params, m, observer, variant) for m in mats]
     counts = [Counter() for _ in mats]
     for flat in itertools.product(range(q), repeat=n * f):
         library = Library(params.field, tuple(flat[i * f:(i + 1) * f] for i in range(n)))
@@ -334,8 +383,11 @@ def test_exact_mi_equals_library_enumeration(params):
             assert rep.witness is None
         else:
             assert value > 0 and rep.value == pytest.approx(value, rel=1e-12)
-            m, other, _ = rep.witness
-            assert m[observer] == other[observer] and m != other
+            m, other, (tag, row) = rep.witness
+            assert m[observer] == other[observer] == row and m != other
+            # the witness names a concrete masked vector on which the two laws differ
+            laws = [_relabeled_views(params, d, observer, variant) for d in (m, other)]
+            assert len({Fraction(law[tag], law.total()) for law in laws}) == 2
 
 
 @pytest.mark.parametrize("q", (2, 257))
@@ -362,11 +414,19 @@ def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL,
     demands = scheme.validate_demands(params, demands)
     audit._check_observer(params, observer)
     selector = scheme.checked_slots(params, {observer: selector})[observer]
-    audit._check_budget(audit._law_atom_count(params, demands, variant, pinned=0), budget,
+    audit._check_budget(math.prod(audit._law_atoms(params, demands, variant, pinned=0)), budget,
                         "joint slot-tuple enumeration")
     counts = audit._view_counts(params, demands, observer, variant)
-    return audit._normalized({masked: c for (sel, masked), c in counts.items() if sel == selector},
-                             audit._law_atom_count(params, demands, variant))
+    # each class spread over every relabeling of its first vector
+    atoms = audit._law_atoms(params, demands, variant)[0]
+    n = params.n_files
+    relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
+    law = Counter()
+    for (sel, cls), c in counts.items():
+        if sel == selector:
+            for relab in relabs:
+                law[scheme.relabeled_demand(cls, relab)] += Fraction(c, atoms * len(relabs))
+    return dict(law)
 
 
 def test_joint_marginal_reproduces_direct_law():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from privcache import audit, cli, tradeoff, ucc
+from privcache import audit, cli, scheme, tradeoff, ucc
 from privcache.cli import main
 
 
@@ -99,17 +99,23 @@ def test_audit_ptilde_explicit_selector_and_demands(tmp_path):
 
 
 def test_audit_ptilde_computes_each_law_once(monkeypatch, tmp_path):
-    real = audit.masked_demand_law
-    calls = []
+    """One enumeration pass per demand matrix, decided on the class counts:
+    no full law is expanded on the CLI path."""
+    real = scheme.realizations
+    passes = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(params, demands, *args):
+        passes.append(demands)
+        return real(params, demands, *args)
 
-    monkeypatch.setattr(audit, "masked_demand_law", counting)
+    def expanded(*args, **kwargs):
+        raise AssertionError("full masked-demand law expanded")
+
+    monkeypatch.setattr(scheme, "realizations", counting)
+    monkeypatch.setattr(audit, "masked_demand_law", expanded)
     assert run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2",
-                   "--selector", "0,2", "--demands", "0,1;2,3", "--out", str(tmp_path / "law.json")) == 0
-    assert len(calls) == 1
+                   "--selector", "0,2", "--out", str(tmp_path / "law.json")) == 0
+    assert passes == [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))]
 
 
 def test_audit_ptilde_mutant_fails(tmp_path):
@@ -159,6 +165,16 @@ def test_audit_ptilde_budget_counts_every_relabeling(capsys):
     assert code == 3
     assert capsys.readouterr().err == ("budget error: masked-demand law enumeration: "
                                        "17280 enumeration atoms exceed the budget of 100\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--budget", "-1"),
+    ("--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--budget", "0"),
+    ("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--budget", "0"),
+], ids=["ptilde-negative", "ptilde-zero", "mi-zero"])
+def test_audit_budget_below_one_is_usage_error(argv, capsys):
+    assert run_cli("audit", *argv) == 2
+    assert capsys.readouterr().err == "usage error: --budget must be at least 1\n"
 
 
 def test_gap_builds_each_envelope_once_per_triple(monkeypatch, tmp_path):
@@ -293,6 +309,12 @@ def test_gap_empty_sweep_is_usage_error(sweep, capsys):
     assert "no (N, K, L) triple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["N=1..2,N=3..3", "K=1..2,N=2,K=3"])
+def test_gap_repeated_sweep_component_is_usage_error(sweep, capsys):
+    assert run_cli("gap", "--sweep", sweep) == 2
+    assert "given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["tradeoff", "gap"])
 @pytest.mark.parametrize("step", ["1/0", "x"])
 def test_lambda_step_that_is_not_a_fraction_is_usage_error(command, step, capsys):
@@ -374,6 +396,9 @@ REPLAY = [
     pytest.param(("audit", "--mode", "ptilde", "--N", "4", "--K", "2", "--L", "2", "--selector", "1,0",
                   "--variant", "plain"),
                  1, "465900177c976923cec5a6cfd84db44467704c63273463c1128f88769c44fc1e", id="audit-ptilde-422-plain"),
+    # 1,728,000 support vectors per law, decided on the label-pattern classes
+    pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "3", "--L", "2", "--budget", "100000000"),
+                 0, "dea060cab2ca24c85410d3a32d0e0522517eef439997b734f0cd8dcbe410757b", id="audit-ptilde-532"),
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--baseline"),
                  0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
@@ -390,6 +415,9 @@ REPLAY = [
     # six relabelings, zero MI
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--q", "2", "--F", "2", "--r", "0"),
                  0, "8e594430d447a2f489fbbe0c25ebe1d345a325bec3be5f69505cc7c8a9a047c5", id="audit-mi-321-r0"),
+    # 24 relabelings, three users: zero MI from the (tag, class, own row) counts
+    pytest.param(("audit", "--mode", "mi", "--N", "4", "--K", "3", "--L", "1", "--F", "36", "--r", "2"),
+                 0, "e0ef3c577e98a6620c5bab72514fddf2b5d28f8db71ebfcb37c58d0768777cc7", id="audit-mi-431-r2"),
     # K = 1, L = N: a slot tuple and a masked demand have the same length
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "1", "--L", "3", "--q", "2", "--F", "1", "--r", "0",
                   "--baseline"),

@@ -1,4 +1,4 @@
-"""Lint: no module in src/ or tests/ imports a name it never uses."""
+"""Lint: no module in src/, tests/ or perfbench/ imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -27,6 +27,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    assert files
+    files = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").rglob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert {path.parent.name for path in files} >= {"privcache", "tests", "perfbench"}
     assert [hit for path in files for hit in unused_imports(path)] == []

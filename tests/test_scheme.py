@@ -2,6 +2,7 @@
 randomness, decoding, measured memory/rate, and trace replay."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -422,7 +423,8 @@ def test_realization_count_equals_law_budget_prediction():
     for p, demands in cases:
         for variant in VARIANTS:
             pinned = realizations(p, demands, variant, {0: slot_support(p)[-1]})
-            relabelings = audit._relabeling_count(p, variant)
-            assert sum(1 for _ in pinned) * relabelings == audit._law_atom_count(p, demands, variant)
+            atoms, relabelings = audit._law_atoms(p, demands, variant)
+            assert relabelings == (math.factorial(p.n_files) if variant.relabel_files else 1)
+            assert sum(1 for _ in pinned) == atoms
             unpinned = realizations(p, demands, variant)
-            assert sum(1 for _ in unpinned) * relabelings == audit._law_atom_count(p, demands, variant, pinned=0)
+            assert sum(1 for _ in unpinned) == audit._law_atoms(p, demands, variant, pinned=0)[0]
