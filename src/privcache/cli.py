@@ -364,6 +364,8 @@ def cmd_gap(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
     if args.sweep:
+        if (args.N, args.K, args.L) != (None, None, None):
+            raise ValueError("pass either --N/--K/--L or --sweep")
         triples = tradeoff.sweep_triples(args.sweep.get("N", (1, 8)), args.sweep.get("K", (1, 4)), args.sweep.get("L"))
         if not triples:
             raise ValueError("sweep selects no (N, K, L) triple")

@@ -7,8 +7,8 @@ carried out with exact cross products, so every downstream rate/memory
 comparison can assert equality instead of a tolerance.
 
 Subset enumeration is pinned to lexicographic order over the sorted ground
-set, with ranks in the combinatorial number system, so subfile indices are
-reproducible across runs and stable in trace files.
+set, so a subset's position in that order (its rank, which subfile indices
+and trace files use) is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def falling_factorial(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subsets: lexicographic enumeration and rank
+# Subsets: lexicographic enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -54,26 +54,6 @@ def subsets_of_size(ground: Iterable, k: int) -> Iterator[tuple]:
     if k < 0 or k > len(base):
         return iter(())
     return itertools.combinations(base, k)
-
-
-def subset_rank(ground: Iterable, subset: Iterable) -> int:
-    """Lexicographic rank of ``subset`` among the |subset|-subsets of ``ground``."""
-    base = sorted(ground)
-    pos = {v: i for i, v in enumerate(base)}
-    try:
-        idx = sorted(pos[v] for v in subset)
-    except KeyError as exc:
-        raise ValueError(f"subset element {exc.args[0]!r} not in ground set") from None
-    if len(set(idx)) != len(idx):
-        raise ValueError("subset has repeated elements")
-    n, k = len(base), len(idx)
-    rank = 0
-    prev = -1
-    for i, c in enumerate(idx):
-        for v in range(prev + 1, c):
-            rank += binomial(n - v - 1, k - i - 1)
-        prev = c
-    return rank
 
 
 # ---------------------------------------------------------------------------

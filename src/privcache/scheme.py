@@ -209,12 +209,6 @@ def checked_slots(params: SchemeParams, slots: Mapping[int, Sequence[int]] | Non
     return out
 
 
-def _validate_slots(params: SchemeParams, slots: Sequence[Sequence[int]]):
-    if len(slots) != params.n_users:
-        raise ValueError("need one slot tuple per user")
-    checked_slots(params, dict(enumerate(slots)))
-
-
 @dataclass
 class UserCache:
     """What user k physically holds: its secret slot tuple and, per broadcast
@@ -237,7 +231,9 @@ def place_caches(params: SchemeParams, library: Library,
                  slots: Sequence[tuple[int, ...]]) -> list[UserCache]:
     """Fill every user's cache from the library in broadcast labels and one
     validated slot tuple per user."""
-    _validate_slots(params, slots)
+    if len(slots) != params.n_users:
+        raise ValueError("need one slot tuple per user")
+    checked_slots(params, dict(enumerate(slots)))
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
     return [place_cache(params, library, k, sel) for k, sel in enumerate(slots)]
@@ -248,36 +244,13 @@ def place_cache(params: SchemeParams, library: Library, k: int, selector: tuple[
     the union of the symbols its L chosen virtual users would store.
     Placement is uncoded: stored symbols are verbatim library symbols at
     their declared positions."""
-    merged_positions = sorted(_stored_positions(params, k, selector))
+    positions: set[int] = set()
+    for s in selector:
+        positions.update(ucc.user_positions(params.ucc, _virtual_user(params, k, s)))
+    merged_positions = sorted(positions)
     slots_by_label = {label: {i: row[i] for i in merged_positions}
                       for label, row in enumerate(library.rows)}
     return UserCache(k, selector, slots_by_label)
-
-
-def _stored_positions(params: SchemeParams, k: int, selector: Sequence[int]) -> set[int]:
-    out: set[int] = set()
-    for s in selector:
-        out.update(ucc.user_positions(params.ucc, _virtual_user(params, k, s)))
-    return out
-
-
-def cache_size(params: SchemeParams, slots: Sequence[tuple[int, ...]] | None = None,
-               worst_case: bool = False) -> Fraction:
-    """Normalized cache size: stored symbols per file times n_files, over file_len.
-
-    With ``slots`` (one slot tuple per user) given, measures that placement
-    (max over users); with ``worst_case`` it maximizes over every admissible
-    slot tuple.  For the subset-indexed placement the two agree for every
-    placement.
-    """
-    if worst_case:
-        per_file = max(len(_stored_positions(params, 0, sel)) for sel in slot_support(params))
-    elif slots is not None:
-        _validate_slots(params, slots)
-        per_file = max(len(_stored_positions(params, k, sel)) for k, sel in enumerate(slots))
-    else:
-        raise ValueError("pass slot tuples or worst_case=True")
-    return Fraction(per_file * params.n_files, params.file_len)
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,6 @@ def _grid_intervals(grid_size: int) -> int:
     return grid_size - 1
 
 
-def memory_grid(n_files: int, grid_size: int = 101) -> list[Fraction]:
-    g = _grid_intervals(grid_size)
-    return [Fraction(j * n_files, g) for j in range(grid_size)]
-
-
 @dataclass
 class DominanceReport:
     checked_points: int

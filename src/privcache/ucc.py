@@ -121,24 +121,6 @@ class UccParams:
                 ranks[v].append(t)
         return tuple(tuple(x) for x in ranks)
 
-    @classmethod
-    def for_file_len(cls, n_files: int, n_users: int, block_len: int, r: int, file_len: int) -> "UccParams":
-        """Build params from a total file length, which must be a multiple of C(n_users, r)."""
-        blocks = binomial(n_users, r)
-        if file_len <= 0 or file_len % blocks:
-            raise ValueError(f"file length {file_len} is not a positive multiple of C({n_users},{r})={blocks}")
-        return cls(n_files, n_users, block_len, r, file_len // blocks)
-
-
-def subfile_labels(params: UccParams) -> list[tuple[int, ...]]:
-    """All r-subsets of users in lexicographic order; list index equals rank."""
-    return list(params._rank_of)
-
-
-def user_label_ranks(params: UccParams, u: int) -> list[int]:
-    """Ranks of the subfile labels stored by user u (those containing u)."""
-    return list(params._user_ranks[u])
-
 
 def user_positions(params: UccParams, u: int) -> list[int]:
     """Symbol indices (within any one file) stored by user u."""
@@ -176,12 +158,6 @@ class Library:
     def random(cls, field: PrimeField, n_files: int, file_len: int, rng: random.Random) -> "Library":
         return cls(field, tuple(tuple(rng.randrange(field.q) for _ in range(file_len)) for _ in range(n_files)))
 
-    @classmethod
-    def ramp(cls, field: PrimeField, n_files: int, file_len: int) -> "Library":
-        """Deterministic library; symbols are pairwise distinct when q > n_files * file_len."""
-        q = field.q
-        return cls(field, tuple(tuple((n * file_len + i + 1) % q for i in range(file_len)) for n in range(n_files)))
-
 
 # ---------------------------------------------------------------------------
 # Restricted demands
@@ -217,11 +193,6 @@ class RestrictedDemand:
     @property
     def file_set(self) -> frozenset[int]:
         return frozenset(self.entries[:self.block_len])
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        b = self.block_len
-        return tuple(self.entries[i:i + b] for i in range(0, len(self.entries), b))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +338,6 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Bro
 # ---------------------------------------------------------------------------
 
 CacheSlice = Mapping[int, Mapping[int, int]]  # file -> {symbol index -> symbol}
-
-
-def cache_slice_for(params: UccParams, u: int, library: Library, files: Iterable[int]) -> dict[int, dict[int, int]]:
-    """The symbols of the given files that user u stores, straight from the library."""
-    pos = user_positions(params, u)
-    return {n: {i: library.rows[n][i] for i in pos} for n in set(files)}
 
 
 def _assemble(params: UccParams, u: int, stored: Mapping[int, int],

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import ramp_library
 from privcache import audit, tradeoff
 from privcache.scheme import (
     PLAIN_BASELINE,
@@ -43,7 +44,6 @@ from privcache.scheme import (
     run_simulation,
     slot_support,
 )
-from privcache.ucc import Library
 
 
 def _report(criterion: int, detail: str, elapsed: float, limit: float):
@@ -112,7 +112,7 @@ def _exhaustive_instances():
 
 
 def _run_exhaustive(params):
-    lib = Library.ramp(params.field, params.n_files, params.file_len)
+    lib = ramp_library(params.field, params.n_files, params.file_len)
     decodes = 0
     wrong = 0
     mismatches = 0

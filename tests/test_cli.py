@@ -315,6 +315,15 @@ def test_gap_repeated_sweep_component_is_usage_error(sweep, capsys):
     assert "given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixed", [("--N", "3"), ("--K", "2"), ("--L", "1"), ("--N", "3", "--K", "2", "--L", "1")],
+                         ids=["N", "K", "L", "NKL"])
+def test_gap_sweep_with_fixed_parameters_is_usage_error(fixed, capsys):
+    assert run_cli("gap", "--sweep", "N=1..2", *fixed) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pass either --N/--K/--L or --sweep" in captured.err
+
+
 @pytest.mark.parametrize("command", ["tradeoff", "gap"])
 @pytest.mark.parametrize("step", ["1/0", "x"])
 def test_lambda_step_that_is_not_a_fraction_is_usage_error(command, step, capsys):

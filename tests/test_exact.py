@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import subset_rank
 from privcache.audit import chi_square_quantile
 from privcache.exact import (
     Envelope,
     binomial,
     lower_convex_envelope,
     sample_permutation,
-    subset_rank,
     subsets_of_size,
 )
 

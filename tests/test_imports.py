@@ -1,11 +1,18 @@
-"""Lint: no module in src/, tests/ or perfbench/ imports a name it never uses."""
+"""Lints.  No module in src/, tests/ or perfbench/ imports a name it never
+uses, and src/privcache keeps only definitions the program reaches: every
+top-level function and class, and every non-dunder method or property of
+those classes, is read somewhere in src/privcache, exported in
+``privcache.__all__`` or named in perfbench/*.py (whose tracer patches by
+name)."""
 
 import ast
+import re
 from pathlib import Path
 
 import privcache
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "privcache"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -31,3 +38,52 @@ def test_no_unused_imports():
              *sorted((ROOT / "perfbench").glob("*.py"))]
     assert {path.parent.name for path in files} >= {"privcache", "tests", "perfbench"}
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def perfbench_names() -> set[str]:
+    """Identifiers perfbench/*.py names in its code: bare names, attribute
+    accesses and the parts of dotted-name strings such as ``"gf.solve_any"``
+    (prose in docstrings and comments does not count)."""
+    out = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"\w+(\.\w+)*", node.value):
+                out.update(node.value.split("."))
+    return out
+
+
+def unused_definitions() -> list[str]:
+    """``module.name`` and ``module.Class.name`` of every definition in
+    src/privcache that nothing in the program reads.  A top-level name is
+    read by a bare name or an attribute access; a method only by an
+    attribute access, so a local variable does not hide it."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    kept = set(privcache.__all__) | perfbench_names()
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in names | attrs | kept:
+                unused.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{module}.{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                           and item.name not in attrs | kept]
+    return unused
+
+
+def test_every_definition_is_used_by_the_program():
+    assert unused_definitions() == []

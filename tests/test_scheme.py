@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import ramp_library
 from privcache import audit, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
@@ -16,12 +17,12 @@ from privcache.scheme import (
     SchemeParams,
     SeedStreams,
     block_support,
-    cache_size,
     Variant,
     decode_user,
     deliver,
     feasible_cover_sets,
     fill_block,
+    place_cache,
     place_caches,
     realizations,
     relabeled_demand,
@@ -31,7 +32,7 @@ from privcache.scheme import (
     slot_support,
     validate_demands,
 )
-from privcache.ucc import Library, RestrictedDemand, is_restricted
+from privcache.ucc import RestrictedDemand, is_restricted
 
 
 P522 = SchemeParams(5, 2, 2, r=1)
@@ -82,7 +83,7 @@ def test_feasible_cover_sets_degenerate_full_round():
 
 
 def test_placement_slots_hold_chosen_subfiles():
-    lib = Library.ramp(P522.field, 5, P522.file_len)
+    lib = ramp_library(P522.field, 5, P522.file_len)
     relabeling = (2, 0, 4, 1, 3)
     caches = place_caches(P522, relabeled_library(lib, relabeling), ((0, 2), (1, 3)))
     # r=1: virtual user u stores subfile {u}, one symbol; user 0 chose slots 0, 2
@@ -95,13 +96,18 @@ def test_placement_slots_hold_chosen_subfiles():
             assert sym == lib.rows[n][i]
 
 
+def cache_memory(params, k, selector):
+    """User k's normalized cache size as ``run_simulation`` reports the
+    memory: the symbols ``place_cache`` stores over file_len."""
+    lib = ramp_library(params.field, params.n_files, params.file_len)
+    return Fraction(place_cache(params, lib, k, selector).symbol_count, params.file_len)
+
+
 def test_cache_size_examples():
-    assert cache_size(P522, ((0, 2), (1, 3))) == Fraction(5, 4)
-    assert cache_size(P522, worst_case=True) == Fraction(5, 4)
-    assert cache_size(SchemeParams(5, 2, 2, r=0), worst_case=True) == 0
-    assert cache_size(SchemeParams(5, 2, 2, r=8), worst_case=True) == 5
-    with pytest.raises(ValueError):
-        cache_size(P522)
+    assert [cache_memory(P522, k, sel) for k, sel in enumerate(((0, 2), (1, 3)))] == [Fraction(5, 4)] * 2
+    for r, memory in ((1, Fraction(5, 4)), (0, 0), (8, 5)):
+        p = SchemeParams(5, 2, 2, r=r)
+        assert {cache_memory(p, 0, sel) for sel in slot_support(p)} == {memory}
 
 
 def test_cache_size_matches_formula_for_every_slot_choice():
@@ -112,7 +118,8 @@ def test_cache_size_matches_formula_for_every_slot_choice():
 
         formula = Fraction((binomial(kv, r) - binomial(kv - 2, r)) * 5, binomial(kv, r))
         for sel in slot_support(p):
-            assert cache_size(p, (sel, sel)) == formula
+            for k in range(p.n_users):
+                assert cache_memory(p, k, sel) == formula
 
 
 def test_block_support_size_and_pinning():
@@ -175,7 +182,7 @@ def test_masked_demand_applies_relabeling():
 
 
 def test_delivery_sweep_masked_demand_restricted_and_rate():
-    lib = Library.ramp(P522.field, 5, 8)
+    lib = ramp_library(P522.field, 5, 8)
     for seed in range(1000):
         streams = SeedStreams(seed)
         demands = scheme.sample_demands(P522, streams.rng("demands"))
@@ -192,7 +199,7 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
 def test_relabeled_encode_identity():
     """Encoding the relabeled library under the masked demand must equal
     encoding the original library under the raw expanded demand."""
-    lib = Library.ramp(P522.field, 5, 8)
+    lib = ramp_library(P522.field, 5, 8)
     streams = SeedStreams(17)
     demands = ((0, 1), (0, 2))
     relabeling, _, _, expanded = sample_realization(P522, demands, streams)
@@ -202,7 +209,7 @@ def test_relabeled_encode_identity():
 
 
 def test_relabeled_library_rejects_a_relabeling_that_is_not_a_permutation():
-    lib = Library.ramp(P522.field, 5, 8)
+    lib = ramp_library(P522.field, 5, 8)
     relabeled = relabeled_library(lib, (2, 0, 4, 1, 3))
     assert [relabeled.rows[label] for label in (2, 0, 4, 1, 3)] == list(lib.rows)
     for relabeling in ((0, 0, 1, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)):
@@ -223,7 +230,7 @@ def test_decode_all_users_all_slots(r):
 def test_decode_uses_only_broadcast_and_cache():
     """Rebuild the broadcast from its serialized trace record and decode with
     it: proves decoding needs nothing beyond (broadcast, own cache)."""
-    lib = Library.ramp(P522.field, 5, 8)
+    lib = ramp_library(P522.field, 5, 8)
     streams = SeedStreams(5)
     demands = ((3, 1), (4, 0))
     relabeling, slots, _, expanded = sample_realization(P522, demands, streams)

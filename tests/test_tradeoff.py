@@ -23,7 +23,6 @@ from privcache.tradeoff import (
     gap_certificate,
     lambda_grid,
     max_converse_s,
-    memory_grid,
     min_feasible_t,
     verify_envelope_dominance,
 )
@@ -82,7 +81,7 @@ def test_achievable_envelope_oracle_sweep():
     for n, k, big_l in ((2, 2, 1), (3, 2, 1), (4, 3, 2), (7, 2, 3)):
         env = achievable_envelope(n, k, big_l)
         pts = [(p.m, p.rate) for p in achievable_points(n, k, big_l)]
-        for m in memory_grid(n, 41):
+        for m in [Fraction(j * n, 40) for j in range(41)]:
             assert env.value_at(m) == chord_oracle(pts, m)
 
 
@@ -156,7 +155,7 @@ def per_point_dominance(n, k, big_l, grid_size=101, lambda_step=Fraction(1, 8)):
     (line, M) pair, with the (s, lambda) loops written out."""
     ach = tradeoff.achievable_envelope(n, k, big_l)
     low = tradeoff.converse_corner_envelope(n, k, big_l)
-    grid = memory_grid(n, grid_size)
+    grid = [Fraction(j * n, grid_size - 1) for j in range(grid_size)]
     violations = [(m, low.value_at(m), ach.value_at(m), "corner-envelope")
                   for m in grid if low.value_at(m) > ach.value_at(m)]
     above = []

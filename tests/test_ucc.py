@@ -8,8 +8,9 @@ import textwrap
 
 import pytest
 
+from helpers import cache_slice_for, ramp_library, subset_rank
 from privcache import ucc
-from privcache.exact import binomial, subset_rank, subsets_of_size
+from privcache.exact import binomial, subsets_of_size
 from privcache.gf import PrimeField, solve_any
 from privcache.ucc import (
     Broadcast,
@@ -17,14 +18,11 @@ from privcache.ucc import (
     Library,
     RestrictedDemand,
     UccParams,
-    cache_slice_for,
     decode,
     decode_linear,
     decode_structural,
     encode,
     is_restricted,
-    subfile_labels,
-    user_label_ranks,
     segment_signs,
     user_positions,
     _reconstructed_segments,
@@ -52,15 +50,11 @@ def test_params_validation():
         UccParams(n_files=5, n_users=7, block_len=4, r=1)
     with pytest.raises(ValueError):
         UccParams(n_files=3, n_users=8, block_len=4, r=1)
-    with pytest.raises(ValueError):
-        UccParams.for_file_len(5, 8, 4, 1, file_len=9)
-    assert UccParams.for_file_len(5, 8, 4, 1, file_len=16).packet_size == 2
 
 
 def test_placement_single_subset_layout():
     # r=1 over 8 users: user 0 stores exactly the subfile labeled {0} of each file
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
-    assert user_label_ranks(params, 0) == [0]
     assert user_positions(params, 0) == [0]
     params2 = UccParams(n_files=5, n_users=8, block_len=4, r=1, packet_size=3)
     assert user_positions(params2, 2) == [6, 7, 8]
@@ -82,7 +76,7 @@ def test_placement_extremes():
 
 def test_uncoded_placement_symbols_are_verbatim():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=2)
-    lib = Library.ramp(F257, 3, params.file_len)
+    lib = ramp_library(F257, 3, params.file_len)
     cs = cache_slice_for(params, 1, lib, files=[0, 2])
     for n, stored in cs.items():
         for i, sym in stored.items():
@@ -112,7 +106,6 @@ def test_restricted_demand_type_rejects_invalid():
         RestrictedDemand((0, 1, 0, 2), 2)
     d = RestrictedDemand((0, 1, 1, 0), 2)
     assert d.file_set == frozenset({0, 1})
-    assert d.blocks == ((0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +115,7 @@ def test_restricted_demand_type_rejects_invalid():
 
 def test_encode_small_instance_segment_count():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
-    lib = Library.ramp(F257, 5, params.file_len)
+    lib = ramp_library(F257, 5, params.file_len)
     demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
     bc = encode(params, demand, lib)
     assert bc.segment_count == 22
@@ -131,7 +124,7 @@ def test_encode_small_instance_segment_count():
 
 def test_encode_r0_sends_whole_requested_files():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=0)
-    lib = Library.ramp(F257, 5, params.file_len)
+    lib = ramp_library(F257, 5, params.file_len)
     demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
     bc = encode(params, demand, lib)
     assert bc.segment_count == 4  # leader singletons only
@@ -142,14 +135,14 @@ def test_encode_r0_sends_whole_requested_files():
 
 def test_encode_r_equals_n_users_sends_nothing():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=8)
-    lib = Library.ramp(F257, 5, params.file_len)
+    lib = ramp_library(F257, 5, params.file_len)
     demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
     assert encode(params, demand, lib).segment_count == 0
 
 
 def test_encode_rejects_non_restricted_demand():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
-    lib = Library.ramp(F257, 5, params.file_len)
+    lib = ramp_library(F257, 5, params.file_len)
     with pytest.raises(ValueError):
         encode(params, RestrictedDemand((0, 1, 0, 1), 2), lib)  # block_len mismatch
 
@@ -158,7 +151,7 @@ def test_segment_count_identity_sweep():
     for n_users, block_len in ((4, 2), (6, 2), (6, 3), (8, 4)):
         for r in range(n_users + 1):
             params = UccParams(n_files=block_len + 1, n_users=n_users, block_len=block_len, r=r)
-            lib = Library.ramp(F257, params.n_files, params.file_len)
+            lib = ramp_library(F257, params.n_files, params.file_len)
             demand = next(all_restricted_demands(params))
             bc = encode(params, demand, lib)
             assert bc.segment_count == binomial(n_users, r + 1) - binomial(n_users - block_len, r + 1)
@@ -166,7 +159,7 @@ def test_segment_count_identity_sweep():
 
 def test_trace_record_round_trip_fields():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
-    lib = Library.ramp(F257, 3, params.file_len)
+    lib = ramp_library(F257, 3, params.file_len)
     demand = RestrictedDemand((0, 1, 1, 0), 2)
     rec = encode(params, demand, lib).trace_record()
     assert rec["demand"] == [0, 1, 1, 0]
@@ -179,7 +172,7 @@ def test_trace_record_round_trip_fields():
 @pytest.mark.parametrize("n_users,block_len,r", [(4, 2, 1), (6, 2, 2), (6, 3, 0), (8, 4, 3), (4, 2, 4)])
 def test_trace_record_ranks_are_subset_ranks(n_users, block_len, r):
     params = UccParams(n_files=block_len + 1, n_users=n_users, block_len=block_len, r=r)
-    lib = Library.ramp(F257, params.n_files, params.file_len)
+    lib = ramp_library(F257, params.n_files, params.file_len)
     bc = encode(params, next(all_restricted_demands(params)), lib)
     rec = bc.trace_record()
     assert [tuple(s["users"]) for s in rec["segments"]] == sorted(bc.segments)
@@ -198,7 +191,7 @@ def test_walkthrough_decode_identity():
     free and every other subfile of its file satisfies
     W[d2][{i}] = Y[{2,i}] - W[d_i][{2}]."""
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
-    lib = Library.ramp(F257, 5, params.file_len)
+    lib = ramp_library(F257, 5, params.file_len)
     demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
     bc = encode(params, demand, lib)
     d2 = demand.entries[2]
@@ -214,7 +207,7 @@ def test_walkthrough_decode_identity():
 
 def test_decode_full_cache_needs_no_broadcast():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=4)
-    lib = Library.ramp(F257, 3, params.file_len)
+    lib = ramp_library(F257, 3, params.file_len)
     demand = RestrictedDemand((0, 1, 1, 0), 2)
     bc = encode(params, demand, lib)
     for u in range(4):
@@ -226,7 +219,7 @@ def test_decode_full_cache_needs_no_broadcast():
 @pytest.mark.parametrize("n_files,r", [(3, 0), (3, 1), (3, 2), (2, 1), (2, 3)])
 def test_decode_exhaustive_two_groups(n_files, r):
     params = UccParams(n_files=n_files, n_users=4, block_len=2, r=r)
-    lib = Library.ramp(F257, n_files, params.file_len)
+    lib = ramp_library(F257, n_files, params.file_len)
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(params.n_users):
@@ -241,7 +234,7 @@ def test_decode_exhaustive_three_groups(n_files, r):
     # three user groups create repeated files across non-leader blocks, which
     # the signed identity rebuilds without any elimination
     params = UccParams(n_files=n_files, n_users=6, block_len=2, r=r)
-    lib = Library.ramp(F257, n_files, params.file_len)
+    lib = ramp_library(F257, n_files, params.file_len)
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(params.n_users):
@@ -295,7 +288,7 @@ def _reconstruction_instances():
 def _direct_segment(bc, lib, sub):
     """A segment's value summed straight from the library."""
     params, q = bc.params, bc.field.q
-    rank_of = {lab: t for t, lab in enumerate(subfile_labels(params))}
+    rank_of = {lab: t for t, lab in enumerate(subsets_of_size(range(params.n_users), params.r))}
     vals = [0] * params.packet_size
     for c, u in zip(segment_signs(bc.signed, len(sub)), sub):
         base = rank_of[tuple(v for v in sub if v != u)] * params.packet_size
@@ -312,7 +305,7 @@ def _eliminated_segments(bc):
     outside the transmitted span."""
     params, q = bc.params, bc.field.q
     coeffs = segment_signs(bc.signed, params.r + 1)
-    rank_of = {lab: t for t, lab in enumerate(subfile_labels(params))}
+    rank_of = {lab: t for t, lab in enumerate(subsets_of_size(range(params.n_users), params.r))}
     transmitted = sorted(bc.segments)
     omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
     basis = {key: i for i, key in enumerate(itertools.product(sorted(bc.demand.file_set), range(params.subfile_count)))}
@@ -378,7 +371,7 @@ def test_reconstruction_sign_rule_mutants_fail(anchor, monkeypatch):
 
 def test_decode_missing_cache_symbols_raises():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
-    lib = Library.ramp(F257, 3, params.file_len)
+    lib = ramp_library(F257, 3, params.file_len)
     demand = RestrictedDemand((0, 1, 1, 0), 2)
     bc = encode(params, demand, lib)
     with pytest.raises(DecodeError):
@@ -393,7 +386,7 @@ def test_missing_segment_is_named(n_users, r):
     decode with DecodeError naming the missing subset, whether the segment is
     read directly or while rebuilding an omitted one."""
     params = UccParams(n_files=2, n_users=n_users, block_len=2, r=r)
-    lib = Library.ramp(F257, 2, params.file_len)
+    lib = ramp_library(F257, 2, params.file_len)
     demand = next(all_restricted_demands(params))
     full = encode(params, demand, lib)
     for gone in full.segments:
@@ -429,7 +422,7 @@ def test_decoders_agree_on_small_fields(n_files, n_users, r, q, packet):
 
 def test_decode_unknown_method():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
-    lib = Library.ramp(F257, 3, params.file_len)
+    lib = ramp_library(F257, 3, params.file_len)
     demand = RestrictedDemand((0, 1, 1, 0), 2)
     bc = encode(params, demand, lib)
     cs = cache_slice_for(params, 0, lib, demand.file_set)
