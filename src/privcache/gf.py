@@ -10,14 +10,17 @@ enumerate every library realization.
 Gaussian elimination carries explicit status reporting and never returns a
 silently wrong answer on singular or inconsistent systems.  Systems are
 sparse: a row is a dict from column to nonzero value, with right-hand side j
-at column n_coef + j.  Every solver runs one body, the sparse Gauss-Jordan
+at column n_coef + j.  Every solver ends in one body, the sparse Gauss-Jordan
 kernel ``rref`` and then a consistency check.  Two solvers take many
 right-hand sides in one elimination: ``determined_unknowns`` extracts the
 exact values of chosen unknowns from a system that is underdetermined overall
 (a cache-aided decoder needs only the requested file's subfiles), and
 ``solve_any`` returns one particular solution, or None, per right-hand-side
-column.  Only ``gaussian_solve`` takes a dense matrix; ``_as_rows`` converts
-it.
+column.  ``determined_unknowns`` first peels the system, as structured
+Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990): singleton
+rows are solved by substitution and a free column held by one row is dropped
+with that row, so only the residue reaches ``rref``.  Only ``gaussian_solve``
+takes a dense matrix; ``_as_rows`` converts it.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
 
     Columns from ``n_coef`` on ride along as right-hand sides.  Returns the
     list of pivot columns; after the call, row i holds pivot i and the rows
-    past the rank hold right-hand-side entries only.  Columns are taken in
-    order and each pivot touches only the rows that hold its column; among
+    past the rank hold right-hand-side entries only.  The columns some row
+    holds are taken in order (fill-in only spreads columns already held) and
+    each pivot touches only the rows that hold its column; among
     those, the row with the fewest nonzeros is the pivot, to limit fill-in.
     The reduced form is unique, so the choice never shows in the result.
     """
@@ -96,8 +100,8 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
     is_pivot = [False] * len(rows)
     pivots: list[int] = []
     pivot_rows: list[int] = []
-    for col in range(n_coef):
-        held = holders.get(col, ())
+    for col in sorted(holders):
+        held = holders[col]
         free_rows = [i for i in held if not is_pivot[i]]
         if not free_rows:
             continue
@@ -206,24 +210,104 @@ def determined_unknowns(
 ) -> dict[int, tuple[int, ...]]:
     """Exact values of the ``wanted`` unknowns, for every RHS column at once.
 
-    ``rows`` are sparse rows of [A | B] and are reduced in place.  An unknown
-    is determined when it takes the same value in every solution of the
-    (possibly underdetermined) system: its column is a pivot whose reduced
-    row holds no free column, that is, no coefficient column but its own.
-    Unknowns that are not determined are simply absent from the result.
-    Raises InconsistentSystemError when the system has no solution at all.
+    ``rows`` are sparse rows of [A | B] and are consumed: they are modified in
+    place and hold nothing useful afterwards.  An unknown is determined when it
+    takes the same value in every solution of the (possibly underdetermined)
+    system.  Unknowns that are not determined are simply absent from the
+    result.  Raises InconsistentSystemError when the system has no solution
+    at all.
+
+    Two reductions run before any elimination, each preserving consistency
+    and the determinacy of every wanted unknown:
+
+    (a) A singleton row, one coefficient column c, fixes x_c.  Its value is
+        substituted into the right-hand side of every other row holding c; a
+        row left with no coefficient column must have a zero right-hand side.
+    (b) A column that is not wanted and is held by exactly one row can satisfy
+        that row whatever the other unknowns are, so the solutions of the rest
+        of the system are exactly the projections of the whole system's
+        solutions: the row and its column are dropped.
+
+    (a) changes no column's holder count but its own, and (b) changes no
+    remaining row's width, so neither makes work for the other: one pass of
+    each reaches the fixpoint.  The residue, possibly empty, goes through
+    ``_eliminate``; there an unknown is determined when its column is a pivot
+    whose reduced row holds no coefficient column but its own.
     """
-    pivots, consistent = _eliminate(field, rows, n_coef, n_rhs)
+    q = field.q
+    wanted = list(wanted)
+    keep = set(wanted)
+    holders: dict[int, set[int]] = {}  # coefficient column -> live rows holding it
+    width: list[int] = []  # coefficient columns per row
+    for i, row in enumerate(rows):
+        n = 0
+        for c in row:
+            if c < n_coef:
+                holders.setdefault(c, set()).add(i)
+                n += 1
+        width.append(n)
+    live = [True] * len(rows)
+
+    fixed: dict[int, Row] = {}  # (a): unknown -> its values, as right-hand-side entries
+    singles = [i for i, n in enumerate(width) if n == 1]
+    while singles:
+        i = singles.pop()
+        if not live[i]:
+            continue
+        live[i] = False
+        row = rows[i]
+        c = next(c for c in row if c < n_coef)
+        s = field.inv(row.pop(c))
+        value = {k: x * s % q for k, x in row.items()}
+        fixed[c] = value
+        held = holders.pop(c)
+        held.discard(i)
+        for k in held:
+            other = rows[k]
+            f = other.pop(c)
+            for col, x in value.items():
+                y = (other.get(col, 0) - f * x) % q
+                if y:
+                    other[col] = y
+                else:
+                    del other[col]
+            width[k] -= 1
+            if width[k] == 1:
+                singles.append(k)
+            elif width[k] == 0:
+                if other:
+                    raise InconsistentSystemError("no solution")
+                live[k] = False
+
+    frees = [c for c, held in holders.items() if len(held) == 1 and c not in keep]
+    while frees:  # (b)
+        held = holders[frees.pop()]
+        if len(held) != 1:
+            continue
+        (i,) = held
+        live[i] = False
+        for c in rows[i]:
+            if c < n_coef:
+                held = holders[c]
+                held.discard(i)
+                if len(held) == 1 and c not in keep:
+                    frees.append(c)
+
+    residue = [row for i, row in enumerate(rows) if live[i]]
+    pivots, consistent = _eliminate(field, residue, n_coef, n_rhs)
     if not all(consistent):
         raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
     out: dict[int, tuple[int, ...]] = {}
     for j in wanted:
-        i = pivot_row.get(j)
-        if i is None:
-            continue
-        row = rows[i]
-        if any(c < n_coef and c != j for c in row):
-            continue
+        if j in fixed:
+            row = fixed[j]
+        else:
+            i = pivot_row.get(j)
+            if i is None:
+                continue
+            row = residue[i]
+            if any(c < n_coef and c != j for c in row):
+                continue
         out[j] = tuple(row.get(n_coef + k, 0) for k in range(n_rhs))
     return out

@@ -16,8 +16,10 @@ Two decoders are provided:
 
 * ``decode_linear`` is the reference decoder.  It treats every uncached
   subfile of the requested files as an unknown, every transmitted segment as
-  a linear equation, and reads the requested file out of the exact solution.
-  Correctness is the contract; nothing scheme-specific is assumed.
+  a linear equation, and reads the requested file out of the exact solution
+  (``gf.determined_unknowns``: singleton rows and unwanted one-row columns are
+  peeled first, the rest is eliminated).  Correctness is the contract;
+  nothing scheme-specific is assumed.
 * ``decode_structural`` is the closed-form path.  It rebuilds every
   omitted (all-non-leader) segment Y_B once per broadcast, shared by every
   user's decode, from the leader-substitution identity
@@ -228,11 +230,19 @@ class Broadcast:
 
     @cached_property
     def _transmitted_terms(self) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """(subset, terms) of every transmitted segment, in subset order:
-        built on first use and shared by every linear decode (a broadcast is
-        not modified after encode)."""
+        """(subset, terms) of every transmitted segment, in subset order,
+        shared by every linear decode (a broadcast is not modified after
+        encode).  ``encode`` stores the table it encoded from; a broadcast
+        built directly derives it on first use."""
         signed = self.signed
         return [(sub, _segment_terms(self.params, self.demand.entries, sub, signed)) for sub in sorted(self.segments)]
+
+    @cached_property
+    def _file_offset(self) -> dict[int, int]:
+        """Requested file -> first unknown column of its subfiles: the linear
+        decoder's unknown for subfile t of file n is column offset[n] + t."""
+        count = self.params.subfile_count
+        return {n: i * count for i, n in enumerate(sorted(self.demand.file_set))}
 
     @cached_property
     def _all_segments(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -317,20 +327,25 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Bro
     q = library.field.q
     packet = params.packet_size
     segments: dict[tuple[int, ...], tuple[int, ...]] = {}
+    table = []
     for sub in subsets_of_size(range(params.n_users), params.r + 1):
         if sub[0] >= params.block_len:
             continue  # subsets are sorted, so sub[0] < block_len iff a leader is present
         acc = [0] * packet
-        for n, t, c in _segment_terms(params, demand.entries, sub, signed):
+        terms = _segment_terms(params, demand.entries, sub, signed)
+        for n, t, c in terms:
             base = t * packet
             row = library.rows[n]
             for p in range(packet):
                 acc[p] = (acc[p] + c * row[base + p]) % q
         segments[sub] = tuple(acc)
+        table.append((sub, terms))
     expected = binomial(params.n_users, params.r + 1) - binomial(params.n_users - params.block_len, params.r + 1)
     if len(segments) != expected:
         raise RuntimeError(f"segment count {len(segments)} != {expected}")
-    return Broadcast(params=params, field=library.field, demand=demand, segments=segments)
+    broadcast = Broadcast(params=params, field=library.field, demand=demand, segments=segments)
+    vars(broadcast)["_transmitted_terms"] = table  # seeds the cached_property; subsets came in sorted order
+    return broadcast
 
 
 # ---------------------------------------------------------------------------
@@ -372,44 +387,45 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
                   uncached: list[int]) -> dict[int, tuple[int, ...]]:
     q = broadcast.field.q
     packet = params.packet_size
-    var = {key: j for j, key in enumerate(itertools.product(sorted(broadcast.demand.file_set), uncached))}
-
-    n_coef = len(var)
+    offset = broadcast._file_offset
+    cached = set(params._user_ranks[u])
+    n_coef = len(offset) * params.subfile_count
     rows: list[dict[int, int]] = []
     for sub, terms in broadcast._transmitted_terms:
         row: dict[int, int] = {}
         rhs = list(broadcast.segments[sub])
         for n, t, c in terms:
-            j = var.get((n, t))
-            if j is None:  # cached by u: move it to the right-hand side
+            if t in cached:  # move it to the right-hand side
                 stored = cache_slice[n]
                 base = t * packet
                 for p in range(packet):
                     rhs[p] = (rhs[p] - c * stored[base + p]) % q
             else:  # the terms of one segment name distinct subfiles
-                row[j] = c % q
+                row[offset[n] + t] = c % q
         row.update((n_coef + p, x) for p, x in enumerate(rhs) if x)
         rows.append(row)
 
-    target = broadcast.demand.entries[u]
-    wanted = [var[(target, t)] for t in uncached]
+    base = offset[broadcast.demand.entries[u]]
+    wanted = [base + t for t in uncached]
     try:
         solved = determined_unknowns(broadcast.field, rows, n_coef, packet, wanted)
     except InconsistentSystemError as exc:
         raise DecodeError(f"inconsistent broadcast: {exc}") from None
     if len(solved) < len(wanted):
         raise DecodeError(f"user {u}: {len(wanted) - len(solved)} subfiles undetermined")
-    return {t: solved[var[(target, t)]] for t in uncached}
+    return {t: solved[base + t] for t in uncached}
 
 
 def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
     """Reference decoder: exact elimination over the transmitted segments.
 
-    Unknowns are the subfiles of the demanded files not cached by u; cached
-    subfiles move to the right-hand side.  The system is built sparse, one
-    row per segment holding its at most r+1 uncached terms and its nonzero
-    right-hand sides; all packet positions share the coefficients and are
-    solved together in one elimination.
+    Unknowns are the subfiles of the demanded files not cached by u, subfile
+    t of file n at column offset[n] + t; cached subfiles move to the
+    right-hand side.  The system is built sparse, one row per segment holding
+    its at most r+1 uncached terms and its nonzero right-hand sides; all
+    packet positions share the coefficients and are solved together by one
+    ``determined_unknowns`` call, which peels what substitution can settle
+    and eliminates the residue.
     """
     return _decode(params, u, broadcast, cache_slice, _solve_linear)
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from privcache import gf
 from privcache.gf import (
     InconsistentSystemError,
     PrimeField,
@@ -262,3 +263,86 @@ def test_dense_conversion_rejects_ragged_input():
         _as_rows(f, [[1, 2], [3, 4]], [[0], [0, 1]])
     with pytest.raises(ValueError):
         _as_rows(f, [[1, 2]], [[0], [0]])
+
+
+def _random_sparse_system(q, rng, n_rhs):
+    """Rows of at most three coefficients, many of them singletons, over at
+    most 12 unknowns; each RHS column is an image A x or a random vector."""
+    n, m = rng.randint(1, 12), rng.randint(0, 16)
+    a = [[0] * n for _ in range(m)]
+    for row in a:
+        for c in rng.sample(range(n), min(n, rng.choice([0, 1, 1, 2, 2, 3]))):
+            row[c] = rng.randrange(1, q)
+    cols = []
+    for _ in range(n_rhs):
+        if rng.random() < 0.6:
+            x = [rng.randrange(q) for _ in range(n)]
+            cols.append([sum(r * v for r, v in zip(row, x)) % q for row in a])
+        else:
+            cols.append([rng.randrange(q) for _ in range(m)])
+    return a, [[col[i] for col in cols] for i in range(m)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_determined_unknowns_peeling_matches_dense_reference(q):
+    """``determined_unknowns`` on a proper random subset of the unknowns, so
+    both peeling steps run, against answers read off the dense reduced form:
+    an unknown is determined iff its pivot row holds no free column."""
+    f = PrimeField(q)
+    rng = random.Random(7000 + q)
+    seen = set()
+    for _ in range(600):
+        a, b = _random_sparse_system(q, rng, rng.choice([1, 1, 2, 3]))
+        rows, n_coef, n_rhs = _sparse(f, a, b)
+        wanted = [c for c in range(n_coef) if rng.random() < 0.5]
+        dense = [[x % q for x in ra] + [x % q for x in rb] for ra, rb in zip(a, b)]
+        pivots = _dense_rref(q, dense, n_coef)
+        consistent = not any(x for row in dense[len(pivots):] for x in row[n_coef:])
+        held = [sum(1 for row in a if row[c]) for c in range(n_coef)]
+        seen.add((consistent, n_rhs > 1,
+                  any(sum(1 for x in row if x) == 1 for row in a),
+                  any(held[c] == 1 for c in range(n_coef) if c not in wanted)))
+        if not consistent:
+            with pytest.raises(InconsistentSystemError):
+                determined_unknowns(f, rows, n_coef, n_rhs, wanted)
+            continue
+        free = set(range(n_coef)) - set(pivots)
+        expected = {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
+                    if col in wanted and not any(row[c] for c in free)}
+        assert determined_unknowns(f, rows, n_coef, n_rhs, wanted) == expected
+    assert seen >= {(c, m, True, True) for c in (False, True) for m in (False, True)}
+
+
+def test_inconsistency_found_by_substitution():
+    # x0 = 1 and 2 x0 = 3 over GF(5): each row alone is solvable
+    f = PrimeField(5)
+    with pytest.raises(InconsistentSystemError):
+        determined_unknowns(f, *_sparse(f, [[1], [2]], [[1], [3]]), [0])
+    assert determined_unknowns(f, *_sparse(f, [[1], [2]], [[1], [2]]), [0]) == {0: (1,)}
+
+
+def test_one_row_free_column_drops_its_row():
+    # x0 + x1 = 3 with only x0 wanted: x1 absorbs the row, x0 stays free
+    f = PrimeField(5)
+    assert determined_unknowns(f, *_sparse(f, [[1, 1]], [[3]]), [0]) == {}
+    # a second free row on x0 leaves x0 free as well
+    assert determined_unknowns(f, *_sparse(f, [[1, 1, 0], [1, 0, 1]], [[3], [4]]), [0]) == {}
+
+
+def test_singleton_chain(monkeypatch):
+    # x0 = 1, x0 + x1 = 3, x1 + 2 x2 = 0, x2 + x3 = 4 over GF(5): each
+    # substitution leaves the next row a singleton, so nothing is eliminated
+    f = PrimeField(5)
+    sizes = []
+    real_rref = gf.rref
+
+    def sizing_rref(field, rows, n_coef):
+        sizes.append(len(rows))
+        return real_rref(field, rows, n_coef)
+
+    monkeypatch.setattr(gf, "rref", sizing_rref)
+    a = [[0, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 0], [1, 0, 0, 0]]
+    b = [[4, 1], [0, 0], [3, 0], [1, 0]]
+    assert determined_unknowns(f, *_sparse(f, a, b), [0, 1, 2, 3]) == \
+        {0: (1, 0), 1: (2, 0), 2: (4, 0), 3: (0, 1)}
+    assert sizes == [0]

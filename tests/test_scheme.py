@@ -339,6 +339,23 @@ def test_signed_reconstruction_solves_once_per_delivery(monkeypatch):
             assert structural.to_json_dict() == linear.to_json_dict()
 
 
+def test_linear_decoder_eliminates_only_the_residue(monkeypatch):
+    """At N6 K2 L3 r2 the linear decoder's systems have 200 equations, but
+    peeling singleton rows and one-row free columns leaves at most 40 of them
+    for ``gf.rref`` (none for a leader user)."""
+    real_rref = gf.rref
+    sizes = []
+
+    def sizing_rref(field, rows, n_coef):
+        sizes.append(len(rows))
+        return real_rref(field, rows, n_coef)
+
+    monkeypatch.setattr(gf, "rref", sizing_rref)
+    for seed in range(5):
+        assert run_simulation(SchemeParams(6, 2, 3, r=2), seed).correct_all
+    assert len(sizes) == 5 * 6 and max(sizes) <= 40 and 0 in sizes
+
+
 def _nested_realizations(params, demands, variant):
     """Independent oracle: (slots, cover, expanded) of every label-free
     realization, from plain nested loops over each stage's support."""
