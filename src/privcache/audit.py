@@ -100,7 +100,7 @@ def _stage_sizes(params: SchemeParams, variant: Variant, need: int) -> tuple[int
     user's block fills.  A stage the variant switches off has one outcome."""
     n, a = params.n_files, params.n_active
     return (math.factorial(n) if variant.relabel_files else 1,
-            len(sch.slot_support(params)) if variant.random_slots else 1,
+            math.perm(a, params.demands_per_user) if variant.random_slots else 1,
             binomial(n - need, a - need) if variant.random_cover else 1,
             math.factorial(a - params.demands_per_user) if variant.random_fill else 1)
 

@@ -195,17 +195,18 @@ def slot_support(params: SchemeParams) -> list[tuple[int, ...]]:
 
 
 def checked_slots(params: SchemeParams, slots: Mapping[int, Sequence[int]] | None) -> dict[int, tuple[int, ...]]:
-    """The slot tuples a user -> slot tuple mapping assigns, each checked to
-    be one of ``slot_support``: the one slot-tuple check."""
-    support = set(slot_support(params))
+    """The slot tuples a user -> slot tuple mapping assigns, each checked
+    directly to be L distinct slots in [0, n_active): one of ``slot_support``,
+    which is not built.  The one slot-tuple check."""
+    slot_set, length = set(range(params.n_active)), params.demands_per_user
     out = {}
     for k, sel in (slots or {}).items():
         if not 0 <= k < params.n_users:
             raise ValueError(f"user {k} out of range [0, {params.n_users})")
-        if tuple(sel) not in support:
-            raise ValueError(f"slot tuple {tuple(sel)} of user {k} is not "
-                             f"{params.demands_per_user} distinct slots in [0, {params.n_active})")
-        out[k] = tuple(sel)
+        out[k] = sel = tuple(sel)
+        if len(sel) != length or len(slot_set.intersection(sel)) != length:
+            raise ValueError(f"slot tuple {sel} of user {k} is not "
+                             f"{length} distinct slots in [0, {params.n_active})")
     return out
 
 
@@ -314,7 +315,7 @@ def _sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
     demands = validate_demands(params, demands)
     pinned = checked_slots(params, slots)
     covers = feasible_cover_sets(params, demands)
-    first_slots = slot_support(params)[0]
+    first_slots = tuple(range(params.demands_per_user))  # slot_support(params)[0]
 
     def draw(streams: SeedStreams):
         if variant.relabel_files:

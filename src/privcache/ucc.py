@@ -45,6 +45,12 @@ A ``Broadcast`` is the whole message: its field, the demand carried in the
 clear and one tuple of reduced symbols per coded segment.  The coefficient
 convention is not stored; ``use_signed_segments`` derives it from the
 params and the field.
+
+Which subfile each user of a subset contributes, and with which sign,
+depends on the demand and the convention only, so a broadcast holds one
+segment table: every (r+1)-subset, transmitted or omitted, in rank order,
+with its (file, label rank, +-1) terms.  ``encode`` sums its transmitted
+entries; both decoders and ``trace_record`` read it.
 """
 
 from __future__ import annotations
@@ -229,13 +235,12 @@ class Broadcast:
         return sum(len(v) for v in self.segments.values())
 
     @cached_property
-    def _transmitted_terms(self) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-        """(subset, terms) of every transmitted segment, in subset order,
-        shared by every linear decode (a broadcast is not modified after
-        encode).  ``encode`` stores the table it encoded from; a broadcast
-        built directly derives it on first use."""
-        signed = self.signed
-        return [(sub, _segment_terms(self.params, self.demand.entries, sub, signed)) for sub in sorted(self.segments)]
+    def _terms(self) -> dict[tuple[int, ...], list[tuple[int, int, int]]]:
+        """The segment table of the module docstring: (r+1)-subset -> terms,
+        built from the params, demand and convention, never the library."""
+        params, demand, signed = self.params, self.demand.entries, self.signed
+        return {sub: _segment_terms(params, demand, sub, signed)
+                for sub in subsets_of_size(range(params.n_users), params.r + 1)}
 
     @cached_property
     def _file_offset(self) -> dict[int, int]:
@@ -247,7 +252,7 @@ class Broadcast:
     @cached_property
     def _all_segments(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Every (r+1)-subset's segment: the transmitted ones plus the omitted
-        ones rebuilt from them, shared like ``_transmitted_terms``."""
+        ones rebuilt from them, shared by every structural decode."""
         return {**self.segments, **_reconstructed_segments(self)}
 
     def trace_record(self) -> dict:
@@ -270,7 +275,7 @@ class Broadcast:
                     "rank": rank,
                     "symbols": list(self.segments[sub]),
                 }
-                for rank, sub in enumerate(subsets_of_size(range(par.n_users), par.r + 1))
+                for rank, sub in enumerate(self._terms)
                 if sub in self.segments
             ],
         }
@@ -323,28 +328,23 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Bro
     _validate_demand(params, demand)
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
-    signed = use_signed_segments(params, library.field)
     q = library.field.q
     packet = params.packet_size
     segments: dict[tuple[int, ...], tuple[int, ...]] = {}
-    table = []
-    for sub in subsets_of_size(range(params.n_users), params.r + 1):
+    broadcast = Broadcast(params=params, field=library.field, demand=demand, segments=segments)
+    for sub, terms in broadcast._terms.items():
         if sub[0] >= params.block_len:
             continue  # subsets are sorted, so sub[0] < block_len iff a leader is present
         acc = [0] * packet
-        terms = _segment_terms(params, demand.entries, sub, signed)
         for n, t, c in terms:
             base = t * packet
             row = library.rows[n]
             for p in range(packet):
                 acc[p] = (acc[p] + c * row[base + p]) % q
         segments[sub] = tuple(acc)
-        table.append((sub, terms))
     expected = binomial(params.n_users, params.r + 1) - binomial(params.n_users - params.block_len, params.r + 1)
     if len(segments) != expected:
         raise RuntimeError(f"segment count {len(segments)} != {expected}")
-    broadcast = Broadcast(params=params, field=library.field, demand=demand, segments=segments)
-    vars(broadcast)["_transmitted_terms"] = table  # seeds the cached_property; subsets came in sorted order
     return broadcast
 
 
@@ -391,7 +391,9 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     cached = set(params._user_ranks[u])
     n_coef = len(offset) * params.subfile_count
     rows: list[dict[int, int]] = []
-    for sub, terms in broadcast._transmitted_terms:
+    for sub, terms in broadcast._terms.items():
+        if sub not in broadcast.segments:
+            continue  # omitted: not an equation
         row: dict[int, int] = {}
         rhs = list(broadcast.segments[sub])
         for n, t, c in terms:
@@ -419,13 +421,12 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
 def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
     """Reference decoder: exact elimination over the transmitted segments.
 
-    Unknowns are the subfiles of the demanded files not cached by u, subfile
-    t of file n at column offset[n] + t; cached subfiles move to the
-    right-hand side.  The system is built sparse, one row per segment holding
-    its at most r+1 uncached terms and its nonzero right-hand sides; all
-    packet positions share the coefficients and are solved together by one
-    ``determined_unknowns`` call, which peels what substitution can settle
-    and eliminates the residue.
+    Unknowns are the subfiles of the demanded files not cached by u (subfile
+    t of file n at column offset[n] + t); cached ones move to the right-hand
+    side.  One sparse row per segment held, read off the segment table,
+    holds its uncached terms and nonzero right-hand sides; all packet
+    positions are solved together by one ``determined_unknowns`` call, which
+    peels what substitution can settle and eliminates the residue.
     """
     return _decode(params, u, broadcast, cache_slice, _solve_linear)
 
@@ -480,15 +481,13 @@ def _solve_structural(params: UccParams, u: int, broadcast: Broadcast, cache_sli
                       uncached: list[int]) -> dict[int, tuple[int, ...]]:
     q = broadcast.field.q
     packet = params.packet_size
-    demand = broadcast.demand.entries
-    signed = broadcast.signed
     segments = broadcast._all_segments
     labels = list(params._rank_of)
     solved = {}
     for t in uncached:
         sub = tuple(sorted(labels[t] + (u,)))
         acc = list(_segment(segments, sub))
-        for n, t_v, c in _segment_terms(params, demand, sub, signed):
+        for n, t_v, c in broadcast._terms[sub]:
             if t_v == t:
                 c_u = c  # u's own term, W[d_u][S]
                 continue
@@ -505,9 +504,9 @@ def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_sli
 
     For an uncached label S, every term of the segment of S + {u} other than
     W[d_u][S] is labeled by a set containing u, so u has it cached:
-    W[d_u][S] = c_u * (Y[S + {u}] - its cached terms), c_u = +-1.  The
-    segments are the transmitted ones plus the omitted ones, rebuilt once per
-    broadcast and shared by every user's decode.
+    W[d_u][S] = c_u * (Y[S + {u}] - its cached terms), c_u = +-1, the terms
+    read off the segment table.  The segments are the transmitted ones plus
+    the omitted ones, rebuilt once per broadcast and shared by every decode.
     """
     return _decode(params, u, broadcast, cache_slice, _solve_structural)
 

@@ -348,9 +348,10 @@ def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
     assert captured.err.startswith(f"usage error: cannot write --out {out}: ")
 
 
-def test_linear_decoder_reuses_the_broadcast_segment_terms(monkeypatch, tmp_path):
-    # 200 transmitted segments: their terms are built once in encode and once
-    # for all six decodes, not once per decode
+@pytest.mark.parametrize("decoder", ["linear", "structural"])
+def test_simulate_builds_each_segment_terms_once(monkeypatch, tmp_path, decoder):
+    # KV = 12 virtual users, r = 2: the broadcast's table holds the terms of
+    # all C(12, 3) = 220 segments, built once and read by every decode
     real = ucc._segment_terms
     calls = []
 
@@ -359,9 +360,9 @@ def test_linear_decoder_reuses_the_broadcast_segment_terms(monkeypatch, tmp_path
         return real(*args)
 
     monkeypatch.setattr(ucc, "_segment_terms", counting)
-    assert run_cli("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--decoder", "linear",
+    assert run_cli("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--decoder", decoder,
                    "--out", str(tmp_path / "t.json")) == 0
-    assert len(calls) <= 400
+    assert len(calls) == 220
 
 
 def test_gap_requires_params(capsys):

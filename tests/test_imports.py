@@ -3,9 +3,10 @@ uses, and src/privcache keeps only definitions the program reaches: every
 top-level function and class, and every non-dunder method or property of
 those classes, is read somewhere in src/privcache, exported in
 ``privcache.__all__`` or named in perfbench/*.py (whose tracer patches by
-name)."""
+name).  Every name the tracer patches resolves in privcache."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -87,3 +88,27 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_is_used_by_the_program():
     assert unused_definitions() == []
+
+
+def tracer_targets() -> tuple[tuple[str, str], ...]:
+    """``TARGETS`` of perfbench/tracer.py, read from its source, not run."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_resolves():
+    """A renamed or deleted traced function breaks ``--trace 1``; here it
+    fails the lint instead.  "Class.method" resolves attribute by attribute."""
+    targets = tracer_targets()
+    assert {("ucc", "encode"), ("ucc", "decode_linear"), ("ucc", "decode_structural")} <= set(targets)
+    missing = []
+    for module, attr in targets:
+        obj = importlib.import_module(f"{privcache.__name__}.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import ramp_library
-from privcache import audit, gf, scheme, ucc
+from privcache import audit, cli, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
     NO_RELABEL,
@@ -436,6 +436,48 @@ def test_sampled_realizations_are_enumerated_realizations(params, mats):
         sample_realization(P321, ((0,), (1,)), SeedStreams(0), FULL, {0: (2,)})
     with pytest.raises(ValueError):
         sample_realization(P321, ((0,), (1,)), SeedStreams(0), FULL, {2: (0,)})
+
+
+@pytest.mark.parametrize("params", [P321, P522, SchemeParams(4, 2, 3, r=1)], ids=["P321", "P522", "P423"])
+def test_checked_slots_accepts_exactly_the_slot_support(params):
+    """The direct slot-tuple check agrees with membership in ``slot_support``
+    on every tuple of length 0..L+1 over [-1, n_active]: wrong lengths,
+    repeats and out-of-range or negative slots are all rejected, with one
+    message."""
+    support = set(slot_support(params))
+    message = (rf"slot tuple .* of user 1 is not {params.demands_per_user} distinct slots "
+               rf"in \[0, {params.n_active}\)$")
+    values = range(-1, params.n_active + 1)
+    for length in range(params.demands_per_user + 2):
+        for sel in itertools.product(values, repeat=length):
+            if sel in support:
+                assert scheme.checked_slots(params, {1: list(sel)}) == {1: sel}
+            else:
+                with pytest.raises(ValueError, match=message):
+                    scheme.checked_slots(params, {1: sel})
+
+
+def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsys):
+    """Checking, pinning and drawing slot tuples, placing caches and the
+    budget checks of both exact audits run without ``slot_support``, whose
+    P(n_active, L) tuples run to 1.3e7 at N18 K3 L6; the budget paths exit 3
+    at that size."""
+    def no_support(params):
+        raise AssertionError("slot_support built")
+
+    monkeypatch.setattr(scheme, "slot_support", no_support)
+    assert scheme.checked_slots(P522, {0: (3, 1)}) == {0: (3, 1)}
+    for variant in (FULL, Variant(random_slots=False)):
+        assert sample_realization(P522, ((0, 1), (0, 2)), SeedStreams(0), variant, {1: (2, 0)})[1][1] == (2, 0)
+    frozen = sample_realization(P522, ((0, 1), (0, 2)), SeedStreams(0), Variant(random_slots=False))[1]
+    assert frozen == ((0, 1), (0, 1))
+    lib = ramp_library(gf.PrimeField(P522.q), P522.n_files, P522.file_len)
+    assert len(place_caches(P522, lib, [(0, 1), (3, 2)])) == 2
+    big = ("--N", "18", "--K", "3", "--L", "6")
+    for argv in (("audit", "--mode", "ptilde", *big), ("audit", "--mode", "mi", *big, "--F", "1", "--r", "0")):
+        assert cli.main(list(argv)) == 3
+        assert "enumeration atoms exceed the budget of 10000000" in capsys.readouterr().err
+    assert cli.main(["simulate", *big, "--r", "0"]) == 0
 
 
 def test_realization_count_equals_law_budget_prediction():

@@ -421,16 +421,19 @@ def test_decoders_agree_on_small_fields(n_files, n_users, r, q, packet):
 
 
 def test_encode_stores_the_term_table(monkeypatch):
-    """``encode`` hands its broadcast the segment term table it encoded from,
-    so the linear decoder rebuilds no segment's terms; a broadcast built
-    directly derives the same table on first use."""
+    """A broadcast holds one segment table, every (r+1)-subset in rank order
+    with its terms, built from the params, demand and convention alone:
+    ``encode`` builds it once and sums the transmitted entries from it, a
+    broadcast built directly gets the same table, and neither decoder
+    rebuilds a segment's terms afterwards."""
     params = UccParams(n_files=3, n_users=6, block_len=2, r=2)
     lib = ramp_library(F257, 3, params.file_len)
     demand = RestrictedDemand((0, 1, 1, 0, 0, 1), 2)
     bc = encode(params, demand, lib)
     direct = Broadcast(params, F257, demand, dict(bc.segments))
-    assert "_transmitted_terms" in vars(bc) and "_transmitted_terms" not in vars(direct)
-    assert direct._transmitted_terms == bc._transmitted_terms
+    assert direct._terms == bc._terms
+    assert list(bc._terms) == list(subsets_of_size(range(params.n_users), params.r + 1))
+    assert len(bc._terms) == binomial(params.n_users, params.r + 1)
 
     def no_terms(*args):
         raise AssertionError("segment terms rebuilt")
@@ -439,6 +442,7 @@ def test_encode_stores_the_term_table(monkeypatch):
     for u in range(params.n_users):
         cs = cache_slice_for(params, u, lib, demand.file_set)
         assert decode_linear(params, u, bc, cs) == lib.rows[demand.entries[u]]
+        assert decode_structural(params, u, bc, cs) == lib.rows[demand.entries[u]]
 
 
 def test_decode_unknown_method():
