@@ -2,9 +2,12 @@
 
 Nothing in this module touches floating point.  Rationals are
 ``fractions.Fraction`` (arbitrary precision, always in lowest terms),
-binomials come from ``math.comb``, and the convex-envelope construction is
-carried out with exact cross products, so every downstream rate/memory
-comparison can assert equality instead of a tolerance.
+binomials come from ``math.comb``, and the convex-envelope construction
+decides each hull turn by the sign of an integer 3x3 determinant on
+homogeneous points, so every downstream rate/memory comparison can assert
+equality instead of a tolerance.  An envelope computes its x list and its
+segment slopes once and evaluates in integers (``value_terms``) with the
+stored slope.
 
 Subset enumeration is pinned to lexicographic order over the sorted ground
 set, so a subset's position in that order (its rank, which subfile indices
@@ -19,6 +22,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -77,57 +81,78 @@ class Envelope:
     """Piecewise-linear convex function given by its breakpoints.
 
     Breakpoints are (x, y) pairs with strictly increasing x; evaluation
-    between breakpoints is exact linear interpolation.
+    between breakpoints is exact linear interpolation.  The x list and the
+    segment slopes are computed once, on first use, and shared by every
+    reader.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        bps = self.breakpoints
-        if not bps:
+        if not self.breakpoints:
             raise ValueError("envelope needs at least one breakpoint")
-        for (x0, _), (x1, _) in zip(bps, bps[1:]):
-            if x1 <= x0:
-                raise ValueError("breakpoint x-coordinates must strictly increase")
-        slopes = self.slopes()
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s1 < s0:
-                raise ValueError("breakpoints are not convex")
+        xs = self._xs
+        if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+            raise ValueError("breakpoint x-coordinates must strictly increase")
+        slopes = self._slopes
+        if any(s1 < s0 for s0, s1 in zip(slopes, slopes[1:])):
+            raise ValueError("breakpoints are not convex")
 
-    def slopes(self) -> list[Fraction]:
-        return [
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
-        ]
+    @cached_property
+    def _xs(self) -> tuple[Fraction, ...]:
+        return tuple(x for x, _ in self.breakpoints)
+
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
+        bps = self.breakpoints
+        return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
+
+    def slopes(self) -> tuple[Fraction, ...]:
+        """The slope of each segment, left to right."""
+        return self._slopes
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return (self.breakpoints[0][0], self.breakpoints[-1][0])
+        return (self._xs[0], self._xs[-1])
+
+    def value_terms(self, x) -> tuple[int, int]:
+        """The envelope at x as an unreduced integer pair (n, d), d > 0, with
+        n / d the exact value; x is a Fraction or an int within the domain.
+        The segment's stored slope carries the interpolation."""
+        xs = self._xs
+        if x < xs[0] or x > xs[-1]:
+            raise ValueError(f"x={x} outside envelope domain [{xs[0]}, {xs[-1]}]")
+        i = bisect_right(xs, x) - 1
+        x0, y0 = self.breakpoints[i]
+        if i == len(self._slopes):
+            return y0.numerator, y0.denominator
+        slope = self._slopes[i]
+        # y0 + slope * (x - x0), over y0.den * slope.den * x.den * x0.den
+        run = x.denominator * x0.denominator
+        rise = slope.numerator * (x.numerator * x0.denominator - x0.numerator * x.denominator)
+        return (y0.numerator * slope.denominator * run + rise * y0.denominator,
+                y0.denominator * slope.denominator * run)
 
     def value_at(self, x) -> Fraction:
         """Exact value of the envelope at x; x must lie within the domain."""
-        x = Fraction(x)
-        bps = self.breakpoints
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise ValueError(f"x={x} outside envelope domain [{lo}, {hi}]")
-        xs = [p[0] for p in bps]
-        i = bisect_right(xs, x) - 1
-        if i == len(bps) - 1:
-            return bps[-1][1]
-        (x0, y0), (x1, y1) = bps[i], bps[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return Fraction(*self.value_terms(Fraction(x)))
 
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _orientation(o: tuple[int, int, int], a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+    """det[o; a; b] of three homogeneous points (X, Y, W), W > 0: W_o W_a W_b
+    times the cross product (a - o) x (b - o) of the points (X/W, Y/W), so
+    its sign is the turn o -> a -> b (positive: counter-clockwise)."""
+    (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o, a, b
+    return ox * (ay * bw - aw * by) - oy * (ax * bw - aw * bx) + ow * (ax * by - ay * bx)
 
 
 def lower_convex_envelope(points: Iterable[tuple]) -> Envelope:
     """Lower convex envelope of a finite point set, as an Envelope.
 
     Ties at equal x keep the smaller y; points on a common chord are dropped
-    so the breakpoint list is canonical (endpoints only).
+    so the breakpoint list is canonical (endpoints only).  Each turn of the
+    monotone-chain scan is decided in integers, on the homogeneous point
+    (x.num * y.den, y.num * x.den, x.den * y.den).
     """
     best: dict[Fraction, Fraction] = {}
     for x, y in points:
@@ -137,8 +162,13 @@ def lower_convex_envelope(points: Iterable[tuple]) -> Envelope:
     if not best:
         raise ValueError("need at least one point")
     hull: list[tuple[Fraction, Fraction]] = []
+    homogeneous: list[tuple[int, int, int]] = []
     for p in sorted(best.items()):
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+        x, y = p
+        h = (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+        while len(hull) >= 2 and _orientation(homogeneous[-2], homogeneous[-1], h) <= 0:
             hull.pop()
+            homogeneous.pop()
         hull.append(p)
+        homogeneous.append(h)
     return Envelope(tuple(hull))

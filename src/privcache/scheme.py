@@ -175,13 +175,16 @@ def requested_files(demands: Demands) -> tuple[int, ...]:
 
 def feasible_cover_sets(params: SchemeParams, demands: Demands) -> list[tuple[int, ...]]:
     """All n_active-subsets of the file labels containing every requested file,
-    in lexicographic order."""
-    need = set(requested_files(demands))
-    return [
-        cand
-        for cand in itertools.combinations(range(params.n_files), params.n_active)
-        if need.issubset(cand)
-    ]
+    in lexicographic order.
+
+    Each cover is the requested files plus one (n_active - |requested|)-subset
+    of the other files, so only those subsets are enumerated.  Taking them in
+    lexicographic order keeps the covers in lexicographic order: two equal-size
+    sets compare at the smallest element of their symmetric difference, which
+    the shared requested files do not change."""
+    need = requested_files(demands)
+    rest = [f for f in range(params.n_files) if f not in need]
+    return [tuple(sorted(need + extra)) for extra in itertools.combinations(rest, params.n_active - len(need))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,20 @@ linear bounds indexed by (s, lambda) with a minimal auxiliary index t, and
 the corner-point envelope they generate, built from the points
 ((N - L(t-1))/s, L((s-1)/2 + t(t-1)/(2s))) together with (0, L*floor(n_active/L)).
 
-Points, envelopes and lines are Fractions, and every check is exact.  The
-grid check compares integers: on the memory grid M_j = j * N / g each
-converse line and each envelope segment is (a + b * j) / e for integers a, b
-and e > 0, and all of them are put over one positive common denominator, so
-a comparison of two curves is a comparison of integer numerators.
-The certificate confirms that the achievable envelope is within a factor of
-6 of the corner-point lower envelope at every audited memory point.
+Points, envelopes and lines are exact rationals, and the ``gap`` op is
+decided in integers; Fractions are built only where a result holds one.
+``_converse_terms`` is the one (s, lambda) enumerator: for lambda = p/q it
+decides t and writes each line's intercept and slope as integer numerators
+and denominators, which ``converse_lines`` wraps in Fractions and the
+dominance check reads directly.  The grid check compares integers: on the
+memory grid M_j = j * N / g each converse line and each envelope segment is
+(a + b * j) / e for integers a, b and e > 0, and all of them are put over
+one positive common denominator, so a comparison of two curves is a
+comparison of integer numerators.  The certificate evaluates both envelopes
+at each audited memory point as integer pairs (``Envelope.value_terms``)
+and compares the ratios by cross-multiplying; it confirms that the
+achievable envelope is within a factor of 6 of the corner-point lower
+envelope at every audited memory point.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from operator import gt
+from typing import Iterator
 
 from .exact import Envelope, binomial, lower_convex_envelope
 
@@ -83,16 +91,54 @@ def max_converse_s(n_files: int, n_users: int, demands_per_user: int) -> int:
     return min(n_files // demands_per_user, n_users)
 
 
+def lambda_grid(step: Fraction = Fraction(1, 8)) -> list[Fraction]:
+    step = Fraction(step)
+    if not 0 < step <= 1:
+        raise ValueError("lambda step must lie in (0, 1]")
+    grid = []
+    lam = Fraction(0)
+    while lam < 1:
+        grid.append(lam)
+        lam += step
+    grid.append(Fraction(1))
+    return grid
+
+
 def min_feasible_t(n_files: int, demands_per_user: int, s: int, lam: Fraction) -> int:
     """Smallest t in [1, s] satisfying the feasibility inequality
-    L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t; t = s always works."""
+    L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t; t = s always works.
+    With lam = p/q the inequality is decided times q, in integers:
+    L*(q(s(s-1) - t(t-1)) + 2ps) <= 2q(N - (t-1)L)*t."""
     big_l = demands_per_user
+    p, q = lam.numerator, lam.denominator
     for t in range(1, s + 1):
-        lhs = big_l * (s * (s - 1) - t * (t - 1) + 2 * lam * s)
-        rhs = 2 * (n_files - (t - 1) * big_l) * t
-        if lhs <= rhs:
+        if big_l * (q * (s * (s - 1) - t * (t - 1)) + 2 * p * s) <= 2 * q * (n_files - (t - 1) * big_l) * t:
             return t
     raise RuntimeError(f"no feasible t for s={s}, lambda={lam}; t=s should always satisfy the condition")
+
+
+def _line_terms(n_files: int, demands_per_user: int, s: int, lam: Fraction) -> tuple[int, int, int, int, int]:
+    """(t, c, d, u, w) of the (s, lam) line: its minimal t, its intercept
+    c/d = L(s - 1 + lam) and its slope
+    u/w = -L(2*lam*s + s(s-1) - t(t-1)) / (2(N - L(t-1))), as unreduced
+    integers with d = q and w = 2q(N - L(t-1)) for lam = p/q, so d > 0 and
+    d divides w > 0."""
+    big_l = demands_per_user
+    p, q = lam.numerator, lam.denominator
+    t = min_feasible_t(n_files, big_l, s, lam)
+    return (t, big_l * ((s - 1) * q + p), q,
+            -big_l * (2 * p * s + q * (s * (s - 1) - t * (t - 1))), 2 * q * (n_files - big_l * (t - 1)))
+
+
+def _converse_terms(n_files: int, n_users: int, demands_per_user: int,
+                    lambda_step: Fraction) -> Iterator[tuple[int, Fraction, int, int, int, int, int]]:
+    """(s, lam, t, c, d, u, w) of every converse line (see ``_line_terms``):
+    s in [1, s_max] and, for each s, lam on ``lambda_grid(lambda_step)``, in
+    that order.  The one (s, lambda) enumerator."""
+    lams = lambda_grid(lambda_step)
+    for s in range(1, max_converse_s(n_files, n_users, demands_per_user) + 1):
+        for lam in lams:
+            yield (s, lam, *_line_terms(n_files, demands_per_user, s, lam))
 
 
 @dataclass(frozen=True)
@@ -109,6 +155,10 @@ class ConverseLine:
         return self.intercept + self.slope * Fraction(m)
 
 
+def _as_line(s: int, lam: Fraction, t: int, c: int, d: int, u: int, w: int) -> ConverseLine:
+    return ConverseLine(s=s, lam=lam, t=t, intercept=Fraction(c, d), slope=Fraction(u, w))
+
+
 def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam) -> ConverseLine:
     _validate_dims(n_files, n_users, demands_per_user)
     lam = Fraction(lam)
@@ -117,11 +167,13 @@ def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam
         raise ValueError(f"s={s} outside [1, {s_max}]")
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda={lam} outside [0, 1]")
-    big_l = demands_per_user
-    t = min_feasible_t(n_files, big_l, s, lam)
-    intercept = (s - 1 + lam) * big_l
-    slope = -Fraction(big_l, 1) * (2 * lam * s + s * (s - 1) - t * (t - 1)) / (2 * (n_files - big_l * (t - 1)))
-    return ConverseLine(s=s, lam=lam, t=t, intercept=intercept, slope=slope)
+    return _as_line(s, lam, *_line_terms(n_files, demands_per_user, s, lam))
+
+
+def converse_lines(n_files: int, n_users: int, demands_per_user: int,
+                   lambda_step: Fraction = Fraction(1, 8)) -> list[ConverseLine]:
+    """Every converse line, in the order of ``_converse_terms``."""
+    return [_as_line(*terms) for terms in _converse_terms(n_files, n_users, demands_per_user, lambda_step)]
 
 
 def corner_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
@@ -145,28 +197,6 @@ def converse_corner_envelope(n_files: int, n_users: int, demands_per_user: int) 
     pts = [(p.m, p.rate) for p in corner_points(n_files, n_users, demands_per_user)]
     pts.append((Fraction(0), Fraction(demands_per_user * (n_act // demands_per_user))))
     return lower_convex_envelope(pts)
-
-
-def lambda_grid(step: Fraction = Fraction(1, 8)) -> list[Fraction]:
-    step = Fraction(step)
-    if not 0 < step <= 1:
-        raise ValueError("lambda step must lie in (0, 1]")
-    grid = []
-    lam = Fraction(0)
-    while lam < 1:
-        grid.append(lam)
-        lam += step
-    grid.append(Fraction(1))
-    return grid
-
-
-def converse_lines(n_files: int, n_users: int, demands_per_user: int,
-                   lambda_step: Fraction = Fraction(1, 8)) -> list[ConverseLine]:
-    """Every converse line: s in [1, s_max] and, for each s, lambda on
-    ``lambda_grid(lambda_step)``, in that order."""
-    lams = lambda_grid(lambda_step)
-    return [converse_line(n_files, n_users, demands_per_user, s, lam)
-            for s in range(1, max_converse_s(n_files, n_users, demands_per_user) + 1) for lam in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +264,21 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     """Exact sandwich check on a memory grid: the corner envelope and every
     (s, lambda)-line must lie weakly below the achievable envelope.
 
-    Each line and each envelope segment is turned once into integer
-    numerators over one common denominator; the envelopes are walked
-    segment by segment and each line's numerator steps by its slope along
-    the grid, so every comparison is between integers.  Fractions are built
-    only for what the report holds.  A line rising above the corner envelope
+    Each line, straight from its integer terms, and each envelope segment is
+    turned once into integer numerators over one common denominator; the
+    envelopes are walked segment by segment and each line's numerator steps
+    by its slope along the grid, so every comparison is between integers.
+    No line is built as a ``ConverseLine``, and Fractions are built only for
+    what the report holds.  A line rising above the corner envelope
     somewhere is not an error (it just means the line is locally the tighter
     bound); the first such M of each line is reported informationally.
     """
     g = _grid_intervals(grid_size)
     ach = _envelope_pieces(achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
     low = _envelope_pieces(converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
-    lines = converse_lines(n_files, n_users, demands_per_user, lambda_step)
-    forms = [_grid_form(line.intercept, line.slope, n_files, g) for line in lines]
+    lines = list(_converse_terms(n_files, n_users, demands_per_user, lambda_step))
+    # c/d + (u/w) * j*N/g == (c*(w/d)*g + u*N*j) / (w*g), as d divides w
+    forms = [(c * (w // d) * g, u * n_files, w * g) for *_, c, d, u, w in lines]
     denom = math.lcm(*(e for *_, e in ach + low + forms))
     ach_at = _envelope_numerators(ach, denom)
     low_at = _envelope_numerators(low, denom)
@@ -256,15 +288,15 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
 
     violations = [report(j, lo, up, "corner-envelope") for j, (lo, up) in enumerate(zip(low_at, ach_at)) if lo > up]
     above = []
-    for line, (a, b, e) in zip(lines, forms):
+    for (s, lam, *_), (a, b, e) in zip(lines, forms):
         scale = denom // e
         line_at = _numerators(a * scale, b * scale, 0, g + 1)
         if any(map(gt, line_at, ach_at)):
-            tag = f"line s={line.s},lam={line.lam}"
+            tag = f"line s={s},lam={lam}"
             violations += [report(j, v, up, tag) for j, (v, up) in enumerate(zip(line_at, ach_at)) if v > up]
         first = next(compress(count(), map(gt, line_at, low_at)), None)
         if first is not None:
-            above.append((line.s, line.lam, Fraction(first * n_files, g)))
+            above.append((s, lam, Fraction(first * n_files, g)))
     return DominanceReport((g + 1) * (1 + len(lines)), violations, above)
 
 
@@ -293,26 +325,29 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
     """
     ach = achievable_envelope(n_files, n_users, demands_per_user)
     low = converse_corner_envelope(n_files, n_users, demands_per_user)
-    n_act = active_files(n_files, n_users, demands_per_user)
     candidates: list[tuple[Fraction, str]] = [(Fraction(0), "endpoint M=0")]
     for p in corner_points(n_files, n_users, demands_per_user):
         if p.provenance != "corner s=1,t=1":
             candidates.append((p.m, p.provenance))
-    best = Fraction(0)
-    witness = (Fraction(0), "endpoint M=0")
+    # ratios are integer pairs (num, den), den > 0, compared by cross-multiplying
+    best_num, best_den = 0, 1
+    witness = candidates[0]
     for m, prov in candidates:
-        a = ach.value_at(m)
-        b = low.value_at(m)
-        if b == 0:
-            if a == 0:
-                ratio = Fraction(1)  # both schemes optimal at full memory
-            else:
-                raise OptimalityGapError(f"lower envelope vanished at M={m} with achievable rate {a}")
+        a_num, a_den = ach.value_terms(m)
+        b_num, b_den = low.value_terms(m)
+        if b_num == 0:
+            if a_num != 0:
+                raise OptimalityGapError(
+                    f"lower envelope vanished at M={m} with achievable rate {Fraction(a_num, a_den)}")
+            num, den = 1, 1  # both schemes optimal at full memory
         else:
-            ratio = a / b
-        if ratio > best:
-            best = ratio
+            num, den = a_num * b_den, a_den * b_num
+            if den < 0:
+                num, den = -num, -den
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
             witness = (m, prov)
+    best = Fraction(best_num, best_den)
     if best > GAP_FACTOR:
         raise OptimalityGapError(
             f"gap {best} exceeds {GAP_FACTOR} at M={witness[0]} ({witness[1]}) "

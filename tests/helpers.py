@@ -1,9 +1,13 @@
 """Fixtures and oracles the tests share; the program itself never needs them."""
 
+import itertools
+from fractions import Fraction
 from typing import Iterable
 
-from privcache.exact import binomial
+from privcache import tradeoff
+from privcache.exact import Envelope, binomial
 from privcache.gf import PrimeField
+from privcache.tradeoff import GapCertificate, OptimalityGapError
 from privcache.ucc import Library, UccParams, user_positions
 
 
@@ -38,3 +42,87 @@ def subset_rank(ground: Iterable, subset: Iterable) -> int:
             rank += binomial(n - v - 1, k - i - 1)
         prev = c
     return rank
+
+
+def scan_cover_sets(n_files: int, n_active: int, requested: Iterable[int]) -> list[tuple[int, ...]]:
+    """Every n_active-subset of [n_files) holding the requested files, by
+    scanning all C(n_files, n_active) subsets in lexicographic order."""
+    need = set(requested)
+    return [cand for cand in itertools.combinations(range(n_files), n_active) if need.issubset(cand)]
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the tradeoff kernel: the converse line, the hull
+# and the gap certificate as direct rational formulas
+# ---------------------------------------------------------------------------
+
+
+def fraction_converse_line(n_files: int, demands_per_user: int, s: int, lam) -> tuple[int, Fraction, Fraction]:
+    """(t, intercept, slope) of the (s, lam) converse line in Fractions: the
+    first t in [1, s] with L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t,
+    intercept (s - 1 + lam) * L and slope
+    -L(2*lam*s + s(s-1) - t(t-1)) / (2(N - L(t-1)))."""
+    big_l, lam = demands_per_user, Fraction(lam)
+    t = next(t for t in range(1, s + 1)
+             if big_l * (s * (s - 1) - t * (t - 1) + 2 * lam * s) <= 2 * (n_files - (t - 1) * big_l) * t)
+    slope = -Fraction(big_l) * (2 * lam * s + s * (s - 1) - t * (t - 1)) / (2 * (n_files - big_l * (t - 1)))
+    return t, (s - 1 + lam) * big_l, slope
+
+
+def _cross(o, a, b) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def cross_hull(points: Iterable[tuple]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Lower convex hull breakpoints by the monotone chain with Fraction cross
+    products: the smallest y at each x, and collinear middles dropped."""
+    best: dict[Fraction, Fraction] = {}
+    for x, y in points:
+        x, y = Fraction(x), Fraction(y)
+        best[x] = min(y, best.get(x, y))
+    hull: list[tuple[Fraction, Fraction]] = []
+    for p in sorted(best.items()):
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    return tuple(hull)
+
+
+def chord_value_at(env: Envelope, x) -> Fraction:
+    """``env`` at x by interpolating the chord between the breakpoints around x."""
+    x = Fraction(x)
+    bps = env.breakpoints
+    lo, hi = bps[0][0], bps[-1][0]
+    if x < lo or x > hi:
+        raise ValueError(f"x={x} outside envelope domain [{lo}, {hi}]")
+    i = max(i for i, (x0, _) in enumerate(bps) if x0 <= x)
+    if i == len(bps) - 1:
+        return bps[-1][1]
+    (x0, y0), (x1, y1) = bps[i], bps[i + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def per_candidate_gap(n_files: int, n_users: int, demands_per_user: int) -> GapCertificate:
+    """``tradeoff.gap_certificate`` with both envelopes evaluated per
+    candidate memory by ``chord_value_at`` and the ratios as Fractions."""
+    ach = tradeoff.achievable_envelope(n_files, n_users, demands_per_user)
+    low = tradeoff.converse_corner_envelope(n_files, n_users, demands_per_user)
+    candidates = [(Fraction(0), "endpoint M=0")] + [
+        (p.m, p.provenance) for p in tradeoff.corner_points(n_files, n_users, demands_per_user)
+        if p.provenance != "corner s=1,t=1"]
+    best, witness = Fraction(0), candidates[0]
+    for m, prov in candidates:
+        a, b = chord_value_at(ach, m), chord_value_at(low, m)
+        if b == 0:
+            if a != 0:
+                raise OptimalityGapError(f"lower envelope vanished at M={m} with achievable rate {a}")
+            ratio = Fraction(1)
+        else:
+            ratio = a / b
+        if ratio > best:
+            best, witness = ratio, (m, prov)
+    if best > tradeoff.GAP_FACTOR:
+        raise OptimalityGapError(
+            f"gap {best} exceeds {tradeoff.GAP_FACTOR} at M={witness[0]} ({witness[1]}) "
+            f"for (N,K,L)=({n_files},{n_users},{demands_per_user})")
+    return GapCertificate(n_files, n_users, demands_per_user, best, *witness)

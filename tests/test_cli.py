@@ -448,8 +448,14 @@ REPLAY = [
     # all 144 triples at a non-default grid and lambda step
     pytest.param(("gap", "--sweep", "N=1..8,K=1..4", "--grid", "41", "--lambda-step", "2/7"),
                  0, "00b3f632eb0cfaeb3d40125e076a16d14ad0c9293497d715f4bd557495b15fd4", id="gap-sweep-grid41-step2-7"),
+    # all 144 triples at the default grid and lambda step
+    pytest.param(("gap", "--sweep", "N=1..8,K=1..4"),
+                 0, "fbbf6b68ef2414c31cf46b617f866ea9ba2f75e6964c91d7cd6e30e1aa386a8b", id="gap-sweep-default"),
     pytest.param(("tradeoff", "--N", "5", "--K", "2", "--L", "2"),
                  0, "cb2f811b42c9d56ef1a61315cf727bec7f1c599eae6ce30dc2e138564771ec3f", id="tradeoff"),
+    # lambda on thirds: lines with non-dyadic intercepts and slopes
+    pytest.param(("tradeoff", "--N", "8", "--K", "4", "--L", "2", "--lambda-step", "1/3"),
+                 0, "932e0483f9216cbff5c587b1535337b1882f4aedff3971f0ff9084e07ac4963b", id="tradeoff-842-step1-3"),
 ]
 
 

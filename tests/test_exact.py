@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import subset_rank
+from helpers import chord_value_at, cross_hull, subset_rank
 from privcache.audit import chi_square_quantile
 from privcache.exact import (
     Envelope,
@@ -129,6 +129,31 @@ def test_envelope_below_all_points_and_convex(points):
     slopes = env.slopes()
     assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
     assert set(env.breakpoints) <= {(Fraction(x), Fraction(y)) for x, y in points}
+
+
+_coord = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def hull_inputs(draw):
+    """Rational points, some sharing an x, some on one line, in any order."""
+    points = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=10))
+    xs = [x for x, _ in points]
+    points += [(draw(st.sampled_from(xs)), draw(_coord)) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        x0, y0, dy = draw(_coord), draw(_coord), draw(_coord)
+        dx = draw(st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6))
+        points += [(x0 + i * dx, y0 + i * dy) for i in range(draw(st.integers(2, 5)))]
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_inputs())
+def test_envelope_matches_cross_product_hull(points):
+    env = lower_convex_envelope(points)
+    assert env.breakpoints == cross_hull(points)
+    for x, _ in points:
+        assert env.value_at(x) == chord_value_at(env, x)
 
 
 @settings(max_examples=200, deadline=None)

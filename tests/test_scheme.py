@@ -7,8 +7,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ramp_library
+from helpers import ramp_library, scan_cover_sets
 from privcache import audit, cli, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
@@ -73,6 +75,35 @@ def test_feasible_cover_sets_families():
         (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)]
     assert feasible_cover_sets(P522, ((0, 1), (0, 2))) == [(0, 1, 2, 3), (0, 1, 2, 4)]
     assert feasible_cover_sets(P522, ((0, 1), (2, 3))) == [(0, 1, 2, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_feasible_cover_sets_match_subset_scan(data):
+    n = data.draw(st.integers(1, 11))
+    k = data.draw(st.integers(1, 4))
+    big_l = data.draw(st.integers(1, n))
+    params = SchemeParams(n, k, big_l, r=0)
+    demands = tuple(tuple(data.draw(st.permutations(range(n)))[:big_l]) for _ in range(k))
+    need = {f for row in demands for f in row}
+    assert feasible_cover_sets(params, demands) == scan_cover_sets(n, params.n_active, need)
+
+
+def test_feasible_cover_sets_build_only_the_covers(monkeypatch):
+    # N = 24, K = 1, L = 12: one cover, among C(24, 12) = 2,704,156 12-subsets
+    built = Counter()
+    combinations = itertools.combinations
+
+    def counting(iterable, r):
+        for cand in combinations(iterable, r):
+            built["candidates"] += 1
+            yield cand
+
+    monkeypatch.setattr(scheme.itertools, "combinations", counting)
+    params = SchemeParams(24, 1, 12, r=0)
+    demands = (tuple(range(0, 24, 2)),)
+    assert feasible_cover_sets(params, demands) == [tuple(range(0, 24, 2))]
+    assert built["candidates"] == 1
 
 
 def test_feasible_cover_sets_degenerate_full_round():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from helpers import fraction_converse_line, per_candidate_gap
 from privcache import tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
 from privcache.scheme import SchemeParams
 from privcache.scheme import run_simulation
 from privcache.tradeoff import (
     DominanceReport,
+    OptimalityGapError,
     achievable_envelope,
     achievable_points,
     converse_corner_envelope,
@@ -24,8 +26,12 @@ from privcache.tradeoff import (
     lambda_grid,
     max_converse_s,
     min_feasible_t,
+    sweep_triples,
     verify_envelope_dominance,
 )
+
+
+LAMBDA_STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 8))
 
 
 def chord_oracle(points, m):
@@ -106,6 +112,31 @@ def test_converse_line_range_checks():
         converse_line(5, 2, 2, 0, 0)
     with pytest.raises(ValueError):
         converse_line(5, 2, 2, 1, Fraction(9, 8))
+
+
+def test_converse_line_matches_fraction_formula():
+    # K = N leaves s_max = N // L, every s the line family can take
+    lams = sorted({lam for step in LAMBDA_STEPS for lam in lambda_grid(step)})
+    checked = 0
+    for n in range(1, 11):
+        for big_l in range(1, n + 1):
+            for s in range(1, max_converse_s(n, n, big_l) + 1):
+                for lam in lams:
+                    line = converse_line(n, n, big_l, s, lam)
+                    assert (line.s, line.lam) == (s, lam)
+                    assert (line.t, line.intercept, line.slope) == fraction_converse_line(n, big_l, s, lam)
+                    checked += 1
+    assert checked == len(lams) * sum(n // big_l for n in range(1, 11) for big_l in range(1, n + 1))
+
+
+def test_converse_lines_match_fraction_formula_in_order():
+    for dims, step in (((8, 4, 2), Fraction(1, 3)), ((7, 2, 1), Fraction(2, 7)), ((1, 1, 1), Fraction(1))):
+        lines = converse_lines(*dims, step)
+        assert [(line.s, line.lam) for line in lines] == [
+            (s, lam) for s in range(1, max_converse_s(*dims) + 1) for lam in lambda_grid(step)]
+        for line in lines:
+            expected = fraction_converse_line(dims[0], dims[2], line.s, line.lam)
+            assert (line.t, line.intercept, line.slope) == expected
 
 
 def test_min_feasible_t_is_minimal_and_t_equals_s_feasible():
@@ -215,9 +246,6 @@ def test_dominance_makes_no_per_point_evaluations(monkeypatch):
     assert rep.checked_points == 101 * (1 + 9 * max_converse_s(5, 2, 2)) == 1919
 
 
-LAMBDA_STEPS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 8))
-
-
 @st.composite
 def dominance_cases(draw):
     """A triple, a grid and a lambda step, and both envelopes, each either
@@ -251,6 +279,23 @@ def dominance_pair(case):
 def test_dominance_kernel_matches_per_point_oracle(case):
     kernel, reference = dominance_pair(case)
     assert kernel == reference
+
+
+@pytest.mark.parametrize("dims, grid_size, lambda_step", [
+    ((5, 2, 2), 101, Fraction(1, 8)),
+    ((8, 4, 3), 41, Fraction(1, 3)),
+    ((3, 3, 1), 11, Fraction(1, 2)),
+])
+def test_dominance_builds_no_converse_line(monkeypatch, dims, grid_size, lambda_step):
+    # the check reads the integer line terms: no ConverseLine, so no Fraction line
+    expected = verify_envelope_dominance(*dims, grid_size, lambda_step)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dominance check built a ConverseLine")
+
+    monkeypatch.setattr(tradeoff, "converse_line", forbidden)
+    monkeypatch.setattr(tradeoff, "ConverseLine", forbidden)
+    assert verify_envelope_dominance(*dims, grid_size, lambda_step) == expected
 
 
 @pytest.mark.parametrize("branch", ["violations", "lines_above_corner_envelope"])
@@ -291,6 +336,40 @@ def test_converse_lines_order_and_count():
     assert [(line.s, line.lam) for line in lines] == [
         (s, lam) for s in (1, 2) for lam in (0, Fraction(1, 2), 1)]
     assert lines[4] == converse_line(5, 2, 2, 2, Fraction(1, 2))
+
+
+def gap_outcome(certify, dims):
+    """``certify(*dims)``, or the type and message of the gap error it raises."""
+    try:
+        return certify(*dims)
+    except OptimalityGapError as exc:
+        return type(exc), str(exc)
+
+
+def test_gap_certificate_matches_per_candidate_reference_on_every_triple():
+    for dims in sweep_triples((1, 8), (1, 4)):
+        assert gap_certificate(*dims) == per_candidate_gap(*dims)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominance_cases())
+def test_gap_certificate_matches_per_candidate_reference_on_perturbed_envelopes(case):
+    dims, _, _, ach, low = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tradeoff, "achievable_envelope", lambda *_: ach)
+        patch.setattr(tradeoff, "converse_corner_envelope", lambda *_: low)
+        assert gap_outcome(gap_certificate, dims) == gap_outcome(per_candidate_gap, dims)
+
+
+@pytest.mark.parametrize("scale, message", [(Fraction(1, 10), "exceeds 6"), (Fraction(0), "lower envelope vanished")])
+def test_gap_certificate_errors_match_per_candidate_reference(monkeypatch, scale, message):
+    # a lower envelope scaled far down breaks the factor-6 bound; scaled to zero it vanishes
+    low = converse_corner_envelope(8, 4, 2)
+    monkeypatch.setattr(tradeoff, "converse_corner_envelope",
+                        lambda *_: lower_convex_envelope((m, r * scale) for m, r in low.breakpoints))
+    kernel = gap_outcome(gap_certificate, (8, 4, 2))
+    assert kernel == gap_outcome(per_candidate_gap, (8, 4, 2))
+    assert kernel[0] is OptimalityGapError and message in kernel[1]
 
 
 def test_gap_certificate_worked_example():
