@@ -3,11 +3,11 @@
 Nothing in this module touches floating point.  Rationals are
 ``fractions.Fraction`` (arbitrary precision, always in lowest terms),
 binomials come from ``math.comb``, and the convex-envelope construction
-decides each hull turn by the sign of an integer 3x3 determinant on
-homogeneous points, so every downstream rate/memory comparison can assert
-equality instead of a tolerance.  An envelope computes its x list and its
-segment slopes once and evaluates in integers (``value_terms``) with the
-stored slope.
+decides each hull turn by the sign of an integer cross product on the points
+put over common denominators, so every downstream rate/memory comparison
+can assert equality instead of a tolerance.  An envelope computes its x list
+and its segment slopes, as integer pairs, once; it validates and evaluates
+(``value_terms``) in integers.
 
 Subset enumeration is pinned to lexicographic order over the sorted ground
 set, so a subset's position in that order (its rank, which subfile indices
@@ -82,8 +82,9 @@ class Envelope:
 
     Breakpoints are (x, y) pairs with strictly increasing x; evaluation
     between breakpoints is exact linear interpolation.  The x list and the
-    segment slopes are computed once, on first use, and shared by every
-    reader.
+    segment slopes, as reduced integer pairs, are computed once, on first
+    use, and shared by every reader; both checks of the breakpoints compare
+    integers.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -91,11 +92,10 @@ class Envelope:
     def __post_init__(self):
         if not self.breakpoints:
             raise ValueError("envelope needs at least one breakpoint")
-        xs = self._xs
-        if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
+        slopes = self.slope_terms
+        if any(d <= 0 for _, d in slopes):
             raise ValueError("breakpoint x-coordinates must strictly increase")
-        slopes = self._slopes
-        if any(s1 < s0 for s0, s1 in zip(slopes, slopes[1:])):
+        if any(n1 * d0 < n0 * d1 for (n0, d0), (n1, d1) in zip(slopes, slopes[1:])):
             raise ValueError("breakpoints are not convex")
 
     @cached_property
@@ -103,13 +103,19 @@ class Envelope:
         return tuple(x for x, _ in self.breakpoints)
 
     @cached_property
-    def _slopes(self) -> tuple[Fraction, ...]:
+    def slope_terms(self) -> tuple[tuple[int, int], ...]:
+        """The slope of each segment, left to right, as a reduced integer
+        pair (n, d).  d takes the sign of x1 - x0, so it is positive on every
+        valid envelope."""
+        terms = []
         bps = self.breakpoints
-        return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
-
-    def slopes(self) -> tuple[Fraction, ...]:
-        """The slope of each segment, left to right."""
-        return self._slopes
+        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+            x0n, x0d, x1n, x1d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+            y0n, y0d, y1n, y1d = y0.numerator, y0.denominator, y1.numerator, y1.denominator
+            rise, run = (y1n * y0d - y0n * y1d) * x0d * x1d, (x1n * x0d - x0n * x1d) * y0d * y1d
+            k = math.gcd(rise, run) or 1
+            terms.append((rise // k, run // k))
+        return tuple(terms)
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -124,51 +130,46 @@ class Envelope:
             raise ValueError(f"x={x} outside envelope domain [{xs[0]}, {xs[-1]}]")
         i = bisect_right(xs, x) - 1
         x0, y0 = self.breakpoints[i]
-        if i == len(self._slopes):
+        if i == len(self.slope_terms):
             return y0.numerator, y0.denominator
-        slope = self._slopes[i]
-        # y0 + slope * (x - x0), over y0.den * slope.den * x.den * x0.den
-        run = x.denominator * x0.denominator
-        rise = slope.numerator * (x.numerator * x0.denominator - x0.numerator * x.denominator)
-        return (y0.numerator * slope.denominator * run + rise * y0.denominator,
-                y0.denominator * slope.denominator * run)
+        rise, run = self.slope_terms[i]
+        # y0 + (rise / run) * (x - x0), over y0.den * run * x.den * x0.den
+        span = x.denominator * x0.denominator
+        lift = rise * (x.numerator * x0.denominator - x0.numerator * x.denominator)
+        return (y0.numerator * run * span + lift * y0.denominator, y0.denominator * run * span)
 
     def value_at(self, x) -> Fraction:
         """Exact value of the envelope at x; x must lie within the domain."""
         return Fraction(*self.value_terms(Fraction(x)))
 
 
-def _orientation(o: tuple[int, int, int], a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
-    """det[o; a; b] of three homogeneous points (X, Y, W), W > 0: W_o W_a W_b
-    times the cross product (a - o) x (b - o) of the points (X/W, Y/W), so
-    its sign is the turn o -> a -> b (positive: counter-clockwise)."""
-    (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o, a, b
-    return ox * (ay * bw - aw * by) - oy * (ax * bw - aw * bx) + ow * (ax * by - ay * bx)
-
-
 def lower_convex_envelope(points: Iterable[tuple]) -> Envelope:
     """Lower convex envelope of a finite point set, as an Envelope.
 
     Ties at equal x keep the smaller y; points on a common chord are dropped
-    so the breakpoint list is canonical (endpoints only).  Each turn of the
-    monotone-chain scan is decided in integers, on the homogeneous point
-    (x.num * y.den, y.num * x.den, x.den * y.den).
+    so the breakpoint list is canonical (endpoints only).  The scan runs on
+    integers: every x is put over the common denominator of all x, and every
+    y over that of all y, which scales each cross product by one positive
+    factor and so keeps the sign of every turn.  The integer pairs are
+    sorted, and a point whose x equals the previous one is skipped: the sort
+    put the smaller y first.
     """
-    best: dict[Fraction, Fraction] = {}
-    for x, y in points:
-        x, y = Fraction(x), Fraction(y)
-        if x not in best or y < best[x]:
-            best[x] = y
-    if not best:
+    pts = [(x if type(x) is Fraction else Fraction(x), y if type(y) is Fraction else Fraction(y)) for x, y in points]
+    if not pts:
         raise ValueError("need at least one point")
-    hull: list[tuple[Fraction, Fraction]] = []
-    homogeneous: list[tuple[int, int, int]] = []
-    for p in sorted(best.items()):
-        x, y = p
-        h = (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
-        while len(hull) >= 2 and _orientation(homogeneous[-2], homogeneous[-1], h) <= 0:
+    x_den = math.lcm(*[x.denominator for x, _ in pts])
+    y_den = math.lcm(*[y.denominator for _, y in pts])
+    scaled = sorted((x.numerator * (x_den // x.denominator), y.numerator * (y_den // y.denominator), i)
+                    for i, (x, y) in enumerate(pts))
+    hull: list[tuple[int, int, int]] = []
+    for p in scaled:
+        if hull and p[0] == hull[-1][0]:
+            continue
+        px, py, _ = p
+        while len(hull) >= 2:
+            (ox, oy, _), (ax, ay, _) = hull[-2], hull[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
             hull.pop()
-            homogeneous.pop()
         hull.append(p)
-        homogeneous.append(h)
-    return Envelope(tuple(hull))
+    return Envelope(tuple(pts[i] for *_, i in hull))

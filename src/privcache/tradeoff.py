@@ -8,14 +8,18 @@ the corner-point envelope they generate, built from the points
 
 Points, envelopes and lines are exact rationals, and the ``gap`` op is
 decided in integers; Fractions are built only where a result holds one.
+The achievable points walk their binomials along r by exact recurrences.
 ``_converse_terms`` is the one (s, lambda) enumerator: for lambda = p/q it
-decides t and writes each line's intercept and slope as integer numerators
-and denominators, which ``converse_lines`` wraps in Fractions and the
-dominance check reads directly.  The grid check compares integers: on the
-memory grid M_j = j * N / g each converse line and each envelope segment is
-(a + b * j) / e for integers a, b and e > 0, and all of them are put over
-one positive common denominator, so a comparison of two curves is a
-comparison of integer numerators.  The certificate evaluates both envelopes
+finds t by one upward scan per s and writes each line's intercept and slope
+as integer numerators and denominators, which ``converse_lines`` wraps in
+Fractions and the dominance check reads directly.  The grid check compares
+integers: on the memory grid M_j = j * N / g each converse line and each
+envelope segment is (a + b * j) / e for integers a, b and e > 0, and all of
+them are put over one positive common denominator, so a comparison of two
+curves is a comparison of integer numerators.  A line is compared with a
+convex envelope at the one grid point where it rises highest above it, found
+by bisection.  The corner points are built once per triple and shared by the
+corner envelope and the certificate.  The certificate evaluates both envelopes
 at each audited memory point as integer pairs (``Envelope.value_terms``)
 and compares the ratios by cross-multiplying; it confirms that the
 achievable envelope is within a factor of 6 of the corner-point lower
@@ -25,14 +29,14 @@ envelope at every audited memory point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
-from operator import gt
+from operator import sub
 from typing import Iterator
 
-from .exact import Envelope, binomial, lower_convex_envelope
+from .exact import Envelope, lower_convex_envelope
 
 GAP_FACTOR = 6
 
@@ -59,27 +63,39 @@ class TradeoffPoint:
     provenance: str
 
 
+def _achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iterator[tuple[Fraction, Fraction]]:
+    """The scheme's exact (M, R) for r = 0, 1, ..., KV, KV = K * n_active:
+    M = N (C(KV, r) - C(KV - L, r)) / C(KV, r) and
+    R = (C(KV, r + 1) - C(KV - n_active, r + 1)) / C(KV, r).
+
+    Each binomial is walked along r by C(n, r + 1) = C(n, r) (n - r) / (r + 1),
+    an exact division that reaches 0 at r = n and stays 0, so no binomial is
+    computed from scratch."""
+    _validate_dims(n_files, n_users, demands_per_user)
+    n_act = active_files(n_files, n_users, demands_per_user)
+    kv = n_users * n_act
+    big_l = demands_per_user
+    c_kv, c_kv_l, c_kv_n = 1, 1, kv - n_act  # C(KV, r), C(KV - L, r), C(KV - n_active, r + 1) at r = 0
+    for r in range(kv + 1):
+        c_kv_next = c_kv * (kv - r) // (r + 1)
+        yield Fraction((c_kv - c_kv_l) * n_files, c_kv), Fraction(c_kv_next - c_kv_n, c_kv)
+        c_kv_l = c_kv_l * (kv - big_l - r) // (r + 1)
+        c_kv_n = c_kv_n * (kv - n_act - r - 1) // (r + 2)
+        c_kv = c_kv_next
+
+
 def achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
     """The scheme's exact (M, R) pair for every r in [0, K * n_active]."""
-    _validate_dims(n_files, n_users, demands_per_user)
-    kv = n_users * active_files(n_files, n_users, demands_per_user)
-    n_act = active_files(n_files, n_users, demands_per_user)
-    out = []
-    for r in range(kv + 1):
-        denom = binomial(kv, r)
-        m = Fraction((binomial(kv, r) - binomial(kv - demands_per_user, r)) * n_files, denom)
-        rate = Fraction(binomial(kv, r + 1) - binomial(kv - n_act, r + 1), denom)
-        out.append(TradeoffPoint(m, rate, f"achievable r={r}"))
-    return out
+    return [TradeoffPoint(m, rate, f"achievable r={r}")
+            for r, (m, rate) in enumerate(_achievable_pairs(n_files, n_users, demands_per_user))]
 
 
-# The envelope builders keep their last result: the dominance check and the
-# gap certificate of one (N, K, L) triple share one build of each envelope
-# (``Envelope`` is frozen, so sharing it is safe).
+# The envelope and corner builders keep their last result: the dominance
+# check and the gap certificate of one (N, K, L) triple share one build of
+# each (``Envelope`` and ``TradeoffPoint`` are frozen, so sharing is safe).
 @lru_cache(maxsize=1)
 def achievable_envelope(n_files: int, n_users: int, demands_per_user: int) -> Envelope:
-    pts = achievable_points(n_files, n_users, demands_per_user)
-    return lower_convex_envelope((p.m, p.rate) for p in pts)
+    return lower_convex_envelope(_achievable_pairs(n_files, n_users, demands_per_user))
 
 
 # ---------------------------------------------------------------------------
@@ -95,38 +111,37 @@ def lambda_grid(step: Fraction = Fraction(1, 8)) -> list[Fraction]:
     step = Fraction(step)
     if not 0 < step <= 1:
         raise ValueError("lambda step must lie in (0, 1]")
-    grid = []
-    lam = Fraction(0)
-    while lam < 1:
-        grid.append(lam)
-        lam += step
-    grid.append(Fraction(1))
-    return grid
+    # the multiples k * step below 1, then 1
+    p, q = step.numerator, step.denominator
+    return [Fraction(k * p, q) for k in range(-(-q // p))] + [Fraction(1)]
+
+
+def _feasible(n_files: int, big_l: int, s: int, p: int, q: int, t: int) -> bool:
+    """The feasibility inequality of t for lam = p/q, times q, in integers:
+    L*(q(s(s-1) - t(t-1)) + 2ps) <= 2q(N - (t-1)L)*t."""
+    return big_l * (q * (s * (s - 1) - t * (t - 1)) + 2 * p * s) <= 2 * q * (n_files - (t - 1) * big_l) * t
 
 
 def min_feasible_t(n_files: int, demands_per_user: int, s: int, lam: Fraction) -> int:
     """Smallest t in [1, s] satisfying the feasibility inequality
-    L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t; t = s always works.
-    With lam = p/q the inequality is decided times q, in integers:
-    L*(q(s(s-1) - t(t-1)) + 2ps) <= 2q(N - (t-1)L)*t."""
-    big_l = demands_per_user
+    L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t; t = s always works
+    (for s <= N // L and lam <= 1).  Decided by ``_feasible``."""
     p, q = lam.numerator, lam.denominator
     for t in range(1, s + 1):
-        if big_l * (q * (s * (s - 1) - t * (t - 1)) + 2 * p * s) <= 2 * q * (n_files - (t - 1) * big_l) * t:
+        if _feasible(n_files, demands_per_user, s, p, q, t):
             return t
     raise RuntimeError(f"no feasible t for s={s}, lambda={lam}; t=s should always satisfy the condition")
 
 
-def _line_terms(n_files: int, demands_per_user: int, s: int, lam: Fraction) -> tuple[int, int, int, int, int]:
-    """(t, c, d, u, w) of the (s, lam) line: its minimal t, its intercept
+def _line_terms(n_files: int, demands_per_user: int, s: int, lam: Fraction, t: int) -> tuple[int, int, int, int]:
+    """(c, d, u, w) of the (s, lam) line with minimal index t: its intercept
     c/d = L(s - 1 + lam) and its slope
     u/w = -L(2*lam*s + s(s-1) - t(t-1)) / (2(N - L(t-1))), as unreduced
     integers with d = q and w = 2q(N - L(t-1)) for lam = p/q, so d > 0 and
     d divides w > 0."""
     big_l = demands_per_user
     p, q = lam.numerator, lam.denominator
-    t = min_feasible_t(n_files, big_l, s, lam)
-    return (t, big_l * ((s - 1) * q + p), q,
+    return (big_l * ((s - 1) * q + p), q,
             -big_l * (2 * p * s + q * (s * (s - 1) - t * (t - 1))), 2 * q * (n_files - big_l * (t - 1)))
 
 
@@ -134,11 +149,19 @@ def _converse_terms(n_files: int, n_users: int, demands_per_user: int,
                     lambda_step: Fraction) -> Iterator[tuple[int, Fraction, int, int, int, int, int]]:
     """(s, lam, t, c, d, u, w) of every converse line (see ``_line_terms``):
     s in [1, s_max] and, for each s, lam on ``lambda_grid(lambda_step)``, in
-    that order.  The one (s, lambda) enumerator."""
+    that order.  The one (s, lambda) enumerator.
+
+    The inequality's left side grows with lam, so t is feasible iff lam is
+    at most some lam_t: the minimal t never decreases along the increasing
+    lambda grid, and one upward scan of t per s finds every minimal t."""
+    big_l = demands_per_user
     lams = lambda_grid(lambda_step)
     for s in range(1, max_converse_s(n_files, n_users, demands_per_user) + 1):
+        t = 1
         for lam in lams:
-            yield (s, lam, *_line_terms(n_files, demands_per_user, s, lam))
+            while t < s and not _feasible(n_files, big_l, s, lam.numerator, lam.denominator, t):
+                t += 1
+            yield (s, lam, t, *_line_terms(n_files, big_l, s, lam, t))
 
 
 @dataclass(frozen=True)
@@ -167,7 +190,8 @@ def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam
         raise ValueError(f"s={s} outside [1, {s_max}]")
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda={lam} outside [0, 1]")
-    return _as_line(s, lam, *_line_terms(n_files, demands_per_user, s, lam))
+    t = min_feasible_t(n_files, demands_per_user, s, lam)
+    return _as_line(s, lam, t, *_line_terms(n_files, demands_per_user, s, lam, t))
 
 
 def converse_lines(n_files: int, n_users: int, demands_per_user: int,
@@ -176,7 +200,8 @@ def converse_lines(n_files: int, n_users: int, demands_per_user: int,
     return [_as_line(*terms) for terms in _converse_terms(n_files, n_users, demands_per_user, lambda_step)]
 
 
-def corner_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
+@lru_cache(maxsize=1)
+def corner_points(n_files: int, n_users: int, demands_per_user: int) -> tuple[TradeoffPoint, ...]:
     """Anchor points of the converse envelope over s in [1, s_max], t in [1, s]."""
     _validate_dims(n_files, n_users, demands_per_user)
     big_l = demands_per_user
@@ -186,7 +211,7 @@ def corner_points(n_files: int, n_users: int, demands_per_user: int) -> list[Tra
             m = Fraction(n_files - big_l * (t - 1), s)
             rate = big_l * (Fraction(s - 1, 2) + Fraction(t * (t - 1), 2 * s))
             out.append(TradeoffPoint(m, rate, f"corner s={s},t={t}"))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -221,14 +246,6 @@ class DominanceReport:
         return not self.violations
 
 
-def _grid_form(intercept: Fraction, slope: Fraction, n_files: int, g: int) -> tuple[int, int, int]:
-    """(a, b, e) with e > 0 and intercept + slope * M_j == (a + b * j) / e on
-    the grid M_j = j * n_files / g."""
-    run = slope.denominator * g
-    e = math.lcm(intercept.denominator, run)
-    return intercept.numerator * (e // intercept.denominator), slope.numerator * n_files * (e // run), e
-
-
 def _numerators(a: int, b: int, start: int, stop: int):
     """a + b * j for j in [start, stop)."""
     return range(a + b * start, a + b * stop, b) if b else [a] * (stop - start)
@@ -237,16 +254,24 @@ def _numerators(a: int, b: int, start: int, stop: int):
 def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int, int, int]]:
     """(last grid index, a, b, e) per segment of ``env``, in order: the
     segment holds the grid points after the previous piece's last index up to
-    its own, where the envelope equals (a + b * j) / e.  A domain that does
-    not cover [0, n_files] raises ``value_at``'s ValueError at the first
-    grid point outside it."""
+    its own, where the envelope equals (a + b * j) / e with e > 0 and
+    gcd(a, b, e) = 1.  The form is built in integers from the numerators and
+    denominators of the segment's left breakpoint (x0, y0) and its slope.
+    A domain that does not cover [0, n_files] raises ``value_at``'s
+    ValueError at the first grid point outside it."""
     lo, hi = env.domain
     if lo > 0 or hi < n_files:
         j = 0 if lo > 0 else max(0, hi.numerator * g // (hi.denominator * n_files) + 1)
         env.value_at(Fraction(j * n_files, g))
     bps = env.breakpoints
-    return [(min(g, x1.numerator * g // (x1.denominator * n_files)), *_grid_form(y0 - slope * x0, slope, n_files, g))
-            for ((x0, y0), (x1, _)), slope in zip(zip(bps, bps[1:]), env.slopes())]
+    pieces = []
+    for ((x0, y0), (x1, _)), (sn, sd) in zip(zip(bps, bps[1:]), env.slope_terms):
+        xn, xd, yn, yd = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+        # y0 + slope * (j * N / g - x0) == (g*(yn*sd*xd - sn*yd*xn) + sn*yd*N*xd * j) / (yd*sd*g*xd)
+        a, b, e = g * (yn * sd * xd - sn * yd * xn), sn * yd * n_files * xd, yd * sd * g * xd
+        k = math.gcd(a, b, e)
+        pieces.append((min(g, x1.numerator * g // (x1.denominator * n_files)), a // k, b // k, e // k))
+    return pieces
 
 
 def _envelope_numerators(pieces: list[tuple[int, int, int, int]], denom: int) -> list[int]:
@@ -265,13 +290,24 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     (s, lambda)-line must lie weakly below the achievable envelope.
 
     Each line, straight from its integer terms, and each envelope segment is
-    turned once into integer numerators over one common denominator; the
-    envelopes are walked segment by segment and each line's numerator steps
-    by its slope along the grid, so every comparison is between integers.
+    turned once into integer numerators over one common denominator, so
+    every comparison is between integers.  The envelopes are walked segment
+    by segment into their numerators at every grid point, and into the steps
+    between neighbouring points.
+
+    A line steps by a constant B along the grid, and a convex envelope (which
+    ``Envelope`` enforces) by nondecreasing steps, so the line's excess over
+    the envelope rises while the envelope steps by less than B and falls
+    after.  Its largest value is at the grid point where the envelope's step
+    first reaches B, an end of one of the envelope's pieces found by
+    bisection; the line lies under the envelope at every grid point iff it
+    does there.  Only a line that rises above the achievable envelope is
+    scanned point by point, to list each violation.  A line rising above the
+    corner envelope somewhere is not an error (it just means the line is
+    locally the tighter bound); its excess increases up to its largest
+    value, so the first such M, which is reported, is found by bisection too.
     No line is built as a ``ConverseLine``, and Fractions are built only for
-    what the report holds.  A line rising above the corner envelope
-    somewhere is not an error (it just means the line is locally the tighter
-    bound); the first such M of each line is reported informationally.
+    what the report holds.
     """
     g = _grid_intervals(grid_size)
     ach = _envelope_pieces(achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
@@ -282,6 +318,8 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     denom = math.lcm(*(e for *_, e in ach + low + forms))
     ach_at = _envelope_numerators(ach, denom)
     low_at = _envelope_numerators(low, denom)
+    ach_steps = list(map(sub, ach_at[1:], ach_at))
+    low_steps = list(map(sub, low_at[1:], low_at))
 
     def report(j, value, upper, tag):
         return Fraction(j * n_files, g), Fraction(value, denom), Fraction(upper, denom), tag
@@ -290,12 +328,15 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     above = []
     for (s, lam, *_), (a, b, e) in zip(lines, forms):
         scale = denom // e
-        line_at = _numerators(a * scale, b * scale, 0, g + 1)
-        if any(map(gt, line_at, ach_at)):
+        a, b = a * scale, b * scale
+        peak = bisect_left(ach_steps, b)
+        if a + b * peak > ach_at[peak]:
             tag = f"line s={s},lam={lam}"
-            violations += [report(j, v, up, tag) for j, (v, up) in enumerate(zip(line_at, ach_at)) if v > up]
-        first = next(compress(count(), map(gt, line_at, low_at)), None)
-        if first is not None:
+            violations += [report(j, v, up, tag) for j, (v, up) in enumerate(zip(_numerators(a, b, 0, g + 1), ach_at))
+                           if v > up]
+        peak = bisect_left(low_steps, b)
+        if a + b * peak > low_at[peak]:
+            first = bisect_left(range(peak), True, key=lambda j: a + b * j > low_at[j])
             above.append((s, lam, Fraction(first * n_files, g)))
     return DominanceReport((g + 1) * (1 + len(lines)), violations, above)
 

@@ -1,13 +1,15 @@
 """Fixtures and oracles the tests share; the program itself never needs them."""
 
 import itertools
+import math
 from fractions import Fraction
+from operator import gt
 from typing import Iterable
 
 from privcache import tradeoff
 from privcache.exact import Envelope, binomial
 from privcache.gf import PrimeField
-from privcache.tradeoff import GapCertificate, OptimalityGapError
+from privcache.tradeoff import DominanceReport, GapCertificate, OptimalityGapError, TradeoffPoint
 from privcache.ucc import Library, UccParams, user_positions
 
 
@@ -52,9 +54,54 @@ def scan_cover_sets(n_files: int, n_active: int, requested: Iterable[int]) -> li
 
 
 # ---------------------------------------------------------------------------
-# Fraction references for the tradeoff kernel: the converse line, the hull
-# and the gap certificate as direct rational formulas
+# References for the tradeoff kernel: the achievable points from binomials,
+# the dominance check by a full scan of each line, and the converse line, the
+# hull and the gap certificate as direct rational formulas
 # ---------------------------------------------------------------------------
+
+
+def comb_achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
+    """``tradeoff.achievable_points`` with its five binomials per r computed
+    from scratch by ``binomial``."""
+    n_act = tradeoff.active_files(n_files, n_users, demands_per_user)
+    kv = n_users * n_act
+    out = []
+    for r in range(kv + 1):
+        denom = binomial(kv, r)
+        m = Fraction((binomial(kv, r) - binomial(kv - demands_per_user, r)) * n_files, denom)
+        rate = Fraction(binomial(kv, r + 1) - binomial(kv - n_act, r + 1), denom)
+        out.append(TradeoffPoint(m, rate, f"achievable r={r}"))
+    return out
+
+
+def full_scan_dominance(n_files: int, n_users: int, demands_per_user: int,
+                        grid_size: int = 101, lambda_step: Fraction = Fraction(1, 8)) -> DominanceReport:
+    """``tradeoff.verify_envelope_dominance`` with every line compared to both
+    envelopes at every grid point: the same integer numerators, no bisection."""
+    g = grid_size - 1
+    ach = tradeoff._envelope_pieces(tradeoff.achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
+    low = tradeoff._envelope_pieces(tradeoff.converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
+    lines = list(tradeoff._converse_terms(n_files, n_users, demands_per_user, lambda_step))
+    forms = [(c * (w // d) * g, u * n_files, w * g) for *_, c, d, u, w in lines]
+    denom = math.lcm(*(e for *_, e in ach + low + forms))
+    ach_at = tradeoff._envelope_numerators(ach, denom)
+    low_at = tradeoff._envelope_numerators(low, denom)
+
+    def report(j, value, upper, tag):
+        return Fraction(j * n_files, g), Fraction(value, denom), Fraction(upper, denom), tag
+
+    violations = [report(j, lo, up, "corner-envelope") for j, (lo, up) in enumerate(zip(low_at, ach_at)) if lo > up]
+    above = []
+    for (s, lam, *_), (a, b, e) in zip(lines, forms):
+        scale = denom // e
+        line_at = tradeoff._numerators(a * scale, b * scale, 0, g + 1)
+        if any(map(gt, line_at, ach_at)):
+            tag = f"line s={s},lam={lam}"
+            violations += [report(j, v, up, tag) for j, (v, up) in enumerate(zip(line_at, ach_at)) if v > up]
+        first = next(itertools.compress(itertools.count(), map(gt, line_at, low_at)), None)
+        if first is not None:
+            above.append((s, lam, Fraction(first * n_files, g)))
+    return DominanceReport((g + 1) * (1 + len(lines)), violations, above)
 
 
 def fraction_converse_line(n_files: int, demands_per_user: int, s: int, lam) -> tuple[int, Fraction, Fraction]:

@@ -192,6 +192,24 @@ def test_gap_builds_each_envelope_once_per_triple(monkeypatch, tmp_path):
     assert len(calls) == 2 * len(tradeoff.sweep_triples((2, 3), (1, 2)))
 
 
+def test_gap_builds_corner_points_once_per_triple(monkeypatch, tmp_path):
+    # the corner envelope and the gap certificate share one build of the corners
+    for cached in (tradeoff.achievable_envelope, tradeoff.converse_corner_envelope, tradeoff.corner_points):
+        cached.cache_clear()
+    real = tradeoff.TradeoffPoint
+    corners = []
+
+    def counting(m, rate, provenance):
+        if provenance.startswith("corner"):
+            corners.append(provenance)
+        return real(m, rate, provenance)
+
+    monkeypatch.setattr(tradeoff, "TradeoffPoint", counting)
+    assert run_cli("gap", "--sweep", "N=2..3,K=1..2", "--out", str(tmp_path / "gap.json")) == 0
+    s_maxes = [tradeoff.max_converse_s(*dims) for dims in tradeoff.sweep_triples((2, 3), (1, 2))]
+    assert len(corners) == sum(s * (s + 1) // 2 for s in s_maxes)
+
+
 def test_audit_mi_bad_file_len(capsys):
     code = run_cli("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1",
                    "--q", "2", "--F", "3", "--r", "1")
@@ -456,6 +474,11 @@ REPLAY = [
     # lambda on thirds: lines with non-dyadic intercepts and slopes
     pytest.param(("tradeoff", "--N", "8", "--K", "4", "--L", "2", "--lambda-step", "1/3"),
                  0, "932e0483f9216cbff5c587b1535337b1882f4aedff3971f0ff9084e07ac4963b", id="tradeoff-842-step1-3"),
+    # K * n_active = 4096 placement knobs: binomials of 4096 and a ~250-digit max ratio
+    pytest.param(("gap", "--N", "128", "--K", "32", "--L", "17"),
+                 0, "bdff2bf4a2a97c13e05126861fd47a265cacdbd680dac44198fd25cc916bce14", id="gap-128-32-17"),
+    pytest.param(("tradeoff", "--N", "64", "--K", "16", "--L", "8"),
+                 0, "2460ac519b7c3d10b28ebab72e9b25871c5f11aefb81218709f91f9e96aed9cf", id="tradeoff-64-16-8"),
 ]
 
 

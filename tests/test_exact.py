@@ -126,7 +126,7 @@ def test_envelope_below_all_points_and_convex(points):
     env = lower_convex_envelope(points)
     for x, y in points:
         assert env.value_at(x) <= y
-    slopes = env.slopes()
+    slopes = [Fraction(n, d) for n, d in env.slope_terms]
     assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
     assert set(env.breakpoints) <= {(Fraction(x), Fraction(y)) for x, y in points}
 

@@ -2,13 +2,14 @@
 oracle, converse lines with an inline minimal-t recheck, corner points,
 dominance, mutation detection, and gap certificates."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import fraction_converse_line, per_candidate_gap
+from helpers import comb_achievable_points, fraction_converse_line, full_scan_dominance, per_candidate_gap
 from privcache import tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
 from privcache.scheme import SchemeParams
@@ -58,6 +59,28 @@ def test_achievable_points_worked_example():
     assert (pts[0].m, pts[0].rate) == (0, 4)
     assert (pts[-1].m, pts[-1].rate) == (5, 0)
     assert len(pts) == 9
+
+
+def test_achievable_points_match_binomial_reference():
+    for n in range(1, 13):
+        for k in range(1, 7):
+            for big_l in range(1, n + 1):
+                assert achievable_points(n, k, big_l) == comb_achievable_points(n, k, big_l)
+    # K * n_active = 4096: binomials of up to 1,232 digits
+    assert achievable_points(128, 32, 17) == comb_achievable_points(128, 32, 17)
+
+
+def test_achievable_points_compute_a_constant_number_of_binomials(monkeypatch):
+    real = math.comb
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(math, "comb", counting)
+    assert len(achievable_points(128, 32, 17)) == 32 * 128 + 1
+    assert len(calls) <= 5  # from scratch that is five per r: 20,485
 
 
 def test_achievable_points_monotone():
@@ -137,6 +160,19 @@ def test_converse_lines_match_fraction_formula_in_order():
         for line in lines:
             expected = fraction_converse_line(dims[0], dims[2], line.s, line.lam)
             assert (line.t, line.intercept, line.slope) == expected
+
+
+def test_converse_terms_t_equals_min_feasible_t():
+    # one upward scan of t per s gives the minimal t of every lambda
+    checked = 0
+    for n in range(1, 11):
+        for big_l in range(1, n + 1):
+            for step in LAMBDA_STEPS:
+                for s, lam, t, *_ in tradeoff._converse_terms(n, n, big_l, step):
+                    assert t == min_feasible_t(n, big_l, s, lam)
+                    checked += 1
+    per_s = sum(len(lambda_grid(step)) for step in LAMBDA_STEPS)
+    assert checked == per_s * sum(n // big_l for n in range(1, 11) for big_l in range(1, n + 1))
 
 
 def test_min_feasible_t_is_minimal_and_t_equals_s_feasible():
@@ -233,6 +269,35 @@ def test_dominance_matches_per_point_reference(dims, grid_size, lambda_step):
     assert verify_envelope_dominance(*dims, grid_size, lambda_step) == per_point_dominance(*dims, grid_size, lambda_step)
 
 
+def test_dominance_matches_full_scan_on_every_triple():
+    for dims in sweep_triples((1, 8), (1, 4)):
+        assert verify_envelope_dominance(*dims) == full_scan_dominance(*dims)
+
+
+def pieces_without_grid_points(env, n_files, grid_size):
+    """How many segments of ``env`` hold no point of the grid."""
+    empty, start = 0, 0
+    for last, *_ in tradeoff._envelope_pieces(env, n_files, grid_size - 1):
+        if last < start:
+            empty += 1
+        start = max(start, last + 1)
+    return empty
+
+
+@pytest.mark.parametrize("grid_size", [2, 3, 5, 11])
+def test_dominance_with_pieces_holding_no_grid_point(monkeypatch, grid_size):
+    # the achievable envelope of (8, 4, 2) has more segments than a coarse
+    # grid has intervals; scaled by 3/4 it falls below the corner envelope
+    # and the lines
+    env = achievable_envelope(8, 4, 2)
+    assert pieces_without_grid_points(env, 8, grid_size) > 0
+    for ach in (env, lower_convex_envelope((m, r * Fraction(3, 4)) for m, r in env.breakpoints)):
+        monkeypatch.setattr(tradeoff, "achievable_envelope", lambda *_, ach=ach: ach)
+        kernel = verify_envelope_dominance(8, 4, 2, grid_size)
+        assert kernel == full_scan_dominance(8, 4, 2, grid_size) == per_point_dominance(8, 4, 2, grid_size)
+        assert kernel.ok == (ach is env)
+
+
 def test_dominance_makes_no_per_point_evaluations(monkeypatch):
     calls = []
     for cls in (Envelope, tradeoff.ConverseLine):
@@ -265,13 +330,15 @@ def dominance_cases(draw):
 
 
 def dominance_pair(case):
-    """The kernel's report and the per-point reference's on ``case``."""
+    """The kernel's report and the per-point reference's on ``case``, after
+    checking that the full-scan reference gives the kernel's report."""
     dims, grid_size, lambda_step, ach, low = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tradeoff, "achievable_envelope", lambda *_: ach)
         patch.setattr(tradeoff, "converse_corner_envelope", lambda *_: low)
-        return (verify_envelope_dominance(*dims, grid_size, lambda_step),
-                per_point_dominance(*dims, grid_size, lambda_step))
+        kernel = verify_envelope_dominance(*dims, grid_size, lambda_step)
+        assert kernel == full_scan_dominance(*dims, grid_size, lambda_step)
+        return kernel, per_point_dominance(*dims, grid_size, lambda_step)
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,14 +388,17 @@ def test_dominance_rejects_envelope_short_of_the_grid(monkeypatch, short_end):
 
 
 def test_dominance_walks_envelopes_wider_than_the_grid(monkeypatch):
-    # breakpoints beyond [0, N] on both sides leave pieces that hold no grid point
-    low = converse_corner_envelope(5, 2, 2)
-    (x0, y0), (x1, y1) = low.breakpoints[0], low.breakpoints[-1]
-    first, *_, last = low.slopes()
-    wide = Envelope(((x0 - 1, y0 - first + 1), *low.breakpoints, (x1 + 1, y1 + last + 1)))
-    monkeypatch.setattr(tradeoff, "converse_corner_envelope", lambda *dims: wide)
-    for grid_size in (2, 11, 101):
-        assert verify_envelope_dominance(5, 2, 2, grid_size) == per_point_dominance(5, 2, 2, grid_size)
+    # breakpoints beyond [0, N] on both sides leave pieces that hold no grid
+    # point, the last one after a piece that already reaches the grid's end
+    for name in ("converse_corner_envelope", "achievable_envelope"):
+        env = getattr(tradeoff, name)(5, 2, 2)
+        (x0, y0), (x1, y1) = env.breakpoints[0], env.breakpoints[-1]
+        first, *_, last = (Fraction(n, d) for n, d in env.slope_terms)
+        wide = Envelope(((x0 - 1, y0 - first + 1), *env.breakpoints, (x1 + 1, y1 + last + 1)))
+        monkeypatch.setattr(tradeoff, name, lambda *dims, wide=wide: wide)
+        for grid_size in (2, 11, 101):
+            kernel = verify_envelope_dominance(5, 2, 2, grid_size)
+            assert kernel == per_point_dominance(5, 2, 2, grid_size) == full_scan_dominance(5, 2, 2, grid_size)
 
 
 def test_converse_lines_order_and_count():
