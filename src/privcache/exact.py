@@ -6,8 +6,10 @@ binomials come from ``math.comb``, and the convex-envelope construction
 decides each hull turn by the sign of an integer cross product on the points
 put over common denominators, so every downstream rate/memory comparison
 can assert equality instead of a tolerance.  An envelope computes its x list
-and its segment slopes, as integer pairs, once; it validates and evaluates
-(``value_terms``) in integers.
+and its segments' line forms once: on each segment the envelope is
+(a + b*x) / e with integers e > 0 and gcd(a, b, e) = 1, so its value at
+x = p/q is (a*q + b*p) / (e*q); it checks convexity and evaluates
+(``value_terms``) on these integers.
 
 Subset enumeration is pinned to lexicographic order over the sorted ground
 set, so a subset's position in that order (its rank, which subfile indices
@@ -82,9 +84,8 @@ class Envelope:
 
     Breakpoints are (x, y) pairs with strictly increasing x; evaluation
     between breakpoints is exact linear interpolation.  The x list and the
-    segment slopes, as reduced integer pairs, are computed once, on first
-    use, and shared by every reader; both checks of the breakpoints compare
-    integers.
+    segment forms are computed once, on first use, and shared by every
+    reader; convexity is checked on the integer slopes b/e.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -92,10 +93,11 @@ class Envelope:
     def __post_init__(self):
         if not self.breakpoints:
             raise ValueError("envelope needs at least one breakpoint")
-        slopes = self.slope_terms
-        if any(d <= 0 for _, d in slopes):
+        xs = self._xs
+        if any(x0 >= x1 for x0, x1 in zip(xs, xs[1:])):
             raise ValueError("breakpoint x-coordinates must strictly increase")
-        if any(n1 * d0 < n0 * d1 for (n0, d0), (n1, d1) in zip(slopes, slopes[1:])):
+        forms = self.segment_forms
+        if any(b1 * e0 < b0 * e1 for (_, b0, e0), (_, b1, e1) in zip(forms, forms[1:])):
             raise ValueError("breakpoints are not convex")
 
     @cached_property
@@ -103,19 +105,22 @@ class Envelope:
         return tuple(x for x, _ in self.breakpoints)
 
     @cached_property
-    def slope_terms(self) -> tuple[tuple[int, int], ...]:
-        """The slope of each segment, left to right, as a reduced integer
-        pair (n, d).  d takes the sign of x1 - x0, so it is positive on every
-        valid envelope."""
-        terms = []
+    def segment_forms(self) -> tuple[tuple[int, int, int], ...]:
+        """Each segment, left to right, as (a, b, e) with the envelope equal
+        to (a + b*x) / e on it, e > 0 and gcd(a, b, e) = 1: the chord
+        ((x1 - x0) y = (y0 x1 - y1 x0) + (y1 - y0) x) times the product of
+        its ends' denominators, then reduced."""
+        forms = []
         bps = self.breakpoints
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
             x0n, x0d, x1n, x1d = x0.numerator, x0.denominator, x1.numerator, x1.denominator
             y0n, y0d, y1n, y1d = y0.numerator, y0.denominator, y1.numerator, y1.denominator
-            rise, run = (y1n * y0d - y0n * y1d) * x0d * x1d, (x1n * x0d - x0n * x1d) * y0d * y1d
-            k = math.gcd(rise, run) or 1
-            terms.append((rise // k, run // k))
-        return tuple(terms)
+            a = y0n * x1n * x0d * y1d - y1n * x0n * x1d * y0d
+            b = (y1n * y0d - y0n * y1d) * x0d * x1d
+            e = (x1n * x0d - x0n * x1d) * y0d * y1d
+            k = math.gcd(a, b, e)
+            forms.append((a // k, b // k, e // k))
+        return tuple(forms)
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -124,19 +129,16 @@ class Envelope:
     def value_terms(self, x) -> tuple[int, int]:
         """The envelope at x as an unreduced integer pair (n, d), d > 0, with
         n / d the exact value; x is a Fraction or an int within the domain.
-        The segment's stored slope carries the interpolation."""
+        At x = p/q the segment (a, b, e) holding x gives (a*q + b*p, e*q)."""
         xs = self._xs
         if x < xs[0] or x > xs[-1]:
             raise ValueError(f"x={x} outside envelope domain [{xs[0]}, {xs[-1]}]")
-        i = bisect_right(xs, x) - 1
-        x0, y0 = self.breakpoints[i]
-        if i == len(self.slope_terms):
-            return y0.numerator, y0.denominator
-        rise, run = self.slope_terms[i]
-        # y0 + (rise / run) * (x - x0), over y0.den * run * x.den * x0.den
-        span = x.denominator * x0.denominator
-        lift = rise * (x.numerator * x0.denominator - x0.numerator * x.denominator)
-        return (y0.numerator * run * span + lift * y0.denominator, y0.denominator * run * span)
+        forms = self.segment_forms
+        if not forms:
+            y = self.breakpoints[0][1]
+            return y.numerator, y.denominator
+        a, b, e = forms[min(bisect_right(xs, x) - 1, len(forms) - 1)]
+        return a * x.denominator + b * x.numerator, e * x.denominator
 
     def value_at(self, x) -> Fraction:
         """Exact value of the envelope at x; x must lie within the domain."""

@@ -9,21 +9,24 @@ the corner-point envelope they generate, built from the points
 Points, envelopes and lines are exact rationals, and the ``gap`` op is
 decided in integers; Fractions are built only where a result holds one.
 The achievable points walk their binomials along r by exact recurrences.
-``_converse_terms`` is the one (s, lambda) enumerator: for lambda = p/q it
-finds t by one upward scan per s and writes each line's intercept and slope
-as integer numerators and denominators, which ``converse_lines`` wraps in
-Fractions and the dominance check reads directly.  The grid check compares
-integers: on the memory grid M_j = j * N / g each converse line and each
-envelope segment is (a + b * j) / e for integers a, b and e > 0, and all of
-them are put over one positive common denominator, so a comparison of two
-curves is a comparison of integer numerators.  A line is compared with a
-convex envelope at the one grid point where it rises highest above it, found
-by bisection.  The corner points are built once per triple and shared by the
-corner envelope and the certificate.  The certificate evaluates both envelopes
-at each audited memory point as integer pairs (``Envelope.value_terms``)
-and compares the ratios by cross-multiplying; it confirms that the
-achievable envelope is within a factor of 6 of the corner-point lower
-envelope at every audited memory point.
+Every line the op compares has one integer form, R = (a + b * M) / e with
+e > 0 and gcd(a, b, e) = 1: an envelope segment's form is
+``Envelope.segment_forms``, and a converse line's comes from
+``_line_form``, the one search for the minimal t, which ``converse_line``
+runs from t = 1 and ``_converse_terms``, the one (s, lambda) enumerator,
+runs upward once per s.  ``converse_lines`` wraps a form as the Fractions
+a/e and b/e.  The grid check scales each form to the memory grid
+M_j = j * N / g as (a*g + b*N * j) / (e*g), drops the envelope segments
+that hold no grid point, and puts the rest over one positive common
+denominator, so a comparison of two curves is a comparison of integer
+numerators.  A line is compared with a convex envelope at the one grid
+point where it rises highest above it, found by bisection.  The corner
+points are built once per triple and shared by the corner envelope and the
+certificate.  The certificate evaluates both envelopes at each audited
+memory point as integer pairs (``Envelope.value_terms``) and compares the
+ratios by cross-multiplying; it confirms that the achievable envelope is
+within a factor of 6 of the corner-point lower envelope at every audited
+memory point.
 """
 
 from __future__ import annotations
@@ -116,52 +119,38 @@ def lambda_grid(step: Fraction = Fraction(1, 8)) -> list[Fraction]:
     return [Fraction(k * p, q) for k in range(-(-q // p))] + [Fraction(1)]
 
 
-def _feasible(n_files: int, big_l: int, s: int, p: int, q: int, t: int) -> bool:
-    """The feasibility inequality of t for lam = p/q, times q, in integers:
-    L*(q(s(s-1) - t(t-1)) + 2ps) <= 2q(N - (t-1)L)*t."""
-    return big_l * (q * (s * (s - 1) - t * (t - 1)) + 2 * p * s) <= 2 * q * (n_files - (t - 1) * big_l) * t
-
-
-def min_feasible_t(n_files: int, demands_per_user: int, s: int, lam: Fraction) -> int:
-    """Smallest t in [1, s] satisfying the feasibility inequality
-    L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t; t = s always works
-    (for s <= N // L and lam <= 1).  Decided by ``_feasible``."""
+def _line_form(n_files: int, big_l: int, s: int, lam: Fraction, t: int = 1) -> tuple[int, int, int, int]:
+    """(t, a, b, e) of the (s, lam) converse line R = (a + b*M) / e, e > 0
+    and gcd(a, b, e) = 1: its intercept is L(s - 1 + lam) and its slope
+    -L(2*lam*s + s(s-1) - t(t-1)) / (2(N - L(t-1))), where t is the first
+    index from the given one up that satisfies the feasibility inequality
+    L*(s(s-1) - t(t-1) + 2*lam*s) <= 2*(N - (t-1)L)*t, decided times q for
+    lam = p/q; t = s always satisfies it (for s <= N // L and lam <= 1).
+    The one t-scan."""
     p, q = lam.numerator, lam.denominator
-    for t in range(1, s + 1):
-        if _feasible(n_files, demands_per_user, s, p, q, t):
-            return t
-    raise RuntimeError(f"no feasible t for s={s}, lambda={lam}; t=s should always satisfy the condition")
-
-
-def _line_terms(n_files: int, demands_per_user: int, s: int, lam: Fraction, t: int) -> tuple[int, int, int, int]:
-    """(c, d, u, w) of the (s, lam) line with minimal index t: its intercept
-    c/d = L(s - 1 + lam) and its slope
-    u/w = -L(2*lam*s + s(s-1) - t(t-1)) / (2(N - L(t-1))), as unreduced
-    integers with d = q and w = 2q(N - L(t-1)) for lam = p/q, so d > 0 and
-    d divides w > 0."""
-    big_l = demands_per_user
-    p, q = lam.numerator, lam.denominator
-    return (big_l * ((s - 1) * q + p), q,
-            -big_l * (2 * p * s + q * (s * (s - 1) - t * (t - 1))), 2 * q * (n_files - big_l * (t - 1)))
+    while t < s and big_l * (q * (s * (s - 1) - t * (t - 1)) + 2 * p * s) > 2 * q * (n_files - (t - 1) * big_l) * t:
+        t += 1
+    run = 2 * (n_files - big_l * (t - 1))
+    a, b, e = big_l * ((s - 1) * q + p) * run, -big_l * (2 * p * s + q * (s * (s - 1) - t * (t - 1))), q * run
+    k = math.gcd(a, b, e)
+    return t, a // k, b // k, e // k
 
 
 def _converse_terms(n_files: int, n_users: int, demands_per_user: int,
-                    lambda_step: Fraction) -> Iterator[tuple[int, Fraction, int, int, int, int, int]]:
-    """(s, lam, t, c, d, u, w) of every converse line (see ``_line_terms``):
+                    lambda_step: Fraction) -> Iterator[tuple[int, Fraction, int, int, int, int]]:
+    """(s, lam, t, a, b, e) of every converse line (see ``_line_form``):
     s in [1, s_max] and, for each s, lam on ``lambda_grid(lambda_step)``, in
     that order.  The one (s, lambda) enumerator.
 
     The inequality's left side grows with lam, so t is feasible iff lam is
     at most some lam_t: the minimal t never decreases along the increasing
-    lambda grid, and one upward scan of t per s finds every minimal t."""
-    big_l = demands_per_user
+    lambda grid, and each lam's scan starts at the previous lam's t."""
     lams = lambda_grid(lambda_step)
     for s in range(1, max_converse_s(n_files, n_users, demands_per_user) + 1):
         t = 1
         for lam in lams:
-            while t < s and not _feasible(n_files, big_l, s, lam.numerator, lam.denominator, t):
-                t += 1
-            yield (s, lam, t, *_line_terms(n_files, big_l, s, lam, t))
+            t, a, b, e = _line_form(n_files, demands_per_user, s, lam, t)
+            yield s, lam, t, a, b, e
 
 
 @dataclass(frozen=True)
@@ -178,8 +167,8 @@ class ConverseLine:
         return self.intercept + self.slope * Fraction(m)
 
 
-def _as_line(s: int, lam: Fraction, t: int, c: int, d: int, u: int, w: int) -> ConverseLine:
-    return ConverseLine(s=s, lam=lam, t=t, intercept=Fraction(c, d), slope=Fraction(u, w))
+def _as_line(s: int, lam: Fraction, t: int, a: int, b: int, e: int) -> ConverseLine:
+    return ConverseLine(s=s, lam=lam, t=t, intercept=Fraction(a, e), slope=Fraction(b, e))
 
 
 def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam) -> ConverseLine:
@@ -190,8 +179,7 @@ def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam
         raise ValueError(f"s={s} outside [1, {s_max}]")
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda={lam} outside [0, 1]")
-    t = min_feasible_t(n_files, demands_per_user, s, lam)
-    return _as_line(s, lam, t, *_line_terms(n_files, demands_per_user, s, lam, t))
+    return _as_line(s, lam, *_line_form(n_files, demands_per_user, s, lam))
 
 
 def converse_lines(n_files: int, n_users: int, demands_per_user: int,
@@ -251,26 +239,33 @@ def _numerators(a: int, b: int, start: int, stop: int):
     return range(a + b * start, a + b * stop, b) if b else [a] * (stop - start)
 
 
+def _grid_form(a: int, b: int, e: int, n_files: int, g: int) -> tuple[int, int, int]:
+    """The line (a + b*M) / e on the grid M = j * N / g: (a*g + b*N * j) / (e*g),
+    reduced by one gcd."""
+    a, b, e = a * g, b * n_files, e * g
+    k = math.gcd(a, b, e)
+    return a // k, b // k, e // k
+
+
 def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int, int, int]]:
-    """(last grid index, a, b, e) per segment of ``env``, in order: the
-    segment holds the grid points after the previous piece's last index up to
-    its own, where the envelope equals (a + b * j) / e with e > 0 and
-    gcd(a, b, e) = 1.  The form is built in integers from the numerators and
-    denominators of the segment's left breakpoint (x0, y0) and its slope.
-    A domain that does not cover [0, n_files] raises ``value_at``'s
-    ValueError at the first grid point outside it."""
+    """(last grid index, a, b, e) per segment of ``env`` that holds a grid
+    point, in order: the segment holds the grid points after the previous
+    piece's last index up to its own, where the envelope equals
+    (a + b * j) / e, its segment form scaled to the grid.  A segment that
+    holds no grid point is left out, so its denominator never reaches the
+    common one.  A domain that does not cover [0, n_files] raises
+    ``value_at``'s ValueError at the first grid point outside it."""
     lo, hi = env.domain
     if lo > 0 or hi < n_files:
         j = 0 if lo > 0 else max(0, hi.numerator * g // (hi.denominator * n_files) + 1)
         env.value_at(Fraction(j * n_files, g))
-    bps = env.breakpoints
     pieces = []
-    for ((x0, y0), (x1, _)), (sn, sd) in zip(zip(bps, bps[1:]), env.slope_terms):
-        xn, xd, yn, yd = x0.numerator, x0.denominator, y0.numerator, y0.denominator
-        # y0 + slope * (j * N / g - x0) == (g*(yn*sd*xd - sn*yd*xn) + sn*yd*N*xd * j) / (yd*sd*g*xd)
-        a, b, e = g * (yn * sd * xd - sn * yd * xn), sn * yd * n_files * xd, yd * sd * g * xd
-        k = math.gcd(a, b, e)
-        pieces.append((min(g, x1.numerator * g // (x1.denominator * n_files)), a // k, b // k, e // k))
+    start = 0
+    for (x1, _), form in zip(env.breakpoints[1:], env.segment_forms):
+        last = min(g, x1.numerator * g // (x1.denominator * n_files))
+        if last >= start:
+            pieces.append((last, *_grid_form(*form, n_files, g)))
+            start = last + 1
     return pieces
 
 
@@ -289,10 +284,10 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     """Exact sandwich check on a memory grid: the corner envelope and every
     (s, lambda)-line must lie weakly below the achievable envelope.
 
-    Each line, straight from its integer terms, and each envelope segment is
-    turned once into integer numerators over one common denominator, so
-    every comparison is between integers.  The envelopes are walked segment
-    by segment into their numerators at every grid point, and into the steps
+    Each line's form and the form of each envelope segment that holds a grid
+    point are scaled to the grid once and put over one common denominator,
+    so every comparison is between integers.  The envelopes are walked piece
+    by piece into their numerators at every grid point, and into the steps
     between neighbouring points.
 
     A line steps by a constant B along the grid, and a convex envelope (which
@@ -313,8 +308,7 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     ach = _envelope_pieces(achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
     low = _envelope_pieces(converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
     lines = list(_converse_terms(n_files, n_users, demands_per_user, lambda_step))
-    # c/d + (u/w) * j*N/g == (c*(w/d)*g + u*N*j) / (w*g), as d divides w
-    forms = [(c * (w // d) * g, u * n_files, w * g) for *_, c, d, u, w in lines]
+    forms = [_grid_form(a, b, e, n_files, g) for *_, a, b, e in lines]
     denom = math.lcm(*(e for *_, e in ach + low + forms))
     ach_at = _envelope_numerators(ach, denom)
     low_at = _envelope_numerators(low, denom)

@@ -82,7 +82,7 @@ def full_scan_dominance(n_files: int, n_users: int, demands_per_user: int,
     ach = tradeoff._envelope_pieces(tradeoff.achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
     low = tradeoff._envelope_pieces(tradeoff.converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
     lines = list(tradeoff._converse_terms(n_files, n_users, demands_per_user, lambda_step))
-    forms = [(c * (w // d) * g, u * n_files, w * g) for *_, c, d, u, w in lines]
+    forms = [tradeoff._grid_form(a, b, e, n_files, g) for *_, a, b, e in lines]
     denom = math.lcm(*(e for *_, e in ach + low + forms))
     ach_at = tradeoff._envelope_numerators(ach, denom)
     low_at = tradeoff._envelope_numerators(low, denom)
@@ -114,6 +114,17 @@ def fraction_converse_line(n_files: int, demands_per_user: int, s: int, lam) -> 
              if big_l * (s * (s - 1) - t * (t - 1) + 2 * lam * s) <= 2 * (n_files - (t - 1) * big_l) * t)
     slope = -Fraction(big_l) * (2 * lam * s + s * (s - 1) - t * (t - 1)) / (2 * (n_files - big_l * (t - 1)))
     return t, (s - 1 + lam) * big_l, slope
+
+
+def assert_segment_forms(env: Envelope):
+    """Every segment form (a, b, e) of ``env`` has e > 0 and gcd 1, and
+    (a + b*x) / e equals y at both breakpoints of its segment."""
+    bps = env.breakpoints
+    assert len(env.segment_forms) == len(bps) - 1
+    for (a, b, e), ends in zip(env.segment_forms, zip(bps, bps[1:])):
+        assert e > 0 and math.gcd(a, b, e) == 1
+        for x, y in ends:
+            assert (a + b * x) / e == y
 
 
 def _cross(o, a, b) -> Fraction:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chord_value_at, cross_hull, subset_rank
+from helpers import assert_segment_forms, chord_value_at, cross_hull, subset_rank
 from privcache.audit import chi_square_quantile
 from privcache.exact import (
     Envelope,
@@ -126,7 +126,7 @@ def test_envelope_below_all_points_and_convex(points):
     env = lower_convex_envelope(points)
     for x, y in points:
         assert env.value_at(x) <= y
-    slopes = [Fraction(n, d) for n, d in env.slope_terms]
+    slopes = [Fraction(b, e) for _, b, e in env.segment_forms]
     assert all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
     assert set(env.breakpoints) <= {(Fraction(x), Fraction(y)) for x, y in points}
 
@@ -154,6 +154,12 @@ def test_envelope_matches_cross_product_hull(points):
     assert env.breakpoints == cross_hull(points)
     for x, _ in points:
         assert env.value_at(x) == chord_value_at(env, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_points, hull_inputs()))
+def test_segment_forms_reduced_and_through_breakpoints(points):
+    assert_segment_forms(lower_convex_envelope(points))
 
 
 @settings(max_examples=200, deadline=None)

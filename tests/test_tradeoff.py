@@ -9,7 +9,8 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import comb_achievable_points, fraction_converse_line, full_scan_dominance, per_candidate_gap
+from helpers import (assert_segment_forms, comb_achievable_points, fraction_converse_line, full_scan_dominance,
+                     per_candidate_gap)
 from privcache import tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
 from privcache.scheme import SchemeParams
@@ -26,7 +27,6 @@ from privcache.tradeoff import (
     gap_certificate,
     lambda_grid,
     max_converse_s,
-    min_feasible_t,
     sweep_triples,
     verify_envelope_dominance,
 )
@@ -169,7 +169,8 @@ def test_converse_terms_t_equals_min_feasible_t():
         for big_l in range(1, n + 1):
             for step in LAMBDA_STEPS:
                 for s, lam, t, *_ in tradeoff._converse_terms(n, n, big_l, step):
-                    assert t == min_feasible_t(n, big_l, s, lam)
+                    scanned = tradeoff._line_form(n, big_l, s, lam)[0]
+                    assert t == scanned == fraction_converse_line(n, big_l, s, lam)[0]
                     checked += 1
     per_s = sum(len(lambda_grid(step)) for step in LAMBDA_STEPS)
     assert checked == per_s * sum(n // big_l for n in range(1, 11) for big_l in range(1, n + 1))
@@ -181,15 +182,15 @@ def test_min_feasible_t_is_minimal_and_t_equals_s_feasible():
             for big_l in range(1, n + 1):
                 for s in range(1, max_converse_s(n, k, big_l) + 1):
                     for lam in lambda_grid(Fraction(1, 4)):
-                        t = min_feasible_t(n, big_l, s, lam)
-                        assert 1 <= t <= s
-
                         def feasible(tt):
                             lhs = big_l * (s * (s - 1) - tt * (tt - 1) + 2 * lam * s)
                             return lhs <= 2 * (n - (tt - 1) * big_l) * tt
 
-                        assert feasible(t)
-                        assert all(not feasible(tt) for tt in range(1, t))
+                        scanned = tradeoff._line_form(n, big_l, s, lam)[0]
+                        for t in (scanned, fraction_converse_line(n, big_l, s, lam)[0]):
+                            assert 1 <= t <= s
+                            assert feasible(t)
+                            assert all(not feasible(tt) for tt in range(1, t))
                         assert feasible(s)
 
 
@@ -274,10 +275,22 @@ def test_dominance_matches_full_scan_on_every_triple():
         assert verify_envelope_dominance(*dims) == full_scan_dominance(*dims)
 
 
+def test_segment_forms_of_both_envelopes_on_every_triple():
+    triples = sweep_triples((1, 8), (1, 4))
+    assert len(triples) == 144
+    for dims in triples:
+        for env in (achievable_envelope(*dims), converse_corner_envelope(*dims)):
+            assert_segment_forms(env)
+
+
 def pieces_without_grid_points(env, n_files, grid_size):
-    """How many segments of ``env`` hold no point of the grid."""
+    """How many segments of ``env`` hold no point of the grid: a segment
+    holds the grid points after the previous segment's last one up to the
+    last point at or before its right end."""
+    g = grid_size - 1
     empty, start = 0, 0
-    for last, *_ in tradeoff._envelope_pieces(env, n_files, grid_size - 1):
+    for x1, _ in env.breakpoints[1:]:
+        last = min(g, math.floor(x1 * g / n_files))
         if last < start:
             empty += 1
         start = max(start, last + 1)
@@ -393,7 +406,7 @@ def test_dominance_walks_envelopes_wider_than_the_grid(monkeypatch):
     for name in ("converse_corner_envelope", "achievable_envelope"):
         env = getattr(tradeoff, name)(5, 2, 2)
         (x0, y0), (x1, y1) = env.breakpoints[0], env.breakpoints[-1]
-        first, *_, last = (Fraction(n, d) for n, d in env.slope_terms)
+        first, *_, last = (Fraction(b, e) for _, b, e in env.segment_forms)
         wide = Envelope(((x0 - 1, y0 - first + 1), *env.breakpoints, (x1 + 1, y1 + last + 1)))
         monkeypatch.setattr(tradeoff, name, lambda *dims, wide=wide: wide)
         for grid_size in (2, 11, 101):
