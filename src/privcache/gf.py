@@ -16,17 +16,21 @@ right-hand sides in one elimination: ``determined_unknowns`` extracts the
 exact values of chosen unknowns from a system that is underdetermined overall
 (a cache-aided decoder needs only the requested file's subfiles), and
 ``solve_any`` returns one particular solution, or None, per right-hand-side
-column.  ``determined_unknowns`` first peels the system, as structured
-Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990): singleton
-rows are solved by substitution and a free column held by one row is dropped
-with that row, so only the residue reaches ``rref``.  Only ``gaussian_solve``
-takes a dense matrix; ``_as_rows`` converts it.
+column.  ``determined_unknowns`` is a query on a ``SparseSystem``, built once
+with its column index and holder counts and never mutated: each query names
+the columns it knows, with their values, and the columns it wants.  It first
+peels the system, as structured Gaussian elimination does (LaMacchia and
+Odlyzko, CRYPTO 1990): a free column held by one row is dropped with that
+row, on the shared counts before any value is computed, then the kept rows
+get values and singleton rows are solved by substitution, so only the
+residue reaches ``rref``.  Only ``gaussian_solve`` takes a dense matrix;
+``_as_rows`` converts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -201,69 +205,136 @@ def solve_any(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int) -> li
     return solutions
 
 
+class SparseSystem:
+    """A sparse system [A | B] built once and queried by ``determined_unknowns``
+    under many sets of known columns.
+
+    ``rows`` are sparse rows of [A | B] and are never mutated.  ``cols[i]``
+    lists the coefficient columns of row i, ``holders[c]`` the rows holding
+    column c and ``counts[c]`` their number; both are lists indexed by column.
+    """
+
+    def __init__(self, field: PrimeField, rows: Iterable[Row], n_coef: int, n_rhs: int):
+        self.field, self.n_coef, self.n_rhs = field, n_coef, n_rhs
+        self.rows = tuple(rows)
+        self.cols = tuple(tuple(c for c in row if c < n_coef) for row in self.rows)
+        self.holders: list[list[int]] = [[] for _ in range(n_coef)]
+        for i, cols in enumerate(self.cols):
+            for c in cols:
+                self.holders[c].append(i)
+        self.counts = [len(held) for held in self.holders]
+
+
 def determined_unknowns(
-    field: PrimeField,
-    rows: list[Row],
-    n_coef: int,
-    n_rhs: int,
+    system: SparseSystem,
+    known: Mapping[int, Sequence[int]],
     wanted: Iterable[int],
 ) -> dict[int, tuple[int, ...]]:
     """Exact values of the ``wanted`` unknowns, for every RHS column at once.
 
-    ``rows`` are sparse rows of [A | B] and are consumed: they are modified in
-    place and hold nothing useful afterwards.  An unknown is determined when it
-    takes the same value in every solution of the (possibly underdetermined)
-    system.  Unknowns that are not determined are simply absent from the
-    result.  Raises InconsistentSystemError when the system has no solution
-    at all.
+    ``known`` maps a coefficient column to its values, one per right-hand
+    side; those columns move to the right-hand side and every other column is
+    an unknown.  A column both known and wanted is a ValueError.  The system
+    is left as it was.  An unknown is determined when it takes the same value
+    in every solution of the (possibly underdetermined) system.  Unknowns that
+    are not determined are simply absent from the result.  Raises
+    InconsistentSystemError when the system has no solution at all.
 
     Two reductions run before any elimination, each preserving consistency
     and the determinacy of every wanted unknown:
 
-    (a) A singleton row, one coefficient column c, fixes x_c.  Its value is
+    (a) A singleton row, one unknown column c, fixes x_c.  Its value is
         substituted into the right-hand side of every other row holding c; a
-        row left with no coefficient column must have a zero right-hand side.
+        row left with no unknown column must have a zero right-hand side.
     (b) A column that is not wanted and is held by exactly one row can satisfy
         that row whatever the other unknowns are, so the solutions of the rest
         of the system are exactly the projections of the whole system's
         solutions: the row and its column are dropped.
 
     (a) changes no column's holder count but its own, and (b) changes no
-    remaining row's width, so neither makes work for the other: one pass of
-    each reaches the fixpoint.  The residue, possibly empty, goes through
-    ``_eliminate``; there an unknown is determined when its column is a pivot
-    whose reduced row holds no coefficient column but its own.
+    remaining row's width, so neither makes work for the other and they
+    commute.  So (b) runs first, on a copy of the system's holder counts and
+    before any value is computed; values are built only for the rows it
+    keeps, known columns moved to the right-hand side, and (a) runs on those.
+    The residue, possibly empty, goes through ``_eliminate``; there an
+    unknown is determined when its column is a pivot whose reduced row holds
+    no coefficient column but its own.
     """
+    field, n_coef, n_rhs = system.field, system.n_coef, system.n_rhs
     q = field.q
     wanted = list(wanted)
-    keep = set(wanted)
-    holders: dict[int, set[int]] = {}  # coefficient column -> live rows holding it
-    width: list[int] = []  # coefficient columns per row
-    for i, row in enumerate(rows):
-        n = 0
-        for c in row:
-            if c < n_coef:
-                holders.setdefault(c, set()).add(i)
-                n += 1
-        width.append(n)
+    clash = sorted(c for c in wanted if c in known)
+    if clash:
+        raise ValueError(f"columns both known and wanted: {clash}")
+    rows, cols, holders = system.rows, system.cols, system.holders
     live = [True] * len(rows)
 
+    pinned = [False] * n_coef  # wanted or known: never a free column
+    for c in (*wanted, *known):
+        pinned[c] = True
+    count = system.counts.copy()  # (b): column -> live rows holding it
+    frees = [c for c, n in enumerate(count) if n == 1 and not pinned[c]]
+    while frees:
+        c = frees.pop()
+        if count[c] != 1:
+            continue
+        for i in holders[c]:
+            if live[i]:
+                break
+        live[i] = False
+        for c in cols[i]:
+            count[c] -= 1
+            if count[c] == 1 and not pinned[c]:
+                frees.append(c)
+
+    values: list[Row | None] = [None] * len(rows)  # kept row -> its entries, known columns moved
+    width = [0] * len(rows)  # unknown columns per kept row
+    singles = []
+    for i, row in enumerate(rows):
+        if not live[i]:
+            continue
+        val = dict(row)
+        n = len(cols[i])
+        for c in cols[i]:
+            x = known.get(c)
+            if x is None:
+                continue
+            f = val.pop(c)
+            n -= 1
+            for j, y in enumerate(x):
+                k = n_coef + j
+                z = (val.get(k, 0) - f * y) % q
+                if z:
+                    val[k] = z
+                elif k in val:
+                    del val[k]
+        if n == 0:
+            if val:
+                raise InconsistentSystemError("no solution")
+            live[i] = False
+            continue
+        values[i] = val
+        width[i] = n
+        if n == 1:
+            singles.append(i)
+
     fixed: dict[int, Row] = {}  # (a): unknown -> its values, as right-hand-side entries
-    singles = [i for i, n in enumerate(width) if n == 1]
     while singles:
         i = singles.pop()
         if not live[i]:
             continue
         live[i] = False
-        row = rows[i]
-        c = next(c for c in row if c < n_coef)
+        row = values[i]
+        for c in cols[i]:
+            if c in row:
+                break
         s = field.inv(row.pop(c))
         value = {k: x * s % q for k, x in row.items()}
         fixed[c] = value
-        held = holders.pop(c)
-        held.discard(i)
-        for k in held:
-            other = rows[k]
+        for k in holders[c]:
+            if not live[k]:
+                continue
+            other = values[k]
             f = other.pop(c)
             for col, x in value.items():
                 y = (other.get(col, 0) - f * x) % q
@@ -279,25 +350,12 @@ def determined_unknowns(
                     raise InconsistentSystemError("no solution")
                 live[k] = False
 
-    frees = [c for c, held in holders.items() if len(held) == 1 and c not in keep]
-    while frees:  # (b)
-        held = holders[frees.pop()]
-        if len(held) != 1:
-            continue
-        (i,) = held
-        live[i] = False
-        for c in rows[i]:
-            if c < n_coef:
-                held = holders[c]
-                held.discard(i)
-                if len(held) == 1 and c not in keep:
-                    frees.append(c)
-
-    residue = [row for i, row in enumerate(rows) if live[i]]
+    residue = [values[i] for i in range(len(rows)) if live[i]]
     pivots, consistent = _eliminate(field, residue, n_coef, n_rhs)
     if not all(consistent):
         raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
+    rhs = range(n_coef, n_coef + n_rhs)
     out: dict[int, tuple[int, ...]] = {}
     for j in wanted:
         if j in fixed:
@@ -309,5 +367,5 @@ def determined_unknowns(
             row = residue[i]
             if any(c < n_coef and c != j for c in row):
                 continue
-        out[j] = tuple(row.get(n_coef + k, 0) for k in range(n_rhs))
+        out[j] = tuple([row.get(k, 0) for k in rhs])
     return out

@@ -253,12 +253,13 @@ def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int
     piece's last index up to its own, where the envelope equals
     (a + b * j) / e, its segment form scaled to the grid.  A segment that
     holds no grid point is left out, so its denominator never reaches the
-    common one.  A domain that does not cover [0, n_files] raises
-    ``value_at``'s ValueError at the first grid point outside it."""
+    common one.  A domain that does not cover [0, n_files] raises the
+    ValueError ``Envelope.value_at`` would, at the first grid point outside
+    it."""
     lo, hi = env.domain
     if lo > 0 or hi < n_files:
         j = 0 if lo > 0 else max(0, hi.numerator * g // (hi.denominator * n_files) + 1)
-        env.value_at(Fraction(j * n_files, g))
+        raise ValueError(f"x={Fraction(j * n_files, g)} outside envelope domain [{lo}, {hi}]")
     pieces = []
     start = 0
     for (x1, _), form in zip(env.breakpoints[1:], env.segment_forms):

@@ -14,12 +14,14 @@ first block's positions.
 
 Two decoders are provided:
 
-* ``decode_linear`` is the reference decoder.  It treats every uncached
-  subfile of the requested files as an unknown, every transmitted segment as
-  a linear equation, and reads the requested file out of the exact solution
-  (``gf.determined_unknowns``: singleton rows and unwanted one-row columns are
-  peeled first, the rest is eliminated).  Correctness is the contract;
-  nothing scheme-specific is assumed.
+* ``decode_linear`` is the reference decoder.  Every subfile of the
+  requested files is a column and every transmitted segment a linear
+  equation; that sparse system is built once per broadcast, shared by every
+  user's decode.  A decode is one query on it (``gf.determined_unknowns``):
+  the user's cached subfiles are known columns, the uncached subfiles of its
+  requested file the wanted ones, and unwanted one-row columns and then
+  singleton rows are peeled before the rest is eliminated.  Correctness is
+  the contract; nothing scheme-specific is assumed.
 * ``decode_structural`` is the closed-form path.  It rebuilds every
   omitted (all-non-leader) segment Y_B once per broadcast, shared by every
   user's decode, from the leader-substitution identity
@@ -62,7 +64,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .exact import binomial, subsets_of_size
-from .gf import InconsistentSystemError, PrimeField, determined_unknowns
+from .gf import InconsistentSystemError, PrimeField, SparseSystem, determined_unknowns
 
 
 class DecodeError(RuntimeError):
@@ -255,6 +257,25 @@ class Broadcast:
         ones rebuilt from them, shared by every structural decode."""
         return {**self.segments, **_reconstructed_segments(self)}
 
+    @cached_property
+    def _system(self) -> SparseSystem:
+        """The linear decoder's system, shared by every linear decode: one row
+        per transmitted segment, read off the segment table, over every
+        subfile of the requested files (column offset[n] + t), with the
+        segment's symbols as right-hand sides."""
+        q = self.field.q
+        offset = self._file_offset
+        n_coef = len(offset) * self.params.subfile_count
+        rows = []
+        for sub, terms in self._terms.items():
+            seg = self.segments.get(sub)
+            if seg is None:
+                continue  # omitted: not an equation
+            row = {offset[n] + t: c % q for n, t, c in terms}  # the terms of one segment name distinct subfiles
+            row.update((n_coef + p, x) for p, x in enumerate(seg) if x)
+            rows.append(row)
+        return SparseSystem(self.field, rows, n_coef, self.params.packet_size)
+
     def trace_record(self) -> dict:
         par = self.params
         return {
@@ -371,46 +392,34 @@ def _assemble(params: UccParams, u: int, stored: Mapping[int, int],
 def _decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
     """What both decoders share: the user-range check, the r = n_users
     shortcut (nothing uncached) and a missing cache symbol reported as
-    DecodeError.  ``solve`` returns the uncached subfiles {label rank: values}."""
+    DecodeError.  ``solve`` gets u's cached and uncached label ranks and
+    returns the uncached subfiles {label rank: values}."""
     if not 0 <= u < params.n_users:
         raise ValueError(f"user {u} out of range")
     cached = set(params._user_ranks[u])
     uncached = [t for t in range(params.subfile_count) if t not in cached]
     try:
-        solved = solve(params, u, broadcast, cache_slice, uncached) if uncached else {}
+        solved = solve(params, u, broadcast, cache_slice, cached, uncached) if uncached else {}
         return _assemble(params, u, cache_slice[broadcast.demand.entries[u]], solved)
     except KeyError as exc:
         raise DecodeError(f"cache slice is missing symbols: {exc}") from None
 
 
 def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                  uncached: list[int]) -> dict[int, tuple[int, ...]]:
-    q = broadcast.field.q
+                  cached: set[int], uncached: list[int]) -> dict[int, tuple[int, ...]]:
     packet = params.packet_size
     offset = broadcast._file_offset
-    cached = set(params._user_ranks[u])
-    n_coef = len(offset) * params.subfile_count
-    rows: list[dict[int, int]] = []
-    for sub, terms in broadcast._terms.items():
-        if sub not in broadcast.segments:
-            continue  # omitted: not an equation
-        row: dict[int, int] = {}
-        rhs = list(broadcast.segments[sub])
-        for n, t, c in terms:
-            if t in cached:  # move it to the right-hand side
+    system = broadcast._system
+    known = {}
+    for n, first in offset.items():
+        for t in cached:
+            if system.counts[first + t]:  # only what some transmitted segment holds is read
                 stored = cache_slice[n]
-                base = t * packet
-                for p in range(packet):
-                    rhs[p] = (rhs[p] - c * stored[base + p]) % q
-            else:  # the terms of one segment name distinct subfiles
-                row[offset[n] + t] = c % q
-        row.update((n_coef + p, x) for p, x in enumerate(rhs) if x)
-        rows.append(row)
-
+                known[first + t] = tuple(stored[t * packet + p] for p in range(packet))
     base = offset[broadcast.demand.entries[u]]
     wanted = [base + t for t in uncached]
     try:
-        solved = determined_unknowns(broadcast.field, rows, n_coef, packet, wanted)
+        solved = determined_unknowns(system, known, wanted)
     except InconsistentSystemError as exc:
         raise DecodeError(f"inconsistent broadcast: {exc}") from None
     if len(solved) < len(wanted):
@@ -421,12 +430,14 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
 def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
     """Reference decoder: exact elimination over the transmitted segments.
 
-    Unknowns are the subfiles of the demanded files not cached by u (subfile
-    t of file n at column offset[n] + t); cached ones move to the right-hand
-    side.  One sparse row per segment held, read off the segment table,
-    holds its uncached terms and nonzero right-hand sides; all packet
-    positions are solved together by one ``determined_unknowns`` call, which
-    peels what substitution can settle and eliminates the residue.
+    The broadcast's sparse system, built on its first linear decode, holds
+    one row per transmitted segment over every subfile of the requested files
+    (subfile t of file n at column offset[n] + t).  u's decode is one
+    ``determined_unknowns`` query on it: the subfiles u caches are known
+    columns, read from its cache slice and moved to the right-hand side, and
+    the uncached subfiles of its requested file are wanted.  All packet
+    positions are solved together; the query peels what dropping free
+    columns and substitution can settle and eliminates the residue.
     """
     return _decode(params, u, broadcast, cache_slice, _solve_linear)
 
@@ -478,7 +489,7 @@ def _segment(segments: Mapping[tuple[int, ...], tuple[int, ...]], sub: tuple[int
 
 
 def _solve_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                      uncached: list[int]) -> dict[int, tuple[int, ...]]:
+                      cached: set[int], uncached: list[int]) -> dict[int, tuple[int, ...]]:
     q = broadcast.field.q
     packet = params.packet_size
     segments = broadcast._all_segments

@@ -405,6 +405,13 @@ REPLAY = [
                  0, "5dd909d3bfc846fb556b2a9a74479decb114c4dd75e2e6a6bcd7fad77902821f", id="simulate-632-structural"),
     pytest.param(("simulate", "--N", "8", "--K", "4", "--L", "2", "--r", "2", "--seed", "0", "--decoder", "structural"),
                  0, "048d3022a559698a114ccb7d5a0ad3cad4c1f902f09c442b330d237b2e16fa97", id="simulate-842-r2-structural"),
+    # the reference decoder on the signed convention: the same bytes as the structural one
+    pytest.param(("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--seed", "0", "--decoder", "linear"),
+                 0, "51e37434e1cd271c14a24096c406113fc3c659c705a0d086e5f84223828e569a", id="simulate-431-linear"),
+    pytest.param(("simulate", "--N", "6", "--K", "3", "--L", "2", "--r", "1", "--seed", "0", "--decoder", "linear"),
+                 0, "5dd909d3bfc846fb556b2a9a74479decb114c4dd75e2e6a6bcd7fad77902821f", id="simulate-632-linear"),
+    pytest.param(("simulate", "--N", "8", "--K", "4", "--L", "2", "--r", "2", "--seed", "0", "--decoder", "linear"),
+                 0, "048d3022a559698a114ccb7d5a0ad3cad4c1f902f09c442b330d237b2e16fa97", id="simulate-842-r2-linear"),
     pytest.param(("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--seed", "0", "--decoder", "linear"),
                  0, "f2286b9b6e1f25bc2016ea1bf29a89b847e529f20c8df385136343cc12ed67ca", id="simulate-623-linear"),
     pytest.param(("simulate", "--N", "3", "--K", "3", "--L", "1", "--r", "2", "--q", "2", "--seed", "0",

@@ -9,6 +9,7 @@ from privcache import gf
 from privcache.gf import (
     InconsistentSystemError,
     PrimeField,
+    SparseSystem,
     _as_rows,
     determined_unknowns,
     gaussian_solve,
@@ -82,6 +83,11 @@ def _sparse(f, matrix, rhs_rows=None):
     return _as_rows(f, matrix, [()] * len(matrix) if rhs_rows is None else rhs_rows)
 
 
+def _system(f, matrix, rhs_rows=None):
+    """Dense A and B as a ``SparseSystem`` for ``determined_unknowns``."""
+    return SparseSystem(f, *_sparse(f, matrix, rhs_rows))
+
+
 def _random_invertible(f, n, rng):
     while True:
         a = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
@@ -105,16 +111,16 @@ def test_solve_round_trip_random_full_rank(q):
 def test_determined_unknowns_partial_system():
     # x0 + x1 = 3 and x1 + x2 = 4 pin nothing; adding x1 = 1 pins all three
     f = PrimeField(7)
-    partial = determined_unknowns(f, *_sparse(f, [[1, 1, 0], [0, 1, 1]], [[3], [4]]), [0, 1, 2])
+    partial = determined_unknowns(_system(f, [[1, 1, 0], [0, 1, 1]], [[3], [4]]), {}, [0, 1, 2])
     assert partial == {}
-    full = determined_unknowns(f, *_sparse(f, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], [[3], [4], [1]]),
+    full = determined_unknowns(_system(f, [[1, 1, 0], [0, 1, 1], [0, 1, 0]], [[3], [4], [1]]), {},
                                [0, 1, 2])
     assert full == {0: (2,), 1: (1,), 2: (3,)}
 
 
 def test_determined_unknowns_multiple_rhs():
     f = PrimeField(5)
-    out = determined_unknowns(f, *_sparse(f, [[1, 1], [1, 2]], [[0, 1], [1, 2]]), [0, 1])
+    out = determined_unknowns(_system(f, [[1, 1], [1, 2]], [[0, 1], [1, 2]]), {}, [0, 1])
     # first RHS: x=(4,1); second: x=(0,1)
     assert out == {0: (4, 0), 1: (1, 1)}
 
@@ -122,7 +128,7 @@ def test_determined_unknowns_multiple_rhs():
 def test_determined_unknowns_inconsistent_raises():
     f = PrimeField(5)
     with pytest.raises(InconsistentSystemError):
-        determined_unknowns(f, *_sparse(f, [[1, 1], [2, 2]], [[0], [1]]), [0])
+        determined_unknowns(_system(f, [[1, 1], [2, 2]], [[0], [1]]), {}, [0])
 
 
 def test_solve_any_multi_rhs_brute_force_gf3():
@@ -247,10 +253,10 @@ def test_sparse_rref_matches_dense_reference(q):
         if all(consistent):
             expected = {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
                         if not any(row[c] for c in free)}
-            assert determined_unknowns(f, *_sparse(f, a, b), range(n_coef)) == expected
+            assert determined_unknowns(_system(f, a, b), {}, range(n_coef)) == expected
         else:
             with pytest.raises(InconsistentSystemError):
-                determined_unknowns(f, *_sparse(f, a, b), range(n_coef))
+                determined_unknowns(_system(f, a, b), {}, range(n_coef))
         seen.add((rank < min(len(a), n_coef), all(consistent), n_rhs > 1))
     assert seen >= {(d, c, True) for d in (False, True) for c in (False, True)}
 
@@ -304,29 +310,104 @@ def test_determined_unknowns_peeling_matches_dense_reference(q):
                   any(held[c] == 1 for c in range(n_coef) if c not in wanted)))
         if not consistent:
             with pytest.raises(InconsistentSystemError):
-                determined_unknowns(f, rows, n_coef, n_rhs, wanted)
+                determined_unknowns(SparseSystem(f, rows, n_coef, n_rhs), {}, wanted)
             continue
         free = set(range(n_coef)) - set(pivots)
         expected = {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
                     if col in wanted and not any(row[c] for c in free)}
-        assert determined_unknowns(f, rows, n_coef, n_rhs, wanted) == expected
+        assert determined_unknowns(SparseSystem(f, rows, n_coef, n_rhs), {}, wanted) == expected
     assert seen >= {(c, m, True, True) for c in (False, True) for m in (False, True)}
+
+
+def _dense_determined(q, a, b, wanted):
+    """The wanted unknowns that the dense reduced form of [A | B] determines,
+    or None when the system is inconsistent."""
+    n_coef = len(a[0]) if a else 0
+    dense = [[x % q for x in ra] + [x % q for x in rb] for ra, rb in zip(a, b)]
+    pivots = _dense_rref(q, dense, n_coef)
+    if any(x for row in dense[len(pivots):] for x in row[n_coef:]):
+        return None
+    free = set(range(n_coef)) - set(pivots)
+    return {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
+            if col in wanted and not any(row[c] for c in free)}
+
+
+def _substituted(q, a, b, known):
+    """[A | B] with the ``known`` columns zeroed and moved, with their
+    values, to the right-hand side by hand."""
+    a_out = [[0 if c in known else x for c, x in enumerate(row)] for row in a]
+    b_out = [[(y - sum(row[c] * v[j] for c, v in known.items())) % q for j, y in enumerate(rb)]
+             for row, rb in zip(a, b)]
+    return a_out, b_out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_determined_unknowns_known_columns_match_dense_reference(q):
+    """Known columns against the dense reference on the system with those
+    columns substituted by hand.  Their values are a solution's or random, so
+    both consistent and inconsistent queries occur.  Two queries with
+    different known sets alternate on one system: each gives the same answer
+    twice, and the system's rows are unchanged afterwards."""
+    f = PrimeField(q)
+    rng = random.Random(8000 + q)
+    seen = set()
+    for _ in range(300):
+        a, b = _random_sparse_system(q, rng, rng.choice([1, 2, 3]))
+        system = _system(f, a, b)
+        before = [dict(row) for row in system.rows]
+        n_coef, n_rhs = system.n_coef, system.n_rhs
+        solution = solve_any(f, *_sparse(f, a, b))
+        queries = []
+        for _ in range(2):
+            known_cols = [c for c in range(n_coef) if rng.random() < 0.4]
+            if None not in solution and rng.random() < 0.5:
+                known = {c: tuple(x[c] for x in solution) for c in known_cols}
+            else:
+                known = {c: tuple(rng.randrange(q) for _ in range(n_rhs)) for c in known_cols}
+            wanted = [c for c in range(n_coef) if c not in known and rng.random() < 0.6]
+            expected = _dense_determined(q, *_substituted(q, a, b, known), wanted)
+            # (a) fires on a row whose one unknown column is wanted, (b) on
+            # an unwanted unknown column that one row holds
+            support = [[c for c, x in enumerate(row) if x and c not in known] for row in a]
+            held = [sum(c in cols for cols in support) for c in range(n_coef)]
+            seen.add((expected is not None, n_rhs > 1,
+                      any(len(cols) == 1 and cols[0] in wanted for cols in support),
+                      any(held[c] == 1 for c in range(n_coef) if c not in known and c not in wanted),
+                      any(row[c] for row in a for c in known)))
+            queries.append((known, wanted, expected))
+
+        def answer(known, wanted):
+            try:
+                return determined_unknowns(system, known, wanted)
+            except InconsistentSystemError:
+                return None
+
+        for known, wanted, expected in queries + queries:
+            assert answer(known, wanted) == expected
+        assert list(system.rows) == before
+    assert seen >= {(c, m, True, True, True) for c in (False, True) for m in (False, True)}
+
+
+def test_known_and_wanted_column_is_rejected():
+    f = PrimeField(5)
+    with pytest.raises(ValueError, match="both known and wanted"):
+        determined_unknowns(_system(f, [[1, 1]], [[3]]), {1: (2,)}, [0, 1])
 
 
 def test_inconsistency_found_by_substitution():
     # x0 = 1 and 2 x0 = 3 over GF(5): each row alone is solvable
     f = PrimeField(5)
     with pytest.raises(InconsistentSystemError):
-        determined_unknowns(f, *_sparse(f, [[1], [2]], [[1], [3]]), [0])
-    assert determined_unknowns(f, *_sparse(f, [[1], [2]], [[1], [2]]), [0]) == {0: (1,)}
+        determined_unknowns(_system(f, [[1], [2]], [[1], [3]]), {}, [0])
+    assert determined_unknowns(_system(f, [[1], [2]], [[1], [2]]), {}, [0]) == {0: (1,)}
 
 
 def test_one_row_free_column_drops_its_row():
     # x0 + x1 = 3 with only x0 wanted: x1 absorbs the row, x0 stays free
     f = PrimeField(5)
-    assert determined_unknowns(f, *_sparse(f, [[1, 1]], [[3]]), [0]) == {}
+    assert determined_unknowns(_system(f, [[1, 1]], [[3]]), {}, [0]) == {}
     # a second free row on x0 leaves x0 free as well
-    assert determined_unknowns(f, *_sparse(f, [[1, 1, 0], [1, 0, 1]], [[3], [4]]), [0]) == {}
+    assert determined_unknowns(_system(f, [[1, 1, 0], [1, 0, 1]], [[3], [4]]), {}, [0]) == {}
 
 
 def test_singleton_chain(monkeypatch):
@@ -343,6 +424,6 @@ def test_singleton_chain(monkeypatch):
     monkeypatch.setattr(gf, "rref", sizing_rref)
     a = [[0, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 0], [1, 0, 0, 0]]
     b = [[4, 1], [0, 0], [3, 0], [1, 0]]
-    assert determined_unknowns(f, *_sparse(f, a, b), [0, 1, 2, 3]) == \
+    assert determined_unknowns(_system(f, a, b), {}, [0, 1, 2, 3]) == \
         {0: (1, 0), 1: (2, 0), 2: (4, 0), 3: (0, 1)}
     assert sizes == [0]

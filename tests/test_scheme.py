@@ -281,6 +281,27 @@ def test_decode_uses_only_broadcast_and_cache():
             assert decode_user(P522, l, rebuilt, caches[k]) == lib.rows[demands[k][l]]
 
 
+@pytest.mark.parametrize("decoder,builds", [("linear", 1), ("structural", 0)])
+def test_linear_system_built_once_per_broadcast(monkeypatch, decoder, builds):
+    """At (6,2,3,2) the broadcast's six linear decodes query one system; the
+    structural decoder never builds it."""
+    counts = Counter()
+    real_init, real_query = gf.SparseSystem.__init__, ucc.determined_unknowns
+
+    def counting_init(self, *args):
+        counts["builds"] += 1
+        real_init(self, *args)
+
+    def counting_query(*args):
+        counts["queries"] += 1
+        return real_query(*args)
+
+    monkeypatch.setattr(gf.SparseSystem, "__init__", counting_init)
+    monkeypatch.setattr(ucc, "determined_unknowns", counting_query)
+    assert run_simulation(SchemeParams(6, 2, 3, r=2), 0, decoder=decoder).correct_all
+    assert counts == Counter(builds=builds, queries=6 * builds)
+
+
 def test_three_user_groups_end_to_end():
     p = SchemeParams(3, 3, 1, r=2)
     for seed in range(6):
