@@ -353,20 +353,16 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
 # Chi-square smoke test for large instances
 # ---------------------------------------------------------------------------
 
-_Z_QUANTILES = {0.95: 1.6448536269514722, 0.99: 2.3263478740408408, 0.999: 3.090232306167813}
+_Z_999 = 3.090232306167813  # the standard normal quantile at 0.999
 
 
-def chi_square_quantile(dof: int, p: float = 0.999) -> float:
-    """Wilson-Hilferty approximation of the chi-square quantile; accurate to a
-    fraction of a percent for the large dof used here."""
+def chi_square_quantile(dof: int) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile at 0.999;
+    accurate to a fraction of a percent for the large dof used here."""
     if dof < 1:
         raise ValueError("dof must be positive")
-    try:
-        z = _Z_QUANTILES[p]
-    except KeyError:
-        raise ValueError(f"unsupported quantile {p}; choose from {sorted(_Z_QUANTILES)}") from None
     c = 2.0 / (9.0 * dof)
-    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+    return dof * (1.0 - c + _Z_999 * math.sqrt(c)) ** 3
 
 
 @dataclass
@@ -382,7 +378,7 @@ class ChiSquareReport:
 
 def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
                         selector: tuple[int, ...], runs: int, seed: int,
-                        variant: Variant = FULL, quantile: float = 0.999) -> ChiSquareReport:
+                        variant: Variant = FULL) -> ChiSquareReport:
     """Chi-square test of sampled masked demands against the uniform law,
     holding the observer's slot tuple fixed and resampling everything else.
     The run floor is checked against the closed-form support size before
@@ -406,7 +402,7 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
     if outside:
         statistic = math.inf
     dof = size - 1
-    threshold = chi_square_quantile(dof, quantile)
+    threshold = chi_square_quantile(dof)
     return ChiSquareReport(
         statistic=statistic,
         dof=dof,

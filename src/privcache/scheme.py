@@ -19,11 +19,14 @@ file n under broadcast label relabeling[n], and ``relabeled_demand`` names
 the expanded demand's files the same way; placement, delivery and decoding
 work in broadcast labels only.  The broadcast is the single-request
 scheme's message, a ``ucc.Broadcast``, for the masked (relabeled) expanded
-demand vector, which rides along in the clear as its ``demand``; each user
-decodes requested file l by running the virtual decoder of its secret slot,
-using only the broadcast and its own cache.  ``deliver`` is the one delivery
-call and ``place_cache`` fills one user's cache; ``place_caches`` validates
-the slot tuples and fills every cache.
+demand vector, which rides along in the clear as its ``demand``.  The
+private layer only maps users to virtual users: ``place_cache`` fills one
+user's cache with the engine's placement for its L virtual users (whole
+subfiles, per label {label rank: subfile}), and ``decode_user`` decodes
+requested file l by cutting the virtual user of its secret slot out of that
+cache and running the engine decoder for it, on the broadcast, which carries
+the instance, and that slice only.  ``deliver`` is the one delivery call;
+``place_caches`` validates the slot tuples and fills every cache.
 
 One sampler and one enumerator describe the same stages:
 ``sample_realization`` draws one label-free (slot tuples, cover set,
@@ -216,19 +219,20 @@ def checked_slots(params: SchemeParams, slots: Mapping[int, Sequence[int]] | Non
 @dataclass
 class UserCache:
     """What user k physically holds: its secret slot tuple and, per broadcast
-    file label, the stored symbol positions of that (relabeled) file."""
+    file label, the stored subfiles of that (relabeled) file, {label rank:
+    subfile}."""
 
     user: int
     selector: tuple[int, ...]
-    slots_by_label: dict[int, dict[int, int]]
+    subfiles: dict[int, dict[int, tuple[int, ...]]]
 
     @property
     def symbol_count(self) -> int:
-        return sum(len(v) for v in self.slots_by_label.values())
+        return sum(len(sub) for stored in self.subfiles.values() for sub in stored.values())
 
 
-def _virtual_user(params: SchemeParams, k: int, slot_value: int) -> int:
-    return k * params.n_active + slot_value
+def _virtual_user(n_active: int, k: int, slot_value: int) -> int:
+    return k * n_active + slot_value
 
 
 def place_caches(params: SchemeParams, library: Library,
@@ -245,16 +249,10 @@ def place_caches(params: SchemeParams, library: Library,
 
 def place_cache(params: SchemeParams, library: Library, k: int, selector: tuple[int, ...]) -> UserCache:
     """User k's cache from the library in broadcast labels: for each label,
-    the union of the symbols its L chosen virtual users would store.
-    Placement is uncoded: stored symbols are verbatim library symbols at
-    their declared positions."""
-    positions: set[int] = set()
-    for s in selector:
-        positions.update(ucc.user_positions(params.ucc, _virtual_user(params, k, s)))
-    merged_positions = sorted(positions)
-    slots_by_label = {label: {i: row[i] for i in merged_positions}
-                      for label, row in enumerate(library.rows)}
-    return UserCache(k, selector, slots_by_label)
+    the union of the subfiles its L chosen virtual users would store.
+    Placement is uncoded: stored subfiles are verbatim library slices."""
+    users = [_virtual_user(params.n_active, k, s) for s in selector]
+    return UserCache(k, selector, ucc.place(params.ucc, library, users))
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +405,24 @@ def measured_rate(params: SchemeParams, broadcast: Broadcast) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def decode_user(params: SchemeParams, slot: int, broadcast: Broadcast,
-                cache: UserCache, method: str = "linear") -> tuple[int, ...]:
+def decode_user(slot: int, broadcast: Broadcast, cache: UserCache,
+                method: str = "linear") -> tuple[int, ...]:
     """Recover the cache owner's slot-th requested file from the broadcast
-    and that cache only.  The user reads the masked demand off the broadcast, picks the
-    cache entries its chosen virtual user would hold for the active labels,
-    and runs the single-request decoder for that virtual user."""
-    if not 0 <= slot < params.demands_per_user:
+    and that cache only.  The user reads the instance and the masked demand
+    off the broadcast, cuts out the subfiles its chosen virtual user would
+    hold for the active labels, and runs the single-request decoder for that
+    virtual user on them."""
+    if not 0 <= slot < len(cache.selector):
         raise ValueError(f"slot {slot} out of range")
-    u = _virtual_user(params, cache.user, cache.selector[slot])
-    masked = broadcast.demand.entries
-    positions = ucc.user_positions(params.ucc, u)
+    n_active = broadcast.params.block_len
+    u = _virtual_user(n_active, cache.user, cache.selector[slot])
+    ranks = broadcast.params.user_ranks[u]
     try:
-        cache_slice = {
-            label: {i: cache.slots_by_label[label][i] for i in positions}
-            for label in set(masked[:params.n_active])
-        }
+        cache_slice = {label: {t: cache.subfiles[label][t] for t in ranks}
+                       for label in set(broadcast.demand.entries[:n_active])}
     except KeyError as exc:
-        raise ucc.DecodeError(f"cache is missing label/position {exc}") from None
-    return ucc.decode(params.ucc, u, broadcast, cache_slice, method=method)
+        raise ucc.DecodeError(f"cache is missing label/subfile {exc}") from None
+    return ucc.decode(u, broadcast, cache_slice, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +506,15 @@ class SimulationTrace:
 
 
 def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = None,
-                   library: Library | None = None, decoder: str = "linear",
-                   variant: Variant = FULL) -> SimulationTrace:
-    """One full placement + delivery + decode-everything run from a single seed."""
+                   decoder: str = "linear", variant: Variant = FULL) -> SimulationTrace:
+    """One full placement + delivery + decode-everything run from a single
+    seed: the library comes from the "library" substream."""
     streams = SeedStreams(seed)
     if demands is None:
         demands = sample_demands(params, streams.rng("demands"))
     else:
         demands = validate_demands(params, demands)
-    if library is None:
-        library = Library.random(params.field, params.n_files, params.file_len, streams.rng("library"))
+    library = Library.random(params.field, params.n_files, params.file_len, streams.rng("library"))
     relabeling, slots, cover, expanded = sample_realization(params, demands, streams, variant)
     relabeled = relabeled_library(library, relabeling)
     caches = place_caches(params, relabeled, slots)
@@ -528,7 +524,7 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
         for l in range(params.demands_per_user):
             want = library.rows[demands[k][l]]
             try:
-                got = decode_user(params, l, broadcast, caches[k], method=decoder)
+                got = decode_user(l, broadcast, caches[k], method=decoder)
                 ok = got == tuple(want)
             except ucc.DecodeError:
                 ok = False

@@ -5,14 +5,17 @@ requesting one file, where demand vectors are restricted to split into equal
 blocks that are each a permutation of one common file subset.  Placement is
 the classic subset-indexed layout (each file splits into C(K_v, r) subfiles
 labeled by r-subsets of users; user u stores every subfile whose label
-contains u) and delivery is the leader-based scheme of Yu, Maddah-Ali and
-Avestimehr: one coded segment per (r+1)-subset of users that intersects the
-leader set, each segment the field sum of the subfiles "wanted by u, labeled
-by the rest of the subset".  Because block 0 of a restricted demand names
-every distinct requested file exactly once, the leader set is fixed to the
-first block's positions.
+contains u): ``place`` gives, for a set of users, per file {label rank:
+subfile}, and a decoder's cache slice has that shape.  Delivery is the
+leader-based scheme of Yu, Maddah-Ali and Avestimehr: one coded segment per
+(r+1)-subset of users that intersects the leader set, each segment the field
+sum of the subfiles "wanted by u, labeled by the rest of the subset".
+Because block 0 of a restricted demand names every distinct requested file
+exactly once, the leader set is fixed to the first block's positions.
 
-Two decoders are provided:
+Two decoders are provided.  Each takes a user, a broadcast and that user's
+cache slice, reads the instance off ``broadcast.params``, and returns the
+requested file as its cached and solved subfiles concatenated in rank order:
 
 * ``decode_linear`` is the reference decoder.  Every subfile of the
   requested files is a column and every transmitted segment a linear
@@ -118,24 +121,23 @@ class UccParams:
         return self.n_users // self.block_len
 
     @cached_property
-    def _rank_of(self) -> dict[tuple[int, ...], int]:
-        """Subfile label -> rank, in rank (lexicographic) order."""
-        return {lab: t for t, lab in enumerate(subsets_of_size(range(self.n_users), self.r))}
+    def _labels(self) -> tuple[tuple[int, ...], ...]:
+        """Subfile labels in rank (lexicographic) order."""
+        return tuple(subsets_of_size(range(self.n_users), self.r))
 
     @cached_property
-    def _user_ranks(self) -> tuple[tuple[int, ...], ...]:
+    def _rank_of(self) -> dict[tuple[int, ...], int]:
+        """Subfile label -> rank."""
+        return {lab: t for t, lab in enumerate(self._labels)}
+
+    @cached_property
+    def user_ranks(self) -> tuple[tuple[int, ...], ...]:
         """Per user, the ranks of the labels containing it (its cached subfiles)."""
         ranks: list[list[int]] = [[] for _ in range(self.n_users)]
-        for lab, t in self._rank_of.items():
+        for t, lab in enumerate(self._labels):
             for v in lab:
                 ranks[v].append(t)
         return tuple(tuple(x) for x in ranks)
-
-
-def user_positions(params: UccParams, u: int) -> list[int]:
-    """Symbol indices (within any one file) stored by user u."""
-    p = params.packet_size
-    return [t * p + i for t in params._user_ranks[u] for i in range(p)]
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,18 @@ class Library:
     @classmethod
     def random(cls, field: PrimeField, n_files: int, file_len: int, rng: random.Random) -> "Library":
         return cls(field, tuple(tuple(rng.randrange(field.q) for _ in range(file_len)) for _ in range(n_files)))
+
+
+CacheSlice = Mapping[int, Mapping[int, tuple[int, ...]]]  # file -> {label rank -> subfile}
+
+
+def place(params: UccParams, library: Library, users: Iterable[int]) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Uncoded placement for a set of users: per file, every subfile whose
+    label contains one of them, {label rank: its packet_size symbols}, copied
+    verbatim from the library."""
+    p = params.packet_size
+    ranks = sorted({t for u in users for t in params.user_ranks[u]})
+    return {n: {t: row[t * p:(t + 1) * p] for t in ranks} for n, row in enumerate(library.rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -373,49 +387,38 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Bro
 # Decoding
 # ---------------------------------------------------------------------------
 
-CacheSlice = Mapping[int, Mapping[int, int]]  # file -> {symbol index -> symbol}
 
-
-def _assemble(params: UccParams, u: int, stored: Mapping[int, int],
-              solved: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """User u's requested file: its cached symbols from ``stored`` (u's cache
-    slice of that file), every other subfile from ``solved`` {label rank: values}."""
-    p = params.packet_size
-    out = [0] * params.file_len
-    for i in user_positions(params, u):
-        out[i] = stored[i]
-    for t, vals in solved.items():
-        out[t * p:(t + 1) * p] = vals
-    return tuple(out)
-
-
-def _decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
+def _decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
     """What both decoders share: the user-range check, the r = n_users
-    shortcut (nothing uncached) and a missing cache symbol reported as
-    DecodeError.  ``solve`` gets u's cached and uncached label ranks and
+    shortcut (nothing uncached), a missing or misshapen cached subfile
+    reported as DecodeError, and the file as the cached and solved subfiles
+    in rank order.  ``solve`` gets u's cached and uncached label ranks and
     returns the uncached subfiles {label rank: values}."""
+    params = broadcast.params
     if not 0 <= u < params.n_users:
         raise ValueError(f"user {u} out of range")
-    cached = set(params._user_ranks[u])
-    uncached = [t for t in range(params.subfile_count) if t not in cached]
+    if any(len(sub) != params.packet_size for stored in cache_slice.values() for sub in stored.values()):
+        raise DecodeError(f"cache slice holds a subfile that is not {params.packet_size} symbols long")
+    cached = params.user_ranks[u]
+    uncached = sorted(set(range(params.subfile_count)).difference(cached))
     try:
-        solved = solve(params, u, broadcast, cache_slice, cached, uncached) if uncached else {}
-        return _assemble(params, u, cache_slice[broadcast.demand.entries[u]], solved)
+        solved = solve(u, broadcast, cache_slice, cached, uncached) if uncached else {}
+        stored = cache_slice[broadcast.demand.entries[u]]
+        return tuple(itertools.chain.from_iterable(
+            solved[t] if t in solved else stored[t] for t in range(params.subfile_count)))
     except KeyError as exc:
-        raise DecodeError(f"cache slice is missing symbols: {exc}") from None
+        raise DecodeError(f"cache slice is missing subfile {exc}") from None
 
 
-def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                  cached: set[int], uncached: list[int]) -> dict[int, tuple[int, ...]]:
-    packet = params.packet_size
+def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
+                  cached: tuple[int, ...], uncached: list[int]) -> dict[int, tuple[int, ...]]:
     offset = broadcast._file_offset
     system = broadcast._system
     known = {}
     for n, first in offset.items():
         for t in cached:
             if system.counts[first + t]:  # only what some transmitted segment holds is read
-                stored = cache_slice[n]
-                known[first + t] = tuple(stored[t * packet + p] for p in range(packet))
+                known[first + t] = cache_slice[n][t]
     base = offset[broadcast.demand.entries[u]]
     wanted = [base + t for t in uncached]
     try:
@@ -427,7 +430,7 @@ def _solve_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     return {t: solved[base + t] for t in uncached}
 
 
-def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
+def decode_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
     """Reference decoder: exact elimination over the transmitted segments.
 
     The broadcast's sparse system, built on its first linear decode, holds
@@ -439,7 +442,7 @@ def decode_linear(params: UccParams, u: int, broadcast: Broadcast, cache_slice: 
     positions are solved together; the query peels what dropping free
     columns and substitution can settle and eliminates the residue.
     """
-    return _decode(params, u, broadcast, cache_slice, _solve_linear)
+    return _decode(u, broadcast, cache_slice, _solve_linear)
 
 
 def _odd_permutation(seq: list[int]) -> bool:
@@ -488,12 +491,11 @@ def _segment(segments: Mapping[tuple[int, ...], tuple[int, ...]], sub: tuple[int
         raise DecodeError(f"the segment of users {list(sub)} is missing from the broadcast") from None
 
 
-def _solve_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                      cached: set[int], uncached: list[int]) -> dict[int, tuple[int, ...]]:
+def _solve_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
+                      cached: tuple[int, ...], uncached: list[int]) -> dict[int, tuple[int, ...]]:
     q = broadcast.field.q
-    packet = params.packet_size
     segments = broadcast._all_segments
-    labels = list(params._rank_of)
+    labels = broadcast.params._labels
     solved = {}
     for t in uncached:
         sub = tuple(sorted(labels[t] + (u,)))
@@ -502,15 +504,13 @@ def _solve_structural(params: UccParams, u: int, broadcast: Broadcast, cache_sli
             if t_v == t:
                 c_u = c  # u's own term, W[d_u][S]
                 continue
-            stored = cache_slice[n]  # every other label contains u
-            base = t_v * packet
-            for p in range(packet):
-                acc[p] = (acc[p] - c * stored[base + p]) % q
+            for p, x in enumerate(cache_slice[n][t_v]):  # every other label contains u
+                acc[p] = (acc[p] - c * x) % q
         solved[t] = tuple((c_u * a) % q for a in acc)  # c_u is +-1, its own inverse
     return solved
 
 
-def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
+def decode_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
     """Closed-form decoder: no elimination, one segment per uncached subfile.
 
     For an uncached label S, every term of the segment of S + {u} other than
@@ -519,13 +519,13 @@ def decode_structural(params: UccParams, u: int, broadcast: Broadcast, cache_sli
     read off the segment table.  The segments are the transmitted ones plus
     the omitted ones, rebuilt once per broadcast and shared by every decode.
     """
-    return _decode(params, u, broadcast, cache_slice, _solve_structural)
+    return _decode(u, broadcast, cache_slice, _solve_structural)
 
 
-def decode(params: UccParams, u: int, broadcast: Broadcast, cache_slice: CacheSlice, method: str = "linear") -> tuple[int, ...]:
+def decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, method: str = "linear") -> tuple[int, ...]:
     """Decode user u's requested file; method is "linear" (reference) or "structural"."""
     if method == "linear":
-        return decode_linear(params, u, broadcast, cache_slice)
+        return decode_linear(u, broadcast, cache_slice)
     if method == "structural":
-        return decode_structural(params, u, broadcast, cache_slice)
+        return decode_structural(u, broadcast, cache_slice)
     raise ValueError(f"unknown decode method {method!r}")

@@ -10,7 +10,7 @@ from privcache import tradeoff
 from privcache.exact import Envelope, binomial
 from privcache.gf import PrimeField
 from privcache.tradeoff import DominanceReport, GapCertificate, OptimalityGapError, TradeoffPoint
-from privcache.ucc import Library, UccParams, user_positions
+from privcache.ucc import Library, UccParams
 
 
 def ramp_library(field: PrimeField, n_files: int, file_len: int) -> Library:
@@ -19,10 +19,14 @@ def ramp_library(field: PrimeField, n_files: int, file_len: int) -> Library:
     return Library(field, tuple(tuple((n * file_len + i + 1) % q for i in range(file_len)) for n in range(n_files)))
 
 
-def cache_slice_for(params: UccParams, u: int, library: Library, files: Iterable[int]) -> dict[int, dict[int, int]]:
-    """The symbols of the given files that user u stores, straight from the library."""
-    pos = user_positions(params, u)
-    return {n: {i: library.rows[n][i] for i in pos} for n in set(files)}
+def cache_slice_for(params: UccParams, u: int, library: Library,
+                    files: Iterable[int]) -> dict[int, dict[int, tuple[int, ...]]]:
+    """The subfiles of the given files that user u stores, {label rank:
+    subfile}, sliced straight from the library at the ranks of the labels
+    holding u."""
+    p = params.packet_size
+    ranks = [t for t, lab in enumerate(itertools.combinations(range(params.n_users), params.r)) if u in lab]
+    return {n: {t: library.rows[n][t * p:(t + 1) * p] for t in ranks} for n in set(files)}
 
 
 def subset_rank(ground: Iterable, subset: Iterable) -> int:

@@ -132,8 +132,8 @@ def _run_exhaustive(params):
                         for k in range(params.n_users):
                             for l in range(params.demands_per_user):
                                 want = lib.rows[demands[k][l]]
-                                got = decode_user(params, l, broadcast, caches[k], "linear")
-                                alt = decode_user(params, l, broadcast, caches[k], "structural")
+                                got = decode_user(l, broadcast, caches[k], "linear")
+                                alt = decode_user(l, broadcast, caches[k], "structural")
                                 decodes += 1
                                 wrong += got != want
                                 mismatches += got != alt

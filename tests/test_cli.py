@@ -420,6 +420,16 @@ REPLAY = [
     pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--packet", "3", "--seed", "7",
                   "--decoder", "linear"),
                  0, "bfbeb4b2d602ba11618cfce124f4adab0ae4d657fd373c4b894383ea567711e0", id="simulate-522-packet3-linear"),
+    pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--packet", "3", "--seed", "7",
+                  "--decoder", "structural"),
+                 0, "bfbeb4b2d602ba11618cfce124f4adab0ae4d657fd373c4b894383ea567711e0", id="simulate-522-packet3-structural"),
+    # subfiles of two symbols under the signed convention
+    pytest.param(("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--packet", "2", "--seed", "0",
+                  "--decoder", "linear"),
+                 0, "350a2724d3655f05c48c7073612560a19e175865a6624ef55deb34e2d49545fd", id="simulate-431-packet2-linear"),
+    pytest.param(("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--packet", "2", "--seed", "0",
+                  "--decoder", "structural"),
+                 0, "350a2724d3655f05c48c7073612560a19e175865a6624ef55deb34e2d49545fd", id="simulate-431-packet2-structural"),
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--selector", "0,2"),
                  0, "52821c53da6404f1b43e9f4b0cffc61ee092cd361c75f0f366b9c273c9212499", id="audit-ptilde"),
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2"),

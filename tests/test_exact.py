@@ -66,7 +66,7 @@ def test_sample_permutation_uniform_smoke():
     assert len(counts) == 24
     expected = draws / 24
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert stat < chi_square_quantile(23, 0.999)
+    assert stat < chi_square_quantile(23)
 
 
 def test_envelope_two_points():

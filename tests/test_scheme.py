@@ -117,14 +117,13 @@ def test_placement_slots_hold_chosen_subfiles():
     lib = ramp_library(P522.field, 5, P522.file_len)
     relabeling = (2, 0, 4, 1, 3)
     caches = place_caches(P522, relabeled_library(lib, relabeling), ((0, 2), (1, 3)))
-    # r=1: virtual user u stores subfile {u}, one symbol; user 0 chose slots 0, 2
-    assert sorted(caches[0].slots_by_label[relabeling[3]].keys()) == [0, 2]
-    # user 1 embeds at virtual users 4+1, 4+3 -> positions 5 and 7
-    assert sorted(caches[1].slots_by_label[relabeling[0]].keys()) == [5, 7]
+    # r=1: virtual user u stores subfile {u} (rank u), one symbol; user 0 chose slots 0, 2
+    assert sorted(caches[0].subfiles[relabeling[3]]) == [0, 2]
+    # user 1 embeds at virtual users 4+1, 4+3 -> subfiles {5} and {7}
+    assert sorted(caches[1].subfiles[relabeling[0]]) == [5, 7]
     for n in range(5):
-        stored = caches[0].slots_by_label[relabeling[n]]
-        for i, sym in stored.items():
-            assert sym == lib.rows[n][i]
+        for t, sub in caches[0].subfiles[relabeling[n]].items():
+            assert sub == (lib.rows[n][t],)
 
 
 def cache_memory(params, k, selector):
@@ -278,7 +277,7 @@ def test_decode_uses_only_broadcast_and_cache():
     assert rebuilt.signed == rec["signed"]
     for k in range(2):
         for l in range(2):
-            assert decode_user(P522, l, rebuilt, caches[k]) == lib.rows[demands[k][l]]
+            assert decode_user(l, rebuilt, caches[k]) == lib.rows[demands[k][l]]
 
 
 @pytest.mark.parametrize("decoder,builds", [("linear", 1), ("structural", 0)])

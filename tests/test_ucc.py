@@ -24,7 +24,6 @@ from privcache.ucc import (
     encode,
     is_restricted,
     segment_signs,
-    user_positions,
     _reconstructed_segments,
 )
 
@@ -52,35 +51,37 @@ def test_params_validation():
         UccParams(n_files=3, n_users=8, block_len=4, r=1)
 
 
-def test_placement_single_subset_layout():
-    # r=1 over 8 users: user 0 stores exactly the subfile labeled {0} of each file
-    params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
-    assert user_positions(params, 0) == [0]
-    params2 = UccParams(n_files=5, n_users=8, block_len=4, r=1, packet_size=3)
-    assert user_positions(params2, 2) == [6, 7, 8]
-
-
-def test_placement_storage_count():
-    for r in range(0, 9):
-        params = UccParams(n_files=5, n_users=8, block_len=4, r=r)
-        for u in (0, 3, 7):
-            assert len(user_positions(params, u)) == binomial(7, r - 1) * params.packet_size
-
-
-def test_placement_extremes():
-    empty = UccParams(n_files=5, n_users=8, block_len=4, r=0)
-    assert user_positions(empty, 0) == []
-    full = UccParams(n_files=5, n_users=8, block_len=4, r=8)
-    assert user_positions(full, 5) == list(range(full.file_len))
+@pytest.mark.parametrize("packet", [1, 3])
+def test_place_holds_the_subfiles_labeled_by_its_users(packet):
+    """For one user and for several, at every r: per file, ``place`` holds
+    exactly the ranks whose label contains one of the users, each subfile
+    the library's packet_size symbols at that rank.  One user stores
+    C(n_users - 1, r - 1) subfiles of each file: none at r = 0, the whole
+    file at r = n_users."""
+    for r in range(7):
+        params = UccParams(n_files=3, n_users=6, block_len=3, r=r, packet_size=packet)
+        lib = ramp_library(F257, 3, params.file_len)
+        labels = list(itertools.combinations(range(6), r))
+        for users in [(0,), (4,), (1, 3), (0, 2, 5)]:
+            placed = ucc.place(params, lib, users)
+            assert sorted(placed) == [0, 1, 2]
+            for n, stored in placed.items():
+                assert sorted(stored) == [t for t, lab in enumerate(labels) if set(lab) & set(users)]
+                for t, sub in stored.items():
+                    assert sub == lib.rows[n][t * packet:(t + 1) * packet]
+                if len(users) == 1:
+                    assert len(stored) == binomial(5, r - 1)
+                if r == 6:
+                    assert tuple(itertools.chain.from_iterable(stored.values())) == lib.rows[n]
 
 
 def test_uncoded_placement_symbols_are_verbatim():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=2)
     lib = ramp_library(F257, 3, params.file_len)
-    cs = cache_slice_for(params, 1, lib, files=[0, 2])
-    for n, stored in cs.items():
-        for i, sym in stored.items():
-            assert sym == lib.rows[n][i]
+    placed = ucc.place(params, lib, [1])
+    for n, stored in placed.items():
+        for t, sub in stored.items():
+            assert sub == lib.rows[n][t:t + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,8 @@ def test_decode_full_cache_needs_no_broadcast():
     bc = encode(params, demand, lib)
     for u in range(4):
         cs = cache_slice_for(params, u, lib, demand.file_set)
-        assert decode_linear(params, u, bc, cs) == lib.rows[demand.entries[u]]
-        assert decode_structural(params, u, bc, cs) == lib.rows[demand.entries[u]]
+        assert decode_linear(u, bc, cs) == lib.rows[demand.entries[u]]
+        assert decode_structural(u, bc, cs) == lib.rows[demand.entries[u]]
 
 
 @pytest.mark.parametrize("n_files,r", [(3, 0), (3, 1), (3, 2), (2, 1), (2, 3)])
@@ -225,8 +226,8 @@ def test_decode_exhaustive_two_groups(n_files, r):
         for u in range(params.n_users):
             cs = cache_slice_for(params, u, lib, demand.file_set)
             want = lib.rows[demand.entries[u]]
-            assert decode_linear(params, u, bc, cs) == want
-            assert decode_structural(params, u, bc, cs) == want
+            assert decode_linear(u, bc, cs) == want
+            assert decode_structural(u, bc, cs) == want
 
 
 @pytest.mark.parametrize("n_files,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -240,8 +241,8 @@ def test_decode_exhaustive_three_groups(n_files, r):
         for u in range(params.n_users):
             cs = cache_slice_for(params, u, lib, demand.file_set)
             want = lib.rows[demand.entries[u]]
-            assert decode_linear(params, u, bc, cs) == want
-            assert decode_structural(params, u, bc, cs) == want
+            assert decode_linear(u, bc, cs) == want
+            assert decode_structural(u, bc, cs) == want
 
 
 def test_decode_exhaustive_kv4_r2_random_library():
@@ -253,7 +254,7 @@ def test_decode_exhaustive_kv4_r2_random_library():
         bc = encode(params, demand, lib)
         for u in range(4):
             cs = cache_slice_for(params, u, lib, demand.file_set)
-            assert decode(params, u, bc, cs) == lib.rows[demand.entries[u]]
+            assert decode(u, bc, cs) == lib.rows[demand.entries[u]]
 
 
 # (n_files, n_users, block_len, r, q, packet_size): GF(2), GF(3), GF(5),
@@ -375,9 +376,19 @@ def test_decode_missing_cache_symbols_raises():
     demand = RestrictedDemand((0, 1, 1, 0), 2)
     bc = encode(params, demand, lib)
     with pytest.raises(DecodeError):
-        decode_linear(params, 0, bc, {0: {}, 1: {}})
+        decode_linear(0, bc, {0: {}, 1: {}})
     with pytest.raises(DecodeError):
-        decode_structural(params, 0, bc, {0: {}, 1: {}})
+        decode_structural(0, bc, {0: {}, 1: {}})
+    # a subfile one symbol short or one too long is missing symbols too
+    cs = cache_slice_for(params, 0, lib, demand.file_set)
+    for n, stored in cs.items():
+        for t in stored:
+            for bad in ((), stored[t] + (1,)):
+                cut = {**cs, n: {**stored, t: bad}}
+                with pytest.raises(DecodeError):
+                    decode_linear(0, bc, cut)
+                with pytest.raises(DecodeError):
+                    decode_structural(0, bc, cut)
 
 
 @pytest.mark.parametrize("n_users,r", [(4, 1), (6, 1), (6, 2)])
@@ -395,7 +406,7 @@ def test_missing_segment_is_named(n_users, r):
         for u in range(n_users):
             cs = cache_slice_for(params, u, lib, demand.file_set)
             try:
-                assert decode_structural(params, u, bc, cs) == lib.rows[demand.entries[u]]
+                assert decode_structural(u, bc, cs) == lib.rows[demand.entries[u]]
             except DecodeError as exc:
                 assert str(exc) == f"the segment of users {list(gone)} is missing from the broadcast"
                 failed.add(u)
@@ -416,8 +427,8 @@ def test_decoders_agree_on_small_fields(n_files, n_users, r, q, packet):
         for u in range(n_users):
             cs = cache_slice_for(params, u, lib, demand.file_set)
             want = lib.rows[demand.entries[u]]
-            assert decode_linear(params, u, bc, cs) == want
-            assert decode_structural(params, u, bc, cs) == want
+            assert decode_linear(u, bc, cs) == want
+            assert decode_structural(u, bc, cs) == want
 
 
 def test_encode_stores_the_term_table(monkeypatch):
@@ -441,8 +452,8 @@ def test_encode_stores_the_term_table(monkeypatch):
     monkeypatch.setattr(ucc, "_segment_terms", no_terms)
     for u in range(params.n_users):
         cs = cache_slice_for(params, u, lib, demand.file_set)
-        assert decode_linear(params, u, bc, cs) == lib.rows[demand.entries[u]]
-        assert decode_structural(params, u, bc, cs) == lib.rows[demand.entries[u]]
+        assert decode_linear(u, bc, cs) == lib.rows[demand.entries[u]]
+        assert decode_structural(u, bc, cs) == lib.rows[demand.entries[u]]
 
 
 def test_decode_unknown_method():
@@ -452,4 +463,4 @@ def test_decode_unknown_method():
     bc = encode(params, demand, lib)
     cs = cache_slice_for(params, 0, lib, demand.file_set)
     with pytest.raises(ValueError):
-        decode(params, 0, bc, cs, method="magic")
+        decode(0, bc, cs, method="magic")
