@@ -75,6 +75,27 @@ def test_place_holds_the_subfiles_labeled_by_its_users(packet):
                     assert tuple(itertools.chain.from_iterable(stored.values())) == lib.rows[n]
 
 
+def test_placement_storage_count():
+    for r in range(0, 9):
+        params = UccParams(n_files=5, n_users=8, block_len=4, r=r)
+        lib = ramp_library(F257, 5, params.file_len)
+        for u in (0, 3, 7):
+            for stored in ucc.place(params, lib, [u]).values():
+                assert len(stored) == binomial(7, r - 1)
+                assert sum(len(sub) for sub in stored.values()) == binomial(7, r - 1) * params.packet_size
+
+
+def test_placement_extremes():
+    empty = UccParams(n_files=5, n_users=8, block_len=4, r=0)
+    lib = ramp_library(F257, 5, empty.file_len)
+    assert all(stored == {} for stored in ucc.place(empty, lib, [0]).values())
+    full = UccParams(n_files=5, n_users=8, block_len=4, r=8)
+    lib = ramp_library(F257, 5, full.file_len)
+    for n, stored in ucc.place(full, lib, [5]).items():
+        assert sorted(stored) == list(range(binomial(8, 8)))
+        assert tuple(itertools.chain.from_iterable(stored.values())) == lib.rows[n]
+
+
 def test_uncoded_placement_symbols_are_verbatim():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=2)
     lib = ramp_library(F257, 3, params.file_len)
