@@ -9,8 +9,8 @@ memory-rate tradeoff and optimality-gap certificates (:mod:`tradeoff`), and a
 CLI tying them together (:mod:`cli`).
 """
 
-from .exact import Envelope, Rational, binomial, lower_convex_envelope
-from .gf import PrimeField, gaussian_solve
+from .exact import Envelope, binomial, lower_convex_envelope
+from .gf import PrimeField
 from .scheme import (
     FULL,
     NO_RELABEL,
@@ -25,7 +25,6 @@ from .tradeoff import (
     achievable_envelope,
     achievable_points,
     converse_corner_envelope,
-    converse_line,
     gap_certificate,
     verify_envelope_dominance,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "NO_RELABEL",
     "PLAIN_BASELINE",
     "PrimeField",
-    "Rational",
     "RestrictedDemand",
     "SchemeParams",
     "SeedStreams",
@@ -51,9 +49,7 @@ __all__ = [
     "achievable_points",
     "binomial",
     "converse_corner_envelope",
-    "converse_line",
     "gap_certificate",
-    "gaussian_solve",
     "lower_convex_envelope",
     "run_simulation",
     "verify_envelope_dominance",

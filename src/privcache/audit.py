@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import scheme as sch
-from .exact import binomial, falling_factorial
+from .exact import binomial
 from .scheme import FULL, Demands, SchemeParams, SeedStreams, Variant
 
 
@@ -241,7 +241,7 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
     relabelings, slots, covers, fill = _stage_sizes(params, variant, params.demands_per_user)
     cards = {
         "library_realizations": 10 ** 30 if too_many else q ** (n * f),
-        "demand_matrices": falling_factorial(n, params.demands_per_user) ** params.n_users,
+        "demand_matrices": math.perm(n, params.demands_per_user) ** params.n_users,
         "relabelings": relabelings,
         "slot_assignments": slots ** params.n_users,
         "cover_sets_max": covers,
@@ -388,7 +388,7 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
     size = restricted_vector_count(params)
     if runs < 10 * size:
         raise ValueError(f"need at least {10 * size} runs for {size} support points, got {runs}")
-    draw = sch._sampler(params, demands, variant, {observer: selector})
+    draw = sch.sampler(params, demands, variant, {observer: selector})
     counts: dict[tuple[int, ...], int] = {}
     for i in range(runs):
         relabeling, _, _, expanded = draw(SeedStreams(seed, prefix=f"run{i}:"))

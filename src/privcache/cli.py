@@ -167,18 +167,19 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_demand_family(params: SchemeParams) -> list[tuple[tuple[int, ...], ...]]:
-    """Small family sharing row 0: identical rows, one-file overlap, disjoint."""
+def _default_demand_family(params: SchemeParams, observer: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Small family sharing the observer's row: the other users' rows are
+    identical to it, overlap it in one file less, or are disjoint from it."""
     n, big_l = params.n_files, params.demands_per_user
-    row0 = tuple(range(big_l))
-    others = [row0]
+    own = tuple(range(big_l))
+    others = [own]
     if big_l < n:
         others.append(tuple(range(big_l - 1)) + (big_l,))
     if 2 * big_l <= n:
         others.append(tuple(range(big_l, 2 * big_l)))
     family = []
     for other in others:
-        mat = (row0,) + tuple(other for _ in range(params.n_users - 1))
+        mat = tuple(own if k == observer else other for k in range(params.n_users))
         if mat not in family:
             family.append(mat)
     return family
@@ -186,7 +187,7 @@ def _default_demand_family(params: SchemeParams) -> list[tuple[tuple[int, ...], 
 
 def _audit_ptilde(args, params: SchemeParams, variant) -> dict:
     selector = args.selector if args.selector is not None else tuple(range(params.demands_per_user))
-    family = args.demands if args.demands else _default_demand_family(params)
+    family = args.demands if args.demands else _default_demand_family(params, args.observer)
     inv = audit.verify_law_invariance(params, family, args.observer, selector, variant, args.budget)
     support = audit.restricted_vector_count(params)
     return {
@@ -238,7 +239,7 @@ def _audit_empirical(args, params: SchemeParams, variant) -> dict:
     if args.runs is None:
         raise ValueError("--runs is required for --mode empirical")
     selector = args.selector if args.selector is not None else tuple(range(params.demands_per_user))
-    family = args.demands if args.demands else _default_demand_family(params)
+    family = args.demands if args.demands else _default_demand_family(params, args.observer)
     demands = family[0]
     report = audit.empirical_law_check(
         params, demands, args.observer, selector, args.runs, args.seed, variant,

@@ -10,24 +10,16 @@ and its segments' line forms once: on each segment the envelope is
 (a + b*x) / e with integers e > 0 and gcd(a, b, e) = 1, so its value at
 x = p/q is (a*q + b*p) / (e*q); it checks convexity and evaluates
 (``value_terms``) on these integers.
-
-Subset enumeration is pinned to lexicographic order over the sorted ground
-set, so a subset's position in that order (its rank, which subfile indices
-and trace files use) is reproducible across runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
-
-Rational = Fraction
+from typing import Iterable
 
 
 def binomial(n: int, k: int) -> int:
@@ -37,40 +29,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n * (n-1) * ... * (n-k+1), the number of ordered k-arrangements of [n]."""
-    if k < 0 or k > n:
-        return 0
-    return math.perm(n, k)
-
-
-# ---------------------------------------------------------------------------
-# Subsets: lexicographic enumeration
-# ---------------------------------------------------------------------------
-
-
-def subsets_of_size(ground: Iterable, k: int) -> Iterator[tuple]:
-    """All k-subsets of ``ground`` in lexicographic order over the sorted ground set.
-
-    k outside [0, len(ground)] yields an empty iterator.
-    """
-    base = sorted(ground)
-    if k < 0 or k > len(base):
-        return iter(())
-    return itertools.combinations(base, k)
-
-
-# ---------------------------------------------------------------------------
-# Permutations
-# ---------------------------------------------------------------------------
-
-
-def sample_permutation(ground: Sequence, rng: random.Random) -> tuple:
-    """Uniform random permutation of ``ground`` drawn from ``rng``."""
-    seq = list(ground)
-    return tuple(rng.sample(seq, len(seq)))
 
 
 # ---------------------------------------------------------------------------

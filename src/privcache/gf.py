@@ -8,23 +8,22 @@ by the caching scheme is 257; q = 2 is fully supported so privacy audits can
 enumerate every library realization.
 
 Gaussian elimination carries explicit status reporting and never returns a
-silently wrong answer on singular or inconsistent systems.  Systems are
-sparse: a row is a dict from column to nonzero value, with right-hand side j
-at column n_coef + j.  Every solver ends in one body, the sparse Gauss-Jordan
-kernel ``rref`` and then a consistency check.  Two solvers take many
-right-hand sides in one elimination: ``determined_unknowns`` extracts the
-exact values of chosen unknowns from a system that is underdetermined overall
-(a cache-aided decoder needs only the requested file's subfiles), and
-``solve_any`` returns one particular solution, or None, per right-hand-side
-column.  ``determined_unknowns`` is a query on a ``SparseSystem``, built once
-with its column index and holder counts and never mutated: each query names
-the columns it knows, with their values, and the columns it wants.  It first
-peels the system, as structured Gaussian elimination does (LaMacchia and
-Odlyzko, CRYPTO 1990): a free column held by one row is dropped with that
-row, on the shared counts before any value is computed, then the kept rows
-get values and singleton rows are solved by substitution, so only the
-residue reaches ``rref``.  Only ``gaussian_solve`` takes a dense matrix;
-``_as_rows`` converts it.
+silently wrong answer on singular or inconsistent systems.  Sparse rows
+are the one system format: a row is a dict from column to nonzero value,
+with right-hand side j at column n_coef + j.  Both solvers end in one body,
+the sparse Gauss-Jordan kernel ``rref`` and then a consistency check, and
+both take many right-hand sides in one elimination: ``determined_unknowns``
+extracts the exact values of chosen unknowns from a system that is
+underdetermined overall (a cache-aided decoder needs only the requested
+file's subfiles), and ``solve_any`` returns one particular solution, or
+None, per right-hand-side column.  ``determined_unknowns`` is a query on a
+``SparseSystem``, built once with its column index and holder counts and
+never mutated: each query names the columns it knows, with their values,
+and the columns it wants.  It first peels the system, as structured
+Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990): a free
+column held by one row is dropped with that row, on the shared counts
+before any value is computed, then the kept rows get values and singleton
+rows are solved by substitution, so only the residue reaches ``rref``.
 """
 
 from __future__ import annotations
@@ -142,24 +141,6 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
     return pivots
 
 
-def _as_rows(field: PrimeField, matrix: Sequence[Sequence[int]],
-             rhs_rows: Sequence[Sequence[int]]) -> tuple[list[Row], int, int]:
-    """Dense A and B as the sparse rows of [A | B], every entry reduced and
-    zeros dropped, plus the coefficient and right-hand-side column counts."""
-    if len(matrix) != len(rhs_rows):
-        raise ValueError("matrix and right-hand side row counts differ")
-    q = field.q
-    n_coef = len(matrix[0]) if matrix else 0
-    n_rhs = len(rhs_rows[0]) if rhs_rows else 0
-    rows = []
-    for coef, rhs in zip(matrix, rhs_rows):
-        if len(coef) != n_coef or len(rhs) != n_rhs:
-            raise ValueError("ragged matrix")
-        dense = [x % q for x in coef] + [x % q for x in rhs]
-        rows.append({c: x for c, x in enumerate(dense) if x})
-    return rows, n_coef, n_rhs
-
-
 def _eliminate(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int):
     """The body every solver shares: ``rref``, then consistency.
 
@@ -169,22 +150,6 @@ def _eliminate(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int):
     pivots = rref(field, rows, n_coef)
     held = {c for row in rows[len(pivots):] for c in row}
     return pivots, [n_coef + j not in held for j in range(n_rhs)]
-
-
-def gaussian_solve(field: PrimeField, matrix: Sequence[Sequence[int]], rhs: Iterable[int]):
-    """Solve A x = b over the field, for a dense matrix and right-hand side.
-
-    Returns ("unique", x) when A has full column rank on a consistent system,
-    ("underdetermined", None) or ("inconsistent", None) otherwise.
-    """
-    rows, n_coef, n_rhs = _as_rows(field, matrix, [[x] for x in rhs])
-    pivots, consistent = _eliminate(field, rows, n_coef, n_rhs)
-    if not all(consistent):
-        return ("inconsistent", None)
-    if len(pivots) < n_coef:
-        return ("underdetermined", None)
-    # full column rank: row i holds the pivot of column i
-    return ("unique", tuple(rows[i].get(n_coef, 0) for i in range(n_coef)))
 
 
 def solve_any(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int) -> list[tuple[int, ...] | None]:

@@ -28,15 +28,16 @@ cache and running the engine decoder for it, on the broadcast, which carries
 the instance, and that slice only.  ``deliver`` is the one delivery call;
 ``place_caches`` validates the slot tuples and fills every cache.
 
-One sampler and one enumerator describe the same stages:
-``sample_realization`` draws one label-free (slot tuples, cover set,
-expanded demand) realization plus its relabeling, and ``realizations``
-enumerates every such realization, equally likely, for the exact audits,
-which count the relabeling in.  Both take the same ``slots`` pin mapping,
-checked by ``checked_slots``, and a stage the ``Variant`` switches off takes
-the first element of its support.  All randomness flows from one seed
-through named substreams (labels are hashed into independent generators),
-so any run is replayable.
+One sampler and one enumerator describe the same stages: ``sampler``
+validates a demand matrix once and returns a function that draws, from seed
+streams, one label-free (slot tuples, cover set, expanded demand)
+realization plus its relabeling, and ``realizations`` enumerates every such
+realization, equally likely, for the exact audits, which count the
+relabeling in.  Both take the same ``slots`` pin mapping, checked by
+``checked_slots``, and a stage the ``Variant`` switches off takes the first
+element of its support.  All randomness flows from one seed through named
+substreams (labels are hashed into independent generators), so any run is
+replayable.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import ucc
-from .exact import sample_permutation
 from .gf import PrimeField
 from .ucc import Broadcast, Library, RestrictedDemand, UccParams
 
@@ -156,12 +156,8 @@ def validate_demands(params: SchemeParams, rows: Iterable[Iterable[int]]) -> Dem
     return mat
 
 
-def all_demand_rows(params: SchemeParams) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(params.n_files), params.demands_per_user))
-
-
 def all_demand_matrices(params: SchemeParams) -> Iterator[Demands]:
-    rows = all_demand_rows(params)
+    rows = list(itertools.permutations(range(params.n_files), params.demands_per_user))
     return itertools.product(rows, repeat=params.n_users)
 
 
@@ -293,26 +289,20 @@ def fill_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int
     return _fill(block, rest_values)
 
 
-def sample_realization(params: SchemeParams, demands: Demands, streams: SeedStreams,
-                       variant: Variant = FULL, slots: Mapping[int, Sequence[int]] | None = None,
-                       ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    """One draw of the scheme's randomness for one demand matrix, as
-    (relabeling, slot tuples, cover set, expanded demand): one of the
-    realizations ``realizations`` yields, plus the relabeling.
+def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
+            slots: Mapping[int, Sequence[int]] | None = None):
+    """The scheme's randomness for one demand matrix, as a function ``draw``
+    of the seed streams: the demand matrix and pins are validated and the
+    cover sets derived once, for callers that draw many realizations.  Each
+    ``draw(streams)`` returns (relabeling, slot tuples, cover set, expanded
+    demand): one of the realizations ``realizations`` yields, plus the
+    relabeling.
 
     Each stage reads its own substream: "relabel", "slots" (one sample per
     user, in user order), "cover" (uniform over the feasible cover sets in
     lexicographic order) and "block:k" (a shuffle of user k's free cover-set
     files).  A user that ``slots`` pins still draws its slot tuple, which
     the pin then replaces, so the other users' draws do not move."""
-    return _sampler(params, demands, variant, slots)(streams)
-
-
-def _sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
-             slots: Mapping[int, Sequence[int]] | None = None):
-    """``sample_realization`` with the demand matrix and pins validated and
-    the cover sets derived once: returns a function of the seed streams, for
-    callers that draw many realizations of one demand matrix."""
     demands = validate_demands(params, demands)
     pinned = checked_slots(params, slots)
     covers = feasible_cover_sets(params, demands)
@@ -320,7 +310,7 @@ def _sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
 
     def draw(streams: SeedStreams):
         if variant.relabel_files:
-            relabeling = sample_permutation(range(params.n_files), streams.rng("relabel"))
+            relabeling = tuple(streams.rng("relabel").sample(range(params.n_files), params.n_files))
         else:
             relabeling = tuple(range(params.n_files))
         if variant.random_slots:
@@ -394,10 +384,6 @@ def deliver(params: SchemeParams, library: Library, masked: tuple[int, ...]) -> 
     placement enters the message."""
     demand = RestrictedDemand(entries=masked, block_len=params.n_active)
     return ucc.encode(params.ucc, demand, library)
-
-
-def measured_rate(params: SchemeParams, broadcast: Broadcast) -> Fraction:
-    return Fraction(broadcast.symbol_count, params.file_len)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +501,7 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
     else:
         demands = validate_demands(params, demands)
     library = Library.random(params.field, params.n_files, params.file_len, streams.rng("library"))
-    relabeling, slots, cover, expanded = sample_realization(params, demands, streams, variant)
+    relabeling, slots, cover, expanded = sampler(params, demands, variant)(streams)
     relabeled = relabeled_library(library, relabeling)
     caches = place_caches(params, relabeled, slots)
     broadcast = deliver(params, relabeled, relabeled_demand(expanded, relabeling))
@@ -540,6 +526,6 @@ def run_simulation(params: SchemeParams, seed: int, demands: Demands | None = No
         expanded=expanded,
         broadcast=broadcast,
         memory=memory,
-        rate=measured_rate(params, broadcast),
+        rate=Fraction(broadcast.symbol_count, params.file_len),
         verdicts=verdicts,
     )

@@ -48,8 +48,8 @@ requested file as its cached and solved subfiles concatenated in rank order:
 
 A ``Broadcast`` is the whole message: its field, the demand carried in the
 clear and one tuple of reduced symbols per coded segment.  The coefficient
-convention is not stored; ``use_signed_segments`` derives it from the
-params and the field.
+convention is not stored; ``Broadcast.signed``, the one place it is decided,
+derives it from the params and the field.
 
 Which subfile each user of a subset contributes, and with which sign,
 depends on the demand and the convention only, so a broadcast holds one
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .exact import binomial, subsets_of_size
+from .exact import binomial
 from .gf import InconsistentSystemError, PrimeField, SparseSystem, determined_unknowns
 
 
@@ -82,6 +82,12 @@ class UccParams:
     block per user group; the number of groups is n_users // block_len), and
     r the placement parameter: each file splits into C(n_users, r) subfiles
     of packet_size symbols, so file_len = C(n_users, r) * packet_size.
+
+    User subsets (subfile labels, and the (r+1)-subsets of the segment
+    table) are enumerated by ``itertools.combinations`` over a ``range``,
+    which is lexicographic order, so a label's position in that order (its
+    rank, which subfile indices and trace files use) is reproducible across
+    runs.
     """
 
     n_files: int
@@ -123,7 +129,7 @@ class UccParams:
     @cached_property
     def _labels(self) -> tuple[tuple[int, ...], ...]:
         """Subfile labels in rank (lexicographic) order."""
-        return tuple(subsets_of_size(range(self.n_users), self.r))
+        return tuple(itertools.combinations(range(self.n_users), self.r))
 
     @cached_property
     def _rank_of(self) -> dict[tuple[int, ...], int]:
@@ -239,8 +245,16 @@ class Broadcast:
     def signed(self) -> bool:
         """The coefficient convention: False means every subfile enters its
         segment with coefficient +1; True means the subfile of the i-th
-        smallest user in the subset enters with (-1)^i."""
-        return use_signed_segments(self.params, self.field)
+        smallest user in the subset enters with (-1)^i.
+
+        With one or two user groups the plain +1 convention is lossless
+        (every untransmitted segment is an alternating sum of transmitted
+        ones), and over GF(2) signs are invisible.  With three or more groups
+        over an odd-characteristic field the +1 convention provably loses
+        information for demand vectors that repeat a file across non-leader
+        blocks, so the alternating convention is used there.
+        """
+        return self.params.n_groups >= 3 and self.field.q != 2
 
     @property
     def segment_count(self) -> int:
@@ -256,7 +270,7 @@ class Broadcast:
         built from the params, demand and convention, never the library."""
         params, demand, signed = self.params, self.demand.entries, self.signed
         return {sub: _segment_terms(params, demand, sub, signed)
-                for sub in subsets_of_size(range(params.n_users), params.r + 1)}
+                for sub in itertools.combinations(range(params.n_users), params.r + 1)}
 
     @cached_property
     def _file_offset(self) -> dict[int, int]:
@@ -325,41 +339,22 @@ def _validate_demand(params: UccParams, demand: RestrictedDemand):
         raise ValueError("demand entry outside file range")
 
 
-def segment_signs(signed: bool, size: int) -> list[int]:
-    """Per-position coefficients of one segment: all +1, or alternating."""
-    if not signed:
-        return [1] * size
-    return [1 if i % 2 == 0 else -1 for i in range(size)]
-
-
 def _segment_terms(params: UccParams, demand: tuple[int, ...], sub: tuple[int, ...],
                    signed: bool) -> list[tuple[int, int, int]]:
     """The (file, label rank, +-1) terms of the segment of user subset ``sub``:
-    each user v in it contributes the subfile of its demanded file labeled by
-    the rest of the subset."""
+    the i-th user v in it contributes the subfile of its demanded file
+    labeled by the rest of the subset, with coefficient (-1)^i if ``signed``
+    and +1 otherwise."""
     rank_of = params._rank_of
-    coeffs = segment_signs(signed, len(sub))
-    return [(demand[v], rank_of[sub[:i] + sub[i + 1:]], coeffs[i]) for i, v in enumerate(sub)]
-
-
-def use_signed_segments(params: UccParams, field: PrimeField) -> bool:
-    """Coefficient convention for this instance.
-
-    With one or two user groups the plain +1 convention is lossless (every
-    untransmitted segment is an alternating sum of transmitted ones), and over
-    GF(2) signs are invisible.  With three or more groups over an odd-
-    characteristic field the +1 convention provably loses information for
-    demand vectors that repeat a file across non-leader blocks, so the
-    alternating convention is used there.
-    """
-    return params.n_groups >= 3 and field.q != 2
+    return [(demand[v], rank_of[sub[:i] + sub[i + 1:]], -1 if signed and i % 2 else 1)
+            for i, v in enumerate(sub)]
 
 
 def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Broadcast:
     """Broadcast for a restricted demand: one segment per (r+1)-subset that
     intersects the leader set, each the field sum over its users u of the
     subfile of demand[u] labeled by the remaining users, with the
-    coefficients use_signed_segments picks."""
+    coefficients ``Broadcast.signed`` picks."""
     _validate_demand(params, demand)
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
@@ -464,7 +459,7 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
     signed = broadcast.signed
     size_b = params.r + 1
     out = {}
-    for sub in subsets_of_size(range(params.block_len, params.n_users), size_b):
+    for sub in itertools.combinations(range(params.block_len, params.n_users), size_b):
         lead = [leader_of[demand[v]] for v in sub]
         acc = [0] * packet
         for size in range(1, size_b + 1):

@@ -126,6 +126,21 @@ def test_audit_ptilde_mutant_fails(tmp_path):
     assert json.loads(out.read_text())["passed"] is False
 
 
+@pytest.mark.parametrize("dims,observer", [(("3", "2", "1"), 1), (("5", "3", "1"), 2)])
+def test_audit_ptilde_default_family_fixes_the_observers_row(dims, observer, tmp_path):
+    """The default family holds the observer's row fixed, whichever user
+    observes, so the genuine scheme passes and the no-relabel mutant fails."""
+    n, k, big_l = dims
+    argv = ("audit", "--mode", "ptilde", "--N", n, "--K", k, "--L", big_l, "--observer", str(observer))
+    out = tmp_path / "p.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is True and rep["observer"] == observer
+    assert len(rep["demand_matrices"]) > 1
+    assert all(mat[observer] == list(range(int(big_l))) for mat in rep["demand_matrices"])
+    assert run_cli(*argv, "--variant", "no-relabel", "--out", str(out)) == 1
+
+
 def test_audit_mi_with_baseline(tmp_path):
     out = tmp_path / "mi.json"
     code = run_cli("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1",
@@ -430,6 +445,13 @@ REPLAY = [
     pytest.param(("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--packet", "2", "--seed", "0",
                   "--decoder", "structural"),
                  0, "350a2724d3655f05c48c7073612560a19e175865a6624ef55deb34e2d49545fd", id="simulate-431-packet2-structural"),
+    # the signed convention at an odd field other than GF(257): three groups over GF(3)
+    pytest.param(("simulate", "--N", "3", "--K", "3", "--L", "1", "--r", "1", "--q", "3", "--seed", "0",
+                  "--decoder", "linear"),
+                 0, "9f1e689daf8b99abee5eb665b8c3c879fb226549ce875ba150cf111caa0445dc", id="simulate-331-q3-linear"),
+    pytest.param(("simulate", "--N", "3", "--K", "3", "--L", "1", "--r", "1", "--q", "3", "--seed", "0",
+                  "--decoder", "structural"),
+                 0, "9f1e689daf8b99abee5eb665b8c3c879fb226549ce875ba150cf111caa0445dc", id="simulate-331-q3-structural"),
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--selector", "0,2"),
                  0, "52821c53da6404f1b43e9f4b0cffc61ee092cd361c75f0f366b9c273c9212499", id="audit-ptilde"),
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2"),

@@ -1,6 +1,6 @@
 """Exact arithmetic, subset ranking and convex envelope tests."""
 
-import random
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_segment_forms, chord_value_at, cross_hull, subset_rank
-from privcache.audit import chi_square_quantile
-from privcache.exact import (
-    Envelope,
-    binomial,
-    lower_convex_envelope,
-    sample_permutation,
-    subsets_of_size,
-)
+from privcache.exact import Envelope, binomial, lower_convex_envelope
 
 
 def test_binomial_values():
@@ -32,13 +25,6 @@ def test_binomial_out_of_range_is_zero():
         binomial(-1, 0)
 
 
-def test_subsets_lexicographic():
-    assert list(subsets_of_size(range(4), 1)) == [(0,), (1,), (2,), (3,)]
-    assert len(list(subsets_of_size(range(8), 2))) == 28
-    assert list(subsets_of_size(range(3), 5)) == []
-    assert list(subsets_of_size(range(3), -1)) == []
-
-
 def test_rank_of_first_subset_is_zero():
     assert subset_rank(range(8), (0, 1)) == 0
 
@@ -46,27 +32,13 @@ def test_rank_of_first_subset_is_zero():
 def test_rank_matches_enumeration_order():
     for n in range(0, 9):
         for k in range(0, n + 1):
-            for i, sub in enumerate(subsets_of_size(range(n), k)):
+            for i, sub in enumerate(itertools.combinations(range(n), k)):
                 assert subset_rank(range(n), sub) == i
 
 
 def test_rank_rejects_bad_subsets():
     with pytest.raises(ValueError):
         subset_rank(range(4), (0, 9))
-
-
-def test_sample_permutation_uniform_smoke():
-    # chi-square over all 24 orderings of [0..3] from 1e5 draws
-    rng = random.Random(12345)
-    counts = {}
-    draws = 100_000
-    for _ in range(draws):
-        p = sample_permutation(range(4), rng)
-        counts[p] = counts.get(p, 0) + 1
-    assert len(counts) == 24
-    expected = draws / 24
-    stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert stat < chi_square_quantile(23)
 
 
 def test_envelope_two_points():

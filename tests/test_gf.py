@@ -10,9 +10,7 @@ from privcache.gf import (
     InconsistentSystemError,
     PrimeField,
     SparseSystem,
-    _as_rows,
     determined_unknowns,
-    gaussian_solve,
     is_prime,
     rref,
     solve_any,
@@ -55,32 +53,35 @@ def test_field_axioms_exhaustive(q):
 
 def test_solve_identity():
     f = PrimeField(5)
-    status, x = gaussian_solve(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 2, 3))
-    assert status == "unique" and x == (1, 2, 3)
+    system = _system(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1], [2], [3]])
+    assert determined_unknowns(system, {}, range(3)) == {0: (1,), 1: (2,), 2: (3,)}
 
 
 def test_solve_2x2_hand_checked():
     # x + y = 0, x + 2y = 1 over GF(5): y = 1, x = -1 = 4
     f = PrimeField(5)
-    status, x = gaussian_solve(f, [[1, 1], [1, 2]], (0, 1))
-    assert status == "unique" and x == (4, 1)
+    assert determined_unknowns(_system(f, [[1, 1], [1, 2]], [[0], [1]]), {}, range(2)) == {0: (4,), 1: (1,)}
 
 
 def test_solve_inconsistent():
     f = PrimeField(5)
-    status, x = gaussian_solve(f, [[1, 1], [2, 2]], (0, 1))
-    assert status == "inconsistent" and x is None
+    with pytest.raises(InconsistentSystemError):
+        determined_unknowns(_system(f, [[1, 1], [2, 2]], [[0], [1]]), {}, range(2))
 
 
 def test_solve_underdetermined():
+    # x + y = 0 twice over: consistent, and neither unknown is determined
     f = PrimeField(5)
-    status, x = gaussian_solve(f, [[1, 1], [2, 2]], (0, 0))
-    assert status == "underdetermined" and x is None
+    assert determined_unknowns(_system(f, [[1, 1], [2, 2]], [[0], [0]]), {}, range(2)) == {}
 
 
 def _sparse(f, matrix, rhs_rows=None):
-    """Dense A and B as the solvers' arguments: sparse rows, n_coef, n_rhs."""
-    return _as_rows(f, matrix, [()] * len(matrix) if rhs_rows is None else rhs_rows)
+    """Dense A and B as the solvers' arguments: the sparse rows of [A | B],
+    every entry reduced and zeros dropped, n_coef and n_rhs."""
+    if rhs_rows is None:
+        rhs_rows = [()] * len(matrix)
+    rows = [{c: x % f.q for c, x in enumerate([*coef, *rhs]) if x % f.q} for coef, rhs in zip(matrix, rhs_rows)]
+    return rows, len(matrix[0]) if matrix else 0, len(rhs_rows[0]) if rhs_rows else 0
 
 
 def _system(f, matrix, rhs_rows=None):
@@ -104,8 +105,8 @@ def test_solve_round_trip_random_full_rank(q):
         a = _random_invertible(f, n, rng)
         x = [rng.randrange(q) for _ in range(n)]
         b = [sum(a[i][j] * x[j] for j in range(n)) % q for i in range(n)]
-        status, got = gaussian_solve(f, a, b)
-        assert status == "unique" and got == tuple(x)
+        got = determined_unknowns(_system(f, a, [[v] for v in b]), {}, range(n))
+        assert got == {j: (x[j],) for j in range(n)}
 
 
 def test_determined_unknowns_partial_system():
@@ -259,16 +260,6 @@ def test_sparse_rref_matches_dense_reference(q):
                 determined_unknowns(_system(f, a, b), {}, range(n_coef))
         seen.add((rank < min(len(a), n_coef), all(consistent), n_rhs > 1))
     assert seen >= {(d, c, True) for d in (False, True) for c in (False, True)}
-
-
-def test_dense_conversion_rejects_ragged_input():
-    f = PrimeField(5)
-    with pytest.raises(ValueError):
-        _as_rows(f, [[1, 2], [3]], [[0], [0]])
-    with pytest.raises(ValueError):
-        _as_rows(f, [[1, 2], [3, 4]], [[0], [0, 1]])
-    with pytest.raises(ValueError):
-        _as_rows(f, [[1, 2]], [[0], [0]])
 
 
 def _random_sparse_system(q, rng, n_rhs):

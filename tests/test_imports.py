@@ -3,7 +3,9 @@ uses, and src/privcache keeps only definitions the program reaches: every
 top-level function and class, and every non-dunder method or property of
 those classes, is read somewhere in src/privcache, exported in
 ``privcache.__all__`` or named in perfbench/*.py (whose tracer patches by
-name).  Every name the tracer patches resolves in privcache."""
+name).  Every name the tracer patches resolves in privcache, and no
+privcache module reads another one's private (underscore-prefixed)
+top-level names."""
 
 import ast
 import importlib
@@ -112,3 +114,44 @@ def test_every_tracer_target_resolves():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(path: Path) -> list[str]:
+    """Underscore-prefixed top-level names of another privcache module that
+    ``path`` reads: imported by ``from .m import _x`` (or ``from
+    privcache.m import _x``), or read as ``m._x`` off a module bound by
+    ``from . import m`` (under any alias).  Dunder names are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = path.stem
+    modules: dict[str, str] = {}  # local name -> privcache module it binds
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module
+        elif node.level == 0 and node.module and node.module.split(".")[0] == PACKAGE.name:
+            source = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            if source is None:
+                modules[alias.asname or alias.name] = alias.name
+            elif source != own and _is_private(alias.name):
+                hits.append(f"{path.name}:{node.lineno}: from {source} import {alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and _is_private(node.attr):
+            module = modules.get(node.value.id)
+            if module is not None and module != own:
+                hits.append(f"{path.name}:{node.lineno}: {module}.{node.attr}")
+    return hits
+
+
+def test_no_module_reads_another_modules_private_names():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in files} >= {"audit", "scheme", "ucc"}
+    assert [hit for path in files for hit in private_reads(path)] == []

@@ -30,7 +30,7 @@ from privcache.scheme import (
     relabeled_demand,
     relabeled_library,
     run_simulation,
-    sample_realization,
+    sampler,
     slot_support,
     validate_demands,
 )
@@ -206,7 +206,7 @@ def test_hand_worked_realization_is_in_support():
 
 
 def test_masked_demand_applies_relabeling():
-    relabeling, _, cover, expanded = sample_realization(P522, ((0, 1), (0, 2)), SeedStreams(3))
+    relabeling, _, cover, expanded = sampler(P522, ((0, 1), (0, 2)))(SeedStreams(3))
     assert relabeled_demand(expanded, relabeling) == tuple(relabeling[v] for v in expanded)
     assert set(expanded[:4]) == set(cover)
 
@@ -216,14 +216,14 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
     for seed in range(1000):
         streams = SeedStreams(seed)
         demands = scheme.sample_demands(P522, streams.rng("demands"))
-        relabeling, _, _, expanded = sample_realization(P522, demands, streams)
+        relabeling, _, _, expanded = sampler(P522, demands)(streams)
         broadcast = deliver(P522, relabeled_library(lib, relabeling), relabeled_demand(expanded, relabeling))
         assert is_restricted(broadcast.demand.entries, 4)
         assert broadcast.segment_count == 22
         for seg in broadcast.segments.values():
             assert type(seg) is tuple and len(seg) == P522.packet_size
             assert all(type(s) is int and 0 <= s < P522.q for s in seg)
-        assert scheme.measured_rate(P522, broadcast) == Fraction(11, 4)
+        assert Fraction(broadcast.symbol_count, P522.file_len) == Fraction(11, 4)
 
 
 def test_relabeled_encode_identity():
@@ -232,7 +232,7 @@ def test_relabeled_encode_identity():
     lib = ramp_library(P522.field, 5, 8)
     streams = SeedStreams(17)
     demands = ((0, 1), (0, 2))
-    relabeling, _, _, expanded = sample_realization(P522, demands, streams)
+    relabeling, _, _, expanded = sampler(P522, demands)(streams)
     broadcast = deliver(P522, relabeled_library(lib, relabeling), relabeled_demand(expanded, relabeling))
     direct = ucc.encode(P522.ucc, RestrictedDemand(expanded, 4), lib)
     assert broadcast.segments == direct.segments
@@ -263,7 +263,7 @@ def test_decode_uses_only_broadcast_and_cache():
     lib = ramp_library(P522.field, 5, 8)
     streams = SeedStreams(5)
     demands = ((3, 1), (4, 0))
-    relabeling, slots, _, expanded = sample_realization(P522, demands, streams)
+    relabeling, slots, _, expanded = sampler(P522, demands)(streams)
     relabeled = relabeled_library(lib, relabeling)
     caches = place_caches(P522, relabeled, slots)
     broadcast = deliver(P522, relabeled, relabeled_demand(expanded, relabeling))
@@ -462,7 +462,7 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
     (P522, [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))]),
 ], ids=["P321", "P522"])
 def test_sampled_realizations_are_enumerated_realizations(params, mats):
-    """Every draw of ``sample_realization`` is one of the realizations
+    """Every draw of ``sampler`` is one of the realizations
     ``realizations`` yields, with or without a pin, and its relabeling is a
     permutation.  A pin replaces the pinned user's drawn slot tuple only: the
     relabeling, the cover set and every other user's slot tuple stay put."""
@@ -472,21 +472,32 @@ def test_sampled_realizations_are_enumerated_realizations(params, mats):
             for slots in (None, pin):
                 support = set(realizations(params, demands, variant, slots))
                 for seed in range(10):
-                    relabeling, sel, cover, expanded = sample_realization(
-                        params, demands, SeedStreams(seed), variant, slots)
+                    relabeling, sel, cover, expanded = sampler(params, demands, variant, slots)(SeedStreams(seed))
                     assert (sel, cover, expanded) in support
                     assert sorted(relabeling) == list(range(params.n_files))
                     if not variant.relabel_files:
                         assert relabeling == tuple(range(params.n_files))
             for seed in range(10):
-                free = sample_realization(params, demands, SeedStreams(seed), variant)
-                pinned = sample_realization(params, demands, SeedStreams(seed), variant, pin)
+                free = sampler(params, demands, variant)(SeedStreams(seed))
+                pinned = sampler(params, demands, variant, pin)(SeedStreams(seed))
                 assert pinned[1] == (pin[0],) + free[1][1:]
                 assert (pinned[0], pinned[2]) == (free[0], free[2])
     with pytest.raises(ValueError):
-        sample_realization(P321, ((0,), (1,)), SeedStreams(0), FULL, {0: (2,)})
+        sampler(P321, ((0,), (1,)), FULL, {0: (2,)})
     with pytest.raises(ValueError):
-        sample_realization(P321, ((0,), (1,)), SeedStreams(0), FULL, {2: (0,)})
+        sampler(P321, ((0,), (1,)), FULL, {2: (0,)})
+
+
+def test_sampler_relabeling_uniform_smoke():
+    """Chi-square of the relabeling stage's draws over all 24 orderings of
+    four files, one seed per draw."""
+    draw = sampler(SchemeParams(4, 1, 1, r=0), ((0,),))
+    draws = 2400
+    counts = Counter(draw(SeedStreams(seed))[0] for seed in range(draws))
+    assert len(counts) == 24
+    expected = draws / 24
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert stat < audit.chi_square_quantile(23)
 
 
 @pytest.mark.parametrize("params", [P321, P522, SchemeParams(4, 2, 3, r=1)], ids=["P321", "P522", "P423"])
@@ -519,8 +530,8 @@ def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsy
     monkeypatch.setattr(scheme, "slot_support", no_support)
     assert scheme.checked_slots(P522, {0: (3, 1)}) == {0: (3, 1)}
     for variant in (FULL, Variant(random_slots=False)):
-        assert sample_realization(P522, ((0, 1), (0, 2)), SeedStreams(0), variant, {1: (2, 0)})[1][1] == (2, 0)
-    frozen = sample_realization(P522, ((0, 1), (0, 2)), SeedStreams(0), Variant(random_slots=False))[1]
+        assert sampler(P522, ((0, 1), (0, 2)), variant, {1: (2, 0)})(SeedStreams(0))[1][1] == (2, 0)
+    frozen = sampler(P522, ((0, 1), (0, 2)), Variant(random_slots=False))(SeedStreams(0))[1]
     assert frozen == ((0, 1), (0, 1))
     lib = ramp_library(gf.PrimeField(P522.q), P522.n_files, P522.file_len)
     assert len(place_caches(P522, lib, [(0, 1), (3, 2)])) == 2

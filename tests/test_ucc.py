@@ -10,7 +10,7 @@ import pytest
 
 from helpers import cache_slice_for, ramp_library, subset_rank
 from privcache import ucc
-from privcache.exact import binomial, subsets_of_size
+from privcache.exact import binomial
 from privcache.gf import PrimeField, solve_any
 from privcache.ucc import (
     Broadcast,
@@ -23,7 +23,6 @@ from privcache.ucc import (
     decode_structural,
     encode,
     is_restricted,
-    segment_signs,
     _reconstructed_segments,
 )
 
@@ -49,6 +48,19 @@ def test_params_validation():
         UccParams(n_files=5, n_users=7, block_len=4, r=1)
     with pytest.raises(ValueError):
         UccParams(n_files=3, n_users=8, block_len=4, r=1)
+
+
+def test_labels_are_the_r_subsets_in_lexicographic_order():
+    """Labels are ranked in lexicographic order, which the combinatorial
+    number system confirms label by label, and a segment table over
+    (r+1)-subsets of fewer than r+1 users is empty."""
+    assert UccParams(n_files=2, n_users=4, block_len=1, r=1)._labels == ((0,), (1,), (2,), (3,))
+    params = UccParams(n_files=5, n_users=8, block_len=4, r=2)
+    assert len(params._labels) == 28
+    assert [subset_rank(range(8), lab) for lab in params._labels] == list(range(28))
+    full = UccParams(n_files=3, n_users=4, block_len=2, r=4)
+    assert full._labels == ((0, 1, 2, 3),)
+    assert Broadcast(full, F257, RestrictedDemand((0, 1, 1, 0), 2), {})._terms == {}
 
 
 @pytest.mark.parametrize("packet", [1, 3])
@@ -310,9 +322,10 @@ def _reconstruction_instances():
 def _direct_segment(bc, lib, sub):
     """A segment's value summed straight from the library."""
     params, q = bc.params, bc.field.q
-    rank_of = {lab: t for t, lab in enumerate(subsets_of_size(range(params.n_users), params.r))}
+    rank_of = {lab: t for t, lab in enumerate(itertools.combinations(range(params.n_users), params.r))}
     vals = [0] * params.packet_size
-    for c, u in zip(segment_signs(bc.signed, len(sub)), sub):
+    for i, u in enumerate(sub):
+        c = -1 if bc.signed and i % 2 else 1
         base = rank_of[tuple(v for v in sub if v != u)] * params.packet_size
         row = lib.rows[bc.demand.entries[u]]
         for p in range(params.packet_size):
@@ -326,10 +339,10 @@ def _eliminated_segments(bc):
     basis, in the broadcast's own coefficients; None where the segment lies
     outside the transmitted span."""
     params, q = bc.params, bc.field.q
-    coeffs = segment_signs(bc.signed, params.r + 1)
-    rank_of = {lab: t for t, lab in enumerate(subsets_of_size(range(params.n_users), params.r))}
+    coeffs = [-1 if bc.signed and i % 2 else 1 for i in range(params.r + 1)]
+    rank_of = {lab: t for t, lab in enumerate(itertools.combinations(range(params.n_users), params.r))}
     transmitted = sorted(bc.segments)
-    omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
+    omitted = list(itertools.combinations(range(params.block_len, params.n_users), params.r + 1))
     basis = {key: i for i, key in enumerate(itertools.product(sorted(bc.demand.file_set), range(params.subfile_count)))}
     rows = [{} for _ in basis]
     for j, sub in enumerate(transmitted + omitted):
@@ -356,7 +369,7 @@ def test_reconstructed_segments_match_direct_sums():
     groups, signed = set(), set()
     for bc, lib in _reconstruction_instances():
         params = bc.params
-        omitted = list(subsets_of_size(range(params.block_len, params.n_users), params.r + 1))
+        omitted = list(itertools.combinations(range(params.block_len, params.n_users), params.r + 1))
         recon = _reconstructed_segments(bc)
         assert sorted(recon) == omitted
         eliminated = _eliminated_segments(bc)
@@ -464,7 +477,7 @@ def test_encode_stores_the_term_table(monkeypatch):
     bc = encode(params, demand, lib)
     direct = Broadcast(params, F257, demand, dict(bc.segments))
     assert direct._terms == bc._terms
-    assert list(bc._terms) == list(subsets_of_size(range(params.n_users), params.r + 1))
+    assert list(bc._terms) == list(itertools.combinations(range(params.n_users), params.r + 1))
     assert len(bc._terms) == binomial(params.n_users, params.r + 1)
 
     def no_terms(*args):
