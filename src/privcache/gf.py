@@ -10,13 +10,14 @@ enumerate every library realization.
 Gaussian elimination carries explicit status reporting and never returns a
 silently wrong answer on singular or inconsistent systems.  Sparse rows
 are the one system format: a row is a dict from column to nonzero value,
-with right-hand side j at column n_coef + j.  Both solvers end in one body,
-the sparse Gauss-Jordan kernel ``rref`` and then a consistency check, and
-both take many right-hand sides in one elimination: ``determined_unknowns``
-extracts the exact values of chosen unknowns from a system that is
-underdetermined overall (a cache-aided decoder needs only the requested
-file's subfiles), and ``solve_any`` returns one particular solution, or
-None, per right-hand-side column.  ``determined_unknowns`` is a query on a
+with right-hand side j at column n_coef + j.  Both solvers end in the
+sparse Gauss-Jordan kernel ``rref`` and read consistency off the rows past
+the rank, which hold right-hand-side entries only; both take many
+right-hand sides in one elimination: ``determined_unknowns`` extracts the
+exact values of chosen unknowns from a system that is underdetermined
+overall (a cache-aided decoder needs only the requested file's subfiles),
+and ``solve_any`` returns one particular solution, or None, per
+right-hand-side column.  ``determined_unknowns`` is a query on a
 ``SparseSystem``, built once with its column index and holder counts and
 never mutated: each query names the columns it knows, with their values,
 and the columns it wants.  It first peels the system, as structured
@@ -141,26 +142,17 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
     return pivots
 
 
-def _eliminate(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int):
-    """The body every solver shares: ``rref``, then consistency.
-
-    Returns the pivot columns and, per right-hand-side column b_j, whether
-    A x = b_j has a solution: no row past the rank holds column n_coef + j.
-    """
-    pivots = rref(field, rows, n_coef)
-    held = {c for row in rows[len(pivots):] for c in row}
-    return pivots, [n_coef + j not in held for j in range(n_rhs)]
-
-
 def solve_any(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int) -> list[tuple[int, ...] | None]:
     """One particular solution of A x = b_j (free unknowns set to 0) for every
     right-hand-side column b_j, or None for a column whose system is
     inconsistent.  ``rows`` are sparse rows of [A | B] and are reduced in
-    place; a single elimination serves all ``n_rhs`` columns."""
-    pivots, consistent = _eliminate(field, rows, n_coef, n_rhs)
+    place; a single elimination serves all ``n_rhs`` columns.  A x = b_j is
+    consistent iff no row past the rank holds column n_coef + j."""
+    pivots = rref(field, rows, n_coef)
+    held = {c for row in rows[len(pivots):] for c in row}
     solutions: list[tuple[int, ...] | None] = []
-    for j, ok in enumerate(consistent):
-        if not ok:
+    for j in range(n_rhs):
+        if n_coef + j in held:
             solutions.append(None)
             continue
         x = [0] * n_coef
@@ -221,9 +213,10 @@ def determined_unknowns(
     commute.  So (b) runs first, on a copy of the system's holder counts and
     before any value is computed; values are built only for the rows it
     keeps, known columns moved to the right-hand side, and (a) runs on those.
-    The residue, possibly empty, goes through ``_eliminate``; there an
-    unknown is determined when its column is a pivot whose reduced row holds
-    no coefficient column but its own.
+    The residue, possibly empty, goes through ``rref``: it is consistent iff
+    every row past the rank is empty, and an unknown is determined when its
+    column is a pivot whose reduced row holds no coefficient column but its
+    own.
     """
     field, n_coef, n_rhs = system.field, system.n_coef, system.n_rhs
     q = field.q
@@ -316,8 +309,8 @@ def determined_unknowns(
                 live[k] = False
 
     residue = [values[i] for i in range(len(rows)) if live[i]]
-    pivots, consistent = _eliminate(field, residue, n_coef, n_rhs)
-    if not all(consistent):
+    pivots = rref(field, residue, n_coef)
+    if any(residue[len(pivots):]):
         raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
     rhs = range(n_coef, n_coef + n_rhs)

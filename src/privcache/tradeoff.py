@@ -13,9 +13,9 @@ Every line the op compares has one integer form, R = (a + b * M) / e with
 e > 0 and gcd(a, b, e) = 1: an envelope segment's form is
 ``Envelope.segment_forms``, and a converse line's comes from
 ``_line_form``, the one search for the minimal t, which ``converse_line``
-runs from t = 1 and ``_converse_terms``, the one (s, lambda) enumerator,
-runs upward once per s.  ``converse_lines`` wraps a form as the Fractions
-a/e and b/e.  The grid check scales each form to the memory grid
+runs from t = 1 and ``converse_terms``, the one (s, lambda) enumerator,
+runs upward once per s; a line is held only as its terms (t, a, b, e).
+The grid check scales each form to the memory grid
 M_j = j * N / g as (a*g + b*N * j) / (e*g), drops the envelope segments
 that hold no grid point, and puts the rest over one positive common
 denominator, so a comparison of two curves is a comparison of integer
@@ -26,7 +26,9 @@ certificate.  The certificate evaluates both envelopes at each audited
 memory point as integer pairs (``Envelope.value_terms``) and compares the
 ratios by cross-multiplying; it confirms that the achievable envelope is
 within a factor of 6 of the corner-point lower envelope at every audited
-memory point.
+memory point.  A returned ``GapCertificate`` holds the triple, the largest
+ratio and the memory and provenance of its witness; a ratio above the
+factor raises ``OptimalityGapError`` instead.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ def _line_form(n_files: int, big_l: int, s: int, lam: Fraction, t: int = 1) -> t
     return t, a // k, b // k, e // k
 
 
-def _converse_terms(n_files: int, n_users: int, demands_per_user: int,
-                    lambda_step: Fraction) -> Iterator[tuple[int, Fraction, int, int, int, int]]:
+def converse_terms(n_files: int, n_users: int, demands_per_user: int,
+                   lambda_step: Fraction) -> Iterator[tuple[int, Fraction, int, int, int, int]]:
     """(s, lam, t, a, b, e) of every converse line (see ``_line_form``):
     s in [1, s_max] and, for each s, lam on ``lambda_grid(lambda_step)``, in
     that order.  The one (s, lambda) enumerator.
@@ -153,25 +155,9 @@ def _converse_terms(n_files: int, n_users: int, demands_per_user: int,
             yield s, lam, t, a, b, e
 
 
-@dataclass(frozen=True)
-class ConverseLine:
-    """One linear converse bound R >= intercept + slope * M on [0, N]."""
-
-    s: int
-    lam: Fraction
-    t: int
-    intercept: Fraction
-    slope: Fraction
-
-    def value_at(self, m) -> Fraction:
-        return self.intercept + self.slope * Fraction(m)
-
-
-def _as_line(s: int, lam: Fraction, t: int, a: int, b: int, e: int) -> ConverseLine:
-    return ConverseLine(s=s, lam=lam, t=t, intercept=Fraction(a, e), slope=Fraction(b, e))
-
-
-def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam) -> ConverseLine:
+def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam) -> tuple[int, int, int, int]:
+    """(t, a, b, e) of the (s, lam) converse line (see ``_line_form``), with
+    s and lam range-checked."""
     _validate_dims(n_files, n_users, demands_per_user)
     lam = Fraction(lam)
     s_max = max_converse_s(n_files, n_users, demands_per_user)
@@ -179,13 +165,7 @@ def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam
         raise ValueError(f"s={s} outside [1, {s_max}]")
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda={lam} outside [0, 1]")
-    return _as_line(s, lam, *_line_form(n_files, demands_per_user, s, lam))
-
-
-def converse_lines(n_files: int, n_users: int, demands_per_user: int,
-                   lambda_step: Fraction = Fraction(1, 8)) -> list[ConverseLine]:
-    """Every converse line, in the order of ``_converse_terms``."""
-    return [_as_line(*terms) for terms in _converse_terms(n_files, n_users, demands_per_user, lambda_step)]
+    return _line_form(n_files, demands_per_user, s, lam)
 
 
 @lru_cache(maxsize=1)
@@ -302,13 +282,12 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     corner envelope somewhere is not an error (it just means the line is
     locally the tighter bound); its excess increases up to its largest
     value, so the first such M, which is reported, is found by bisection too.
-    No line is built as a ``ConverseLine``, and Fractions are built only for
-    what the report holds.
+    Fractions are built only for what the report holds.
     """
     g = _grid_intervals(grid_size)
     ach = _envelope_pieces(achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
     low = _envelope_pieces(converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
-    lines = list(_converse_terms(n_files, n_users, demands_per_user, lambda_step))
+    lines = list(converse_terms(n_files, n_users, demands_per_user, lambda_step))
     forms = [_grid_form(a, b, e, n_files, g) for *_, a, b, e in lines]
     denom = math.lcm(*(e for *_, e in ach + low + forms))
     ach_at = _envelope_numerators(ach, denom)
@@ -344,27 +323,20 @@ class GapCertificate:
     max_ratio: Fraction
     witness_m: Fraction
     witness_provenance: str
-    bound: int = GAP_FACTOR
-
-    @property
-    def within_bound(self) -> bool:
-        return self.max_ratio <= self.bound
 
 
 def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCertificate:
     """Max of achievable_envelope(M) / corner_envelope(M) over the audited
-    points: M = 0 and every corner point except (s, t) = (1, 1), whose memory
-    equals N where both curves vanish (that ratio is defined as 1).
+    points: M = 0 and every corner point but the first, (s, t) = (1, 1) at
+    M = N, where both curves vanish (that ratio is defined as 1).
 
     Raises OptimalityGapError if any ratio exceeds the factor-6 bound or a
     positive rate sits over a zero lower bound away from M = N.
     """
     ach = achievable_envelope(n_files, n_users, demands_per_user)
     low = converse_corner_envelope(n_files, n_users, demands_per_user)
-    candidates: list[tuple[Fraction, str]] = [(Fraction(0), "endpoint M=0")]
-    for p in corner_points(n_files, n_users, demands_per_user):
-        if p.provenance != "corner s=1,t=1":
-            candidates.append((p.m, p.provenance))
+    candidates = [(Fraction(0), "endpoint M=0")]
+    candidates += [(p.m, p.provenance) for p in corner_points(n_files, n_users, demands_per_user)[1:]]
     # ratios are integer pairs (num, den), den > 0, compared by cross-multiplying
     best_num, best_den = 0, 1
     witness = candidates[0]

@@ -85,7 +85,7 @@ def full_scan_dominance(n_files: int, n_users: int, demands_per_user: int,
     g = grid_size - 1
     ach = tradeoff._envelope_pieces(tradeoff.achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
     low = tradeoff._envelope_pieces(tradeoff.converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
-    lines = list(tradeoff._converse_terms(n_files, n_users, demands_per_user, lambda_step))
+    lines = list(tradeoff.converse_terms(n_files, n_users, demands_per_user, lambda_step))
     forms = [tradeoff._grid_form(a, b, e, n_files, g) for *_, a, b, e in lines]
     denom = math.lcm(*(e for *_, e in ach + low + forms))
     ach_at = tradeoff._envelope_numerators(ach, denom)

@@ -1,18 +1,21 @@
 """CLI contract tests: exit codes, file formats, determinism."""
 
 import argparse
+import csv
 import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import fraction_converse_line
 from privcache import audit, cli, scheme, tradeoff, ucc
 from privcache.cli import main
 
@@ -252,6 +255,27 @@ def test_audit_observer_out_of_range_is_usage_error(argv, capsys):
     assert "observer out of range" in captured.err
 
 
+def test_audit_empirical_with_several_demand_matrices_is_usage_error(capsys):
+    # only one matrix is audited, so a second one is refused rather than dropped
+    assert run_cli("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",
+                   "--demands", "0;1", "--demands", "0;2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --mode empirical audits one demand matrix, got 2 --demands\n"
+
+
+def test_audit_empirical_with_one_support_point_is_usage_error(monkeypatch, capsys):
+    # (1, 1, 1) has one restricted demand vector: no chi-square test, checked before any draw
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sampled before the support size was checked")
+
+    monkeypatch.setattr(scheme, "sampler", unexpected)
+    assert run_cli("audit", "--mode", "empirical", "--N", "1", "--K", "1", "--L", "1", "--runs", "10") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: the chi-square test needs at least two support points, got 1\n"
+
+
 @pytest.mark.parametrize("selector", ["0,0", "5"])
 @pytest.mark.parametrize("mode", [
     ("--mode", "ptilde"),
@@ -282,6 +306,22 @@ def test_tradeoff_byte_identical(tmp_path):
     for p in (a, b):
         run_cli("tradeoff", "--N", "4", "--K", "3", "--L", "2", "--out", str(p))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("step", ["1/8", "2/5"])
+def test_tradeoff_csv_lines_match_fraction_formula(step, capsys):
+    # each line row holds the intercept at M = 0 and intercept + slope * N at M = N
+    for n, k, big_l in tradeoff.sweep_triples((1, 6), (1, 3)):
+        assert run_cli("tradeoff", "--N", str(n), "--K", str(k), "--L", str(big_l), "--lambda-step", step) == 0
+        rows = [row for row in csv.reader(capsys.readouterr().out.splitlines()) if row[4].startswith("line ")]
+        expected = []
+        for s in range(1, tradeoff.max_converse_s(n, k, big_l) + 1):
+            for lam in tradeoff.lambda_grid(Fraction(step)):
+                t, intercept, slope = fraction_converse_line(n, big_l, s, lam)
+                prov = f"line s={s},lam={lam},t={t}"
+                for m, rate in ((0, intercept), (n, intercept + slope * n)):
+                    expected.append([str(x) for x in (m, 1, rate.numerator, rate.denominator)] + [prov])
+        assert rows == expected
 
 
 def test_gap_single(tmp_path):
@@ -346,6 +386,15 @@ def test_gap_empty_sweep_is_usage_error(sweep, capsys):
 def test_gap_repeated_sweep_component_is_usage_error(sweep, capsys):
     assert run_cli("gap", "--sweep", sweep) == 2
     assert "given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["N=a..2", "N=1..b", "K=1.5", "N=1..2,L=x", "X=1..2", "N="])
+def test_gap_malformed_sweep_component_is_usage_error(sweep, capsys):
+    # a non-integer bound is reported like a bad name, not as argparse's "invalid <function> value"
+    assert run_cli("gap", "--sweep", sweep) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot parse sweep component {sweep.split(',')[-1]!r}" in captured.err
 
 
 @pytest.mark.parametrize("fixed", [("--N", "3"), ("--K", "2"), ("--L", "1"), ("--N", "3", "--K", "2", "--L", "1")],
@@ -518,6 +567,12 @@ REPLAY = [
                  0, "bdff2bf4a2a97c13e05126861fd47a265cacdbd680dac44198fd25cc916bce14", id="gap-128-32-17"),
     pytest.param(("tradeoff", "--N", "64", "--K", "16", "--L", "8"),
                  0, "2460ac519b7c3d10b28ebab72e9b25871c5f11aefb81218709f91f9e96aed9cf", id="tradeoff-64-16-8"),
+    # 12 lines over s = 1..3 on the non-dyadic lambda grid 0, 2/5, 4/5, 1
+    pytest.param(("tradeoff", "--N", "6", "--K", "3", "--L", "2", "--lambda-step", "2/5"),
+                 0, "2caccabdae8405df1c2a113521a233e8308b441112ed0a50a22ae8d60b8cdff2", id="tradeoff-632-step2-5"),
+    # (s, t) = (1, 1) is the only corner, so M = 0 is the only audited memory
+    pytest.param(("gap", "--N", "1", "--K", "1", "--L", "1"),
+                 0, "37b1c192f4ef0b2e2285d041d99d884ee3060e038603cd48da16652a022c7122", id="gap-111"),
 ]
 
 

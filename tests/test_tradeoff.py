@@ -22,7 +22,7 @@ from privcache.tradeoff import (
     achievable_points,
     converse_corner_envelope,
     converse_line,
-    converse_lines,
+    converse_terms,
     corner_points,
     gap_certificate,
     lambda_grid,
@@ -114,17 +114,18 @@ def test_achievable_envelope_oracle_sweep():
             assert env.value_at(m) == chord_oracle(pts, m)
 
 
+def fraction_terms(t, a, b, e):
+    """(t, intercept, slope) of the converse line with terms (t, a, b, e)."""
+    return t, Fraction(a, e), Fraction(b, e)
+
+
 def test_converse_line_s1_lambda1():
     for n, k, big_l in ((5, 2, 2), (7, 3, 2), (4, 4, 1)):
-        line = converse_line(n, k, big_l, 1, 1)
-        assert line.t == 1
-        assert line.intercept == big_l
-        assert line.slope == Fraction(-big_l, n)
+        assert fraction_terms(*converse_line(n, k, big_l, 1, 1)) == (1, big_l, Fraction(-big_l, n))
 
 
 def test_converse_line_s1_lambda0_is_trivial():
-    line = converse_line(5, 2, 2, 1, 0)
-    assert line.t == 1 and line.intercept == 0 and line.slope == 0
+    assert converse_line(5, 2, 2, 1, 0) == (1, 0, 0, 1)
 
 
 def test_converse_line_range_checks():
@@ -145,21 +146,19 @@ def test_converse_line_matches_fraction_formula():
         for big_l in range(1, n + 1):
             for s in range(1, max_converse_s(n, n, big_l) + 1):
                 for lam in lams:
-                    line = converse_line(n, n, big_l, s, lam)
-                    assert (line.s, line.lam) == (s, lam)
-                    assert (line.t, line.intercept, line.slope) == fraction_converse_line(n, big_l, s, lam)
+                    expected = fraction_converse_line(n, big_l, s, lam)
+                    assert fraction_terms(*converse_line(n, n, big_l, s, lam)) == expected
                     checked += 1
     assert checked == len(lams) * sum(n // big_l for n in range(1, 11) for big_l in range(1, n + 1))
 
 
-def test_converse_lines_match_fraction_formula_in_order():
+def test_converse_terms_match_fraction_formula_in_order():
     for dims, step in (((8, 4, 2), Fraction(1, 3)), ((7, 2, 1), Fraction(2, 7)), ((1, 1, 1), Fraction(1))):
-        lines = converse_lines(*dims, step)
-        assert [(line.s, line.lam) for line in lines] == [
+        terms = list(converse_terms(*dims, step))
+        assert [(s, lam) for s, lam, *_ in terms] == [
             (s, lam) for s in range(1, max_converse_s(*dims) + 1) for lam in lambda_grid(step)]
-        for line in lines:
-            expected = fraction_converse_line(dims[0], dims[2], line.s, line.lam)
-            assert (line.t, line.intercept, line.slope) == expected
+        for s, lam, *form in terms:
+            assert fraction_terms(*form) == fraction_converse_line(dims[0], dims[2], s, lam)
 
 
 def test_converse_terms_t_equals_min_feasible_t():
@@ -168,7 +167,7 @@ def test_converse_terms_t_equals_min_feasible_t():
     for n in range(1, 11):
         for big_l in range(1, n + 1):
             for step in LAMBDA_STEPS:
-                for s, lam, t, *_ in tradeoff._converse_terms(n, n, big_l, step):
+                for s, lam, t, *_ in converse_terms(n, n, big_l, step):
                     scanned = tradeoff._line_form(n, big_l, s, lam)[0]
                     assert t == scanned == fraction_converse_line(n, big_l, s, lam)[0]
                     checked += 1
@@ -230,11 +229,11 @@ def per_point_dominance(n, k, big_l, grid_size=101, lambda_step=Fraction(1, 8)):
     n_lines = 0
     for s in range(1, max_converse_s(n, k, big_l) + 1):
         for lam in lambda_grid(lambda_step):
-            line = converse_line(n, k, big_l, s, lam)
+            _, a, b, e = converse_line(n, k, big_l, s, lam)
             n_lines += 1
             first = None
             for m in grid:
-                v = line.value_at(m)
+                v = (a + b * m) / e
                 if v > ach.value_at(m):
                     violations.append((m, v, ach.value_at(m), f"line s={s},lam={lam}"))
                 if first is None and v > low.value_at(m):
@@ -313,12 +312,13 @@ def test_dominance_with_pieces_holding_no_grid_point(monkeypatch, grid_size):
 
 def test_dominance_makes_no_per_point_evaluations(monkeypatch):
     calls = []
-    for cls in (Envelope, tradeoff.ConverseLine):
-        def counting(self, x, value_at=cls.value_at):
-            calls.append((type(self).__name__, x))
-            return value_at(self, x)
+    value_at = Envelope.value_at
 
-        monkeypatch.setattr(cls, "value_at", counting)
+    def counting(self, x):
+        calls.append(x)
+        return value_at(self, x)
+
+    monkeypatch.setattr(Envelope, "value_at", counting)
     rep = verify_envelope_dominance(5, 2, 2)
     assert calls == []
     assert rep.checked_points == 101 * (1 + 9 * max_converse_s(5, 2, 2)) == 1919
@@ -367,14 +367,13 @@ def test_dominance_kernel_matches_per_point_oracle(case):
     ((3, 3, 1), 11, Fraction(1, 2)),
 ])
 def test_dominance_builds_no_converse_line(monkeypatch, dims, grid_size, lambda_step):
-    # the check reads the integer line terms: no ConverseLine, so no Fraction line
+    # the check reads the lines from one ``converse_terms`` pass, never line by line
     expected = verify_envelope_dominance(*dims, grid_size, lambda_step)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the dominance check built a ConverseLine")
+        raise AssertionError("the dominance check called converse_line")
 
     monkeypatch.setattr(tradeoff, "converse_line", forbidden)
-    monkeypatch.setattr(tradeoff, "ConverseLine", forbidden)
     assert verify_envelope_dominance(*dims, grid_size, lambda_step) == expected
 
 
@@ -414,11 +413,11 @@ def test_dominance_walks_envelopes_wider_than_the_grid(monkeypatch):
             assert kernel == per_point_dominance(5, 2, 2, grid_size) == full_scan_dominance(5, 2, 2, grid_size)
 
 
-def test_converse_lines_order_and_count():
-    lines = converse_lines(5, 2, 2, Fraction(1, 2))
-    assert [(line.s, line.lam) for line in lines] == [
+def test_converse_terms_order_and_count():
+    terms = list(converse_terms(5, 2, 2, Fraction(1, 2)))
+    assert [(s, lam) for s, lam, *_ in terms] == [
         (s, lam) for s in (1, 2) for lam in (0, Fraction(1, 2), 1)]
-    assert lines[4] == converse_line(5, 2, 2, 2, Fraction(1, 2))
+    assert tuple(terms[4][2:]) == converse_line(5, 2, 2, 2, Fraction(1, 2))
 
 
 def gap_outcome(certify, dims):
@@ -457,7 +456,7 @@ def test_gap_certificate_errors_match_per_candidate_reference(monkeypatch, scale
 
 def test_gap_certificate_worked_example():
     cert = gap_certificate(5, 2, 2)
-    assert cert.within_bound
+    assert cert.max_ratio <= tradeoff.GAP_FACTOR
     assert 1 <= cert.max_ratio <= 6
 
 
@@ -478,7 +477,7 @@ def test_gap_zero_memory_ratio_at_most_two_when_users_dominate():
 
 def test_gap_degenerate_single_user():
     cert = gap_certificate(2, 1, 1)
-    assert cert.within_bound
+    assert cert.max_ratio <= tradeoff.GAP_FACTOR
     assert cert.max_ratio >= 1
 
 
