@@ -9,7 +9,7 @@ memory-rate tradeoff and optimality-gap certificates (:mod:`tradeoff`), and a
 CLI tying them together (:mod:`cli`).
 """
 
-from .exact import Envelope, binomial, lower_convex_envelope
+from .exact import Envelope, lower_convex_envelope
 from .gf import PrimeField
 from .scheme import (
     FULL,
@@ -47,7 +47,6 @@ __all__ = [
     "Variant",
     "achievable_envelope",
     "achievable_points",
-    "binomial",
     "converse_corner_envelope",
     "gap_certificate",
     "lower_convex_envelope",

@@ -40,7 +40,14 @@ of ``atoms`` gives each member the mass c / (atoms * size).  Only
 members.  Budgets charge the atoms of the laws, relabelings included, and
 no libraries.
 
-A chi-square smoke test covers instances too large for exact enumeration.
+``empirical_law_check`` is a chi-square test of the masked demands that
+``scheme.sampler``, the code ``simulate`` draws from, produces: the only
+check of the sampler's law, since both exact routes enumerate
+``scheme.realizations`` instead.  It needs at least 10 runs per point of
+the closed-form support (2,880 points at (N, K, L) = (5, 2, 2), 1,728,000 at
+(5, 3, 2)).  A demand matrix's law has at most that many label-free atoms,
+so the exact law decides every instance the test can reach, under a budget
+raised where needed (its charge counts the N! relabelings too).
 """
 
 from __future__ import annotations
@@ -54,8 +61,10 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import scheme as sch
-from .exact import binomial
 from .scheme import FULL, Demands, SchemeParams, SeedStreams, Variant
+
+
+DEFAULT_BUDGET = 10 ** 7
 
 
 class BudgetExceededError(RuntimeError):
@@ -85,7 +94,7 @@ def restricted_vectors(params: SchemeParams) -> Iterator[tuple[int, ...]]:
 
 
 def restricted_vector_count(params: SchemeParams) -> int:
-    return binomial(params.n_files, params.n_active) * math.factorial(params.n_active) ** params.n_users
+    return math.comb(params.n_files, params.n_active) * math.factorial(params.n_active) ** params.n_users
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +110,7 @@ def _stage_sizes(params: SchemeParams, variant: Variant, need: int) -> tuple[int
     n, a = params.n_files, params.n_active
     return (math.factorial(n) if variant.relabel_files else 1,
             math.perm(a, params.demands_per_user) if variant.random_slots else 1,
-            binomial(n - need, a - need) if variant.random_cover else 1,
+            math.comb(n - need, a - need) if variant.random_cover else 1,
             math.factorial(a - params.demands_per_user) if variant.random_fill else 1)
 
 
@@ -164,7 +173,7 @@ def _class_law(params: SchemeParams, demands: Demands, observer: int, selector: 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
                       selector: tuple[int, ...], variant: Variant = FULL,
-                      budget: int = 10 ** 7) -> dict[tuple[int, ...], Fraction]:
+                      budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the masked expanded demand given the demand matrix and the
     observer's slot tuple: each class of ``_class_law`` expanded into its
     members, the one place where a class is expanded.  The budget applies
@@ -192,7 +201,7 @@ class InvarianceReport:
 
 def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], observer: int,
                           selector: tuple[int, ...], variant: Variant = FULL,
-                          budget: int = 10 ** 7) -> InvarianceReport:
+                          budget: int = DEFAULT_BUDGET) -> InvarianceReport:
     """Exact uniformity of the masked-demand law, and its equality across
     demand matrices that agree on the observer's row (the distribution a
     curious user could ever see), decided on the class counts: every member
@@ -271,7 +280,7 @@ class MiReport:
 
 
 def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant: Variant = FULL,
-                             budget: int = 10 ** 7) -> MiReport:
+                             budget: int = DEFAULT_BUDGET) -> MiReport:
     """Exact I(other rows ; broadcast, observer cache, observer row) under the
     uniform prior on demand matrices.  It equals I(other rows ; tag,
     observer row) with tag = (observer slot tuple, masked demand): the

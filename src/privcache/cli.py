@@ -5,8 +5,11 @@ Subcommands:
 * ``simulate``  one seeded end-to-end run (placement, delivery, every decode);
   writes a replayable JSON trace or a one-line CSV summary.
 * ``audit``     privacy checks: exact masked-demand law (``--mode ptilde``),
-  exact mutual information on enumerable instances (``--mode mi``), or the
-  chi-square smoke test (``--mode empirical``).
+  exact mutual information on enumerable instances (``--mode mi``), or a
+  chi-square test of the sampled masked demand (``--mode empirical``), the
+  one check of the sampler ``simulate`` draws from; the exact modes
+  enumerate the scheme's randomness instead.  An option the chosen mode
+  does not read is a usage error.
 * ``tradeoff``  plot-ready CSV of achievable points, envelopes, converse
   corner points and converse lines (rationals as numerator/denominator
   columns, never floats).
@@ -166,6 +169,34 @@ def cmd_simulate(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
+# The audit options every mode reads, and those each mode reads besides;
+# an option outside both is refused.
+_AUDIT_SHARED = ("--mode", "--N", "--K", "--L", "--r", "--q", "--observer", "--variant", "--out")
+_AUDIT_READS = {
+    "ptilde": ("--selector", "--demands", "--budget"),
+    "mi": ("--F", "--baseline", "--budget", "--timings"),
+    "empirical": ("--selector", "--demands", "--runs", "--seed"),
+}
+
+
+def _refuse_unread(args):
+    """Raise a usage error naming every given option the mode does not read.
+    The options that not every mode reads, flags included, default to None,
+    so a given one is one that is not None."""
+    unread = [opt for opt in dict.fromkeys(opt for opts in _AUDIT_READS.values() for opt in opts)
+              if opt not in _AUDIT_READS[args.mode] and getattr(args, opt[2:]) is not None]
+    if unread:
+        raise ValueError(f"--mode {args.mode} does not read {', '.join(unread)}")
+
+
+def _budget(args) -> int:
+    """--budget, for the modes that read it."""
+    if args.budget is None:
+        return audit.DEFAULT_BUDGET
+    if args.budget < 1:
+        raise ValueError("--budget must be at least 1")
+    return args.budget
+
 
 def _default_demand_family(params: SchemeParams, observer: int) -> list[tuple[tuple[int, ...], ...]]:
     """Small family sharing the observer's row: the other users' rows are
@@ -188,7 +219,7 @@ def _default_demand_family(params: SchemeParams, observer: int) -> list[tuple[tu
 def _audit_ptilde(args, params: SchemeParams, variant) -> dict:
     selector = args.selector if args.selector is not None else tuple(range(params.demands_per_user))
     family = args.demands if args.demands else _default_demand_family(params, args.observer)
-    inv = audit.verify_law_invariance(params, family, args.observer, selector, variant, args.budget)
+    inv = audit.verify_law_invariance(params, family, args.observer, selector, variant, _budget(args))
     support = audit.restricted_vector_count(params)
     return {
         "check": "ptilde-law",
@@ -206,9 +237,8 @@ def _audit_ptilde(args, params: SchemeParams, variant) -> dict:
 
 
 def _audit_mi(args, params: SchemeParams, variant) -> dict:
-    report = audit.exact_mutual_information(
-        params, args.observer, variant=variant, budget=args.budget,
-    )
+    budget = _budget(args)
+    report = audit.exact_mutual_information(params, args.observer, variant=variant, budget=budget)
     zero = report.conditional_laws_equal and report.value == 0
     result = {
         "check": "exact-mi",
@@ -222,9 +252,7 @@ def _audit_mi(args, params: SchemeParams, variant) -> dict:
     if args.timings:
         result["wall_time_s"] = report.wall_time_s
     if args.baseline:
-        base = audit.exact_mutual_information(
-            params, args.observer, variant=PLAIN_BASELINE, budget=args.budget,
-        )
+        base = audit.exact_mutual_information(params, args.observer, variant=PLAIN_BASELINE, budget=budget)
         positive = (not base.conditional_laws_equal) and float(base.value) > 0
         result["baseline"] = {
             "variant": "plain",
@@ -243,7 +271,7 @@ def _audit_empirical(args, params: SchemeParams, variant) -> dict:
     selector = args.selector if args.selector is not None else tuple(range(params.demands_per_user))
     demands = args.demands[0] if args.demands else _default_demand_family(params, args.observer)[0]
     report = audit.empirical_law_check(
-        params, demands, args.observer, selector, args.runs, args.seed, variant,
+        params, demands, args.observer, selector, args.runs, args.seed or 0, variant,
     )
     return {
         "check": "empirical-chi-square",
@@ -261,8 +289,7 @@ def _audit_empirical(args, params: SchemeParams, variant) -> dict:
 
 
 def cmd_audit(args) -> int:
-    if args.budget < 1:
-        raise ValueError("--budget must be at least 1")
+    _refuse_unread(args)
     params = _audit_params(args)
     variant = _VARIANTS[args.variant]
     if args.mode == "ptilde":
@@ -433,12 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="demand matrix '0,1;0,2'; repeat for an invariance family")
     aud.add_argument("--variant", choices=sorted(_VARIANTS), default="scheme",
                      help="'scheme' is the real construction; others are derandomized mutants")
-    aud.add_argument("--baseline", action="store_true",
+    aud.add_argument("--baseline", action="store_true", default=None,
                      help="mi mode: also audit the plain baseline and require it to leak")
     aud.add_argument("--runs", type=int, default=None, help="empirical mode sample count")
-    aud.add_argument("--seed", type=int, default=0)
-    aud.add_argument("--budget", type=int, default=10 ** 7, help="enumeration atom cap")
-    aud.add_argument("--timings", action="store_true", help="include wall times in the report")
+    aud.add_argument("--seed", type=int, default=None, help="empirical mode seed (default 0)")
+    aud.add_argument("--budget", type=int, default=None,
+                     help=f"enumeration atom cap for ptilde and mi (default {audit.DEFAULT_BUDGET})")
+    aud.add_argument("--timings", action="store_true", default=None,
+                     help="mi mode: include wall times in the report")
     aud.add_argument("--out", default=None)
     aud.set_defaults(func=cmd_audit)
 

@@ -1,9 +1,8 @@
-"""Exact integer/rational arithmetic and combinatorial primitives.
+"""Exact lower convex envelopes over rationals.
 
 Nothing in this module touches floating point.  Rationals are
-``fractions.Fraction`` (arbitrary precision, always in lowest terms),
-binomials come from ``math.comb``, and the convex-envelope construction
-decides each hull turn by the sign of an integer cross product on the points
+``fractions.Fraction`` (arbitrary precision, always in lowest terms), and
+the convex-envelope construction decides each hull turn by the sign of an integer cross product on the points
 put over common denominators, so every downstream rate/memory comparison
 can assert equality instead of a tolerance.  An envelope computes its x list
 and its segments' line forms once: on each segment the envelope is
@@ -20,15 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ the expanded demand's files the same way; placement, delivery and decoding
 work in broadcast labels only.  The broadcast is the single-request
 scheme's message, a ``ucc.Broadcast``, for the masked (relabeled) expanded
 demand vector, which rides along in the clear as its ``demand``.  The
-private layer only maps users to virtual users: ``place_cache`` fills one
-user's cache with the engine's placement for its L virtual users (whole
-subfiles, per label {label rank: subfile}), and ``decode_user`` decodes
-requested file l by cutting the virtual user of its secret slot out of that
-cache and running the engine decoder for it, on the broadcast, which carries
-the instance, and that slice only.  ``deliver`` is the one delivery call;
-``place_caches`` validates the slot tuples and fills every cache.
+private layer only maps users to virtual users: ``place_caches``, the one
+placement call, validates one slot tuple per user and fills each user's
+cache with the engine's placement for its L virtual users (whole subfiles,
+per label {label rank: subfile}), and ``decode_user`` decodes requested
+file l by cutting the virtual user of its secret slot out of that cache and
+running the engine decoder for it, on the broadcast, which carries the
+instance, and that slice only.  ``deliver`` is the one delivery call.
 
 One sampler and one enumerator describe the same stages: ``sampler``
 validates a demand matrix once and returns a function that draws, from seed
@@ -233,22 +233,17 @@ def _virtual_user(n_active: int, k: int, slot_value: int) -> int:
 
 def place_caches(params: SchemeParams, library: Library,
                  slots: Sequence[tuple[int, ...]]) -> list[UserCache]:
-    """Fill every user's cache from the library in broadcast labels and one
-    validated slot tuple per user."""
+    """Every user's cache from the library in broadcast labels and one
+    validated slot tuple per user: for each label, the union of the subfiles
+    the user's L chosen virtual users would store.  Placement is uncoded:
+    stored subfiles are verbatim library slices."""
     if len(slots) != params.n_users:
         raise ValueError("need one slot tuple per user")
-    checked_slots(params, dict(enumerate(slots)))
+    checked = checked_slots(params, dict(enumerate(slots)))
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
-    return [place_cache(params, library, k, sel) for k, sel in enumerate(slots)]
-
-
-def place_cache(params: SchemeParams, library: Library, k: int, selector: tuple[int, ...]) -> UserCache:
-    """User k's cache from the library in broadcast labels: for each label,
-    the union of the subfiles its L chosen virtual users would store.
-    Placement is uncoded: stored subfiles are verbatim library slices."""
-    users = [_virtual_user(params.n_active, k, s) for s in selector]
-    return UserCache(k, selector, ucc.place(params.ucc, library, users))
+    return [UserCache(k, sel, ucc.place(params.ucc, library, [_virtual_user(params.n_active, k, s) for s in sel]))
+            for k, sel in checked.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +271,6 @@ def block_support(params: SchemeParams, cover_set: Sequence[int], row: Sequence[
     set with the user's demands pinned at its slots.  Size (n_active - L)!."""
     block, rest_values = _pinned_block(params, cover_set, row, selector)
     return [_fill(block, perm) for perm in itertools.permutations(rest_values)]
-
-
-def fill_block(params: SchemeParams, cover_set: Sequence[int], row: Sequence[int], selector: Sequence[int],
-               rng: random.Random | None = None) -> tuple[int, ...]:
-    """One demand block: the user's demands pinned at its slots, remaining
-    cover-set files placed in the free positions (shuffled when rng is given,
-    ascending otherwise)."""
-    block, rest_values = _pinned_block(params, cover_set, row, selector)
-    if rng is not None:
-        rng.shuffle(rest_values)
-    return _fill(block, rest_values)
 
 
 def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
@@ -320,8 +304,12 @@ def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
             drawn = [first_slots] * params.n_users
         sel = tuple(pinned.get(k, s) for k, s in enumerate(drawn))
         cover = covers[streams.rng("cover").randrange(len(covers))] if variant.random_cover else covers[0]
-        blocks = [fill_block(params, cover, demands[k], sel[k], streams.rng(f"block:{k}") if variant.random_fill else None)
-                  for k in range(params.n_users)]
+        blocks = []
+        for k in range(params.n_users):
+            block, free = _pinned_block(params, cover, demands[k], sel[k])
+            if variant.random_fill:
+                streams.rng(f"block:{k}").shuffle(free)
+            blocks.append(_fill(block, free))
         return relabeling, sel, cover, tuple(v for block in blocks for v in block)
 
     return draw
@@ -351,7 +339,7 @@ def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL
         for cover in covers:
             block_opts = [
                 block_support(params, cover, demands[k], sel[k]) if variant.random_fill
-                else [fill_block(params, cover, demands[k], sel[k])]
+                else [_fill(*_pinned_block(params, cover, demands[k], sel[k]))]
                 for k in range(params.n_users)
             ]
             for blocks in itertools.product(*block_opts):

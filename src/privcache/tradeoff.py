@@ -197,12 +197,6 @@ def converse_corner_envelope(n_files: int, n_users: int, demands_per_user: int) 
 # ---------------------------------------------------------------------------
 
 
-def _grid_intervals(grid_size: int) -> int:
-    if grid_size < 2:
-        raise ValueError("grid needs at least two points")
-    return grid_size - 1
-
-
 @dataclass
 class DominanceReport:
     checked_points: int
@@ -284,7 +278,9 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     value, so the first such M, which is reported, is found by bisection too.
     Fractions are built only for what the report holds.
     """
-    g = _grid_intervals(grid_size)
+    if grid_size < 2:
+        raise ValueError("grid needs at least two points")
+    g = grid_size - 1
     ach = _envelope_pieces(achievable_envelope(n_files, n_users, demands_per_user), n_files, g)
     low = _envelope_pieces(converse_corner_envelope(n_files, n_users, demands_per_user), n_files, g)
     lines = list(converse_terms(n_files, n_users, demands_per_user, lambda_step))

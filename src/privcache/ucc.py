@@ -61,12 +61,12 @@ entries; both decoders and ``trace_record`` read it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .exact import binomial
 from .gf import InconsistentSystemError, PrimeField, SparseSystem, determined_unknowns
 
 
@@ -112,7 +112,7 @@ class UccParams:
 
     @property
     def subfile_count(self) -> int:
-        return binomial(self.n_users, self.r)
+        return math.comb(self.n_users, self.r)
 
     @property
     def file_len(self) -> int:
@@ -372,7 +372,7 @@ def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Bro
             for p in range(packet):
                 acc[p] = (acc[p] + c * row[base + p]) % q
         segments[sub] = tuple(acc)
-    expected = binomial(params.n_users, params.r + 1) - binomial(params.n_users - params.block_len, params.r + 1)
+    expected = math.comb(params.n_users, params.r + 1) - math.comb(params.n_users - params.block_len, params.r + 1)
     if len(segments) != expected:
         raise RuntimeError(f"segment count {len(segments)} != {expected}")
     return broadcast

@@ -7,7 +7,7 @@ from operator import gt
 from typing import Iterable
 
 from privcache import tradeoff
-from privcache.exact import Envelope, binomial
+from privcache.exact import Envelope
 from privcache.gf import PrimeField
 from privcache.tradeoff import DominanceReport, GapCertificate, OptimalityGapError, TradeoffPoint
 from privcache.ucc import Library, UccParams
@@ -45,7 +45,7 @@ def subset_rank(ground: Iterable, subset: Iterable) -> int:
     prev = -1
     for i, c in enumerate(idx):
         for v in range(prev + 1, c):
-            rank += binomial(n - v - 1, k - i - 1)
+            rank += math.comb(n - v - 1, k - i - 1)
         prev = c
     return rank
 
@@ -66,14 +66,14 @@ def scan_cover_sets(n_files: int, n_active: int, requested: Iterable[int]) -> li
 
 def comb_achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
     """``tradeoff.achievable_points`` with its five binomials per r computed
-    from scratch by ``binomial``."""
+    from scratch by ``math.comb``."""
     n_act = tradeoff.active_files(n_files, n_users, demands_per_user)
     kv = n_users * n_act
     out = []
     for r in range(kv + 1):
-        denom = binomial(kv, r)
-        m = Fraction((binomial(kv, r) - binomial(kv - demands_per_user, r)) * n_files, denom)
-        rate = Fraction(binomial(kv, r + 1) - binomial(kv - n_act, r + 1), denom)
+        denom = math.comb(kv, r)
+        m = Fraction((math.comb(kv, r) - math.comb(kv - demands_per_user, r)) * n_files, denom)
+        rate = Fraction(math.comb(kv, r + 1) - math.comb(kv - n_act, r + 1), denom)
         out.append(TradeoffPoint(m, rate, f"achievable r={r}"))
     return out
 

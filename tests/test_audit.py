@@ -287,7 +287,7 @@ def test_exact_mi_baseline_leaks():
 def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
     """Cover sets are derived once per demand matrix, and no cache is placed
     and no broadcast encoded: the tag counts alone give the value."""
-    counts = {"feasible_cover_sets": 0, "place_cache": 0, "deliver": 0}
+    counts = {"feasible_cover_sets": 0, "place_caches": 0, "deliver": 0}
 
     def counting(name):
         real = getattr(scheme, name)
@@ -301,7 +301,7 @@ def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
         monkeypatch.setattr(scheme, name, counting(name))
     rep = exact_mutual_information(MI_INSTANCE, 0)
     assert rep.value == 0
-    assert counts == {"feasible_cover_sets": 4, "place_cache": 0, "deliver": 0}  # one per demand matrix
+    assert counts == {"feasible_cover_sets": 4, "place_caches": 0, "deliver": 0}  # one per demand matrix
 
 
 def test_exact_mi_raises_when_label_free_atoms_go_missing(monkeypatch):
@@ -344,7 +344,7 @@ def _library_mi(params, observer, variant):
         for m, view, law in zip(mats, views, counts):
             for (sel, masked), c in view.items():
                 if sel not in caches:
-                    cache = scheme.place_cache(params, library, observer, sel)
+                    cache = scheme.place_caches(params, library, [sel] * params.n_users)[observer]
                     caches[sel] = (sel, tuple(tuple(sorted(cache.subfiles[label].items()))
                                               for label in range(n)))
                 if masked not in broadcasts:

@@ -291,6 +291,44 @@ def test_audit_bad_selector_is_usage_error(mode, selector, capsys):
     assert captured.err == f"usage error: slot tuple {shown} of user 0 is not 1 distinct slots in [0, 2)\n"
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (("--mode", "ptilde", "--N", "3", "--K", "2", "--L", "1", "--runs", "5", "--F", "7", "--baseline"),
+     "--F, --baseline, --runs"),
+    (("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
+      "--selector", "0", "--demands", "0;1"), "--selector, --demands"),
+    (("--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800", "--budget", "5", "--timings"),
+     "--budget, --timings"),
+    (("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--seed", "0"), "--seed"),
+], ids=["ptilde", "mi", "empirical", "mi-default-value"])
+def test_audit_refuses_options_its_mode_does_not_read(argv, unread, monkeypatch, capsys):
+    # refused before any work, even when the given value is the one the mode would use
+    def unexpected(*args, **kwargs):
+        raise AssertionError("enumerated before the options were checked")
+
+    monkeypatch.setattr(scheme, "realizations", unexpected)
+    monkeypatch.setattr(scheme, "sampler", unexpected)
+    assert run_cli("audit", *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: --mode {argv[1]} does not read {unread}\n"
+
+
+def test_audit_option_table_covers_the_parser():
+    """Lint: every audit option is read by all modes or listed under at least
+    one mode, and every listed option is one the parser has, so a mode that
+    ignores an option refuses it.  A listed option is found by its name
+    (dest "F" for "--F") and defaults to None, how the refusal tells that it
+    was given."""
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.option_strings[-1]: a for a in subparsers.choices["audit"]._actions if a.dest != "help"}
+    assert set(cli._AUDIT_READS) == set(actions["--mode"].choices)
+    listed = set().union(*cli._AUDIT_READS.values())
+    assert not listed & set(cli._AUDIT_SHARED)
+    assert set(actions) == listed | set(cli._AUDIT_SHARED)
+    for opt in listed:
+        assert actions[opt].dest == opt[2:] and actions[opt].default is None, opt
+
+
 def test_tradeoff_csv(tmp_path):
     out = tmp_path / "curve.csv"
     assert run_cli("tradeoff", "--N", "5", "--K", "2", "--L", "2", "--out", str(out)) == 0

@@ -8,21 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_segment_forms, chord_value_at, cross_hull, subset_rank
-from privcache.exact import Envelope, binomial, lower_convex_envelope
-
-
-def test_binomial_values():
-    assert binomial(8, 2) == 28
-    assert binomial(8, 1) == 8
-    assert binomial(4, 2) == 6
-    assert binomial(5, 0) == 1
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(4, -1) == 0
-    assert binomial(4, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
+from privcache.exact import Envelope, lower_convex_envelope
 
 
 def test_rank_of_first_subset_is_zero():

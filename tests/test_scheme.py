@@ -23,8 +23,6 @@ from privcache.scheme import (
     decode_user,
     deliver,
     feasible_cover_sets,
-    fill_block,
-    place_cache,
     place_caches,
     realizations,
     relabeled_demand,
@@ -128,9 +126,10 @@ def test_placement_slots_hold_chosen_subfiles():
 
 def cache_memory(params, k, selector):
     """User k's normalized cache size as ``run_simulation`` reports the
-    memory: the symbols ``place_cache`` stores over file_len."""
+    memory: the symbols ``place_caches`` stores for it over file_len."""
     lib = ramp_library(params.field, params.n_files, params.file_len)
-    return Fraction(place_cache(params, lib, k, selector).symbol_count, params.file_len)
+    cache = place_caches(params, lib, [selector] * params.n_users)[k]
+    return Fraction(cache.symbol_count, params.file_len)
 
 
 def test_cache_size_examples():
@@ -144,12 +143,20 @@ def test_cache_size_matches_formula_for_every_slot_choice():
     for r in range(0, 9):
         p = SchemeParams(5, 2, 2, r=r)
         kv = p.n_virtual
-        from privcache.exact import binomial
-
-        formula = Fraction((binomial(kv, r) - binomial(kv - 2, r)) * 5, binomial(kv, r))
+        formula = Fraction((math.comb(kv, r) - math.comb(kv - 2, r)) * 5, math.comb(kv, r))
         for sel in slot_support(p):
             for k in range(p.n_users):
                 assert cache_memory(p, k, sel) == formula
+
+
+def test_placement_refuses_a_slot_outside_the_users_own():
+    # slot 3 of user 0 would be virtual user 3, user 1's second slot
+    p = SchemeParams(3, 2, 1, r=1)
+    lib = ramp_library(p.field, p.n_files, p.file_len)
+    with pytest.raises(ValueError, match=r"slot tuple \(3,\) of user 0 is not 1 distinct slots in \[0, 2\)"):
+        place_caches(p, lib, [(3,), (0,)])
+    with pytest.raises(ValueError, match="need one slot tuple per user"):
+        place_caches(p, lib, [(0,)])
 
 
 def test_block_support_size_and_pinning():
@@ -175,12 +182,20 @@ def test_block_support_size_for_every_cover_row_selector():
                 assert all(block[s] == d for s, d in zip(sel, row))
 
 
-def test_fill_block_without_rng_is_first_block_support_arrangement():
-    for p in (P522, SchemeParams(4, 2, 2, r=1)):
-        for cover in itertools.combinations(range(p.n_files), p.n_active):
-            for row in itertools.permutations(cover, p.demands_per_user):
-                for sel in slot_support(p):
-                    assert fill_block(p, cover, row, sel, rng=None) == block_support(p, cover, row, sel)[0]
+def test_frozen_fill_takes_the_first_block_support_arrangement():
+    """With the fill stage off, every block that ``realizations`` yields or
+    ``sampler`` draws is the first arrangement ``block_support`` lists."""
+    frozen = Variant(random_fill=False)
+    cases = ((P522, (((0, 1), (0, 2)), ((1, 0), (2, 3)), ((3, 4), (3, 4)))),
+             (SchemeParams(4, 2, 2, r=1), (((0, 1), (2, 3)), ((1, 0), (0, 1)))))
+    for p, mats in cases:
+        for demands in mats:
+            draw = sampler(p, demands, frozen)
+            drawn = [draw(SeedStreams(seed))[1:] for seed in range(20)]
+            for sel, cover, expanded in itertools.chain(realizations(p, demands, frozen), drawn):
+                for k, row in enumerate(demands):
+                    block = expanded[k * p.n_active:(k + 1) * p.n_active]
+                    assert block == block_support(p, cover, row, sel[k])[0]
 
 
 def test_block_fully_pinned_when_demands_fill_the_block():
@@ -327,16 +342,14 @@ def test_summary_row_fields():
 
 
 def test_measured_memory_and_rate_match_formula_across_r():
-    from privcache.exact import binomial
-
     for n, k, big_l in ((3, 2, 1), (2, 2, 1), (4, 2, 2)):
         p0 = SchemeParams(n, k, big_l, r=0)
         kv = p0.n_virtual
         for r in range(kv + 1):
             p = SchemeParams(n, k, big_l, r=r)
             tr = run_simulation(p, seed=r)
-            m = Fraction((binomial(kv, r) - binomial(kv - big_l, r)) * n, binomial(kv, r))
-            rate = Fraction(binomial(kv, r + 1) - binomial(kv - p.n_active, r + 1), binomial(kv, r))
+            m = Fraction((math.comb(kv, r) - math.comb(kv - big_l, r)) * n, math.comb(kv, r))
+            rate = Fraction(math.comb(kv, r + 1) - math.comb(kv - p.n_active, r + 1), math.comb(kv, r))
             assert tr.memory == m
             assert tr.rate == rate
             assert tr.correct_all

@@ -3,6 +3,7 @@ counts, the hand-checked decode identity, and exhaustive decoder equivalence."""
 
 import inspect
 import itertools
+import math
 import random
 import textwrap
 
@@ -10,7 +11,6 @@ import pytest
 
 from helpers import cache_slice_for, ramp_library, subset_rank
 from privcache import ucc
-from privcache.exact import binomial
 from privcache.gf import PrimeField, solve_any
 from privcache.ucc import (
     Broadcast,
@@ -82,7 +82,7 @@ def test_place_holds_the_subfiles_labeled_by_its_users(packet):
                 for t, sub in stored.items():
                     assert sub == lib.rows[n][t * packet:(t + 1) * packet]
                 if len(users) == 1:
-                    assert len(stored) == binomial(5, r - 1)
+                    assert len(stored) == (math.comb(5, r - 1) if r else 0)
                 if r == 6:
                     assert tuple(itertools.chain.from_iterable(stored.values())) == lib.rows[n]
 
@@ -93,8 +93,9 @@ def test_placement_storage_count():
         lib = ramp_library(F257, 5, params.file_len)
         for u in (0, 3, 7):
             for stored in ucc.place(params, lib, [u]).values():
-                assert len(stored) == binomial(7, r - 1)
-                assert sum(len(sub) for sub in stored.values()) == binomial(7, r - 1) * params.packet_size
+                count = math.comb(7, r - 1) if r else 0  # one user stores C(7, r - 1) subfiles, none at r = 0
+                assert len(stored) == count
+                assert sum(len(sub) for sub in stored.values()) == count * params.packet_size
 
 
 def test_placement_extremes():
@@ -104,7 +105,7 @@ def test_placement_extremes():
     full = UccParams(n_files=5, n_users=8, block_len=4, r=8)
     lib = ramp_library(F257, 5, full.file_len)
     for n, stored in ucc.place(full, lib, [5]).items():
-        assert sorted(stored) == list(range(binomial(8, 8)))
+        assert sorted(stored) == list(range(math.comb(8, 8)))
         assert tuple(itertools.chain.from_iterable(stored.values())) == lib.rows[n]
 
 
@@ -188,7 +189,7 @@ def test_segment_count_identity_sweep():
             lib = ramp_library(F257, params.n_files, params.file_len)
             demand = next(all_restricted_demands(params))
             bc = encode(params, demand, lib)
-            assert bc.segment_count == binomial(n_users, r + 1) - binomial(n_users - block_len, r + 1)
+            assert bc.segment_count == math.comb(n_users, r + 1) - math.comb(n_users - block_len, r + 1)
 
 
 def test_trace_record_round_trip_fields():
@@ -478,7 +479,7 @@ def test_encode_stores_the_term_table(monkeypatch):
     direct = Broadcast(params, F257, demand, dict(bc.segments))
     assert direct._terms == bc._terms
     assert list(bc._terms) == list(itertools.combinations(range(params.n_users), params.r + 1))
-    assert len(bc._terms) == binomial(params.n_users, params.r + 1)
+    assert len(bc._terms) == math.comb(params.n_users, params.r + 1)
 
     def no_terms(*args):
         raise AssertionError("segment terms rebuilt")
