@@ -28,7 +28,7 @@ from .tradeoff import (
     gap_certificate,
     verify_envelope_dominance,
 )
-from .ucc import Library, RestrictedDemand, UccParams
+from .ucc import Library, UccParams
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "NO_RELABEL",
     "PLAIN_BASELINE",
     "PrimeField",
-    "RestrictedDemand",
     "SchemeParams",
     "SeedStreams",
     "UccParams",

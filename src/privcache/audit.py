@@ -37,8 +37,9 @@ The realizations are equally likely (each stage is uniform, with a support
 size that does not depend on earlier draws), so a class counted c times out
 of ``atoms`` gives each member the mass c / (atoms * size).  Only
 ``masked_demand_law``, which returns the full law, expands a class into its
-members.  Budgets charge the atoms of the laws, relabelings included, and
-no libraries.
+members.  Budgets charge the label-free atoms the audits visit, and no
+relabelings or libraries; ``masked_demand_law`` alone charges the atoms
+times the N! relabelings, since it lists the members.
 
 ``empirical_law_check`` is a chi-square test of the masked demands that
 ``scheme.sampler``, the code ``simulate`` draws from, produces: the only
@@ -47,7 +48,7 @@ check of the sampler's law, since both exact routes enumerate
 the closed-form support (2,880 points at (N, K, L) = (5, 2, 2), 1,728,000 at
 (5, 3, 2)).  A demand matrix's law has at most that many label-free atoms,
 so the exact law decides every instance the test can reach, under a budget
-raised where needed (its charge counts the N! relabelings too).
+raised where needed.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ def _check_budget(total: int, budget: int, description: str):
 
 
 def closed_form_mass(params: SchemeParams) -> Fraction:
-    """Mass of each restricted vector under the masked-demand law:
-    (N - n_active)! / (N! * (n_active!)^(K-1))."""
-    n, a, k = params.n_files, params.n_active, params.n_users
-    return Fraction(math.factorial(n - a), math.factorial(n) * math.factorial(a) ** (k - 1))
+    """Mass of each restricted vector under the masked-demand law, uniform on
+    the support: 1 / support = (N - n_active)! / (N! * (n_active!)^(K-1))."""
+    return Fraction(1, restricted_vector_count(params))
 
 
 def restricted_vectors(params: SchemeParams) -> Iterator[tuple[int, ...]]:
@@ -118,7 +118,8 @@ def _law_atoms(params: SchemeParams, demands: Demands, variant: Variant, pinned:
     """(label-free atoms, relabelings) of one demand matrix's law with
     ``pinned`` users' slot tuples fixed: the equally likely realizations
     ``scheme.realizations`` yields, and the relabelings each is seen under.
-    Budgets charge their product."""
+    Budgets charge the atoms; ``masked_demand_law``, which expands them,
+    charges their product."""
     relabelings, slots, covers, fill = _stage_sizes(params, variant, len(sch.requested_files(demands)))
     return slots ** (params.n_users - pinned) * covers * fill ** params.n_users, relabelings
 
@@ -158,15 +159,16 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant:
 
 
 def _class_law(params: SchemeParams, demands: Demands, observer: int, selector: tuple[int, ...],
-               variant: Variant, budget: int) -> tuple[dict[tuple[int, ...], int], int]:
+               variant: Variant, budget: int, expand: bool = False) -> tuple[dict[tuple[int, ...], int], int]:
     """Atom counts of the masked demand's classes given the demand matrix and
     the observer's slot tuple, and the number of label-free atoms behind
-    them.  The budget applies to the atoms times the relabelings."""
+    them.  The budget applies to the atoms, times the relabelings if the
+    caller will ``expand`` each class into its members."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
     pinned = sch.checked_slots(params, {observer: selector})
     atoms, relabelings = _law_atoms(params, demands, variant)
-    _check_budget(atoms * relabelings, budget, "masked-demand law enumeration")
+    _check_budget(atoms * relabelings if expand else atoms, budget, "masked-demand law enumeration")
     counts = _view_counts(params, demands, observer, variant, pinned)
     return {cls: c for (_, cls), c in counts.items()}, atoms
 
@@ -177,8 +179,8 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
     """Exact law of the masked expanded demand given the demand matrix and the
     observer's slot tuple: each class of ``_class_law`` expanded into its
     members, the one place where a class is expanded.  The budget applies
-    to the full atom count, relabelings included."""
-    counts, atoms = _class_law(params, demands, observer, selector, variant, budget)
+    to the atoms times the relabelings, a bound on the members listed."""
+    counts, atoms = _class_law(params, demands, observer, selector, variant, budget, expand=True)
     files = range(params.n_files)
     law = {}
     for cls, c in counts.items():
@@ -240,9 +242,9 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
 
 
 def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict[str, int]]:
-    """Atoms of the joint law, relabelings included, and the cardinalities
-    behind them; ``library_realizations`` is informational (capped at
-    10^30) and not charged, since no library is enumerated."""
+    """Label-free atoms of the joint law and the cardinalities behind them;
+    ``relabelings`` and ``library_realizations`` (capped at 10^30) are
+    informational and not charged, since neither is enumerated."""
     n, f, q = params.n_files, params.file_len, params.q
     # the cap keeps q^(N F) from being built for large instances
     too_many = f * n * math.log(q) > math.log(10 ** 30)
@@ -256,7 +258,7 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
         "cover_sets_max": covers,
         "block_fills": fill ** params.n_users,
     }
-    return cards["demand_matrices"] * relabelings * cards["slot_assignments"] * covers * cards["block_fills"], cards
+    return cards["demand_matrices"] * cards["slot_assignments"] * covers * cards["block_fills"], cards
 
 
 @dataclass

@@ -169,26 +169,6 @@ def cmd_simulate(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-# The audit options every mode reads, and those each mode reads besides;
-# an option outside both is refused.
-_AUDIT_SHARED = ("--mode", "--N", "--K", "--L", "--r", "--q", "--observer", "--variant", "--out")
-_AUDIT_READS = {
-    "ptilde": ("--selector", "--demands", "--budget"),
-    "mi": ("--F", "--baseline", "--budget", "--timings"),
-    "empirical": ("--selector", "--demands", "--runs", "--seed"),
-}
-
-
-def _refuse_unread(args):
-    """Raise a usage error naming every given option the mode does not read.
-    The options that not every mode reads, flags included, default to None,
-    so a given one is one that is not None."""
-    unread = [opt for opt in dict.fromkeys(opt for opts in _AUDIT_READS.values() for opt in opts)
-              if opt not in _AUDIT_READS[args.mode] and getattr(args, opt[2:]) is not None]
-    if unread:
-        raise ValueError(f"--mode {args.mode} does not read {', '.join(unread)}")
-
-
 def _budget(args) -> int:
     """--budget, for the modes that read it."""
     if args.budget is None:
@@ -288,16 +268,31 @@ def _audit_empirical(args, params: SchemeParams, variant) -> dict:
     }
 
 
+# The audit options every mode reads, and per mode its runner and the
+# options it reads besides; an option outside both is refused.
+_AUDIT_SHARED = ("--mode", "--N", "--K", "--L", "--r", "--q", "--observer", "--variant", "--out")
+_AUDIT_MODES = {
+    "ptilde": (_audit_ptilde, ("--selector", "--demands", "--budget")),
+    "mi": (_audit_mi, ("--F", "--baseline", "--budget", "--timings")),
+    "empirical": (_audit_empirical, ("--selector", "--demands", "--runs", "--seed")),
+}
+
+
+def _refuse_unread(args):
+    """Raise a usage error naming every given option the mode does not read.
+    The options that not every mode reads, flags included, default to None,
+    so a given one is one that is not None."""
+    unread = [opt for opt in dict.fromkeys(opt for _, opts in _AUDIT_MODES.values() for opt in opts)
+              if opt not in _AUDIT_MODES[args.mode][1] and getattr(args, opt[2:]) is not None]
+    if unread:
+        raise ValueError(f"--mode {args.mode} does not read {', '.join(unread)}")
+
+
 def cmd_audit(args) -> int:
     _refuse_unread(args)
     params = _audit_params(args)
-    variant = _VARIANTS[args.variant]
-    if args.mode == "ptilde":
-        report = _audit_ptilde(args, params, variant)
-    elif args.mode == "mi":
-        report = _audit_mi(args, params, variant)
-    else:
-        report = _audit_empirical(args, params, variant)
+    run, _ = _AUDIT_MODES[args.mode]
+    report = run(args, params, _VARIANTS[args.variant])
     report["instance"] = {
         "n_files": params.n_files, "n_users": params.n_users,
         "demands_per_user": params.demands_per_user, "r": params.r,
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     aud = sub.add_parser("audit", help="privacy audits")
-    aud.add_argument("--mode", choices=("ptilde", "mi", "empirical"), required=True)
+    aud.add_argument("--mode", choices=tuple(_AUDIT_MODES), required=True)
     aud.add_argument("--N", type=int, required=True)
     aud.add_argument("--K", type=int, required=True)
     aud.add_argument("--L", type=int, required=True)

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import ucc
 from .gf import PrimeField
-from .ucc import Broadcast, Library, RestrictedDemand, UccParams
+from .ucc import Broadcast, Library, UccParams
 
 Demands = tuple[tuple[int, ...], ...]
 
@@ -73,10 +73,7 @@ class SchemeParams:
             raise ValueError("need at least one file and one user")
         if not 1 <= self.demands_per_user <= self.n_files:
             raise ValueError("demands per user must lie in [1, n_files]")
-        if not 0 <= self.r <= self.n_virtual:
-            raise ValueError(f"r={self.r} outside [0, {self.n_virtual}]")
-        if self.packet_size < 1:
-            raise ValueError("packet_size must be positive")
+        self.ucc  # the engine's params check r and packet_size
         PrimeField(self.q)  # raises on a composite modulus
 
     @property
@@ -370,8 +367,7 @@ def deliver(params: SchemeParams, library: Library, masked: tuple[int, ...]) -> 
     set) and goes over the link in the clear as ``broadcast.demand``,
     excluded from the rate.  Nothing else of the demand matrix or the
     placement enters the message."""
-    demand = RestrictedDemand(entries=masked, block_len=params.n_active)
-    return ucc.encode(params.ucc, demand, library)
+    return ucc.encode(params.ucc, masked, library)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +389,7 @@ def decode_user(slot: int, broadcast: Broadcast, cache: UserCache,
     ranks = broadcast.params.user_ranks[u]
     try:
         cache_slice = {label: {t: cache.subfiles[label][t] for t in ranks}
-                       for label in set(broadcast.demand.entries[:n_active])}
+                       for label in set(broadcast.demand[:n_active])}
     except KeyError as exc:
         raise ucc.DecodeError(f"cache is missing label/subfile {exc}") from None
     return ucc.decode(u, broadcast, cache_slice, method=method)
@@ -452,7 +448,7 @@ class SimulationTrace:
             "slots": [list(s) for s in self.slots],
             "cover_set": list(self.cover_set),
             "expanded_demand": list(self.expanded),
-            "masked_demand": list(self.broadcast.demand.entries),
+            "masked_demand": list(self.broadcast.demand),
             "memory": [self.memory.numerator, self.memory.denominator],
             "rate": [self.rate.numerator, self.rate.denominator],
             "segment_count": self.broadcast.segment_count,

@@ -8,7 +8,7 @@ the corner-point envelope they generate, built from the points
 
 Points, envelopes and lines are exact rationals, and the ``gap`` op is
 decided in integers; Fractions are built only where a result holds one.
-The achievable points walk their binomials along r by exact recurrences.
+The achievable points are one closed form in falling factorials per r.
 Every line the op compares has one integer form, R = (a + b * M) / e with
 e > 0 and gcd(a, b, e) = 1: an envelope segment's form is
 ``Envelope.segment_forms``, and a converse line's comes from
@@ -26,9 +26,9 @@ certificate.  The certificate evaluates both envelopes at each audited
 memory point as integer pairs (``Envelope.value_terms``) and compares the
 ratios by cross-multiplying; it confirms that the achievable envelope is
 within a factor of 6 of the corner-point lower envelope at every audited
-memory point.  A returned ``GapCertificate`` holds the triple, the largest
-ratio and the memory and provenance of its witness; a ratio above the
-factor raises ``OptimalityGapError`` instead.
+memory point.  A returned ``GapCertificate`` holds the largest ratio and the
+memory and provenance of its witness; a ratio above the factor raises
+``OptimalityGapError`` instead.
 """
 
 from __future__ import annotations
@@ -73,20 +73,17 @@ def _achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iter
     M = N (C(KV, r) - C(KV - L, r)) / C(KV, r) and
     R = (C(KV, r + 1) - C(KV - n_active, r + 1)) / C(KV, r).
 
-    Each binomial is walked along r by C(n, r + 1) = C(n, r) (n - r) / (r + 1),
-    an exact division that reaches 0 at r = n and stays 0, so no binomial is
-    computed from scratch."""
+    With (x)_m the falling factorial, C(KV - m, r) / C(KV, r) = (KV - r)_m / (KV)_m,
+    so M = N ((KV)_L - (KV - r)_L) / (KV)_L and
+    R = (KV - r) ((KV)_a - (KV - r - 1)_a) / ((r + 1) (KV)_a), a = n_active;
+    at r = KV the factor KV - r is 0 and KV - r - 1 is clamped to 0."""
     _validate_dims(n_files, n_users, demands_per_user)
     n_act = active_files(n_files, n_users, demands_per_user)
     kv = n_users * n_act
-    big_l = demands_per_user
-    c_kv, c_kv_l, c_kv_n = 1, 1, kv - n_act  # C(KV, r), C(KV - L, r), C(KV - n_active, r + 1) at r = 0
+    top_l, top_a = math.perm(kv, demands_per_user), math.perm(kv, n_act)
     for r in range(kv + 1):
-        c_kv_next = c_kv * (kv - r) // (r + 1)
-        yield Fraction((c_kv - c_kv_l) * n_files, c_kv), Fraction(c_kv_next - c_kv_n, c_kv)
-        c_kv_l = c_kv_l * (kv - big_l - r) // (r + 1)
-        c_kv_n = c_kv_n * (kv - n_act - r - 1) // (r + 2)
-        c_kv = c_kv_next
+        yield (Fraction(n_files * (top_l - math.perm(kv - r, demands_per_user)), top_l),
+               Fraction((kv - r) * (top_a - math.perm(max(kv - r - 1, 0), n_act)), (r + 1) * top_a))
 
 
 def achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
@@ -313,9 +310,6 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
 
 @dataclass
 class GapCertificate:
-    n_files: int
-    n_users: int
-    demands_per_user: int
     max_ratio: Fraction
     witness_m: Fraction
     witness_provenance: str
@@ -357,14 +351,7 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
             f"gap {best} exceeds {GAP_FACTOR} at M={witness[0]} ({witness[1]}) "
             f"for (N,K,L)=({n_files},{n_users},{demands_per_user})"
         )
-    return GapCertificate(
-        n_files=n_files,
-        n_users=n_users,
-        demands_per_user=demands_per_user,
-        max_ratio=best,
-        witness_m=witness[0],
-        witness_provenance=witness[1],
-    )
+    return GapCertificate(max_ratio=best, witness_m=witness[0], witness_provenance=witness[1])
 
 
 def sweep_triples(n_range: tuple[int, int], k_range: tuple[int, int],

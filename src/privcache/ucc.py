@@ -46,8 +46,9 @@ requested file as its cached and solved subfiles concatenated in rank order:
   cached.  It never eliminates and is cross-checked against the reference
   decoder in the test suite.
 
-A ``Broadcast`` is the whole message: its field, the demand carried in the
-clear and one tuple of reduced symbols per coded segment.  The coefficient
+A ``Broadcast`` is the whole message: its field, the demand (a plain tuple,
+carried in the clear and checked against the params whenever a broadcast is
+built) and one tuple of reduced symbols per coded segment.  The coefficient
 convention is not stored; ``Broadcast.signed``, the one place it is decided,
 derives it from the params and the field.
 
@@ -209,22 +210,6 @@ def is_restricted(entries: Iterable[int], block_len: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RestrictedDemand:
-    """A validated restricted demand vector."""
-
-    entries: tuple[int, ...]
-    block_len: int
-
-    def __post_init__(self):
-        if not is_restricted(self.entries, self.block_len):
-            raise ValueError(f"{self.entries} is not a restricted demand for block length {self.block_len}")
-
-    @property
-    def file_set(self) -> frozenset[int]:
-        return frozenset(self.entries[:self.block_len])
-
-
 # ---------------------------------------------------------------------------
 # Delivery
 # ---------------------------------------------------------------------------
@@ -234,12 +219,22 @@ class RestrictedDemand:
 class Broadcast:
     """One delivery: coded segments keyed by their (r+1)-subset, each a tuple
     of packet_size symbols reduced into [0, q), plus the demand vector
-    carried in the clear (its size is not counted in the rate)."""
+    carried in the clear (its size is not counted in the rate), checked
+    against the params however the broadcast is built."""
 
     params: UccParams
     field: PrimeField
-    demand: RestrictedDemand
+    demand: tuple[int, ...]
     segments: dict[tuple[int, ...], tuple[int, ...]]
+
+    def __post_init__(self):
+        params, demand = self.params, self.demand
+        if len(demand) != params.n_users:
+            raise ValueError(f"demand length {len(demand)} != n_users {params.n_users}")
+        if any(not 0 <= d < params.n_files for d in demand):
+            raise ValueError("demand entry outside file range")
+        if not is_restricted(demand, params.block_len):
+            raise ValueError(f"{demand} is not a restricted demand for block length {params.block_len}")
 
     @property
     def signed(self) -> bool:
@@ -268,7 +263,7 @@ class Broadcast:
     def _terms(self) -> dict[tuple[int, ...], list[tuple[int, int, int]]]:
         """The segment table of the module docstring: (r+1)-subset -> terms,
         built from the params, demand and convention, never the library."""
-        params, demand, signed = self.params, self.demand.entries, self.signed
+        params, demand, signed = self.params, self.demand, self.signed
         return {sub: _segment_terms(params, demand, sub, signed)
                 for sub in itertools.combinations(range(params.n_users), params.r + 1)}
 
@@ -277,7 +272,7 @@ class Broadcast:
         """Requested file -> first unknown column of its subfiles: the linear
         decoder's unknown for subfile t of file n is column offset[n] + t."""
         count = self.params.subfile_count
-        return {n: i * count for i, n in enumerate(sorted(self.demand.file_set))}
+        return {n: i * count for i, n in enumerate(sorted(set(self.demand[:self.params.block_len])))}
 
     @cached_property
     def _all_segments(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -315,7 +310,7 @@ class Broadcast:
                 "packet_size": par.packet_size,
                 "file_len": par.file_len,
             },
-            "demand": list(self.demand.entries),
+            "demand": list(self.demand),
             "leaders": list(par.leaders),
             "signed": self.signed,
             "segments": [
@@ -330,15 +325,6 @@ class Broadcast:
         }
 
 
-def _validate_demand(params: UccParams, demand: RestrictedDemand):
-    if demand.block_len != params.block_len:
-        raise ValueError("demand block length does not match params")
-    if len(demand.entries) != params.n_users:
-        raise ValueError(f"demand length {len(demand.entries)} != n_users {params.n_users}")
-    if any(not 0 <= d < params.n_files for d in demand.entries):
-        raise ValueError("demand entry outside file range")
-
-
 def _segment_terms(params: UccParams, demand: tuple[int, ...], sub: tuple[int, ...],
                    signed: bool) -> list[tuple[int, int, int]]:
     """The (file, label rank, +-1) terms of the segment of user subset ``sub``:
@@ -350,18 +336,17 @@ def _segment_terms(params: UccParams, demand: tuple[int, ...], sub: tuple[int, .
             for i, v in enumerate(sub)]
 
 
-def encode(params: UccParams, demand: RestrictedDemand, library: Library) -> Broadcast:
+def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broadcast:
     """Broadcast for a restricted demand: one segment per (r+1)-subset that
     intersects the leader set, each the field sum over its users u of the
     subfile of demand[u] labeled by the remaining users, with the
     coefficients ``Broadcast.signed`` picks."""
-    _validate_demand(params, demand)
+    segments: dict[tuple[int, ...], tuple[int, ...]] = {}
+    broadcast = Broadcast(params=params, field=library.field, demand=demand, segments=segments)
     if library.n_files != params.n_files or library.file_len != params.file_len:
         raise ValueError("library dimensions do not match params")
     q = library.field.q
     packet = params.packet_size
-    segments: dict[tuple[int, ...], tuple[int, ...]] = {}
-    broadcast = Broadcast(params=params, field=library.field, demand=demand, segments=segments)
     for sub, terms in broadcast._terms.items():
         if sub[0] >= params.block_len:
             continue  # subsets are sorted, so sub[0] < block_len iff a leader is present
@@ -398,7 +383,7 @@ def _decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tup
     uncached = sorted(set(range(params.subfile_count)).difference(cached))
     try:
         solved = solve(u, broadcast, cache_slice, cached, uncached) if uncached else {}
-        stored = cache_slice[broadcast.demand.entries[u]]
+        stored = cache_slice[broadcast.demand[u]]
         return tuple(itertools.chain.from_iterable(
             solved[t] if t in solved else stored[t] for t in range(params.subfile_count)))
     except KeyError as exc:
@@ -414,7 +399,7 @@ def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
         for t in cached:
             if system.counts[first + t]:  # only what some transmitted segment holds is read
                 known[first + t] = cache_slice[n][t]
-    base = offset[broadcast.demand.entries[u]]
+    base = offset[broadcast.demand[u]]
     wanted = [base + t for t in uncached]
     try:
         solved = determined_unknowns(system, known, wanted)
@@ -452,7 +437,7 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
     sigma_V is read off ``_odd_permutation``.  A segment of the broadcast
     missing from the sum raises DecodeError."""
     params = broadcast.params
-    demand = broadcast.demand.entries
+    demand = broadcast.demand
     leader_of = {demand[i]: i for i in range(params.block_len)}  # block 0 names each file once
     q = broadcast.field.q
     packet = params.packet_size

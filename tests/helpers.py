@@ -187,4 +187,4 @@ def per_candidate_gap(n_files: int, n_users: int, demands_per_user: int) -> GapC
         raise OptimalityGapError(
             f"gap {best} exceeds {tradeoff.GAP_FACTOR} at M={witness[0]} ({witness[1]}) "
             f"for (N,K,L)=({n_files},{n_users},{demands_per_user})")
-    return GapCertificate(n_files, n_users, demands_per_user, best, *witness)
+    return GapCertificate(best, *witness)

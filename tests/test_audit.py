@@ -398,12 +398,12 @@ def test_exact_mi_plain_baseline_is_log_q_3(q):
 
 
 def test_exact_mi_budget_skips_the_libraries():
-    # 257^12 libraries are not charged: 9 matrices x 6 relabelings x 4 slot pairs x 2 covers
+    # 257^12 libraries and 6 relabelings are not charged: 9 matrices x 4 slot pairs x 2 covers
     p = SchemeParams(3, 2, 1, r=1, q=257, packet_size=1)
-    assert audit._joint_atom_count(p, FULL)[0] == 432
-    assert exact_mutual_information(p, 0, budget=432).value == 0
-    with pytest.raises(BudgetExceededError, match="432 enumeration atoms exceed the budget of 431"):
-        exact_mutual_information(p, 0, budget=431)
+    assert audit._joint_atom_count(p, FULL)[0] == 72
+    assert exact_mutual_information(p, 0, budget=72).value == 0
+    with pytest.raises(BudgetExceededError, match="72 enumeration atoms exceed the budget of 71"):
+        exact_mutual_information(p, 0, budget=71)
 
 
 def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL, budget=10 ** 7):

@@ -157,7 +157,7 @@ def test_audit_mi_with_baseline(tmp_path):
 
 
 def test_audit_mi_beyond_library_reach(tmp_path):
-    # q = 257, F = 4: 257^12 libraries, never enumerated; 432 atoms are charged
+    # q = 257, F = 4: 257^12 libraries, never enumerated; 72 atoms are charged
     out = tmp_path / "mi.json"
     code = run_cli("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--F", "4", "--r", "1",
                    "--baseline", "--out", str(out))
@@ -172,17 +172,18 @@ def test_audit_mi_budget_exceeded(capsys):
     code = run_cli("audit", "--mode", "mi", "--N", "6", "--K", "4", "--L", "1",
                    "--q", "257", "--F", "16", "--r", "1")
     assert code == 3
-    # 6^4 matrices x 6! relabelings x 4^4 slot tuples x C(5,3) covers x (3!)^4 fills; no library factor
+    # 6^4 matrices x 4^4 slot tuples x C(5,3) covers x (3!)^4 fills; no relabeling or library factor
     assert capsys.readouterr().err == ("budget error: joint-law enumeration: "
-                                       "3095868211200 enumeration atoms exceed the budget of 10000000\n")
+                                       "4299816960 enumeration atoms exceed the budget of 10000000\n")
 
 
-def test_audit_ptilde_budget_counts_every_relabeling(capsys):
-    # the law no longer walks the relabelings, but its budget still counts them
+def test_audit_ptilde_budget_counts_label_free_atoms(capsys):
+    # the first law of the default family: 12 slot tuples x 3 covers x (2!)^2 fills,
+    # the atoms the law visits; the 120 relabelings are not walked and not charged
     code = run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--budget", "100")
     assert code == 3
     assert capsys.readouterr().err == ("budget error: masked-demand law enumeration: "
-                                       "17280 enumeration atoms exceed the budget of 100\n")
+                                       "144 enumeration atoms exceed the budget of 100\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,8 +322,8 @@ def test_audit_option_table_covers_the_parser():
     was given."""
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     actions = {a.option_strings[-1]: a for a in subparsers.choices["audit"]._actions if a.dest != "help"}
-    assert set(cli._AUDIT_READS) == set(actions["--mode"].choices)
-    listed = set().union(*cli._AUDIT_READS.values())
+    assert tuple(cli._AUDIT_MODES) == tuple(actions["--mode"].choices)
+    listed = set().union(*(opts for _, opts in cli._AUDIT_MODES.values()))
     assert not listed & set(cli._AUDIT_SHARED)
     assert set(actions) == listed | set(cli._AUDIT_SHARED)
     for opt in listed:
@@ -553,6 +554,9 @@ REPLAY = [
     # 1,728,000 support vectors per law, decided on the label-pattern classes
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "3", "--L", "2", "--budget", "100000000"),
                  0, "dea060cab2ca24c85410d3a32d0e0522517eef439997b734f0cd8dcbe410757b", id="audit-ptilde-532"),
+    # the same bytes at the default budget: 86,400 label-free atoms per law are charged, not x 5!
+    pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "3", "--L", "2"),
+                 0, "dea060cab2ca24c85410d3a32d0e0522517eef439997b734f0cd8dcbe410757b", id="audit-ptilde-532-default-budget"),
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--baseline"),
                  0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
@@ -572,6 +576,9 @@ REPLAY = [
     # 24 relabelings, three users: zero MI from the (tag, class, own row) counts
     pytest.param(("audit", "--mode", "mi", "--N", "4", "--K", "3", "--L", "1", "--F", "36", "--r", "2"),
                  0, "e0ef3c577e98a6620c5bab72514fddf2b5d28f8db71ebfcb37c58d0768777cc7", id="audit-mi-431-r2"),
+    # 162,000 label-free joint atoms at the default budget; the 5! relabelings are not charged
+    pytest.param(("audit", "--mode", "mi", "--N", "5", "--K", "3", "--L", "1", "--F", "36", "--r", "2"),
+                 0, "943f93deac44ce5930b6f5114030f0151255f9caa89778bc7ed94c1abe8686fe", id="audit-mi-531-r2"),
     # K = 1, L = N: a slot tuple and a masked demand have the same length
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "1", "--L", "3", "--q", "2", "--F", "1", "--r", "0",
                   "--baseline"),

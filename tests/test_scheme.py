@@ -32,7 +32,7 @@ from privcache.scheme import (
     slot_support,
     validate_demands,
 )
-from privcache.ucc import RestrictedDemand, is_restricted
+from privcache.ucc import is_restricted
 
 
 P522 = SchemeParams(5, 2, 2, r=1)
@@ -50,12 +50,18 @@ def test_params_derived_quantities():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r=16 outside \[0, 8\]$"):
         SchemeParams(5, 2, 2, r=16)  # K * n_active = 8 caps r
+    with pytest.raises(ValueError, match=r"^r=-1 outside \[0, 8\]$"):
+        SchemeParams(5, 2, 2, r=-1)
+    with pytest.raises(ValueError, match="^packet_size must be positive$"):
+        SchemeParams(5, 2, 2, r=1, packet_size=0)
+    with pytest.raises(ValueError, match="^modulus 6 is not prime$"):
+        SchemeParams(5, 2, 2, r=1, q=6)
+    with pytest.raises(ValueError, match=r"^r=16 outside \[0, 8\]$"):
+        SchemeParams(5, 2, 2, r=16, q=6)  # the range check comes before the prime check
     with pytest.raises(ValueError):
         SchemeParams(5, 2, 6, r=1)  # L > N
-    with pytest.raises(ValueError):
-        SchemeParams(5, 2, 2, r=1, q=6)
 
 
 def test_validate_demands():
@@ -233,7 +239,7 @@ def test_delivery_sweep_masked_demand_restricted_and_rate():
         demands = scheme.sample_demands(P522, streams.rng("demands"))
         relabeling, _, _, expanded = sampler(P522, demands)(streams)
         broadcast = deliver(P522, relabeled_library(lib, relabeling), relabeled_demand(expanded, relabeling))
-        assert is_restricted(broadcast.demand.entries, 4)
+        assert is_restricted(broadcast.demand, 4)
         assert broadcast.segment_count == 22
         for seg in broadcast.segments.values():
             assert type(seg) is tuple and len(seg) == P522.packet_size
@@ -249,7 +255,7 @@ def test_relabeled_encode_identity():
     demands = ((0, 1), (0, 2))
     relabeling, _, _, expanded = sampler(P522, demands)(streams)
     broadcast = deliver(P522, relabeled_library(lib, relabeling), relabeled_demand(expanded, relabeling))
-    direct = ucc.encode(P522.ucc, RestrictedDemand(expanded, 4), lib)
+    direct = ucc.encode(P522.ucc, expanded, lib)
     assert broadcast.segments == direct.segments
 
 
@@ -286,7 +292,7 @@ def test_decode_uses_only_broadcast_and_cache():
     rebuilt = ucc.Broadcast(
         params=P522.ucc,
         field=P522.field,
-        demand=RestrictedDemand(tuple(rec["demand"]), 4),
+        demand=tuple(rec["demand"]),
         segments={tuple(s["users"]): tuple(s["symbols"]) for s in rec["segments"]},
     )
     assert rebuilt.signed == rec["signed"]
@@ -359,7 +365,7 @@ def test_plain_baseline_variant_reveals_expanded_demand():
     tr = run_simulation(P522, 9, variant=PLAIN_BASELINE)
     assert tr.relabeling == (0, 1, 2, 3, 4)
     assert tr.slots == ((0, 1), (0, 1))
-    assert tr.broadcast.demand.entries == tr.expanded
+    assert tr.broadcast.demand == tr.expanded
     assert tr.correct_all  # derandomized, but still a correct caching scheme
 
 
@@ -556,9 +562,9 @@ def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsy
 
 
 def test_realization_count_equals_law_budget_prediction():
-    """Predicted equals visited: the atom count the law's budget check uses is
-    exactly how many label-free realizations are enumerated, times the
-    number of relabelings."""
+    """Predicted equals visited: the atom count the law's budget check
+    charges is exactly how many label-free realizations are enumerated;
+    ``masked_demand_law`` charges it times the number of relabelings."""
     cases = [(P321, m) for m in scheme.all_demand_matrices(P321)]
     cases += [(P522, m) for m in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))]
     for p, demands in cases:

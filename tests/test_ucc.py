@@ -16,7 +16,6 @@ from privcache.ucc import (
     Broadcast,
     DecodeError,
     Library,
-    RestrictedDemand,
     UccParams,
     decode,
     decode_linear,
@@ -33,7 +32,7 @@ def all_restricted_demands(params):
     """Every restricted demand vector for the given params."""
     for base in itertools.combinations(range(params.n_files), params.block_len):
         for blocks in itertools.product(itertools.permutations(base), repeat=params.n_groups):
-            yield RestrictedDemand(tuple(v for b in blocks for v in b), params.block_len)
+            yield tuple(v for b in blocks for v in b)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +59,7 @@ def test_labels_are_the_r_subsets_in_lexicographic_order():
     assert [subset_rank(range(8), lab) for lab in params._labels] == list(range(28))
     full = UccParams(n_files=3, n_users=4, block_len=2, r=4)
     assert full._labels == ((0, 1, 2, 3),)
-    assert Broadcast(full, F257, RestrictedDemand((0, 1, 1, 0), 2), {})._terms == {}
+    assert Broadcast(full, F257, (0, 1, 1, 0), {})._terms == {}
 
 
 @pytest.mark.parametrize("packet", [1, 3])
@@ -136,11 +135,14 @@ def test_is_restricted_wrong_length():
         is_restricted((), 1)
 
 
-def test_restricted_demand_type_rejects_invalid():
-    with pytest.raises(ValueError):
-        RestrictedDemand((0, 1, 0, 2), 2)
-    d = RestrictedDemand((0, 1, 1, 0), 2)
-    assert d.file_set == frozenset({0, 1})
+def test_encode_names_the_unrestricted_demand_it_rejects():
+    params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
+    lib = ramp_library(F257, 3, params.file_len)
+    with pytest.raises(ValueError, match=r"^\(0, 1, 0, 2\) is not a restricted demand for block length 2$"):
+        encode(params, (0, 1, 0, 2), lib)
+    bc = encode(params, (0, 1, 1, 0), lib)
+    assert bc.demand == (0, 1, 1, 0)
+    assert set(bc._file_offset) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_restricted_demand_type_rejects_invalid():
 def test_encode_small_instance_segment_count():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
     lib = ramp_library(F257, 5, params.file_len)
-    demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
+    demand = (0, 2, 1, 3, 1, 0, 3, 2)
     bc = encode(params, demand, lib)
     assert bc.segment_count == 22
     assert all(len(seg) == params.packet_size for seg in bc.segments.values())
@@ -160,26 +162,39 @@ def test_encode_small_instance_segment_count():
 def test_encode_r0_sends_whole_requested_files():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=0)
     lib = ramp_library(F257, 5, params.file_len)
-    demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
+    demand = (0, 2, 1, 3, 1, 0, 3, 2)
     bc = encode(params, demand, lib)
     assert bc.segment_count == 4  # leader singletons only
     for sub, seg in bc.segments.items():
         assert len(sub) == 1 and sub[0] in params.leaders
-        assert seg == lib.rows[demand.entries[sub[0]]]
+        assert seg == lib.rows[demand[sub[0]]]
 
 
 def test_encode_r_equals_n_users_sends_nothing():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=8)
     lib = ramp_library(F257, 5, params.file_len)
-    demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
+    demand = (0, 2, 1, 3, 1, 0, 3, 2)
     assert encode(params, demand, lib).segment_count == 0
 
 
 def test_encode_rejects_non_restricted_demand():
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
     lib = ramp_library(F257, 5, params.file_len)
-    with pytest.raises(ValueError):
-        encode(params, RestrictedDemand((0, 1, 0, 1), 2), lib)  # block_len mismatch
+    with pytest.raises(ValueError, match="not a restricted demand for block length 4"):
+        encode(params, (0, 1, 0, 1, 0, 1, 0, 1), lib)  # restricted for block length 2 only
+
+
+@pytest.mark.parametrize("demand,message", [
+    ((0, 1, 0, 1, 0, 1, 0, 1), r"^\(0, 1, 0, 1, 0, 1, 0, 1\) is not a restricted demand for block length 4$"),
+    ((0, 2, 1, 3), "^demand length 4 != n_users 8$"),
+    ((0, 2, 1, 5, 1, 0, 5, 2), "^demand entry outside file range$"),
+], ids=["unrestricted", "short", "out-of-range"])
+def test_broadcast_built_directly_checks_its_demand(demand, message):
+    """A receiver rebuilding a broadcast off the wire gets the checks
+    ``encode`` gets: the demand is checked against the broadcast's params."""
+    params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
+    with pytest.raises(ValueError, match=message):
+        Broadcast(params, F257, demand, {})
 
 
 def test_segment_count_identity_sweep():
@@ -195,7 +210,7 @@ def test_segment_count_identity_sweep():
 def test_trace_record_round_trip_fields():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
     lib = ramp_library(F257, 3, params.file_len)
-    demand = RestrictedDemand((0, 1, 1, 0), 2)
+    demand = (0, 1, 1, 0)
     rec = encode(params, demand, lib).trace_record()
     assert rec["demand"] == [0, 1, 1, 0]
     assert rec["leaders"] == [0, 1]
@@ -227,28 +242,28 @@ def test_walkthrough_decode_identity():
     W[d2][{i}] = Y[{2,i}] - W[d_i][{2}]."""
     params = UccParams(n_files=5, n_users=8, block_len=4, r=1)
     lib = ramp_library(F257, 5, params.file_len)
-    demand = RestrictedDemand((0, 2, 1, 3, 1, 0, 3, 2), 4)
+    demand = (0, 2, 1, 3, 1, 0, 3, 2)
     bc = encode(params, demand, lib)
-    d2 = demand.entries[2]
+    d2 = demand[2]
     assert d2 == 1
     for i in range(8):
         if i == 2:
             continue
         pair = tuple(sorted((2, i)))
         y = bc.segments[pair][0]
-        recovered = (y - lib.rows[demand.entries[i]][2]) % 257
+        recovered = (y - lib.rows[demand[i]][2]) % 257
         assert recovered == lib.rows[d2][i]
 
 
 def test_decode_full_cache_needs_no_broadcast():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=4)
     lib = ramp_library(F257, 3, params.file_len)
-    demand = RestrictedDemand((0, 1, 1, 0), 2)
+    demand = (0, 1, 1, 0)
     bc = encode(params, demand, lib)
     for u in range(4):
-        cs = cache_slice_for(params, u, lib, demand.file_set)
-        assert decode_linear(u, bc, cs) == lib.rows[demand.entries[u]]
-        assert decode_structural(u, bc, cs) == lib.rows[demand.entries[u]]
+        cs = cache_slice_for(params, u, lib, demand)
+        assert decode_linear(u, bc, cs) == lib.rows[demand[u]]
+        assert decode_structural(u, bc, cs) == lib.rows[demand[u]]
 
 
 @pytest.mark.parametrize("n_files,r", [(3, 0), (3, 1), (3, 2), (2, 1), (2, 3)])
@@ -258,8 +273,8 @@ def test_decode_exhaustive_two_groups(n_files, r):
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(params.n_users):
-            cs = cache_slice_for(params, u, lib, demand.file_set)
-            want = lib.rows[demand.entries[u]]
+            cs = cache_slice_for(params, u, lib, demand)
+            want = lib.rows[demand[u]]
             assert decode_linear(u, bc, cs) == want
             assert decode_structural(u, bc, cs) == want
 
@@ -273,8 +288,8 @@ def test_decode_exhaustive_three_groups(n_files, r):
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(params.n_users):
-            cs = cache_slice_for(params, u, lib, demand.file_set)
-            want = lib.rows[demand.entries[u]]
+            cs = cache_slice_for(params, u, lib, demand)
+            want = lib.rows[demand[u]]
             assert decode_linear(u, bc, cs) == want
             assert decode_structural(u, bc, cs) == want
 
@@ -287,8 +302,8 @@ def test_decode_exhaustive_kv4_r2_random_library():
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(4):
-            cs = cache_slice_for(params, u, lib, demand.file_set)
-            assert decode(u, bc, cs) == lib.rows[demand.entries[u]]
+            cs = cache_slice_for(params, u, lib, demand)
+            assert decode(u, bc, cs) == lib.rows[demand[u]]
 
 
 # (n_files, n_users, block_len, r, q, packet_size): GF(2), GF(3), GF(5),
@@ -328,7 +343,7 @@ def _direct_segment(bc, lib, sub):
     for i, u in enumerate(sub):
         c = -1 if bc.signed and i % 2 else 1
         base = rank_of[tuple(v for v in sub if v != u)] * params.packet_size
-        row = lib.rows[bc.demand.entries[u]]
+        row = lib.rows[bc.demand[u]]
         for p in range(params.packet_size):
             vals[p] = (vals[p] + c * row[base + p]) % q
     return tuple(vals)
@@ -344,11 +359,11 @@ def _eliminated_segments(bc):
     rank_of = {lab: t for t, lab in enumerate(itertools.combinations(range(params.n_users), params.r))}
     transmitted = sorted(bc.segments)
     omitted = list(itertools.combinations(range(params.block_len, params.n_users), params.r + 1))
-    basis = {key: i for i, key in enumerate(itertools.product(sorted(bc.demand.file_set), range(params.subfile_count)))}
+    basis = {key: i for i, key in enumerate(itertools.product(sorted(set(bc.demand)), range(params.subfile_count)))}
     rows = [{} for _ in basis]
     for j, sub in enumerate(transmitted + omitted):
         for c, u in zip(coeffs, sub):
-            rows[basis[(bc.demand.entries[u], rank_of[tuple(v for v in sub if v != u)])]][j] = c % q
+            rows[basis[(bc.demand[u], rank_of[tuple(v for v in sub if v != u)])]][j] = c % q
     out = {}
     for sub, combo in zip(omitted, solve_any(bc.field, rows, len(transmitted), len(omitted))):
         if combo is None:
@@ -408,14 +423,14 @@ def test_reconstruction_sign_rule_mutants_fail(anchor, monkeypatch):
 def test_decode_missing_cache_symbols_raises():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
     lib = ramp_library(F257, 3, params.file_len)
-    demand = RestrictedDemand((0, 1, 1, 0), 2)
+    demand = (0, 1, 1, 0)
     bc = encode(params, demand, lib)
     with pytest.raises(DecodeError):
         decode_linear(0, bc, {0: {}, 1: {}})
     with pytest.raises(DecodeError):
         decode_structural(0, bc, {0: {}, 1: {}})
     # a subfile one symbol short or one too long is missing symbols too
-    cs = cache_slice_for(params, 0, lib, demand.file_set)
+    cs = cache_slice_for(params, 0, lib, demand)
     for n, stored in cs.items():
         for t in stored:
             for bad in ((), stored[t] + (1,)):
@@ -439,9 +454,9 @@ def test_missing_segment_is_named(n_users, r):
         bc = Broadcast(params, F257, demand, {s: v for s, v in full.segments.items() if s != gone})
         failed = set()
         for u in range(n_users):
-            cs = cache_slice_for(params, u, lib, demand.file_set)
+            cs = cache_slice_for(params, u, lib, demand)
             try:
-                assert decode_structural(u, bc, cs) == lib.rows[demand.entries[u]]
+                assert decode_structural(u, bc, cs) == lib.rows[demand[u]]
             except DecodeError as exc:
                 assert str(exc) == f"the segment of users {list(gone)} is missing from the broadcast"
                 failed.add(u)
@@ -460,8 +475,8 @@ def test_decoders_agree_on_small_fields(n_files, n_users, r, q, packet):
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(n_users):
-            cs = cache_slice_for(params, u, lib, demand.file_set)
-            want = lib.rows[demand.entries[u]]
+            cs = cache_slice_for(params, u, lib, demand)
+            want = lib.rows[demand[u]]
             assert decode_linear(u, bc, cs) == want
             assert decode_structural(u, bc, cs) == want
 
@@ -474,7 +489,7 @@ def test_encode_stores_the_term_table(monkeypatch):
     rebuilds a segment's terms afterwards."""
     params = UccParams(n_files=3, n_users=6, block_len=2, r=2)
     lib = ramp_library(F257, 3, params.file_len)
-    demand = RestrictedDemand((0, 1, 1, 0, 0, 1), 2)
+    demand = (0, 1, 1, 0, 0, 1)
     bc = encode(params, demand, lib)
     direct = Broadcast(params, F257, demand, dict(bc.segments))
     assert direct._terms == bc._terms
@@ -486,16 +501,16 @@ def test_encode_stores_the_term_table(monkeypatch):
 
     monkeypatch.setattr(ucc, "_segment_terms", no_terms)
     for u in range(params.n_users):
-        cs = cache_slice_for(params, u, lib, demand.file_set)
-        assert decode_linear(u, bc, cs) == lib.rows[demand.entries[u]]
-        assert decode_structural(u, bc, cs) == lib.rows[demand.entries[u]]
+        cs = cache_slice_for(params, u, lib, demand)
+        assert decode_linear(u, bc, cs) == lib.rows[demand[u]]
+        assert decode_structural(u, bc, cs) == lib.rows[demand[u]]
 
 
 def test_decode_unknown_method():
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
     lib = ramp_library(F257, 3, params.file_len)
-    demand = RestrictedDemand((0, 1, 1, 0), 2)
+    demand = (0, 1, 1, 0)
     bc = encode(params, demand, lib)
-    cs = cache_slice_for(params, 0, lib, demand.file_set)
+    cs = cache_slice_for(params, 0, lib, demand)
     with pytest.raises(ValueError):
         decode(0, bc, cs, method="magic")
