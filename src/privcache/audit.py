@@ -37,7 +37,17 @@ The realizations are equally likely (each stage is uniform, with a support
 size that does not depend on earlier draws), so a class counted c times out
 of ``atoms`` gives each member the mass c / (atoms * size).  Only
 ``masked_demand_law``, which returns the full law, expands a class into its
-members.  Budgets charge the label-free atoms the audits visit, and no
+members.
+
+The walk is quotiented once more when relabeling and random fills are both
+on.  A permutation of the files nobody requested maps the realizations of
+one feasible cover set one to one onto those of any other and keeps every
+label pattern, so ``_view_counts`` walks the first cover set alone and
+weighs each count by the number of cover sets.  With relabeling off a class
+is a vector, which the permutation moves; frozen fills take the free files
+in ascending order, which it does not keep; either way every cover set is
+walked.  Budgets charge a law's label-free atoms over every cover set,
+though the walk visits one cover set's share of them, and charge no
 relabelings or libraries; ``masked_demand_law`` alone charges the atoms
 times the N! relabelings, since it lists the members.
 
@@ -57,7 +67,7 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -148,13 +158,33 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant:
                  slots: Mapping[int, tuple[int, ...]] | None = None) -> Counter:
     """Atom counts of (observer slot tuple, class of the masked demand) over
     every label-free realization of one demand matrix, checked against their
-    predicted number.  Keys keep the enumeration's first-occurrence order."""
+    predicted number.  Keys keep the enumeration's first-occurrence order.
+
+    With relabeling and random fills both on, only the first feasible cover
+    set is walked and each count is multiplied by ``covers``, the number of
+    feasible cover sets.  A permutation of the unrequested files fixes every
+    slot tuple and every pinned (requested) entry, and maps the fills of one
+    cover set onto those of its image one to one; it thus carries the
+    realizations of any cover set onto those of any other without changing
+    a label pattern, and these permutations reach every feasible cover set.
+    So every cover set adds the first one's counts under the same keys, and
+    as each slot-tuple pass meets the first cover set first, the keys keep
+    their order.  Relabeling off makes a class a vector, which the
+    permutation moves; frozen fills take the free files in ascending order,
+    which it does not keep.  Either way every cover set is walked."""
     classify = _label_pattern if variant.relabel_files else tuple
+    atoms = _law_atoms(params, demands, variant, pinned=len(slots or ()))[0]
+    covers = 1
+    if variant.relabel_files and variant.random_fill:
+        covers = _stage_sizes(params, variant, len(sch.requested_files(demands)))[2]
+        variant = replace(variant, random_cover=False)
     counts = Counter((sel[observer], classify(expanded))
                      for sel, _, expanded in sch.realizations(params, demands, variant, slots))
-    visited, atoms = sum(counts.values()), _law_atoms(params, demands, variant, pinned=len(slots or ()))[0]
+    visited = sum(counts.values()) * covers
     if visited != atoms:
         raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
+    for key in counts:
+        counts[key] *= covers
     return counts
 
 

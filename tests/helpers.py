@@ -2,13 +2,15 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import gt
 from typing import Iterable
 
-from privcache import tradeoff
+from privcache import scheme, tradeoff
 from privcache.exact import Envelope
 from privcache.gf import PrimeField
+from privcache.scheme import Demands, SchemeParams, Variant
 from privcache.tradeoff import DominanceReport, GapCertificate, OptimalityGapError, TradeoffPoint
 from privcache.ucc import Library, UccParams
 
@@ -48,6 +50,22 @@ def subset_rank(ground: Iterable, subset: Iterable) -> int:
             rank += math.comb(n - v - 1, k - i - 1)
         prev = c
     return rank
+
+
+def walked_view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
+                       slots: dict[int, tuple[int, ...]] | None = None) -> Counter:
+    """``audit._view_counts`` without its cover quotient: (observer slot
+    tuple, class of the masked demand) counted over every realization
+    ``scheme.realizations`` yields under ``variant``, every cover set
+    walked.  With relabeling on a class is the label pattern (labels
+    renumbered in order of first occurrence); with it off, the vector."""
+    def classify(vector):
+        if not variant.relabel_files:
+            return tuple(vector)
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(v, len(first)) for v in vector)
+    return Counter((sel[observer], classify(expanded))
+                   for sel, _, expanded in scheme.realizations(params, demands, variant, slots))
 
 
 def scan_cover_sets(n_files: int, n_active: int, requested: Iterable[int]) -> list[tuple[int, ...]]:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import walked_view_counts
 from privcache import audit, scheme
 from privcache.audit import (
     BudgetExceededError,
@@ -174,6 +175,50 @@ def test_law_skips_the_relabeling_loop(monkeypatch):
     assert audit._law_atoms(P522, ((0, 1), (2, 3)), FULL) == (48, 120)
 
 
+WALK_VARIANTS = (FULL, NO_RELABEL, PLAIN_BASELINE, Variant(random_fill=False), Variant(random_cover=False),
+                 Variant(random_slots=False))
+
+
+@pytest.mark.parametrize("pinned", (True, False), ids=("pinned", "unpinned"))
+@pytest.mark.parametrize("variant", WALK_VARIANTS,
+                         ids=("full", "no-relabel", "plain", "frozen-fill", "frozen-cover", "frozen-slots"))
+def test_view_counts_equal_the_walk_of_every_cover(variant, pinned):
+    """The counts of one cover set weighted by the cover count are the
+    counts of every cover set, key for key and in first-occurrence order
+    (which fixes the MI witness and summation order)."""
+    for params, demands, observer, selector in _quotient_cases():
+        slots = {observer: selector} if pinned else None
+        assert list(audit._view_counts(params, demands, observer, variant, slots).items()) == \
+               list(walked_view_counts(params, demands, observer, variant, slots).items())
+
+
+FAMILY_522 = (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize("variant,walked", [
+    (FULL, [48, 48, 48]),                       # 3, 2 and 1 cover sets, one walked
+    (NO_RELABEL, [144, 96, 48]),                # a class is a vector: every cover walked
+    (Variant(random_fill=False), [36, 24, 12]),  # ascending fills: every cover walked
+], ids=("full", "no-relabel", "frozen-fill"))
+def test_law_walks_one_cover_set_per_matrix(monkeypatch, variant, walked):
+    real = scheme.realizations
+    drawn = []
+
+    def counting(*args):
+        for item in real(*args):
+            drawn.append(item)
+            yield item
+    monkeypatch.setattr(scheme, "realizations", counting)
+    visits = []
+    for demands in FAMILY_522:
+        drawn.clear()
+        masked_demand_law(P522, demands, 0, (0, 2), variant)
+        visits.append(len(drawn))
+    assert visits == walked
+    # the law still has, and the budget still charges, every cover's atoms
+    assert [audit._law_atoms(P522, d, FULL)[0] for d in FAMILY_522] == [144, 96, 48]
+
+
 def test_law_raises_when_unrelabeled_atoms_go_missing(monkeypatch):
     real = scheme.realizations
     monkeypatch.setattr(scheme, "realizations", lambda *args: itertools.islice(real(*args), 47))
@@ -282,6 +327,15 @@ def test_exact_mi_baseline_leaks():
     assert not isinstance(rep.value, Fraction)
     assert abs(rep.value - 1.0) < 1e-12
     assert rep.witness is not None
+
+
+def test_exact_mi_leak_through_the_cover_quotient():
+    # relabeling and fills on, slots frozen: the quotient path, leaking
+    rep = exact_mutual_information(SchemeParams(4, 3, 1, r=1, q=2), 0, variant=Variant(random_slots=False),
+                                   budget=10 ** 8)
+    assert not rep.conditional_laws_equal
+    assert rep.value == 2.139097655573916
+    assert rep.witness == (((0,), (0,), (0,)), ((0,), (0,), (1,)), (((0,), (0, 1, 2, 0, 1, 2, 0, 1, 2)), (0,)))
 
 
 def test_exact_mi_derives_per_matrix_state_once(monkeypatch):

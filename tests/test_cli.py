@@ -557,6 +557,9 @@ REPLAY = [
     # the same bytes at the default budget: 86,400 label-free atoms per law are charged, not x 5!
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "3", "--L", "2"),
                  0, "dea060cab2ca24c85410d3a32d0e0522517eef439997b734f0cd8dcbe410757b", id="audit-ptilde-532-default-budget"),
+    # laws of 9,953,280 and 2,985,984 label-free atoms, each walked at one of its 120 or 36 cover sets
+    pytest.param(("audit", "--mode", "ptilde", "--N", "11", "--K", "4", "--L", "1"),
+                 0, "afc927eff5a02ae91cd513b2d68cced9264ae1d61b41a395dfc9e1bd44873139", id="audit-ptilde-1141"),
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--baseline"),
                  0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
@@ -579,6 +582,9 @@ REPLAY = [
     # 162,000 label-free joint atoms at the default budget; the 5! relabelings are not charged
     pytest.param(("audit", "--mode", "mi", "--N", "5", "--K", "3", "--L", "1", "--F", "36", "--r", "2"),
                  0, "943f93deac44ce5930b6f5114030f0151255f9caa89778bc7ed94c1abe8686fe", id="audit-mi-531-r2"),
+    # 7,776,000 label-free joint atoms; a matrix requesting 1, 2 or 3 files walks one of 36, 8 or 1 cover sets
+    pytest.param(("audit", "--mode", "mi", "--N", "10", "--K", "3", "--L", "1", "--F", "1", "--r", "0"),
+                 0, "c49a79f194dc105a8f805ae6dbf4be166b14085705b4f5b2afec47197d410d08", id="audit-mi-1031-r0"),
     # K = 1, L = N: a slot tuple and a masked demand have the same length
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "1", "--L", "3", "--q", "2", "--F", "1", "--r", "0",
                   "--baseline"),

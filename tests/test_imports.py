@@ -5,7 +5,9 @@ those classes, is read somewhere in src/privcache, exported in
 ``privcache.__all__`` or named in perfbench/*.py (whose tracer patches by
 name).  Every name the tracer patches resolves in privcache, and no
 privcache module reads another one's private (underscore-prefixed)
-top-level names."""
+top-level names.  ``scheme.realizations``, the enumerator of the scheme's
+randomness, has one caller, ``audit._view_counts``, so every exact audit
+walks it through the cover quotient and the atom check there."""
 
 import ast
 import importlib
@@ -155,3 +157,25 @@ def test_no_module_reads_another_modules_private_names():
     files = sorted(PACKAGE.glob("*.py"))
     assert {path.stem for path in files} >= {"audit", "scheme", "ucc"}
     assert [hit for path in files for hit in private_reads(path)] == []
+
+
+def realizations_readers() -> list[str]:
+    """``module.function`` of each top-level definition in src/privcache that
+    reads the name ``realizations`` (bare, as an attribute or by import),
+    once per read; a read outside any definition is listed as ``module``."""
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = f"{path.stem}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else path.stem
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "realizations" \
+                        or isinstance(node, ast.Attribute) and node.attr == "realizations" \
+                        or isinstance(node, ast.alias) and node.name == "realizations":
+                    hits.append(owner)
+    return hits
+
+
+def test_realizations_has_one_caller():
+    assert callable(privcache.scheme.realizations)
+    assert realizations_readers() == ["audit._view_counts"]
