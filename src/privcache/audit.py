@@ -42,14 +42,20 @@ members.
 The walk is quotiented once more when relabeling and random fills are both
 on.  A permutation of the files nobody requested maps the realizations of
 one feasible cover set one to one onto those of any other and keeps every
-label pattern, so ``_view_counts`` walks the first cover set alone and
-weighs each count by the number of cover sets.  With relabeling off a class
-is a vector, which the permutation moves; frozen fills take the free files
-in ascending order, which it does not keep; either way every cover set is
-walked.  Budgets charge a law's label-free atoms over every cover set,
-though the walk visits one cover set's share of them, and charge no
-relabelings or libraries; ``masked_demand_law`` alone charges the atoms
-times the N! relabelings, since it lists the members.
+label pattern, so the walk visits the first cover set alone and weighs each
+count by the number of cover sets.  With relabeling off a class is a
+vector, which the permutation moves; frozen fills take the free files in
+ascending order, which it does not keep; either way every cover set is
+walked.  ``_walk`` makes that decision once per demand matrix: the variant
+walked, the weight and the atoms walked, which ``_view_counts`` checks;
+weight times walked is the law's atom count, the denominator of its masses.
+
+Each command charges its budget once, before its first walk, with the
+atoms all its walks visit: ``verify_law_invariance`` the sum of the plans
+over its family, ``exact_mutual_information`` that sum over every demand
+matrix, in closed form.  No relabeling or library is charged, since
+neither is walked; ``masked_demand_law`` alone charges the law's atoms
+times the N! relabelings, a bound on the members it lists.
 
 ``empirical_law_check`` is a chi-square test of the masked demands that
 ``scheme.sampler``, the code ``simulate`` draws from, produces: the only
@@ -124,14 +130,18 @@ def _stage_sizes(params: SchemeParams, variant: Variant, need: int) -> tuple[int
             math.factorial(a - params.demands_per_user) if variant.random_fill else 1)
 
 
-def _law_atoms(params: SchemeParams, demands: Demands, variant: Variant, pinned: int = 1) -> tuple[int, int]:
-    """(label-free atoms, relabelings) of one demand matrix's law with
-    ``pinned`` users' slot tuples fixed: the equally likely realizations
-    ``scheme.realizations`` yields, and the relabelings each is seen under.
-    Budgets charge the atoms; ``masked_demand_law``, which expands them,
-    charges their product."""
-    relabelings, slots, covers, fill = _stage_sizes(params, variant, len(sch.requested_files(demands)))
-    return slots ** (params.n_users - pinned) * covers * fill ** params.n_users, relabelings
+def _walk(params: SchemeParams, demands: Demands, variant: Variant, pinned: int) -> tuple[Variant, int, int]:
+    """The walk ``_view_counts`` makes of one demand matrix's law with
+    ``pinned`` users' slot tuples fixed: (variant walked, weight, atoms
+    walked).  With relabeling and random fills both on it walks the first
+    feasible cover set alone and weighs each count by the number of cover
+    sets; otherwise it walks every cover set, with weight 1.  The law has
+    weight * walked atoms; the budgets charge the walked ones."""
+    _, slots, covers, fill = _stage_sizes(params, variant, len(sch.requested_files(demands)))
+    weight = 1
+    if variant.relabel_files and variant.random_fill:
+        variant, weight, covers = replace(variant, random_cover=False), covers, 1
+    return variant, weight, slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
 def _check_observer(params: SchemeParams, observer: int):
@@ -157,63 +167,51 @@ def _class_size(params: SchemeParams, variant: Variant, cls: tuple[int, ...]) ->
 def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
                  slots: Mapping[int, tuple[int, ...]] | None = None) -> Counter:
     """Atom counts of (observer slot tuple, class of the masked demand) over
-    every label-free realization of one demand matrix, checked against their
-    predicted number.  Keys keep the enumeration's first-occurrence order.
+    every label-free realization of one demand matrix: the walk ``_walk``
+    plans, checked against the atoms it predicts, each count times the
+    plan's weight, so ``total()`` is the law's atom count and its
+    denominator.  Keys keep the enumeration's first-occurrence order.
 
-    With relabeling and random fills both on, only the first feasible cover
-    set is walked and each count is multiplied by ``covers``, the number of
-    feasible cover sets.  A permutation of the unrequested files fixes every
-    slot tuple and every pinned (requested) entry, and maps the fills of one
-    cover set onto those of its image one to one; it thus carries the
-    realizations of any cover set onto those of any other without changing
-    a label pattern, and these permutations reach every feasible cover set.
-    So every cover set adds the first one's counts under the same keys, and
-    as each slot-tuple pass meets the first cover set first, the keys keep
-    their order.  Relabeling off makes a class a vector, which the
-    permutation moves; frozen fills take the free files in ascending order,
-    which it does not keep.  Either way every cover set is walked."""
+    Why one cover set stands for all when relabeling and random fills are
+    both on: a permutation of the unrequested files fixes every slot tuple
+    and every pinned (requested) entry, and maps the fills of one cover set
+    onto those of its image one to one; it thus carries the realizations of
+    any cover set onto those of any other without changing a label pattern,
+    and these permutations reach every feasible cover set.  So every cover
+    set adds the first one's counts under the same keys, and as each
+    slot-tuple pass meets the first cover set first, the keys keep their
+    order.  Relabeling off makes a class a vector, which the permutation
+    moves; frozen fills take the free files in ascending order, which it
+    does not keep.  Either way every cover set is walked."""
     classify = _label_pattern if variant.relabel_files else tuple
-    atoms = _law_atoms(params, demands, variant, pinned=len(slots or ()))[0]
-    covers = 1
-    if variant.relabel_files and variant.random_fill:
-        covers = _stage_sizes(params, variant, len(sch.requested_files(demands)))[2]
-        variant = replace(variant, random_cover=False)
+    walked, weight, atoms = _walk(params, demands, variant, len(slots or ()))
     counts = Counter((sel[observer], classify(expanded))
-                     for sel, _, expanded in sch.realizations(params, demands, variant, slots))
-    visited = sum(counts.values()) * covers
+                     for sel, _, expanded in sch.realizations(params, demands, walked, slots))
+    visited = counts.total()
     if visited != atoms:
         raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
-    for key in counts:
-        counts[key] *= covers
-    return counts
-
-
-def _class_law(params: SchemeParams, demands: Demands, observer: int, selector: tuple[int, ...],
-               variant: Variant, budget: int, expand: bool = False) -> tuple[dict[tuple[int, ...], int], int]:
-    """Atom counts of the masked demand's classes given the demand matrix and
-    the observer's slot tuple, and the number of label-free atoms behind
-    them.  The budget applies to the atoms, times the relabelings if the
-    caller will ``expand`` each class into its members."""
-    demands = sch.validate_demands(params, demands)
-    _check_observer(params, observer)
-    pinned = sch.checked_slots(params, {observer: selector})
-    atoms, relabelings = _law_atoms(params, demands, variant)
-    _check_budget(atoms * relabelings if expand else atoms, budget, "masked-demand law enumeration")
-    counts = _view_counts(params, demands, observer, variant, pinned)
-    return {cls: c for (_, cls), c in counts.items()}, atoms
+    return Counter({key: c * weight for key, c in counts.items()})
 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
                       selector: tuple[int, ...], variant: Variant = FULL,
                       budget: int = DEFAULT_BUDGET) -> dict[tuple[int, ...], Fraction]:
     """Exact law of the masked expanded demand given the demand matrix and the
-    observer's slot tuple: each class of ``_class_law`` expanded into its
+    observer's slot tuple: each class of ``_view_counts`` expanded into its
     members, the one place where a class is expanded.  The budget applies
-    to the atoms times the relabelings, a bound on the members listed."""
-    counts, atoms = _class_law(params, demands, observer, selector, variant, budget, expand=True)
+    to the law's atoms times the relabelings, a bound on the members
+    listed."""
+    demands = sch.validate_demands(params, demands)
+    _check_observer(params, observer)
+    pinned = sch.checked_slots(params, {observer: selector})
+    _, weight, walked = _walk(params, demands, variant, 1)
+    relabelings = _stage_sizes(params, variant, params.n_active)[0]  # any need: the relabelings alone are read
+    _check_budget(weight * walked * relabelings, budget, "masked-demand law enumeration")
+    counts = _view_counts(params, demands, observer, variant, pinned)
+    atoms = counts.total()
     files = range(params.n_files)
     law = {}
-    for cls, c in counts.items():
+    for (_, cls), c in counts.items():
         mass = Fraction(c, atoms * _class_size(params, variant, cls))
         # with relabeling off the identity is the one image
         for image in itertools.permutations(files, max(cls) + 1) if variant.relabel_files else [files]:
@@ -246,23 +244,26 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     row = mats[0][observer]
     if any(m[observer] != row for m in mats):
         raise ValueError("demand matrices must agree on the observer's row")
-    laws = [_class_law(params, m, observer, selector, variant, budget) for m in mats]
-    sizes = {cls: _class_size(params, variant, cls) for counts, _ in laws for cls in counts}
+    pinned = sch.checked_slots(params, {observer: selector})
+    _check_budget(sum(_walk(params, m, variant, 1)[2] for m in mats), budget, "masked-demand law enumeration")
+    laws = [(c, c.total()) for c in (_view_counts(params, m, observer, variant, pinned) for m in mats)]
+    # every key holds the one pinned slot tuple, so a key stands for its class
+    sizes = {key: _class_size(params, variant, key[1]) for counts, _ in laws for key in counts}
     mass = closed_form_mass(params)
     # one Fraction per distinct (count, denominator) pair, not one per class
     worst = max(abs(Fraction(c, den) - mass)
-                for c, den in {(c, atoms * sizes[cls]) for counts, atoms in laws for cls, c in counts.items()})
+                for c, den in {(c, atoms * sizes[key]) for counts, atoms in laws for key, c in counts.items()})
     # the masses of a law sum to 1, so at the uniform mass its support has
     # the closed-form size
     uniform = worst == 0
     identical = True
     base, base_atoms = laws[0]
     for counts, atoms in laws[1:]:
-        for cls in base.keys() | counts.keys():
-            gap = abs(base.get(cls, 0) * atoms - counts.get(cls, 0) * base_atoms)
+        for key in base.keys() | counts.keys():
+            gap = abs(base[key] * atoms - counts[key] * base_atoms)
             if gap:
                 identical = False
-                worst = max(worst, Fraction(gap, base_atoms * atoms * sizes[cls]))
+                worst = max(worst, Fraction(gap, base_atoms * atoms * sizes[key]))
     return InvarianceReport(identical=identical, uniform=uniform, max_discrepancy=worst)
 
 
@@ -272,23 +273,33 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
 
 
 def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict[str, int]]:
-    """Label-free atoms of the joint law and the cardinalities behind them;
-    ``relabelings`` and ``library_realizations`` (capped at 10^30) are
-    informational and not charged, since neither is enumerated."""
+    """The atoms ``exact_mutual_information`` walks, the sum of ``_walk``
+    over every demand matrix in closed form, and the cardinalities behind
+    them: slot assignments x block fills x the demand matrices, or, where
+    the walk visits every cover set, the pairs (cover set, matrix inside
+    it), C(N, n_active) * (n_active)_L^K of them.  ``relabelings``,
+    ``library_realizations`` (capped at 10^30) and ``cover_sets_max`` (the
+    cover sets of a matrix requesting L files) are informational and not
+    charged."""
     n, f, q = params.n_files, params.file_len, params.q
+    big_l, a = params.demands_per_user, params.n_active
     # the cap keeps q^(N F) from being built for large instances
     too_many = f * n * math.log(q) > math.log(10 ** 30)
-    # a demand matrix requests at least L files, so has at most this many covers
-    relabelings, slots, covers, fill = _stage_sizes(params, variant, params.demands_per_user)
+    relabelings, slots, covers, fill = _stage_sizes(params, variant, big_l)
     cards = {
         "library_realizations": 10 ** 30 if too_many else q ** (n * f),
-        "demand_matrices": math.perm(n, params.demands_per_user) ** params.n_users,
+        "demand_matrices": math.perm(n, big_l) ** params.n_users,
         "relabelings": relabelings,
         "slot_assignments": slots ** params.n_users,
         "cover_sets_max": covers,
         "block_fills": fill ** params.n_users,
     }
-    return cards["demand_matrices"] * cards["slot_assignments"] * covers * cards["block_fills"], cards
+    # the walked variant, the same for every matrix, keeps the cover stage
+    # only where each matrix walks all of its cover sets
+    walks = cards["demand_matrices"]
+    if _walk(params, (tuple(range(big_l)),) * params.n_users, variant, 0)[0].random_cover:
+        walks = math.comb(n, a) * math.perm(a, big_l) ** params.n_users
+    return walks * cards["slot_assignments"] * cards["block_fills"], cards
 
 
 @dataclass
@@ -332,15 +343,13 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
 
     start = time.perf_counter()
     # every law as integer numerators over one common denominator: the lcm
-    # of the matrices' label-free atom counts.  An outcome is ((observer
-    # slot tuple, class), own row), the class keyed by its first member.
-    atoms = {m: _law_atoms(params, m, variant, pinned=0)[0] for m in mats}
-    common = math.lcm(*atoms.values())
-    per_demand_law = {}
-    for m in mats:
-        scale = common // atoms[m]
-        per_demand_law[m] = {(tag, m[observer]): c * scale
-                             for tag, c in _view_counts(params, m, observer, variant).items()}
+    # of the matrices' atom counts.  An outcome is ((observer slot tuple,
+    # class), own row), the class keyed by its first member.
+    per_demand_law = {m: _view_counts(params, m, observer, variant) for m in mats}
+    common = math.lcm(*(counts.total() for counts in per_demand_law.values()))
+    for m, counts in per_demand_law.items():
+        scale = common // counts.total()
+        per_demand_law[m] = {(tag, m[observer]): c * scale for tag, c in counts.items()}
 
     # the conditional outcome law may depend on the observer's own row only
     by_row: dict[tuple[int, ...], list[Demands]] = {}

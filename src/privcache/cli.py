@@ -460,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--runs", type=int, default=None, help="empirical mode sample count")
     aud.add_argument("--seed", type=int, default=None, help="empirical mode seed (default 0)")
     aud.add_argument("--budget", type=int, default=None,
-                     help=f"enumeration atom cap for ptilde and mi (default {audit.DEFAULT_BUDGET})")
+                     help="cap on the label-free atoms the command walks, charged before the first walk; "
+                          f"mi --baseline charges its baseline audit apart (default {audit.DEFAULT_BUDGET})")
     aud.add_argument("--timings", action="store_true", default=None,
                      help="mi mode: include wall times in the report")
     aud.add_argument("--out", default=None)

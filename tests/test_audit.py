@@ -172,7 +172,11 @@ def test_law_skips_the_relabeling_loop(monkeypatch):
     assert set(law.values()) == {closed_form_mass(P522)}
     # 12 slot tuples x 1 cover set x 2 x 2 fills; the 120 relabelings are not walked
     assert len(drawn) == 48
-    assert audit._law_atoms(P522, ((0, 1), (2, 3)), FULL) == (48, 120)
+    assert audit._walk(P522, ((0, 1), (2, 3)), FULL, 1) == (Variant(random_cover=False), 1, 48)
+    # but they are charged, since the law lists every member: 48 atoms x 5!
+    assert masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2), budget=5760) == law
+    with pytest.raises(BudgetExceededError, match="5760 enumeration atoms exceed the budget of 5759"):
+        masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2), budget=5759)
 
 
 WALK_VARIANTS = (FULL, NO_RELABEL, PLAIN_BASELINE, Variant(random_fill=False), Variant(random_cover=False),
@@ -195,12 +199,12 @@ def test_view_counts_equal_the_walk_of_every_cover(variant, pinned):
 FAMILY_522 = (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))
 
 
-@pytest.mark.parametrize("variant,walked", [
-    (FULL, [48, 48, 48]),                       # 3, 2 and 1 cover sets, one walked
-    (NO_RELABEL, [144, 96, 48]),                # a class is a vector: every cover walked
-    (Variant(random_fill=False), [36, 24, 12]),  # ascending fills: every cover walked
+@pytest.mark.parametrize("variant,walked,atoms", [
+    (FULL, [48, 48, 48], [144, 96, 48]),        # 3, 2 and 1 cover sets, one walked
+    (NO_RELABEL, [144, 96, 48], [144, 96, 48]),  # a class is a vector: every cover walked
+    (Variant(random_fill=False), [36, 24, 12], [36, 24, 12]),  # ascending fills: every cover walked
 ], ids=("full", "no-relabel", "frozen-fill"))
-def test_law_walks_one_cover_set_per_matrix(monkeypatch, variant, walked):
+def test_law_walks_one_cover_set_per_matrix(monkeypatch, variant, walked, atoms):
     real = scheme.realizations
     drawn = []
 
@@ -215,8 +219,44 @@ def test_law_walks_one_cover_set_per_matrix(monkeypatch, variant, walked):
         masked_demand_law(P522, demands, 0, (0, 2), variant)
         visits.append(len(drawn))
     assert visits == walked
-    # the law still has, and the budget still charges, every cover's atoms
-    assert [audit._law_atoms(P522, d, FULL)[0] for d in FAMILY_522] == [144, 96, 48]
+    plans = [audit._walk(P522, d, variant, 1) for d in FAMILY_522]
+    assert [plan[2] for plan in plans] == walked
+    # the law still has every cover's atoms: weight x walked
+    assert [weight * n for _, weight, n in plans] == atoms
+    assert [audit._view_counts(P522, d, 0, variant, {0: (0, 2)}).total() for d in FAMILY_522] == atoms
+
+
+def _counting_realizations(monkeypatch) -> list:
+    """Patch ``scheme.realizations`` to log each call; returns the log."""
+    real = scheme.realizations
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(scheme, "realizations", counting)
+    return calls
+
+
+def test_invariance_charges_the_family_once_before_any_walk(monkeypatch):
+    calls = _counting_realizations(monkeypatch)
+    # every cover walked: 144 + 96 + 48 atoms, though no one law exceeds 200
+    with pytest.raises(BudgetExceededError, match="288 enumeration atoms exceed the budget of 200"):
+        verify_law_invariance(P522, FAMILY_522, 0, (0, 2), NO_RELABEL, budget=200)
+    assert calls == []
+    rep = verify_law_invariance(P522, FAMILY_522, 0, (0, 2), NO_RELABEL, budget=288)
+    assert len(calls) == 3 and not rep.identical
+
+
+def test_invariance_charges_the_atoms_walked_not_the_law(monkeypatch):
+    # one cover set of three walked: 48 atoms charged, though the law has 144
+    calls = _counting_realizations(monkeypatch)
+    rep = verify_law_invariance(P522, [FAMILY_522[0]], 0, (0, 2), budget=48)
+    assert rep.uniform and rep.identical and rep.max_discrepancy == 0
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceededError, match="48 enumeration atoms exceed the budget of 47"):
+        verify_law_invariance(P522, [FAMILY_522[0]], 0, (0, 2), budget=47)
+    assert len(calls) == 1
 
 
 def test_law_raises_when_unrelabeled_atoms_go_missing(monkeypatch):
@@ -452,12 +492,34 @@ def test_exact_mi_plain_baseline_is_log_q_3(q):
 
 
 def test_exact_mi_budget_skips_the_libraries():
-    # 257^12 libraries and 6 relabelings are not charged: 9 matrices x 4 slot pairs x 2 covers
+    # 257^12 libraries and 6 relabelings are not charged: 9 matrices x 4 slot pairs, one of
+    # each matrix's 1 or 2 cover sets walked
     p = SchemeParams(3, 2, 1, r=1, q=257, packet_size=1)
-    assert audit._joint_atom_count(p, FULL)[0] == 72
-    assert exact_mutual_information(p, 0, budget=72).value == 0
-    with pytest.raises(BudgetExceededError, match="72 enumeration atoms exceed the budget of 71"):
-        exact_mutual_information(p, 0, budget=71)
+    assert audit._joint_atom_count(p, FULL)[0] == 36
+    assert exact_mutual_information(p, 0, budget=36).value == 0
+    with pytest.raises(BudgetExceededError, match="36 enumeration atoms exceed the budget of 35"):
+        exact_mutual_information(p, 0, budget=35)
+
+
+ALL_VARIANTS = [Variant(*flags) for flags in itertools.product((True, False), repeat=4)]
+
+
+@pytest.mark.parametrize("triple,walk", [
+    ((3, 2, 1), True), ((4, 2, 1), True), ((4, 2, 2), False), ((5, 2, 2), False),
+    ((4, 3, 1), True), ((5, 3, 1), False), ((6, 2, 2), False), ((3, 1, 3), True),
+], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else ("realizations" if v else "closed-form"))
+def test_mi_charge_is_the_sum_of_the_walks(triple, walk):
+    """The closed-form MI charge is the sum of every demand matrix's planned
+    walk, for all 16 variants; on the smaller triples each plan is what
+    ``scheme.realizations`` yields."""
+    params = SchemeParams(*triple, r=0)
+    mats = list(scheme.all_demand_matrices(params))
+    for variant in ALL_VARIANTS:
+        plans = [audit._walk(params, m, variant, 0) for m in mats]
+        assert audit._joint_atom_count(params, variant)[0] == sum(walked for _, _, walked in plans)
+        if walk:
+            assert [sum(1 for _ in scheme.realizations(params, m, walked_variant))
+                    for m, (walked_variant, _, _) in zip(mats, plans)] == [walked for _, _, walked in plans]
 
 
 def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL, budget=10 ** 7):
@@ -468,11 +530,14 @@ def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL,
     demands = scheme.validate_demands(params, demands)
     audit._check_observer(params, observer)
     selector = scheme.checked_slots(params, {observer: selector})[observer]
-    audit._check_budget(math.prod(audit._law_atoms(params, demands, variant, pinned=0)), budget,
-                        "joint slot-tuple enumeration")
+    _, weight, walked = audit._walk(params, demands, variant, 0)
+    relabelings = math.factorial(params.n_files) if variant.relabel_files else 1
+    audit._check_budget(weight * walked * relabelings, budget, "joint slot-tuple enumeration")
     counts = audit._view_counts(params, demands, observer, variant)
-    # each class spread over every relabeling of its first vector
-    atoms = audit._law_atoms(params, demands, variant)[0]
+    # each class spread over every relabeling of its first vector; the
+    # pinned law's atoms are weight x walked
+    _, weight, walked = audit._walk(params, demands, variant, 1)
+    atoms = weight * walked
     n = params.n_files
     relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
     law = Counter()

@@ -157,7 +157,7 @@ def test_audit_mi_with_baseline(tmp_path):
 
 
 def test_audit_mi_beyond_library_reach(tmp_path):
-    # q = 257, F = 4: 257^12 libraries, never enumerated; 72 atoms are charged
+    # q = 257, F = 4: 257^12 libraries, never enumerated; 36 walked atoms are charged
     out = tmp_path / "mi.json"
     code = run_cli("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--F", "4", "--r", "1",
                    "--baseline", "--out", str(out))
@@ -172,14 +172,15 @@ def test_audit_mi_budget_exceeded(capsys):
     code = run_cli("audit", "--mode", "mi", "--N", "6", "--K", "4", "--L", "1",
                    "--q", "257", "--F", "16", "--r", "1")
     assert code == 3
-    # 6^4 matrices x 4^4 slot tuples x C(5,3) covers x (3!)^4 fills; no relabeling or library factor
+    # 6^4 matrices x 4^4 slot tuples x (3!)^4 fills, one cover set walked per matrix;
+    # no relabeling or library factor
     assert capsys.readouterr().err == ("budget error: joint-law enumeration: "
-                                       "4299816960 enumeration atoms exceed the budget of 10000000\n")
+                                       "429981696 enumeration atoms exceed the budget of 10000000\n")
 
 
 def test_audit_ptilde_budget_counts_label_free_atoms(capsys):
-    # the first law of the default family: 12 slot tuples x 3 covers x (2!)^2 fills,
-    # the atoms the law visits; the 120 relabelings are not walked and not charged
+    # the default family's 3 laws, each walking 12 slot tuples x 1 cover set x (2!)^2 fills,
+    # charged together before the first walk; the 120 relabelings are not walked and not charged
     code = run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--budget", "100")
     assert code == 3
     assert capsys.readouterr().err == ("budget error: masked-demand law enumeration: "
@@ -554,12 +555,17 @@ REPLAY = [
     # 1,728,000 support vectors per law, decided on the label-pattern classes
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "3", "--L", "2", "--budget", "100000000"),
                  0, "dea060cab2ca24c85410d3a32d0e0522517eef439997b734f0cd8dcbe410757b", id="audit-ptilde-532"),
-    # the same bytes at the default budget: 86,400 label-free atoms per law are charged, not x 5!
+    # the same bytes at the default budget: 3 laws x 86,400 walked atoms = 259,200 are charged, not x 5!
     pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "3", "--L", "2"),
                  0, "dea060cab2ca24c85410d3a32d0e0522517eef439997b734f0cd8dcbe410757b", id="audit-ptilde-532-default-budget"),
-    # laws of 9,953,280 and 2,985,984 label-free atoms, each walked at one of its 120 or 36 cover sets
+    # laws of 9,953,280 and 2,985,984 label-free atoms, each walked at one of its 120 or 36 cover sets:
+    # 2 x 82,944 = 165,888 walked atoms are charged
     pytest.param(("audit", "--mode", "ptilde", "--N", "11", "--K", "4", "--L", "1"),
                  0, "afc927eff5a02ae91cd513b2d68cced9264ae1d61b41a395dfc9e1bd44873139", id="audit-ptilde-1141"),
+    # laws of 13,685,760 and 3,732,480 label-free atoms at the default budget: 2 x 82,944 = 165,888
+    # walked atoms are charged, one of 165 or 45 cover sets per law
+    pytest.param(("audit", "--mode", "ptilde", "--N", "12", "--K", "4", "--L", "1"),
+                 0, "5ceaa2dd04fe6e570d6ac5e3fc204f48c5527746b21a54aec7db06d60f0a7c2d", id="audit-ptilde-1241"),
     pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
                   "--baseline"),
                  0, "5b7f193be0182808456a08db9a8e6d87e8dec094e631b48a582b20bfe24cd739", id="audit-mi-baseline"),
@@ -579,10 +585,12 @@ REPLAY = [
     # 24 relabelings, three users: zero MI from the (tag, class, own row) counts
     pytest.param(("audit", "--mode", "mi", "--N", "4", "--K", "3", "--L", "1", "--F", "36", "--r", "2"),
                  0, "e0ef3c577e98a6620c5bab72514fddf2b5d28f8db71ebfcb37c58d0768777cc7", id="audit-mi-431-r2"),
-    # 162,000 label-free joint atoms at the default budget; the 5! relabelings are not charged
+    # 27,000 walked joint atoms at the default budget (162,000 over every cover set); the 5!
+    # relabelings are not charged
     pytest.param(("audit", "--mode", "mi", "--N", "5", "--K", "3", "--L", "1", "--F", "36", "--r", "2"),
                  0, "943f93deac44ce5930b6f5114030f0151255f9caa89778bc7ed94c1abe8686fe", id="audit-mi-531-r2"),
-    # 7,776,000 label-free joint atoms; a matrix requesting 1, 2 or 3 files walks one of 36, 8 or 1 cover sets
+    # 216,000 walked of 7,776,000 label-free joint atoms; a matrix requesting 1, 2 or 3 files walks one
+    # of 36, 8 or 1 cover sets
     pytest.param(("audit", "--mode", "mi", "--N", "10", "--K", "3", "--L", "1", "--F", "1", "--r", "0"),
                  0, "c49a79f194dc105a8f805ae6dbf4be166b14085705b4f5b2afec47197d410d08", id="audit-mi-1031-r0"),
     # K = 1, L = N: a slot tuple and a masked demand have the same length

@@ -7,7 +7,9 @@ name).  Every name the tracer patches resolves in privcache, and no
 privcache module reads another one's private (underscore-prefixed)
 top-level names.  ``scheme.realizations``, the enumerator of the scheme's
 randomness, has one caller, ``audit._view_counts``, so every exact audit
-walks it through the cover quotient and the atom check there."""
+walks it through the cover quotient and the atom check there; and every
+function of ``audit`` that walks through ``_view_counts`` charges its budget
+on an earlier line."""
 
 import ast
 import importlib
@@ -179,3 +181,29 @@ def realizations_readers() -> list[str]:
 def test_realizations_has_one_caller():
     assert callable(privcache.scheme.realizations)
     assert realizations_readers() == ["audit._view_counts"]
+
+
+def uncharged_walks() -> tuple[list[str], list[str]]:
+    """The top-level functions of audit.py that read ``_view_counts``, and
+    those among them with no ``_check_budget`` call on an earlier line than
+    their first read."""
+    tree = ast.parse((PACKAGE / "audit.py").read_text())
+    walkers, uncharged = [], []
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        reads = [node.lineno for node in ast.walk(top) if isinstance(node, ast.Name) and node.id == "_view_counts"]
+        if not reads:
+            continue
+        walkers.append(top.name)
+        charges = [node.lineno for node in ast.walk(top) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id == "_check_budget"]
+        if not any(line < min(reads) for line in charges):
+            uncharged.append(top.name)
+    return walkers, uncharged
+
+
+def test_every_walk_is_charged_first():
+    walkers, uncharged = uncharged_walks()
+    assert set(walkers) >= {"masked_demand_law", "verify_law_invariance", "exact_mutual_information"}
+    assert uncharged == []

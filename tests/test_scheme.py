@@ -562,16 +562,14 @@ def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsy
 
 
 def test_realization_count_equals_law_budget_prediction():
-    """Predicted equals visited: the atom count the law's budget check
-    charges is exactly how many label-free realizations are enumerated;
-    ``masked_demand_law`` charges it times the number of relabelings."""
+    """Predicted equals visited: the atoms ``audit._walk`` plans, which the
+    budgets charge, are exactly how many label-free realizations the walk
+    enumerates, and weight x walked is how many every cover set yields."""
     cases = [(P321, m) for m in scheme.all_demand_matrices(P321)]
     cases += [(P522, m) for m in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))]
     for p, demands in cases:
         for variant in VARIANTS:
-            pinned = realizations(p, demands, variant, {0: slot_support(p)[-1]})
-            atoms, relabelings = audit._law_atoms(p, demands, variant)
-            assert relabelings == (math.factorial(p.n_files) if variant.relabel_files else 1)
-            assert sum(1 for _ in pinned) == atoms
-            unpinned = realizations(p, demands, variant)
-            assert sum(1 for _ in unpinned) == audit._law_atoms(p, demands, variant, pinned=0)[0]
+            for pinned, slots in ((1, {0: slot_support(p)[-1]}), (0, None)):
+                walked_variant, weight, walked = audit._walk(p, demands, variant, pinned)
+                assert sum(1 for _ in realizations(p, demands, walked_variant, slots)) == walked
+                assert sum(1 for _ in realizations(p, demands, variant, slots)) == weight * walked
