@@ -21,10 +21,12 @@ demands:
   row) plus I(other rows; symbols | tag, observer row) = 0 (sufficiency and
   data processing, Cover & Thomas ch. 2).  It is computed from the tag
   counts alone: no library is enumerated, no cache placed, no broadcast
-  encoded.  Zero is certified by exact conditional-law equality among the
-  matrices sharing the observer's row, which holds for every prior at once; a
-  nonzero value, which the derandomized baseline variants exhibit, is
-  reported in base-q units.
+  encoded.  Under the uniform prior the observer's row is independent of
+  the other rows, so the MI is I(other rows; tag | observer row): it is
+  computed one observer row at a time, from the laws of the matrices
+  sharing that row.  Zero is certified by exact conditional-law equality
+  among them, which holds for every prior at once; a nonzero value, which
+  the derandomized baseline variants exhibit, is reported in base-q units.
 
 Both routes work on classes of the masked demand and never walk the N!
 file relabelings.  They enumerate the label-free stages of the scheme's
@@ -42,20 +44,21 @@ members.
 The walk is quotiented once more when relabeling and random fills are both
 on.  A permutation of the files nobody requested maps the realizations of
 one feasible cover set one to one onto those of any other and keeps every
-label pattern, so the walk visits the first cover set alone and weighs each
-count by the number of cover sets.  With relabeling off a class is a
-vector, which the permutation moves; frozen fills take the free files in
-ascending order, which it does not keep; either way every cover set is
-walked.  ``_walk`` makes that decision once per demand matrix: the variant
-walked, the weight and the atoms walked, which ``_view_counts`` checks;
-weight times walked is the law's atom count, the denominator of its masses.
+label pattern, so every cover set adds the same counts and the walk visits
+the first cover set alone: its counts are in the law's proportions, so
+``atoms`` above is the total of the walked counts.  With relabeling off a
+class is a vector, which the permutation moves; frozen fills take the free
+files in ascending order, which it does not keep; either way every cover
+set is walked.  ``_walk`` makes that decision once per demand matrix: the
+variant walked and the atoms walked, which ``_view_counts`` checks.
 
 Each command charges its budget once, before its first walk, with the
 atoms all its walks visit: ``verify_law_invariance`` the sum of the plans
 over its family, ``exact_mutual_information`` that sum over every demand
 matrix, in closed form.  No relabeling or library is charged, since
-neither is walked; ``masked_demand_law`` alone charges the law's atoms
-times the N! relabelings, a bound on the members it lists.
+neither is walked; ``masked_demand_law`` alone charges the walked atoms
+times the N! relabelings, a bound on the members it lists, since each
+walked atom yields at most one class.
 
 ``empirical_law_check`` is a chi-square test of the masked demands that
 ``scheme.sampler``, the code ``simulate`` draws from, produces: the only
@@ -130,18 +133,16 @@ def _stage_sizes(params: SchemeParams, variant: Variant, need: int) -> tuple[int
             math.factorial(a - params.demands_per_user) if variant.random_fill else 1)
 
 
-def _walk(params: SchemeParams, demands: Demands, variant: Variant, pinned: int) -> tuple[Variant, int, int]:
+def _walk(params: SchemeParams, demands: Demands, variant: Variant, pinned: int) -> tuple[Variant, int]:
     """The walk ``_view_counts`` makes of one demand matrix's law with
-    ``pinned`` users' slot tuples fixed: (variant walked, weight, atoms
-    walked).  With relabeling and random fills both on it walks the first
-    feasible cover set alone and weighs each count by the number of cover
-    sets; otherwise it walks every cover set, with weight 1.  The law has
-    weight * walked atoms; the budgets charge the walked ones."""
+    ``pinned`` users' slot tuples fixed: (variant walked, atoms walked).
+    With relabeling and random fills both on it walks the first feasible
+    cover set alone, otherwise every cover set.  The budgets charge the
+    walked atoms."""
     _, slots, covers, fill = _stage_sizes(params, variant, len(sch.requested_files(demands)))
-    weight = 1
     if variant.relabel_files and variant.random_fill:
-        variant, weight, covers = replace(variant, random_cover=False), covers, 1
-    return variant, weight, slots ** (params.n_users - pinned) * covers * fill ** params.n_users
+        variant, covers = replace(variant, random_cover=False), 1
+    return variant, slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
 def _check_observer(params: SchemeParams, observer: int):
@@ -167,10 +168,11 @@ def _class_size(params: SchemeParams, variant: Variant, cls: tuple[int, ...]) ->
 def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
                  slots: Mapping[int, tuple[int, ...]] | None = None) -> Counter:
     """Atom counts of (observer slot tuple, class of the masked demand) over
-    every label-free realization of one demand matrix: the walk ``_walk``
-    plans, checked against the atoms it predicts, each count times the
-    plan's weight, so ``total()`` is the law's atom count and its
-    denominator.  Keys keep the enumeration's first-occurrence order.
+    the label-free realizations of one demand matrix that ``_walk`` plans,
+    checked against the atoms it predicts.  Where one cover set is walked,
+    every other adds the same counts, so the counts are in the law's
+    proportions and ``total()`` is the denominator of its masses.  Keys
+    keep the enumeration's first-occurrence order.
 
     Why one cover set stands for all when relabeling and random fills are
     both on: a permutation of the unrequested files fixes every slot tuple
@@ -184,13 +186,13 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant:
     moves; frozen fills take the free files in ascending order, which it
     does not keep.  Either way every cover set is walked."""
     classify = _label_pattern if variant.relabel_files else tuple
-    walked, weight, atoms = _walk(params, demands, variant, len(slots or ()))
+    walked, atoms = _walk(params, demands, variant, len(slots or ()))
     counts = Counter((sel[observer], classify(expanded))
                      for sel, _, expanded in sch.realizations(params, demands, walked, slots))
     visited = counts.total()
     if visited != atoms:
         raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
-    return Counter({key: c * weight for key, c in counts.items()})
+    return counts
 
 
 def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
@@ -199,14 +201,15 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
     """Exact law of the masked expanded demand given the demand matrix and the
     observer's slot tuple: each class of ``_view_counts`` expanded into its
     members, the one place where a class is expanded.  The budget applies
-    to the law's atoms times the relabelings, a bound on the members
-    listed."""
+    to the walked atoms times the relabelings, a bound on the members
+    listed: each walked atom yields at most one class, of at most N!
+    members."""
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
     pinned = sch.checked_slots(params, {observer: selector})
-    _, weight, walked = _walk(params, demands, variant, 1)
+    walked = _walk(params, demands, variant, 1)[1]
     relabelings = _stage_sizes(params, variant, params.n_active)[0]  # any need: the relabelings alone are read
-    _check_budget(weight * walked * relabelings, budget, "masked-demand law enumeration")
+    _check_budget(walked * relabelings, budget, "masked-demand law enumeration")
     counts = _view_counts(params, demands, observer, variant, pinned)
     atoms = counts.total()
     files = range(params.n_files)
@@ -245,7 +248,7 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     if any(m[observer] != row for m in mats):
         raise ValueError("demand matrices must agree on the observer's row")
     pinned = sch.checked_slots(params, {observer: selector})
-    _check_budget(sum(_walk(params, m, variant, 1)[2] for m in mats), budget, "masked-demand law enumeration")
+    _check_budget(sum(_walk(params, m, variant, 1)[1] for m in mats), budget, "masked-demand law enumeration")
     laws = [(c, c.total()) for c in (_view_counts(params, m, observer, variant, pinned) for m in mats)]
     # every key holds the one pinned slot tuple, so a key stands for its class
     sizes = {key: _class_size(params, variant, key[1]) for counts, _ in laws for key in counts}
@@ -329,69 +332,55 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     observer row) with tag = (observer slot tuple, masked demand): the
     symbols add nothing (proof in the module docstring).  So the laws come
     from the class counts of ``_view_counts`` alone, and no library is
-    enumerated.  The members of a class share p = J/s and p_o = O/s, so
-    p/(p_t p_o) = J D/(T O) (D the denominator): s cancels.  Zero is
-    certified by equal conditional laws given each observer row, for every
-    prior at once.
-    Under the uniform prior a joint that factorizes forces those laws equal,
-    so unequal laws always give a positive value and a witness.
+    enumerated.
+
+    Under the uniform prior every observer row is equally likely and the
+    other rows are uniform given it, so the MI is I(other rows ; tag |
+    observer row), a comparison within one row at a time.  A row's peers
+    (the matrices holding it) take their laws over D, the lcm of their atom
+    counts; an outcome counted c times out of D under one of n_mats
+    matrices adds c/(n_mats D) * log(c |peers| / sum of its peers' c) to
+    the value, in base q.  The members of a class share c, so the class
+    stands for them all.  Zero is certified by equal conditional laws given
+    each observer row, for every prior at once; unequal laws always give a
+    positive value and a witness: the first peer whose law differs from
+    the first peer's, in the first row that has one, rows and matrices
+    taken in lexicographic order.
     """
     _check_observer(params, observer)
     total, cards = _joint_atom_count(params, variant)
     _check_budget(total, budget, "joint-law enumeration")
-    mats = list(sch.all_demand_matrices(params))
+    rows = list(itertools.permutations(range(params.n_files), params.demands_per_user))
+    n_mats, logq = cards["demand_matrices"], math.log(params.q)
 
     start = time.perf_counter()
-    # every law as integer numerators over one common denominator: the lcm
-    # of the matrices' atom counts.  An outcome is ((observer slot tuple,
-    # class), own row), the class keyed by its first member.
-    per_demand_law = {m: _view_counts(params, m, observer, variant) for m in mats}
-    common = math.lcm(*(counts.total() for counts in per_demand_law.values()))
-    for m, counts in per_demand_law.items():
-        scale = common // counts.total()
-        per_demand_law[m] = {(tag, m[observer]): c * scale for tag, c in counts.items()}
-
-    # the conditional outcome law may depend on the observer's own row only
-    by_row: dict[tuple[int, ...], list[Demands]] = {}
-    for m in mats:
-        by_row.setdefault(m[observer], []).append(m)
-    witness = None
-    for peers in by_row.values():
-        base = per_demand_law[peers[0]]
-        other = next((o for o in peers[1:] if per_demand_law[o] != base), None)
-        if other is not None:
-            law = per_demand_law[other]
+    witness, terms = None, []
+    for row in rows:
+        # the matrices holding ``row`` at the observer, in lexicographic order
+        peers = [others[:observer] + (row,) + others[observer:]
+                 for others in itertools.product(rows, repeat=params.n_users - 1)]
+        laws = [_view_counts(params, m, observer, variant) for m in peers]
+        den = math.lcm(*(law.total() for law in laws))
+        laws = [{tag: c * (den // law.total()) for tag, c in law.items()} for law in laws]
+        pooled: Counter = Counter()
+        for law in laws:
+            pooled.update(law)
+        base = laws[0]
+        other = next((i for i, law in enumerate(laws) if law != base), None)
+        if other is None:
+            if any(c * len(peers) != pooled[tag] for tag, c in base.items()):
+                raise RuntimeError("conditional laws equal but joint does not factorize")
+            continue
+        if witness is None:
+            law = laws[other]
             bad = next(k for k in itertools.chain(base, law) if base.get(k, 0) != law.get(k, 0))
-            witness = (peers[0], other, bad)
-            break
-
-    # joint and marginals as integer numerators over denom: the uniform
-    # prior puts 1 / len(mats) on each matrix
-    denom = len(mats) * common
-    joint: Counter = Counter()
-    for m in mats:
-        others = tuple(r for i, r in enumerate(m) if i != observer)
-        for outcome, c in per_demand_law[m].items():
-            joint[others, outcome] += c
-
-    marg_t: Counter = Counter()
-    marg_o: Counter = Counter()
-    for (t, o), c in joint.items():
-        marg_t[t] += c
-        marg_o[o] += c
-
-    if witness is None:
-        value: Fraction | float = Fraction(0)
-        if any(c * denom != marg_t[t] * marg_o[o] for (t, o), c in joint.items()):
-            raise RuntimeError("conditional laws equal but joint does not factorize")
-    else:
+            witness = (peers[0], peers[other], (bad, row))
         # int / int is correctly rounded, as float(Fraction) is
-        logq = math.log(params.q)
-        value = math.fsum(c / denom * math.log(c * denom / (marg_t[t] * marg_o[o])) / logq
-                          for (t, o), c in joint.items())
+        terms += [c / (n_mats * den) * math.log(c * len(peers) / pooled[tag]) / logq
+                  for law in laws for tag, c in law.items()]
     return MiReport(
         conditional_laws_equal=witness is None,
-        value=value,
+        value=Fraction(0) if witness is None else math.fsum(terms),
         witness=witness,
         cardinalities=cards,
         observer=observer,

@@ -144,6 +144,8 @@ def _emit(obj, pad: str, push) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.packet < 1:
+        raise ValueError("--packet must be at least 1")
     params = SchemeParams(
         n_files=args.N, n_users=args.K, demands_per_user=args.L,
         r=args.r, q=args.q, packet_size=args.packet,
@@ -308,6 +310,8 @@ def _audit_params(args) -> SchemeParams:
     if args.mode == "mi":
         if args.F is None:
             raise ValueError("--F is required for --mode mi")
+        if args.F < 1:
+            raise ValueError("--F must be at least 1")
         probe = SchemeParams(args.N, args.K, args.L, r=r, q=args.q, packet_size=1)
         blocks = probe.ucc.subfile_count
         if args.F % blocks:

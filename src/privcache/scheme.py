@@ -153,11 +153,6 @@ def validate_demands(params: SchemeParams, rows: Iterable[Iterable[int]]) -> Dem
     return mat
 
 
-def all_demand_matrices(params: SchemeParams) -> Iterator[Demands]:
-    rows = list(itertools.permutations(range(params.n_files), params.demands_per_user))
-    return itertools.product(rows, repeat=params.n_users)
-
-
 def sample_demands(params: SchemeParams, rng: random.Random) -> Demands:
     return tuple(
         tuple(rng.sample(range(params.n_files), params.demands_per_user))

@@ -5,9 +5,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import gt
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from privcache import scheme, tradeoff
+from privcache import audit, scheme, tradeoff
 from privcache.exact import Envelope
 from privcache.gf import PrimeField
 from privcache.scheme import Demands, SchemeParams, Variant
@@ -50,6 +50,23 @@ def subset_rank(ground: Iterable, subset: Iterable) -> int:
             rank += math.comb(n - v - 1, k - i - 1)
         prev = c
     return rank
+
+
+def all_demand_matrices(params: SchemeParams) -> Iterator[Demands]:
+    """Every demand matrix, rows of distinct files in lexicographic order:
+    the order ``audit.exact_mutual_information`` meets them in, row by
+    observer row."""
+    rows = list(itertools.permutations(range(params.n_files), params.demands_per_user))
+    return itertools.product(rows, repeat=params.n_users)
+
+
+def cover_weight(params: SchemeParams, demands: Demands, variant: Variant) -> int:
+    """How many cover sets each one ``audit._walk`` walks stands for: the
+    cover count of ``variant`` over that of the variant walked, 1 where
+    every cover set is walked."""
+    need = len(scheme.requested_files(demands))
+    walked = audit._walk(params, demands, variant, 0)[0]
+    return audit._stage_sizes(params, variant, need)[2] // audit._stage_sizes(params, walked, need)[2]
 
 
 def walked_view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,

@@ -29,12 +29,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ramp_library
+from helpers import all_demand_matrices, ramp_library
 from privcache import audit, tradeoff
 from privcache.scheme import (
     PLAIN_BASELINE,
     SchemeParams,
-    all_demand_matrices,
     block_support,
     decode_user,
     deliver,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import walked_view_counts
+from helpers import all_demand_matrices, cover_weight, walked_view_counts
 from privcache import audit, scheme
 from privcache.audit import (
     BudgetExceededError,
@@ -48,7 +48,7 @@ def test_restricted_vector_counts():
 def test_law_uniform_for_every_demand_observer_selector():
     support = restricted_vector_count(P321)
     mass = closed_form_mass(P321)
-    for demands in scheme.all_demand_matrices(P321):
+    for demands in all_demand_matrices(P321):
         for observer in (0, 1):
             for selector in scheme.slot_support(P321):
                 law = masked_demand_law(P321, demands, observer, selector)
@@ -106,7 +106,7 @@ ORACLE_VARIANTS = (FULL, NO_RELABEL, Variant(random_fill=False), Variant(random_
 
 def test_law_equals_stagewise_oracle_on_three_file_instance():
     for variant in ORACLE_VARIANTS:
-        for demands in scheme.all_demand_matrices(P321):
+        for demands in all_demand_matrices(P321):
             for observer in (0, 1):
                 for selector in scheme.slot_support(P321):
                     assert masked_demand_law(P321, demands, observer, selector, variant) == \
@@ -135,20 +135,20 @@ QUOTIENT_VARIANTS = (FULL, Variant(random_fill=False), Variant(random_cover=Fals
 
 
 def _quotient_cases():
-    for demands in scheme.all_demand_matrices(P321):
+    for demands in all_demand_matrices(P321):
         for observer, selector in itertools.product((0, 1), scheme.slot_support(P321)):
             yield P321, demands, observer, selector
     for demands in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
         yield P522, demands, 0, (0, 2)
     p331 = SchemeParams(3, 3, 1, r=1)
-    for demands in scheme.all_demand_matrices(p331):
+    for demands in all_demand_matrices(p331):
         yield p331, demands, 1, (2,)
     p431 = SchemeParams(4, 3, 1, r=1)
     for demands in (((0,), (0,), (0,)), ((0,), (1,), (1,)), ((0,), (1,), (2,)), ((3,), (1,), (3,))):
         for observer in range(3):
             yield p431, demands, observer, (1,)
     p311 = SchemeParams(3, 1, 1, r=1)  # one-entry expanded demands
-    for demands in scheme.all_demand_matrices(p311):
+    for demands in all_demand_matrices(p311):
         yield p311, demands, 0, (0,)
 
 
@@ -172,11 +172,16 @@ def test_law_skips_the_relabeling_loop(monkeypatch):
     assert set(law.values()) == {closed_form_mass(P522)}
     # 12 slot tuples x 1 cover set x 2 x 2 fills; the 120 relabelings are not walked
     assert len(drawn) == 48
-    assert audit._walk(P522, ((0, 1), (2, 3)), FULL, 1) == (Variant(random_cover=False), 1, 48)
-    # but they are charged, since the law lists every member: 48 atoms x 5!
+    assert audit._walk(P522, ((0, 1), (2, 3)), FULL, 1) == (Variant(random_cover=False), 48)
+    # but they are charged, since the law lists every member: 48 walked atoms x 5!
     assert masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2), budget=5760) == law
     with pytest.raises(BudgetExceededError, match="5760 enumeration atoms exceed the budget of 5759"):
         masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2), budget=5759)
+    # three cover sets, one walked: the same 48 x 5! is charged, not 3 x 48 x 5!
+    assert set(masked_demand_law(P522, ((0, 1), (0, 1)), 0, (0, 2), budget=5760).values()) == \
+           {closed_form_mass(P522)}
+    with pytest.raises(BudgetExceededError, match="5760 enumeration atoms exceed the budget of 5759"):
+        masked_demand_law(P522, ((0, 1), (0, 1)), 0, (0, 2), budget=5759)
 
 
 WALK_VARIANTS = (FULL, NO_RELABEL, PLAIN_BASELINE, Variant(random_fill=False), Variant(random_cover=False),
@@ -187,12 +192,14 @@ WALK_VARIANTS = (FULL, NO_RELABEL, PLAIN_BASELINE, Variant(random_fill=False), V
 @pytest.mark.parametrize("variant", WALK_VARIANTS,
                          ids=("full", "no-relabel", "plain", "frozen-fill", "frozen-cover", "frozen-slots"))
 def test_view_counts_equal_the_walk_of_every_cover(variant, pinned):
-    """The counts of one cover set weighted by the cover count are the
-    counts of every cover set, key for key and in first-occurrence order
-    (which fixes the MI witness and summation order)."""
+    """The counts of one cover set times the cover count are the counts of
+    every cover set, key for key and in first-occurrence order (which fixes
+    the MI witness)."""
     for params, demands, observer, selector in _quotient_cases():
         slots = {observer: selector} if pinned else None
-        assert list(audit._view_counts(params, demands, observer, variant, slots).items()) == \
+        weight = cover_weight(params, demands, variant)
+        counts = audit._view_counts(params, demands, observer, variant, slots)
+        assert [(key, c * weight) for key, c in counts.items()] == \
                list(walked_view_counts(params, demands, observer, variant, slots).items())
 
 
@@ -219,11 +226,11 @@ def test_law_walks_one_cover_set_per_matrix(monkeypatch, variant, walked, atoms)
         masked_demand_law(P522, demands, 0, (0, 2), variant)
         visits.append(len(drawn))
     assert visits == walked
-    plans = [audit._walk(P522, d, variant, 1) for d in FAMILY_522]
-    assert [plan[2] for plan in plans] == walked
-    # the law still has every cover's atoms: weight x walked
-    assert [weight * n for _, weight, n in plans] == atoms
-    assert [audit._view_counts(P522, d, 0, variant, {0: (0, 2)}).total() for d in FAMILY_522] == atoms
+    assert [audit._walk(P522, d, variant, 1)[1] for d in FAMILY_522] == walked
+    assert [audit._view_counts(P522, d, 0, variant, {0: (0, 2)}).total() for d in FAMILY_522] == walked
+    # the law still has every cover's atoms: cover weight x walked
+    assert [cover_weight(P522, d, variant) * n for d, n in zip(FAMILY_522, walked)] == atoms
+    assert [walked_view_counts(P522, d, 0, variant, {0: (0, 2)}).total() for d in FAMILY_522] == atoms
 
 
 def _counting_realizations(monkeypatch) -> list:
@@ -305,7 +312,7 @@ def _verdict_cases():
     # every P321 matrix, in the family of the matrices sharing its observer row
     for observer, selector in itertools.product((0, 1), scheme.slot_support(P321)):
         rows = {}
-        for demands in scheme.all_demand_matrices(P321):
+        for demands in all_demand_matrices(P321):
             rows.setdefault(demands[observer], []).append(demands)
         for family in rows.values():
             yield P321, family, observer, selector
@@ -369,13 +376,22 @@ def test_exact_mi_baseline_leaks():
     assert rep.witness is not None
 
 
-def test_exact_mi_leak_through_the_cover_quotient():
+@pytest.mark.parametrize("params,observer,variant,value,witness", [
     # relabeling and fills on, slots frozen: the quotient path, leaking
-    rep = exact_mutual_information(SchemeParams(4, 3, 1, r=1, q=2), 0, variant=Variant(random_slots=False),
-                                   budget=10 ** 8)
+    (SchemeParams(4, 3, 1, r=1, q=2), 0, Variant(random_slots=False), 2.139097655573916,
+     (((0,), (0,), (0,)), ((0,), (0,), (1,)), (((0,), (0, 1, 2, 0, 1, 2, 0, 1, 2)), (0,)))),
+    # observer 2: its peers are not contiguous in the enumeration order of demand matrices
+    (SchemeParams(4, 3, 1, r=1, q=2), 2, Variant(random_slots=False), 2.139097655573916,
+     (((0,), (0,), (0,)), ((0,), (1,), (0,)), (((0,), (0, 1, 2, 0, 1, 2, 0, 1, 2)), (0,)))),
+    # frozen fills: every cover set walked
+    (SchemeParams(3, 3, 1, r=1, q=2), 2, Variant(random_fill=False), 1.224394445405986,
+     (((0,), (0,), (0,)), ((0,), (1,), (0,)), (((0,), (0, 1, 2, 1, 2, 0, 0, 1, 2)), (0,)))),
+], ids=("431-observer0-frozen-slots", "431-observer2-frozen-slots", "331-observer2-frozen-fill"))
+def test_exact_mi_leak_through_the_cover_quotient(params, observer, variant, value, witness):
+    rep = exact_mutual_information(params, observer, variant=variant, budget=10 ** 8)
     assert not rep.conditional_laws_equal
-    assert rep.value == 2.139097655573916
-    assert rep.witness == (((0,), (0,), (0,)), ((0,), (0,), (1,)), (((0,), (0, 1, 2, 0, 1, 2, 0, 1, 2)), (0,)))
+    assert rep.value == value
+    assert rep.witness == witness
 
 
 def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
@@ -428,7 +444,7 @@ def _library_mi(params, observer, variant):
     observer's cache contents and the broadcast segments in the outcome.
     Returns (conditional laws equal, value), the value Fraction(0) when the
     laws are equal and a float in base-q units otherwise."""
-    mats = list(scheme.all_demand_matrices(params))
+    mats = list(all_demand_matrices(params))
     q, n, f = params.q, params.n_files, params.file_len
     views = [_relabeled_views(params, m, observer, variant) for m in mats]
     counts = [Counter() for _ in mats]
@@ -513,13 +529,13 @@ def test_mi_charge_is_the_sum_of_the_walks(triple, walk):
     walk, for all 16 variants; on the smaller triples each plan is what
     ``scheme.realizations`` yields."""
     params = SchemeParams(*triple, r=0)
-    mats = list(scheme.all_demand_matrices(params))
+    mats = list(all_demand_matrices(params))
     for variant in ALL_VARIANTS:
         plans = [audit._walk(params, m, variant, 0) for m in mats]
-        assert audit._joint_atom_count(params, variant)[0] == sum(walked for _, _, walked in plans)
+        assert audit._joint_atom_count(params, variant)[0] == sum(walked for _, walked in plans)
         if walk:
             assert [sum(1 for _ in scheme.realizations(params, m, walked_variant))
-                    for m, (walked_variant, _, _) in zip(mats, plans)] == [walked for _, _, walked in plans]
+                    for m, (walked_variant, _) in zip(mats, plans)] == [walked for _, walked in plans]
 
 
 def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL, budget=10 ** 7):
@@ -530,14 +546,13 @@ def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL,
     demands = scheme.validate_demands(params, demands)
     audit._check_observer(params, observer)
     selector = scheme.checked_slots(params, {observer: selector})[observer]
-    _, weight, walked = audit._walk(params, demands, variant, 0)
     relabelings = math.factorial(params.n_files) if variant.relabel_files else 1
-    audit._check_budget(weight * walked * relabelings, budget, "joint slot-tuple enumeration")
+    audit._check_budget(audit._walk(params, demands, variant, 0)[1] * relabelings, budget,
+                        "joint slot-tuple enumeration")
     counts = audit._view_counts(params, demands, observer, variant)
     # each class spread over every relabeling of its first vector; the
-    # pinned law's atoms are weight x walked
-    _, weight, walked = audit._walk(params, demands, variant, 1)
-    atoms = weight * walked
+    # observer's slot tuple holds the atoms of the pinned walk
+    atoms = audit._walk(params, demands, variant, 1)[1]
     n = params.n_files
     relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
     law = Counter()
@@ -550,7 +565,7 @@ def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL,
 
 def test_joint_marginal_reproduces_direct_law():
     for params in (MI_INSTANCE, P321):
-        for demands in scheme.all_demand_matrices(params):
+        for demands in all_demand_matrices(params):
             for observer, selector in itertools.product(range(2), scheme.slot_support(params)):
                 for variant in ORACLE_VARIANTS[:4]:
                     direct = masked_demand_law(params, demands, observer, selector, variant)

@@ -230,6 +230,19 @@ def test_gap_builds_corner_points_once_per_triple(monkeypatch, tmp_path):
     assert len(corners) == sum(s * (s + 1) // 2 for s in s_maxes)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "0", "--r", "1"),
+     "--F must be at least 1"),
+    (("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "-4", "--r", "1"),
+     "--F must be at least 1"),
+    (("simulate", "--N", "3", "--K", "2", "--L", "1", "--r", "1", "--packet", "0"), "--packet must be at least 1"),
+    (("simulate", "--N", "3", "--K", "2", "--L", "1", "--r", "1", "--packet", "-1"), "--packet must be at least 1"),
+], ids=["mi-F-zero", "mi-F-negative", "simulate-packet-zero", "simulate-packet-negative"])
+def test_size_below_one_names_the_option(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_audit_mi_bad_file_len(capsys):
     code = run_cli("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1",
                    "--q", "2", "--F", "3", "--r", "1")
@@ -597,6 +610,11 @@ REPLAY = [
     pytest.param(("audit", "--mode", "mi", "--N", "3", "--K", "1", "--L", "3", "--q", "2", "--F", "1", "--r", "0",
                   "--baseline"),
                  1, "0d965c48009c1f398cbb407d545c2ef790850bbcad367218ed844485a41a8301", id="audit-mi-313-r0-baseline"),
+    # a leak the CLI prints, seen by observer 2, whose peers are not contiguous among the demand matrices
+    pytest.param(("audit", "--mode", "mi", "--N", "4", "--K", "3", "--L", "1", "--F", "1", "--r", "0",
+                  "--variant", "no-relabel", "--observer", "2"),
+                 1, "8c9865da7732b6d48f605e64390bee0bff7880c595a3cd701d5dbc9ac1309e97",
+                 id="audit-mi-431-r0-no-relabel-observer2"),
     pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800"),
                  0, "63b584c0430f170815facbc693dab7f419d2ba16405740826a8aec7c991a9067", id="audit-empirical"),
     pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",

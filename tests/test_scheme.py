@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ramp_library, scan_cover_sets
+from helpers import all_demand_matrices, cover_weight, ramp_library, scan_cover_sets
 from privcache import audit, cli, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
@@ -456,14 +456,14 @@ def _nested_realizations(params, demands, variant):
 
 def test_realizations_match_nested_loops():
     for p in (P321, P221):
-        for demands in scheme.all_demand_matrices(p):
+        for demands in all_demand_matrices(p):
             for variant in VARIANTS:
                 assert Counter(realizations(p, demands, variant)) == \
                        Counter(_nested_realizations(p, demands, variant))
 
 
 def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
-    for demands in scheme.all_demand_matrices(P321):
+    for demands in all_demand_matrices(P321):
         for variant in VARIANTS[:4]:
             unpinned = list(realizations(P321, demands, variant))
             for observer in range(P321.n_users):
@@ -477,7 +477,7 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
 
 
 @pytest.mark.parametrize("params,mats", [
-    (P321, list(scheme.all_demand_matrices(P321))),
+    (P321, list(all_demand_matrices(P321))),
     (P522, [((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3))]),
 ], ids=["P321", "P522"])
 def test_sampled_realizations_are_enumerated_realizations(params, mats):
@@ -564,12 +564,14 @@ def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsy
 def test_realization_count_equals_law_budget_prediction():
     """Predicted equals visited: the atoms ``audit._walk`` plans, which the
     budgets charge, are exactly how many label-free realizations the walk
-    enumerates, and weight x walked is how many every cover set yields."""
-    cases = [(P321, m) for m in scheme.all_demand_matrices(P321)]
+    enumerates, and the cover weight times walked is how many every cover
+    set yields."""
+    cases = [(P321, m) for m in all_demand_matrices(P321)]
     cases += [(P522, m) for m in (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))]
     for p, demands in cases:
         for variant in VARIANTS:
             for pinned, slots in ((1, {0: slot_support(p)[-1]}), (0, None)):
-                walked_variant, weight, walked = audit._walk(p, demands, variant, pinned)
+                walked_variant, walked = audit._walk(p, demands, variant, pinned)
                 assert sum(1 for _ in realizations(p, demands, walked_variant, slots)) == walked
-                assert sum(1 for _ in realizations(p, demands, variant, slots)) == weight * walked
+                assert sum(1 for _ in realizations(p, demands, variant, slots)) == \
+                       cover_weight(p, demands, variant) * walked
