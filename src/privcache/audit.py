@@ -30,16 +30,23 @@ demands:
 
 Both routes work on classes of the masked demand and never walk the N!
 file relabelings.  They enumerate the label-free stages of the scheme's
-randomness through the one generator ``scheme.realizations``; the
-relabeling is uniform and independent of those stages, so with it on a
-class is a label pattern of the expanded demand (its d labels renumbered in
-order of first occurrence), holding the size = N!/(N - d)! vectors a
-relabeling maps it onto, and with it off a class is one vector, of size 1.
-The realizations are equally likely (each stage is uniform, with a support
-size that does not depend on earlier draws), so a class counted c times out
-of ``atoms`` gives each member the mass c / (atoms * size).  Only
-``masked_demand_law``, which returns the full law, expands a class into its
-members.
+randomness through the one enumerator ``scheme.block_tables``, which yields
+per (slot tuples, cover set) each user's table of admissible blocks; the
+realizations are the tables' product, and ``_view_counts``, its one caller,
+walks that product.  The relabeling is uniform and independent of those
+stages, so with it on a class is a label pattern of the expanded demand (its
+labels renumbered in order of first occurrence), holding the size =
+N!/(N - n_active)! vectors a relabeling maps it onto, and with it off a
+class is one vector, of size 1.  Every block is an arrangement of the cover
+set, so block 0 holds all n_active labels once: every pattern starts with
+range(n_active), has n_active labels, and continues with each later block
+read relative to block 0 (a label x becomes its position in block 0).  The
+walk computes each relative block table once and builds each class by tuple
+concatenation, never renumbering a whole vector.  The realizations are
+equally likely (each stage is uniform, with a support size that does not
+depend on earlier draws), so a class counted c times out of ``atoms`` gives
+each member the mass c / (atoms * size).  Only ``masked_demand_law``, which
+returns the full law, expands a class into its members.
 
 The walk is quotiented once more when relabeling and random fills are both
 on.  A permutation of the files nobody requested maps the realizations of
@@ -50,20 +57,22 @@ the first cover set alone: its counts are in the law's proportions, so
 class is a vector, which the permutation moves; frozen fills take the free
 files in ascending order, which it does not keep; either way every cover
 set is walked.  ``_walk`` makes that decision once per demand matrix: the
-variant walked and the atoms walked, which ``_view_counts`` checks.
+variant walked and the atoms walked, a plan that the budget reads and
+``_view_counts`` walks and checks.
 
 Each command charges its budget once, before its first walk, with the
 atoms all its walks visit: ``verify_law_invariance`` the sum of the plans
 over its family, ``exact_mutual_information`` that sum over every demand
-matrix, in closed form.  No relabeling or library is charged, since
-neither is walked; ``masked_demand_law`` alone charges the walked atoms
-times the N! relabelings, a bound on the members it lists, since each
-walked atom yields at most one class.
+matrix, in closed form, and over both variants where a baseline is audited
+alongside.  No relabeling or library is charged, since neither is walked;
+``masked_demand_law`` alone charges the walked atoms times the N!
+relabelings, a bound on the members it lists, since each walked atom
+yields at most one class.
 
 ``empirical_law_check`` is a chi-square test of the masked demands that
 ``scheme.sampler``, the code ``simulate`` draws from, produces: the only
 check of the sampler's law, since both exact routes enumerate
-``scheme.realizations`` instead.  It needs at least 10 runs per point of
+``scheme.block_tables`` instead.  It needs at least 10 runs per point of
 the closed-form support (2,880 points at (N, K, L) = (5, 2, 2), 1,728,000 at
 (5, 3, 2)).  A demand matrix's law has at most that many label-free atoms,
 so the exact law decides every instance the test can reach, under a budget
@@ -150,29 +159,36 @@ def _check_observer(params: SchemeParams, observer: int):
         raise ValueError("observer out of range")
 
 
-def _label_pattern(vector: tuple[int, ...]) -> tuple[int, ...]:
-    """The vector with its labels renumbered 0, 1, ... in order of first
-    occurrence; two vectors share a pattern iff a relabeling maps one onto
-    the other.  The pattern is itself a vector of its class, the first one
-    ``masked_demand_law`` lists."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(v, len(first)) for v in vector)
+def _class_size(params: SchemeParams, variant: Variant) -> int:
+    """How many masked vectors a class holds: the injections of a pattern's
+    n_active labels into [N), or 1 with relabeling off.  Every class of a
+    walk has n_active labels, block 0's."""
+    return math.perm(params.n_files, params.n_active) if variant.relabel_files else 1
 
 
-def _class_size(params: SchemeParams, variant: Variant, cls: tuple[int, ...]) -> int:
-    """How many masked vectors the class holds: the injections of a
-    pattern's d labels into [N), or 1 with relabeling off."""
-    return math.perm(params.n_files, max(cls) + 1) if variant.relabel_files else 1
-
-
-def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
-                 slots: Mapping[int, tuple[int, ...]] | None = None) -> Counter:
+def _view_counts(params: SchemeParams, demands: Demands, observer: int, plan: tuple[Variant, int],
+                 pinned: Mapping[int, tuple[int, ...]] | None = None) -> Counter:
     """Atom counts of (observer slot tuple, class of the masked demand) over
-    the label-free realizations of one demand matrix that ``_walk`` plans,
-    checked against the atoms it predicts.  Where one cover set is walked,
-    every other adds the same counts, so the counts are in the law's
-    proportions and ``total()`` is the denominator of its masses.  Keys
-    keep the enumeration's first-occurrence order.
+    the label-free realizations of one demand matrix that ``plan``, the
+    demand matrix's ``_walk``, names, checked against the atoms it
+    predicts.  The matrix comes validated and the pins checked.  Where one
+    cover set is walked, every other adds the same counts, so the counts are
+    in the law's proportions and ``total()`` is the denominator of its
+    masses.  Keys keep the enumeration's first-occurrence order.
+
+    The walk is a product: ``scheme.block_tables``, the one enumerator of
+    the scheme's randomness, yields per (slot tuples, cover set) each user's
+    table of blocks, and a realization is one block per table.  With
+    relabeling off the class is the concatenated blocks.  With it on the
+    class is the label pattern (labels renumbered 0, 1, ... in order of first
+    occurrence; two vectors share one iff a relabeling maps one onto the
+    other, and the pattern is itself the first vector of its class).  Every
+    block is an arrangement of the cover set, so block 0 holds each of the
+    n_active labels once: the pattern is range(n_active) followed by each
+    later block's pattern relative to block 0, its labels x read as their
+    positions in block 0.  That relative table is computed once per
+    (block-0 block, user, slot tuple), and each key is one tuple
+    concatenation per user.
 
     Why one cover set stands for all when relabeling and random fills are
     both on: a permutation of the unrequested files fixes every slot tuple
@@ -185,10 +201,25 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, variant:
     order.  Relabeling off makes a class a vector, which the permutation
     moves; frozen fills take the free files in ascending order, which it
     does not keep.  Either way every cover set is walked."""
-    classify = _label_pattern if variant.relabel_files else tuple
-    walked, atoms = _walk(params, demands, variant, len(slots or ()))
-    counts = Counter((sel[observer], classify(expanded))
-                     for sel, _, expanded in sch.realizations(params, demands, walked, slots))
+    walked, atoms = plan
+    relabel, labels = walked.relabel_files, tuple(range(params.n_active))
+    relative: dict[tuple, list[tuple[int, ...]]] = {}
+    counts: Counter = Counter()
+    for sel, _, tables in sch.block_tables(params, demands, walked, pinned):
+        tag, views = sel[observer], []
+        for first in tables[0]:
+            keys = [labels if relabel else first]
+            for k in range(1, params.n_users):
+                table = tables[k]
+                if relabel:
+                    at = (first, k, sel[k])
+                    if at not in relative:
+                        position = {x: i for i, x in enumerate(first)}.__getitem__
+                        relative[at] = [tuple(map(position, block)) for block in table]
+                    table = relative[at]
+                keys = [key + block for key in keys for block in table]
+            views += [(tag, key) for key in keys]
+        counts.update(views)
     visited = counts.total()
     if visited != atoms:
         raise RuntimeError(f"enumerated {visited} atoms, predicted {atoms}")
@@ -207,17 +238,18 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
     demands = sch.validate_demands(params, demands)
     _check_observer(params, observer)
     pinned = sch.checked_slots(params, {observer: selector})
-    walked = _walk(params, demands, variant, 1)[1]
+    plan = _walk(params, demands, variant, 1)
     relabelings = _stage_sizes(params, variant, params.n_active)[0]  # any need: the relabelings alone are read
-    _check_budget(walked * relabelings, budget, "masked-demand law enumeration")
-    counts = _view_counts(params, demands, observer, variant, pinned)
-    atoms = counts.total()
+    _check_budget(plan[1] * relabelings, budget, "masked-demand law enumeration")
+    counts = _view_counts(params, demands, observer, plan, pinned)
+    den = plan[1] * _class_size(params, variant)
     files = range(params.n_files)
+    # with relabeling off the identity is the one image
+    images = list(itertools.permutations(files, params.n_active)) if variant.relabel_files else [files]
     law = {}
     for (_, cls), c in counts.items():
-        mass = Fraction(c, atoms * _class_size(params, variant, cls))
-        # with relabeling off the identity is the one image
-        for image in itertools.permutations(files, max(cls) + 1) if variant.relabel_files else [files]:
+        mass = Fraction(c, den)
+        for image in images:
             law[tuple(image[i] for i in cls)] = mass
     return law
 
@@ -248,14 +280,14 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     if any(m[observer] != row for m in mats):
         raise ValueError("demand matrices must agree on the observer's row")
     pinned = sch.checked_slots(params, {observer: selector})
-    _check_budget(sum(_walk(params, m, variant, 1)[1] for m in mats), budget, "masked-demand law enumeration")
-    laws = [(c, c.total()) for c in (_view_counts(params, m, observer, variant, pinned) for m in mats)]
+    plans = [_walk(params, m, variant, 1) for m in mats]
+    _check_budget(sum(atoms for _, atoms in plans), budget, "masked-demand law enumeration")
     # every key holds the one pinned slot tuple, so a key stands for its class
-    sizes = {key: _class_size(params, variant, key[1]) for counts, _ in laws for key in counts}
-    mass = closed_form_mass(params)
+    laws = [(_view_counts(params, m, observer, plan, pinned), plan[1]) for m, plan in zip(mats, plans)]
+    size, mass = _class_size(params, variant), closed_form_mass(params)
     # one Fraction per distinct (count, denominator) pair, not one per class
-    worst = max(abs(Fraction(c, den) - mass)
-                for c, den in {(c, atoms * sizes[key]) for counts, atoms in laws for key, c in counts.items()})
+    worst = max(abs(Fraction(c, atoms * size) - mass)
+                for c, atoms in {(c, atoms) for counts, atoms in laws for c in counts.values()})
     # the masses of a law sum to 1, so at the uniform mass its support has
     # the closed-form size
     uniform = worst == 0
@@ -266,7 +298,7 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
             gap = abs(base[key] * atoms - counts[key] * base_atoms)
             if gap:
                 identical = False
-                worst = max(worst, Fraction(gap, base_atoms * atoms * sizes[key]))
+                worst = max(worst, Fraction(gap, base_atoms * atoms * size))
     return InvarianceReport(identical=identical, uniform=uniform, max_discrepancy=worst)
 
 
@@ -315,6 +347,8 @@ class MiReport:
     certificate); otherwise it is a float in base-q units, summed by math.fsum,
     strictly positive, with a witness (matrix, other matrix, outcome)
     attached, whose masked demand is the first vector of its class.
+    ``baseline`` is the report of the baseline variant audited with it, if
+    one was asked for.
     """
 
     conditional_laws_equal: bool
@@ -323,10 +357,11 @@ class MiReport:
     cardinalities: dict[str, int]
     observer: int
     wall_time_s: float
+    baseline: MiReport | None = None
 
 
 def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant: Variant = FULL,
-                             budget: int = DEFAULT_BUDGET) -> MiReport:
+                             baseline: Variant | None = None, budget: int = DEFAULT_BUDGET) -> MiReport:
     """Exact I(other rows ; broadcast, observer cache, observer row) under the
     uniform prior on demand matrices.  It equals I(other rows ; tag,
     observer row) with tag = (observer slot tuple, masked demand): the
@@ -346,46 +381,58 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     positive value and a witness: the first peer whose law differs from
     the first peer's, in the first row that has one, rows and matrices
     taken in lexicographic order.
+
+    With a ``baseline`` variant the same audit runs for it too, reported as
+    the report's ``baseline``; the budget is charged once, before the first
+    walk, with the atoms of both.
     """
     _check_observer(params, observer)
-    total, cards = _joint_atom_count(params, variant)
-    _check_budget(total, budget, "joint-law enumeration")
+    variants = [variant] if baseline is None else [variant, baseline]
+    counted = [_joint_atom_count(params, v) for v in variants]
+    _check_budget(sum(total for total, _ in counted), budget, "joint-law enumeration")
     rows = list(itertools.permutations(range(params.n_files), params.demands_per_user))
-    n_mats, logq = cards["demand_matrices"], math.log(params.q)
+    logq = math.log(params.q)
 
-    start = time.perf_counter()
-    witness, terms = None, []
-    for row in rows:
-        # the matrices holding ``row`` at the observer, in lexicographic order
-        peers = [others[:observer] + (row,) + others[observer:]
-                 for others in itertools.product(rows, repeat=params.n_users - 1)]
-        laws = [_view_counts(params, m, observer, variant) for m in peers]
-        den = math.lcm(*(law.total() for law in laws))
-        laws = [{tag: c * (den // law.total()) for tag, c in law.items()} for law in laws]
-        pooled: Counter = Counter()
-        for law in laws:
-            pooled.update(law)
-        base = laws[0]
-        other = next((i for i, law in enumerate(laws) if law != base), None)
-        if other is None:
-            if any(c * len(peers) != pooled[tag] for tag, c in base.items()):
-                raise RuntimeError("conditional laws equal but joint does not factorize")
-            continue
-        if witness is None:
-            law = laws[other]
-            bad = next(k for k in itertools.chain(base, law) if base.get(k, 0) != law.get(k, 0))
-            witness = (peers[0], peers[other], (bad, row))
-        # int / int is correctly rounded, as float(Fraction) is
-        terms += [c / (n_mats * den) * math.log(c * len(peers) / pooled[tag]) / logq
-                  for law in laws for tag, c in law.items()]
-    return MiReport(
-        conditional_laws_equal=witness is None,
-        value=Fraction(0) if witness is None else math.fsum(terms),
-        witness=witness,
-        cardinalities=cards,
-        observer=observer,
-        wall_time_s=time.perf_counter() - start,
-    )
+    reports = []
+    for v, (_, cards) in zip(variants, counted):
+        n_mats = cards["demand_matrices"]
+        start = time.perf_counter()
+        witness, terms = None, []
+        for row in rows:
+            # the matrices holding ``row`` at the observer, in lexicographic order
+            peers = [others[:observer] + (row,) + others[observer:]
+                     for others in itertools.product(rows, repeat=params.n_users - 1)]
+            plans = [_walk(params, m, v, 0) for m in peers]
+            den = math.lcm(*(atoms for _, atoms in plans))
+            laws = []
+            for m, plan in zip(peers, plans):
+                scale = den // plan[1]
+                laws.append({tag: c * scale for tag, c in _view_counts(params, m, observer, plan).items()})
+            base = laws[0]
+            other = next((i for i, law in enumerate(laws) if law != base), None)
+            if other is None:
+                continue
+            if witness is None:
+                law = laws[other]
+                bad = next(k for k in itertools.chain(base, law) if base.get(k, 0) != law.get(k, 0))
+                witness = (peers[0], peers[other], (bad, row))
+            pooled: Counter = Counter()
+            for law in laws:
+                pooled.update(law)
+            # int / int is correctly rounded, as float(Fraction) is
+            terms += [c / (n_mats * den) * math.log(c * len(peers) / pooled[tag]) / logq
+                      for law in laws for tag, c in law.items()]
+        reports.append(MiReport(
+            conditional_laws_equal=witness is None,
+            value=Fraction(0) if witness is None else math.fsum(terms),
+            witness=witness,
+            cardinalities=cards,
+            observer=observer,
+            wall_time_s=time.perf_counter() - start,
+        ))
+    if baseline is not None:
+        reports[0].baseline = reports[1]
+    return reports[0]
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,9 @@ def _audit_ptilde(args, params: SchemeParams, variant) -> dict:
 
 
 def _audit_mi(args, params: SchemeParams, variant) -> dict:
-    budget = _budget(args)
-    report = audit.exact_mutual_information(params, args.observer, variant=variant, budget=budget)
+    report = audit.exact_mutual_information(params, args.observer, variant=variant,
+                                            baseline=PLAIN_BASELINE if args.baseline else None,
+                                            budget=_budget(args))
     zero = report.conditional_laws_equal and report.value == 0
     result = {
         "check": "exact-mi",
@@ -233,8 +234,8 @@ def _audit_mi(args, params: SchemeParams, variant) -> dict:
     }
     if args.timings:
         result["wall_time_s"] = report.wall_time_s
-    if args.baseline:
-        base = audit.exact_mutual_information(params, args.observer, variant=PLAIN_BASELINE, budget=budget)
+    base = report.baseline
+    if base is not None:
         positive = (not base.conditional_laws_equal) and float(base.value) > 0
         result["baseline"] = {
             "variant": "plain",
@@ -465,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--seed", type=int, default=None, help="empirical mode seed (default 0)")
     aud.add_argument("--budget", type=int, default=None,
                      help="cap on the label-free atoms the command walks, charged before the first walk; "
-                          f"mi --baseline charges its baseline audit apart (default {audit.DEFAULT_BUDGET})")
+                          f"mi --baseline charges both audits' atoms together (default {audit.DEFAULT_BUDGET})")
     aud.add_argument("--timings", action="store_true", default=None,
                      help="mi mode: include wall times in the report")
     aud.add_argument("--out", default=None)

@@ -31,11 +31,12 @@ instance, and that slice only.  ``deliver`` is the one delivery call.
 One sampler and one enumerator describe the same stages: ``sampler``
 validates a demand matrix once and returns a function that draws, from seed
 streams, one label-free (slot tuples, cover set, expanded demand)
-realization plus its relabeling, and ``realizations`` enumerates every such
+realization plus its relabeling, and ``block_tables`` enumerates every such
 realization, equally likely, for the exact audits, which count the
-relabeling in.  Both take the same ``slots`` pin mapping, checked by
-``checked_slots``, and a stage the ``Variant`` switches off takes the first
-element of its support.  All randomness flows from one seed through named
+relabeling in: per (slot tuples, cover set) it yields each user's table of
+admissible blocks, and the realizations are the tables' product.  Both take
+pins of some users' slot tuples, checked by ``checked_slots``, and a stage
+the ``Variant`` switches off takes the first element of its support.  All randomness flows from one seed through named
 substreams (labels are hashed into independent generators), so any run is
 replayable.
 """
@@ -271,7 +272,7 @@ def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
     of the seed streams: the demand matrix and pins are validated and the
     cover sets derived once, for callers that draw many realizations.  Each
     ``draw(streams)`` returns (relabeling, slot tuples, cover set, expanded
-    demand): one of the realizations ``realizations`` yields, plus the
+    demand): one of the realizations ``block_tables`` yields, plus the
     relabeling.
 
     Each stage reads its own substream: "relabel", "slots" (one sample per
@@ -307,35 +308,44 @@ def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
     return draw
 
 
-def realizations(params: SchemeParams, demands: Demands, variant: Variant = FULL,
-                 slots: Mapping[int, Sequence[int]] | None = None,
-                 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]]:
+def block_tables(params: SchemeParams, demands: Demands, variant: Variant = FULL,
+                 pinned: Mapping[int, tuple[int, ...]] | None = None,
+                 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[list[tuple[int, ...]], ...]]]:
     """Every label-free realization of the scheme's randomness for one demand
-    matrix, as (slot tuples, cover set, expanded demand).
+    matrix, as products: (slot tuples, cover set, per-user block tables).
+    A realization is one block from each user's table, concatenated in user
+    order into the expanded demand; ``itertools.product`` of the tables
+    lists them in the enumeration's order.
 
-    Loops slot tuples -> cover set -> block fills over the stages ``variant``
-    leaves random (a stage switched off contributes its deterministic draw).
-    ``slots`` pins the slot tuple of each user it names.  Each stage is
-    uniform and its support size does not depend on earlier draws, so every
-    yielded realization is equally likely.  The relabeling, uniform and
-    independent of these stages, is not enumerated."""
-    demands = validate_demands(params, demands)
-    pinned = checked_slots(params, slots)
+    Loops slot tuples -> cover set over the stages ``variant`` leaves random
+    (a stage switched off contributes its deterministic draw, a frozen fill
+    a one-block table).  ``pinned`` fixes the slot tuple of each user it
+    names.  Each stage is uniform and its support size does not depend on
+    earlier draws, so every realization is equally likely.  The relabeling,
+    uniform and independent of these stages, is not enumerated.  A user's
+    table is built once per (cover set, user, slot tuple) and shared by every
+    slot assignment that meets it.  The demand matrix comes from
+    ``validate_demands`` and the pins from ``checked_slots``: the caller has
+    checked both."""
+    pinned = pinned or {}
     support = slot_support(params)
     free = support if variant.random_slots else support[:1]
     slot_opts = [[pinned[k]] if k in pinned else free for k in range(params.n_users)]
     covers = feasible_cover_sets(params, demands)
     if not variant.random_cover:
         covers = covers[:1]
+    built: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def table(cover, k, sel):
+        key = (cover, k, sel)
+        if key not in built:
+            built[key] = (block_support(params, cover, demands[k], sel) if variant.random_fill
+                          else [_fill(*_pinned_block(params, cover, demands[k], sel))])
+        return built[key]
+
     for sel in itertools.product(*slot_opts):
         for cover in covers:
-            block_opts = [
-                block_support(params, cover, demands[k], sel[k]) if variant.random_fill
-                else [_fill(*_pinned_block(params, cover, demands[k], sel[k]))]
-                for k in range(params.n_users)
-            ]
-            for blocks in itertools.product(*block_opts):
-                yield sel, cover, tuple(v for block in blocks for v in block)
+            yield sel, cover, tuple(table(cover, k, s) for k, s in enumerate(sel))
 
 
 def relabeled_library(library: Library, relabeling: Sequence[int]) -> Library:

@@ -69,20 +69,56 @@ def cover_weight(params: SchemeParams, demands: Demands, variant: Variant) -> in
     return audit._stage_sizes(params, variant, need)[2] // audit._stage_sizes(params, walked, need)[2]
 
 
+def flat_realizations(params: SchemeParams, demands: Demands, variant: Variant,
+                      slots: dict[int, tuple[int, ...]] | None = None) -> Iterator[tuple]:
+    """The realizations ``scheme.block_tables`` enumerates, one at a time:
+    (slot tuples, cover set, expanded demand), one block from each user's
+    table in ``itertools.product`` order, concatenated."""
+    for sel, cover, tables in scheme.block_tables(params, demands, variant, slots):
+        for blocks in itertools.product(*tables):
+            yield sel, cover, tuple(v for block in blocks for v in block)
+
+
+def atom_realizations(params: SchemeParams, demands: Demands, variant: Variant,
+                      slots: dict[int, tuple[int, ...]] | None = None) -> Iterator[tuple]:
+    """Independent of ``scheme.block_tables``: every label-free realization
+    as (slot tuples, cover set, expanded demand), atom by atom, from loops
+    slot tuples -> cover set -> block fills that rebuild every user's blocks
+    for each slot assignment (a frozen fill takes the first arrangement
+    ``block_support`` lists)."""
+    pinned = slots or {}
+    support = scheme.slot_support(params)
+    free = support if variant.random_slots else support[:1]
+    slot_opts = [[pinned[k]] if k in pinned else free for k in range(params.n_users)]
+    covers = scheme.feasible_cover_sets(params, demands)
+    if not variant.random_cover:
+        covers = covers[:1]
+    for sel in itertools.product(*slot_opts):
+        for cover in covers:
+            block_opts = [scheme.block_support(params, cover, demands[k], sel[k]) for k in range(params.n_users)]
+            if not variant.random_fill:
+                block_opts = [blocks[:1] for blocks in block_opts]
+            for blocks in itertools.product(*block_opts):
+                yield sel, cover, tuple(v for block in blocks for v in block)
+
+
+def label_pattern(vector: tuple[int, ...]) -> tuple[int, ...]:
+    """The vector with its labels renumbered 0, 1, ... in order of first
+    occurrence, the whole vector at once."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, len(first)) for v in vector)
+
+
 def walked_view_counts(params: SchemeParams, demands: Demands, observer: int, variant: Variant,
                        slots: dict[int, tuple[int, ...]] | None = None) -> Counter:
-    """``audit._view_counts`` without its cover quotient: (observer slot
-    tuple, class of the masked demand) counted over every realization
-    ``scheme.realizations`` yields under ``variant``, every cover set
-    walked.  With relabeling on a class is the label pattern (labels
-    renumbered in order of first occurrence); with it off, the vector."""
-    def classify(vector):
-        if not variant.relabel_files:
-            return tuple(vector)
-        first: dict[int, int] = {}
-        return tuple(first.setdefault(v, len(first)) for v in vector)
+    """``audit._view_counts`` atom by atom and without its cover quotient:
+    (observer slot tuple, class of the masked demand) counted over every
+    realization ``atom_realizations`` yields under ``variant``, every cover
+    set walked.  With relabeling on a class is the ``label_pattern`` of the
+    whole vector; with it off, the vector."""
+    classify = label_pattern if variant.relabel_files else tuple
     return Counter((sel[observer], classify(expanded))
-                   for sel, _, expanded in scheme.realizations(params, demands, variant, slots))
+                   for sel, _, expanded in atom_realizations(params, demands, variant, slots))
 
 
 def scan_cover_sets(n_files: int, n_active: int, requested: Iterable[int]) -> list[tuple[int, ...]]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_demand_matrices, cover_weight, walked_view_counts
+from helpers import all_demand_matrices, cover_weight, flat_realizations, walked_view_counts
 from privcache import audit, scheme
 from privcache.audit import (
     BudgetExceededError,
@@ -125,7 +125,7 @@ def _relabeling_loop_law(params, demands, observer, selector, variant):
     realization under each of the N! relabelings, one atom at a time."""
     n = params.n_files
     relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
-    expanded = [e for _, _, e in scheme.realizations(params, demands, variant, {observer: selector})]
+    expanded = [e for _, _, e in flat_realizations(params, demands, variant, {observer: selector})]
     counts = Counter(tuple(relab[v] for v in e) for relab in relabs for e in expanded)
     total = sum(counts.values())
     return {key: Fraction(c, total) for key, c in counts.items()}
@@ -159,19 +159,26 @@ def test_relabeling_quotient_equals_relabeling_loop(variant):
                _relabeling_loop_law(params, demands, observer, selector, variant)
 
 
-def test_law_skips_the_relabeling_loop(monkeypatch):
-    real = scheme.realizations
+def _counting_atoms(monkeypatch) -> list:
+    """Patch ``scheme.block_tables`` to log the atoms each yielded product
+    holds; returns the log, whose sum is the atoms walked."""
+    real = scheme.block_tables
     drawn = []
 
     def counting(*args):
         for item in real(*args):
-            drawn.append(item)
+            drawn.append(math.prod(map(len, item[2])))
             yield item
-    monkeypatch.setattr(scheme, "realizations", counting)
+    monkeypatch.setattr(scheme, "block_tables", counting)
+    return drawn
+
+
+def test_law_skips_the_relabeling_loop(monkeypatch):
+    drawn = _counting_atoms(monkeypatch)
     law = masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2))
     assert set(law.values()) == {closed_form_mass(P522)}
     # 12 slot tuples x 1 cover set x 2 x 2 fills; the 120 relabelings are not walked
-    assert len(drawn) == 48
+    assert sum(drawn) == 48
     assert audit._walk(P522, ((0, 1), (2, 3)), FULL, 1) == (Variant(random_cover=False), 48)
     # but they are charged, since the law lists every member: 48 walked atoms x 5!
     assert masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2), budget=5760) == law
@@ -198,7 +205,8 @@ def test_view_counts_equal_the_walk_of_every_cover(variant, pinned):
     for params, demands, observer, selector in _quotient_cases():
         slots = {observer: selector} if pinned else None
         weight = cover_weight(params, demands, variant)
-        counts = audit._view_counts(params, demands, observer, variant, slots)
+        plan = audit._walk(params, demands, variant, len(slots or ()))
+        counts = audit._view_counts(params, demands, observer, plan, slots)
         assert [(key, c * weight) for key, c in counts.items()] == \
                list(walked_view_counts(params, demands, observer, variant, slots).items())
 
@@ -212,41 +220,35 @@ FAMILY_522 = (((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (2, 3)))
     (Variant(random_fill=False), [36, 24, 12], [36, 24, 12]),  # ascending fills: every cover walked
 ], ids=("full", "no-relabel", "frozen-fill"))
 def test_law_walks_one_cover_set_per_matrix(monkeypatch, variant, walked, atoms):
-    real = scheme.realizations
-    drawn = []
-
-    def counting(*args):
-        for item in real(*args):
-            drawn.append(item)
-            yield item
-    monkeypatch.setattr(scheme, "realizations", counting)
+    drawn = _counting_atoms(monkeypatch)
     visits = []
     for demands in FAMILY_522:
         drawn.clear()
         masked_demand_law(P522, demands, 0, (0, 2), variant)
-        visits.append(len(drawn))
+        visits.append(sum(drawn))
     assert visits == walked
     assert [audit._walk(P522, d, variant, 1)[1] for d in FAMILY_522] == walked
-    assert [audit._view_counts(P522, d, 0, variant, {0: (0, 2)}).total() for d in FAMILY_522] == walked
+    assert [audit._view_counts(P522, d, 0, audit._walk(P522, d, variant, 1), {0: (0, 2)}).total()
+            for d in FAMILY_522] == walked
     # the law still has every cover's atoms: cover weight x walked
     assert [cover_weight(P522, d, variant) * n for d, n in zip(FAMILY_522, walked)] == atoms
     assert [walked_view_counts(P522, d, 0, variant, {0: (0, 2)}).total() for d in FAMILY_522] == atoms
 
 
-def _counting_realizations(monkeypatch) -> list:
-    """Patch ``scheme.realizations`` to log each call; returns the log."""
-    real = scheme.realizations
+def _counting_walks(monkeypatch) -> list:
+    """Patch ``scheme.block_tables`` to log each call; returns the log."""
+    real = scheme.block_tables
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(scheme, "realizations", counting)
+    monkeypatch.setattr(scheme, "block_tables", counting)
     return calls
 
 
 def test_invariance_charges_the_family_once_before_any_walk(monkeypatch):
-    calls = _counting_realizations(monkeypatch)
+    calls = _counting_walks(monkeypatch)
     # every cover walked: 144 + 96 + 48 atoms, though no one law exceeds 200
     with pytest.raises(BudgetExceededError, match="288 enumeration atoms exceed the budget of 200"):
         verify_law_invariance(P522, FAMILY_522, 0, (0, 2), NO_RELABEL, budget=200)
@@ -257,7 +259,7 @@ def test_invariance_charges_the_family_once_before_any_walk(monkeypatch):
 
 def test_invariance_charges_the_atoms_walked_not_the_law(monkeypatch):
     # one cover set of three walked: 48 atoms charged, though the law has 144
-    calls = _counting_realizations(monkeypatch)
+    calls = _counting_walks(monkeypatch)
     rep = verify_law_invariance(P522, [FAMILY_522[0]], 0, (0, 2), budget=48)
     assert rep.uniform and rep.identical and rep.max_discrepancy == 0
     assert len(calls) == 1
@@ -267,9 +269,10 @@ def test_invariance_charges_the_atoms_walked_not_the_law(monkeypatch):
 
 
 def test_law_raises_when_unrelabeled_atoms_go_missing(monkeypatch):
-    real = scheme.realizations
-    monkeypatch.setattr(scheme, "realizations", lambda *args: itertools.islice(real(*args), 47))
-    with pytest.raises(RuntimeError, match="enumerated 47 atoms, predicted 48"):
+    # the last of the 12 slot-tuple products, 2 x 2 atoms, goes missing
+    real = scheme.block_tables
+    monkeypatch.setattr(scheme, "block_tables", lambda *args: itertools.islice(real(*args), 11))
+    with pytest.raises(RuntimeError, match="enumerated 44 atoms, predicted 48"):
         masked_demand_law(P522, ((0, 1), (2, 3)), 0, (0, 2))
 
 
@@ -416,9 +419,9 @@ def test_exact_mi_derives_per_matrix_state_once(monkeypatch):
 
 def test_exact_mi_raises_when_label_free_atoms_go_missing(monkeypatch):
     # each demand matrix of MI_INSTANCE has 2 x 2 slot tuples, one cover set
-    # and one fill per user
-    real = scheme.realizations
-    monkeypatch.setattr(scheme, "realizations", lambda *args: itertools.islice(real(*args), 3))
+    # and one fill per user: four one-atom products
+    real = scheme.block_tables
+    monkeypatch.setattr(scheme, "block_tables", lambda *args: itertools.islice(real(*args), 3))
     with pytest.raises(RuntimeError, match="enumerated 3 atoms, predicted 4"):
         exact_mutual_information(MI_INSTANCE, 0)
 
@@ -436,7 +439,7 @@ def _relabeled_views(params, demands, observer, variant):
     n = params.n_files
     relabs = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
     return Counter((sel[observer], scheme.relabeled_demand(e, relab))
-                   for sel, _, e in scheme.realizations(params, demands, variant) for relab in relabs)
+                   for sel, _, e in flat_realizations(params, demands, variant) for relab in relabs)
 
 
 def _library_mi(params, observer, variant):
@@ -526,16 +529,39 @@ ALL_VARIANTS = [Variant(*flags) for flags in itertools.product((True, False), re
 ], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else ("realizations" if v else "closed-form"))
 def test_mi_charge_is_the_sum_of_the_walks(triple, walk):
     """The closed-form MI charge is the sum of every demand matrix's planned
-    walk, for all 16 variants; on the smaller triples each plan is what
-    ``scheme.realizations`` yields."""
+    walk, for all 16 variants; on the smaller triples each plan is how many
+    realizations ``scheme.block_tables`` yields."""
     params = SchemeParams(*triple, r=0)
     mats = list(all_demand_matrices(params))
     for variant in ALL_VARIANTS:
         plans = [audit._walk(params, m, variant, 0) for m in mats]
         assert audit._joint_atom_count(params, variant)[0] == sum(walked for _, walked in plans)
         if walk:
-            assert [sum(1 for _ in scheme.realizations(params, m, walked_variant))
+            assert [sum(1 for _ in flat_realizations(params, m, walked_variant))
                     for m, (walked_variant, _) in zip(mats, plans)] == [walked for _, walked in plans]
+
+
+PRODUCT_WALK_FAMILY = (((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 2)), ((1, 0), (2, 0)), ((0, 1), (2, 3)),
+                       ((3, 2), (1, 0)))
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 1), (4, 2, 2), (4, 3, 1), (5, 2, 2), (3, 3, 1)],
+                         ids=lambda t: "".join(map(str, t)))
+def test_product_walk_equals_the_atom_by_atom_walk(triple):
+    """Brute-force oracle for the product walk: ``_view_counts`` gives the
+    counts of ``walked_view_counts``, which walks the realizations one atom
+    at a time, rebuilds every user's blocks per slot assignment and
+    renumbers whole vectors, key for key and in first-occurrence order; on
+    all 16 variants, pinned and unpinned, for the first and the last user."""
+    params = SchemeParams(*triple, r=1)
+    mats = PRODUCT_WALK_FAMILY if triple[2] == 2 else list(all_demand_matrices(params))
+    pin = scheme.slot_support(params)[-1]
+    for demands, variant in itertools.product(mats, ALL_VARIANTS):
+        for observer in (0, params.n_users - 1):
+            for slots in (None, {observer: pin}):
+                plan = audit._walk(params, demands, variant, len(slots or ()))
+                assert list(audit._view_counts(params, demands, observer, plan, slots).items()) == \
+                       list(walked_view_counts(params, demands, observer, plan[0], slots).items())
 
 
 def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL, budget=10 ** 7):
@@ -549,7 +575,7 @@ def masked_marginal_via_joint(params, demands, observer, selector, variant=FULL,
     relabelings = math.factorial(params.n_files) if variant.relabel_files else 1
     audit._check_budget(audit._walk(params, demands, variant, 0)[1] * relabelings, budget,
                         "joint slot-tuple enumeration")
-    counts = audit._view_counts(params, demands, observer, variant)
+    counts = audit._view_counts(params, demands, observer, audit._walk(params, demands, variant, 0))
     # each class spread over every relabeling of its first vector; the
     # observer's slot tuple holds the atoms of the pinned walk
     atoms = audit._walk(params, demands, variant, 1)[1]

@@ -104,7 +104,7 @@ def test_audit_ptilde_explicit_selector_and_demands(tmp_path):
 def test_audit_ptilde_computes_each_law_once(monkeypatch, tmp_path):
     """One enumeration pass per demand matrix, decided on the class counts:
     no full law is expanded on the CLI path."""
-    real = scheme.realizations
+    real = scheme.block_tables
     passes = []
 
     def counting(params, demands, *args):
@@ -114,7 +114,7 @@ def test_audit_ptilde_computes_each_law_once(monkeypatch, tmp_path):
     def expanded(*args, **kwargs):
         raise AssertionError("full masked-demand law expanded")
 
-    monkeypatch.setattr(scheme, "realizations", counting)
+    monkeypatch.setattr(scheme, "block_tables", counting)
     monkeypatch.setattr(audit, "masked_demand_law", expanded)
     assert run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2",
                    "--selector", "0,2", "--out", str(tmp_path / "law.json")) == 0
@@ -176,6 +176,24 @@ def test_audit_mi_budget_exceeded(capsys):
     # no relabeling or library factor
     assert capsys.readouterr().err == ("budget error: joint-law enumeration: "
                                        "429981696 enumeration atoms exceed the budget of 10000000\n")
+
+
+def test_audit_mi_baseline_charges_one_budget_before_any_walk(monkeypatch, capsys):
+    # the scheme walks 36 atoms and the plain baseline 9: the command is charged 45,
+    # once, so a budget that either audit alone fits refuses the command unwalked
+    def unexpected(*args, **kwargs):
+        raise AssertionError("walked before the budget was charged")
+
+    argv = ("audit", "--mode", "mi", "--N", "3", "--K", "2", "--L", "1", "--F", "4", "--r", "1", "--baseline")
+    with monkeypatch.context() as patched:
+        patched.setattr(scheme, "block_tables", unexpected)
+        assert run_cli(*argv, "--budget", "36") == 3
+        assert capsys.readouterr().err == ("budget error: joint-law enumeration: "
+                                           "45 enumeration atoms exceed the budget of 36\n")
+        assert run_cli(*argv, "--budget", "44") == 3
+        capsys.readouterr()
+    assert run_cli(*argv, "--budget", "45") == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_audit_ptilde_budget_counts_label_free_atoms(capsys):
@@ -320,7 +338,7 @@ def test_audit_refuses_options_its_mode_does_not_read(argv, unread, monkeypatch,
     def unexpected(*args, **kwargs):
         raise AssertionError("enumerated before the options were checked")
 
-    monkeypatch.setattr(scheme, "realizations", unexpected)
+    monkeypatch.setattr(scheme, "block_tables", unexpected)
     monkeypatch.setattr(scheme, "sampler", unexpected)
     assert run_cli("audit", *argv) == 2
     captured = capsys.readouterr()

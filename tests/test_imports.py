@@ -5,11 +5,11 @@ those classes, is read somewhere in src/privcache, exported in
 ``privcache.__all__`` or named in perfbench/*.py (whose tracer patches by
 name).  Every name the tracer patches resolves in privcache, and no
 privcache module reads another one's private (underscore-prefixed)
-top-level names.  ``scheme.realizations``, the enumerator of the scheme's
-randomness, has one caller, ``audit._view_counts``, so every exact audit
-walks it through the cover quotient and the atom check there; and every
-function of ``audit`` that walks through ``_view_counts`` charges its budget
-on an earlier line."""
+top-level names.  ``scheme.block_tables``, the one enumerator of the
+scheme's randomness, has one caller, ``audit._view_counts``, so every exact
+audit walks its product through the cover quotient and the atom check there;
+and every function of ``audit`` that walks through ``_view_counts`` charges
+its budget on an earlier line."""
 
 import ast
 import importlib
@@ -161,9 +161,9 @@ def test_no_module_reads_another_modules_private_names():
     assert [hit for path in files for hit in private_reads(path)] == []
 
 
-def realizations_readers() -> list[str]:
+def enumerator_readers() -> list[str]:
     """``module.function`` of each top-level definition in src/privcache that
-    reads the name ``realizations`` (bare, as an attribute or by import),
+    reads the name ``block_tables`` (bare, as an attribute or by import),
     once per read; a read outside any definition is listed as ``module``."""
     hits = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -171,16 +171,17 @@ def realizations_readers() -> list[str]:
         for top in tree.body:
             owner = f"{path.stem}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else path.stem
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id == "realizations" \
-                        or isinstance(node, ast.Attribute) and node.attr == "realizations" \
-                        or isinstance(node, ast.alias) and node.name == "realizations":
+                if isinstance(node, ast.Name) and node.id == "block_tables" \
+                        or isinstance(node, ast.Attribute) and node.attr == "block_tables" \
+                        or isinstance(node, ast.alias) and node.name == "block_tables":
                     hits.append(owner)
     return hits
 
 
 def test_realizations_has_one_caller():
-    assert callable(privcache.scheme.realizations)
-    assert realizations_readers() == ["audit._view_counts"]
+    assert callable(privcache.scheme.block_tables)
+    assert not hasattr(privcache.scheme, "realizations")  # the per-atom generator is gone, not kept beside it
+    assert enumerator_readers() == ["audit._view_counts"]
 
 
 def uncharged_walks() -> tuple[list[str], list[str]]:

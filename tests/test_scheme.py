@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_demand_matrices, cover_weight, ramp_library, scan_cover_sets
+from helpers import all_demand_matrices, cover_weight, flat_realizations, ramp_library, scan_cover_sets
 from privcache import audit, cli, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
@@ -24,7 +24,6 @@ from privcache.scheme import (
     deliver,
     feasible_cover_sets,
     place_caches,
-    realizations,
     relabeled_demand,
     relabeled_library,
     run_simulation,
@@ -189,7 +188,8 @@ def test_block_support_size_for_every_cover_row_selector():
 
 
 def test_frozen_fill_takes_the_first_block_support_arrangement():
-    """With the fill stage off, every block that ``realizations`` yields or
+    """With the fill stage off, every block table that ``block_tables``
+    yields holds one block, and every block of a realization it yields or
     ``sampler`` draws is the first arrangement ``block_support`` lists."""
     frozen = Variant(random_fill=False)
     cases = ((P522, (((0, 1), (0, 2)), ((1, 0), (2, 3)), ((3, 4), (3, 4)))),
@@ -198,7 +198,8 @@ def test_frozen_fill_takes_the_first_block_support_arrangement():
         for demands in mats:
             draw = sampler(p, demands, frozen)
             drawn = [draw(SeedStreams(seed))[1:] for seed in range(20)]
-            for sel, cover, expanded in itertools.chain(realizations(p, demands, frozen), drawn):
+            assert all(len(table) == 1 for *_, tables in scheme.block_tables(p, demands, frozen) for table in tables)
+            for sel, cover, expanded in itertools.chain(flat_realizations(p, demands, frozen), drawn):
                 for k, row in enumerate(demands):
                     block = expanded[k * p.n_active:(k + 1) * p.n_active]
                     assert block == block_support(p, cover, row, sel[k])[0]
@@ -458,22 +459,24 @@ def test_realizations_match_nested_loops():
     for p in (P321, P221):
         for demands in all_demand_matrices(p):
             for variant in VARIANTS:
-                assert Counter(realizations(p, demands, variant)) == \
+                assert Counter(flat_realizations(p, demands, variant)) == \
                        Counter(_nested_realizations(p, demands, variant))
 
 
 def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
     for demands in all_demand_matrices(P321):
         for variant in VARIANTS[:4]:
-            unpinned = list(realizations(P321, demands, variant))
+            unpinned = list(flat_realizations(P321, demands, variant))
             for observer in range(P321.n_users):
                 for sel in slot_support(P321):
-                    pinned = realizations(P321, demands, variant, {observer: sel})
+                    pinned = flat_realizations(P321, demands, variant, {observer: sel})
                     assert Counter(pinned) == Counter(x for x in unpinned if x[0][observer] == sel)
-    with pytest.raises(ValueError):
-        next(realizations(P321, ((0,), (1,)), FULL, {0: (2,)}))
-    with pytest.raises(ValueError):
-        next(realizations(P321, ((0,), (1,)), FULL, {2: (0,)}))
+    # the enumerator takes checked pins; the audits check them
+    for observer, sel in ((0, (2,)), (2, (0,))):
+        with pytest.raises(ValueError):
+            audit.masked_demand_law(P321, ((0,), (1,)), observer, sel)
+        with pytest.raises(ValueError):
+            audit.verify_law_invariance(P321, [((0,), (1,))], observer, sel)
 
 
 @pytest.mark.parametrize("params,mats", [
@@ -482,14 +485,14 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
 ], ids=["P321", "P522"])
 def test_sampled_realizations_are_enumerated_realizations(params, mats):
     """Every draw of ``sampler`` is one of the realizations
-    ``realizations`` yields, with or without a pin, and its relabeling is a
+    ``block_tables`` yields, with or without a pin, and its relabeling is a
     permutation.  A pin replaces the pinned user's drawn slot tuple only: the
     relabeling, the cover set and every other user's slot tuple stay put."""
     pin = {0: slot_support(params)[-1]}
     for demands in mats:
         for variant in VARIANTS:
             for slots in (None, pin):
-                support = set(realizations(params, demands, variant, slots))
+                support = set(flat_realizations(params, demands, variant, slots))
                 for seed in range(10):
                     relabeling, sel, cover, expanded = sampler(params, demands, variant, slots)(SeedStreams(seed))
                     assert (sel, cover, expanded) in support
@@ -572,6 +575,6 @@ def test_realization_count_equals_law_budget_prediction():
         for variant in VARIANTS:
             for pinned, slots in ((1, {0: slot_support(p)[-1]}), (0, None)):
                 walked_variant, walked = audit._walk(p, demands, variant, pinned)
-                assert sum(1 for _ in realizations(p, demands, walked_variant, slots)) == walked
-                assert sum(1 for _ in realizations(p, demands, variant, slots)) == \
+                assert sum(1 for _ in flat_realizations(p, demands, walked_variant, slots)) == walked
+                assert sum(1 for _ in flat_realizations(p, demands, variant, slots)) == \
                        cover_weight(p, demands, variant) * walked
