@@ -41,12 +41,13 @@ class is one vector, of size 1.  Every block is an arrangement of the cover
 set, so block 0 holds all n_active labels once: every pattern starts with
 range(n_active), has n_active labels, and continues with each later block
 read relative to block 0 (a label x becomes its position in block 0).  The
-walk computes each relative block table once and builds each class by tuple
-concatenation, never renumbering a whole vector.  The realizations are
-equally likely (each stage is uniform, with a support size that does not
-depend on earlier draws), so a class counted c times out of ``atoms`` gives
-each member the mass c / (atoms * size).  Only ``masked_demand_law``, which
-returns the full law, expands a class into its members.
+walk reads the later block tables relative to each block-0 block it meets
+and builds each class by tuple concatenation, never renumbering a whole
+vector.  The realizations are equally likely (each stage is uniform, with
+a support size that does not depend on earlier draws), so a class counted
+c times out of ``atoms`` gives each member the mass c / (atoms * size).
+Only ``masked_demand_law``, which returns the full law, expands a class
+into its members.
 
 The walk is quotiented once more when relabeling and random fills are both
 on.  A permutation of the files nobody requested maps the realizations of
@@ -186,9 +187,8 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, plan: tu
     block is an arrangement of the cover set, so block 0 holds each of the
     n_active labels once: the pattern is range(n_active) followed by each
     later block's pattern relative to block 0, its labels x read as their
-    positions in block 0.  That relative table is computed once per
-    (block-0 block, user, slot tuple), and each key is one tuple
-    concatenation per user.
+    positions in block 0.  Each block-0 block reads the later tables
+    relative to itself, and each key is one tuple concatenation per user.
 
     Why one cover set stands for all when relabeling and random fills are
     both on: a permutation of the unrequested files fixes every slot tuple
@@ -203,20 +203,15 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, plan: tu
     does not keep.  Either way every cover set is walked."""
     walked, atoms = plan
     relabel, labels = walked.relabel_files, tuple(range(params.n_active))
-    relative: dict[tuple, list[tuple[int, ...]]] = {}
     counts: Counter = Counter()
     for sel, _, tables in sch.block_tables(params, demands, walked, pinned):
         tag, views = sel[observer], []
         for first in tables[0]:
-            keys = [labels if relabel else first]
-            for k in range(1, params.n_users):
-                table = tables[k]
-                if relabel:
-                    at = (first, k, sel[k])
-                    if at not in relative:
-                        position = {x: i for i, x in enumerate(first)}.__getitem__
-                        relative[at] = [tuple(map(position, block)) for block in table]
-                    table = relative[at]
+            keys, rest = [first], tables[1:]
+            if relabel:
+                position = {x: i for i, x in enumerate(first)}.__getitem__
+                keys, rest = [labels], [[tuple(map(position, block)) for block in table] for table in rest]
+            for table in rest:
                 keys = [key + block for key in keys for block in table]
             views += [(tag, key) for key in keys]
         counts.update(views)
