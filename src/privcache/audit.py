@@ -481,7 +481,9 @@ def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
     support_set = set(support)
     outside = sum(c for key, c in counts.items() if key not in support_set)
     expected = runs / size
-    statistic = sum((counts.get(key, 0) - expected) ** 2 / expected for key in support)
+    statistic = 0.0
+    for key in support:  # left to right: sum() of floats compensates from Python 3.12 on
+        statistic += (counts.get(key, 0) - expected) ** 2 / expected
     if outside:
         statistic = math.inf
     dof = size - 1

@@ -8,28 +8,32 @@ by the caching scheme is 257; q = 2 is fully supported so privacy audits can
 enumerate every library realization.
 
 Gaussian elimination carries explicit status reporting and never returns a
-silently wrong answer on singular or inconsistent systems.  Sparse rows
-are the one system format: a row is a dict from column to nonzero value,
-with right-hand side j at column n_coef + j.  Both solvers end in the
-sparse Gauss-Jordan kernel ``rref`` and read consistency off the rows past
-the rank, which hold right-hand-side entries only; both take many
-right-hand sides in one elimination: ``determined_unknowns`` extracts the
-exact values of chosen unknowns from a system that is underdetermined
-overall (a cache-aided decoder needs only the requested file's subfiles),
-and ``solve_any`` returns one particular solution, or None, per
+silently wrong answer on singular or inconsistent systems.  Elimination
+works on dict rows: a row is a dict from column to nonzero value, with
+right-hand side j at column n_coef + j.  Both solvers end in the sparse
+Gauss-Jordan kernel ``rref`` and read consistency off the rows past the
+rank, which hold right-hand-side entries only; both take many right-hand
+sides in one elimination: ``determined_unknowns`` extracts the exact values
+of chosen unknowns from a system that is underdetermined overall (a
+cache-aided decoder needs only the requested file's subfiles), and
+``solve_any`` returns one particular solution, or None, per
 right-hand-side column.  ``determined_unknowns`` is a query on a
-``SparseSystem``, built once with its column index and holder counts and
-never mutated: each query names the columns it knows, with their values,
-and the columns it wants.  It first peels the system, as structured
-Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990): a free
-column held by one row is dropped with that row, on the shared counts
-before any value is computed, then the kept rows get values and singleton
-rows are solved by substitution, so only the residue reaches ``rref``.
+``SparseSystem``, built once and never mutated.  It stores each row split:
+a tuple of coefficient columns, a tuple of their values and a tuple of the
+right-hand sides, zeros included; next to them, its column index, holder
+counts and once-held columns.  Each query names the columns it knows, with
+their values, and the columns it wants.  It first peels the system, as
+structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990):
+a free column held by one row is dropped with that row, on a copy of the
+counts before any value is computed, then only the kept rows get a working
+copy and singleton rows are solved by substitution, so only the residue
+reaches ``rref``, as dict rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
@@ -92,8 +96,10 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
     past the rank hold right-hand-side entries only.  The columns some row
     holds are taken in order (fill-in only spreads columns already held) and
     each pivot touches only the rows that hold its column; among
-    those, the row with the fewest nonzeros is the pivot, to limit fill-in.
-    The reduced form is unique, so the choice never shows in the result.
+    those, the row with the fewest nonzeros is the pivot, to limit fill-in,
+    the first such row on a tie.  The reduced form is unique, so the choice
+    never shows in the result.  A pivot of -1 is scaled by -1, with no field
+    inverse.
     """
     q = field.q
     holders: dict[int, set[int]] = {}  # coefficient column -> rows holding it
@@ -106,14 +112,16 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
     pivot_rows: list[int] = []
     for col in sorted(holders):
         held = holders[col]
-        free_rows = [i for i in held if not is_pivot[i]]
-        if not free_rows:
+        p, size = -1, 0
+        for i in held:
+            if not is_pivot[i] and (p < 0 or len(rows[i]) < size):
+                p, size = i, len(rows[i])
+        if p < 0:
             continue
-        p = min(free_rows, key=lambda i: len(rows[i]))
         prow = rows[p]
         head = prow[col]
         if head != 1:
-            s = field.inv(head)
+            s = q - 1 if head == q - 1 else field.inv(head)
             for c in prow:
                 prow[c] = prow[c] * s % q
         others = [(c, v) for c, v in prow.items() if c != col]
@@ -162,24 +170,30 @@ def solve_any(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int) -> li
     return solutions
 
 
+SplitRow = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # columns, their values, right-hand sides
+
+
 class SparseSystem:
     """A sparse system [A | B] built once and queried by ``determined_unknowns``
     under many sets of known columns.
 
-    ``rows`` are sparse rows of [A | B] and are never mutated.  ``cols[i]``
-    lists the coefficient columns of row i, ``holders[c]`` the rows holding
-    column c and ``counts[c]`` their number; both are lists indexed by column.
+    Each row comes split: ``cols[i]`` lists its distinct coefficient
+    columns, ``coefs[i]`` their values in [1, q), in the same order, and
+    ``rhs[i]`` its ``n_rhs`` right-hand sides, zeros included.  None of them
+    is ever mutated.  ``holders[c]`` lists the rows holding column c and
+    ``counts[c]`` their number, both indexed by column, and ``once`` the
+    columns exactly one row holds, in column order.
     """
 
-    def __init__(self, field: PrimeField, rows: Iterable[Row], n_coef: int, n_rhs: int):
+    def __init__(self, field: PrimeField, rows: Iterable[SplitRow], n_coef: int, n_rhs: int):
         self.field, self.n_coef, self.n_rhs = field, n_coef, n_rhs
-        self.rows = tuple(rows)
-        self.cols = tuple(tuple(c for c in row if c < n_coef) for row in self.rows)
+        self.cols, self.coefs, self.rhs = tuple(zip(*rows)) or ((), (), ())
         self.holders: list[list[int]] = [[] for _ in range(n_coef)]
         for i, cols in enumerate(self.cols):
             for c in cols:
                 self.holders[c].append(i)
-        self.counts = [len(held) for held in self.holders]
+        self.counts = list(map(len, self.holders))
+        self.once = [c for c, n in enumerate(self.counts) if n == 1]
 
 
 def determined_unknowns(
@@ -191,11 +205,13 @@ def determined_unknowns(
 
     ``known`` maps a coefficient column to its values, one per right-hand
     side; those columns move to the right-hand side and every other column is
-    an unknown.  A column both known and wanted is a ValueError.  The system
-    is left as it was.  An unknown is determined when it takes the same value
-    in every solution of the (possibly underdetermined) system.  Unknowns that
-    are not determined are simply absent from the result.  Raises
-    InconsistentSystemError when the system has no solution at all.
+    an unknown.  A column outside [0, n_coef), a known value that is not
+    n_rhs long, or a column both known and wanted is a ValueError naming the
+    columns.  The system is left as it was.  An unknown is determined when it
+    takes the same value in every solution of the (possibly underdetermined)
+    system.  Unknowns that are not determined are simply absent from the
+    result.  Raises InconsistentSystemError when the system has no solution
+    at all.
 
     Two reductions run before any elimination, each preserving consistency
     and the determinacy of every wanted unknown:
@@ -210,28 +226,36 @@ def determined_unknowns(
 
     (a) changes no column's holder count but its own, and (b) changes no
     remaining row's width, so neither makes work for the other and they
-    commute.  So (b) runs first, on a copy of the system's holder counts and
-    before any value is computed; values are built only for the rows it
-    keeps, known columns moved to the right-hand side, and (a) runs on those.
-    The residue, possibly empty, goes through ``rref``: it is consistent iff
-    every row past the rank is empty, and an unknown is determined when its
-    column is a pivot whose reduced row holds no coefficient column but its
-    own.
+    commute.  So (b) runs first, from the system's once-held columns on a
+    copy of its holder counts, before any value is computed.  Only the rows
+    it keeps get a working copy, their unknown coefficients as a dict and
+    their right-hand sides as a list with the known columns moved in, and
+    (a) runs on those; a +-1 coefficient is solved for without a field
+    inverse.  The residue, possibly empty, goes through ``rref`` as
+    dict rows: it is consistent iff every row past the rank is empty, and an
+    unknown is determined when its column is a pivot whose reduced row holds
+    no coefficient column but its own.
     """
     field, n_coef, n_rhs = system.field, system.n_coef, system.n_rhs
     q = field.q
     wanted = list(wanted)
-    clash = sorted(c for c in wanted if c in known)
+    named = [*known, *wanted]
+    if named and not (0 <= min(named) and max(named) < n_coef):
+        raise ValueError(f"columns outside [0, {n_coef}): {sorted({c for c in named if not 0 <= c < n_coef})}")
+    misshapen = sorted(c for c, x in known.items() if len(x) != n_rhs)
+    if misshapen:
+        raise ValueError(f"known columns whose values are not {n_rhs} long: {misshapen}")
+    clash = sorted(known.keys() & wanted)
     if clash:
         raise ValueError(f"columns both known and wanted: {clash}")
-    rows, cols, holders = system.rows, system.cols, system.holders
-    live = [True] * len(rows)
+    cols, coefs, rhs, holders = system.cols, system.coefs, system.rhs, system.holders
+    m = len(cols)
+    live = [True] * m
 
-    pinned = [False] * n_coef  # wanted or known: never a free column
-    for c in (*wanted, *known):
-        pinned[c] = True
     count = system.counts.copy()  # (b): column -> live rows holding it
-    frees = [c for c, n in enumerate(count) if n == 1 and not pinned[c]]
+    for c in named:
+        count[c] += 2  # wanted or known: never a free column, its count never falls to 1
+    frees = [c for c in system.once if count[c] == 1]
     while frees:
         c = frees.pop()
         if count[c] != 1:
@@ -241,89 +265,83 @@ def determined_unknowns(
                 break
         live[i] = False
         for c in cols[i]:
-            count[c] -= 1
-            if count[c] == 1 and not pinned[c]:
+            n = count[c] - 1
+            count[c] = n
+            if n == 1:
                 frees.append(c)
 
-    values: list[Row | None] = [None] * len(rows)  # kept row -> its entries, known columns moved
-    width = [0] * len(rows)  # unknown columns per kept row
+    unknowns: list[Row | None] = [None] * m  # kept row -> its unknown columns' coefficients
+    values: list[list[int] | None] = [None] * m  # kept row -> its right-hand sides, known columns moved in
+    for i in compress(range(m), live):
+        unknowns[i] = dict(zip(cols[i], coefs[i]))
+        values[i] = list(rhs[i])
+    for c, x in known.items():
+        for i in holders[c]:
+            if live[i]:
+                a = unknowns[i].pop(c)
+                b = values[i]
+                for j, y in enumerate(x):
+                    b[j] = (b[j] - a * y) % q
     singles = []
-    for i, row in enumerate(rows):
-        if not live[i]:
-            continue
-        val = dict(row)
-        n = len(cols[i])
-        for c in cols[i]:
-            x = known.get(c)
-            if x is None:
-                continue
-            f = val.pop(c)
-            n -= 1
-            for j, y in enumerate(x):
-                k = n_coef + j
-                z = (val.get(k, 0) - f * y) % q
-                if z:
-                    val[k] = z
-                elif k in val:
-                    del val[k]
-        if n == 0:
-            if val:
-                raise InconsistentSystemError("no solution")
-            live[i] = False
-            continue
-        values[i] = val
-        width[i] = n
+    for i in compress(range(m), live):
+        n = len(unknowns[i])
         if n == 1:
             singles.append(i)
+        elif not n:
+            if any(values[i]):
+                raise InconsistentSystemError("no solution")
+            live[i] = False
 
-    fixed: dict[int, Row] = {}  # (a): unknown -> its values, as right-hand-side entries
+    fixed: dict[int, list[int]] = {}  # (a): unknown -> its values, one per right-hand side
     while singles:
         i = singles.pop()
         if not live[i]:
             continue
         live[i] = False
-        row = values[i]
-        for c in cols[i]:
-            if c in row:
-                break
-        s = field.inv(row.pop(c))
-        value = {k: x * s % q for k, x in row.items()}
+        (c, a), = unknowns[i].items()
+        value = values[i]
+        if a == q - 1:
+            value = [-x % q for x in value]
+        elif a != 1:
+            s = field.inv(a)
+            value = [x * s % q for x in value]
         fixed[c] = value
         for k in holders[c]:
             if not live[k]:
                 continue
-            other = values[k]
+            other, b = unknowns[k], values[k]
             f = other.pop(c)
-            for col, x in value.items():
-                y = (other.get(col, 0) - f * x) % q
-                if y:
-                    other[col] = y
-                else:
-                    del other[col]
-            width[k] -= 1
-            if width[k] == 1:
+            for j, x in enumerate(value):
+                b[j] = (b[j] - f * x) % q
+            if len(other) == 1:
                 singles.append(k)
-            elif width[k] == 0:
-                if other:
+            elif not other:
+                if any(b):
                     raise InconsistentSystemError("no solution")
                 live[k] = False
 
-    residue = [values[i] for i in range(len(rows)) if live[i]]
+    residue = []
+    for i in compress(range(m), live):
+        row = unknowns[i]
+        for j, x in enumerate(values[i]):
+            if x:
+                row[n_coef + j] = x
+        residue.append(row)
     pivots = rref(field, residue, n_coef)
     if any(residue[len(pivots):]):
         raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
-    rhs = range(n_coef, n_coef + n_rhs)
+    rhs_cols = range(n_coef, n_coef + n_rhs)
     out: dict[int, tuple[int, ...]] = {}
     for j in wanted:
         if j in fixed:
-            row = fixed[j]
-        else:
-            i = pivot_row.get(j)
-            if i is None:
-                continue
-            row = residue[i]
-            if any(c < n_coef and c != j for c in row):
-                continue
-        out[j] = tuple([row.get(k, 0) for k in rhs])
+            out[j] = tuple(fixed[j])
+            continue
+        i = pivot_row.get(j)
+        if i is None:
+            continue
+        row = residue[i]
+        if any(c < n_coef and c != j for c in row):
+            continue
+        out[j] = tuple([row.get(k, 0) for k in rhs_cols])
     return out

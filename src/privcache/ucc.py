@@ -19,11 +19,14 @@ requested file as its cached and solved subfiles concatenated in rank order:
 
 * ``decode_linear`` is the reference decoder.  Every subfile of the
   requested files is a column and every transmitted segment a linear
-  equation; that sparse system is built once per broadcast, shared by every
-  user's decode.  A decode is one query on it (``gf.determined_unknowns``):
-  the user's cached subfiles are known columns, the uncached subfiles of its
-  requested file the wanted ones, and unwanted one-row columns and then
-  singleton rows are peeled before the rest is eliminated.  Correctness is
+  equation; that sparse system is built once per broadcast, straight from
+  the segment table (a row is its segment's columns, their +-1
+  coefficients and the segment's own symbols as right-hand sides), and
+  shared by every user's decode.  A decode is one query on it
+  (``gf.determined_unknowns``): the user's cached subfiles are known
+  columns, the uncached subfiles of its requested file the wanted ones, and
+  unwanted one-row columns and then singleton rows are peeled before the
+  rest is eliminated.  Correctness is
   the contract; nothing scheme-specific is assumed.
 * ``decode_structural`` is the closed-form path.  It rebuilds every
   omitted (all-non-leader) segment Y_B once per broadcast, shared by every
@@ -283,21 +286,24 @@ class Broadcast:
     @cached_property
     def _system(self) -> SparseSystem:
         """The linear decoder's system, shared by every linear decode: one row
-        per transmitted segment, read off the segment table, over every
-        subfile of the requested files (column offset[n] + t), with the
-        segment's symbols as right-hand sides."""
+        per transmitted segment, in rank order, read off the segment table
+        over every subfile of the requested files.  A row's columns are its
+        terms' offset[n] + t, its coefficients their c mod q and its
+        right-hand sides the segment's own symbols.  A segment that is not
+        packet_size symbols long raises DecodeError."""
         q = self.field.q
+        packet = self.params.packet_size
         offset = self._file_offset
-        n_coef = len(offset) * self.params.subfile_count
         rows = []
         for sub, terms in self._terms.items():
             seg = self.segments.get(sub)
             if seg is None:
                 continue  # omitted: not an equation
-            row = {offset[n] + t: c % q for n, t, c in terms}  # the terms of one segment name distinct subfiles
-            row.update((n_coef + p, x) for p, x in enumerate(seg) if x)
-            rows.append(row)
-        return SparseSystem(self.field, rows, n_coef, self.params.packet_size)
+            if len(seg) != packet:
+                raise DecodeError(f"the segment of users {list(sub)} holds {len(seg)} symbols, not {packet}")
+            # the terms of one segment name distinct subfiles
+            rows.append((tuple([offset[n] + t for n, t, _ in terms]), tuple([c % q for _, _, c in terms]), seg))
+        return SparseSystem(self.field, rows, len(offset) * self.params.subfile_count, packet)
 
     def trace_record(self) -> dict:
         par = self.params
@@ -415,7 +421,8 @@ def decode_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tupl
 
     The broadcast's sparse system, built on its first linear decode, holds
     one row per transmitted segment over every subfile of the requested files
-    (subfile t of file n at column offset[n] + t).  u's decode is one
+    (subfile t of file n at column offset[n] + t), each split into the
+    segment's columns, coefficients and symbols.  u's decode is one
     ``determined_unknowns`` query on it: the subfiles u caches are known
     columns, read from its cache slice and moved to the right-hand side, and
     the uncached subfiles of its requested file are wanted.  All packet

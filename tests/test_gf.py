@@ -84,9 +84,20 @@ def _sparse(f, matrix, rhs_rows=None):
     return rows, len(matrix[0]) if matrix else 0, len(rhs_rows[0]) if rhs_rows else 0
 
 
+def _split(f, matrix, rhs_rows=None):
+    """Dense A and B as ``SparseSystem``'s split rows: per row its nonzero
+    coefficient columns, their reduced values and its reduced right-hand
+    sides, zeros included; then n_coef and n_rhs."""
+    if rhs_rows is None:
+        rhs_rows = [()] * len(matrix)
+    rows = [(tuple(c for c, x in enumerate(coef) if x % f.q), tuple(x % f.q for x in coef if x % f.q),
+             tuple(x % f.q for x in rhs)) for coef, rhs in zip(matrix, rhs_rows)]
+    return rows, len(matrix[0]) if matrix else 0, len(rhs_rows[0]) if rhs_rows else 0
+
+
 def _system(f, matrix, rhs_rows=None):
     """Dense A and B as a ``SparseSystem`` for ``determined_unknowns``."""
-    return SparseSystem(f, *_sparse(f, matrix, rhs_rows))
+    return SparseSystem(f, *_split(f, matrix, rhs_rows))
 
 
 def _random_invertible(f, n, rng):
@@ -162,6 +173,15 @@ def test_solve_any_multi_rhs_brute_force_gf3():
                 assert image(x) == col
             outcomes.add(solvable)
     assert outcomes == {True, False}
+
+
+def test_rref_pivot_is_the_first_of_the_narrowest_rows():
+    """Rows 1 and 2 tie as the narrowest holders of column 0, so row 1 is the
+    pivot, which shows in what is left past the rank."""
+    f = PrimeField(5)
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 1: 3}]
+    assert rref(f, rows, 1) == [0]
+    assert rows == [{0: 1, 1: 2}, {1: 4, 2: 1}, {1: 1}]
 
 
 def _dense_rref(q, rows, n_coef):
@@ -290,7 +310,8 @@ def test_determined_unknowns_peeling_matches_dense_reference(q):
     seen = set()
     for _ in range(600):
         a, b = _random_sparse_system(q, rng, rng.choice([1, 1, 2, 3]))
-        rows, n_coef, n_rhs = _sparse(f, a, b)
+        system = _system(f, a, b)
+        n_coef, n_rhs = system.n_coef, system.n_rhs
         wanted = [c for c in range(n_coef) if rng.random() < 0.5]
         dense = [[x % q for x in ra] + [x % q for x in rb] for ra, rb in zip(a, b)]
         pivots = _dense_rref(q, dense, n_coef)
@@ -301,12 +322,12 @@ def test_determined_unknowns_peeling_matches_dense_reference(q):
                   any(held[c] == 1 for c in range(n_coef) if c not in wanted)))
         if not consistent:
             with pytest.raises(InconsistentSystemError):
-                determined_unknowns(SparseSystem(f, rows, n_coef, n_rhs), {}, wanted)
+                determined_unknowns(system, {}, wanted)
             continue
         free = set(range(n_coef)) - set(pivots)
         expected = {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
                     if col in wanted and not any(row[c] for c in free)}
-        assert determined_unknowns(SparseSystem(f, rows, n_coef, n_rhs), {}, wanted) == expected
+        assert determined_unknowns(system, {}, wanted) == expected
     assert seen >= {(c, m, True, True) for c in (False, True) for m in (False, True)}
 
 
@@ -338,15 +359,21 @@ def test_determined_unknowns_known_columns_match_dense_reference(q):
     columns substituted by hand.  Their values are a solution's or random, so
     both consistent and inconsistent queries occur.  Two queries with
     different known sets alternate on one system: each gives the same answer
-    twice, and the system's rows are unchanged afterwards."""
+    twice, and the system's split rows and index are unchanged afterwards."""
     f = PrimeField(q)
     rng = random.Random(8000 + q)
     seen = set()
     for _ in range(300):
         a, b = _random_sparse_system(q, rng, rng.choice([1, 2, 3]))
-        system = _system(f, a, b)
-        before = [dict(row) for row in system.rows]
-        n_coef, n_rhs = system.n_coef, system.n_rhs
+        split, n_coef, n_rhs = _split(f, a, b)
+        system = SparseSystem(f, split, n_coef, n_rhs)
+
+        def stored():
+            return (list(zip(system.cols, system.coefs, system.rhs)),
+                    [list(held) for held in system.holders], list(system.counts), list(system.once))
+
+        before = stored()
+        assert before[0] == split
         solution = solve_any(f, *_sparse(f, a, b))
         queries = []
         for _ in range(2):
@@ -375,7 +402,7 @@ def test_determined_unknowns_known_columns_match_dense_reference(q):
 
         for known, wanted, expected in queries + queries:
             assert answer(known, wanted) == expected
-        assert list(system.rows) == before
+        assert stored() == before
     assert seen >= {(c, m, True, True, True) for c in (False, True) for m in (False, True)}
 
 
@@ -383,6 +410,25 @@ def test_known_and_wanted_column_is_rejected():
     f = PrimeField(5)
     with pytest.raises(ValueError, match="both known and wanted"):
         determined_unknowns(_system(f, [[1, 1]], [[3]]), {1: (2,)}, [0, 1])
+
+
+@pytest.mark.parametrize("known,wanted,message", [
+    ({-1: (4,)}, [0], r"columns outside \[0, 2\): \[-1\]"),
+    ({2: (4,)}, [0], r"columns outside \[0, 2\): \[2\]"),
+    ({}, [0, 5, -3], r"columns outside \[0, 2\): \[-3, 5\]"),
+    ({1: ()}, [0], r"known columns whose values are not 1 long: \[1\]"),
+    ({1: (2, 3)}, [0], r"known columns whose values are not 1 long: \[1\]"),
+])
+def test_malformed_query_is_rejected(known, wanted, message):
+    """x0 + x1 = 3, x1 = 2 over GF(5): a column outside the system or a known
+    value of the wrong length is a ValueError naming the columns, not a
+    query that pins another column or reads as inconsistent."""
+    f = PrimeField(5)
+    system = _system(f, [[1, 1], [0, 1]], [[3], [2]])
+    with pytest.raises(ValueError, match=message):
+        determined_unknowns(system, known, wanted)
+    assert determined_unknowns(system, {1: (2,)}, [0]) == {0: (1,)}
+    assert determined_unknowns(system, {}, [0, 1]) == {0: (1,), 1: (2,)}
 
 
 def test_inconsistency_found_by_substitution():

@@ -1,6 +1,7 @@
 """Private multi-demand scheme tests: cover sets, placement layout, delivery
 randomness, decoding, measured memory/rate, and trace replay."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -321,6 +322,37 @@ def test_linear_system_built_once_per_broadcast(monkeypatch, decoder, builds):
     monkeypatch.setattr(ucc, "determined_unknowns", counting_query)
     assert run_simulation(SchemeParams(6, 2, 3, r=2), 0, decoder=decoder).correct_all
     assert counts == Counter(builds=builds, queries=6 * builds)
+
+
+# Per query of the (6,2,3,2) seed-0 linear run, in decode order: the number
+# of rows handed to gf.rref and the sha256 of their repr as sorted items,
+# recorded at a known-good revision.
+RREF_RESIDUES = [
+    (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (40, "ef92279ed2750c91cc164bdcb09db200d8ce883c6532f6423968da6067519e19"),
+    (40, "b51fb0401f8588a221ac0957c2b12ed0b639df5cc7cb0d61cd2549fe76a16f02"),
+    (40, "dda4ea737c7485949d0e7e21ee01b3f7f915619cb58642b7b618f3d19cd11071"),
+]
+
+
+def test_linear_queries_hand_rref_the_recorded_residues(monkeypatch):
+    """The rows each linear query leaves to elimination after peeling and
+    substitution, equal and in the same order as recorded: this pins how
+    much the peel settles, whatever the working row form."""
+    residues = []
+    real_rref = gf.rref
+
+    def recording_rref(field, rows, n_coef):
+        assert n_coef == 396
+        listed = [sorted(row.items()) for row in rows]
+        residues.append((len(rows), hashlib.sha256(repr(listed).encode()).hexdigest()))
+        return real_rref(field, rows, n_coef)
+
+    monkeypatch.setattr(gf, "rref", recording_rref)
+    assert run_simulation(SchemeParams(6, 2, 3, r=2), 0, decoder="linear").correct_all
+    assert residues == RREF_RESIDUES
 
 
 def test_three_user_groups_end_to_end():

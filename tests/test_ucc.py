@@ -12,6 +12,7 @@ import pytest
 from helpers import cache_slice_for, ramp_library, subset_rank
 from privcache import ucc
 from privcache.gf import PrimeField, solve_any
+from privcache.scheme import SchemeParams
 from privcache.ucc import (
     Broadcast,
     DecodeError,
@@ -463,6 +464,21 @@ def test_missing_segment_is_named(n_users, r):
         assert failed >= set(gone)  # each user in the subset reads it for the label of the others
 
 
+@pytest.mark.parametrize("length", [3, 1])
+def test_linear_decoder_names_a_misshapen_segment(length):
+    """A broadcast built directly with a segment one symbol too long, or one
+    too short, is a DecodeError naming that segment, not a wrong file."""
+    params = UccParams(n_files=3, n_users=4, block_len=2, r=1, packet_size=2)
+    lib = ramp_library(F257, 3, params.file_len)
+    demand = (0, 1, 1, 0)
+    segments = dict(encode(params, demand, lib).segments)
+    segments[(0, 1)] = (segments[(0, 1)] + (5,))[:length]
+    bc = Broadcast(params, F257, demand, segments)
+    for u in range(params.n_users):
+        with pytest.raises(DecodeError, match=rf"^the segment of users \[0, 1\] holds {length} symbols, not 2$"):
+            decode_linear(u, bc, cache_slice_for(params, u, lib, demand))
+
+
 @pytest.mark.parametrize("n_files,n_users,r,q,packet", [
     (2, 6, 1, 2, 2), (2, 6, 2, 3, 1), (3, 6, 2, 3, 2), (2, 8, 2, 3, 1), (2, 8, 3, 2, 1), (2, 8, 2, 5, 2),
 ])
@@ -504,6 +520,44 @@ def test_encode_stores_the_term_table(monkeypatch):
         cs = cache_slice_for(params, u, lib, demand)
         assert decode_linear(u, bc, cs) == lib.rows[demand[u]]
         assert decode_structural(u, bc, cs) == lib.rows[demand[u]]
+
+
+@pytest.mark.parametrize("packet", [1, 3])
+@pytest.mark.parametrize("q", [2, 257])
+@pytest.mark.parametrize("shape", [(6, 2, 3, 2), (4, 3, 1, 2)])
+def test_linear_system_is_the_segment_table(shape, q, packet):
+    """The linear decoder's system holds one row per transmitted segment, in
+    rank order, and none for an omitted one.  Its i-th user v adds the column
+    of demand[v]'s subfile labeled by the rest of the subset (subfile t of
+    the j-th smallest requested file at column j * C(K_v, r) + t), with
+    coefficient (-1)^i mod q when signed and 1 otherwise; the right-hand
+    sides are the segment's symbols.  The holder index agrees with the rows."""
+    params = SchemeParams(*shape, q=q, packet_size=packet).ucc
+    field = PrimeField(q)
+    rng = random.Random(q * 10 + packet)
+    base = rng.sample(range(params.n_files), params.block_len)
+    demand = tuple(v for _ in range(params.n_groups) for v in rng.sample(base, params.block_len))
+    bc = encode(params, demand, Library.random(field, params.n_files, params.file_len, rng))
+    assert bc.signed == (params.n_groups >= 3 and q != 2)
+    count = params.subfile_count
+    column = {n: j * count for j, n in enumerate(sorted(base))}
+    system = bc._system
+    assert (system.n_coef, system.n_rhs) == (len(base) * count, packet)
+    subsets = list(itertools.combinations(range(params.n_users), params.r + 1))
+    sent = [sub for sub in subsets if sub[0] < params.block_len]
+    assert len(sent) < len(subsets) and list(bc.segments) == sent
+    rows = list(zip(system.cols, system.coefs, system.rhs))
+    assert len(rows) == len(sent)
+    for sub, (cols, coefs, rhs) in zip(sent, rows):
+        rest = [sub[:i] + sub[i + 1:] for i in range(len(sub))]
+        assert cols == tuple(column[demand[v]] + subset_rank(range(params.n_users), lab)
+                             for v, lab in zip(sub, rest))
+        assert coefs == tuple((-1) ** i % q if bc.signed else 1 for i in range(len(sub)))
+        assert rhs == bc.segments[sub]
+    held = [[i for i, cols in enumerate(system.cols) if c in cols] for c in range(system.n_coef)]
+    assert system.holders == held
+    assert system.counts == [len(h) for h in held]
+    assert system.once == [c for c, h in enumerate(held) if len(h) == 1]
 
 
 def test_decode_unknown_method():
