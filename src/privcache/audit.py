@@ -35,31 +35,26 @@ per (slot tuples, cover set) each user's table of admissible blocks; the
 realizations are the tables' product, and ``_view_counts``, its one caller,
 walks that product.  The relabeling is uniform and independent of those
 stages, so with it on a class is a label pattern of the expanded demand (its
-labels renumbered in order of first occurrence), holding the size =
-N!/(N - n_active)! vectors a relabeling maps it onto, and with it off a
-class is one vector, of size 1.  Every block is an arrangement of the cover
-set, so block 0 holds all n_active labels once: every pattern starts with
-range(n_active), has n_active labels, and continues with each later block
-read relative to block 0 (a label x becomes its position in block 0).  The
-walk reads the later block tables relative to each block-0 block it meets
-and builds each class by tuple concatenation, never renumbering a whole
-vector.  The realizations are equally likely (each stage is uniform, with
-a support size that does not depend on earlier draws), so a class counted
-c times out of ``atoms`` gives each member the mass c / (atoms * size).
-Only ``masked_demand_law``, which returns the full law, expands a class
-into its members.
+labels renumbered 0, 1, ... in order of first occurrence; two vectors share
+one iff a relabeling maps one onto the other, and the pattern is itself the
+first vector of its class), holding the N!/(N - n_active)! vectors a
+relabeling maps it onto, and with it off a class is one vector, of size 1.
+The realizations are equally likely (each stage is uniform, with a support
+size that does not depend on earlier draws), so a class counted c times out
+of ``atoms`` gives each member the mass c / (atoms * size).  Only
+``masked_demand_law``, which returns the full law, expands a class into its
+members.  How ``_view_counts`` builds each pattern from the block tables,
+and why, with relabeling and random fills both on, it walks one cover set
+per demand matrix, is in its docstring; ``_walked_variant`` is that
+decision, read by ``_walk`` (the plan of one matrix's walk: variant walked
+and atoms walked, which the budget reads and ``_view_counts`` walks and
+checks) and by ``_joint_atom_count``.
 
-The walk is quotiented once more when relabeling and random fills are both
-on.  A permutation of the files nobody requested maps the realizations of
-one feasible cover set one to one onto those of any other and keeps every
-label pattern, so every cover set adds the same counts and the walk visits
-the first cover set alone: its counts are in the law's proportions, so
-``atoms`` above is the total of the walked counts.  With relabeling off a
-class is a vector, which the permutation moves; frozen fills take the free
-files in ascending order, which it does not keep; either way every cover
-set is walked.  ``_walk`` makes that decision once per demand matrix: the
-variant walked and the atoms walked, a plan that the budget reads and
-``_view_counts`` walks and checks.
+The two audits that compare the laws of the demand matrices sharing the
+observer's row do it through one core, ``_common_laws``: the walked counts
+over the lcm of their totals, and the first law that differs from the
+first.  ``verify_law_invariance`` reads its verdict and discrepancy off it,
+and ``exact_mutual_information`` its witness and terms.
 
 Each command charges its budget once, before its first walk, with the
 atoms all its walks visit: ``verify_law_invariance`` the sum of the plans
@@ -143,16 +138,21 @@ def _stage_sizes(params: SchemeParams, variant: Variant, need: int) -> tuple[int
             math.factorial(a - params.demands_per_user) if variant.random_fill else 1)
 
 
+def _walked_variant(variant: Variant) -> Variant:
+    """The variant ``_view_counts`` walks: with relabeling and random fills
+    both on the cover stage is frozen, since the first feasible cover set
+    stands for all (proof in ``_view_counts``); otherwise ``variant``."""
+    return replace(variant, random_cover=False) if variant.relabel_files and variant.random_fill else variant
+
+
 def _walk(params: SchemeParams, demands: Demands, variant: Variant, pinned: int) -> tuple[Variant, int]:
     """The walk ``_view_counts`` makes of one demand matrix's law with
-    ``pinned`` users' slot tuples fixed: (variant walked, atoms walked).
-    With relabeling and random fills both on it walks the first feasible
-    cover set alone, otherwise every cover set.  The budgets charge the
-    walked atoms."""
-    _, slots, covers, fill = _stage_sizes(params, variant, len(sch.requested_files(demands)))
-    if variant.relabel_files and variant.random_fill:
-        variant, covers = replace(variant, random_cover=False), 1
-    return variant, slots ** (params.n_users - pinned) * covers * fill ** params.n_users
+    ``pinned`` users' slot tuples fixed: (variant walked, atoms walked),
+    the variant walked being ``_walked_variant(variant)``.  The budgets
+    charge the walked atoms."""
+    walked = _walked_variant(variant)
+    _, slots, covers, fill = _stage_sizes(params, walked, len(sch.requested_files(demands)))
+    return walked, slots ** (params.n_users - pinned) * covers * fill ** params.n_users
 
 
 def _check_observer(params: SchemeParams, observer: int):
@@ -181,9 +181,7 @@ def _view_counts(params: SchemeParams, demands: Demands, observer: int, plan: tu
     the scheme's randomness, yields per (slot tuples, cover set) each user's
     table of blocks, and a realization is one block per table.  With
     relabeling off the class is the concatenated blocks.  With it on the
-    class is the label pattern (labels renumbered 0, 1, ... in order of first
-    occurrence; two vectors share one iff a relabeling maps one onto the
-    other, and the pattern is itself the first vector of its class).  Every
+    class is the label pattern (defined in the module docstring).  Every
     block is an arrangement of the cover set, so block 0 holds each of the
     n_active labels once: the pattern is range(n_active) followed by each
     later block's pattern relative to block 0, its labels x read as their
@@ -249,6 +247,19 @@ def masked_demand_law(params: SchemeParams, demands: Demands, observer: int,
     return law
 
 
+def _common_laws(counts: list[Counter]) -> tuple[int, list[dict], int | None]:
+    """The law comparison both exact audits make, over the walked counts of
+    the demand matrices sharing the observer's row: (D, laws,
+    first_differing).  D is the lcm of the counts' totals, the atoms walked;
+    each law is its counts times D / total, keys in first-occurrence order,
+    so a key counted c times has mass c / D; ``first_differing`` is the
+    index of the first law unequal to the first one, or None."""
+    totals = [law.total() for law in counts]
+    den = math.lcm(*totals)
+    laws = [{key: c * scale for key, c in law.items()} for law, scale in zip(counts, [den // t for t in totals])]
+    return den, laws, next((i for i, law in enumerate(laws[1:], 1) if law != laws[0]), None)
+
+
 @dataclass
 class InvarianceReport:
     """``max_discrepancy`` is the largest gap, on one vector, between a law
@@ -264,9 +275,9 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
                           budget: int = DEFAULT_BUDGET) -> InvarianceReport:
     """Exact uniformity of the masked-demand law, and its equality across
     demand matrices that agree on the observer's row (the distribution a
-    curious user could ever see), decided on the class counts: every member
-    of a class has the same mass, so two laws agree iff their class masses
-    c / atoms agree."""
+    curious user could ever see), decided on the class counts by
+    ``_common_laws``: every member of a class has the same mass, so two laws
+    agree iff their class masses c / D agree."""
     mats = [sch.validate_demands(params, d) for d in demand_list]
     if not mats:
         raise ValueError("empty demand list")
@@ -278,23 +289,20 @@ def verify_law_invariance(params: SchemeParams, demand_list: list[Demands], obse
     plans = [_walk(params, m, variant, 1) for m in mats]
     _check_budget(sum(atoms for _, atoms in plans), budget, "masked-demand law enumeration")
     # every key holds the one pinned slot tuple, so a key stands for its class
-    laws = [(_view_counts(params, m, observer, plan, pinned), plan[1]) for m, plan in zip(mats, plans)]
+    den, laws, first_differing = _common_laws([_view_counts(params, m, observer, plan, pinned)
+                                               for m, plan in zip(mats, plans)])
     size, mass = _class_size(params, variant), closed_form_mass(params)
-    # one Fraction per distinct (count, denominator) pair, not one per class
-    worst = max(abs(Fraction(c, atoms * size) - mass)
-                for c, atoms in {(c, atoms) for counts, atoms in laws for c in counts.values()})
+    # one Fraction per distinct scaled count, not one per class
+    worst = max(abs(Fraction(c, den * size) - mass) for c in {c for law in laws for c in law.values()})
     # the masses of a law sum to 1, so at the uniform mass its support has
     # the closed-form size
     uniform = worst == 0
-    identical = True
-    base, base_atoms = laws[0]
-    for counts, atoms in laws[1:]:
-        for key in base.keys() | counts.keys():
-            gap = abs(base[key] * atoms - counts[key] * base_atoms)
-            if gap:
-                identical = False
-                worst = max(worst, Fraction(gap, base_atoms * atoms * size))
-    return InvarianceReport(identical=identical, uniform=uniform, max_discrepancy=worst)
+    if first_differing is not None:
+        base = laws[0]  # the laws before the first differing one equal it
+        gap = max(abs(base.get(key, 0) - law.get(key, 0))
+                  for law in laws[first_differing:] for key in base.keys() | law.keys())
+        worst = max(worst, Fraction(gap, den * size))
+    return InvarianceReport(identical=first_differing is None, uniform=uniform, max_discrepancy=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +335,7 @@ def _joint_atom_count(params: SchemeParams, variant: Variant) -> tuple[int, dict
     # the walked variant, the same for every matrix, keeps the cover stage
     # only where each matrix walks all of its cover sets
     walks = cards["demand_matrices"]
-    if _walk(params, (tuple(range(big_l)),) * params.n_users, variant, 0)[0].random_cover:
+    if _walked_variant(variant).random_cover:
         walks = math.comb(n, a) * math.perm(a, big_l) ** params.n_users
     return walks * cards["slot_assignments"] * cards["block_fills"], cards
 
@@ -367,15 +375,15 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     Under the uniform prior every observer row is equally likely and the
     other rows are uniform given it, so the MI is I(other rows ; tag |
     observer row), a comparison within one row at a time.  A row's peers
-    (the matrices holding it) take their laws over D, the lcm of their atom
-    counts; an outcome counted c times out of D under one of n_mats
-    matrices adds c/(n_mats D) * log(c |peers| / sum of its peers' c) to
-    the value, in base q.  The members of a class share c, so the class
-    stands for them all.  Zero is certified by equal conditional laws given
-    each observer row, for every prior at once; unequal laws always give a
-    positive value and a witness: the first peer whose law differs from
-    the first peer's, in the first row that has one, rows and matrices
-    taken in lexicographic order.
+    (the matrices holding it) are compared by ``_common_laws``, their laws
+    over D, the lcm of their atom counts; an outcome counted c times out of
+    D under one of n_mats matrices adds c/(n_mats D) * log(c |peers| / sum
+    of its peers' c) to the value, in base q.  The members of a class share
+    c, so the class stands for them all.  Zero is certified by equal
+    conditional laws given each observer row, for every prior at once;
+    unequal laws always give a positive value and a witness: the first peer
+    whose law differs from the first peer's, in the first row that has one,
+    rows and matrices taken in lexicographic order.
 
     With a ``baseline`` variant the same audit runs for it too, reported as
     the report's ``baseline``; the budget is charged once, before the first
@@ -397,18 +405,12 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
             # the matrices holding ``row`` at the observer, in lexicographic order
             peers = [others[:observer] + (row,) + others[observer:]
                      for others in itertools.product(rows, repeat=params.n_users - 1)]
-            plans = [_walk(params, m, v, 0) for m in peers]
-            den = math.lcm(*(atoms for _, atoms in plans))
-            laws = []
-            for m, plan in zip(peers, plans):
-                scale = den // plan[1]
-                laws.append({tag: c * scale for tag, c in _view_counts(params, m, observer, plan).items()})
-            base = laws[0]
-            other = next((i for i, law in enumerate(laws) if law != base), None)
+            den, laws, other = _common_laws([_view_counts(params, m, observer, _walk(params, m, v, 0))
+                                             for m in peers])
             if other is None:
                 continue
             if witness is None:
-                law = laws[other]
+                base, law = laws[0], laws[other]
                 bad = next(k for k in itertools.chain(base, law) if base.get(k, 0) != law.get(k, 0))
                 witness = (peers[0], peers[other], (bad, row))
             pooled: Counter = Counter()

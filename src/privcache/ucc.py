@@ -289,21 +289,31 @@ class Broadcast:
         per transmitted segment, in rank order, read off the segment table
         over every subfile of the requested files.  A row's columns are its
         terms' offset[n] + t, its coefficients their c mod q and its
-        right-hand sides the segment's own symbols.  A segment that is not
-        packet_size symbols long raises DecodeError."""
+        right-hand sides the segment's own symbols, whose length ``_decode``
+        has checked."""
         q = self.field.q
-        packet = self.params.packet_size
         offset = self._file_offset
         rows = []
         for sub, terms in self._terms.items():
             seg = self.segments.get(sub)
             if seg is None:
                 continue  # omitted: not an equation
-            if len(seg) != packet:
-                raise DecodeError(f"the segment of users {list(sub)} holds {len(seg)} symbols, not {packet}")
             # the terms of one segment name distinct subfiles
             rows.append((tuple([offset[n] + t for n, t, _ in terms]), tuple([c % q for _, _, c in terms]), seg))
-        return SparseSystem(self.field, rows, len(offset) * self.params.subfile_count, packet)
+        return SparseSystem(self.field, rows, len(offset) * self.params.subfile_count, self.params.packet_size)
+
+    @cached_property
+    def _misshapen(self) -> str | None:
+        """The error of the first segment in rank order that is not
+        packet_size symbols long, or None: found once per broadcast, and
+        raised by both decoders before either reads a segment.  A missing
+        segment is left to the decoder that needs it."""
+        packet = self.params.packet_size
+        for sub in self._terms:
+            seg = self.segments.get(sub)
+            if seg is not None and len(seg) != packet:
+                return f"the segment of users {list(sub)} holds {len(seg)} symbols, not {packet}"
+        return None
 
     def trace_record(self) -> dict:
         par = self.params
@@ -376,15 +386,17 @@ def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broa
 
 def _decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
     """What both decoders share: the user-range check, the r = n_users
-    shortcut (nothing uncached), a missing or misshapen cached subfile
-    reported as DecodeError, and the file as the cached and solved subfiles
-    in rank order.  ``solve`` gets u's cached and uncached label ranks and
+    shortcut (nothing uncached), a missing or misshapen cached subfile or a
+    misshapen segment reported as DecodeError, and the file as the cached
+    and solved subfiles in rank order.  ``solve`` gets u's cached and uncached label ranks and
     returns the uncached subfiles {label rank: values}."""
     params = broadcast.params
     if not 0 <= u < params.n_users:
         raise ValueError(f"user {u} out of range")
     if any(len(sub) != params.packet_size for stored in cache_slice.values() for sub in stored.values()):
         raise DecodeError(f"cache slice holds a subfile that is not {params.packet_size} symbols long")
+    if broadcast._misshapen:
+        raise DecodeError(broadcast._misshapen)
     cached = params.user_ranks[u]
     uncached = sorted(set(range(params.subfile_count)).difference(cached))
     try:

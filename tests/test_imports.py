@@ -178,7 +178,7 @@ def enumerator_readers() -> list[str]:
     return hits
 
 
-def test_realizations_has_one_caller():
+def test_block_tables_has_one_caller():
     assert callable(privcache.scheme.block_tables)
     assert not hasattr(privcache.scheme, "realizations")  # the per-atom generator is gone, not kept beside it
     assert enumerator_readers() == ["audit._view_counts"]

@@ -464,10 +464,12 @@ def test_missing_segment_is_named(n_users, r):
         assert failed >= set(gone)  # each user in the subset reads it for the label of the others
 
 
+@pytest.mark.parametrize("decoder", [decode_linear, decode_structural], ids=["linear", "structural"])
 @pytest.mark.parametrize("length", [3, 1])
-def test_linear_decoder_names_a_misshapen_segment(length):
+def test_decoder_names_a_misshapen_segment(length, decoder):
     """A broadcast built directly with a segment one symbol too long, or one
-    too short, is a DecodeError naming that segment, not a wrong file."""
+    too short, is a DecodeError naming that segment, not a wrong file or an
+    IndexError, whichever decoder reads it."""
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1, packet_size=2)
     lib = ramp_library(F257, 3, params.file_len)
     demand = (0, 1, 1, 0)
@@ -476,7 +478,7 @@ def test_linear_decoder_names_a_misshapen_segment(length):
     bc = Broadcast(params, F257, demand, segments)
     for u in range(params.n_users):
         with pytest.raises(DecodeError, match=rf"^the segment of users \[0, 1\] holds {length} symbols, not 2$"):
-            decode_linear(u, bc, cache_slice_for(params, u, lib, demand))
+            decoder(u, bc, cache_slice_for(params, u, lib, demand))
 
 
 @pytest.mark.parametrize("n_files,n_users,r,q,packet", [
