@@ -251,12 +251,14 @@ def _common_laws(counts: list[Counter]) -> tuple[int, list[dict], int | None]:
     """The law comparison both exact audits make, over the walked counts of
     the demand matrices sharing the observer's row: (D, laws,
     first_differing).  D is the lcm of the counts' totals, the atoms walked;
-    each law is its counts times D / total, keys in first-occurrence order,
-    so a key counted c times has mass c / D; ``first_differing`` is the
-    index of the first law unequal to the first one, or None."""
+    each law is its counts times D / total (the Counter itself where that
+    is 1), keys in first-occurrence order, so a key counted c times has mass
+    c / D; ``first_differing`` is the index of the first law unequal to the
+    first one, or None."""
     totals = [law.total() for law in counts]
     den = math.lcm(*totals)
-    laws = [{key: c * scale for key, c in law.items()} for law, scale in zip(counts, [den // t for t in totals])]
+    laws = [law if scale == 1 else {key: c * scale for key, c in law.items()}
+            for law, scale in zip(counts, [den // t for t in totals])]
     return den, laws, next((i for i, law in enumerate(laws[1:], 1) if law != laws[0]), None)
 
 

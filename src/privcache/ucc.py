@@ -49,6 +49,14 @@ requested file as its cached and solved subfiles concatenated in rank order:
   cached.  It never eliminates and is cross-checked against the reference
   decoder in the test suite.
 
+Both decoders share one boundary, ``_decode``, which checks each input once
+before either solver reads it.  The cache slice must hold every subfile the
+user caches of every requested file, packet_size symbols each.  The
+broadcast must hold exactly the transmitted segments, packet_size symbols
+each (``Broadcast._malformed``, found once per broadcast).  Either fault is
+a DecodeError with one message whichever decoder runs, and past the
+boundary the solvers index their inputs directly.
+
 A ``Broadcast`` is the whole message: its field, the demand (a plain tuple,
 carried in the clear and checked against the params whenever a broadcast is
 built) and one tuple of reduced symbols per coded segment.  The coefficient
@@ -289,8 +297,9 @@ class Broadcast:
         per transmitted segment, in rank order, read off the segment table
         over every subfile of the requested files.  A row's columns are its
         terms' offset[n] + t, its coefficients their c mod q and its
-        right-hand sides the segment's own symbols, whose length ``_decode``
-        has checked."""
+        right-hand sides the segment's own symbols.  ``_decode`` has checked
+        the segments against ``_malformed``, so the transmitted subsets are
+        exactly the keys of ``segments``."""
         q = self.field.q
         offset = self._file_offset
         rows = []
@@ -303,17 +312,25 @@ class Broadcast:
         return SparseSystem(self.field, rows, len(offset) * self.params.subfile_count, self.params.packet_size)
 
     @cached_property
-    def _misshapen(self) -> str | None:
-        """The error of the first segment in rank order that is not
-        packet_size symbols long, or None: found once per broadcast, and
-        raised by both decoders before either reads a segment.  A missing
-        segment is left to the decoder that needs it."""
-        packet = self.params.packet_size
+    def _malformed(self) -> str | None:
+        """The first fault of the segments, or None: found once per broadcast
+        and raised by both decoders before either reads a segment.  In rank
+        order over the segment table, a transmitted subset (one holding a
+        leader) with no segment, a segment not packet_size symbols long, or
+        an omitted subset with a segment; then a key that names no
+        (r+1)-subset of the users."""
+        segments, block_len, packet = self.segments, self.params.block_len, self.params.packet_size
         for sub in self._terms:
-            seg = self.segments.get(sub)
-            if seg is not None and len(seg) != packet:
+            seg = segments.get(sub)
+            if seg is None:
+                if sub[0] < block_len:  # subsets are sorted, so sub[0] < block_len iff a leader is present
+                    return f"the segment of users {list(sub)} is missing from the broadcast"
+            elif sub[0] >= block_len:
+                return f"the segment of users {list(sub)} is not transmitted"
+            elif len(seg) != packet:
                 return f"the segment of users {list(sub)} holds {len(seg)} symbols, not {packet}"
-        return None
+        stray = next((sub for sub in segments if sub not in self._terms), None)
+        return None if stray is None else f"the broadcast key {stray!r} names no {self.params.r + 1}-subset of the users"
 
     def trace_record(self) -> dict:
         par = self.params
@@ -373,9 +390,6 @@ def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broa
             for p in range(packet):
                 acc[p] = (acc[p] + c * row[base + p]) % q
         segments[sub] = tuple(acc)
-    expected = math.comb(params.n_users, params.r + 1) - math.comb(params.n_users - params.block_len, params.r + 1)
-    if len(segments) != expected:
-        raise RuntimeError(f"segment count {len(segments)} != {expected}")
     return broadcast
 
 
@@ -385,38 +399,38 @@ def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broa
 
 
 def _decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
-    """What both decoders share: the user-range check, the r = n_users
-    shortcut (nothing uncached), a missing or misshapen cached subfile or a
-    misshapen segment reported as DecodeError, and the file as the cached
-    and solved subfiles in rank order.  ``solve`` gets u's cached and uncached label ranks and
-    returns the uncached subfiles {label rank: values}."""
+    """The decode boundary both decoders share: the user-range check, then
+    each input checked once before ``solve`` reads it, and the file as the
+    cached and solved subfiles in rank order.  The cache slice must hold
+    every subfile u caches of every requested file, each packet_size
+    symbols long; then the broadcast's ``_malformed`` fault is raised.  Both
+    faults are DecodeError.  ``solve`` gets u's cached and uncached label
+    ranks and returns the uncached subfiles {label rank: values}; the
+    r = n_users shortcut (nothing uncached) skips it."""
     params = broadcast.params
     if not 0 <= u < params.n_users:
         raise ValueError(f"user {u} out of range")
-    if any(len(sub) != params.packet_size for stored in cache_slice.values() for sub in stored.values()):
-        raise DecodeError(f"cache slice holds a subfile that is not {params.packet_size} symbols long")
-    if broadcast._misshapen:
-        raise DecodeError(broadcast._misshapen)
     cached = params.user_ranks[u]
+    packet = params.packet_size
+    for n in broadcast._file_offset:
+        stored = cache_slice.get(n, {})
+        for t in cached:
+            if len(stored.get(t, ())) != packet:
+                raise DecodeError(f"cache slice holds no {packet}-symbol subfile {t} of file {n}")
+    if broadcast._malformed:
+        raise DecodeError(broadcast._malformed)
     uncached = sorted(set(range(params.subfile_count)).difference(cached))
-    try:
-        solved = solve(u, broadcast, cache_slice, cached, uncached) if uncached else {}
-        stored = cache_slice[broadcast.demand[u]]
-        return tuple(itertools.chain.from_iterable(
-            solved[t] if t in solved else stored[t] for t in range(params.subfile_count)))
-    except KeyError as exc:
-        raise DecodeError(f"cache slice is missing subfile {exc}") from None
+    solved = solve(u, broadcast, cache_slice, cached, uncached) if uncached else {}
+    stored = cache_slice[broadcast.demand[u]]
+    return tuple(itertools.chain.from_iterable(
+        solved[t] if t in solved else stored[t] for t in range(params.subfile_count)))
 
 
 def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
                   cached: tuple[int, ...], uncached: list[int]) -> dict[int, tuple[int, ...]]:
     offset = broadcast._file_offset
     system = broadcast._system
-    known = {}
-    for n, first in offset.items():
-        for t in cached:
-            if system.counts[first + t]:  # only what some transmitted segment holds is read
-                known[first + t] = cache_slice[n][t]
+    known = {first + t: cache_slice[n][t] for n, first in offset.items() for t in cached}
     base = offset[broadcast.demand[u]]
     wanted = [base + t for t in uncached]
     try:
@@ -453,8 +467,8 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
     """Every omitted segment Y_B (a subset B with no leader), summed from
     transmitted ones by the leader-substitution identity of the module
     docstring: V runs over the position sets of B, A_V is ``a_v`` and
-    sigma_V is read off ``_odd_permutation``.  A segment of the broadcast
-    missing from the sum raises DecodeError."""
+    sigma_V is read off ``_odd_permutation``.  Every A_V is a transmitted
+    subset, so its segment is in a broadcast that ``_decode`` has checked."""
     params = broadcast.params
     demand = broadcast.demand
     leader_of = {demand[i]: i for i in range(params.block_len)}  # block 0 names each file once
@@ -476,18 +490,11 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
                 c = 1 if size % 2 else -1
                 if signed and _odd_permutation(a_v):
                     c = -c
-                seg = _segment(broadcast.segments, tuple(sorted(a_v)))
+                seg = broadcast.segments[tuple(sorted(a_v))]
                 for p in range(packet):
                     acc[p] = (acc[p] + c * seg[p]) % q
         out[sub] = tuple(acc)
     return out
-
-
-def _segment(segments: Mapping[tuple[int, ...], tuple[int, ...]], sub: tuple[int, ...]) -> tuple[int, ...]:
-    try:
-        return segments[sub]
-    except KeyError:
-        raise DecodeError(f"the segment of users {list(sub)} is missing from the broadcast") from None
 
 
 def _solve_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
@@ -498,7 +505,7 @@ def _solve_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
     solved = {}
     for t in uncached:
         sub = tuple(sorted(labels[t] + (u,)))
-        acc = list(_segment(segments, sub))
+        acc = list(segments[sub])
         for n, t_v, c in broadcast._terms[sub]:
             if t_v == t:
                 c_u = c  # u's own term, W[d_u][S]

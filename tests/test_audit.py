@@ -541,6 +541,26 @@ def test_mi_charge_is_the_sum_of_the_walks(triple, walk):
                     for m, (walked_variant, _) in zip(mats, plans)] == [walked for _, walked in plans]
 
 
+STAGE_ABLATION = {  # (N, K, L) -> the private variants, bits (relabel, slots, cover, fills)
+    (3, 2, 1): {"1111", "1110", "1101", "1100"},
+    (4, 2, 1): {"1111", "1110", "1101", "1100"},
+    (3, 2, 2): {"1111", "1110", "1101", "1100", "0111", "0110", "0101", "0100"},
+    (4, 3, 1): {"1111", "1101"},
+}
+
+
+@pytest.mark.parametrize("triple", STAGE_ABLATION, ids=lambda t: "".join(map(str, t)))
+def test_stage_ablation_table(triple):
+    """The exact-MI verdict of every ``Variant`` at observer 0, r = 0, q = 2,
+    F = 1: which randomization stages privacy needs.  Frozen slots always
+    leak; relabeling may be off only at (3, 2, 2), the one instance here
+    with N <= KL."""
+    params = SchemeParams(*triple, r=0, q=2, packet_size=1)
+    private = {"".join(str(int(b)) for b in (v.relabel_files, v.random_slots, v.random_cover, v.random_fill))
+               for v in ALL_VARIANTS if exact_mutual_information(params, 0, variant=v).conditional_laws_equal}
+    assert private == STAGE_ABLATION[triple]
+
+
 PRODUCT_WALK_FAMILY = (((0, 1), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (0, 2)), ((1, 0), (2, 0)), ((0, 1), (2, 3)),
                        ((3, 2), (1, 0)))
 

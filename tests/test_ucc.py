@@ -414,7 +414,7 @@ def test_reconstruction_sign_rule_mutants_fail(anchor, monkeypatch):
     for bc, lib in _reconstruction_instances():
         try:
             recon = ucc._reconstructed_segments(bc)
-        except DecodeError:
+        except (DecodeError, KeyError):
             caught += 1
             continue
         caught += any(vals != _direct_segment(bc, lib, sub) for sub, vals in recon.items())
@@ -444,41 +444,51 @@ def test_decode_missing_cache_symbols_raises():
 
 @pytest.mark.parametrize("n_users,r", [(4, 1), (6, 1), (6, 2)])
 def test_missing_segment_is_named(n_users, r):
-    """A broadcast with a transmitted segment removed fails the structural
-    decode with DecodeError naming the missing subset, whether the segment is
-    read directly or while rebuilding an omitted one."""
+    """A broadcast with a transmitted segment removed fails every user's
+    decode, with either decoder, with one DecodeError naming the missing
+    subset, whether or not that user's decode would read it."""
     params = UccParams(n_files=2, n_users=n_users, block_len=2, r=r)
     lib = ramp_library(F257, 2, params.file_len)
     demand = next(all_restricted_demands(params))
     full = encode(params, demand, lib)
     for gone in full.segments:
         bc = Broadcast(params, F257, demand, {s: v for s, v in full.segments.items() if s != gone})
-        failed = set()
-        for u in range(n_users):
-            cs = cache_slice_for(params, u, lib, demand)
-            try:
-                assert decode_structural(u, bc, cs) == lib.rows[demand[u]]
-            except DecodeError as exc:
-                assert str(exc) == f"the segment of users {list(gone)} is missing from the broadcast"
-                failed.add(u)
-        assert failed >= set(gone)  # each user in the subset reads it for the label of the others
+        for decoder, u in itertools.product((decode_linear, decode_structural), range(n_users)):
+            with pytest.raises(DecodeError) as err:
+                decoder(u, bc, cache_slice_for(params, u, lib, demand))
+            assert str(err.value) == f"the segment of users {list(gone)} is missing from the broadcast"
 
 
 @pytest.mark.parametrize("decoder", [decode_linear, decode_structural], ids=["linear", "structural"])
-@pytest.mark.parametrize("length", [3, 1])
-def test_decoder_names_a_misshapen_segment(length, decoder):
-    """A broadcast built directly with a segment one symbol too long, or one
-    too short, is a DecodeError naming that segment, not a wrong file or an
-    IndexError, whichever decoder reads it."""
+@pytest.mark.parametrize("fault", ["3", "1", "omitted", "stray", "slice"])
+def test_decoder_names_a_misshapen_segment(fault, decoder):
+    """A broadcast built directly with a segment one symbol too long or one
+    too short ("3", "1"), with a segment for the omitted subset, or with a
+    key that names no 2-subset, and a cache slice missing one cached
+    subfile, are each a DecodeError naming the fault, not a wrong file, an
+    IndexError or a bare KeyError, for every user and whichever decoder
+    reads them."""
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1, packet_size=2)
     lib = ramp_library(F257, 3, params.file_len)
     demand = (0, 1, 1, 0)
     segments = dict(encode(params, demand, lib).segments)
-    segments[(0, 1)] = (segments[(0, 1)] + (5,))[:length]
-    bc = Broadcast(params, F257, demand, segments)
+    faults = {
+        "3": ({(0, 1): segments[(0, 1)] + (5,)}, "the segment of users [0, 1] holds 3 symbols, not 2"),
+        "1": ({(0, 1): segments[(0, 1)][:1]}, "the segment of users [0, 1] holds 1 symbols, not 2"),
+        "omitted": ({(2, 3): (0, 0)}, "the segment of users [2, 3] is not transmitted"),
+        "stray": ({(9, 9, 9): (0, 0)}, "the broadcast key (9, 9, 9) names no 2-subset of the users"),
+    }
+    edit, message = faults.get(fault, ({}, None))
+    bc = Broadcast(params, F257, demand, {**segments, **edit})
     for u in range(params.n_users):
-        with pytest.raises(DecodeError, match=rf"^the segment of users \[0, 1\] holds {length} symbols, not 2$"):
-            decoder(u, bc, cache_slice_for(params, u, lib, demand))
+        cs = cache_slice_for(params, u, lib, demand)
+        if fault == "slice":
+            t = max(cs[1])
+            del cs[1][t]
+            message = f"cache slice holds no 2-symbol subfile {t} of file 1"
+        with pytest.raises(DecodeError) as err:
+            decoder(u, bc, cs)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n_files,n_users,r,q,packet", [
