@@ -24,9 +24,10 @@ private layer only maps users to virtual users: ``place_caches``, the one
 placement call, validates one slot tuple per user and fills each user's
 cache with the engine's placement for its L virtual users (whole subfiles,
 per label {label rank: subfile}), and ``decode_user`` decodes requested
-file l by cutting the virtual user of its secret slot out of that cache and
-running the engine decoder for it, on the broadcast, which carries the
-instance, and that slice only.  ``deliver`` is the one delivery call.
+file l by mapping its secret slot to a virtual user and running the engine
+decoder for it on the broadcast, which carries the instance, and on that
+whole cache; the engine cuts out and checks what that virtual user reads.
+``deliver`` is the one delivery call.
 
 One sampler and one enumerator describe the same stages: ``sampler``
 validates a demand matrix once and returns a function that draws, from seed
@@ -228,13 +229,12 @@ def place_caches(params: SchemeParams, library: Library,
                  slots: Sequence[tuple[int, ...]]) -> list[UserCache]:
     """Every user's cache from the library in broadcast labels and one
     validated slot tuple per user: for each label, the union of the subfiles
-    the user's L chosen virtual users would store.  Placement is uncoded:
-    stored subfiles are verbatim library slices."""
+    the user's L chosen virtual users would store, by ``ucc.place``, which
+    checks the library's shape.  Placement is uncoded: stored subfiles are
+    verbatim library slices."""
     if len(slots) != params.n_users:
         raise ValueError("need one slot tuple per user")
     checked = checked_slots(params, dict(enumerate(slots)))
-    if library.n_files != params.n_files or library.file_len != params.file_len:
-        raise ValueError("library dimensions do not match params")
     return [UserCache(k, sel, ucc.place(params.ucc, library, [_virtual_user(params.n_active, k, s) for s in sel]))
             for k, sel in checked.items()]
 
@@ -383,21 +383,14 @@ def deliver(params: SchemeParams, library: Library, masked: tuple[int, ...]) -> 
 def decode_user(slot: int, broadcast: Broadcast, cache: UserCache,
                 method: str = "linear") -> tuple[int, ...]:
     """Recover the cache owner's slot-th requested file from the broadcast
-    and that cache only.  The user reads the instance and the masked demand
-    off the broadcast, cuts out the subfiles its chosen virtual user would
-    hold for the active labels, and runs the single-request decoder for that
-    virtual user on them."""
+    and that cache only.  The slot maps to the virtual user the owner chose
+    for it (n_active read off the broadcast), and the engine decoder runs
+    for that virtual user on the whole stored cache: the engine cuts out
+    and checks the subfiles that virtual user holds."""
     if not 0 <= slot < len(cache.selector):
         raise ValueError(f"slot {slot} out of range")
-    n_active = broadcast.params.block_len
-    u = _virtual_user(n_active, cache.user, cache.selector[slot])
-    ranks = broadcast.params.user_ranks[u]
-    try:
-        cache_slice = {label: {t: cache.subfiles[label][t] for t in ranks}
-                       for label in set(broadcast.demand[:n_active])}
-    except KeyError as exc:
-        raise ucc.DecodeError(f"cache is missing label/subfile {exc}") from None
-    return ucc.decode(u, broadcast, cache_slice, method=method)
+    u = _virtual_user(broadcast.params.block_len, cache.user, cache.selector[slot])
+    return ucc.decode(u, broadcast, cache.subfiles, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ blocks that are each a permutation of one common file subset.  Placement is
 the classic subset-indexed layout (each file splits into C(K_v, r) subfiles
 labeled by r-subsets of users; user u stores every subfile whose label
 contains u): ``place`` gives, for a set of users, per file {label rank:
-subfile}, and a decoder's cache slice has that shape.  Delivery is the
+subfile}, and a decoder takes a user's cache in that shape.  Delivery is the
 leader-based scheme of Yu, Maddah-Ali and Avestimehr: one coded segment per
 (r+1)-subset of users that intersects the leader set, each segment the field
 sum of the subfiles "wanted by u, labeled by the rest of the subset".
@@ -14,7 +14,7 @@ Because block 0 of a restricted demand names every distinct requested file
 exactly once, the leader set is fixed to the first block's positions.
 
 Two decoders are provided.  Each takes a user, a broadcast and that user's
-cache slice, reads the instance off ``broadcast.params``, and returns the
+stored cache, reads the instance off ``broadcast.params``, and returns the
 requested file as its cached and solved subfiles concatenated in rank order:
 
 * ``decode_linear`` is the reference decoder.  Every subfile of the
@@ -49,13 +49,19 @@ requested file as its cached and solved subfiles concatenated in rank order:
   cached.  It never eliminates and is cross-checked against the reference
   decoder in the test suite.
 
-Both decoders share one boundary, ``_decode``, which checks each input once
-before either solver reads it.  The cache slice must hold every subfile the
-user caches of every requested file, packet_size symbols each.  The
+This module alone decides what a decode reads and whether its inputs are
+usable.  Both decoders share one boundary, ``_decode``, which cuts and
+checks each input once before either solver reads it.  The stored cache
+may hold more than the user's subfiles (a real user of the private scheme
+stores several virtual users'); the boundary cuts from it the user's slice,
+every subfile the user caches of every requested file, each of which must
+be packet_size symbols long, and the solvers read that slice only.  The
 broadcast must hold exactly the transmitted segments, packet_size symbols
-each (``Broadcast._malformed``, found once per broadcast).  Either fault is
-a DecodeError with one message whichever decoder runs, and past the
-boundary the solvers index their inputs directly.
+each (``Broadcast._malformed``, found once per broadcast); every reader of
+the segments, the rate and ``trace_record`` as well as the decoders, passes
+the one gate ``Broadcast._checked``.  Either fault is a DecodeError with
+one message whichever reader meets it, and past the boundary the solvers
+index their inputs directly.
 
 A ``Broadcast`` is the whole message: its field, the demand (a plain tuple,
 carried in the clear and checked against the params whenever a broadcast is
@@ -192,10 +198,16 @@ class Library:
 CacheSlice = Mapping[int, Mapping[int, tuple[int, ...]]]  # file -> {label rank -> subfile}
 
 
+def _check_library(params: UccParams, library: Library) -> None:
+    if library.n_files != params.n_files or library.file_len != params.file_len:
+        raise ValueError("library dimensions do not match params")
+
+
 def place(params: UccParams, library: Library, users: Iterable[int]) -> dict[int, dict[int, tuple[int, ...]]]:
     """Uncoded placement for a set of users: per file, every subfile whose
     label contains one of them, {label rank: its packet_size symbols}, copied
-    verbatim from the library."""
+    verbatim from a library of the params' shape."""
+    _check_library(params, library)
     p = params.packet_size
     ranks = sorted({t for u in users for t in params.user_ranks[u]})
     return {n: {t: row[t * p:(t + 1) * p] for t in ranks} for n, row in enumerate(library.rows)}
@@ -264,11 +276,19 @@ class Broadcast:
 
     @property
     def segment_count(self) -> int:
-        return len(self.segments)
+        return len(self._checked())
 
     @property
     def symbol_count(self) -> int:
-        return sum(len(v) for v in self.segments.values())
+        return sum(len(v) for v in self._checked().values())
+
+    def _checked(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """``segments``, or the ``_malformed`` fault as a DecodeError: the one
+        gate every reader of the segments passes, so the rate, the trace and
+        both decoders refuse the same broadcasts with the same message."""
+        if self._malformed:
+            raise DecodeError(self._malformed)
+        return self.segments
 
     @cached_property
     def _terms(self) -> dict[tuple[int, ...], list[tuple[int, int, int]]]:
@@ -289,7 +309,7 @@ class Broadcast:
     def _all_segments(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Every (r+1)-subset's segment: the transmitted ones plus the omitted
         ones rebuilt from them, shared by every structural decode."""
-        return {**self.segments, **_reconstructed_segments(self)}
+        return {**self._checked(), **_reconstructed_segments(self)}
 
     @cached_property
     def _system(self) -> SparseSystem:
@@ -297,14 +317,14 @@ class Broadcast:
         per transmitted segment, in rank order, read off the segment table
         over every subfile of the requested files.  A row's columns are its
         terms' offset[n] + t, its coefficients their c mod q and its
-        right-hand sides the segment's own symbols.  ``_decode`` has checked
-        the segments against ``_malformed``, so the transmitted subsets are
-        exactly the keys of ``segments``."""
+        right-hand sides the segment's own symbols.  The segments have passed
+        ``_checked``, so the transmitted subsets are exactly their keys."""
         q = self.field.q
         offset = self._file_offset
+        segments = self._checked()
         rows = []
         for sub, terms in self._terms.items():
-            seg = self.segments.get(sub)
+            seg = segments.get(sub)
             if seg is None:
                 continue  # omitted: not an equation
             # the terms of one segment name distinct subfiles
@@ -314,7 +334,7 @@ class Broadcast:
     @cached_property
     def _malformed(self) -> str | None:
         """The first fault of the segments, or None: found once per broadcast
-        and raised by both decoders before either reads a segment.  In rank
+        and raised by ``_checked`` before anything reads a segment.  In rank
         order over the segment table, a transmitted subset (one holding a
         leader) with no segment, a segment not packet_size symbols long, or
         an omitted subset with a segment; then a key that names no
@@ -334,6 +354,7 @@ class Broadcast:
 
     def trace_record(self) -> dict:
         par = self.params
+        segments = self._checked()
         return {
             "params": {
                 "n_files": par.n_files,
@@ -350,10 +371,10 @@ class Broadcast:
                 {
                     "users": list(sub),
                     "rank": rank,
-                    "symbols": list(self.segments[sub]),
+                    "symbols": list(segments[sub]),
                 }
                 for rank, sub in enumerate(self._terms)
-                if sub in self.segments
+                if sub in segments
             ],
         }
 
@@ -376,8 +397,7 @@ def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broa
     coefficients ``Broadcast.signed`` picks."""
     segments: dict[tuple[int, ...], tuple[int, ...]] = {}
     broadcast = Broadcast(params=params, field=library.field, demand=demand, segments=segments)
-    if library.n_files != params.n_files or library.file_len != params.file_len:
-        raise ValueError("library dimensions do not match params")
+    _check_library(params, library)
     q = library.field.q
     packet = params.packet_size
     for sub, terms in broadcast._terms.items():
@@ -398,30 +418,31 @@ def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broa
 # ---------------------------------------------------------------------------
 
 
-def _decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, solve) -> tuple[int, ...]:
+def _decode(u: int, broadcast: Broadcast, cache: CacheSlice, solve) -> tuple[int, ...]:
     """The decode boundary both decoders share: the user-range check, then
-    each input checked once before ``solve`` reads it, and the file as the
-    cached and solved subfiles in rank order.  The cache slice must hold
-    every subfile u caches of every requested file, each packet_size
-    symbols long; then the broadcast's ``_malformed`` fault is raised.  Both
-    faults are DecodeError.  ``solve`` gets u's cached and uncached label
-    ranks and returns the uncached subfiles {label rank: values}; the
-    r = n_users shortcut (nothing uncached) skips it."""
+    each input cut and checked once before ``solve`` reads it, and the file
+    as the cached and solved subfiles in rank order.  ``cache`` is u's
+    stored cache, any superset of its subfiles; the boundary cuts from it
+    the subfile of every rank u caches of every requested file, each of
+    which must be packet_size symbols long, and nothing past the boundary
+    reads anything else of it.  Then ``Broadcast._checked`` raises the
+    broadcast's fault.  Both faults are DecodeError.  ``solve`` gets the
+    cut and u's cached and uncached label ranks and returns the uncached
+    subfiles {label rank: values}; the r = n_users shortcut (nothing
+    uncached) skips it."""
     params = broadcast.params
     if not 0 <= u < params.n_users:
         raise ValueError(f"user {u} out of range")
     cached = params.user_ranks[u]
     packet = params.packet_size
-    for n in broadcast._file_offset:
-        stored = cache_slice.get(n, {})
-        for t in cached:
-            if len(stored.get(t, ())) != packet:
-                raise DecodeError(f"cache slice holds no {packet}-symbol subfile {t} of file {n}")
-    if broadcast._malformed:
-        raise DecodeError(broadcast._malformed)
+    cut = {n: {t: cache.get(n, {}).get(t, ()) for t in cached} for n in broadcast._file_offset}
+    for n, t in itertools.product(cut, cached):
+        if len(cut[n][t]) != packet:
+            raise DecodeError(f"cache slice holds no {packet}-symbol subfile {t} of file {n}")
+    broadcast._checked()
     uncached = sorted(set(range(params.subfile_count)).difference(cached))
-    solved = solve(u, broadcast, cache_slice, cached, uncached) if uncached else {}
-    stored = cache_slice[broadcast.demand[u]]
+    solved = solve(u, broadcast, cut, cached, uncached) if uncached else {}
+    stored = cut[broadcast.demand[u]]
     return tuple(itertools.chain.from_iterable(
         solved[t] if t in solved else stored[t] for t in range(params.subfile_count)))
 
@@ -442,7 +463,7 @@ def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
     return {t: solved[base + t] for t in uncached}
 
 
-def decode_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
+def decode_linear(u: int, broadcast: Broadcast, cache: CacheSlice) -> tuple[int, ...]:
     """Reference decoder: exact elimination over the transmitted segments.
 
     The broadcast's sparse system, built on its first linear decode, holds
@@ -455,7 +476,7 @@ def decode_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tupl
     positions are solved together; the query peels what dropping free
     columns and substitution can settle and eliminates the residue.
     """
-    return _decode(u, broadcast, cache_slice, _solve_linear)
+    return _decode(u, broadcast, cache, _solve_linear)
 
 
 def _odd_permutation(seq: list[int]) -> bool:
@@ -468,8 +489,9 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
     transmitted ones by the leader-substitution identity of the module
     docstring: V runs over the position sets of B, A_V is ``a_v`` and
     sigma_V is read off ``_odd_permutation``.  Every A_V is a transmitted
-    subset, so its segment is in a broadcast that ``_decode`` has checked."""
+    subset, so its segment is in the checked segments."""
     params = broadcast.params
+    segments = broadcast._checked()
     demand = broadcast.demand
     leader_of = {demand[i]: i for i in range(params.block_len)}  # block 0 names each file once
     q = broadcast.field.q
@@ -490,7 +512,7 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
                 c = 1 if size % 2 else -1
                 if signed and _odd_permutation(a_v):
                     c = -c
-                seg = broadcast.segments[tuple(sorted(a_v))]
+                seg = segments[tuple(sorted(a_v))]
                 for p in range(packet):
                     acc[p] = (acc[p] + c * seg[p]) % q
         out[sub] = tuple(acc)
@@ -516,7 +538,7 @@ def _solve_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
     return solved
 
 
-def decode_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> tuple[int, ...]:
+def decode_structural(u: int, broadcast: Broadcast, cache: CacheSlice) -> tuple[int, ...]:
     """Closed-form decoder: no elimination, one segment per uncached subfile.
 
     For an uncached label S, every term of the segment of S + {u} other than
@@ -525,13 +547,14 @@ def decode_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice) -> 
     read off the segment table.  The segments are the transmitted ones plus
     the omitted ones, rebuilt once per broadcast and shared by every decode.
     """
-    return _decode(u, broadcast, cache_slice, _solve_structural)
+    return _decode(u, broadcast, cache, _solve_structural)
 
 
-def decode(u: int, broadcast: Broadcast, cache_slice: CacheSlice, method: str = "linear") -> tuple[int, ...]:
-    """Decode user u's requested file; method is "linear" (reference) or "structural"."""
+def decode(u: int, broadcast: Broadcast, cache: CacheSlice, method: str = "linear") -> tuple[int, ...]:
+    """Decode user u's requested file from the broadcast and u's stored
+    cache; method is "linear" (reference) or "structural"."""
     if method == "linear":
-        return decode_linear(u, broadcast, cache_slice)
+        return decode_linear(u, broadcast, cache)
     if method == "structural":
-        return decode_structural(u, broadcast, cache_slice)
+        return decode_structural(u, broadcast, cache)
     raise ValueError(f"unknown decode method {method!r}")

@@ -546,6 +546,8 @@ STAGE_ABLATION = {  # (N, K, L) -> the private variants, bits (relabel, slots, c
     (4, 2, 1): {"1111", "1110", "1101", "1100"},
     (3, 2, 2): {"1111", "1110", "1101", "1100", "0111", "0110", "0101", "0100"},
     (4, 3, 1): {"1111", "1101"},
+    (4, 2, 2): {"1111", "1101", "0111", "0101"},
+    (5, 3, 1): {"1111", "1101"},
 }
 
 
@@ -553,8 +555,8 @@ STAGE_ABLATION = {  # (N, K, L) -> the private variants, bits (relabel, slots, c
 def test_stage_ablation_table(triple):
     """The exact-MI verdict of every ``Variant`` at observer 0, r = 0, q = 2,
     F = 1: which randomization stages privacy needs.  Frozen slots always
-    leak; relabeling may be off only at (3, 2, 2), the one instance here
-    with N <= KL."""
+    leak; relabeling may be off only at (3, 2, 2) and (4, 2, 2), the
+    instances here with N <= KL."""
     params = SchemeParams(*triple, r=0, q=2, packet_size=1)
     private = {"".join(str(int(b)) for b in (v.relabel_files, v.random_slots, v.random_cover, v.random_fill))
                for v in ALL_VARIANTS if exact_mutual_information(params, 0, variant=v).conditional_laws_equal}

@@ -156,6 +156,9 @@ def test_cache_size_matches_formula_for_every_slot_choice():
 
 
 def test_placement_refuses_a_slot_outside_the_users_own():
+    """Placement refuses a slot outside the user's own, a missing slot
+    tuple, and a library of the wrong shape, in the private layer and in
+    the engine alike."""
     # slot 3 of user 0 would be virtual user 3, user 1's second slot
     p = SchemeParams(3, 2, 1, r=1)
     lib = ramp_library(p.field, p.n_files, p.file_len)
@@ -163,6 +166,12 @@ def test_placement_refuses_a_slot_outside_the_users_own():
         place_caches(p, lib, [(3,), (0,)])
     with pytest.raises(ValueError, match="need one slot tuple per user"):
         place_caches(p, lib, [(0,)])
+    for files, length in ((p.n_files + 1, p.file_len), (p.n_files, p.file_len + 1)):
+        wrong = ramp_library(p.field, files, length)
+        with pytest.raises(ValueError, match="library dimensions do not match params"):
+            place_caches(p, wrong, [(0,), (1,)])
+        with pytest.raises(ValueError, match="library dimensions do not match params"):
+            ucc.place(p.ucc, wrong, [0])
 
 
 def test_block_support_size_and_pinning():

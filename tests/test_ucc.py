@@ -10,9 +10,9 @@ import textwrap
 import pytest
 
 from helpers import cache_slice_for, ramp_library, subset_rank
-from privcache import ucc
+from privcache import scheme, ucc
 from privcache.gf import PrimeField, solve_any
-from privcache.scheme import SchemeParams
+from privcache.scheme import SchemeParams, SeedStreams, UserCache
 from privcache.ucc import (
     Broadcast,
     DecodeError,
@@ -269,8 +269,11 @@ def test_decode_full_cache_needs_no_broadcast():
 
 @pytest.mark.parametrize("n_files,r", [(3, 0), (3, 1), (3, 2), (2, 1), (2, 3)])
 def test_decode_exhaustive_two_groups(n_files, r):
+    """Every user decodes every restricted demand from its own slice, and
+    from a cache holding every user's subfiles, which the decoders cut."""
     params = UccParams(n_files=n_files, n_users=4, block_len=2, r=r)
     lib = ramp_library(F257, n_files, params.file_len)
+    everything = ucc.place(params, lib, range(params.n_users))
     for demand in all_restricted_demands(params):
         bc = encode(params, demand, lib)
         for u in range(params.n_users):
@@ -278,6 +281,8 @@ def test_decode_exhaustive_two_groups(n_files, r):
             want = lib.rows[demand[u]]
             assert decode_linear(u, bc, cs) == want
             assert decode_structural(u, bc, cs) == want
+            assert decode_linear(u, bc, everything) == want
+            assert decode_structural(u, bc, everything) == want
 
 
 @pytest.mark.parametrize("n_files,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -440,6 +445,21 @@ def test_decode_missing_cache_symbols_raises():
                     decode_linear(0, bc, cut)
                 with pytest.raises(DecodeError):
                     decode_structural(0, bc, cut)
+    # through scheme.decode_user, which hands the engine the whole stored
+    # cache: a requested label missing, or a cached subfile cut short, is
+    # the engine's message with either decoder
+    sp = SchemeParams(5, 2, 2, r=1)
+    relabeling, slots, _, expanded = scheme.sampler(sp, ((2, 1), (4, 3)))(SeedStreams(3))
+    relabeled = scheme.relabeled_library(ramp_library(sp.field, 5, sp.file_len), relabeling)
+    cache = scheme.place_caches(sp, relabeled, slots)[0]
+    bc = scheme.deliver(sp, relabeled, scheme.relabeled_demand(expanded, relabeling))
+    u, n = cache.selector[0], bc.demand[0]  # slot 0's virtual user caches only rank u at r = 1
+    without = {label: stored for label, stored in cache.subfiles.items() if label != n}
+    short = {**cache.subfiles, n: {**cache.subfiles[n], u: ()}}
+    for subfiles, method in itertools.product((without, short), ("linear", "structural")):
+        with pytest.raises(DecodeError) as err:
+            scheme.decode_user(0, bc, UserCache(0, cache.selector, subfiles), method)
+        assert str(err.value) == f"cache slice holds no 1-symbol subfile {u} of file {n}"
 
 
 @pytest.mark.parametrize("n_users,r", [(4, 1), (6, 1), (6, 2)])
@@ -467,7 +487,9 @@ def test_decoder_names_a_misshapen_segment(fault, decoder):
     key that names no 2-subset, and a cache slice missing one cached
     subfile, are each a DecodeError naming the fault, not a wrong file, an
     IndexError or a bare KeyError, for every user and whichever decoder
-    reads them."""
+    reads them.  The broadcast faults are the same DecodeError when the
+    rate (``segment_count``, ``symbol_count``) or ``trace_record`` reads the
+    segments."""
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1, packet_size=2)
     lib = ramp_library(F257, 3, params.file_len)
     demand = (0, 1, 1, 0)
@@ -480,6 +502,11 @@ def test_decoder_names_a_misshapen_segment(fault, decoder):
     }
     edit, message = faults.get(fault, ({}, None))
     bc = Broadcast(params, F257, demand, {**segments, **edit})
+    if message:  # every reader of the segments refuses them with the decoders' message
+        for read in (lambda: bc.segment_count, lambda: bc.symbol_count, bc.trace_record):
+            with pytest.raises(DecodeError) as err:
+                read()
+            assert str(err.value) == message
     for u in range(params.n_users):
         cs = cache_slice_for(params, u, lib, demand)
         if fault == "slice":
