@@ -104,10 +104,13 @@ def _emit(obj, pad: str, push) -> None:
     subclass) is ``json.dumps(obj, indent=2, sort_keys=True)`` with ``pad``
     after every newline.  That is exact: json indents level d by
     ``"\\n" + "  " * d``, and a JSON string never holds a raw newline.  What
-    is left (bools, None, floats, empty containers) is plain ``json.dumps``,
-    which prints it as the indenting encoder does.  The indenting encoder
-    leaves a reference cycle of closures behind on every call, and a closure
-    calling itself would too; this module-level function leaves none.
+    is left is a leaf or an empty container: ``True``, ``False``, ``None``
+    and an empty list, tuple or dict are written as their literal text (by
+    identity and exact type, so ``1.0`` is never taken for ``True``), and
+    anything else (floats, subclasses) is plain ``json.dumps``, which prints
+    it as the indenting encoder does.  The indenting encoder leaves a
+    reference cycle of closures behind on every call, and a closure calling
+    itself would too; this module-level function leaves none.
     """
     kind = type(obj)
     if kind is int:
@@ -134,6 +137,16 @@ def _emit(obj, pad: str, push) -> None:
         push("\n" + pad + "]")
     elif isinstance(obj, (dict, list, tuple)) and obj:
         push(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+    elif obj is True:
+        push("true")
+    elif obj is False:
+        push("false")
+    elif obj is None:
+        push("null")
+    elif kind is list or kind is tuple:  # empty: a non-empty one was written above
+        push("[]")
+    elif kind is dict:
+        push("{}")
     else:
         push(json.dumps(obj))
 

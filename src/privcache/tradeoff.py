@@ -8,7 +8,12 @@ the corner-point envelope they generate, built from the points
 
 Points, envelopes and lines are exact rationals, and the ``gap`` op is
 decided in integers; Fractions are built only where a result holds one.
-The achievable points are one closed form in falling factorials per r.
+The achievable points are one closed form in falling factorials per r, and
+both they and the corner points are made as reduced integer pairs
+(``_achievable_pairs``, ``_corner_terms``); the hull
+(``lower_convex_envelope_terms``) runs on those integers and builds
+Fractions only for the breakpoints it keeps.  ``achievable_points`` and
+``corner_points`` wrap the same pairs for the ``tradeoff`` CSV.
 Every line the op compares has one integer form, R = (a + b * M) / e with
 e > 0 and gcd(a, b, e) = 1: an envelope segment's form is
 ``Envelope.segment_forms``, and a converse line's comes from
@@ -22,11 +27,11 @@ denominator, so a comparison of two curves is a comparison of integer
 numerators.  A line is compared with a convex envelope at the one grid
 point where it rises highest above it, found by bisection.  The corner
 points are built once per triple and shared by the corner envelope and the
-certificate.  The certificate evaluates both envelopes at each audited
-memory point as integer pairs (``Envelope.value_terms``) and compares the
-ratios by cross-multiplying; it confirms that the achievable envelope is
-within a factor of 6 of the corner-point lower envelope at every audited
-memory point.  A returned ``GapCertificate`` holds the largest ratio and the
+certificate.  The certificate reads each audited memory as an integer pair,
+evaluates both envelopes there as integer pairs (``Envelope.value_terms``)
+and compares the ratios by cross-multiplying; it confirms that the
+achievable envelope is within a factor of 6 of the corner-point lower
+envelope at every audited memory point.  A returned ``GapCertificate`` holds the largest ratio and the
 memory and provenance of its witness; a ratio above the factor raises
 ``OptimalityGapError`` instead.
 """
@@ -41,7 +46,7 @@ from functools import lru_cache
 from operator import sub
 from typing import Iterator
 
-from .exact import Envelope, lower_convex_envelope
+from .exact import Envelope, lower_convex_envelope_terms
 
 GAP_FACTOR = 6
 
@@ -68,36 +73,42 @@ class TradeoffPoint:
     provenance: str
 
 
-def _achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iterator[tuple[Fraction, Fraction]]:
-    """The scheme's exact (M, R) for r = 0, 1, ..., KV, KV = K * n_active:
+def _achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iterator[tuple[int, int, int, int]]:
+    """The scheme's exact (M, R) for r = 0, 1, ..., KV, KV = K * n_active, as
+    reduced integer terms (M_num, M_den, R_num, R_den):
     M = N (C(KV, r) - C(KV - L, r)) / C(KV, r) and
     R = (C(KV, r + 1) - C(KV - n_active, r + 1)) / C(KV, r).
 
     With (x)_m the falling factorial, C(KV - m, r) / C(KV, r) = (KV - r)_m / (KV)_m,
     so M = N ((KV)_L - (KV - r)_L) / (KV)_L and
     R = (KV - r) ((KV)_a - (KV - r - 1)_a) / ((r + 1) (KV)_a), a = n_active;
-    at r = KV the factor KV - r is 0 and KV - r - 1 is clamped to 0."""
+    at r = KV the factor KV - r is 0 and KV - r - 1 is clamped to 0.  Each
+    pair is reduced by one gcd: the hull's cross products then multiply
+    reduced numbers, which at large K are far shorter than the forms over
+    (KV)_L and (r + 1) (KV)_a."""
     _validate_dims(n_files, n_users, demands_per_user)
     n_act = active_files(n_files, n_users, demands_per_user)
     kv = n_users * n_act
     top_l, top_a = math.perm(kv, demands_per_user), math.perm(kv, n_act)
     for r in range(kv + 1):
-        yield (Fraction(n_files * (top_l - math.perm(kv - r, demands_per_user)), top_l),
-               Fraction((kv - r) * (top_a - math.perm(max(kv - r - 1, 0), n_act)), (r + 1) * top_a))
+        m_num = n_files * (top_l - math.perm(kv - r, demands_per_user))
+        r_num, r_den = (kv - r) * (top_a - math.perm(max(kv - r - 1, 0), n_act)), (r + 1) * top_a
+        g, h = math.gcd(m_num, top_l), math.gcd(r_num, r_den)
+        yield m_num // g, top_l // g, r_num // h, r_den // h
 
 
 def achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
     """The scheme's exact (M, R) pair for every r in [0, K * n_active]."""
-    return [TradeoffPoint(m, rate, f"achievable r={r}")
-            for r, (m, rate) in enumerate(_achievable_pairs(n_files, n_users, demands_per_user))]
+    return [TradeoffPoint(Fraction(m_num, m_den), Fraction(r_num, r_den), f"achievable r={r}")
+            for r, (m_num, m_den, r_num, r_den) in enumerate(_achievable_pairs(n_files, n_users, demands_per_user))]
 
 
 # The envelope and corner builders keep their last result: the dominance
 # check and the gap certificate of one (N, K, L) triple share one build of
-# each (``Envelope`` and ``TradeoffPoint`` are frozen, so sharing is safe).
+# each (``Envelope`` is frozen and the corners are a tuple, so sharing is safe).
 @lru_cache(maxsize=1)
 def achievable_envelope(n_files: int, n_users: int, demands_per_user: int) -> Envelope:
-    return lower_convex_envelope(_achievable_pairs(n_files, n_users, demands_per_user))
+    return lower_convex_envelope_terms(list(_achievable_pairs(n_files, n_users, demands_per_user)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +120,15 @@ def max_converse_s(n_files: int, n_users: int, demands_per_user: int) -> int:
     return min(n_files // demands_per_user, n_users)
 
 
-def lambda_grid(step: Fraction = Fraction(1, 8)) -> list[Fraction]:
+# The grid depends on the step alone, so a sweep builds its Fractions once.
+@lru_cache(maxsize=1)
+def lambda_grid(step: Fraction = Fraction(1, 8)) -> tuple[Fraction, ...]:
     step = Fraction(step)
     if not 0 < step <= 1:
         raise ValueError("lambda step must lie in (0, 1]")
     # the multiples k * step below 1, then 1
     p, q = step.numerator, step.denominator
-    return [Fraction(k * p, q) for k in range(-(-q // p))] + [Fraction(1)]
+    return (*(Fraction(k * p, q) for k in range(-(-q // p))), Fraction(1))
 
 
 def _line_form(n_files: int, big_l: int, s: int, lam: Fraction, t: int = 1) -> tuple[int, int, int, int]:
@@ -166,17 +179,25 @@ def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam
 
 
 @lru_cache(maxsize=1)
-def corner_points(n_files: int, n_users: int, demands_per_user: int) -> tuple[TradeoffPoint, ...]:
-    """Anchor points of the converse envelope over s in [1, s_max], t in [1, s]."""
+def _corner_terms(n_files: int, n_users: int, demands_per_user: int) -> tuple[tuple[int, ...], ...]:
+    """(s, t, M_num, M_den, R_num, R_den) of every anchor point of the
+    converse envelope, s in [1, s_max] and t in [1, s]: the corner
+    ((N - L(t-1)) / s, L(s(s-1) + t(t-1)) / (2s)), each coordinate reduced."""
     _validate_dims(n_files, n_users, demands_per_user)
     big_l = demands_per_user
     out = []
     for s in range(1, max_converse_s(n_files, n_users, demands_per_user) + 1):
         for t in range(1, s + 1):
-            m = Fraction(n_files - big_l * (t - 1), s)
-            rate = big_l * (Fraction(s - 1, 2) + Fraction(t * (t - 1), 2 * s))
-            out.append(TradeoffPoint(m, rate, f"corner s={s},t={t}"))
+            m_num, r_num = n_files - big_l * (t - 1), big_l * (s * (s - 1) + t * (t - 1))
+            g, h = math.gcd(m_num, s), math.gcd(r_num, 2 * s)
+            out.append((s, t, m_num // g, s // g, r_num // h, 2 * s // h))
     return tuple(out)
+
+
+def corner_points(n_files: int, n_users: int, demands_per_user: int) -> tuple[TradeoffPoint, ...]:
+    """Anchor points of the converse envelope over s in [1, s_max], t in [1, s]."""
+    return tuple(TradeoffPoint(Fraction(m_num, m_den), Fraction(r_num, r_den), f"corner s={s},t={t}")
+                 for s, t, m_num, m_den, r_num, r_den in _corner_terms(n_files, n_users, demands_per_user))
 
 
 @lru_cache(maxsize=1)
@@ -184,9 +205,9 @@ def converse_corner_envelope(n_files: int, n_users: int, demands_per_user: int) 
     """Lower convex envelope of the corner points plus the zero-memory point
     (0, L * floor(n_active / L)); a certified lower bound on the optimal rate."""
     n_act = active_files(n_files, n_users, demands_per_user)
-    pts = [(p.m, p.rate) for p in corner_points(n_files, n_users, demands_per_user)]
-    pts.append((Fraction(0), Fraction(demands_per_user * (n_act // demands_per_user))))
-    return lower_convex_envelope(pts)
+    pts = [terms for _, _, *terms in _corner_terms(n_files, n_users, demands_per_user)]
+    pts.append((0, 1, demands_per_user * (n_act // demands_per_user), 1))
+    return lower_convex_envelope_terms(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +248,15 @@ def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int
     common one.  A domain that does not cover [0, n_files] raises the
     ValueError ``Envelope.value_at`` would, at the first grid point outside
     it."""
-    lo, hi = env.domain
-    if lo > 0 or hi < n_files:
-        j = 0 if lo > 0 else max(0, hi.numerator * g // (hi.denominator * n_files) + 1)
+    d, xs = env.x_terms
+    if xs[0] > 0 or xs[-1] < n_files * d:
+        lo, hi = env.domain
+        j = 0 if xs[0] > 0 else max(0, xs[-1] * g // (d * n_files) + 1)
         raise ValueError(f"x={Fraction(j * n_files, g)} outside envelope domain [{lo}, {hi}]")
     pieces = []
     start = 0
-    for (x1, _), form in zip(env.breakpoints[1:], env.segment_forms):
-        last = min(g, x1.numerator * g // (x1.denominator * n_files))
+    for x1, form in zip(xs[1:], env.segment_forms):
+        last = min(g, x1 * g // (d * n_files))
         if last >= start:
             pieces.append((last, *_grid_form(*form, n_files, g)))
             start = last + 1
@@ -325,18 +347,19 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
     """
     ach = achievable_envelope(n_files, n_users, demands_per_user)
     low = converse_corner_envelope(n_files, n_users, demands_per_user)
-    candidates = [(Fraction(0), "endpoint M=0")]
-    candidates += [(p.m, p.provenance) for p in corner_points(n_files, n_users, demands_per_user)[1:]]
+    corners = _corner_terms(n_files, n_users, demands_per_user)
+    # memory i is M = 0 for i = 0, else corner i's; each an integer pair
+    memories = [(0, 1)] + [(m_num, m_den) for _, _, m_num, m_den, _, _ in corners[1:]]
     # ratios are integer pairs (num, den), den > 0, compared by cross-multiplying
     best_num, best_den = 0, 1
-    witness = candidates[0]
-    for m, prov in candidates:
-        a_num, a_den = ach.value_terms(m)
-        b_num, b_den = low.value_terms(m)
+    witness = 0
+    for i, (m_num, m_den) in enumerate(memories):
+        a_num, a_den = ach.value_terms(m_num, m_den)
+        b_num, b_den = low.value_terms(m_num, m_den)
         if b_num == 0:
             if a_num != 0:
-                raise OptimalityGapError(
-                    f"lower envelope vanished at M={m} with achievable rate {Fraction(a_num, a_den)}")
+                raise OptimalityGapError(f"lower envelope vanished at M={Fraction(m_num, m_den)} "
+                                         f"with achievable rate {Fraction(a_num, a_den)}")
             num, den = 1, 1  # both schemes optimal at full memory
         else:
             num, den = a_num * b_den, a_den * b_num
@@ -344,14 +367,16 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
                 num, den = -num, -den
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-            witness = (m, prov)
+            witness = i
     best = Fraction(best_num, best_den)
-    if best > GAP_FACTOR:
+    m = Fraction(*memories[witness])
+    prov = "corner s={},t={}".format(*corners[witness][:2]) if witness else "endpoint M=0"
+    if best_num > GAP_FACTOR * best_den:
         raise OptimalityGapError(
-            f"gap {best} exceeds {GAP_FACTOR} at M={witness[0]} ({witness[1]}) "
+            f"gap {best} exceeds {GAP_FACTOR} at M={m} ({prov}) "
             f"for (N,K,L)=({n_files},{n_users},{demands_per_user})"
         )
-    return GapCertificate(max_ratio=best, witness_m=witness[0], witness_provenance=witness[1])
+    return GapCertificate(max_ratio=best, witness_m=m, witness_provenance=prov)
 
 
 def sweep_triples(n_range: tuple[int, int], k_range: tuple[int, int],

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import gc
 import hashlib
 import json
@@ -218,31 +219,34 @@ def test_audit_budget_below_one_is_usage_error(argv, capsys):
 def test_gap_builds_each_envelope_once_per_triple(monkeypatch, tmp_path):
     tradeoff.achievable_envelope.cache_clear()
     tradeoff.converse_corner_envelope.cache_clear()
-    real = tradeoff.lower_convex_envelope
+    real = tradeoff.lower_convex_envelope_terms
     calls = []
 
     def counting(points):
         calls.append(1)
         return real(points)
 
-    monkeypatch.setattr(tradeoff, "lower_convex_envelope", counting)
+    monkeypatch.setattr(tradeoff, "lower_convex_envelope_terms", counting)
     assert run_cli("gap", "--sweep", "N=2..3,K=1..2", "--out", str(tmp_path / "gap.json")) == 0
     assert len(calls) == 2 * len(tradeoff.sweep_triples((2, 3), (1, 2)))
 
 
 def test_gap_builds_corner_points_once_per_triple(monkeypatch, tmp_path):
     # the corner envelope and the gap certificate share one build of the corners
-    for cached in (tradeoff.achievable_envelope, tradeoff.converse_corner_envelope, tradeoff.corner_points):
+    for cached in (tradeoff.achievable_envelope, tradeoff.converse_corner_envelope):
         cached.cache_clear()
-    real = tradeoff.TradeoffPoint
+    build = tradeoff._corner_terms.__wrapped__
     corners = []
 
-    def counting(m, rate, provenance):
-        if provenance.startswith("corner"):
-            corners.append(provenance)
-        return real(m, rate, provenance)
+    def counting(*dims):
+        built = build(*dims)
+        corners.extend(built)
+        return built
 
-    monkeypatch.setattr(tradeoff, "TradeoffPoint", counting)
+    # the counting build sits behind a cache of the real one's size, so a
+    # second build per triple would be counted
+    size = tradeoff._corner_terms.cache_parameters()["maxsize"]
+    monkeypatch.setattr(tradeoff, "_corner_terms", functools.lru_cache(maxsize=size)(counting))
     assert run_cli("gap", "--sweep", "N=2..3,K=1..2", "--out", str(tmp_path / "gap.json")) == 0
     s_maxes = [tradeoff.max_converse_s(*dims) for dims in tradeoff.sweep_triples((2, 3), (1, 2))]
     assert len(corners) == sum(s * (s + 1) // 2 for s in s_maxes)
@@ -732,6 +736,17 @@ _json_values = st.recursive(
 @example({"x": {1: [], "y": 2}})  # non-str keys below an indented level
 @example({"a": 1, 2: "b"})  # mixed keys: both raise TypeError
 @example([[], {}, (), "", True, None, -0.0, float("nan")])
+# literal leaves at the top and below a key, beside the floats and ints equal to them
+@example(True)
+@example(False)
+@example(None)
+@example([])
+@example(())
+@example({})
+@example(1.0)
+@example(0.0)
+@example({"t": True, "f": False, "n": None, "l": [], "u": (), "d": {}, "one": 1.0, "zero": 0.0, "i": 1, "o": 0})
+@example([type("ListSubclass", (list,), {})(), type("DictSubclass", (dict,), {})()])  # empty subclasses
 def test_json_writer_matches_json_dumps(obj):
     assert _outcome(cli._json_text, obj) == _outcome(_json_dumps_text, obj)
 

@@ -1,6 +1,7 @@
 """Exact arithmetic, subset ranking and convex envelope tests."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_segment_forms, chord_value_at, cross_hull, subset_rank
-from privcache.exact import Envelope, lower_convex_envelope
+from privcache.exact import Envelope, lower_convex_envelope, lower_convex_envelope_terms
 
 
 def test_rank_of_first_subset_is_zero():
@@ -112,6 +113,35 @@ def test_envelope_matches_cross_product_hull(points):
     assert env.breakpoints == cross_hull(points)
     for x, _ in points:
         assert env.value_at(x) == chord_value_at(env, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs(), st.integers(1, 4))
+def test_terms_hull_equals_the_fraction_adapter(points, k):
+    # unreduced terms (every numerator and denominator times k) give the same envelope
+    points = [(Fraction(x), Fraction(y)) for x, y in points]
+    env = lower_convex_envelope_terms([(x.numerator * k, x.denominator * k, y.numerator * k, y.denominator * k)
+                                       for x, y in points])
+    assert env == lower_convex_envelope(points)
+    d, xs = env.x_terms
+    assert d > 0 and [Fraction(x, d) for x in xs] == [x for x, _ in env.breakpoints]
+    for x, _ in points:
+        n, e = env.value_terms(x.numerator * k, x.denominator * k)
+        assert e > 0 and Fraction(n, e) == env.value_at(x) == chord_value_at(env, x)
+
+
+def test_value_terms_outside_the_domain_names_x():
+    env = lower_convex_envelope([(0, 2), (Fraction(3, 2), 0)])
+    for p, q in ((-1, 2), (4, 2), (3, 1), (-2, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"x={Fraction(p, q)} outside envelope domain [0, 3/2]")):
+            env.value_terms(p, q)
+    # the segment is (6 - 4x) / 3; at x = p/q the pair is (6q - 4p, 3q), unreduced
+    assert env.value_terms(6, 4) == (0, 12) and env.value_terms(0, 3) == (18, 9)
+
+
+def test_terms_hull_rejects_no_points():
+    with pytest.raises(ValueError, match="need at least one point"):
+        lower_convex_envelope_terms([])
 
 
 @settings(max_examples=300, deadline=None)

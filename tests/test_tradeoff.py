@@ -9,9 +9,9 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_segment_forms, comb_achievable_points, fraction_converse_line, full_scan_dominance,
-                     per_candidate_gap)
-from privcache import tradeoff
+from helpers import (assert_segment_forms, comb_achievable_points, cross_hull, fraction_converse_line,
+                     full_scan_dominance, per_candidate_gap)
+from privcache import exact, tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
 from privcache.scheme import SchemeParams
 from privcache.scheme import run_simulation
@@ -112,6 +112,68 @@ def test_achievable_envelope_oracle_sweep():
         pts = [(p.m, p.rate) for p in achievable_points(n, k, big_l)]
         for m in [Fraction(j * n, 40) for j in range(41)]:
             assert env.value_at(m) == chord_oracle(pts, m)
+
+
+def fraction_point_sets(dims):
+    """The Fraction points each envelope is the hull of: every achievable
+    point, and every corner point plus the zero-memory point."""
+    n_act, big_l = tradeoff.active_files(*dims), dims[2]
+    corners = [(p.m, p.rate) for p in corner_points(*dims)] + [(Fraction(0), Fraction(big_l * (n_act // big_l)))]
+    return [(p.m, p.rate) for p in achievable_points(*dims)], corners
+
+
+LARGE_TRIPLES = ((16, 8, 4), (64, 16, 8), (128, 32, 17), (256, 64, 3))
+
+
+@pytest.mark.parametrize("triples", [sweep_triples((1, 8), (1, 4)), *([dims] for dims in LARGE_TRIPLES)],
+                         ids=["certify-144", *("-".join(map(str, dims)) for dims in LARGE_TRIPLES)])
+def test_integer_envelopes_equal_the_fraction_hulls(triples):
+    for dims in triples:
+        ach_pts, low_pts = fraction_point_sets(dims)
+        for env, pts in ((achievable_envelope(*dims), ach_pts), (converse_corner_envelope(*dims), low_pts)):
+            assert env == lower_convex_envelope(pts)
+            assert env.breakpoints == cross_hull(pts)
+
+
+def test_point_forms_are_reduced():
+    for dims in sweep_triples((1, 8), (1, 4)) + list(LARGE_TRIPLES[:2]):
+        for *_, m_num, m_den, r_num, r_den in [*tradeoff._achievable_pairs(*dims), *tradeoff._corner_terms(*dims)]:
+            assert m_den > 0 and r_den > 0 and math.gcd(m_num, m_den) == 1 and math.gcd(r_num, r_den) == 1
+
+
+def test_corner_points_match_the_fraction_formula():
+    # corner (s, t) is ((N - L(t-1)) / s, L((s-1)/2 + t(t-1)/(2s)))
+    for n, k, big_l in sweep_triples((1, 12), (1, 6)):
+        expected = [(Fraction(n - big_l * (t - 1), s), big_l * (Fraction(s - 1, 2) + Fraction(t * (t - 1), 2 * s)))
+                    for s in range(1, max_converse_s(n, k, big_l) + 1) for t in range(1, s + 1)]
+        assert [(p.m, p.rate) for p in corner_points(n, k, big_l)] == expected
+
+
+@pytest.mark.parametrize("dims", [(8, 4, 2), (16, 8, 4)])
+def test_achievable_envelope_builds_two_fractions_per_kept_breakpoint(monkeypatch, dims):
+    # a point the hull drops is never turned into a Fraction
+    points = len(achievable_points(*dims))
+    real, built = Fraction, []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (tradeoff, exact):
+        monkeypatch.setattr(module, "Fraction", counting)
+    achievable_envelope.cache_clear()
+    try:
+        env = achievable_envelope(*dims)
+    finally:
+        achievable_envelope.cache_clear()
+    assert len(env.breakpoints) < points
+    assert len(built) == 2 * len(env.breakpoints)
+
+
+def test_lambda_grid_is_built_once_per_step():
+    # the grid depends on the step alone and is immutable, so a sweep shares one
+    grid = lambda_grid(Fraction(1, 8))
+    assert type(grid) is tuple and lambda_grid(Fraction(2, 16)) is grid
 
 
 def fraction_terms(t, a, b, e):
