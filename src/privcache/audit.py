@@ -65,14 +65,10 @@ alongside.  No relabeling or library is charged, since neither is walked;
 relabelings, a bound on the members it lists, since each walked atom
 yields at most one class.
 
-``empirical_law_check`` is a chi-square test of the masked demands that
-``scheme.sampler``, the code ``simulate`` draws from, produces: the only
-check of the sampler's law, since both exact routes enumerate
-``scheme.block_tables`` instead.  It needs at least 10 runs per point of
-the closed-form support (2,880 points at (N, K, L) = (5, 2, 2), 1,728,000 at
-(5, 3, 2)).  A demand matrix's law has at most that many label-free atoms,
-so the exact law decides every instance the test can reach, under a budget
-raised where needed.
+Neither audit draws from ``scheme.sampler``, the code ``simulate`` draws
+from; the tests check exactly that its law is the uniform relabeling times
+the uniform law on ``scheme.block_tables``' realizations, so the audits
+certify the law ``simulate`` samples.
 """
 
 from __future__ import annotations
@@ -83,10 +79,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from . import scheme as sch
-from .scheme import FULL, Demands, SchemeParams, SeedStreams, Variant
+from .scheme import FULL, Demands, SchemeParams, Variant
 
 
 DEFAULT_BUDGET = 10 ** 7
@@ -107,14 +103,6 @@ def closed_form_mass(params: SchemeParams) -> Fraction:
     """Mass of each restricted vector under the masked-demand law, uniform on
     the support: 1 / support = (N - n_active)! / (N! * (n_active!)^(K-1))."""
     return Fraction(1, restricted_vector_count(params))
-
-
-def restricted_vectors(params: SchemeParams) -> Iterator[tuple[int, ...]]:
-    """All restricted demand vectors: pick the common n_active-subset, then an
-    arrangement of it per user block.  Count: C(N, n_active) * (n_active!)^K."""
-    for base in itertools.combinations(range(params.n_files), params.n_active):
-        for blocks in itertools.product(itertools.permutations(base), repeat=params.n_users):
-            yield tuple(v for block in blocks for v in block)
 
 
 def restricted_vector_count(params: SchemeParams) -> int:
@@ -432,73 +420,3 @@ def exact_mutual_information(params: SchemeParams, observer: int = 0, *, variant
     if baseline is not None:
         reports[0].baseline = reports[1]
     return reports[0]
-
-
-# ---------------------------------------------------------------------------
-# Chi-square smoke test for large instances
-# ---------------------------------------------------------------------------
-
-_Z_999 = 3.090232306167813  # the standard normal quantile at 0.999
-
-
-def chi_square_quantile(dof: int) -> float:
-    """Wilson-Hilferty approximation of the chi-square quantile at 0.999;
-    accurate to a fraction of a percent for the large dof used here."""
-    if dof < 1:
-        raise ValueError("dof must be positive")
-    c = 2.0 / (9.0 * dof)
-    return dof * (1.0 - c + _Z_999 * math.sqrt(c)) ** 3
-
-
-@dataclass
-class ChiSquareReport:
-    statistic: float
-    dof: int
-    threshold: float
-    passed: bool
-    runs: int
-    support_size: int
-    outside_support: int
-
-
-def empirical_law_check(params: SchemeParams, demands: Demands, observer: int,
-                        selector: tuple[int, ...], runs: int, seed: int,
-                        variant: Variant = FULL) -> ChiSquareReport:
-    """Chi-square test of sampled masked demands against the uniform law,
-    holding the observer's slot tuple fixed and resampling everything else.
-    The support size (at least two points) and the run floor are checked
-    against the closed-form support size before any draw."""
-    demands = sch.validate_demands(params, demands)
-    _check_observer(params, observer)
-    size = restricted_vector_count(params)
-    if size < 2:
-        raise ValueError(f"the chi-square test needs at least two support points, got {size}")
-    if runs < 10 * size:
-        raise ValueError(f"need at least {10 * size} runs for {size} support points, got {runs}")
-    draw = sch.sampler(params, demands, variant, {observer: selector})
-    counts: dict[tuple[int, ...], int] = {}
-    for i in range(runs):
-        relabeling, _, _, expanded = draw(SeedStreams(seed, prefix=f"run{i}:"))
-        masked = sch.relabeled_demand(expanded, relabeling)
-        counts[masked] = counts.get(masked, 0) + 1
-    expected = runs / size
-    statistic = 0.0
-    inside = 0
-    for key in restricted_vectors(params):  # left to right: sum() of floats compensates from Python 3.12 on
-        count = counts.get(key, 0)
-        inside += count
-        statistic += (count - expected) ** 2 / expected
-    outside = runs - inside
-    if outside:
-        statistic = math.inf
-    dof = size - 1
-    threshold = chi_square_quantile(dof)
-    return ChiSquareReport(
-        statistic=statistic,
-        dof=dof,
-        threshold=threshold,
-        passed=statistic <= threshold,
-        runs=runs,
-        support_size=size,
-        outside_support=outside,
-    )

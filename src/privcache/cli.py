@@ -4,12 +4,10 @@ Subcommands:
 
 * ``simulate``  one seeded end-to-end run (placement, delivery, every decode);
   writes a replayable JSON trace or a one-line CSV summary.
-* ``audit``     privacy checks: exact masked-demand law (``--mode ptilde``),
-  exact mutual information on enumerable instances (``--mode mi``), or a
-  chi-square test of the sampled masked demand (``--mode empirical``), the
-  one check of the sampler ``simulate`` draws from; the exact modes
-  enumerate the scheme's randomness instead.  An option the chosen mode
-  does not read is a usage error.
+* ``audit``     exact privacy checks by enumeration: the masked-demand law
+  (``--mode ptilde``) or the mutual information on enumerable instances
+  (``--mode mi``).  An option the chosen mode does not read is a usage
+  error.
 * ``tradeoff``  plot-ready CSV of achievable points, envelopes, converse
   corner points and converse lines (rationals as numerator/denominator
   columns, never floats).
@@ -259,38 +257,12 @@ def _audit_mi(args, params: SchemeParams, variant) -> dict:
     return result
 
 
-def _audit_empirical(args, params: SchemeParams, variant) -> dict:
-    if args.runs is None:
-        raise ValueError("--runs is required for --mode empirical")
-    if args.demands and len(args.demands) > 1:
-        raise ValueError(f"--mode empirical audits one demand matrix, got {len(args.demands)} --demands")
-    selector = args.selector if args.selector is not None else tuple(range(params.demands_per_user))
-    demands = args.demands[0] if args.demands else _default_demand_family(params, args.observer)[0]
-    report = audit.empirical_law_check(
-        params, demands, args.observer, selector, args.runs, args.seed or 0, variant,
-    )
-    return {
-        "check": "empirical-chi-square",
-        "demands": [list(r) for r in demands],
-        "observer": args.observer,
-        "selector": list(selector),
-        "runs": report.runs,
-        "support_size": report.support_size,
-        "dof": report.dof,
-        "statistic": report.statistic,
-        "threshold_0.999": report.threshold,
-        "outside_support": report.outside_support,
-        "passed": report.passed,
-    }
-
-
 # The audit options every mode reads, and per mode its runner and the
 # options it reads besides; an option outside both is refused.
 _AUDIT_SHARED = ("--mode", "--N", "--K", "--L", "--r", "--q", "--observer", "--variant", "--out")
 _AUDIT_MODES = {
     "ptilde": (_audit_ptilde, ("--selector", "--demands", "--budget")),
     "mi": (_audit_mi, ("--F", "--baseline", "--budget", "--timings")),
-    "empirical": (_audit_empirical, ("--selector", "--demands", "--runs", "--seed")),
 }
 
 
@@ -475,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="'scheme' is the real construction; others are derandomized mutants")
     aud.add_argument("--baseline", action="store_true", default=None,
                      help="mi mode: also audit the plain baseline and require it to leak")
-    aud.add_argument("--runs", type=int, default=None, help="empirical mode sample count")
-    aud.add_argument("--seed", type=int, default=None, help="empirical mode seed (default 0)")
     aud.add_argument("--budget", type=int, default=None,
                      help="cap on the label-free atoms the command walks, charged before the first walk; "
                           f"mi --baseline charges both audits' atoms together (default {audit.DEFAULT_BUDGET})")

@@ -35,11 +35,14 @@ streams, one label-free (slot tuples, cover set, expanded demand)
 realization plus its relabeling, and ``block_tables`` enumerates every such
 realization, equally likely, for the exact audits, which count the
 relabeling in: per (slot tuples, cover set) it yields each user's table of
-admissible blocks, and the realizations are the tables' product.  Both take
-pins of some users' slot tuples, checked by ``checked_slots``, and a stage
-the ``Variant`` switches off takes the first element of its support.  All randomness flows from one seed through named
-substreams (labels are hashed into independent generators), so any run is
-replayable.
+admissible blocks, and the realizations are the tables' product.
+``block_tables`` takes pins of some users' slot tuples, checked by
+``checked_slots``.  In both, a stage the ``Variant`` switches off takes the
+first element of its support.  The tests tie the two exactly: the law of
+``sampler``, enumerated over every branch of its integer draws, is the
+uniform relabeling times the uniform law on ``block_tables``' realizations.
+All randomness flows from one seed through named substreams (labels are
+hashed into independent generators), so any run is replayable.
 """
 
 from __future__ import annotations
@@ -126,12 +129,11 @@ PLAIN_BASELINE = Variant(False, False, False, False)
 class SeedStreams:
     """Named, independent RNG substreams derived from one 64-bit seed."""
 
-    def __init__(self, seed: int, prefix: str = ""):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.prefix = prefix
 
     def rng(self, label: str) -> random.Random:
-        digest = hashlib.sha256(f"{self.seed}/{self.prefix}{label}".encode()).digest()
+        digest = hashlib.sha256(f"{self.seed}/{label}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -266,11 +268,10 @@ def block_support(params: SchemeParams, cover_set: Sequence[int], row: Sequence[
     return [_fill(block, perm) for perm in itertools.permutations(rest_values)]
 
 
-def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
-            slots: Mapping[int, Sequence[int]] | None = None):
+def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL):
     """The scheme's randomness for one demand matrix, as a function ``draw``
-    of the seed streams: the demand matrix and pins are validated and the
-    cover sets derived once, for callers that draw many realizations.  Each
+    of the seed streams: the demand matrix is validated and the cover sets
+    derived once, for callers that draw many realizations.  Each
     ``draw(streams)`` returns (relabeling, slot tuples, cover set, expanded
     demand): one of the realizations ``block_tables`` yields, plus the
     relabeling.
@@ -278,10 +279,9 @@ def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
     Each stage reads its own substream: "relabel", "slots" (one sample per
     user, in user order), "cover" (uniform over the feasible cover sets in
     lexicographic order) and "block:k" (a shuffle of user k's free cover-set
-    files).  A user that ``slots`` pins still draws its slot tuple, which
-    the pin then replaces, so the other users' draws do not move."""
+    files).  Every draw is an integer draw through ``random.Random``'s
+    ``sample``, ``randrange`` or ``shuffle``."""
     demands = validate_demands(params, demands)
-    pinned = checked_slots(params, slots)
     covers = feasible_cover_sets(params, demands)
     first_slots = tuple(range(params.demands_per_user))  # slot_support(params)[0]
 
@@ -292,10 +292,10 @@ def sampler(params: SchemeParams, demands: Demands, variant: Variant = FULL,
             relabeling = tuple(range(params.n_files))
         if variant.random_slots:
             rng = streams.rng("slots")
-            drawn = [tuple(rng.sample(range(params.n_active), params.demands_per_user)) for _ in range(params.n_users)]
+            sel = tuple(tuple(rng.sample(range(params.n_active), params.demands_per_user))
+                        for _ in range(params.n_users))
         else:
-            drawn = [first_slots] * params.n_users
-        sel = tuple(pinned.get(k, s) for k, s in enumerate(drawn))
+            sel = (first_slots,) * params.n_users
         cover = covers[streams.rng("cover").randrange(len(covers))] if variant.random_cover else covers[0]
         blocks = []
         for k in range(params.n_users):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from operator import gt
@@ -126,6 +127,116 @@ def scan_cover_sets(n_files: int, n_active: int, requested: Iterable[int]) -> li
     scanning all C(n_files, n_active) subsets in lexicographic order."""
     need = set(requested)
     return [cand for cand in itertools.combinations(range(n_files), n_active) if need.issubset(cand)]
+
+
+def restricted_vectors(params: SchemeParams) -> Iterator[tuple[int, ...]]:
+    """All restricted demand vectors: pick the common n_active-subset, then an
+    arrangement of it per user block.  Count: C(N, n_active) * (n_active!)^K,
+    ``audit.restricted_vector_count``."""
+    for base in itertools.combinations(range(params.n_files), params.n_active):
+        for blocks in itertools.product(itertools.permutations(base), repeat=params.n_users):
+            yield tuple(v for block in blocks for v in block)
+
+
+# ---------------------------------------------------------------------------
+# The exact law of ``scheme.sampler``, by enumerating every branch of its
+# integer draws, and the law the exact audits assume it draws
+# ---------------------------------------------------------------------------
+
+
+# Random.sample rejects repeats for populations above 21, where a prescribed
+# 0 would repeat forever; the sampler makes far fewer draws at any size the
+# enumeration can reach
+_MAX_DRAWS = 256
+
+
+class _BranchRandom(random.Random):
+    """A ``random.Random`` whose integer draws take prescribed branches.
+
+    ``sample``, ``randrange`` and ``shuffle`` reach the generator only
+    through ``_randbelow(n)`` (CPython 3.10 to 3.13).  Here the depth-th call
+    answers from ``path``, a list of [choice, n] entries, and past its end
+    appends [0, n].  ``random`` and ``getrandbits``, the other two ways to
+    draw, raise, so a draw that bypasses ``_randbelow`` cannot go unseen."""
+
+    def __init__(self, path: list[list[int]]):
+        super().__init__(0)
+        self.path, self.depth = path, 0
+
+    def _randbelow(self, n: int) -> int:
+        if self.depth == len(self.path):
+            if self.depth == _MAX_DRAWS:
+                raise AssertionError(f"more than {_MAX_DRAWS} integer draws in one pass")
+            self.path.append([0, n])
+        choice, branches = self.path[self.depth]
+        if branches != n:
+            raise AssertionError(f"draw {self.depth} has {n} branches, {branches} on an earlier pass")
+        self.depth += 1
+        return choice
+
+    def random(self):
+        raise AssertionError("Random.random reached: only _randbelow draws are enumerated")
+
+    def getrandbits(self, k):
+        raise AssertionError("Random.getrandbits reached: only _randbelow draws are enumerated")
+
+
+class _BranchStreams:
+    """Stub seed streams: every label gets the one ``_BranchRandom``, and a
+    label asked for twice in one pass raises, since real substreams with
+    one label repeat their draws rather than being independent."""
+
+    def __init__(self, gen: _BranchRandom):
+        self.gen, self.labels = gen, set()
+
+    def rng(self, label: str) -> _BranchRandom:
+        if label in self.labels:
+            raise AssertionError(f"substream {label!r} asked for twice in one draw")
+        self.labels.add(label)
+        return self.gen
+
+
+def sampler_law(draw) -> dict[tuple, Fraction]:
+    """The exact law of ``draw(streams)``, a function of seed streams such as
+    ``scheme.sampler`` returns: {outcome: probability}.
+
+    Depth first over every branch of every integer draw: each pass hands
+    ``draw`` stub streams that follow the current path, weighs its outcome
+    Π 1/n over the branches taken, and advances the path like an odometer.
+    That is the law of ``draw`` when each ``_randbelow(n)`` is uniform on
+    [0, n) and substreams with distinct labels are independent.  A pass
+    that ends before the path it was handed, more than ``_MAX_DRAWS`` draws
+    in one pass, and a total weight other than exactly 1 raise."""
+    law: dict[tuple, Fraction] = {}
+    path: list[list[int]] = []
+    gen = _BranchRandom(path)
+    while True:
+        gen.depth = 0
+        outcome = draw(_BranchStreams(gen))
+        if gen.depth != len(path):
+            raise AssertionError(f"the draw took {gen.depth} of {len(path)} prescribed branches")
+        law[outcome] = law.get(outcome, 0) + Fraction(1, math.prod(n for _, n in path))
+        while path and path[-1][0] + 1 == path[-1][1]:
+            path.pop()
+        if not path:
+            break
+        path[-1][0] += 1
+    total = sum(law.values())
+    if total != 1:
+        raise AssertionError(f"total weight {total}, not 1")
+    return law
+
+
+def uniform_sampler_law(params: SchemeParams, demands: Demands, variant: Variant) -> dict[tuple, Fraction]:
+    """The law the exact audits assume ``scheme.sampler`` draws: (relabeling,
+    slot tuples, cover set, expanded demand), the relabeling uniform over
+    the N! permutations (the identity with relabeling off) and independent
+    of a realization uniform over those ``scheme.block_tables`` yields."""
+    n = params.n_files
+    relabelings = list(itertools.permutations(range(n))) if variant.relabel_files else [tuple(range(n))]
+    atoms = Counter(flat_realizations(params, demands, variant))
+    den = len(relabelings) * atoms.total()
+    return {(relabeling, *atom): Fraction(c, den) for relabeling in relabelings for atom, c in atoms.items()}
 
 
 # ---------------------------------------------------------------------------

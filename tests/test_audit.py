@@ -1,6 +1,6 @@
 """Privacy audit tests: exact laws, invariance, mutation detection, exact
-mutual information against a library-enumerating oracle, enumeration-path
-consistency, and the chi-square check."""
+mutual information against a library-enumerating oracle, and
+enumeration-path consistency."""
 
 import itertools
 import math
@@ -9,17 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_demand_matrices, cover_weight, flat_realizations, walked_view_counts
+from helpers import all_demand_matrices, cover_weight, flat_realizations, restricted_vectors, walked_view_counts
 from privcache import audit, scheme
 from privcache.audit import (
     BudgetExceededError,
-    chi_square_quantile,
     closed_form_mass,
-    empirical_law_check,
     exact_mutual_information,
     masked_demand_law,
     restricted_vector_count,
-    restricted_vectors,
     verify_law_invariance,
 )
 from privcache.scheme import FULL, NO_RELABEL, PLAIN_BASELINE, SchemeParams, Variant
@@ -625,70 +622,3 @@ def test_joint_marginal_reproduces_direct_law():
     for selector in ((5,), (0, 1)):  # the shared slot-tuple check, not a missing-atoms RuntimeError
         with pytest.raises(ValueError, match="slot tuple"):
             masked_marginal_via_joint(P321, ((0,), (1,)), 0, selector)
-
-
-def test_chi_square_quantile_values():
-    # Wilson-Hilferty at 0.999 vs reference values (scipy.stats.chi2.ppf)
-    assert abs(chi_square_quantile(23) - 49.7282) < 0.3
-    assert abs(chi_square_quantile(11) - 31.2641) < 0.3
-    assert abs(chi_square_quantile(2879) - 3119.2021) < 1.0
-    with pytest.raises(ValueError):
-        chi_square_quantile(0)
-
-
-def test_empirical_check_passes_for_real_scheme():
-    rep = empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=2000, seed=7)
-    assert rep.support_size == 12
-    assert rep.outside_support == 0
-    assert rep.passed
-
-
-def test_empirical_check_run_floor():
-    with pytest.raises(ValueError):
-        empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=0, seed=1)
-    with pytest.raises(ValueError):
-        empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=119, seed=1)
-
-
-def test_empirical_run_floor_is_checked_before_the_support_is_built(monkeypatch):
-    # 373,248,000 support vectors at (6, 3, 2): the floor comes from the closed form
-    def unexpected(params):
-        raise AssertionError("support enumerated before the run floor was checked")
-
-    monkeypatch.setattr(audit, "restricted_vectors", unexpected)
-    with pytest.raises(ValueError, match="need at least 3732480000 runs for 373248000 support points, got 10"):
-        empirical_law_check(SchemeParams(6, 3, 2, r=1), ((0, 1), (2, 3), (4, 5)), 0, (0, 1), runs=10, seed=1)
-
-
-def test_empirical_check_derives_the_demand_matrix_once(monkeypatch):
-    """The cover sets, slot pins and demand checks are fixed per demand
-    matrix: one derivation per check however many runs it draws (the check
-    validates the demands once more itself, before the run floor)."""
-    calls = {name: 0 for name in ("feasible_cover_sets", "checked_slots", "validate_demands")}
-
-    def counting(name):
-        real = getattr(scheme, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    reference = empirical_law_check(P321, ((0,), (2,)), 1, (1,), runs=2000, seed=5)
-    for name in calls:
-        monkeypatch.setattr(scheme, name, counting(name))
-    rep = empirical_law_check(P321, ((0,), (2,)), 1, (1,), runs=2000, seed=5)
-    assert calls == {"feasible_cover_sets": 1, "checked_slots": 1, "validate_demands": 2}
-    assert rep == reference
-
-
-def test_empirical_check_detects_skipped_relabeling():
-    rep = empirical_law_check(P321, ((0,), (1,)), 0, (0,), runs=2000, seed=7, variant=NO_RELABEL)
-    assert not rep.passed
-
-
-def test_empirical_check_five_file_instance():
-    rep = empirical_law_check(P522, ((0, 1), (0, 2)), 0, (0, 2), runs=100_000, seed=3)
-    assert rep.support_size == 2880
-    assert rep.dof == 2879
-    assert rep.passed

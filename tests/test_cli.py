@@ -271,19 +271,10 @@ def test_audit_mi_bad_file_len(capsys):
     assert code == 2
 
 
-def test_audit_empirical(tmp_path):
-    out = tmp_path / "e.json"
-    code = run_cli("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1",
-                   "--runs", "2000", "--seed", "5", "--out", str(out))
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["passed"] is True and rep["dof"] == 11
-
-
 @pytest.mark.parametrize("argv", [
     ("--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--observer", "5"),
-    ("--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800", "--observer", "-1"),
-    ("--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800", "--observer", "7"),
+    ("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1", "--observer", "-1"),
+    ("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1", "--observer", "7"),
 ])
 def test_audit_observer_out_of_range_is_usage_error(argv, capsys):
     assert run_cli("audit", *argv) == 2
@@ -292,35 +283,13 @@ def test_audit_observer_out_of_range_is_usage_error(argv, capsys):
     assert "observer out of range" in captured.err
 
 
-def test_audit_empirical_with_several_demand_matrices_is_usage_error(capsys):
-    # only one matrix is audited, so a second one is refused rather than dropped
-    assert run_cli("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",
-                   "--demands", "0;1", "--demands", "0;2") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "usage error: --mode empirical audits one demand matrix, got 2 --demands\n"
-
-
-def test_audit_empirical_with_one_support_point_is_usage_error(monkeypatch, capsys):
-    # (1, 1, 1) has one restricted demand vector: no chi-square test, checked before any draw
-    def unexpected(*args, **kwargs):
-        raise AssertionError("sampled before the support size was checked")
-
-    monkeypatch.setattr(scheme, "sampler", unexpected)
-    assert run_cli("audit", "--mode", "empirical", "--N", "1", "--K", "1", "--L", "1", "--runs", "10") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "usage error: the chi-square test needs at least two support points, got 1\n"
-
-
 @pytest.mark.parametrize("selector", ["0,0", "5"])
 @pytest.mark.parametrize("mode", [
     ("--mode", "ptilde"),
     ("--mode", "ptilde", "--budget", "1"),
-    ("--mode", "empirical", "--runs", "800"),
-], ids=["ptilde", "ptilde-budget1", "empirical"])
+], ids=["ptilde", "ptilde-budget1"])
 def test_audit_bad_selector_is_usage_error(mode, selector, capsys):
-    # one slot-tuple check for both modes, ahead of the budget
+    # the slot-tuple check comes ahead of the budget
     assert run_cli("audit", *mode, "--N", "3", "--K", "2", "--L", "1", "--selector", selector) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -329,21 +298,19 @@ def test_audit_bad_selector_is_usage_error(mode, selector, capsys):
 
 
 @pytest.mark.parametrize("argv,unread", [
-    (("--mode", "ptilde", "--N", "3", "--K", "2", "--L", "1", "--runs", "5", "--F", "7", "--baseline"),
-     "--F, --baseline, --runs"),
+    (("--mode", "ptilde", "--N", "3", "--K", "2", "--L", "1", "--timings", "--F", "7", "--baseline"),
+     "--F, --baseline, --timings"),
     (("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
       "--selector", "0", "--demands", "0;1"), "--selector, --demands"),
-    (("--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800", "--budget", "5", "--timings"),
-     "--budget, --timings"),
-    (("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--seed", "0"), "--seed"),
-], ids=["ptilde", "mi", "empirical", "mi-default-value"])
+    # 0 is the slot tuple ptilde reads when --selector is not given
+    (("--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--selector", "0"), "--selector"),
+], ids=["ptilde", "mi", "mi-default-value"])
 def test_audit_refuses_options_its_mode_does_not_read(argv, unread, monkeypatch, capsys):
     # refused before any work, even when the given value is the one the mode would use
     def unexpected(*args, **kwargs):
         raise AssertionError("enumerated before the options were checked")
 
     monkeypatch.setattr(scheme, "block_tables", unexpected)
-    monkeypatch.setattr(scheme, "sampler", unexpected)
     assert run_cli("audit", *argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -637,17 +604,6 @@ REPLAY = [
                   "--variant", "no-relabel", "--observer", "2"),
                  1, "8c9865da7732b6d48f605e64390bee0bff7880c595a3cd701d5dbc9ac1309e97",
                  id="audit-mi-431-r0-no-relabel-observer2"),
-    pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800"),
-                 0, "63b584c0430f170815facbc693dab7f419d2ba16405740826a8aec7c991a9067", id="audit-empirical"),
-    pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",
-                  "--variant", "no-relabel"),
-                 1, "b92ae66170e05954869adef45ad4daddd95977729849e7525d8f1f8c97228afd", id="audit-empirical-no-relabel"),
-    pytest.param(("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800",
-                  "--observer", "1", "--selector", "1", "--seed", "4"),
-                 0, "e1871b9242ece7175c9b7ff4ef53f42f46bf1b388d7af7da4d0f657c28989a41", id="audit-empirical-observer1"),
-    pytest.param(("audit", "--mode", "empirical", "--N", "4", "--K", "2", "--L", "2", "--runs", "6000",
-                  "--selector", "1,0", "--demands", "0,1;2,3", "--seed", "2"),
-                 0, "e29055f85ca0be70965a629b26ef29bc19b1841dda08e5ba1bb2450d7ab75efa", id="audit-empirical-422"),
     pytest.param(("gap", "--N", "5", "--K", "2", "--L", "2"),
                  0, "1ae39da33a425714a93ce9061d086fe5b2245d9d4ffb2c373df9560269f862be", id="gap"),
     # all 144 triples at a non-default grid and lambda step
@@ -837,10 +793,9 @@ def test_python_m_privcache_runs_the_cli():
     ("simulate", "--N", "4", "--K", "3", "--L", "1", "--r", "2", "--format", "csv"),
     ("audit", "--mode", "ptilde", "--N", "4", "--K", "2", "--L", "2", "--selector", "1,0"),
     ("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1"),
-    ("audit", "--mode", "empirical", "--N", "3", "--K", "2", "--L", "1", "--runs", "800"),
     ("gap", "--N", "3", "--K", "2", "--L", "1"),
     ("tradeoff", "--N", "3", "--K", "2", "--L", "1"),
-], ids=["simulate-json", "simulate-csv", "audit-ptilde", "audit-mi", "audit-empirical", "gap", "tradeoff"])
+], ids=["simulate-json", "simulate-csv", "audit-ptilde", "audit-mi", "gap", "tradeoff"])
 def test_command_leaves_no_cyclic_garbage(argv, capsys):
     assert run_cli(*argv) == 0  # warm: parser and caches built
     gc.collect()

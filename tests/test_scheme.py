@@ -6,12 +6,21 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_demand_matrices, cover_weight, flat_realizations, ramp_library, scan_cover_sets
+from helpers import (
+    all_demand_matrices,
+    cover_weight,
+    flat_realizations,
+    ramp_library,
+    sampler_law,
+    scan_cover_sets,
+    uniform_sampler_law,
+)
 from privcache import audit, cli, gf, scheme, ucc
 from privcache.scheme import (
     FULL,
@@ -526,41 +535,109 @@ def test_pinned_realizations_are_the_unpinned_ones_with_that_slot_tuple():
 ], ids=["P321", "P522"])
 def test_sampled_realizations_are_enumerated_realizations(params, mats):
     """Every draw of ``sampler`` is one of the realizations
-    ``block_tables`` yields, with or without a pin, and its relabeling is a
-    permutation.  A pin replaces the pinned user's drawn slot tuple only: the
-    relabeling, the cover set and every other user's slot tuple stay put."""
-    pin = {0: slot_support(params)[-1]}
+    ``block_tables`` yields, and its relabeling is a permutation."""
     for demands in mats:
         for variant in VARIANTS:
-            for slots in (None, pin):
-                support = set(flat_realizations(params, demands, variant, slots))
-                for seed in range(10):
-                    relabeling, sel, cover, expanded = sampler(params, demands, variant, slots)(SeedStreams(seed))
-                    assert (sel, cover, expanded) in support
-                    assert sorted(relabeling) == list(range(params.n_files))
-                    if not variant.relabel_files:
-                        assert relabeling == tuple(range(params.n_files))
+            support = set(flat_realizations(params, demands, variant))
             for seed in range(10):
-                free = sampler(params, demands, variant)(SeedStreams(seed))
-                pinned = sampler(params, demands, variant, pin)(SeedStreams(seed))
-                assert pinned[1] == (pin[0],) + free[1][1:]
-                assert (pinned[0], pinned[2]) == (free[0], free[2])
-    with pytest.raises(ValueError):
-        sampler(P321, ((0,), (1,)), FULL, {0: (2,)})
-    with pytest.raises(ValueError):
-        sampler(P321, ((0,), (1,)), FULL, {2: (0,)})
+                relabeling, sel, cover, expanded = sampler(params, demands, variant)(SeedStreams(seed))
+                assert (sel, cover, expanded) in support
+                assert sorted(relabeling) == list(range(params.n_files))
+                if not variant.relabel_files:
+                    assert relabeling == tuple(range(params.n_files))
 
 
-def test_sampler_relabeling_uniform_smoke():
-    """Chi-square of the relabeling stage's draws over all 24 orderings of
-    four files, one seed per draw."""
-    draw = sampler(SchemeParams(4, 1, 1, r=0), ((0,),))
-    draws = 2400
-    counts = Counter(draw(SeedStreams(seed))[0] for seed in range(draws))
-    assert len(counts) == 24
-    expected = draws / 24
-    stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert stat < audit.chi_square_quantile(23)
+ALL_VARIANTS = tuple(Variant(*bits) for bits in itertools.product((True, False), repeat=4))
+
+
+@pytest.mark.parametrize("params,mats,variants", [
+    (P321, [((0,), (0,)), ((0,), (1,))], ALL_VARIANTS),
+    (SchemeParams(4, 2, 1, r=1), [((0,), (0,)), ((0,), (1,))], ALL_VARIANTS),
+    (SchemeParams(3, 2, 2, r=1), [((0, 1), (0, 1)), ((0, 1), (1, 2))], ALL_VARIANTS),
+    # the two largest laws (up to 15,552 branches) run the variants that
+    # keep the cover stage, which the three instances above run off
+    (SchemeParams(4, 3, 1, r=1), [((0,), (0,), (0,)), ((0,), (1,), (2,))],
+     [v for v in ALL_VARIANTS if v.random_cover]),
+    (SchemeParams(4, 2, 2, r=1), [((0, 1), (0, 1)), ((0, 1), (2, 3))],
+     [v for v in ALL_VARIANTS if v.random_cover]),
+], ids=["P321", "P421", "P322", "P431", "P422"])
+def test_sampler_law_is_the_law_the_audits_enumerate(params, mats, variants, monkeypatch):
+    """Exactly, with no sampling: the law of ``sampler``, enumerated over
+    every branch of its integer draws, is the uniform relabeling times the
+    uniform law on the realizations of ``block_tables``, the enumerator the
+    exact audits walk.  Where N > n_active, one matrix has several cover
+    sets.  The draws neither check the matrix nor derive its cover sets
+    again."""
+    def unexpected(*args):
+        raise AssertionError("derived per draw")
+
+    for demands in mats:
+        for variant in variants:
+            draw = sampler(params, demands, variant)
+            with monkeypatch.context() as patched:
+                patched.setattr(scheme, "validate_demands", unexpected)
+                patched.setattr(scheme, "feasible_cover_sets", unexpected)
+                law = sampler_law(draw)
+            assert law == uniform_sampler_law(params, demands, variant)
+
+
+def _with_substream(draw, label, wrap):
+    """``draw`` with its substream ``label`` replaced by ``wrap`` of it."""
+    def mutated(streams):
+        def rng(name):
+            gen = streams.rng(name)
+            return wrap(gen) if name == label else gen
+        return draw(SimpleNamespace(rng=rng))
+    return mutated
+
+
+def _first_cover_twice(gen):
+    return SimpleNamespace(randrange=lambda n: max(gen.randrange(n + 1) - 1, 0))
+
+
+def _no_shuffle(gen):
+    return SimpleNamespace(shuffle=lambda files: None)
+
+
+def _redraw_when_file_0_goes_first(gen):
+    def sample(population, k):
+        relabeling = gen.sample(population, k)
+        return relabeling if relabeling[0] else gen.sample(population, k)
+    return SimpleNamespace(sample=sample)
+
+
+@pytest.mark.parametrize("params,demands,label,wrap", [
+    # three cover sets; with one, as at ((0,), (1,)), this mutant draws the same law
+    (SchemeParams(4, 2, 1, r=1), ((0,), (0,)), "cover", _first_cover_twice),
+    (SchemeParams(4, 2, 2, r=1), ((0, 1), (0, 1)), "block:1", _no_shuffle),
+    (SchemeParams(4, 2, 1, r=1), ((0,), (1,)), "relabel", _redraw_when_file_0_goes_first),
+], ids=["biased-cover", "frozen-fill-user-1", "non-uniform-relabeling"])
+def test_sampler_law_catches_mutated_stages(params, demands, label, wrap):
+    draw = _with_substream(sampler(params, demands), label, wrap)
+    assert sampler_law(draw) != uniform_sampler_law(params, demands, FULL)
+
+
+def test_sampler_law_fails_loudly():
+    """A float or bit draw, a rejection loop, a substream asked for twice,
+    and a draw whose branches change between passes all raise."""
+    widening, narrowing = itertools.count(2), itertools.count(0)
+
+    def fewer_draws_each_pass(streams):
+        rng = streams.rng("x")
+        return tuple(rng.randrange(2) for _ in range(2 - next(narrowing)))
+
+    for draw, message in [
+        (lambda streams: streams.rng("x").random(), "Random.random reached"),
+        (lambda streams: streams.rng("x").getrandbits(3), "Random.getrandbits reached"),
+        (lambda streams: streams.rng("x").sample(range(30), 2), "more than 256 integer draws"),
+        (lambda streams: (streams.rng("x"), streams.rng("x")), "substream 'x' asked for twice"),
+        (lambda streams: streams.rng("x").randrange(next(widening)), "draw 0 has 3 branches, 2 on an earlier pass"),
+        (fewer_draws_each_pass, "the draw took 1 of 2 prescribed branches"),
+    ]:
+        with pytest.raises(AssertionError, match=message):
+            sampler_law(draw)
+    assert sampler_law(lambda streams: tuple(streams.rng("x").sample(range(3), 2))) == \
+           {perm: Fraction(1, 6) for perm in itertools.permutations(range(3), 2)}
 
 
 @pytest.mark.parametrize("params", [P321, P522, SchemeParams(4, 2, 3, r=1)], ids=["P321", "P522", "P423"])
@@ -583,7 +660,7 @@ def test_checked_slots_accepts_exactly_the_slot_support(params):
 
 
 def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsys):
-    """Checking, pinning and drawing slot tuples, placing caches and the
+    """Checking and drawing slot tuples, placing caches and the
     budget checks of both exact audits run without ``slot_support``, whose
     P(n_active, L) tuples run to 1.3e7 at N18 K3 L6; the budget paths exit 3
     at that size."""
@@ -592,8 +669,7 @@ def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsy
 
     monkeypatch.setattr(scheme, "slot_support", no_support)
     assert scheme.checked_slots(P522, {0: (3, 1)}) == {0: (3, 1)}
-    for variant in (FULL, Variant(random_slots=False)):
-        assert sampler(P522, ((0, 1), (0, 2)), variant, {1: (2, 0)})(SeedStreams(0))[1][1] == (2, 0)
+    assert all(len(set(sel)) == 2 for sel in sampler(P522, ((0, 1), (0, 2)))(SeedStreams(0))[1])
     frozen = sampler(P522, ((0, 1), (0, 2)), Variant(random_slots=False))(SeedStreams(0))[1]
     assert frozen == ((0, 1), (0, 1))
     lib = ramp_library(gf.PrimeField(P522.q), P522.n_files, P522.file_len)
