@@ -14,6 +14,10 @@ Subcommands:
 * ``gap``       JSON optimality-gap certificates with exact dominance checks,
   for one parameter triple or a sweep.
 
+Each command is parsed once, by its own parser; the top-level parser sees
+only an argv that does not start with a command word (or one its command's
+parser leaves words of), and then only prints help or a usage error.
+
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 enumeration budget
 exceeded.  All randomness flows from ``--seed``; outputs are byte-identical
 for identical configurations (audit wall times are only written with
@@ -476,10 +480,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, from one parse.
+
+    An argv that starts with a command word is parsed by that command's parser
+    alone, as argparse's subparsers action calls it, so the top-level parser
+    does not read it first.  Any other argv, and a command's argv that leaves
+    words over, goes to the top-level parser, which then only prints help or
+    argparse's own usage error."""
     parser = build_parser()
+    if argv:
+        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        command = commands.get(argv[0])
+        if command is not None:
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if not extras:
+                return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -79,7 +79,7 @@ class SchemeParams:
         if not 1 <= self.demands_per_user <= self.n_files:
             raise ValueError("demands per user must lie in [1, n_files]")
         self.ucc  # the engine's params check r and packet_size
-        PrimeField(self.q)  # raises on a composite modulus
+        self.field  # raises on a composite modulus
 
     @property
     def n_active(self) -> int:
@@ -90,7 +90,7 @@ class SchemeParams:
     def n_virtual(self) -> int:
         return self.n_users * self.n_active
 
-    @property
+    @cached_property
     def field(self) -> PrimeField:
         return PrimeField(self.q)
 

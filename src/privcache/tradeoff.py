@@ -85,16 +85,27 @@ def _achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iter
     at r = KV the factor KV - r is 0 and KV - r - 1 is clamped to 0.  Each
     pair is reduced by one gcd: the hull's cross products then multiply
     reduced numbers, which at large K are far shorter than the forms over
-    (KV)_L and (r + 1) (KV)_a."""
+    (KV)_L and (r + 1) (KV)_a.
+
+    With x = KV - r, both falling factorials follow x down by one exact
+    division each: (x - 1)_L = (x)_L (x - L) / x and
+    (x - 2)_a = (x - 1)_a (x - 1 - a) / (x - 1).  Neither moves past x = 0,
+    nor past the clamp at x - 1 = 0."""
     _validate_dims(n_files, n_users, demands_per_user)
     n_act = active_files(n_files, n_users, demands_per_user)
     kv = n_users * n_act
     top_l, top_a = math.perm(kv, demands_per_user), math.perm(kv, n_act)
+    fall_l, fall_a = top_l, math.perm(max(kv - 1, 0), n_act)  # (x)_L and (max(x - 1, 0))_a at x = KV
     for r in range(kv + 1):
-        m_num = n_files * (top_l - math.perm(kv - r, demands_per_user))
-        r_num, r_den = (kv - r) * (top_a - math.perm(max(kv - r - 1, 0), n_act)), (r + 1) * top_a
+        x = kv - r
+        m_num = n_files * (top_l - fall_l)
+        r_num, r_den = x * (top_a - fall_a), (r + 1) * top_a
         g, h = math.gcd(m_num, top_l), math.gcd(r_num, r_den)
         yield m_num // g, top_l // g, r_num // h, r_den // h
+        if x > 0:
+            fall_l = fall_l * (x - demands_per_user) // x
+        if x > 1:
+            fall_a = fall_a * (x - 1 - n_act) // (x - 1)
 
 
 def achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:

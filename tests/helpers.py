@@ -246,6 +246,19 @@ def uniform_sampler_law(params: SchemeParams, demands: Demands, variant: Variant
 # ---------------------------------------------------------------------------
 
 
+def perm_achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iterator[tuple[int, int, int, int]]:
+    """``tradeoff._achievable_pairs`` with both falling factorials of each r
+    computed from scratch by ``math.perm``."""
+    n_act = tradeoff.active_files(n_files, n_users, demands_per_user)
+    kv = n_users * n_act
+    top_l, top_a = math.perm(kv, demands_per_user), math.perm(kv, n_act)
+    for r in range(kv + 1):
+        m_num = n_files * (top_l - math.perm(kv - r, demands_per_user))
+        r_num, r_den = (kv - r) * (top_a - math.perm(max(kv - r - 1, 0), n_act)), (r + 1) * top_a
+        g, h = math.gcd(m_num, top_l), math.gcd(r_num, r_den)
+        yield m_num // g, top_l // g, r_num // h, r_den // h
+
+
 def comb_achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list[TradeoffPoint]:
     """``tradeoff.achievable_points`` with its five binomials per r computed
     from scratch by ``math.comb``."""

@@ -637,9 +637,14 @@ def test_replay_contract_stdout_digests(argv, code, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def _replay_digest(name):
+def _replay(name):
+    """(argv, exit code, stdout sha256) of the REPLAY entry with this id."""
     (param,) = [p for p in REPLAY if p.id == name]
-    _, code, digest = param.values
+    return param.values
+
+
+def _replay_digest(name):
+    _, code, digest = _replay(name)
     return code, digest
 
 
@@ -763,6 +768,82 @@ def test_cached_parser_recovers_from_a_usage_error(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parse per command: the command's own parser reads its argv, and the
+# top-level parser is left only help and usage errors
+# ---------------------------------------------------------------------------
+
+
+def _top_level_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+PARSE_CORPUS = [
+    *(pytest.param(p.values[0], id=p.id) for p in REPLAY),
+    # the benchmark's gap, law and mi ops
+    pytest.param(("gap", "--N", "8", "--K", "4", "--L", "2", "--grid", "101", "--lambda-step", "1/8",
+                  "--threads", "1"), id="bench-gap"),
+    pytest.param(("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--selector", "3,1",
+                  "--demands", "0,4;2,0"), id="bench-law"),
+    pytest.param(("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1",
+                  "--baseline"), id="bench-mi"),
+    pytest.param(("gap", "--N", "2", "--K", "1", "--L", "1", "--bogus"), id="unknown-option"),
+    pytest.param(("tradeoff", "--N", "2", "--K", "1", "--L", "1", "extra", "words"), id="trailing-words"),
+    pytest.param(("gap", "--", "--N", "2"), id="double-dash"),
+    pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2"), id="missing-option"),
+    pytest.param(("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--decoder", "gauss"), id="bad-choice"),
+    pytest.param(("frobnicate", "--N", "2"), id="unknown-command"),
+    pytest.param(("--N", "2", "gap"), id="option-before-command"),
+    pytest.param((), id="empty"),
+    pytest.param(("-h",), id="top-level-help"),
+    pytest.param(("gap", "-h"), id="command-help"),
+    pytest.param(("gap", "--N", "2", "--h"), id="command-help-abbreviated"),
+    pytest.param(("tradeoff", "--N", "3", "--K", "2", "--L", "1", "--lambda", "1/2"), id="abbreviated-option"),
+    pytest.param(("gap", "--N", "9", "--N", "2", "--K", "1", "--L", "1"), id="option-twice"),
+]
+
+
+def _outcome_of_main(argv, capsys):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS)
+def test_one_parse_matches_the_top_level_parse(argv, monkeypatch, capsys):
+    ours = _outcome_of_main(argv, capsys)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_argv", _top_level_parse)
+        assert ours == _outcome_of_main(argv, capsys)
+    try:
+        expected = _top_level_parse(list(argv))
+    except SystemExit:
+        with pytest.raises(SystemExit):
+            cli._parse_argv(list(argv))
+    else:
+        assert cli._parse_argv(list(argv)) == expected
+        assert expected.command == argv[0]
+
+
+def test_commands_never_reach_the_top_level_parser(monkeypatch, capsys):
+    top = cli.build_parser()
+    real = argparse.ArgumentParser.parse_known_args
+
+    def guarded(self, *args, **kwargs):
+        if self is top:
+            raise AssertionError("the top-level parser read an argv")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", guarded)
+    for name in ("simulate-431-structural", "audit-ptilde", "audit-mi-baseline", "gap", "tradeoff"):
+        argv, code, digest = _replay(name)
+        assert run_cli(*argv) == code, name
+        assert _stdout_digest(capsys) == digest, name
+    # words the command's parser leaves over go to the top-level parser for its usage error
+    with pytest.raises(AssertionError, match="top-level parser"):
+        run_cli("gap", "--N", "2", "--K", "1", "--L", "1", "--bogus")
+
+
+# ---------------------------------------------------------------------------
 # cost of the front end: no pool import, no cyclic garbage per command
 # ---------------------------------------------------------------------------
 
@@ -786,6 +867,24 @@ def test_python_m_privcache_runs_the_cli():
                          env=_source_tree_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["all_passed"] is True
+
+
+def test_python_m_privcache_parses_sys_argv(monkeypatch, capsys):
+    # main(None) reads sys.argv[1:]; one help width for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "privcache", *argv], env=_source_tree_env(),
+                              capture_output=True, text=True)
+
+    argv, code, digest = _replay("simulate-522-structural")
+    out = run(*argv)
+    assert out.returncode == code, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+    bad = ("gap", "--N", "2", "--K", "1", "--L", "1", "--bogus")
+    out = run(*bad)
+    assert run_cli(*bad) == out.returncode == 2
+    assert (out.stdout, out.stderr) == capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,7 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from helpers import (assert_segment_forms, comb_achievable_points, cross_hull, fraction_converse_line,
-                     full_scan_dominance, per_candidate_gap)
+                     full_scan_dominance, per_candidate_gap, perm_achievable_pairs)
 from privcache import exact, tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
 from privcache.scheme import SchemeParams
@@ -133,6 +133,13 @@ def test_integer_envelopes_equal_the_fraction_hulls(triples):
         for env, pts in ((achievable_envelope(*dims), ach_pts), (converse_corner_envelope(*dims), low_pts)):
             assert env == lower_convex_envelope(pts)
             assert env.breakpoints == cross_hull(pts)
+
+
+@pytest.mark.parametrize("triples", [sweep_triples((1, 8), (1, 4)), [(64, 16, 8)], [(128, 32, 17)]],
+                         ids=["certify-144", "64-16-8", "128-32-17"])
+def test_running_falling_factorials_equal_the_perm_form(triples):
+    for dims in triples:
+        assert list(tradeoff._achievable_pairs(*dims)) == list(perm_achievable_pairs(*dims))
 
 
 def test_point_forms_are_reduced():
