@@ -378,6 +378,8 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
             out[name] = (int(lo), int(hi or lo))
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse sweep component {part!r}") from None
+        if out[name][0] < 1:
+            raise argparse.ArgumentTypeError(f"sweep component {part!r} starts below 1")
     return out
 
 

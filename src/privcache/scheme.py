@@ -43,6 +43,10 @@ first element of its support.  The tests tie the two exactly: the law of
 uniform relabeling times the uniform law on ``block_tables``' realizations.
 All randomness flows from one seed through named substreams (labels are
 hashed into independent generators), so any run is replayable.
+
+This module owns the first rules of every instance: ``validate_dims``, the
+one check of the (N, K, L) ranges, and ``active_files``, the one
+n_active = min(N, K*L).  ``SchemeParams`` and ``tradeoff`` both call them.
 """
 
 from __future__ import annotations
@@ -62,6 +66,19 @@ from .ucc import Broadcast, Library, UccParams
 Demands = tuple[tuple[int, ...], ...]
 
 
+def validate_dims(n_files: int, n_users: int, demands_per_user: int) -> None:
+    """Raise ValueError unless N, K >= 1 and L lies in [1, N]."""
+    if n_files < 1 or n_users < 1:
+        raise ValueError("need at least one file and one user")
+    if not 1 <= demands_per_user <= n_files:
+        raise ValueError("demands per user must lie in [1, n_files]")
+
+
+def active_files(n_files: int, n_users: int, demands_per_user: int) -> int:
+    """Distinct file labels involved in one delivery round: min(N, K*L)."""
+    return min(n_files, n_users * demands_per_user)
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Problem dimensions plus the placement knob r and field/packet choices."""
@@ -74,17 +91,13 @@ class SchemeParams:
     packet_size: int = 1
 
     def __post_init__(self):
-        if self.n_files < 1 or self.n_users < 1:
-            raise ValueError("need at least one file and one user")
-        if not 1 <= self.demands_per_user <= self.n_files:
-            raise ValueError("demands per user must lie in [1, n_files]")
+        validate_dims(self.n_files, self.n_users, self.demands_per_user)
         self.ucc  # the engine's params check r and packet_size
         self.field  # raises on a composite modulus
 
     @property
     def n_active(self) -> int:
-        """Distinct file labels involved in one delivery round: min(N, K*L)."""
-        return min(self.n_files, self.n_users * self.demands_per_user)
+        return active_files(self.n_files, self.n_users, self.demands_per_user)
 
     @property
     def n_virtual(self) -> int:

@@ -34,6 +34,11 @@ achievable envelope is within a factor of 6 of the corner-point lower
 envelope at every audited memory point.  A returned ``GapCertificate`` holds the largest ratio and the
 memory and provenance of its witness; a ratio above the factor raises
 ``OptimalityGapError`` instead.
+
+The instance rules have one owner each, read here and defined elsewhere:
+``scheme.validate_dims`` checks (N, K, L) and ``scheme.active_files`` gives
+n_active, and an envelope short of the memory grid raises
+``Envelope.value_terms``' own domain error.
 """
 
 from __future__ import annotations
@@ -47,23 +52,13 @@ from operator import sub
 from typing import Iterator
 
 from .exact import Envelope, lower_convex_envelope_terms
+from .scheme import active_files, validate_dims
 
 GAP_FACTOR = 6
 
 
 class OptimalityGapError(RuntimeError):
     """The certified gap bound failed; indicates an implementation bug."""
-
-
-def _validate_dims(n_files: int, n_users: int, demands_per_user: int):
-    if n_files < 1 or n_users < 1:
-        raise ValueError("need at least one file and one user")
-    if not 1 <= demands_per_user <= n_files:
-        raise ValueError("demands per user must lie in [1, n_files]")
-
-
-def active_files(n_files: int, n_users: int, demands_per_user: int) -> int:
-    return min(n_files, n_users * demands_per_user)
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ def _achievable_pairs(n_files: int, n_users: int, demands_per_user: int) -> Iter
     division each: (x - 1)_L = (x)_L (x - L) / x and
     (x - 2)_a = (x - 1)_a (x - 1 - a) / (x - 1).  Neither moves past x = 0,
     nor past the clamp at x - 1 = 0."""
-    _validate_dims(n_files, n_users, demands_per_user)
+    validate_dims(n_files, n_users, demands_per_user)
     n_act = active_files(n_files, n_users, demands_per_user)
     kv = n_users * n_act
     top_l, top_a = math.perm(kv, demands_per_user), math.perm(kv, n_act)
@@ -179,7 +174,7 @@ def converse_terms(n_files: int, n_users: int, demands_per_user: int,
 def converse_line(n_files: int, n_users: int, demands_per_user: int, s: int, lam) -> tuple[int, int, int, int]:
     """(t, a, b, e) of the (s, lam) converse line (see ``_line_form``), with
     s and lam range-checked."""
-    _validate_dims(n_files, n_users, demands_per_user)
+    validate_dims(n_files, n_users, demands_per_user)
     lam = Fraction(lam)
     s_max = max_converse_s(n_files, n_users, demands_per_user)
     if not 1 <= s <= s_max:
@@ -194,7 +189,7 @@ def _corner_terms(n_files: int, n_users: int, demands_per_user: int) -> tuple[tu
     """(s, t, M_num, M_den, R_num, R_den) of every anchor point of the
     converse envelope, s in [1, s_max] and t in [1, s]: the corner
     ((N - L(t-1)) / s, L(s(s-1) + t(t-1)) / (2s)), each coordinate reduced."""
-    _validate_dims(n_files, n_users, demands_per_user)
+    validate_dims(n_files, n_users, demands_per_user)
     big_l = demands_per_user
     out = []
     for s in range(1, max_converse_s(n_files, n_users, demands_per_user) + 1):
@@ -256,14 +251,13 @@ def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int
     piece's last index up to its own, where the envelope equals
     (a + b * j) / e, its segment form scaled to the grid.  A segment that
     holds no grid point is left out, so its denominator never reaches the
-    common one.  A domain that does not cover [0, n_files] raises the
-    ValueError ``Envelope.value_at`` would, at the first grid point outside
+    common one.  A domain that does not cover [0, n_files] raises
+    ``Envelope.value_terms``' own ValueError at the first grid point outside
     it."""
     d, xs = env.x_terms
     if xs[0] > 0 or xs[-1] < n_files * d:
-        lo, hi = env.domain
         j = 0 if xs[0] > 0 else max(0, xs[-1] * g // (d * n_files) + 1)
-        raise ValueError(f"x={Fraction(j * n_files, g)} outside envelope domain [{lo}, {hi}]")
+        env.value_terms(j * n_files, g)  # x = j * N / g lies outside the domain, so this raises
     pieces = []
     start = 0
     for x1, form in zip(xs[1:], env.segment_forms):

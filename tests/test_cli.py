@@ -80,6 +80,35 @@ def test_simulate_missing_argument_is_usage_error(capsys):
     assert run_cli("simulate", "--K", "2", "--L", "2", "--r", "1") == 2
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((0, 1, 1), "need at least one file and one user"),
+    ((3, 0, 1), "need at least one file and one user"),
+    ((3, 1, 0), "demands per user must lie in [1, n_files]"),
+    ((3, 1, 4), "demands per user must lie in [1, n_files]"),
+    ((-2, 1, 1), "need at least one file and one user"),
+], ids=["N=0", "K=0", "L=0", "L=N+1", "N<0"])
+def test_bad_triple_gives_one_message_everywhere(dims, message, capsys):
+    # scheme.validate_dims is the one (N, K, L) check: the scheme, every
+    # tradeoff entry point and every command that takes a triple say the same
+    entries = [
+        lambda: scheme.SchemeParams(*dims, r=0),
+        lambda: tradeoff.achievable_points(*dims),
+        lambda: tradeoff.achievable_envelope(*dims),
+        lambda: tradeoff.converse_corner_envelope(*dims),
+        lambda: tradeoff.converse_line(*dims, 1, 0),
+        lambda: tradeoff.gap_certificate(*dims),
+        lambda: tradeoff.verify_envelope_dominance(*dims),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError) as exc:
+            entry()
+        assert str(exc.value) == message
+    n, k, big_l = (f"--{name}={value}" for name, value in zip("NKL", dims))
+    for argv in (["simulate", n, k, big_l, "--r", "0"], ["gap", n, k, big_l], ["tradeoff", n, k, big_l]):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
 def test_audit_ptilde_default_family(tmp_path):
     out = tmp_path / "p.json"
     assert run_cli("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2",
@@ -422,6 +451,20 @@ def test_gap_pool_is_capped_at_task_count(monkeypatch, tmp_path):
 def test_gap_empty_sweep_is_usage_error(sweep, capsys):
     assert run_cli("gap", "--sweep", sweep) == 2
     assert "no (N, K, L) triple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, component", [("N=0..2,K=1..2", "N=0..2"), ("K=0..2", "K=0..2"),
+                                              ("L=0..1", "L=0..1")], ids=["N", "K", "L"])
+def test_gap_sweep_below_one_is_refused_before_any_triple_runs(sweep, component, monkeypatch, capsys):
+    # refused as it is parsed: no triple is enumerated, and so no pool is started
+    def forbidden(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(tradeoff, "sweep_triples", forbidden)
+    assert run_cli("gap", "--sweep", sweep, "--threads", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --sweep: sweep component {component!r} starts below 1\n")
 
 
 @pytest.mark.parametrize("sweep", ["N=1..2,N=3..3", "K=1..2,N=2,K=3"])

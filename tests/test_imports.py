@@ -2,18 +2,19 @@
 uses, and src/privcache keeps only definitions the program reaches: every
 top-level function and class, and every non-dunder method or property of
 those classes, is read somewhere in src/privcache, exported in
-``privcache.__all__`` or named in perfbench/*.py (whose tracer patches by
-name).  Every name the tracer patches resolves in privcache, and no
+``privcache.__all__`` or one of the tracer's ``TARGETS`` (which it patches
+by name).  Every name the tracer patches resolves in privcache, and no
 privcache module reads another one's private (underscore-prefixed)
-top-level names.  ``scheme.block_tables``, the one enumerator of the
-scheme's randomness, has one caller, ``audit._view_counts``, so every exact
-audit walks its product through the cover quotient and the atom check there;
-and every function of ``audit`` that walks through ``_view_counts`` charges
-its budget on an earlier line."""
+top-level names.  No exception-message template is raised from two
+privcache modules: each message has one owner.  ``scheme.block_tables``,
+the one enumerator of the scheme's randomness, has one caller,
+``audit._view_counts``, so every exact audit walks its product through the
+cover quotient and the atom check there; and every function of ``audit``
+that walks through ``_view_counts`` charges its budget on an earlier
+line."""
 
 import ast
 import importlib
-import re
 from pathlib import Path
 
 import privcache
@@ -47,28 +48,12 @@ def test_no_unused_imports():
     assert [hit for path in files for hit in unused_imports(path)] == []
 
 
-def perfbench_names() -> set[str]:
-    """Identifiers perfbench/*.py names in its code: bare names, attribute
-    accesses and the parts of dotted-name strings such as ``"gf.solve_any"``
-    (prose in docstrings and comments does not count)."""
-    out = set()
-    for path in (ROOT / "perfbench").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and re.fullmatch(r"\w+(\.\w+)*", node.value):
-                out.update(node.value.split("."))
-    return out
-
-
 def unused_definitions() -> list[str]:
     """``module.name`` and ``module.Class.name`` of every definition in
-    src/privcache that nothing in the program reads.  A top-level name is
-    read by a bare name or an attribute access; a method only by an
-    attribute access, so a local variable does not hide it."""
+    src/privcache that nothing in the program reads and the tracer does not
+    patch.  A top-level name is read by a bare name or an attribute access;
+    a method only by an attribute access, so a local variable does not hide
+    it."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     names, attrs = set(), set()
     for tree in trees.values():
@@ -77,7 +62,8 @@ def unused_definitions() -> list[str]:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-    kept = set(privcache.__all__) | perfbench_names()
+    kept = set(privcache.__all__)
+    traced = {f"{module}.{attr}" for module, attr in tracer_targets()}
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -89,7 +75,7 @@ def unused_definitions() -> list[str]:
                 unused += [f"{module}.{node.name}.{item.name}" for item in node.body
                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
                            and item.name not in attrs | kept]
-    return unused
+    return [name for name in unused if name not in traced]
 
 
 def test_every_definition_is_used_by_the_program():
@@ -118,6 +104,36 @@ def test_every_tracer_target_resolves():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def message_template(node: ast.expr) -> str | None:
+    """The template of an exception message: a str constant as it is, an
+    f-string as its constant parts with ``{}`` for each field, and None for
+    any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+    return None
+
+
+def message_raisers() -> dict[str, list[str]]:
+    """Each template of the first argument of a ``raise X(...)`` in
+    src/privcache, with the modules that raise it."""
+    raisers: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                template = message_template(node.exc.args[0])
+                if template is not None:
+                    raisers.setdefault(template, set()).add(path.stem)
+    return {template: sorted(modules) for template, modules in raisers.items()}
+
+
+def test_each_message_is_raised_from_one_module():
+    raisers = message_raisers()
+    assert {"need at least one file and one user", "x={} outside envelope domain [{}, {}]"} <= set(raisers)
+    assert {template: modules for template, modules in raisers.items() if len(modules) > 1} == {}
 
 
 def _is_private(name: str) -> bool:
