@@ -339,8 +339,7 @@ def cmd_tradeoff(args) -> int:
     return EXIT_OK
 
 
-def _gap_entry(task) -> dict:
-    n, k, big_l, grid_size, lambda_step = task
+def _gap_entry(n: int, k: int, big_l: int, grid_size: int, lambda_step: Fraction) -> dict:
     dom = tradeoff.verify_envelope_dominance(n, k, big_l, grid_size, lambda_step)
     entry = {
         "N": n, "K": k, "L": big_l,
@@ -384,28 +383,17 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
 
 
 def cmd_gap(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
     if args.sweep:
         if (args.N, args.K, args.L) != (None, None, None):
             raise ValueError("pass either --N/--K/--L or --sweep")
         triples = tradeoff.sweep_triples(args.sweep.get("N", (1, 8)), args.sweep.get("K", (1, 4)), args.sweep.get("L"))
         if not triples:
             raise ValueError("sweep selects no (N, K, L) triple")
-        tasks = [(n, k, big_l, args.grid, args.lambda_step) for n, k, big_l in triples]
     else:
         if args.N is None or args.K is None or args.L is None:
             raise ValueError("pass --N/--K/--L or --sweep")
-        tasks = [(args.N, args.K, args.L, args.grid, args.lambda_step)]
-    workers = min(args.threads, len(tasks))
-    if workers > 1:
-        # imported here: the pool is about a fifth of this module's import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_gap_entry, tasks))
-    else:
-        entries = [_gap_entry(t) for t in tasks]
+        triples = [(args.N, args.K, args.L)]
+    entries = [_gap_entry(n, k, big_l, args.grid, args.lambda_step) for n, k, big_l in triples]
     report = {"certificates": entries, "all_passed": all(e["passed"] for e in entries)}
     _write_text(args.out, _json_text(report))
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
@@ -417,9 +405,10 @@ def cmd_gap(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process; ``parse_args`` returns a fresh
-    namespace each call, so no state carries from one command to the next."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of this process, and its command parsers by command
+    word; ``parse_args`` returns a fresh namespace each call, so no state
+    carries from one command to the next."""
     parser = argparse.ArgumentParser(prog="privcache", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -476,23 +465,23 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--sweep", type=_parse_sweep, default=None, help="e.g. 'N=1..8,K=1..4'")
     gap.add_argument("--grid", type=int, default=101, help="memory grid points for dominance")
     gap.add_argument("--lambda-step", dest="lambda_step", type=_parse_fraction, default=Fraction(1, 8))
-    gap.add_argument("--threads", type=int, default=1)
+    gap.add_argument("--threads", type=int, choices=(1,), default=1,
+                     help="gap runs in one process; the option stays only so existing argvs parse")
     gap.add_argument("--out", default=None)
     gap.set_defaults(func=cmd_gap)
-    return parser
+    return parser, sub.choices
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """The namespace ``build_parser().parse_args(argv)`` gives, from one parse.
+    """The namespace the top-level parser's ``parse_args(argv)`` gives, from one parse.
 
     An argv that starts with a command word is parsed by that command's parser
     alone, as argparse's subparsers action calls it, so the top-level parser
     does not read it first.  Any other argv, and a command's argv that leaves
     words over, goes to the top-level parser, which then only prints help or
     argparse's own usage error."""
-    parser = build_parser()
+    parser, commands = build_parser()
     if argv:
-        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         command = commands.get(argv[0])
         if command is not None:
             args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))

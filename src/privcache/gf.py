@@ -36,11 +36,19 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes decide primality exactly for
+# every n below psi_13 = 3317044064679887385961981 (the least strong
+# pseudoprime to all of them; Sorenson and Webster, Math. Comp. 2017).  The
+# first 12 are not enough: psi_12 = 318665857834031151167461 passes them all.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Exact for n < ``_MR_BOUND``; raises ValueError at or above it, where
+    no fixed witness set is proven."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"modulus {n} is not below {_MR_BOUND}, the bound up to which primality is decided exactly")
     if n < 2:
         return False
     if n in _MR_BASES:
@@ -66,7 +74,8 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field of integers mod q, q prime (checked at construction)."""
+    """The field of integers mod q, q a prime below ``_MR_BOUND`` (checked at
+    construction by ``is_prime``)."""
 
     q: int
 

@@ -367,9 +367,7 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
                                          f"with achievable rate {Fraction(a_num, a_den)}")
             num, den = 1, 1  # both schemes optimal at full memory
         else:
-            num, den = a_num * b_den, a_den * b_num
-            if den < 0:
-                num, den = -num, -den
+            num, den = a_num * b_den, a_den * b_num  # a_den > 0 and b_num > 0
         if num * best_den > best_num * den:
             best_num, best_den = num, den
             witness = i

@@ -278,6 +278,11 @@ def test_invariance_single_matrix_trivial():
     assert rep.identical and rep.max_discrepancy == 0
 
 
+def test_invariance_refuses_an_empty_family():
+    with pytest.raises(ValueError, match="^empty demand list$"):
+        verify_law_invariance(P321, [], 0, (0,))
+
+
 def test_invariance_requires_shared_observer_row():
     with pytest.raises(ValueError):
         verify_law_invariance(P321, [((0,), (1,)), ((1,), (1,))], 0, (0,))

@@ -80,6 +80,45 @@ def test_simulate_missing_argument_is_usage_error(capsys):
     assert run_cli("simulate", "--K", "2", "--L", "2", "--r", "1") == 2
 
 
+PSI_12 = "318665857834031151167461"  # composite, a strong pseudoprime to every prime base up to 37
+PSI_13 = "3317044064679887385961981"  # past it no fixed set of Miller-Rabin bases is proven
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--N", "5", "--K", "2", "--L", "2", "--r", "1", "--demands", "0,x;0,2"),
+     "error: argument --demands: cannot parse demand matrix '0,x;0,2'; expected e.g. '0,1;0,2'"),
+    (("audit", "--mode", "ptilde", "--N", "5", "--K", "2", "--L", "2", "--selector", "0,?"),
+     "error: argument --selector: cannot parse integer list '0,?'"),
+    (("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2"),
+     "usage error: --F is required for --mode mi"),
+    (("tradeoff", "--N", "3", "--K", "2", "--L", "1", "--lambda-step", "3/2"),
+     "usage error: lambda step must lie in (0, 1]"),
+    (("gap", "--N", "3", "--K", "2", "--L", "1", "--lambda-step", "0"),
+     "usage error: lambda step must lie in (0, 1]"),
+    (("gap", "--N", "3", "--K", "2", "--L", "1", "--grid", "1"), "usage error: grid needs at least two points"),
+    (("simulate", "--N", "2", "--K", "1", "--L", "1", "--r", "0", "--q", PSI_12, "--format", "csv"),
+     f"usage error: modulus {PSI_12} is not prime"),
+    (("simulate", "--N", "2", "--K", "1", "--L", "1", "--r", "0", "--q", PSI_13, "--format", "csv"),
+     f"usage error: modulus {PSI_13} is not below {PSI_13}, the bound up to which primality is decided exactly"),
+], ids=["demands", "selector", "mi-without-F", "lambda-step-3/2", "lambda-step-0", "grid-1", "q-psi12", "q-psi13"])
+def test_bad_input_is_a_usage_error(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message + "\n")
+
+
+def test_simulate_decode_error_is_a_false_verdict(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise ucc.DecodeError("unreadable")
+
+    monkeypatch.setattr(ucc, "decode", failing)
+    assert run_cli("simulate", "--N", "3", "--K", "2", "--L", "1", "--r", "1") == 1
+    trace = json.loads(capsys.readouterr().out)
+    assert trace["correct_all"] is False
+    assert [d["ok"] for d in trace["decodes"]] == [False, False]
+
+
 @pytest.mark.parametrize("dims, message", [
     ((0, 1, 1), "need at least one file and one user"),
     ((3, 0, 1), "need at least one file and one user"),
@@ -352,8 +391,8 @@ def test_audit_option_table_covers_the_parser():
     ignores an option refuses it.  A listed option is found by its name
     (dest "F" for "--F") and defaults to None, how the refusal tells that it
     was given."""
-    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {a.option_strings[-1]: a for a in subparsers.choices["audit"]._actions if a.dest != "help"}
+    _, commands = cli.build_parser()
+    actions = {a.option_strings[-1]: a for a in commands["audit"]._actions if a.dest != "help"}
     assert tuple(cli._AUDIT_MODES) == tuple(actions["--mode"].choices)
     listed = set().union(*(opts for _, opts in cli._AUDIT_MODES.values()))
     assert not listed & set(cli._AUDIT_SHARED)
@@ -407,7 +446,7 @@ def test_gap_single(tmp_path):
 def test_gap_sweep_ordering_and_threads(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli("gap", "--sweep", "N=1..3,K=1..2", "--out", str(a)) == 0
-    assert run_cli("gap", "--sweep", "N=1..3,K=1..2", "--threads", "2", "--out", str(b)) == 0
+    assert run_cli("gap", "--sweep", "N=1..3,K=1..2", "--threads", "1", "--out", str(b)) == 0  # the default
     assert a.read_bytes() == b.read_bytes()
     rep = json.loads(a.read_text())
     keys = [(e["N"], e["K"], e["L"]) for e in rep["certificates"]]
@@ -415,36 +454,11 @@ def test_gap_sweep_ordering_and_threads(tmp_path):
     assert len(keys) == 12  # L ranges over [1, N]
 
 
-@pytest.mark.parametrize("threads", ["0", "-4", "two"])
+@pytest.mark.parametrize("threads", ["0", "-4", "two", "2"])
 def test_gap_threads_must_be_positive(threads, capsys):
+    # gap runs in one process: 1 is the only value --threads takes
     assert run_cli("gap", "--N", "2", "--K", "1", "--L", "1", "--threads", threads) == 2
     assert "--threads" in capsys.readouterr().err
-
-
-def test_gap_pool_is_capped_at_task_count(monkeypatch, tmp_path):
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-    out = tmp_path / "g.json"
-    assert run_cli("gap", "--sweep", "N=2,K=1", "--threads", "1000", "--out", str(out)) == 0
-    assert pools == [2]  # (2,1,1) and (2,1,2)
-    assert len(json.loads(out.read_text())["certificates"]) == 2
-    assert run_cli("gap", "--sweep", "N=2,K=1", "--threads", "1", "--out", str(out)) == 0
-    assert run_cli("gap", "--N", "2", "--K", "1", "--L", "1", "--threads", "8", "--out", str(out)) == 0
-    assert pools == [2]
 
 
 @pytest.mark.parametrize("sweep", ["N=3..1", "K=5..2", "N=2..3,L=4..5"])
@@ -456,12 +470,12 @@ def test_gap_empty_sweep_is_usage_error(sweep, capsys):
 @pytest.mark.parametrize("sweep, component", [("N=0..2,K=1..2", "N=0..2"), ("K=0..2", "K=0..2"),
                                               ("L=0..1", "L=0..1")], ids=["N", "K", "L"])
 def test_gap_sweep_below_one_is_refused_before_any_triple_runs(sweep, component, monkeypatch, capsys):
-    # refused as it is parsed: no triple is enumerated, and so no pool is started
+    # refused as it is parsed: no triple is enumerated
     def forbidden(*args):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(tradeoff, "sweep_triples", forbidden)
-    assert run_cli("gap", "--sweep", sweep, "--threads", "2") == 2
+    assert run_cli("gap", "--sweep", sweep) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument --sweep: sweep component {component!r} starts below 1\n")
@@ -530,6 +544,29 @@ def test_simulate_builds_each_segment_terms_once(monkeypatch, tmp_path, decoder)
     assert run_cli("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--decoder", decoder,
                    "--out", str(tmp_path / "t.json")) == 0
     assert len(calls) == 220
+
+
+def test_gap_entry_whose_certificate_fails_is_a_check_failure(monkeypatch, capsys):
+    def failing(n, k, big_l):
+        raise tradeoff.OptimalityGapError(f"no certificate for ({n},{k},{big_l})")
+
+    monkeypatch.setattr(tradeoff, "gap_certificate", failing)
+    assert run_cli("gap", "--N", "2", "--K", "1", "--L", "1") == 1
+    (entry,) = json.loads(capsys.readouterr().out)["certificates"]
+    assert entry["dominance_ok"] is True
+    assert (entry["within_factor_6"], entry["passed"], entry["error"]) == (False, False, "no certificate for (2,1,1)")
+    assert "max_ratio" not in entry
+
+
+def test_audit_mi_timings_adds_only_the_wall_time(capsys):
+    argv = ("audit", "--mode", "mi", "--N", "2", "--K", "2", "--L", "1", "--q", "2", "--F", "4", "--r", "1")
+    assert run_cli(*argv) == 0
+    untimed = json.loads(capsys.readouterr().out)
+    assert run_cli(*argv, "--timings") == 0
+    timed = json.loads(capsys.readouterr().out)
+    wall = timed.pop("wall_time_s")
+    assert isinstance(wall, float) and wall >= 0
+    assert timed == untimed
 
 
 def test_gap_requires_params(capsys):
@@ -817,7 +854,7 @@ def test_cached_parser_recovers_from_a_usage_error(capsys):
 
 
 def _top_level_parse(argv):
-    return cli.build_parser().parse_args(argv)
+    return cli.build_parser()[0].parse_args(argv)
 
 
 PARSE_CORPUS = [
@@ -868,7 +905,7 @@ def test_one_parse_matches_the_top_level_parse(argv, monkeypatch, capsys):
 
 
 def test_commands_never_reach_the_top_level_parser(monkeypatch, capsys):
-    top = cli.build_parser()
+    top, _ = cli.build_parser()
     real = argparse.ArgumentParser.parse_known_args
 
     def guarded(self, *args, **kwargs):

@@ -64,6 +64,15 @@ def test_envelope_empty_input():
         lower_convex_envelope([])
 
 
+@pytest.mark.parametrize("xs, message", [((), "envelope needs at least one breakpoint"),
+                                         ((0, 1, 1), "breakpoint x-coordinates must strictly increase"),
+                                         ((2, 1), "breakpoint x-coordinates must strictly increase")],
+                         ids=["empty", "repeated-x", "decreasing-x"])
+def test_envelope_rejects_malformed_breakpoints(xs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Envelope(tuple((Fraction(x), Fraction(0)) for x in xs))
+
+
 def test_envelope_rejects_nonconvex_breakpoints():
     with pytest.raises(ValueError):
         Envelope(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(0))))

@@ -1,6 +1,7 @@
 """Prime-field arithmetic and exact linear solving tests."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -23,6 +24,38 @@ def test_is_prime():
     assert not is_prime(1)
     assert not is_prime(0)
     assert not is_prime(257 * 263)
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to the bases 2..41
+
+
+def test_is_prime_agrees_with_trial_division():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, PSI_12])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each is a strong pseudoprime to every prime base below 11, 37 and 41 respectively
+    assert not is_prime(n)
+
+
+def test_field_refuses_the_pseudoprime_to_twelve_bases():
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match=f"^modulus {PSI_12} is not prime$"):
+        PrimeField(PSI_12)
+
+
+@pytest.mark.parametrize("q", [PSI_13, 2 ** 89 - 1])  # 2^89 - 1 is prime
+def test_field_refuses_moduli_past_the_proven_witness_bound(q):
+    with pytest.raises(ValueError, match=f"^modulus {q} is not below {PSI_13}, "):
+        PrimeField(q)
 
 
 def test_field_requires_prime_modulus():

@@ -11,7 +11,8 @@ the one enumerator of the scheme's randomness, has one caller,
 ``audit._view_counts``, so every exact audit walks its product through the
 cover quotient and the atom check there; and every function of ``audit``
 that walks through ``_view_counts`` charges its budget on an earlier
-line."""
+line.  The package runs in one process: no module of src/privcache imports
+a concurrency module, at any depth."""
 
 import ast
 import importlib
@@ -224,3 +225,31 @@ def test_every_walk_is_charged_first():
     walkers, uncharged = uncharged_walks()
     assert set(walkers) >= {"masked_demand_law", "verify_law_invariance", "exact_mutual_information"}
     assert uncharged == []
+
+
+CONCURRENCY = ("concurrent", "multiprocessing", "threading", "subprocess")
+
+
+def concurrency_imports(tree: ast.Module, name: str) -> list[str]:
+    """``name:line: module`` for each import of a ``CONCURRENCY`` module or
+    of one of their submodules anywhere in ``tree``, function bodies
+    included."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        hits += [f"{name}:{node.lineno}: {module}" for module in modules if module.split(".")[0] in CONCURRENCY]
+    return hits
+
+
+def test_the_package_imports_no_concurrency_module():
+    nested = ast.parse("def run():\n    from concurrent.futures import ProcessPoolExecutor\n    import threading\n")
+    assert concurrency_imports(nested, "probe") == ["probe:2: concurrent.futures", "probe:3: threading"]
+    files = sorted(PACKAGE.glob("*.py"))
+    assert {path.stem for path in files} >= {"cli", "tradeoff"}
+    assert [hit for path in files
+            for hit in concurrency_imports(ast.parse(path.read_text(), filename=str(path)), path.name)] == []

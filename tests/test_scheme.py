@@ -81,6 +81,8 @@ def test_validate_demands():
         validate_demands(P522, [[0, 5], [0, 1]])
     with pytest.raises(ValueError):
         validate_demands(P522, [[0, 1]])
+    with pytest.raises(ValueError, match="^row 1 has 1 entries, expected 2$"):
+        validate_demands(P522, [[0, 1], [3]])
 
 
 def test_feasible_cover_sets_families():
@@ -296,6 +298,15 @@ def test_decode_all_users_all_slots(r):
         assert tr.correct_all
         tr2 = run_simulation(p, seed, decoder="structural")
         assert tr2.correct_all
+
+
+@pytest.mark.parametrize("slot", [-1, 2])
+def test_decode_user_refuses_a_slot_out_of_range(slot):
+    library = ramp_library(P522.field, P522.n_files, P522.file_len)
+    caches = place_caches(P522, library, [(0, 1), (2, 3)])
+    broadcast = deliver(P522, library, (0, 1, 2, 3, 0, 1, 2, 3))
+    with pytest.raises(ValueError, match=f"^slot {slot} out of range$"):
+        decode_user(slot, broadcast, caches[0])
 
 
 def test_decode_uses_only_broadcast_and_cache():
@@ -657,6 +668,12 @@ def test_checked_slots_accepts_exactly_the_slot_support(params):
             else:
                 with pytest.raises(ValueError, match=message):
                     scheme.checked_slots(params, {1: sel})
+
+
+@pytest.mark.parametrize("user", [-1, 2])
+def test_checked_slots_refuses_a_user_out_of_range(user):
+    with pytest.raises(ValueError, match=rf"^user {user} out of range \[0, 2\)$"):
+        scheme.checked_slots(P522, {0: (0, 1), user: (0, 1)})
 
 
 def test_slot_checks_and_budgets_never_build_the_slot_support(monkeypatch, capsys):

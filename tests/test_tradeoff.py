@@ -523,6 +523,17 @@ def test_gap_certificate_errors_match_per_candidate_reference(monkeypatch, scale
     assert kernel[0] is OptimalityGapError and message in kernel[1]
 
 
+def test_gap_certificate_reads_two_vanishing_envelopes_as_ratio_one(monkeypatch):
+    # where both envelopes vanish both schemes are optimal, so the ratio there is 1
+    for name in ("achievable_envelope", "converse_corner_envelope"):
+        env = getattr(tradeoff, name)(8, 4, 2)
+        zero = lower_convex_envelope((m, 0 * r) for m, r in env.breakpoints)
+        monkeypatch.setattr(tradeoff, name, lambda *_, zero=zero: zero)
+    cert = gap_certificate(8, 4, 2)
+    assert cert == per_candidate_gap(8, 4, 2)
+    assert (cert.max_ratio, cert.witness_m, cert.witness_provenance) == (1, 0, "endpoint M=0")
+
+
 def test_gap_certificate_worked_example():
     cert = gap_certificate(5, 2, 2)
     assert cert.max_ratio <= tradeoff.GAP_FACTOR

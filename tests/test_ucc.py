@@ -48,6 +48,19 @@ def test_params_validation():
         UccParams(n_files=5, n_users=7, block_len=4, r=1)
     with pytest.raises(ValueError):
         UccParams(n_files=3, n_users=8, block_len=4, r=1)
+    with pytest.raises(ValueError, match="^need at least one file$"):
+        UccParams(n_files=0, n_users=2, block_len=1, r=1)
+    with pytest.raises(ValueError, match="^need at least one user$"):
+        UccParams(n_files=2, n_users=0, block_len=1, r=0)
+
+
+@pytest.mark.parametrize("rows, message", [((), "empty library"), (((1, 2), (3,)), "ragged library"),
+                                           (((1, 257),), r"library symbol outside \[0, q\)"),
+                                           (((-1, 0),), r"library symbol outside \[0, q\)")],
+                         ids=["empty", "ragged", "symbol-q", "symbol-negative"])
+def test_library_rejects_malformed_rows(rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Library(F257, rows)
 
 
 def test_labels_are_the_r_subsets_in_lexicographic_order():
@@ -597,6 +610,16 @@ def test_linear_system_is_the_segment_table(shape, q, packet):
     assert system.holders == held
     assert system.counts == [len(h) for h in held]
     assert system.once == [c for c, h in enumerate(held) if len(h) == 1]
+
+
+@pytest.mark.parametrize("decoder", ["linear", "structural"])
+@pytest.mark.parametrize("u", [-1, 4])
+def test_decode_refuses_a_user_out_of_range(u, decoder):
+    params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
+    lib = ramp_library(F257, 3, params.file_len)
+    bc = encode(params, (0, 1, 1, 0), lib)
+    with pytest.raises(ValueError, match=f"^user {u} out of range$"):
+        decode(u, bc, ucc.place(params, lib, range(4)), method=decoder)
 
 
 def test_decode_unknown_method():
