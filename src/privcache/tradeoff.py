@@ -11,9 +11,10 @@ decided in integers; Fractions are built only where a result holds one.
 The achievable points are one closed form in falling factorials per r, and
 both they and the corner points are made as reduced integer pairs
 (``_achievable_pairs``, ``_corner_terms``); the hull
-(``lower_convex_envelope_terms``) runs on those integers and builds
-Fractions only for the breakpoints it keeps.  ``achievable_points`` and
-``corner_points`` wrap the same pairs for the ``tradeoff`` CSV.
+(``lower_convex_envelope_terms``) runs on those integers and keeps them,
+over one least denominator per axis, as the envelope's breakpoints.
+``achievable_points``, ``corner_points`` and ``Envelope.breakpoints`` give
+the same values as Fractions for the ``tradeoff`` CSV.
 Every line the op compares has one integer form, R = (a + b * M) / e with
 e > 0 and gcd(a, b, e) = 1: an envelope segment's form is
 ``Envelope.segment_forms``, and a converse line's comes from
@@ -254,7 +255,7 @@ def _envelope_pieces(env: Envelope, n_files: int, g: int) -> list[tuple[int, int
     common one.  A domain that does not cover [0, n_files] raises
     ``Envelope.value_terms``' own ValueError at the first grid point outside
     it."""
-    d, xs = env.x_terms
+    d, xs = env.x_den, env.xs
     if xs[0] > 0 or xs[-1] < n_files * d:
         j = 0 if xs[0] > 0 else max(0, xs[-1] * g // (d * n_files) + 1)
         env.value_terms(j * n_files, g)  # x = j * N / g lies outside the domain, so this raises
@@ -345,7 +346,7 @@ class GapCertificate:
 def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCertificate:
     """Max of achievable_envelope(M) / corner_envelope(M) over the audited
     points: M = 0 and every corner point but the first, (s, t) = (1, 1) at
-    M = N, where both curves vanish (that ratio is defined as 1).
+    M = N, where both curves vanish.
 
     Raises OptimalityGapError if any ratio exceeds the factor-6 bound or a
     positive rate sits over a zero lower bound away from M = N.

@@ -265,12 +265,14 @@ class Broadcast:
         segment with coefficient +1; True means the subfile of the i-th
         smallest user in the subset enters with (-1)^i.
 
-        With one or two user groups the plain +1 convention is lossless
-        (every untransmitted segment is an alternating sum of transmitted
-        ones), and over GF(2) signs are invisible.  With three or more groups
-        over an odd-characteristic field the +1 convention provably loses
-        information for demand vectors that repeat a file across non-leader
-        blocks, so the alternating convention is used there.
+        With one or two user groups every omitted subset B holds distinct
+        files, where the plain identity holds (every untransmitted segment
+        is an alternating sum of transmitted ones), and over GF(2) signs are
+        invisible.  With three or more groups over an odd-characteristic
+        field B can repeat a file and the plain identity can fail: the plain
+        convention lost files in the r = 2 cases tried, though not in the
+        r = 1 ones.  The alternating convention, whose identity holds for
+        every B, is used there.
         """
         return self.params.n_groups >= 3 and self.field.q != 2
 
@@ -454,6 +456,7 @@ def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
     known = {first + t: cache_slice[n][t] for n, first in offset.items() for t in cached}
     base = offset[broadcast.demand[u]]
     wanted = [base + t for t in uncached]
+    # no encode-built broadcast reaches either raise; they stay for determined_unknowns' results on hand-built input
     try:
         solved = determined_unknowns(system, known, wanted)
     except InconsistentSystemError as exc:

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from operator import gt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from privcache import audit, scheme, tradeoff
 from privcache.exact import Envelope
@@ -324,6 +324,15 @@ def assert_segment_forms(env: Envelope):
         assert e > 0 and math.gcd(a, b, e) == 1
         for x, y in ends:
             assert (a + b * x) / e == y
+
+
+def envelope_of(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> Envelope:
+    """The ``Envelope`` with these (x, y) breakpoints: each axis over the
+    least common denominator of its coordinates."""
+    x_den = math.lcm(*(x.denominator for x, _ in breakpoints))
+    y_den = math.lcm(*(y.denominator for _, y in breakpoints))
+    return Envelope(x_den, tuple(x.numerator * (x_den // x.denominator) for x, _ in breakpoints),
+                    y_den, tuple(y.numerator * (y_den // y.denominator) for _, y in breakpoints))
 
 
 def _cross(o, a, b) -> Fraction:

@@ -1,6 +1,7 @@
 """Exact arithmetic, subset ranking and convex envelope tests."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -70,12 +71,12 @@ def test_envelope_empty_input():
                          ids=["empty", "repeated-x", "decreasing-x"])
 def test_envelope_rejects_malformed_breakpoints(xs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Envelope(tuple((Fraction(x), Fraction(0)) for x in xs))
+        Envelope(1, xs, 1, (0,) * len(xs))
 
 
 def test_envelope_rejects_nonconvex_breakpoints():
     with pytest.raises(ValueError):
-        Envelope(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(0))))
+        Envelope(1, (0, 1, 2), 1, (0, 2, 0))
 
 
 _points = st.lists(
@@ -132,11 +133,22 @@ def test_terms_hull_equals_the_fraction_adapter(points, k):
     env = lower_convex_envelope_terms([(x.numerator * k, x.denominator * k, y.numerator * k, y.denominator * k)
                                        for x, y in points])
     assert env == lower_convex_envelope(points)
-    d, xs = env.x_terms
+    d, xs = env.x_den, env.xs
     assert d > 0 and [Fraction(x, d) for x in xs] == [x for x, _ in env.breakpoints]
+    assert math.gcd(d, *xs) == 1 and env.y_den > 0 and math.gcd(env.y_den, *env.ys) == 1
     for x, _ in points:
         n, e = env.value_terms(x.numerator * k, x.denominator * k)
         assert e > 0 and Fraction(n, e) == env.value_at(x) == chord_value_at(env, x)
+
+
+def test_equal_breakpoints_give_equal_envelopes():
+    # the dropped points (1/2, 3/2) and (1/3, 5) and the unreduced terms widen
+    # the common denominators the hull starts from, not the envelope's
+    plain = lower_convex_envelope([(0, 2), (1, 0)])
+    wider = lower_convex_envelope_terms([(0, 6, 4, 2), (1, 2, 3, 2), (1, 3, 5, 1), (3, 3, 0, 7)])
+    assert wider.breakpoints == plain.breakpoints
+    assert wider == plain and hash(wider) == hash(plain)
+    assert (wider.x_den, wider.xs, wider.y_den, wider.ys) == (1, (0, 1), 1, (2, 0))
 
 
 def test_value_terms_outside_the_domain_names_x():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_segment_forms, comb_achievable_points, cross_hull, fraction_converse_line,
+from helpers import (assert_segment_forms, comb_achievable_points, cross_hull, envelope_of, fraction_converse_line,
                      full_scan_dominance, per_candidate_gap, perm_achievable_pairs)
 from privcache import exact, tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
@@ -157,8 +157,9 @@ def test_corner_points_match_the_fraction_formula():
 
 
 @pytest.mark.parametrize("dims", [(8, 4, 2), (16, 8, 4)])
-def test_achievable_envelope_builds_two_fractions_per_kept_breakpoint(monkeypatch, dims):
-    # a point the hull drops is never turned into a Fraction
+def test_achievable_envelope_builds_fractions_only_on_read(monkeypatch, dims):
+    # the hull keeps its breakpoints as integers: no Fraction is built until
+    # a caller reads ``breakpoints``, and then two per kept breakpoint
     points = len(achievable_points(*dims))
     real, built = Fraction, []
 
@@ -173,8 +174,9 @@ def test_achievable_envelope_builds_two_fractions_per_kept_breakpoint(monkeypatc
         env = achievable_envelope(*dims)
     finally:
         achievable_envelope.cache_clear()
-    assert len(env.breakpoints) < points
-    assert len(built) == 2 * len(env.breakpoints)
+    assert built == []
+    assert len(env.xs) < points
+    assert len(env.breakpoints) == len(env.xs) and len(built) == 2 * len(env.xs)
 
 
 def test_lambda_grid_is_built_once_per_step():
@@ -458,8 +460,9 @@ def test_dominance_cases_reach_every_branch(branch):
 
 @pytest.mark.parametrize("short_end", ["left", "right"])
 def test_dominance_rejects_envelope_short_of_the_grid(monkeypatch, short_end):
-    bps = converse_corner_envelope(5, 2, 2).breakpoints
-    short = Envelope(bps[1:] if short_end == "left" else bps[:-1])
+    env = converse_corner_envelope(5, 2, 2)
+    cut = slice(1, None) if short_end == "left" else slice(None, -1)
+    short = Envelope(env.x_den, env.xs[cut], env.y_den, env.ys[cut])
     monkeypatch.setattr(tradeoff, "converse_corner_envelope", lambda *dims: short)
     with pytest.raises(ValueError, match="outside envelope domain") as kernel:
         verify_envelope_dominance(5, 2, 2)
@@ -475,7 +478,7 @@ def test_dominance_walks_envelopes_wider_than_the_grid(monkeypatch):
         env = getattr(tradeoff, name)(5, 2, 2)
         (x0, y0), (x1, y1) = env.breakpoints[0], env.breakpoints[-1]
         first, *_, last = (Fraction(b, e) for _, b, e in env.segment_forms)
-        wide = Envelope(((x0 - 1, y0 - first + 1), *env.breakpoints, (x1 + 1, y1 + last + 1)))
+        wide = envelope_of(((x0 - 1, y0 - first + 1), *env.breakpoints, (x1 + 1, y1 + last + 1)))
         monkeypatch.setattr(tradeoff, name, lambda *dims, wide=wide: wide)
         for grid_size in (2, 11, 101):
             kernel = verify_envelope_dominance(5, 2, 2, grid_size)
