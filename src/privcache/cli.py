@@ -260,9 +260,8 @@ def _audit_mi(args, params: SchemeParams, variant) -> dict:
     return result
 
 
-# The audit options every mode reads, and per mode its runner and the
-# options it reads besides; an option outside both is refused.
-_AUDIT_SHARED = ("--mode", "--N", "--K", "--L", "--r", "--q", "--observer", "--variant", "--out")
+# Per audit mode, its runner and the options it reads besides those every
+# mode reads; an option outside both is refused.
 _AUDIT_MODES = {
     "ptilde": (_audit_ptilde, ("--selector", "--demands", "--budget")),
     "mi": (_audit_mi, ("--F", "--baseline", "--budget", "--timings")),

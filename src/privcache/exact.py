@@ -1,19 +1,18 @@
 """Exact lower convex envelopes over rationals.
 
-Nothing in this module touches floating point.  An envelope holds its
-breakpoints as integers over one least denominator per axis, (x_den, xs,
-y_den, ys); ``fractions.Fraction`` is built only on read (``breakpoints``,
-``domain``, ``value_at``).  The hull (``lower_convex_envelope_terms``)
-takes each point as integer terms (x_num, x_den, y_num, y_den), decides
-each turn by the sign of an integer cross product on the points put over
-common denominators, and returns the kept integers in that form, so every
-downstream rate/memory comparison can assert equality instead of a
-tolerance; ``lower_convex_envelope`` is its adapter for points given as
-numbers.  An envelope computes its segments' line forms once: on each
-segment the envelope is (a + b*x) / e with integers e > 0 and
-gcd(a, b, e) = 1, so its value at x = p/q is (a*q + b*p) / (e*q); it
-checks the x order and convexity and evaluates (``value_terms``, at x given
-as an integer pair) on these integers.
+Nothing in this module touches floating point.  ``Envelope(points)`` is the
+one hull: it takes each point as integer terms (x_num, x_den, y_num, y_den),
+decides each turn by the sign of an integer cross product on the points put
+over common denominators, and holds the kept breakpoints as integers over
+one least denominator per axis, (x_den, xs, y_den, ys), so every envelope is
+canonical and every downstream rate/memory comparison can assert equality
+instead of a tolerance.  ``fractions.Fraction`` is built only on read
+(``breakpoints``, ``domain``, ``value_at``), and ``lower_convex_envelope`` is
+the adapter for points given as numbers.  An envelope computes its
+segments' line forms once: on each segment the envelope is (a + b*x) / e
+with integers e > 0 and gcd(a, b, e) = 1, so its value at x = p/q is
+(a*q + b*p) / (e*q); it evaluates (``value_terms``, at x given as an integer
+pair) on these integers.
 """
 
 from __future__ import annotations
@@ -31,18 +30,26 @@ from typing import Iterable, Sequence
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Envelope:
-    """Piecewise-linear convex function given by its breakpoints.
+    """Lower convex envelope of the points (x_num / x_den, y_num / y_den),
+    given as integer terms (x_num, x_den, y_num, y_den) with both
+    denominators positive: a piecewise-linear convex function given by its
+    breakpoints.
 
-    Breakpoint i is (xs[i] / x_den, ys[i] / y_den), with xs and ys of one
-    length, x strictly increasing and both denominators positive;
-    evaluation between breakpoints is exact linear interpolation.  The hull
-    gives each denominator as the least one that holds every breakpoint, so
-    two of its envelopes compare (and hash) equal iff their breakpoints do.
-    The segment forms are computed once, on first use, and shared by every
-    reader; the x order is checked on the integers and convexity on the
-    integer slopes b/e.
+    Breakpoint i is (xs[i] / x_den, ys[i] / y_den); evaluation between
+    breakpoints is exact linear interpolation.  The hull is Andrew's
+    monotone chain run on integers: every x is put over the common
+    denominator of all x, and every y over that of all y, which scales each
+    cross product by one positive factor and so keeps the sign of every
+    turn.  The integer pairs are sorted, and a point whose x equals the
+    previous one is skipped: the sort put the smaller y first.  A point on
+    the chord of its neighbours is dropped, so x strictly increases and the
+    slopes strictly increase.  The kept integers are divided, per axis, by
+    their gcd with that denominator, which leaves the least denominator that
+    holds every kept breakpoint: the form is canonical, so two envelopes
+    compare (and hash) equal iff their breakpoints do.  The segment forms
+    are computed once, on first use, and shared by every reader.
     """
 
     x_den: int
@@ -50,14 +57,30 @@ class Envelope:
     y_den: int
     ys: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.xs:
-            raise ValueError("envelope needs at least one breakpoint")
-        if any(x0 >= x1 for x0, x1 in zip(self.xs, self.xs[1:])):
-            raise ValueError("breakpoint x-coordinates must strictly increase")
-        forms = self.segment_forms
-        if any(b1 * e0 < b0 * e1 for (_, b0, e0), (_, b1, e1) in zip(forms, forms[1:])):
-            raise ValueError("breakpoints are not convex")
+    def __init__(self, points: Sequence[tuple[int, int, int, int]]):
+        if not points:
+            raise ValueError("need at least one point")
+        x_dens, y_dens = [xd for _, xd, _, _ in points], [yd for _, _, _, yd in points]
+        if min(x_dens) < 1 or min(y_dens) < 1:
+            raise ValueError("point denominators must be positive")
+        x_den, y_den = math.lcm(*x_dens), math.lcm(*y_dens)
+        hull: list[tuple[int, int]] = []
+        for p in sorted((xn * (x_den // xd), yn * (y_den // yd)) for xn, xd, yn, yd in points):
+            if hull and p[0] == hull[-1][0]:
+                continue
+            px, py = p
+            while len(hull) >= 2:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
+                hull.pop()
+            hull.append(p)
+        xs, ys = zip(*hull)
+        gx, gy = math.gcd(x_den, *xs), math.gcd(y_den, *ys)
+        object.__setattr__(self, "x_den", x_den // gx)
+        object.__setattr__(self, "xs", tuple(x // gx for x in xs))
+        object.__setattr__(self, "y_den", y_den // gy)
+        object.__setattr__(self, "ys", tuple(y // gy for y in ys))
 
     @cached_property
     def segment_forms(self) -> tuple[tuple[int, int, int], ...]:
@@ -87,7 +110,10 @@ class Envelope:
         """The envelope at x = x_num / x_den, x_den > 0, as an unreduced
         integer pair (n, d), d > 0, with n / d the exact value; x must lie
         within the domain.  At x = p/q the segment (a, b, e) holding x gives
-        (a*q + b*p, e*q); x is placed among the breakpoints in integers."""
+        (a*q + b*p, e*q); x is placed among the breakpoints in integers,
+        which the sign of x_den would flip, so x_den < 1 is refused."""
+        if x_den < 1:
+            raise ValueError(f"x denominator {x_den} is not positive")
         xs = self.xs
         at = x_num * self.x_den
         if at < xs[0] * x_den or at > xs[-1] * x_den:
@@ -109,45 +135,10 @@ class Envelope:
 def lower_convex_envelope(points: Iterable[tuple]) -> Envelope:
     """Lower convex envelope of a finite point set, as an Envelope: each
     coordinate (an int, a Fraction, or anything ``Fraction`` takes) goes to
-    ``lower_convex_envelope_terms`` as its numerator and denominator."""
+    ``Envelope`` as its numerator and denominator."""
     terms = []
     for x, y in points:
         x = x if type(x) is Fraction else Fraction(x)
         y = y if type(y) is Fraction else Fraction(y)
         terms.append((x.numerator, x.denominator, y.numerator, y.denominator))
-    return lower_convex_envelope_terms(terms)
-
-
-def lower_convex_envelope_terms(points: Sequence[tuple[int, int, int, int]]) -> Envelope:
-    """Lower convex envelope of the points (x_num / x_den, y_num / y_den),
-    given as integer terms (x_num, x_den, y_num, y_den) with both
-    denominators positive.  The one hull.
-
-    Ties at equal x keep the smaller y; points on a common chord are dropped
-    so the breakpoint list is canonical (endpoints only).  The scan runs on
-    integers: every x is put over the common denominator of all x, and every
-    y over that of all y, which scales each cross product by one positive
-    factor and so keeps the sign of every turn.  The integer pairs are
-    sorted, and a point whose x equals the previous one is skipped: the sort
-    put the smaller y first.  The kept integers are divided, per axis, by
-    their gcd with that denominator, which leaves the least denominator that
-    holds every kept breakpoint, and become the ``Envelope`` as they are.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    x_den = math.lcm(*[xd for _, xd, _, _ in points])
-    y_den = math.lcm(*[yd for _, _, _, yd in points])
-    hull: list[tuple[int, int]] = []
-    for p in sorted((xn * (x_den // xd), yn * (y_den // yd)) for xn, xd, yn, yd in points):
-        if hull and p[0] == hull[-1][0]:
-            continue
-        px, py = p
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
-                break
-            hull.pop()
-        hull.append(p)
-    xs, ys = zip(*hull)
-    gx, gy = math.gcd(x_den, *xs), math.gcd(y_den, *ys)
-    return Envelope(x_den // gx, tuple(x // gx for x in xs), y_den // gy, tuple(y // gy for y in ys))
+    return Envelope(terms)

@@ -10,9 +10,9 @@ Points, envelopes and lines are exact rationals, and the ``gap`` op is
 decided in integers; Fractions are built only where a result holds one.
 The achievable points are one closed form in falling factorials per r, and
 both they and the corner points are made as reduced integer pairs
-(``_achievable_pairs``, ``_corner_terms``); the hull
-(``lower_convex_envelope_terms``) runs on those integers and keeps them,
-over one least denominator per axis, as the envelope's breakpoints.
+(``_achievable_pairs``, ``_corner_terms``); ``Envelope``, the one hull,
+runs on those integers and keeps them, over one least denominator per axis,
+as the envelope's breakpoints.
 ``achievable_points``, ``corner_points`` and ``Envelope.breakpoints`` give
 the same values as Fractions for the ``tradeoff`` CSV.
 Every line the op compares has one integer form, R = (a + b * M) / e with
@@ -52,7 +52,7 @@ from functools import lru_cache
 from operator import sub
 from typing import Iterator
 
-from .exact import Envelope, lower_convex_envelope_terms
+from .exact import Envelope
 from .scheme import active_files, validate_dims
 
 GAP_FACTOR = 6
@@ -115,7 +115,7 @@ def achievable_points(n_files: int, n_users: int, demands_per_user: int) -> list
 # each (``Envelope`` is frozen and the corners are a tuple, so sharing is safe).
 @lru_cache(maxsize=1)
 def achievable_envelope(n_files: int, n_users: int, demands_per_user: int) -> Envelope:
-    return lower_convex_envelope_terms(list(_achievable_pairs(n_files, n_users, demands_per_user)))
+    return Envelope(list(_achievable_pairs(n_files, n_users, demands_per_user)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def converse_corner_envelope(n_files: int, n_users: int, demands_per_user: int) 
     n_act = active_files(n_files, n_users, demands_per_user)
     pts = [terms for _, _, *terms in _corner_terms(n_files, n_users, demands_per_user)]
     pts.append((0, 1, demands_per_user * (n_act // demands_per_user), 1))
-    return lower_convex_envelope_terms(pts)
+    return Envelope(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,14 @@ def verify_envelope_dominance(n_files: int, n_users: int, demands_per_user: int,
     first reaches B, an end of one of the envelope's pieces found by
     bisection; the line lies under the envelope at every grid point iff it
     does there.  Only a line that rises above the achievable envelope is
-    scanned point by point, to list each violation.  A line rising above the
-    corner envelope somewhere is not an error (it just means the line is
-    locally the tighter bound); its excess increases up to its largest
-    value, so the first such M, which is reported, is found by bisection too.
-    Fractions are built only for what the report holds.
+    scanned point by point, to list each violation.  On the real envelopes
+    no line rises above the corner envelope: each line passes through its
+    corner (s, t) and lies at or below the envelope at every breakpoint (so
+    on all of [0, N]) for every triple with N <= 16 and K <= 8, at lambda
+    steps 1/8 and 1/64.  The branch that lists such a line reports perturbed
+    envelopes; the line's excess increases up to its largest value, so the
+    first such M, which is reported, is found by bisection too.  Fractions
+    are built only for what the report holds.
     """
     if grid_size < 2:
         raise ValueError("grid needs at least two points")
@@ -348,8 +351,12 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
     points: M = 0 and every corner point but the first, (s, t) = (1, 1) at
     M = N, where both curves vanish.
 
-    Raises OptimalityGapError if any ratio exceeds the factor-6 bound or a
-    positive rate sits over a zero lower bound away from M = N.
+    Raises OptimalityGapError if any ratio exceeds the factor-6 bound or the
+    corner envelope is 0 at an audited M, which a correct one never is.
+    Every audited M is below N: it is 0, or a corner with s >= 2, so
+    M = (N - L(t-1))/s <= N/2.  The corner envelope is positive on [0, N):
+    its only zero-rate point is corner (1, 1), the one at M = N, and its
+    M = 0 point has rate L * floor(n_active/L) >= L, since n_active >= L.
     """
     ach = achievable_envelope(n_files, n_users, demands_per_user)
     low = converse_corner_envelope(n_files, n_users, demands_per_user)
@@ -363,12 +370,9 @@ def gap_certificate(n_files: int, n_users: int, demands_per_user: int) -> GapCer
         a_num, a_den = ach.value_terms(m_num, m_den)
         b_num, b_den = low.value_terms(m_num, m_den)
         if b_num == 0:
-            if a_num != 0:
-                raise OptimalityGapError(f"lower envelope vanished at M={Fraction(m_num, m_den)} "
-                                         f"with achievable rate {Fraction(a_num, a_den)}")
-            num, den = 1, 1  # both schemes optimal at full memory
-        else:
-            num, den = a_num * b_den, a_den * b_num  # a_den > 0 and b_num > 0
+            raise OptimalityGapError(f"lower envelope vanished at M={Fraction(m_num, m_den)} "
+                                     f"with achievable rate {Fraction(a_num, a_den)}")
+        num, den = a_num * b_den, a_den * b_num  # a_den > 0 and b_num > 0
         if num * best_den > best_num * den:
             best_num, best_den = num, den
             witness = i

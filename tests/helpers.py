@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from operator import gt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from privcache import audit, scheme, tradeoff
 from privcache.exact import Envelope
@@ -326,15 +326,6 @@ def assert_segment_forms(env: Envelope):
             assert (a + b * x) / e == y
 
 
-def envelope_of(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> Envelope:
-    """The ``Envelope`` with these (x, y) breakpoints: each axis over the
-    least common denominator of its coordinates."""
-    x_den = math.lcm(*(x.denominator for x, _ in breakpoints))
-    y_den = math.lcm(*(y.denominator for _, y in breakpoints))
-    return Envelope(x_den, tuple(x.numerator * (x_den // x.denominator) for x, _ in breakpoints),
-                    y_den, tuple(y.numerator * (y_den // y.denominator) for _, y in breakpoints))
-
-
 def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -380,11 +371,8 @@ def per_candidate_gap(n_files: int, n_users: int, demands_per_user: int) -> GapC
     for m, prov in candidates:
         a, b = chord_value_at(ach, m), chord_value_at(low, m)
         if b == 0:
-            if a != 0:
-                raise OptimalityGapError(f"lower envelope vanished at M={m} with achievable rate {a}")
-            ratio = Fraction(1)
-        else:
-            ratio = a / b
+            raise OptimalityGapError(f"lower envelope vanished at M={m} with achievable rate {a}")
+        ratio = a / b
         if ratio > best:
             best, witness = ratio, (m, prov)
     if best > tradeoff.GAP_FACTOR:

@@ -287,14 +287,14 @@ def test_audit_budget_below_one_is_usage_error(argv, capsys):
 def test_gap_builds_each_envelope_once_per_triple(monkeypatch, tmp_path):
     tradeoff.achievable_envelope.cache_clear()
     tradeoff.converse_corner_envelope.cache_clear()
-    real = tradeoff.lower_convex_envelope_terms
+    real = tradeoff.Envelope
     calls = []
 
     def counting(points):
         calls.append(1)
         return real(points)
 
-    monkeypatch.setattr(tradeoff, "lower_convex_envelope_terms", counting)
+    monkeypatch.setattr(tradeoff, "Envelope", counting)
     assert run_cli("gap", "--sweep", "N=2..3,K=1..2", "--out", str(tmp_path / "gap.json")) == 0
     assert len(calls) == 2 * len(tradeoff.sweep_triples((2, 3), (1, 2)))
 
@@ -385,6 +385,10 @@ def test_audit_refuses_options_its_mode_does_not_read(argv, unread, monkeypatch,
     assert captured.err == f"usage error: --mode {argv[1]} does not read {unread}\n"
 
 
+# The audit options every mode reads.
+AUDIT_SHARED = ("--mode", "--N", "--K", "--L", "--r", "--q", "--observer", "--variant", "--out")
+
+
 def test_audit_option_table_covers_the_parser():
     """Lint: every audit option is read by all modes or listed under at least
     one mode, and every listed option is one the parser has, so a mode that
@@ -395,8 +399,8 @@ def test_audit_option_table_covers_the_parser():
     actions = {a.option_strings[-1]: a for a in commands["audit"]._actions if a.dest != "help"}
     assert tuple(cli._AUDIT_MODES) == tuple(actions["--mode"].choices)
     listed = set().union(*(opts for _, opts in cli._AUDIT_MODES.values()))
-    assert not listed & set(cli._AUDIT_SHARED)
-    assert set(actions) == listed | set(cli._AUDIT_SHARED)
+    assert not listed & set(AUDIT_SHARED)
+    assert set(actions) == listed | set(AUDIT_SHARED)
     for opt in listed:
         assert actions[opt].dest == opt[2:] and actions[opt].default is None, opt
 

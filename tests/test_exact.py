@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_segment_forms, chord_value_at, cross_hull, subset_rank
-from privcache.exact import Envelope, lower_convex_envelope, lower_convex_envelope_terms
+from privcache.exact import Envelope, lower_convex_envelope
 
 
 def test_rank_of_first_subset_is_zero():
@@ -65,20 +65,6 @@ def test_envelope_empty_input():
         lower_convex_envelope([])
 
 
-@pytest.mark.parametrize("xs, message", [((), "envelope needs at least one breakpoint"),
-                                         ((0, 1, 1), "breakpoint x-coordinates must strictly increase"),
-                                         ((2, 1), "breakpoint x-coordinates must strictly increase")],
-                         ids=["empty", "repeated-x", "decreasing-x"])
-def test_envelope_rejects_malformed_breakpoints(xs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Envelope(1, xs, 1, (0,) * len(xs))
-
-
-def test_envelope_rejects_nonconvex_breakpoints():
-    with pytest.raises(ValueError):
-        Envelope(1, (0, 1, 2), 1, (0, 2, 0))
-
-
 _points = st.lists(
     st.tuples(
         st.fractions(min_value=-5, max_value=5, max_denominator=8),
@@ -130,8 +116,7 @@ def test_envelope_matches_cross_product_hull(points):
 def test_terms_hull_equals_the_fraction_adapter(points, k):
     # unreduced terms (every numerator and denominator times k) give the same envelope
     points = [(Fraction(x), Fraction(y)) for x, y in points]
-    env = lower_convex_envelope_terms([(x.numerator * k, x.denominator * k, y.numerator * k, y.denominator * k)
-                                       for x, y in points])
+    env = Envelope([(x.numerator * k, x.denominator * k, y.numerator * k, y.denominator * k) for x, y in points])
     assert env == lower_convex_envelope(points)
     d, xs = env.x_den, env.xs
     assert d > 0 and [Fraction(x, d) for x in xs] == [x for x, _ in env.breakpoints]
@@ -145,10 +130,27 @@ def test_equal_breakpoints_give_equal_envelopes():
     # the dropped points (1/2, 3/2) and (1/3, 5) and the unreduced terms widen
     # the common denominators the hull starts from, not the envelope's
     plain = lower_convex_envelope([(0, 2), (1, 0)])
-    wider = lower_convex_envelope_terms([(0, 6, 4, 2), (1, 2, 3, 2), (1, 3, 5, 1), (3, 3, 0, 7)])
+    wider = Envelope([(0, 6, 4, 2), (1, 2, 3, 2), (1, 3, 5, 1), (3, 3, 0, 7)])
     assert wider.breakpoints == plain.breakpoints
     assert wider == plain and hash(wider) == hash(plain)
     assert (wider.x_den, wider.xs, wider.y_den, wider.ys) == (1, (0, 1), 1, (2, 0))
+
+
+def test_every_envelope_is_built_canonical():
+    # breakpoints (0, 2), (1, 0) given over x denominator 2 keep the least one, 1;
+    # x values 0, 1, 2 over y values 0, 0 are a chord, so its middle goes
+    halves = Envelope([(0, 2, 2, 1), (2, 2, 0, 1)])
+    assert (halves.x_den, halves.xs, halves.y_den, halves.ys) == (1, (0, 1), 1, (2, 0))
+    plain = Envelope([(0, 1, 2, 1), (1, 1, 0, 1)])
+    assert halves == plain and hash(halves) == hash(plain)
+    flat = Envelope([(0, 1, 0, 1), (1, 1, 0, 1), (2, 1, 0, 1)])
+    assert (flat.x_den, flat.xs, flat.y_den, flat.ys) == (1, (0, 2), 1, (0, 0))
+    assert len(flat.breakpoints) == len(flat.xs) == len(flat.ys) == 2
+    assert flat == Envelope([(2, 1, 0, 3), (0, 5, 0, 1)])
+    for point in ((0, 0, 1, 1), (0, 1, 1, 0), (0, -1, 1, 1), (0, 1, 1, -2)):
+        with pytest.raises(ValueError, match="^point denominators must be positive$"):
+            Envelope([(1, 1, 0, 1), point])
+
 
 
 def test_value_terms_outside_the_domain_names_x():
@@ -160,9 +162,17 @@ def test_value_terms_outside_the_domain_names_x():
     assert env.value_terms(6, 4) == (0, 12) and env.value_terms(0, 3) == (18, 9)
 
 
+@pytest.mark.parametrize("x_num, x_den", [(-1, -1), (-3, -2), (1, 0), (0, 0)])
+def test_value_terms_refuses_a_denominator_below_one(x_num, x_den):
+    # -1/-1 and -3/-2 lie inside the domain [0, 2]; the pair is refused, not misplaced
+    env = lower_convex_envelope([(0, 2), (2, 0)])
+    with pytest.raises(ValueError, match=f"^x denominator {x_den} is not positive$"):
+        env.value_terms(x_num, x_den)
+
+
 def test_terms_hull_rejects_no_points():
-    with pytest.raises(ValueError, match="need at least one point"):
-        lower_convex_envelope_terms([])
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        Envelope([])
 
 
 @settings(max_examples=300, deadline=None)

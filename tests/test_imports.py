@@ -1,7 +1,7 @@
 """Lints.  No module in src/, tests/ or perfbench/ imports a name it never
 uses, and src/privcache keeps only definitions the program reaches: every
-top-level function and class, and every non-dunder method or property of
-those classes, is read somewhere in src/privcache, exported in
+top-level function, class and non-dunder assigned name, and every non-dunder
+method or property of those classes, is read somewhere in src/privcache, exported in
 ``privcache.__all__`` or one of the tracer's ``TARGETS`` (which it patches
 by name).  Every name the tracer patches resolves in privcache, and no
 privcache module reads another one's private (underscore-prefixed)
@@ -52,14 +52,15 @@ def test_no_unused_imports():
 def unused_definitions() -> list[str]:
     """``module.name`` and ``module.Class.name`` of every definition in
     src/privcache that nothing in the program reads and the tracer does not
-    patch.  A top-level name is read by a bare name or an attribute access;
-    a method only by an attribute access, so a local variable does not hide
-    it."""
+    patch: top-level functions, classes and names bound by a module-level
+    assignment (dunders exempt), and the classes' methods.  A top-level name
+    is read by a bare name that loads it or an attribute access; a method
+    only by an attribute access, so a local variable does not hide it."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
@@ -68,6 +69,10 @@ def unused_definitions() -> list[str]:
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unused += [f"{module}.{target.id}" for target in targets if isinstance(target, ast.Name)
+                           and not target.id.startswith("__") and target.id not in names | attrs | kept]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in names | attrs | kept:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_segment_forms, comb_achievable_points, cross_hull, envelope_of, fraction_converse_line,
+from helpers import (assert_segment_forms, comb_achievable_points, cross_hull, fraction_converse_line,
                      full_scan_dominance, per_candidate_gap, perm_achievable_pairs)
 from privcache import exact, tradeoff
 from privcache.exact import Envelope, lower_convex_envelope
@@ -462,7 +462,8 @@ def test_dominance_cases_reach_every_branch(branch):
 def test_dominance_rejects_envelope_short_of_the_grid(monkeypatch, short_end):
     env = converse_corner_envelope(5, 2, 2)
     cut = slice(1, None) if short_end == "left" else slice(None, -1)
-    short = Envelope(env.x_den, env.xs[cut], env.y_den, env.ys[cut])
+    short = lower_convex_envelope(env.breakpoints[cut])
+    assert short.breakpoints == env.breakpoints[cut]
     monkeypatch.setattr(tradeoff, "converse_corner_envelope", lambda *dims: short)
     with pytest.raises(ValueError, match="outside envelope domain") as kernel:
         verify_envelope_dominance(5, 2, 2)
@@ -478,11 +479,27 @@ def test_dominance_walks_envelopes_wider_than_the_grid(monkeypatch):
         env = getattr(tradeoff, name)(5, 2, 2)
         (x0, y0), (x1, y1) = env.breakpoints[0], env.breakpoints[-1]
         first, *_, last = (Fraction(b, e) for _, b, e in env.segment_forms)
-        wide = envelope_of(((x0 - 1, y0 - first + 1), *env.breakpoints, (x1 + 1, y1 + last + 1)))
+        wide = lower_convex_envelope(((x0 - 1, y0 - first + 1), *env.breakpoints, (x1 + 1, y1 + last + 1)))
+        assert wide.breakpoints[1:-1] == env.breakpoints
         monkeypatch.setattr(tradeoff, name, lambda *dims, wide=wide: wide)
         for grid_size in (2, 11, 101):
             kernel = verify_envelope_dominance(5, 2, 2, grid_size)
             assert kernel == per_point_dominance(5, 2, 2, grid_size) == full_scan_dominance(5, 2, 2, grid_size)
+
+
+@pytest.mark.parametrize("lambda_step", [Fraction(1, 8), Fraction(1, 64)])
+def test_every_converse_line_meets_its_corner_under_the_corner_envelope(lambda_step):
+    # a line is linear and the envelope piecewise linear over [0, N], so a line
+    # at or below it at every breakpoint is at or below it everywhere
+    triples = sweep_triples((1, 8), (1, 4))
+    assert len(triples) == 144
+    for n, k, big_l in triples:
+        bps = converse_corner_envelope(n, k, big_l).breakpoints
+        assert (bps[0][0], bps[-1][0]) == (0, n)
+        for s, lam, t, a, b, e in converse_terms(n, k, big_l, lambda_step):
+            corner = Fraction(n - big_l * (t - 1), s)
+            assert (a + b * corner) / e == Fraction(big_l * (s * (s - 1) + t * (t - 1)), 2 * s), (n, k, big_l, s, lam)
+            assert all((a + b * m) / e <= r for m, r in bps), (n, k, big_l, s, lam)
 
 
 def test_converse_terms_order_and_count():
@@ -526,15 +543,15 @@ def test_gap_certificate_errors_match_per_candidate_reference(monkeypatch, scale
     assert kernel[0] is OptimalityGapError and message in kernel[1]
 
 
-def test_gap_certificate_reads_two_vanishing_envelopes_as_ratio_one(monkeypatch):
-    # where both envelopes vanish both schemes are optimal, so the ratio there is 1
+def test_gap_certificate_raises_when_both_envelopes_vanish(monkeypatch):
+    # a real corner envelope is positive at every audited M, so a zero there is an error
     for name in ("achievable_envelope", "converse_corner_envelope"):
         env = getattr(tradeoff, name)(8, 4, 2)
         zero = lower_convex_envelope((m, 0 * r) for m, r in env.breakpoints)
         monkeypatch.setattr(tradeoff, name, lambda *_, zero=zero: zero)
-    cert = gap_certificate(8, 4, 2)
-    assert cert == per_candidate_gap(8, 4, 2)
-    assert (cert.max_ratio, cert.witness_m, cert.witness_provenance) == (1, 0, "endpoint M=0")
+    kernel = gap_outcome(gap_certificate, (8, 4, 2))
+    assert kernel == gap_outcome(per_candidate_gap, (8, 4, 2))
+    assert kernel == (OptimalityGapError, "lower envelope vanished at M=0 with achievable rate 0")
 
 
 def test_gap_certificate_worked_example():
