@@ -367,16 +367,18 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
     for part in text.split(","):
         name, _, rng = part.partition("=")
         lo, _, hi = rng.partition("..")
-        if name not in ("N", "K", "L") or not lo:
-            raise argparse.ArgumentTypeError(f"cannot parse sweep component {part!r}")
-        if name in out:
+        named = name in ("N", "K", "L") and lo
+        if named and name in out:
             raise argparse.ArgumentTypeError(f"sweep component {name} given twice in {text!r}")
         try:
-            out[name] = (int(lo), int(hi or lo))
+            bounds = (int(lo), int(hi or lo)) if named else None
         except ValueError:
-            raise argparse.ArgumentTypeError(f"cannot parse sweep component {part!r}") from None
-        if out[name][0] < 1:
+            bounds = None
+        if bounds is None:
+            raise argparse.ArgumentTypeError(f"cannot parse sweep component {part!r}")
+        if bounds[0] < 1:
             raise argparse.ArgumentTypeError(f"sweep component {part!r} starts below 1")
+        out[name] = bounds
     return out
 
 

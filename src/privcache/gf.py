@@ -227,7 +227,8 @@ def determined_unknowns(
 
     (a) A singleton row, one unknown column c, fixes x_c.  Its value is
         substituted into the right-hand side of every other row holding c; a
-        row left with no unknown column must have a zero right-hand side.
+        row left with no unknown column stays, right-hand sides only, for the
+        consistency check on the residue.
     (b) A column that is not wanted and is held by exactly one row can satisfy
         that row whatever the other unknowns are, so the solutions of the rest
         of the system are exactly the projections of the whole system's
@@ -239,11 +240,15 @@ def determined_unknowns(
     copy of its holder counts, before any value is computed.  Only the rows
     it keeps get a working copy, their unknown coefficients as a dict and
     their right-hand sides as a list with the known columns moved in, and
-    (a) runs on those; a +-1 coefficient is solved for without a field
-    inverse.  The residue, possibly empty, goes through ``rref`` as
-    dict rows: it is consistent iff every row past the rank is empty, and an
-    unknown is determined when its column is a pivot whose reduced row holds
-    no coefficient column but its own.
+    (a) runs on those, from the rows that are singletons once the known
+    columns are moved; a +-1 coefficient is solved for without a field
+    inverse.  Every value it fixes is forced, so the fixed values and the
+    residue do not depend on the order it pops rows in.  The residue,
+    possibly empty, goes through ``rref`` as dict rows.  The system is
+    consistent iff every row past the rank is empty, and this is the one
+    place an inconsistency is reported.  An unknown is determined when its
+    column is a pivot whose reduced row holds no coefficient column but its
+    own.
     """
     field, n_coef, n_rhs = system.field, system.n_coef, system.n_rhs
     q = field.q
@@ -291,21 +296,13 @@ def determined_unknowns(
                 b = values[i]
                 for j, y in enumerate(x):
                     b[j] = (b[j] - a * y) % q
-    singles = []
-    for i in compress(range(m), live):
-        n = len(unknowns[i])
-        if n == 1:
-            singles.append(i)
-        elif not n:
-            if any(values[i]):
-                raise InconsistentSystemError("no solution")
-            live[i] = False
+    singles = [i for i in compress(range(m), live) if len(unknowns[i]) == 1]
 
     fixed: dict[int, list[int]] = {}  # (a): unknown -> its values, one per right-hand side
     while singles:
         i = singles.pop()
-        if not live[i]:
-            continue
+        if len(unknowns[i]) != 1:
+            continue  # its unknown was fixed by another row since: it stays live, for the residue check
         live[i] = False
         (c, a), = unknowns[i].items()
         value = values[i]
@@ -324,10 +321,6 @@ def determined_unknowns(
                 b[j] = (b[j] - f * x) % q
             if len(other) == 1:
                 singles.append(k)
-            elif not other:
-                if any(b):
-                    raise InconsistentSystemError("no solution")
-                live[k] = False
 
     residue = []
     for i in compress(range(m), live):

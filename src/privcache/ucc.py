@@ -42,8 +42,11 @@ requested file as its cached and solved subfiles concatenated in rank order:
   file; every e_v - e_l(v) lies in that map's kernel, so the contraction of
   the wedge over v in B of (e_v - e_l(v)) is zero, and expanding the wedge
   gives the identity (a V with two users of one file contributes
-  e_l ^ e_l = 0).  With one or two groups B holds distinct files and the
-  identity is the plain telescoping one; over GF(2) the signs vanish.  Then
+  e_l ^ e_l = 0).  The rebuild expands that wedge one factor at a time,
+  so no such V is ever formed, each A_V comes out sorted and sigma_V is
+  (-1) to the sum of the inversions each substituted leader adds.  With
+  one or two groups B holds distinct files and the identity is the plain
+  telescoping one; over GF(2) the signs vanish.  Then
   user u reads each uncached subfile W[d_u][S] off the single segment of
   S + {u}, whose other terms are labeled by sets containing u and so are
   cached.  It never eliminates and is cross-checked against the reference
@@ -56,12 +59,12 @@ may hold more than the user's subfiles (a real user of the private scheme
 stores several virtual users'); the boundary cuts from it the user's slice,
 every subfile the user caches of every requested file, each of which must
 be packet_size symbols long, and the solvers read that slice only.  The
-broadcast must hold exactly the transmitted segments, packet_size symbols
-each (``Broadcast._malformed``, found once per broadcast); every reader of
-the segments, the rate and ``trace_record`` as well as the decoders, passes
-the one gate ``Broadcast._checked``.  Either fault is a DecodeError with
-one message whichever reader meets it, and past the boundary the solvers
-index their inputs directly.
+broadcast must hold exactly the transmitted segments, each packet_size
+symbols in [0, q) (``Broadcast._malformed``, found once per broadcast);
+every reader of the segments, the rate and ``trace_record`` as well as the
+decoders, passes the one gate ``Broadcast._checked``.  Either fault is a
+DecodeError with one message whichever reader meets it, and past the
+boundary the solvers index their inputs directly.
 
 A ``Broadcast`` is the whole message: its field, the demand (a plain tuple,
 carried in the clear and checked against the params whenever a broadcast is
@@ -78,6 +81,7 @@ entries; both decoders and ``trace_record`` read it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -203,13 +207,21 @@ def _check_library(params: UccParams, library: Library) -> None:
         raise ValueError("library dimensions do not match params")
 
 
+def _user_ranks(params: UccParams, u: int) -> tuple[int, ...]:
+    """The ranks of the labels user u caches, or a ValueError for a user
+    outside [0, n_users): the one range check of ``place`` and ``_decode``."""
+    if not 0 <= u < params.n_users:
+        raise ValueError(f"user {u} out of range")
+    return params.user_ranks[u]
+
+
 def place(params: UccParams, library: Library, users: Iterable[int]) -> dict[int, dict[int, tuple[int, ...]]]:
     """Uncoded placement for a set of users: per file, every subfile whose
     label contains one of them, {label rank: its packet_size symbols}, copied
     verbatim from a library of the params' shape."""
     _check_library(params, library)
     p = params.packet_size
-    ranks = sorted({t for u in users for t in params.user_ranks[u]})
+    ranks = sorted({t for u in users for t in _user_ranks(params, u)})
     return {n: {t: row[t * p:(t + 1) * p] for t in ranks} for n, row in enumerate(library.rows)}
 
 
@@ -338,10 +350,10 @@ class Broadcast:
         """The first fault of the segments, or None: found once per broadcast
         and raised by ``_checked`` before anything reads a segment.  In rank
         order over the segment table, a transmitted subset (one holding a
-        leader) with no segment, a segment not packet_size symbols long, or
-        an omitted subset with a segment; then a key that names no
-        (r+1)-subset of the users."""
-        segments, block_len, packet = self.segments, self.params.block_len, self.params.packet_size
+        leader) with no segment, a segment not packet_size symbols long or
+        holding a symbol outside [0, q), or an omitted subset with a segment;
+        then a key that names no (r+1)-subset of the users."""
+        segments, block_len, packet, q = self.segments, self.params.block_len, self.params.packet_size, self.field.q
         for sub in self._terms:
             seg = segments.get(sub)
             if seg is None:
@@ -351,6 +363,8 @@ class Broadcast:
                 return f"the segment of users {list(sub)} is not transmitted"
             elif len(seg) != packet:
                 return f"the segment of users {list(sub)} holds {len(seg)} symbols, not {packet}"
+            elif min(seg) < 0 or max(seg) >= q:
+                return f"the segment of users {list(sub)} holds a symbol outside [0, {q})"
         stray = next((sub for sub in segments if sub not in self._terms), None)
         return None if stray is None else f"the broadcast key {stray!r} names no {self.params.r + 1}-subset of the users"
 
@@ -433,9 +447,7 @@ def _decode(u: int, broadcast: Broadcast, cache: CacheSlice, solve) -> tuple[int
     subfiles {label rank: values}; the r = n_users shortcut (nothing
     uncached) skips it."""
     params = broadcast.params
-    if not 0 <= u < params.n_users:
-        raise ValueError(f"user {u} out of range")
-    cached = params.user_ranks[u]
+    cached = _user_ranks(params, u)
     packet = params.packet_size
     cut = {n: {t: cache.get(n, {}).get(t, ()) for t in cached} for n in broadcast._file_offset}
     for n, t in itertools.product(cut, cached):
@@ -482,17 +494,18 @@ def decode_linear(u: int, broadcast: Broadcast, cache: CacheSlice) -> tuple[int,
     return _decode(u, broadcast, cache, _solve_linear)
 
 
-def _odd_permutation(seq: list[int]) -> bool:
-    """True iff sorting ``seq`` (distinct entries) takes an odd number of swaps."""
-    return sum(x > y for x, y in itertools.combinations(seq, 2)) % 2 == 1
-
-
 def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Every omitted segment Y_B (a subset B with no leader), summed from
     transmitted ones by the leader-substitution identity of the module
-    docstring: V runs over the position sets of B, A_V is ``a_v`` and
-    sigma_V is read off ``_odd_permutation``.  Every A_V is a transmitted
-    subset, so its segment is in the checked segments."""
+    docstring, with the wedge over v in B of (e_v - e_l(v)) expanded one
+    factor at a time.  A term holds the leaders taken so far (ascending), the
+    users kept and a coefficient.  For each v, every term either keeps v or,
+    if l(v) is not taken yet, takes it: the coefficient is multiplied by -1
+    and, under the signed convention, by (-1) to the number of kept users and
+    taken leaders above l(v), the inversions l(v) adds, since every leader
+    sorts before every kept user.  So taken + kept is a sorted transmitted
+    subset, and terms[0], which takes no leader, is Y_B itself: Y_B is minus
+    the sum of c * Y over the other terms."""
     params = broadcast.params
     segments = broadcast._checked()
     demand = broadcast.demand
@@ -500,24 +513,24 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
     q = broadcast.field.q
     packet = params.packet_size
     signed = broadcast.signed
-    size_b = params.r + 1
     out = {}
-    for sub in itertools.combinations(range(params.block_len, params.n_users), size_b):
-        lead = [leader_of[demand[v]] for v in sub]
+    for sub in itertools.combinations(range(params.block_len, params.n_users), params.r + 1):
+        terms = [((), (), 1)]
+        for v in sub:
+            lead = leader_of[demand[v]]
+            grown = []
+            for taken, kept, c in terms:
+                grown.append((taken, kept + (v,), c))
+                if lead not in taken:  # e_l ^ e_l = 0: a leader is taken once
+                    i = bisect.bisect(taken, lead)
+                    flip = signed and (len(kept) + len(taken) - i) % 2
+                    grown.append((taken[:i] + (lead,) + taken[i:], kept, c if flip else -c))
+            terms = grown
         acc = [0] * packet
-        for size in range(1, size_b + 1):
-            for v_pos in itertools.combinations(range(size_b), size):
-                if len({lead[i] for i in v_pos}) < size:
-                    continue  # two users of one file: the term vanishes
-                a_v = list(sub)
-                for i in v_pos:
-                    a_v[i] = lead[i]
-                c = 1 if size % 2 else -1
-                if signed and _odd_permutation(a_v):
-                    c = -c
-                seg = segments[tuple(sorted(a_v))]
-                for p in range(packet):
-                    acc[p] = (acc[p] + c * seg[p]) % q
+        for taken, kept, c in terms[1:]:  # terms[0] keeps every user: Y_B
+            seg = segments[taken + kept]
+            for p in range(packet):
+                acc[p] = (acc[p] - c * seg[p]) % q
         out[sub] = tuple(acc)
     return out
 

@@ -465,7 +465,9 @@ def test_malformed_query_is_rejected(known, wanted, message):
 
 
 def test_inconsistency_found_by_substitution():
-    # x0 = 1 and 2 x0 = 3 over GF(5): each row alone is solvable
+    # x0 = 1 and 2 x0 = 3 over GF(5): each row alone is solvable; substitution
+    # leaves one of them no unknown and a nonzero right-hand side, which the
+    # residue check after rref reports
     f = PrimeField(5)
     with pytest.raises(InconsistentSystemError):
         determined_unknowns(_system(f, [[1], [2]], [[1], [3]]), {}, [0])

@@ -125,21 +125,21 @@ def message_template(node: ast.expr) -> str | None:
 
 def message_raisers() -> dict[str, list[str]]:
     """Each template of the first argument of a ``raise X(...)`` in
-    src/privcache, with the modules that raise it."""
-    raisers: dict[str, set[str]] = {}
+    src/privcache, with the ``module:line`` sites that raise it."""
+    raisers: dict[str, list[str]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
                 template = message_template(node.exc.args[0])
                 if template is not None:
-                    raisers.setdefault(template, set()).add(path.stem)
-    return {template: sorted(modules) for template, modules in raisers.items()}
+                    raisers.setdefault(template, []).append(f"{path.stem}:{node.lineno}")
+    return raisers
 
 
-def test_each_message_is_raised_from_one_module():
+def test_each_message_is_raised_from_one_line():
     raisers = message_raisers()
-    assert {"need at least one file and one user", "x={} outside envelope domain [{}, {}]"} <= set(raisers)
-    assert {template: modules for template, modules in raisers.items() if len(modules) > 1} == {}
+    assert {"need at least one file and one user", "x={} outside envelope domain [{}, {}]", "no solution"} <= set(raisers)
+    assert {template: sites for template, sites in raisers.items() if len(sites) > 1} == {}
 
 
 def _is_private(name: str) -> bool:

@@ -416,18 +416,87 @@ def test_reconstructed_segments_match_direct_sums():
     assert groups == {2, 3, 4} and signed == {False, True}
 
 
-@pytest.mark.parametrize("anchor", [
-    "if signed and _odd_permutation(a_v):",  # sigma dropped
-    "if len({lead[i] for i in v_pos}) < size:",  # V may repeat a file
-])
-def test_reconstruction_sign_rule_mutants_fail(anchor, monkeypatch):
+# (b, groups, largest r, q): block 0 of b files, signed from three groups on
+# over GF(257), plain below, and signless over GF(2)
+CERTIFICATE_CASES = [
+    (1, 4, 2, 257), (1, 6, 3, 257), (2, 3, 3, 257), (2, 4, 3, 257), (2, 5, 3, 257), (3, 3, 2, 257),
+    (2, 2, 3, 257), (3, 2, 2, 257),
+    (2, 4, 3, 2), (3, 3, 2, 2),
+]
+
+
+def _certificate_instances():
+    """(broadcast, expected) pairs over CERTIFICATE_CASES, each r up to the
+    largest: every restricted demand whose block 0 is (0, ..., b - 1), over
+    n_files = b files, with the unit-vector library.  Its packet_size is
+    n_files * C(K_v, r), and subfile t of file n holds a 1 at n * C(K_v, r) + t
+    and 0 elsewhere, so every segment, transmitted or omitted, is its own
+    coefficient vector.  ``expected`` maps each omitted subset to that
+    vector, read off the segment table."""
+    for b, groups, r_max, q in CERTIFICATE_CASES:
+        field = PrimeField(q)
+        for r in range(r_max + 1):
+            count = math.comb(b * groups, r)
+            width = b * count
+            params = UccParams(n_files=b, n_users=b * groups, block_len=b, r=r, packet_size=width)
+            lib = Library(field, tuple(tuple(int(j % width == n * count + j // width) for j in range(width * count))
+                                       for n in range(b)))
+            for tail in itertools.product(itertools.permutations(range(b)), repeat=groups - 1):
+                bc = encode(params, tuple(range(b)) + tuple(itertools.chain.from_iterable(tail)), lib)
+                expected = {}
+                for sub in itertools.combinations(range(b, params.n_users), r + 1):
+                    vec = [0] * width
+                    for n, t, c in bc._terms[sub]:
+                        vec[n * count + t] = c % q
+                    expected[sub] = tuple(vec)
+                yield bc, expected
+
+
+def _certificate_failures(rebuild) -> int:
+    """The certificate instances whose omitted segments ``rebuild`` gets
+    wrong, or reads a segment the broadcast does not hold for."""
+    failures = 0
+    for bc, expected in _certificate_instances():
+        try:
+            failures += rebuild(bc) != expected
+        except KeyError:
+            failures += 1
+    return failures
+
+
+def test_reconstruction_identity_integer_certificate():
+    """The leader-substitution rebuild, certified in integers for every
+    library over every prime field on the CERTIFICATE_CASES shapes.  The
+    rebuild is linear in the segments, so on the unit-vector library it
+    returns its own coefficients on the (file, subfile) basis.  Each
+    rebuilt coordinate is a sum of at most 2^(r+1) - 1 terms, each -1, 0 or
+    1, so at most 15 in size for r <= 3, and the true one is -1, 0 or 1, so
+    equality mod 257 is equality in integers.  That holds mod every odd
+    prime, whose convention is the one GF(257) gets; GF(2), where the
+    convention is plain, is checked on its own.  Relabeling files, and adding files no user
+    requests, changes neither side, so block 0 = (0, ..., b - 1) over b files
+    covers every restricted demand of these shapes."""
+    count = 0
+    for bc, expected in _certificate_instances():
+        assert _reconstructed_segments(bc) == expected
+        count += len(expected)
+    assert count == 6585
+
+
+@pytest.mark.parametrize("anchor, mutant", [
+    ("flip = signed and", "flip = False and"),  # sigma dropped
+    ("if lead not in taken:", "if True:"),  # V may repeat a file
+], ids=["sigma-dropped", "repeated-leader"])
+def test_reconstruction_sign_rule_mutants_fail(anchor, mutant, monkeypatch):
     """Each sign-rule mutant of the identity, built from the real source,
-    breaks the comparison with the direct library sums."""
+    breaks the comparison with the direct library sums and fails the
+    integer certificate."""
     source = textwrap.dedent(inspect.getsource(ucc._reconstructed_segments))
-    assert anchor in source
+    assert source.count(anchor) == 1
     namespace = dict(vars(ucc))
-    exec(source.replace(anchor, "if False:"), namespace)
-    monkeypatch.setattr(ucc, "_reconstructed_segments", namespace["_reconstructed_segments"])
+    exec(source.replace(anchor, mutant), namespace)
+    rebuild = namespace["_reconstructed_segments"]
+    monkeypatch.setattr(ucc, "_reconstructed_segments", rebuild)
     caught = 0
     for bc, lib in _reconstruction_instances():
         try:
@@ -437,6 +506,7 @@ def test_reconstruction_sign_rule_mutants_fail(anchor, monkeypatch):
             continue
         caught += any(vals != _direct_segment(bc, lib, sub) for sub, vals in recon.items())
     assert caught > 0
+    assert _certificate_failures(rebuild) > 0
 
 
 def test_decode_missing_cache_symbols_raises():
@@ -493,14 +563,15 @@ def test_missing_segment_is_named(n_users, r):
 
 
 @pytest.mark.parametrize("decoder", [decode_linear, decode_structural], ids=["linear", "structural"])
-@pytest.mark.parametrize("fault", ["3", "1", "omitted", "stray", "slice"])
+@pytest.mark.parametrize("fault", ["3", "1", "range", "omitted", "stray", "slice"])
 def test_decoder_names_a_misshapen_segment(fault, decoder):
     """A broadcast built directly with a segment one symbol too long or one
-    too short ("3", "1"), with a segment for the omitted subset, or with a
-    key that names no 2-subset, and a cache slice missing one cached
-    subfile, are each a DecodeError naming the fault, not a wrong file, an
-    IndexError or a bare KeyError, for every user and whichever decoder
-    reads them.  The broadcast faults are the same DecodeError when the
+    too short ("3", "1"), with a symbol outside [0, q), which the two
+    decoders would read differently ("range"), with a segment for the
+    omitted subset, or with a key that names no 2-subset, and a cache slice
+    missing one cached subfile, are each a DecodeError naming the fault,
+    not a wrong file, an IndexError or a bare KeyError, for every user and
+    whichever decoder reads them.  The broadcast faults are the same DecodeError when the
     rate (``segment_count``, ``symbol_count``) or ``trace_record`` reads the
     segments."""
     params = UccParams(n_files=3, n_users=4, block_len=2, r=1, packet_size=2)
@@ -510,6 +581,8 @@ def test_decoder_names_a_misshapen_segment(fault, decoder):
     faults = {
         "3": ({(0, 1): segments[(0, 1)] + (5,)}, "the segment of users [0, 1] holds 3 symbols, not 2"),
         "1": ({(0, 1): segments[(0, 1)][:1]}, "the segment of users [0, 1] holds 1 symbols, not 2"),
+        "range": ({(0, 2): (segments[(0, 2)][0] + 257, segments[(0, 2)][1])},
+                  "the segment of users [0, 2] holds a symbol outside [0, 257)"),
         "omitted": ({(2, 3): (0, 0)}, "the segment of users [2, 3] is not transmitted"),
         "stray": ({(9, 9, 9): (0, 0)}, "the broadcast key (9, 9, 9) names no 2-subset of the users"),
     }
@@ -620,6 +693,16 @@ def test_decode_refuses_a_user_out_of_range(u, decoder):
     bc = encode(params, (0, 1, 1, 0), lib)
     with pytest.raises(ValueError, match=f"^user {u} out of range$"):
         decode(u, bc, ucc.place(params, lib, range(4)), method=decoder)
+
+
+@pytest.mark.parametrize("u", [-1, 4])
+def test_place_refuses_a_user_out_of_range(u):
+    """Past both ends of [0, K_v): -1 is not read as user 3, and 4 is the
+    decoders' ValueError, not an IndexError."""
+    params = UccParams(n_files=3, n_users=4, block_len=2, r=1)
+    lib = ramp_library(F257, 3, params.file_len)
+    with pytest.raises(ValueError, match=f"^user {u} out of range$"):
+        ucc.place(params, lib, [0, u])
 
 
 def test_decode_unknown_method():
