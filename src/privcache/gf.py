@@ -8,26 +8,25 @@ by the caching scheme is 257; q = 2 is fully supported so privacy audits can
 enumerate every library realization.
 
 Gaussian elimination carries explicit status reporting and never returns a
-silently wrong answer on singular or inconsistent systems.  Elimination
-works on dict rows: a row is a dict from column to nonzero value, with
-right-hand side j at column n_coef + j.  Both solvers end in the sparse
-Gauss-Jordan kernel ``rref`` and read consistency off the rows past the
-rank, which hold right-hand-side entries only; both take many right-hand
-sides in one elimination: ``determined_unknowns`` extracts the exact values
-of chosen unknowns from a system that is underdetermined overall (a
-cache-aided decoder needs only the requested file's subfiles), and
-``solve_any`` returns one particular solution, or None, per
-right-hand-side column.  ``determined_unknowns`` is a query on a
-``SparseSystem``, built once and never mutated.  It stores each row split:
-a tuple of coefficient columns, a tuple of their values and a tuple of the
-right-hand sides, zeros included; next to them, its column index, holder
+silently wrong answer on singular or inconsistent systems.  A row has one
+format everywhere, from the stored system through ``rref``: a pair of a
+dict from each coefficient column to its value in [1, q), so no column is
+named twice, and the row's right-hand sides, zeros included.  Both solvers
+end in the sparse Gauss-Jordan kernel ``rref`` and read consistency off the
+rows past the rank, which hold right-hand sides only; both take many
+right-hand sides in one elimination: ``determined_unknowns`` extracts the
+exact values of chosen unknowns from a system that is underdetermined
+overall (a cache-aided decoder needs only the requested file's subfiles),
+and ``solve_any`` returns one particular solution, or None, per right-hand
+side.  ``determined_unknowns`` is a query on a ``SparseSystem``, built once
+and never mutated: its rows, and next to them its column index, holder
 counts and once-held columns.  Each query names the columns it knows, with
 their values, and the columns it wants.  It first peels the system, as
 structured Gaussian elimination does (LaMacchia and Odlyzko, CRYPTO 1990):
 a free column held by one row is dropped with that row, on a copy of the
-counts before any value is computed, then only the kept rows get a working
-copy and singleton rows are solved by substitution, so only the residue
-reaches ``rref``, as dict rows.
+counts before any value is computed, then only the kept rows are copied,
+as ``(dict(row), list(rhs))``, and singleton rows are solved by
+substitution, so only the residue reaches ``rref``.
 """
 
 from __future__ import annotations
@@ -93,29 +92,30 @@ class InconsistentSystemError(ValueError):
     """The linear system has no solution."""
 
 
-Row = dict[int, int]  # column -> nonzero value in [1, q); right-hand side j at column n_coef + j
+Row = tuple[dict[int, int], list[int]]  # coefficient column -> value in [1, q); the right-hand sides
 
 
-def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
-    """Sparse Gauss-Jordan to reduced row echelon form, in place, over the
-    first ``n_coef`` columns.
+def rref(field: PrimeField, rows: list[Row]) -> list[int]:
+    """Sparse Gauss-Jordan to reduced row echelon form, in place.
 
-    Columns from ``n_coef`` on ride along as right-hand sides.  Returns the
-    list of pivot columns; after the call, row i holds pivot i and the rows
-    past the rank hold right-hand-side entries only.  The columns some row
-    holds are taken in order (fill-in only spreads columns already held) and
-    each pivot touches only the rows that hold its column; among
-    those, the row with the fewest nonzeros is the pivot, to limit fill-in,
-    the first such row on a tie.  The reduced form is unique, so the choice
-    never shows in the result.  A pivot of -1 is scaled by -1, with no field
-    inverse.
+    Each row's right-hand sides ride along.  Returns the list of pivot
+    columns; after the call, row i holds pivot i and the rows past the rank
+    hold no coefficient column, so right-hand side j is consistent iff their
+    entries j are all 0.  The columns some row holds are taken in order
+    (fill-in only spreads columns already held) and each pivot touches only
+    the rows that hold its column; among those, a row with the fewest
+    coefficient columns is the pivot, to limit fill-in.  Which of several
+    such rows is taken is left to the holder set's iteration order.  The
+    choice never shows in the pivot rows' coefficients, their consistent
+    right-hand sides or the consistency verdict, which the reduced form
+    fixes; only an inconsistent right-hand side can differ.  A pivot of -1
+    is scaled by -1, with no field inverse.
     """
     q = field.q
-    holders: dict[int, set[int]] = {}  # coefficient column -> rows holding it
-    for i, row in enumerate(rows):
+    holders: dict[int, set[int]] = {}  # column -> rows holding it
+    for i, (row, _) in enumerate(rows):
         for c in row:
-            if c < n_coef:
-                holders.setdefault(c, set()).add(i)
+            holders.setdefault(c, set()).add(i)
     is_pivot = [False] * len(rows)
     pivots: list[int] = []
     pivot_rows: list[int] = []
@@ -123,21 +123,23 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
         held = holders[col]
         p, size = -1, 0
         for i in held:
-            if not is_pivot[i] and (p < 0 or len(rows[i]) < size):
-                p, size = i, len(rows[i])
+            if not is_pivot[i] and (p < 0 or len(rows[i][0]) < size):
+                p, size = i, len(rows[i][0])
         if p < 0:
             continue
-        prow = rows[p]
+        prow, prhs = rows[p]
         head = prow[col]
         if head != 1:
             s = q - 1 if head == q - 1 else field.inv(head)
             for c in prow:
                 prow[c] = prow[c] * s % q
+            prhs[:] = [x * s % q for x in prhs]
         others = [(c, v) for c, v in prow.items() if c != col]
+        others_rhs = [(j, y) for j, y in enumerate(prhs) if y]
         for i in held:
             if i == p:
                 continue
-            row = rows[i]
+            row, rhs = rows[i]
             f = row.pop(col)
             for c, v in others:
                 if c in row:
@@ -146,12 +148,12 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
                         row[c] = x
                     else:
                         del row[c]
-                        if c < n_coef:
-                            holders[c].discard(i)
+                        holders[c].discard(i)
                 else:
                     row[c] = -f * v % q
-                    if c < n_coef:
-                        holders[c].add(i)
+                    holders[c].add(i)
+            for j, y in others_rhs:
+                rhs[j] = (rhs[j] - f * y) % q
         is_pivot[p] = True
         pivots.append(col)
         pivot_rows.append(p)
@@ -161,45 +163,39 @@ def rref(field: PrimeField, rows: list[Row], n_coef: int) -> list[int]:
 
 def solve_any(field: PrimeField, rows: list[Row], n_coef: int, n_rhs: int) -> list[tuple[int, ...] | None]:
     """One particular solution of A x = b_j (free unknowns set to 0) for every
-    right-hand-side column b_j, or None for a column whose system is
-    inconsistent.  ``rows`` are sparse rows of [A | B] and are reduced in
-    place; a single elimination serves all ``n_rhs`` columns.  A x = b_j is
-    consistent iff no row past the rank holds column n_coef + j."""
-    pivots = rref(field, rows, n_coef)
-    held = {c for row in rows[len(pivots):] for c in row}
+    right-hand side b_j, or None for one whose system is inconsistent.
+    ``rows`` are the rows of A over columns [0, n_coef), each with its
+    ``n_rhs`` right-hand sides, and are reduced in place; a single
+    elimination serves all of them.  A x = b_j is consistent iff every row
+    past the rank has b_j entry 0."""
+    pivots = rref(field, rows)
     solutions: list[tuple[int, ...] | None] = []
     for j in range(n_rhs):
-        if n_coef + j in held:
-            solutions.append(None)
-            continue
         x = [0] * n_coef
-        for i, col in enumerate(pivots):
-            x[col] = rows[i].get(n_coef + j, 0)
-        solutions.append(tuple(x))
+        for col, (_, rhs) in zip(pivots, rows):
+            x[col] = rhs[j]
+        solutions.append(None if any(rhs[j] for _, rhs in rows[len(pivots):]) else tuple(x))
     return solutions
-
-
-SplitRow = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # columns, their values, right-hand sides
 
 
 class SparseSystem:
     """A sparse system [A | B] built once and queried by ``determined_unknowns``
     under many sets of known columns.
 
-    Each row comes split: ``cols[i]`` lists its distinct coefficient
-    columns, ``coefs[i]`` their values in [1, q), in the same order, and
-    ``rhs[i]`` its ``n_rhs`` right-hand sides, zeros included.  None of them
-    is ever mutated.  ``holders[c]`` lists the rows holding column c and
-    ``counts[c]`` their number, both indexed by column, and ``once`` the
+    ``rows[i]`` is a pair: a dict from each coefficient column of row i to
+    its value in [1, q), and its ``n_rhs`` right-hand sides, zeros included.
+    No row is ever mutated.  ``holders[c]`` lists the rows holding column c
+    and ``counts[c]`` their number, both indexed by column, and ``once`` the
     columns exactly one row holds, in column order.
     """
 
-    def __init__(self, field: PrimeField, rows: Iterable[SplitRow], n_coef: int, n_rhs: int):
+    def __init__(self, field: PrimeField, rows: Iterable[tuple[Mapping[int, int], Sequence[int]]],
+                 n_coef: int, n_rhs: int):
         self.field, self.n_coef, self.n_rhs = field, n_coef, n_rhs
-        self.cols, self.coefs, self.rhs = tuple(zip(*rows)) or ((), (), ())
+        self.rows = tuple(rows)
         self.holders: list[list[int]] = [[] for _ in range(n_coef)]
-        for i, cols in enumerate(self.cols):
-            for c in cols:
+        for i, (row, _) in enumerate(self.rows):
+            for c in row:
                 self.holders[c].append(i)
         self.counts = list(map(len, self.holders))
         self.once = [c for c, n in enumerate(self.counts) if n == 1]
@@ -238,14 +234,14 @@ def determined_unknowns(
     remaining row's width, so neither makes work for the other and they
     commute.  So (b) runs first, from the system's once-held columns on a
     copy of its holder counts, before any value is computed.  Only the rows
-    it keeps get a working copy, their unknown coefficients as a dict and
-    their right-hand sides as a list with the known columns moved in, and
-    (a) runs on those, from the rows that are singletons once the known
-    columns are moved; a +-1 coefficient is solved for without a field
-    inverse.  Every value it fixes is forced, so the fixed values and the
-    residue do not depend on the order it pops rows in.  The residue,
-    possibly empty, goes through ``rref`` as dict rows.  The system is
-    consistent iff every row past the rank is empty, and this is the one
+    it keeps get a working copy, ``(dict(row), list(rhs))``, with the known
+    columns moved to its right-hand sides, and (a) runs on those, from the
+    rows that are singletons once the known columns are moved; a +-1
+    coefficient is solved for without a field inverse.  Every value it fixes
+    is forced, so the fixed values and the residue do not depend on the
+    order it pops rows in.  The residue, possibly empty, goes through
+    ``rref`` as those same pairs.  The system is consistent iff every
+    right-hand side of every row past the rank is 0, and this is the one
     place an inconsistency is reported.  An unknown is determined when its
     column is a pivot whose reduced row holds no coefficient column but its
     own.
@@ -262,8 +258,8 @@ def determined_unknowns(
     clash = sorted(known.keys() & wanted)
     if clash:
         raise ValueError(f"columns both known and wanted: {clash}")
-    cols, coefs, rhs, holders = system.cols, system.coefs, system.rhs, system.holders
-    m = len(cols)
+    rows, holders = system.rows, system.holders
+    m = len(rows)
     live = [True] * m
 
     count = system.counts.copy()  # (b): column -> live rows holding it
@@ -278,34 +274,32 @@ def determined_unknowns(
             if live[i]:
                 break
         live[i] = False
-        for c in cols[i]:
+        for c in rows[i][0]:
             n = count[c] - 1
             count[c] = n
             if n == 1:
                 frees.append(c)
 
-    unknowns: list[Row | None] = [None] * m  # kept row -> its unknown columns' coefficients
-    values: list[list[int] | None] = [None] * m  # kept row -> its right-hand sides, known columns moved in
-    for i in compress(range(m), live):
-        unknowns[i] = dict(zip(cols[i], coefs[i]))
-        values[i] = list(rhs[i])
+    # kept row -> its working copy, known columns moved in
+    work: dict[int, Row] = {i: (dict(row), list(rhs))
+                            for i, (row, rhs) in zip(compress(range(m), live), compress(rows, live))}
     for c, x in known.items():
         for i in holders[c]:
             if live[i]:
-                a = unknowns[i].pop(c)
-                b = values[i]
+                row, b = work[i]
+                a = row.pop(c)
                 for j, y in enumerate(x):
                     b[j] = (b[j] - a * y) % q
-    singles = [i for i in compress(range(m), live) if len(unknowns[i]) == 1]
+    singles = [i for i in compress(range(m), live) if len(work[i][0]) == 1]
 
     fixed: dict[int, list[int]] = {}  # (a): unknown -> its values, one per right-hand side
     while singles:
         i = singles.pop()
-        if len(unknowns[i]) != 1:
+        row, value = work[i]
+        if len(row) != 1:
             continue  # its unknown was fixed by another row since: it stays live, for the residue check
         live[i] = False
-        (c, a), = unknowns[i].items()
-        value = values[i]
+        (c, a), = row.items()
         if a == q - 1:
             value = [-x % q for x in value]
         elif a != 1:
@@ -315,25 +309,18 @@ def determined_unknowns(
         for k in holders[c]:
             if not live[k]:
                 continue
-            other, b = unknowns[k], values[k]
+            other, b = work[k]
             f = other.pop(c)
             for j, x in enumerate(value):
                 b[j] = (b[j] - f * x) % q
             if len(other) == 1:
                 singles.append(k)
 
-    residue = []
-    for i in compress(range(m), live):
-        row = unknowns[i]
-        for j, x in enumerate(values[i]):
-            if x:
-                row[n_coef + j] = x
-        residue.append(row)
-    pivots = rref(field, residue, n_coef)
-    if any(residue[len(pivots):]):
+    residue = [work[i] for i in compress(range(m), live)]
+    pivots = rref(field, residue)
+    if any(any(rhs) for _, rhs in residue[len(pivots):]):
         raise InconsistentSystemError("no solution")
     pivot_row = {col: i for i, col in enumerate(pivots)}
-    rhs_cols = range(n_coef, n_coef + n_rhs)
     out: dict[int, tuple[int, ...]] = {}
     for j in wanted:
         if j in fixed:
@@ -342,8 +329,7 @@ def determined_unknowns(
         i = pivot_row.get(j)
         if i is None:
             continue
-        row = residue[i]
-        if any(c < n_coef and c != j for c in row):
-            continue
-        out[j] = tuple([row.get(k, 0) for k in rhs_cols])
+        row, rhs = residue[i]
+        if len(row) == 1:  # no coefficient column but its own
+            out[j] = tuple(rhs)
     return out

@@ -20,8 +20,8 @@ requested file as its cached and solved subfiles concatenated in rank order:
 * ``decode_linear`` is the reference decoder.  Every subfile of the
   requested files is a column and every transmitted segment a linear
   equation; that sparse system is built once per broadcast, straight from
-  the segment table (a row is its segment's columns, their +-1
-  coefficients and the segment's own symbols as right-hand sides), and
+  the segment table (a row maps its segment's columns to their +-1
+  coefficients, with the segment's own symbols as right-hand sides), and
   shared by every user's decode.  A decode is one query on it
   (``gf.determined_unknowns``): the user's cached subfiles are known
   columns, the uncached subfiles of its requested file the wanted ones, and
@@ -50,7 +50,11 @@ requested file as its cached and solved subfiles concatenated in rank order:
   user u reads each uncached subfile W[d_u][S] off the single segment of
   S + {u}, whose other terms are labeled by sets containing u and so are
   cached.  It never eliminates and is cross-checked against the reference
-  decoder in the test suite.
+  decoder in the test suite.  The rebuild of Y_B reads only B, the leaders
+  of B's files and the order of those users, so up to relabeling it sees
+  one of Fubini(r+1) local patterns; the suite runs it in the integers on
+  every pattern with r <= 4, so for r <= 4 the structural decoder is exact
+  for every library over every prime field.
 
 This module alone decides what a decode reads and whether its inputs are
 usable.  Both decoders share one boundary, ``_decode``, which cuts and
@@ -329,20 +333,16 @@ class Broadcast:
     def _system(self) -> SparseSystem:
         """The linear decoder's system, shared by every linear decode: one row
         per transmitted segment, in rank order, read off the segment table
-        over every subfile of the requested files.  A row's columns are its
-        terms' offset[n] + t, its coefficients their c mod q and its
-        right-hand sides the segment's own symbols.  The segments have passed
-        ``_checked``, so the transmitted subsets are exactly their keys."""
+        over every subfile of the requested files.  A row maps each term's
+        column offset[n] + t to its c mod q, and its right-hand sides are the
+        segment's own symbols.  The segments have passed ``_checked``, so the
+        transmitted subsets are exactly their keys."""
         q = self.field.q
         offset = self._file_offset
         segments = self._checked()
-        rows = []
-        for sub, terms in self._terms.items():
-            seg = segments.get(sub)
-            if seg is None:
-                continue  # omitted: not an equation
-            # the terms of one segment name distinct subfiles
-            rows.append((tuple([offset[n] + t for n, t, _ in terms]), tuple([c % q for _, _, c in terms]), seg))
+        # an omitted subset is not an equation; the terms of one segment name distinct subfiles
+        rows = [({offset[n] + t: c % q for n, t, c in terms}, segments[sub])
+                for sub, terms in self._terms.items() if sub in segments]
         return SparseSystem(self.field, rows, len(offset) * self.params.subfile_count, self.params.packet_size)
 
     @cached_property
@@ -483,8 +483,8 @@ def decode_linear(u: int, broadcast: Broadcast, cache: CacheSlice) -> tuple[int,
 
     The broadcast's sparse system, built on its first linear decode, holds
     one row per transmitted segment over every subfile of the requested files
-    (subfile t of file n at column offset[n] + t), each split into the
-    segment's columns, coefficients and symbols.  u's decode is one
+    (subfile t of file n at column offset[n] + t), each the segment's
+    columns with their coefficients, and its symbols.  u's decode is one
     ``determined_unknowns`` query on it: the subfiles u caches are known
     columns, read from its cache slice and moved to the right-hand side, and
     the uncached subfiles of its requested file are wanted.  All packet

@@ -1,5 +1,6 @@
 """Prime-field arithmetic and exact linear solving tests."""
 
+import copy
 import itertools
 import math
 import random
@@ -108,36 +109,27 @@ def test_solve_underdetermined():
     assert determined_unknowns(_system(f, [[1, 1], [2, 2]], [[0], [0]]), {}, range(2)) == {}
 
 
-def _sparse(f, matrix, rhs_rows=None):
-    """Dense A and B as the solvers' arguments: the sparse rows of [A | B],
-    every entry reduced and zeros dropped, n_coef and n_rhs."""
+def _rows(f, matrix, rhs_rows=None):
+    """Dense A and B as the solvers' rows: per row a dict of its nonzero
+    coefficient columns, reduced, and a list of its reduced right-hand sides,
+    zeros included; then n_coef and n_rhs."""
     if rhs_rows is None:
         rhs_rows = [()] * len(matrix)
-    rows = [{c: x % f.q for c, x in enumerate([*coef, *rhs]) if x % f.q} for coef, rhs in zip(matrix, rhs_rows)]
-    return rows, len(matrix[0]) if matrix else 0, len(rhs_rows[0]) if rhs_rows else 0
-
-
-def _split(f, matrix, rhs_rows=None):
-    """Dense A and B as ``SparseSystem``'s split rows: per row its nonzero
-    coefficient columns, their reduced values and its reduced right-hand
-    sides, zeros included; then n_coef and n_rhs."""
-    if rhs_rows is None:
-        rhs_rows = [()] * len(matrix)
-    rows = [(tuple(c for c, x in enumerate(coef) if x % f.q), tuple(x % f.q for x in coef if x % f.q),
-             tuple(x % f.q for x in rhs)) for coef, rhs in zip(matrix, rhs_rows)]
+    rows = [({c: x % f.q for c, x in enumerate(coef) if x % f.q}, [x % f.q for x in rhs])
+            for coef, rhs in zip(matrix, rhs_rows)]
     return rows, len(matrix[0]) if matrix else 0, len(rhs_rows[0]) if rhs_rows else 0
 
 
 def _system(f, matrix, rhs_rows=None):
     """Dense A and B as a ``SparseSystem`` for ``determined_unknowns``."""
-    return SparseSystem(f, *_split(f, matrix, rhs_rows))
+    return SparseSystem(f, *_rows(f, matrix, rhs_rows))
 
 
 def _random_invertible(f, n, rng):
     while True:
         a = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
-        rows, n_coef, _ = _sparse(f, a)
-        if len(rref(f, rows, n_coef)) == n:
+        rows, _, _ = _rows(f, a)
+        if len(rref(f, rows)) == n:
             return a
 
 
@@ -196,7 +188,7 @@ def test_solve_any_multi_rhs_brute_force_gf3():
                 cols.append(image([rng.randrange(3) for _ in range(n)]))
             else:
                 cols.append([rng.randrange(3) for _ in range(m)])
-        got = solve_any(f, *_sparse(f, a, [[col[i] for col in cols] for i in range(m)]))
+        got = solve_any(f, *_rows(f, a, [[col[i] for col in cols] for i in range(m)]))
         assert len(got) == len(cols)
         images = [image(x) for x in itertools.product(range(3), repeat=n)]
         for col, x in zip(cols, got):
@@ -208,13 +200,17 @@ def test_solve_any_multi_rhs_brute_force_gf3():
     assert outcomes == {True, False}
 
 
-def test_rref_pivot_is_the_first_of_the_narrowest_rows():
-    """Rows 1 and 2 tie as the narrowest holders of column 0, so row 1 is the
-    pivot, which shows in what is left past the rank."""
+def test_rref_pivot_is_the_row_with_the_fewest_coefficients():
+    """Rows of 2, 1 and 3 coefficient columns all hold column 0, so row 1 is
+    its pivot, although row 0 has fewer nonzeros once the right-hand sides
+    count; then row 0 pivots column 1 and row 2 column 2.  The reduced rows
+    are the same pair objects, reordered."""
     f = PrimeField(5)
-    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 1: 3}]
-    assert rref(f, rows, 1) == [0]
-    assert rows == [{0: 1, 1: 2}, {1: 4, 2: 1}, {1: 1}]
+    rows = [({0: 1, 1: 1}, [0, 0]), ({0: 1}, [1, 2]), ({0: 1, 1: 2, 2: 1}, [0, 0])]
+    given = list(rows)
+    assert rref(f, rows) == [0, 1, 2]
+    assert all(row is given[i] for row, i in zip(rows, [1, 0, 2]))
+    assert rows == [({0: 1}, [1, 2]), ({1: 1}, [4, 3]), ({2: 1}, [1, 2])]
 
 
 def _dense_rref(q, rows, n_coef):
@@ -273,27 +269,28 @@ def test_sparse_rref_matches_dense_reference(q):
     """The sparse kernel against the dense reference on seeded random systems:
     the same pivots, the same reduced pivot rows and the same per-column
     consistency; ``solve_any`` and ``determined_unknowns`` agree with answers
-    read off the dense form; no stored entry is ever 0."""
+    read off the dense form; no stored coefficient is ever 0."""
     f = PrimeField(q)
     rng = random.Random(6000 + q)
     seen = set()
     for _ in range(400):
         a, b = _random_system(q, rng)
-        rows, n_coef, n_rhs = _sparse(f, a, b)
-        pivots = rref(f, rows, n_coef)
+        rows, n_coef, n_rhs = _rows(f, a, b)
+        pivots = rref(f, rows)
         dense = [[x % q for x in ra] + [x % q for x in rb] for ra, rb in zip(a, b)]
         assert pivots == _dense_rref(q, dense, n_coef)
         rank = len(pivots)
-        assert all(0 < x < q for row in rows for x in row.values())
-        assert all(c >= n_coef for row in rows[rank:] for c in row)
+        assert all(0 < x < q for row, _ in rows for x in row.values())
+        assert all(len(rhs) == n_rhs and all(0 <= x < q for x in rhs) for _, rhs in rows)
+        assert all(not row for row, _ in rows[rank:])
         consistent = [not any(row[n_coef + j] for row in dense[rank:]) for j in range(n_rhs)]
-        assert consistent == [not any(n_coef + j in row for row in rows[rank:]) for j in range(n_rhs)]
+        assert consistent == [not any(rhs[j] for _, rhs in rows[rank:]) for j in range(n_rhs)]
         # rows past the rank may be added to a pivot row, so its entries are
-        # unique only on coefficient columns and consistent RHS columns
-        unique = list(range(n_coef)) + [n_coef + j for j, ok in enumerate(consistent) if ok]
-        for sparse_row, dense_row in zip(rows[:rank], dense):
-            assert {c: sparse_row[c] for c in unique if c in sparse_row} == \
-                   {c: dense_row[c] for c in unique if dense_row[c]}
+        # unique only on coefficient columns and consistent right-hand sides
+        unique = [j for j, ok in enumerate(consistent) if ok]
+        for (row, rhs), dense_row in zip(rows[:rank], dense):
+            assert row == {c: dense_row[c] for c in range(n_coef) if dense_row[c]}
+            assert [rhs[j] for j in unique] == [dense_row[n_coef + j] for j in unique]
 
         def particular(j):
             x = [0] * n_coef
@@ -302,7 +299,7 @@ def test_sparse_rref_matches_dense_reference(q):
             return tuple(x)
 
         expected_any = [particular(j) if ok else None for j, ok in enumerate(consistent)]
-        assert solve_any(f, *_sparse(f, a, b)) == expected_any
+        assert solve_any(f, *_rows(f, a, b)) == expected_any
         free = set(range(n_coef)) - set(pivots)
         if all(consistent):
             expected = {col: tuple(row[n_coef:]) for col, row in zip(pivots, dense)
@@ -392,22 +389,22 @@ def test_determined_unknowns_known_columns_match_dense_reference(q):
     columns substituted by hand.  Their values are a solution's or random, so
     both consistent and inconsistent queries occur.  Two queries with
     different known sets alternate on one system: each gives the same answer
-    twice, and the system's split rows and index are unchanged afterwards."""
+    twice, and the system's rows and index are unchanged afterwards."""
     f = PrimeField(q)
     rng = random.Random(8000 + q)
     seen = set()
     for _ in range(300):
         a, b = _random_sparse_system(q, rng, rng.choice([1, 2, 3]))
-        split, n_coef, n_rhs = _split(f, a, b)
-        system = SparseSystem(f, split, n_coef, n_rhs)
+        given, n_coef, n_rhs = _rows(f, a, b)
+        system = SparseSystem(f, copy.deepcopy(given), n_coef, n_rhs)
 
         def stored():
-            return (list(zip(system.cols, system.coefs, system.rhs)),
+            return (copy.deepcopy(system.rows),
                     [list(held) for held in system.holders], list(system.counts), list(system.once))
 
         before = stored()
-        assert before[0] == split
-        solution = solve_any(f, *_sparse(f, a, b))
+        assert list(before[0]) == given
+        solution = solve_any(f, *_rows(f, a, b))
         queries = []
         for _ in range(2):
             known_cols = [c for c in range(n_coef) if rng.random() < 0.4]
@@ -489,9 +486,9 @@ def test_singleton_chain(monkeypatch):
     sizes = []
     real_rref = gf.rref
 
-    def sizing_rref(field, rows, n_coef):
+    def sizing_rref(field, rows):
         sizes.append(len(rows))
-        return real_rref(field, rows, n_coef)
+        return real_rref(field, rows)
 
     monkeypatch.setattr(gf, "rref", sizing_rref)
     a = [[0, 0, 1, 1], [0, 1, 2, 0], [1, 1, 0, 0], [1, 0, 0, 0]]

@@ -355,7 +355,8 @@ def test_linear_system_built_once_per_broadcast(monkeypatch, decoder, builds):
 
 # Per query of the (6,2,3,2) seed-0 linear run, in decode order: the number
 # of rows handed to gf.rref and the sha256 of their repr as sorted items,
-# recorded at a known-good revision.
+# recorded at a known-good revision, when a row was one dict holding its
+# nonzero right-hand side j at column 396 + j.
 RREF_RESIDUES = [
     (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
@@ -373,11 +374,11 @@ def test_linear_queries_hand_rref_the_recorded_residues(monkeypatch):
     residues = []
     real_rref = gf.rref
 
-    def recording_rref(field, rows, n_coef):
-        assert n_coef == 396
-        listed = [sorted(row.items()) for row in rows]
+    def recording_rref(field, rows):
+        assert all(c < 396 and len(rhs) == 1 for row, rhs in rows for c in row)
+        listed = [sorted({**row, **{396 + j: x for j, x in enumerate(rhs) if x}}.items()) for row, rhs in rows]
         residues.append((len(rows), hashlib.sha256(repr(listed).encode()).hexdigest()))
-        return real_rref(field, rows, n_coef)
+        return real_rref(field, rows)
 
     monkeypatch.setattr(gf, "rref", recording_rref)
     assert run_simulation(SchemeParams(6, 2, 3, r=2), 0, decoder="linear").correct_all
@@ -478,9 +479,9 @@ def test_linear_decoder_eliminates_only_the_residue(monkeypatch):
     real_rref = gf.rref
     sizes = []
 
-    def sizing_rref(field, rows, n_coef):
+    def sizing_rref(field, rows):
         sizes.append(len(rows))
-        return real_rref(field, rows, n_coef)
+        return real_rref(field, rows)
 
     monkeypatch.setattr(gf, "rref", sizing_rref)
     for seed in range(5):

@@ -1,11 +1,13 @@
 """Single-demand engine tests: placement layout, restricted demands, encoding
 counts, the hand-checked decode identity, and exhaustive decoder equivalence."""
 
+import copy
 import inspect
 import itertools
 import math
 import random
 import textwrap
+import types
 
 import pytest
 
@@ -379,10 +381,11 @@ def _eliminated_segments(bc):
     transmitted = sorted(bc.segments)
     omitted = list(itertools.combinations(range(params.block_len, params.n_users), params.r + 1))
     basis = {key: i for i, key in enumerate(itertools.product(sorted(set(bc.demand)), range(params.subfile_count)))}
-    rows = [{} for _ in basis]
-    for j, sub in enumerate(transmitted + omitted):
-        for c, u in zip(coeffs, sub):
-            rows[basis[(bc.demand[u], rank_of[tuple(v for v in sub if v != u)])]][j] = c % q
+    rows = [({}, [0] * len(omitted)) for _ in basis]  # a transmitted segment's coefficient, an omitted one's rhs
+    for part, subsets in enumerate((transmitted, omitted)):
+        for j, sub in enumerate(subsets):
+            for c, u in zip(coeffs, sub):
+                rows[basis[(bc.demand[u], rank_of[tuple(v for v in sub if v != u)])]][part][j] = c % q
     out = {}
     for sub, combo in zip(omitted, solve_any(bc.field, rows, len(transmitted), len(omitted))):
         if combo is None:
@@ -424,16 +427,20 @@ CERTIFICATE_CASES = [
     (2, 4, 3, 2), (3, 3, 2, 2),
 ]
 
+# K_v <= 9 shapes for the local certificate's oracle: three groups or more,
+# where B can repeat a file, and two, where it cannot
+SMALL_CERTIFICATE_CASES = [(1, 4, 2, 257), (2, 3, 3, 257), (3, 3, 2, 257), (2, 2, 3, 257)]
 
-def _certificate_instances():
-    """(broadcast, expected) pairs over CERTIFICATE_CASES, each r up to the
+
+def _certificate_instances(cases=CERTIFICATE_CASES):
+    """(broadcast, expected) pairs over ``cases``, each r up to the
     largest: every restricted demand whose block 0 is (0, ..., b - 1), over
     n_files = b files, with the unit-vector library.  Its packet_size is
     n_files * C(K_v, r), and subfile t of file n holds a 1 at n * C(K_v, r) + t
     and 0 elsewhere, so every segment, transmitted or omitted, is its own
     coefficient vector.  ``expected`` maps each omitted subset to that
     vector, read off the segment table."""
-    for b, groups, r_max, q in CERTIFICATE_CASES:
+    for b, groups, r_max, q in cases:
         field = PrimeField(q)
         for r in range(r_max + 1):
             count = math.comb(b * groups, r)
@@ -483,14 +490,132 @@ def test_reconstruction_identity_integer_certificate():
     assert count == 6585
 
 
+class _Formal(dict):
+    """An integer combination of (file, label) subfiles standing in for one
+    segment symbol, so that ``_reconstructed_segments`` runs in the
+    integers: the rebuild asks a symbol only for c * x, a - x and x % q, and
+    here % q keeps every integer."""
+
+    def __rmul__(self, c):
+        return _Formal({key: c * v for key, v in self.items()})
+
+    def __sub__(self, other):
+        out = _Formal(self)
+        for key, v in other.items():
+            x = out.get(key, 0) - v
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+        return out
+
+    def __rsub__(self, zero):  # the rebuild's accumulator starts at the int 0
+        return _Formal() - self
+
+    def __mod__(self, q):
+        return self
+
+
+def _local_patterns(r):
+    """Every local pattern of an omitted (r+1)-subset B: the files of B's
+    users in user order, numbered by their leaders' order, which is every
+    surjection of B's r + 1 positions onto range(b) for some b."""
+    for files in itertools.product(range(r + 1), repeat=r + 1):
+        if set(files) == set(range(max(files) + 1)):
+            yield files
+
+
+def _local_error(rebuild, pattern, signed):
+    """Y_B minus its rebuild, in the integers, on ``pattern``'s local
+    broadcast: users 0..b-1 lead files 0..b-1 and users b..b+r are B, so B is
+    its one omitted subset.  A rebuild that reads a segment the broadcast
+    does not hold gives None."""
+    b, r = max(pattern) + 1, len(pattern) - 1
+    demand = tuple(range(b)) + pattern
+
+    def segment(sub):
+        return _Formal({(demand[v], sub[:i] + sub[i + 1:]): -1 if signed and i % 2 else 1
+                        for i, v in enumerate(sub)})
+
+    segments = {sub: (segment(sub),) for sub in itertools.combinations(range(b + r + 1), r + 1) if sub[0] < b}
+    bc = types.SimpleNamespace(
+        params=types.SimpleNamespace(block_len=b, n_users=b + r + 1, r=r, packet_size=1),
+        demand=demand, signed=signed, field=types.SimpleNamespace(q=None), _checked=lambda: segments)
+    try:
+        (rebuilt,), = rebuild(bc).values()
+    except KeyError:
+        return None
+    return segment(tuple(range(b, b + r + 1))) - rebuilt
+
+
+def _local_failures(rebuild, r_max):
+    """The checks of the local certificate that ``rebuild`` fails over every
+    local pattern with r <= r_max, as (pattern, convention) pairs: the
+    signed identity must hold in the integers; the plain one must hold
+    exactly where B's files are distinct, and mod 2 everywhere, since GF(2)
+    uses it."""
+    failures = []
+    for r in range(r_max + 1):
+        for pattern in _local_patterns(r):
+            if _local_error(rebuild, pattern, True) != {}:
+                failures.append((pattern, "signed"))
+            error = _local_error(rebuild, pattern, False)
+            if (error == {}) != (len(set(pattern)) == len(pattern)):
+                failures.append((pattern, "plain"))
+            if error is None or any(v % 2 for v in error.values()):
+                failures.append((pattern, "plain mod 2"))
+    return failures
+
+
+def test_reconstruction_identity_local_certificate():
+    """The rebuild of one omitted segment Y_B reads only B, the leaders of
+    B's files and the order of those users, every leader before every other
+    user.  Up to relabeling that is a local pattern, and there are
+    Fubini(r + 1) of them, so one pass over them, run in the integers,
+    covers every N, K_v, demand, library and prime field at that r.  For
+    r <= 4: the signed identity holds on every pattern; the plain one
+    holds exactly where B's files are distinct, which is always the case
+    with one or two groups, where odd q uses it; and the plain one holds
+    mod 2 on every pattern, which covers GF(2).  So
+    ``_reconstructed_segments`` is exact wherever ``Broadcast.signed`` sends
+    it."""
+    assert [sum(1 for _ in _local_patterns(r)) for r in range(5)] == [1, 3, 13, 75, 541]
+    assert _local_failures(_reconstructed_segments, 4) == []
+
+
+def test_local_certificate_agrees_with_the_whole_demand_one(monkeypatch):
+    """The local certificate's verdicts against the whole-demand one as an
+    oracle: with each convention forced on the small-K_v certificate shapes,
+    an omitted segment is rebuilt right exactly when its local pattern's
+    identity holds.  Both verdicts occur, so the reduction to local patterns
+    is checked on failures as well as on successes."""
+    verdicts = {}
+    seen = set()
+    for signed in (False, True):
+        monkeypatch.setattr(Broadcast, "signed", property(lambda self, signed=signed: signed))
+        for bc, expected in _certificate_instances(SMALL_CERTIFICATE_CASES):
+            block_len = bc.params.block_len
+            leader_of = {bc.demand[i]: i for i in range(block_len)}
+            rebuilt = _reconstructed_segments(bc)
+            for sub, vec in expected.items():
+                order = sorted({leader_of[bc.demand[v]] for v in sub})
+                pattern = tuple(order.index(leader_of[bc.demand[v]]) for v in sub)
+                holds = rebuilt[sub] == vec
+                if (pattern, signed) not in verdicts:
+                    verdicts[pattern, signed] = _local_error(_reconstructed_segments, pattern, signed) == {}
+                assert holds == verdicts[pattern, signed]
+                seen.add(holds)
+    assert seen == {False, True}
+
+
 @pytest.mark.parametrize("anchor, mutant", [
     ("flip = signed and", "flip = False and"),  # sigma dropped
     ("if lead not in taken:", "if True:"),  # V may repeat a file
 ], ids=["sigma-dropped", "repeated-leader"])
 def test_reconstruction_sign_rule_mutants_fail(anchor, mutant, monkeypatch):
     """Each sign-rule mutant of the identity, built from the real source,
-    breaks the comparison with the direct library sums and fails the
-    integer certificate."""
+    breaks the comparison with the direct library sums and fails both
+    integer certificates."""
     source = textwrap.dedent(inspect.getsource(ucc._reconstructed_segments))
     assert source.count(anchor) == 1
     namespace = dict(vars(ucc))
@@ -507,6 +632,7 @@ def test_reconstruction_sign_rule_mutants_fail(anchor, mutant, monkeypatch):
         caught += any(vals != _direct_segment(bc, lib, sub) for sub, vals in recon.items())
     assert caught > 0
     assert _certificate_failures(rebuild) > 0
+    assert _local_failures(rebuild, 3)
 
 
 def test_decode_missing_cache_symbols_raises():
@@ -671,18 +797,33 @@ def test_linear_system_is_the_segment_table(shape, q, packet):
     subsets = list(itertools.combinations(range(params.n_users), params.r + 1))
     sent = [sub for sub in subsets if sub[0] < params.block_len]
     assert len(sent) < len(subsets) and list(bc.segments) == sent
-    rows = list(zip(system.cols, system.coefs, system.rhs))
-    assert len(rows) == len(sent)
-    for sub, (cols, coefs, rhs) in zip(sent, rows):
+    assert len(system.rows) == len(sent)
+    for sub, (row, rhs) in zip(sent, system.rows):
         rest = [sub[:i] + sub[i + 1:] for i in range(len(sub))]
-        assert cols == tuple(column[demand[v]] + subset_rank(range(params.n_users), lab)
-                             for v, lab in zip(sub, rest))
-        assert coefs == tuple((-1) ** i % q if bc.signed else 1 for i in range(len(sub)))
+        cols = [column[demand[v]] + subset_rank(range(params.n_users), lab) for v, lab in zip(sub, rest)]
+        assert list(row.items()) == [(c, (-1) ** i % q if bc.signed else 1) for i, c in enumerate(cols)]
         assert rhs == bc.segments[sub]
-    held = [[i for i, cols in enumerate(system.cols) if c in cols] for c in range(system.n_coef)]
+    held = [[i for i, (row, _) in enumerate(system.rows) if c in row] for c in range(system.n_coef)]
     assert system.holders == held
     assert system.counts == [len(h) for h in held]
     assert system.once == [c for c, h in enumerate(held) if len(h) == 1]
+
+
+@pytest.mark.parametrize("shape", [(6, 2, 3, 2), (4, 3, 1, 2)])
+def test_linear_decodes_leave_the_system_rows_unchanged(shape):
+    """Every linear decode of a broadcast queries its one stored system, whose
+    rows hold dicts: after each user's decode, right, ``system.rows`` still
+    equals a deep copy taken before the first query."""
+    params = SchemeParams(*shape, packet_size=2).ucc
+    rng = random.Random(sum(shape))
+    base = rng.sample(range(params.n_files), params.block_len)
+    demand = tuple(v for _ in range(params.n_groups) for v in rng.sample(base, params.block_len))
+    lib = Library.random(F257, params.n_files, params.file_len, rng)
+    bc = encode(params, demand, lib)
+    before = copy.deepcopy(bc._system.rows)
+    for u in range(params.n_users):
+        assert decode_linear(u, bc, ucc.place(params, lib, [u])) == lib.rows[demand[u]]
+    assert bc._system.rows == before
 
 
 @pytest.mark.parametrize("decoder", ["linear", "structural"])
