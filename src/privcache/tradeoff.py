@@ -210,7 +210,11 @@ def corner_points(n_files: int, n_users: int, demands_per_user: int) -> tuple[Tr
 @lru_cache(maxsize=1)
 def converse_corner_envelope(n_files: int, n_users: int, demands_per_user: int) -> Envelope:
     """Lower convex envelope of the corner points plus the zero-memory point
-    (0, L * floor(n_active / L)); a certified lower bound on the optimal rate."""
+    (0, L * floor(n_active / L)); a certified lower bound on the optimal rate.
+    At every merged breakpoint it lies at or below L rounds of the
+    non-private delivery of Yu, Maddah-Ali and Avestimehr for N <= 16 and
+    K <= 8 (``test_converse_lies_at_or_below_l_rounds_of_yma`` in
+    tests/test_tradeoff.py)."""
     n_act = active_files(n_files, n_users, demands_per_user)
     pts = [terms for _, _, *terms in _corner_terms(n_files, n_users, demands_per_user)]
     pts.append((0, 1, demands_per_user * (n_act // demands_per_user), 1))

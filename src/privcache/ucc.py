@@ -76,11 +76,14 @@ built) and one tuple of reduced symbols per coded segment.  The coefficient
 convention is not stored; ``Broadcast.signed``, the one place it is decided,
 derives it from the params and the field.
 
-Which subfile each user of a subset contributes, and with which sign,
-depends on the demand and the convention only, so a broadcast holds one
-segment table: every (r+1)-subset, transmitted or omitted, in rank order,
-with its (file, label rank, +-1) terms.  ``encode`` sums its transmitted
-entries; both decoders and ``trace_record`` read it.
+Which label each user of a subset contributes depends on (n_users, r)
+alone, and is planned once per shape by ``_shape_tables``: the face table
+(every (r+1)-subset in rank order with the rank left by dropping each of
+its users) and per user a decode plan (each uncached rank t, the subset
+S + {u} and u's position in it).  Each broadcast zips the faces with its
+demand and signs into one segment table, every (r+1)-subset in rank order
+with its (file, label rank, +-1) terms: ``encode`` sums its transmitted
+entries, and both decoders and ``trace_record`` read it.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, lru_cache
+from typing import Iterable, Mapping, NamedTuple
 
 from .gf import InconsistentSystemError, PrimeField, SparseSystem, determined_unknowns
 
@@ -113,7 +116,8 @@ class UccParams:
     table) are enumerated by ``itertools.combinations`` over a ``range``,
     which is lexicographic order, so a label's position in that order (its
     rank, which subfile indices and trace files use) is reproducible across
-    runs.
+    runs.  The labels and ranks are built once per (n_users, r) shape and
+    shared by every params of it; what reads the demand is per broadcast.
     """
 
     n_files: int
@@ -152,24 +156,43 @@ class UccParams:
     def n_groups(self) -> int:
         return self.n_users // self.block_len
 
-    @cached_property
-    def _labels(self) -> tuple[tuple[int, ...], ...]:
-        """Subfile labels in rank (lexicographic) order."""
-        return tuple(itertools.combinations(range(self.n_users), self.r))
-
-    @cached_property
-    def _rank_of(self) -> dict[tuple[int, ...], int]:
-        """Subfile label -> rank."""
-        return {lab: t for t, lab in enumerate(self._labels)}
-
-    @cached_property
+    @property
     def user_ranks(self) -> tuple[tuple[int, ...], ...]:
         """Per user, the ranks of the labels containing it (its cached subfiles)."""
-        ranks: list[list[int]] = [[] for _ in range(self.n_users)]
-        for t, lab in enumerate(self._labels):
-            for v in lab:
-                ranks[v].append(t)
-        return tuple(tuple(x) for x in ranks)
+        return _shape_tables(self.n_users, self.r).user_ranks
+
+
+Plan = tuple[tuple[int, tuple[int, ...], int], ...]  # (uncached rank t, S + {u}, u's position in it)
+
+
+class _ShapeTables(NamedTuple):
+    labels: tuple[tuple[int, ...], ...]
+    user_ranks: tuple[tuple[int, ...], ...]
+    faces: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    plans: tuple[Plan, ...]
+
+
+# Every params, broadcast and decode of one shape shares one build of its (immutable) tables.
+@lru_cache(maxsize=1)
+def _shape_tables(n_users: int, r: int) -> _ShapeTables:
+    """The labels, each user's cached ranks, the faces and the plans of the
+    module docstring: face (sub, drops) gives the plan entry (drops[i], sub,
+    i) of sub's i-th user.  Dropping a user v from the subsets holding it
+    keeps their lexicographic order, so each plan comes out ascending in t."""
+    labels = tuple(itertools.combinations(range(n_users), r))
+    rank_of = {lab: t for t, lab in enumerate(labels)}
+    ranks: list[list[int]] = [[] for _ in range(n_users)]
+    for t, lab in enumerate(labels):
+        for v in lab:
+            ranks[v].append(t)
+    # combinations(sub, r) drops sub's last user first, so the ranks are reversed into position order
+    faces = tuple((sub, tuple(map(rank_of.__getitem__, itertools.combinations(sub, r)))[::-1])
+                  for sub in itertools.combinations(range(n_users), r + 1))
+    plans: list[list[tuple]] = [[] for _ in range(n_users)]
+    for sub, drops in faces:
+        for i in range(r + 1):
+            plans[sub[i]].append((drops[i], sub, i))
+    return _ShapeTables(labels, tuple(map(tuple, ranks)), faces, tuple(map(tuple, plans)))
 
 
 @dataclass(frozen=True)
@@ -311,10 +334,14 @@ class Broadcast:
     @cached_property
     def _terms(self) -> dict[tuple[int, ...], list[tuple[int, int, int]]]:
         """The segment table of the module docstring: (r+1)-subset -> terms,
-        built from the params, demand and convention, never the library."""
-        params, demand, signed = self.params, self.demand, self.signed
-        return {sub: _segment_terms(params, demand, sub, signed)
-                for sub in itertools.combinations(range(params.n_users), params.r + 1)}
+        built from the shape's faces, the demand and the convention, never
+        the library: the i-th user v of a subset contributes the subfile of
+        demand[v] labeled by the rest of the subset, with coefficient (-1)^i
+        if ``signed`` and +1 otherwise."""
+        demand = self.demand
+        signs = [-1 if self.signed and i % 2 else 1 for i in range(self.params.r + 1)]
+        return {sub: [(demand[v], t, c) for v, t, c in zip(sub, drops, signs)]
+                for sub, drops in _shape_tables(self.params.n_users, self.params.r).faces}
 
     @cached_property
     def _file_offset(self) -> dict[int, int]:
@@ -395,17 +422,6 @@ class Broadcast:
         }
 
 
-def _segment_terms(params: UccParams, demand: tuple[int, ...], sub: tuple[int, ...],
-                   signed: bool) -> list[tuple[int, int, int]]:
-    """The (file, label rank, +-1) terms of the segment of user subset ``sub``:
-    the i-th user v in it contributes the subfile of its demanded file
-    labeled by the rest of the subset, with coefficient (-1)^i if ``signed``
-    and +1 otherwise."""
-    rank_of = params._rank_of
-    return [(demand[v], rank_of[sub[:i] + sub[i + 1:]], -1 if signed and i % 2 else 1)
-            for i, v in enumerate(sub)]
-
-
 def encode(params: UccParams, demand: tuple[int, ...], library: Library) -> Broadcast:
     """Broadcast for a restricted demand: one segment per (r+1)-subset that
     intersects the leader set, each the field sum over its users u of the
@@ -443,9 +459,9 @@ def _decode(u: int, broadcast: Broadcast, cache: CacheSlice, solve) -> tuple[int
     which must be packet_size symbols long, and nothing past the boundary
     reads anything else of it.  Then ``Broadcast._checked`` raises the
     broadcast's fault.  Both faults are DecodeError.  ``solve`` gets the
-    cut and u's cached and uncached label ranks and returns the uncached
-    subfiles {label rank: values}; the r = n_users shortcut (nothing
-    uncached) skips it."""
+    cut, u's cached label ranks and u's decode plan and returns the
+    uncached subfiles {label rank: values}; the r = n_users shortcut
+    (nothing uncached) skips it."""
     params = broadcast.params
     cached = _user_ranks(params, u)
     packet = params.packet_size
@@ -454,20 +470,20 @@ def _decode(u: int, broadcast: Broadcast, cache: CacheSlice, solve) -> tuple[int
         if len(cut[n][t]) != packet:
             raise DecodeError(f"cache slice holds no {packet}-symbol subfile {t} of file {n}")
     broadcast._checked()
-    uncached = sorted(set(range(params.subfile_count)).difference(cached))
-    solved = solve(u, broadcast, cut, cached, uncached) if uncached else {}
+    plan = _shape_tables(params.n_users, params.r).plans[u]
+    solved = solve(u, broadcast, cut, cached, plan) if plan else {}
     stored = cut[broadcast.demand[u]]
     return tuple(itertools.chain.from_iterable(
         solved[t] if t in solved else stored[t] for t in range(params.subfile_count)))
 
 
 def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                  cached: tuple[int, ...], uncached: list[int]) -> dict[int, tuple[int, ...]]:
+                  cached: tuple[int, ...], plan: Plan) -> dict[int, tuple[int, ...]]:
     offset = broadcast._file_offset
     system = broadcast._system
     known = {first + t: cache_slice[n][t] for n, first in offset.items() for t in cached}
     base = offset[broadcast.demand[u]]
-    wanted = [base + t for t in uncached]
+    wanted = [base + t for t, _, _ in plan]
     # no encode-built broadcast reaches either raise; they stay for determined_unknowns' results on hand-built input
     try:
         solved = determined_unknowns(system, known, wanted)
@@ -475,7 +491,7 @@ def _solve_linear(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
         raise DecodeError(f"inconsistent broadcast: {exc}") from None
     if len(solved) < len(wanted):
         raise DecodeError(f"user {u}: {len(wanted) - len(solved)} subfiles undetermined")
-    return {t: solved[base + t] for t in uncached}
+    return {t: solved[base + t] for t, _, _ in plan}
 
 
 def decode_linear(u: int, broadcast: Broadcast, cache: CacheSlice) -> tuple[int, ...]:
@@ -513,8 +529,10 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
     q = broadcast.field.q
     packet = params.packet_size
     signed = broadcast.signed
+    faces = _shape_tables(params.n_users, params.r).faces
     out = {}
-    for sub in itertools.combinations(range(params.block_len, params.n_users), params.r + 1):
+    # the subsets with no leader, sub[0] >= block_len, are the faces' suffix
+    for sub, _ in faces[len(faces) - math.comb(params.n_users - params.block_len, params.r + 1):]:
         terms = [((), (), 1)]
         for v in sub:
             lead = leader_of[demand[v]]
@@ -536,16 +554,14 @@ def _reconstructed_segments(broadcast: Broadcast) -> dict[tuple[int, ...], tuple
 
 
 def _solve_structural(u: int, broadcast: Broadcast, cache_slice: CacheSlice,
-                      cached: tuple[int, ...], uncached: list[int]) -> dict[int, tuple[int, ...]]:
+                      cached: tuple[int, ...], plan: Plan) -> dict[int, tuple[int, ...]]:
     q = broadcast.field.q
     segments = broadcast._all_segments
-    labels = broadcast.params._labels
     solved = {}
-    for t in uncached:
-        sub = tuple(sorted(labels[t] + (u,)))
+    for t, sub, i in plan:
         acc = list(segments[sub])
-        for n, t_v, c in broadcast._terms[sub]:
-            if t_v == t:
+        for j, (n, t_v, c) in enumerate(broadcast._terms[sub]):
+            if j == i:
                 c_u = c  # u's own term, W[d_u][S]
                 continue
             for p, x in enumerate(cache_slice[n][t_v]):  # every other label contains u

@@ -53,6 +53,17 @@ def subset_rank(ground: Iterable, subset: Iterable) -> int:
     return rank
 
 
+def segment_terms(params: UccParams, demand: tuple[int, ...], sub: tuple[int, ...],
+                  signed: bool) -> list[tuple[int, int, int]]:
+    """The (file, label rank, +-1) terms of the segment of user subset ``sub``,
+    one subset at a time: the i-th user v in it contributes the subfile of
+    its demanded file labeled by the rest of the subset, ranked by the
+    combinatorial number system, with coefficient (-1)^i if ``signed`` and
+    +1 otherwise."""
+    return [(demand[v], subset_rank(range(params.n_users), sub[:i] + sub[i + 1:]), -1 if signed and i % 2 else 1)
+            for i, v in enumerate(sub)]
+
+
 def all_demand_matrices(params: SchemeParams) -> Iterator[Demands]:
     """Every demand matrix, rows of distinct files in lexicographic order:
     the order ``audit.exact_mutual_information`` meets them in, row by

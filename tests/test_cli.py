@@ -534,20 +534,35 @@ def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("decoder", ["linear", "structural"])
-def test_simulate_builds_each_segment_terms_once(monkeypatch, tmp_path, decoder):
-    # KV = 12 virtual users, r = 2: the broadcast's table holds the terms of
-    # all C(12, 3) = 220 segments, built once and read by every decode
-    real = ucc._segment_terms
-    calls = []
+def test_simulate_plans_each_shape_once(monkeypatch, tmp_path, decoder):
+    # KV = 12 virtual users, r = 2: two runs of one shape share one build of
+    # its tables, and each broadcast's segment table holds the terms of all
+    # C(12, 3) = 220 segments, built once and read by every decode
+    build = ucc._shape_tables.__wrapped__
+    shapes = []
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(*shape):
+        shapes.append(shape)
+        return build(*shape)
 
-    monkeypatch.setattr(ucc, "_segment_terms", counting)
-    assert run_cli("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--decoder", decoder,
-                   "--out", str(tmp_path / "t.json")) == 0
-    assert len(calls) == 220
+    # the counting build sits behind a cache of the real one's size, so a
+    # second build of the shape would be counted
+    size = ucc._shape_tables.cache_parameters()["maxsize"]
+    monkeypatch.setattr(ucc, "_shape_tables", functools.lru_cache(maxsize=size)(counting))
+    real_encode = ucc.encode
+    broadcasts = []
+
+    def recording(*args):
+        broadcasts.append(real_encode(*args))
+        return broadcasts[-1]
+
+    monkeypatch.setattr(ucc, "encode", recording)
+    for seed in ("1", "2"):
+        assert run_cli("simulate", "--N", "6", "--K", "2", "--L", "3", "--r", "2", "--decoder", decoder,
+                       "--seed", seed, "--out", str(tmp_path / "t.json")) == 0
+    assert shapes == [(12, 2)]
+    assert len(broadcasts) == 2
+    assert all(len(bc.__dict__["_terms"]) == 220 for bc in broadcasts)
 
 
 def test_gap_entry_whose_certificate_fails_is_a_check_failure(monkeypatch, capsys):

@@ -502,6 +502,30 @@ def test_every_converse_line_meets_its_corner_under_the_corner_envelope(lambda_s
             assert all((a + b * m) / e <= r for m, r in bps), (n, k, big_l, s, lam)
 
 
+def test_converse_lies_at_or_below_l_rounds_of_yma():
+    """The converse is checked as a lower bound against a non-private scheme:
+    L rounds of the leader-based delivery of Yu, Maddah-Ali & Avestimehr
+    ("The exact rate-memory tradeoff for caching with uncoded prefetching",
+    IEEE T-IT 2018) over one uncoded placement serve any L demands per user
+    at rate L * R_YMA, with R_YMA(tN/K) = (C(K, t+1) - C(K - min(N, K), t+1))
+    / C(K, t) at t in [0, K] and its lower convex envelope between.  Both
+    envelopes are piecewise linear on [0, N], so the corner envelope lies
+    at or below L * R_YMA everywhere iff it does at every merged breakpoint,
+    compared here in integers, over all 1,088 triples with N <= 16, K <= 8
+    and L <= N."""
+    triples = sweep_triples((1, 16), (1, 8))
+    assert len(triples) == 1088
+    for n, k, big_l in triples:
+        low = converse_corner_envelope(n, k, big_l)
+        yma = Envelope([(t * n, k, big_l * (math.comb(k, t + 1) - math.comb(k - min(n, k), t + 1)), math.comb(k, t))
+                        for t in range(k + 1)])
+        assert (low.domain, yma.domain) == ((0, n), (0, n))
+        for x in {Fraction(x, env.x_den) for env in (low, yma) for x in env.xs}:
+            lo_num, lo_den = low.value_terms(x.numerator, x.denominator)
+            up_num, up_den = yma.value_terms(x.numerator, x.denominator)
+            assert lo_num * up_den <= up_num * lo_den, (n, k, big_l, x)
+
+
 def test_converse_terms_order_and_count():
     terms = list(converse_terms(5, 2, 2, Fraction(1, 2)))
     assert [(s, lam) for s, lam, *_ in terms] == [

@@ -2,6 +2,7 @@
 counts, the hand-checked decode identity, and exhaustive decoder equivalence."""
 
 import copy
+import functools
 import inspect
 import itertools
 import math
@@ -11,7 +12,7 @@ import types
 
 import pytest
 
-from helpers import cache_slice_for, ramp_library, subset_rank
+from helpers import cache_slice_for, ramp_library, segment_terms, subset_rank
 from privcache import scheme, ucc
 from privcache.gf import PrimeField, solve_any
 from privcache.scheme import SchemeParams, SeedStreams, UserCache
@@ -56,6 +57,35 @@ def test_params_validation():
         UccParams(n_files=2, n_users=0, block_len=1, r=0)
 
 
+@pytest.mark.parametrize("n_users", range(1, 8))
+def test_shape_tables_match_the_subset_by_subset_oracles(n_users, monkeypatch):
+    """For every block length dividing n_users, every r and both
+    conventions, a broadcast's segment table, read off the shape's faces,
+    equals the terms built one subset at a time; every plan entry (t, sub,
+    i) of user u has sub = S + {u} sorted for the label S of rank t and u at
+    position i; and the plan's ranks are the labels without u, ascending."""
+    rng = random.Random(n_users)
+    for r in range(n_users + 1):
+        labels = list(itertools.combinations(range(n_users), r))
+        for block_len in (b for b in range(1, n_users + 1) if n_users % b == 0):
+            params = UccParams(n_files=block_len + 1, n_users=n_users, block_len=block_len, r=r)
+            files = rng.sample(range(params.n_files), block_len)
+            demand = tuple(v for _ in range(params.n_groups) for v in rng.sample(files, block_len))
+            for signed in (False, True):
+                monkeypatch.setattr(Broadcast, "signed", property(lambda self, signed=signed: signed))
+                terms = Broadcast(params, F257, demand, {})._terms
+                assert list(terms) == list(itertools.combinations(range(n_users), r + 1))
+                assert terms == {sub: segment_terms(params, demand, sub, signed) for sub in terms}
+        tables = ucc._shape_tables(n_users, r)
+        assert tables.labels == tuple(labels)
+        for u, plan in enumerate(tables.plans):
+            for t, sub, i in plan:
+                assert sub == tuple(sorted(labels[t] + (u,)))
+                assert sub[i] == u
+            assert [t for t, _, _ in plan] == [t for t, lab in enumerate(labels) if u not in lab]
+            assert [t for t, lab in enumerate(labels) if u in lab] == list(tables.user_ranks[u])
+
+
 @pytest.mark.parametrize("rows, message", [((), "empty library"), (((1, 2), (3,)), "ragged library"),
                                            (((1, 257),), r"library symbol outside \[0, q\)"),
                                            (((-1, 0),), r"library symbol outside \[0, q\)")],
@@ -69,12 +99,12 @@ def test_labels_are_the_r_subsets_in_lexicographic_order():
     """Labels are ranked in lexicographic order, which the combinatorial
     number system confirms label by label, and a segment table over
     (r+1)-subsets of fewer than r+1 users is empty."""
-    assert UccParams(n_files=2, n_users=4, block_len=1, r=1)._labels == ((0,), (1,), (2,), (3,))
-    params = UccParams(n_files=5, n_users=8, block_len=4, r=2)
-    assert len(params._labels) == 28
-    assert [subset_rank(range(8), lab) for lab in params._labels] == list(range(28))
+    assert ucc._shape_tables(4, 1).labels == ((0,), (1,), (2,), (3,))
+    labels = ucc._shape_tables(8, 2).labels
+    assert len(labels) == 28
+    assert [subset_rank(range(8), lab) for lab in labels] == list(range(28))
     full = UccParams(n_files=3, n_users=4, block_len=2, r=4)
-    assert full._labels == ((0, 1, 2, 3),)
+    assert ucc._shape_tables(4, 4).labels == ((0, 1, 2, 3),)
     assert Broadcast(full, F257, (0, 1, 1, 0), {})._terms == {}
 
 
@@ -763,10 +793,12 @@ def test_encode_stores_the_term_table(monkeypatch):
     assert list(bc._terms) == list(itertools.combinations(range(params.n_users), params.r + 1))
     assert len(bc._terms) == math.comb(params.n_users, params.r + 1)
 
-    def no_terms(*args):
-        raise AssertionError("segment terms rebuilt")
+    def no_terms(self):
+        raise AssertionError("segment table rebuilt")
 
-    monkeypatch.setattr(ucc, "_segment_terms", no_terms)
+    rebuilt = functools.cached_property(no_terms)
+    rebuilt.__set_name__(Broadcast, "_terms")
+    monkeypatch.setattr(Broadcast, "_terms", rebuilt)
     for u in range(params.n_users):
         cs = cache_slice_for(params, u, lib, demand)
         assert decode_linear(u, bc, cs) == lib.rows[demand[u]]
